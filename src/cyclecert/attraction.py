@@ -273,19 +273,9 @@ def certify_attraction(
         cert.exponents = sweep.exponents
         cert.sample_count = len(sweep.exponents)
 
-        refine = 100
-        fine = simulate(
-            field,
-            existence.trajectory.nodes[0],
-            existence.h / refine,
-            int(math.ceil(1.2 * existence.R1 * refine / existence.h)),
+        cert.integral = integral_criterion(
+            field, existence.trajectory, existence.gamma, existence.R1
         )
-        sec = Section.through(field, fine.nodes[0])
-        rt = return_times(
-            fine, sec, 1, default_exclusion(existence.h / refine, existence.delta0)
-        )
-        period = rt.first()[0] if rt.complete else existence.R1
-        cert.integral = integral_criterion(field, fine, existence.gamma, period)
 
         bounds_ok = all(
             v is not None and np.isfinite(v)

@@ -293,28 +293,27 @@ def estimate_eta(
 
     Fine-step surrogates of the exact flow (step h/refine) give T_lo, T_hi
     and the floor eta = T_lo/2; the plain step h gives R', the bound on the
-    discrete first-return time.  A sample that never returns within the
-    horizon blocks certification.
+    discrete first-return time.  Both sweeps use the crossing rule of
+    :func:`~cyclecert.euler.return_times`.  A sample that never returns
+    within the horizon, or whose run diverges, blocks certification.
     """
     pts = disk.sample_points(n_samples, seed=seed)
     section = Section(disk.center, disk.normal)
-    h_fine = h / refine
-    excl_fine = Exclusion(t_min=10.0 * h_fine, r_excl=0.5 * disk.radius)
-    t_flow = batch_first_return(field, pts, h_fine, horizon, section, excl_fine)
-    if np.isnan(t_flow).any():
-        bad = int(np.nonzero(np.isnan(t_flow))[0][0])
-        raise CertificateBlockedError(
-            f"return-time sweep: sample {bad} at {pts[bad].tolist()} did not "
-            f"return within horizon {horizon:g}"
-        )
-    excl = Exclusion(t_min=10.0 * h, r_excl=0.5 * disk.radius)
-    t_euler = batch_first_return(field, pts, h, horizon, section, excl)
-    if np.isnan(t_euler).any():
-        bad = int(np.nonzero(np.isnan(t_euler))[0][0])
-        raise CertificateBlockedError(
-            f"return-time sweep: discrete sample {bad} did not return "
-            f"within horizon {horizon:g}"
-        )
+
+    def sweep(step):
+        excl = Exclusion(t_min=10.0 * step, r_excl=0.5 * disk.radius)
+        times = batch_first_return(field, pts, step, horizon, section, excl)
+        if np.isnan(times).any():
+            bad = int(np.nonzero(np.isnan(times))[0][0])
+            raise CertificateBlockedError(
+                f"return-time sweep at step {step:g}: sample {bad} at "
+                f"{pts[bad].tolist()} diverged or did not return within "
+                f"horizon {horizon:g}"
+            )
+        return times
+
+    t_flow = sweep(h / refine)
+    t_euler = sweep(h)
     T_lo, T_hi = float(t_flow.min()), float(t_flow.max())
     return EtaEstimate(
         eta=0.5 * T_lo,

@@ -18,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import DivergedError, InputError
+from .errors import DivergedError, InputError, NumericError
 from .systems import VectorField
 
 
@@ -88,6 +88,24 @@ class EulerTrajectory:
         )
 
 
+def _has_scalar_path(field: VectorField) -> bool:
+    """Whether Euler steps can run on plain floats through ``rhs_scalar2``."""
+    return field.rhs_scalar2 is not None and field.dim == 2
+
+
+def _euler_nodes(field: VectorField, x0: np.ndarray, h: float, n_steps: int):
+    """Euler nodes stepped with numpy from one point or a batch of points.
+
+    Returns an array of shape ``(n_steps + 1,) + x0.shape``; non-finite
+    states propagate instead of raising.
+    """
+    nodes = np.empty((n_steps + 1,) + x0.shape)
+    nodes[0] = x0
+    for i in range(n_steps):
+        nodes[i + 1] = nodes[i] + h * field.f_raw(nodes[i])
+    return nodes
+
+
 def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
     """Integrate dx/dt = f(x) with the explicit Euler scheme.
 
@@ -104,9 +122,9 @@ def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
     if x0.shape != (field.dim,):
         raise InputError(f"x0 must have shape ({field.dim},), got {x0.shape}")
 
-    nodes = np.empty((n_steps + 1, field.dim))
-    nodes[0] = x0
-    if field.rhs_scalar2 is not None and field.dim == 2:
+    if _has_scalar_path(field):
+        nodes = np.empty((n_steps + 1, 2))
+        nodes[0] = x0
         rhs2 = field.rhs_scalar2
         u1, u2 = float(x0[0]), float(x0[1])
         try:
@@ -119,10 +137,7 @@ def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
         except OverflowError:
             raise DivergedError(f"state overflowed at step {i}", i) from None
     else:
-        x = x0.copy()
-        for i in range(1, n_steps + 1):
-            x = x + h * field.f_raw(x)
-            nodes[i] = x
+        nodes = _euler_nodes(field, x0, h, n_steps)
 
     if not np.all(np.isfinite(nodes)):
         bad = int(np.nonzero(~np.isfinite(nodes).all(axis=1))[0][0])
@@ -191,6 +206,49 @@ def default_exclusion(h: float, delta0: float) -> Exclusion:
     return Exclusion(t_min=10.0 * h, r_excl=0.5 * delta0)
 
 
+def _crossing_scan(
+    field: VectorField,
+    nodes: np.ndarray,
+    h: float,
+    offset: int,
+    section: Section,
+    exclusion: Exclusion,
+    t_left: float = math.inf,
+):
+    """The crossing rule of :func:`detect_crossings` on a run of nodes.
+
+    ``nodes[0]`` is node ``offset`` of an Euler run, so a crossing on local
+    segment i gets the time (offset + i)*h + s* it has on the whole run.
+    ``t_left`` is the time the run first left B(anchor, r_excl) as found on
+    its earlier nodes (inf while it has not); the returned value includes
+    these nodes, so a run can be scanned chunk by chunk.
+
+    Returns ``(i, s_star, times, points, ddots, t_left)`` for the counted
+    crossings, in order, with ``i`` indexing ``nodes``.
+    """
+    if exclusion.r_excl <= 0.0:
+        t_left = 0.0
+    elif t_left == math.inf:
+        dist = np.linalg.norm(nodes - section.anchor, axis=1)
+        outside = np.nonzero(dist > exclusion.r_excl)[0]
+        if outside.size:
+            t_left = (offset + int(outside[0])) * h
+
+    g = (nodes - section.anchor) @ section.normal
+    gi, gj = g[:-1], g[1:]
+    idx = np.nonzero((gi < 0.0) & (gj >= 0.0))[0]
+    if idx.size == 0:
+        empty = np.empty(0)
+        return idx, empty, empty, np.empty((0, nodes.shape[1])), empty, t_left
+
+    s_star = -gi[idx] / (gj[idx] - gi[idx]) * h
+    times = (offset + idx) * h + s_star
+    points = nodes[idx] + (s_star / h)[:, None] * (nodes[idx + 1] - nodes[idx])
+    ddots = field.f_raw(points) @ field.f_raw(section.anchor)
+    keep = (times >= max(exclusion.t_min, t_left)) & (ddots > 0.0)
+    return idx[keep], s_star[keep], times[keep], points[keep], ddots[keep], t_left
+
+
 def detect_crossings(
     traj: EulerTrajectory, section: Section, exclusion: Exclusion
 ) -> List[Crossing]:
@@ -199,47 +257,22 @@ def detect_crossings(
     Only transitions with ``<f(anchor), f(point)> > 0`` count; the one-sided
     sign rule prevents double-counting tangential grazes.  Each in-segment
     offset is the exact root of the linear equation on its segment.
+    Transitions before ``exclusion.t_min``, or before the trajectory has
+    first left B(anchor, r_excl), are dropped.
     """
-    g = (traj.nodes - section.anchor) @ section.normal
-    gi, gj = g[:-1], g[1:]
-    mask = (gi < 0.0) & (gj >= 0.0)
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return []
-
-    h = traj.h
-    s_star = -gi[idx] / (gj[idx] - gi[idx]) * h
-    times = idx * h + s_star
-    dirs = traj.seg_dirs[idx]
-    points = traj.nodes[idx] + (s_star / h)[:, None] * (
-        traj.nodes[idx + 1] - traj.nodes[idx]
+    idx, s_star, times, points, ddots, _ = _crossing_scan(
+        traj.field, traj.nodes, traj.h, 0, section, exclusion
     )
-    f_anchor = traj.field.f_raw(section.anchor)
-    ddots = traj.field.f_raw(points) @ f_anchor
-
-    # first time the trajectory leaves B(anchor, r_excl)
-    t_gate = exclusion.t_min
-    if exclusion.r_excl > 0.0:
-        dist = np.linalg.norm(traj.nodes - section.anchor, axis=1)
-        outside = np.nonzero(dist > exclusion.r_excl)[0]
-        if outside.size == 0:
-            return []
-        t_gate = max(t_gate, outside[0] * h)
-
-    out = []
-    for k in range(idx.size):
-        if times[k] < t_gate or ddots[k] <= 0.0:
-            continue
-        out.append(
-            Crossing(
-                step_index=int(idx[k]),
-                s_star=float(s_star[k]),
-                time=float(times[k]),
-                point=points[k],
-                direction_dot=float(ddots[k]),
-            )
+    return [
+        Crossing(
+            step_index=int(idx[k]),
+            s_star=float(s_star[k]),
+            time=float(times[k]),
+            point=points[k],
+            direction_dot=float(ddots[k]),
         )
-    return out
+        for k in range(idx.size)
+    ]
 
 
 @dataclass
@@ -265,23 +298,33 @@ def return_times(
 
     N_p is derived from the crossing's segment index (s_star in (0, h]
     places R_p in ((N_p - 1)h, N_p h] by construction), avoiding floating
-    ceil hazards at segment boundaries; the bracketing is asserted.
+    ceil hazards at segment boundaries.
+
+    Raises
+    ------
+    NumericError
+        If a return time falls outside its segment's bracket.
     """
     crossings = detect_crossings(traj, section, exclusion)[:p_max]
     out = []
     for c in crossings:
         n_p = c.step_index + 1
-        assert (n_p - 1) * traj.h < c.time <= n_p * traj.h * (1 + 1e-12), (
-            c.time,
-            n_p,
-        )
+        if not (n_p - 1) * traj.h < c.time <= n_p * traj.h * (1 + 1e-12):
+            raise NumericError(
+                f"return time {c.time!r} at segment {c.step_index} lies outside "
+                f"({(n_p - 1) * traj.h!r}, {n_p * traj.h!r}]"
+            )
         out.append((c.time, n_p, c))
     return ReturnTimes(returns=out, complete=len(out) >= p_max)
 
 
 # --------------------------------------------------------------------------
-# batched first-return scan (used by the return-time sweeps)
+# first-return sweep over many start points
 # --------------------------------------------------------------------------
+
+# Euler steps per chunk of the first-return sweep: a sample stops at the end
+# of the chunk that holds its first counted crossing.
+RETURN_CHUNK = 4096
 
 
 def batch_first_return(
@@ -291,53 +334,53 @@ def batch_first_return(
     horizon: float,
     section: Section,
     exclusion: Exclusion,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """First return times for a batch of initial points, NaN where none found.
 
-    Integrates all points simultaneously and scans for the first qualifying
-    section crossing of each trajectory; only O(batch) memory is used.
+    Each run is stepped in chunks of ``RETURN_CHUNK`` steps, every chunk
+    starting from the last node of the one before, so the nodes are those
+    of one long run.  Each chunk goes through the crossing rule of
+    :func:`detect_crossings`, and a sample stops at its first counted
+    crossing.  Planar fields with ``rhs_scalar2`` step one sample at a time
+    on :func:`simulate`'s scalar path, where a sample whose run diverges
+    gives NaN.  Other fields step the whole batch at once with numpy.
     """
     X = np.array(points, dtype=float)
-    m = X.shape[0]
     n_steps = int(math.ceil(horizon / h))
-    anchor, normal = section.anchor, section.normal
-    f_anchor = field.f_raw(anchor)
+    if _has_scalar_path(field):
+        return np.array(
+            [_first_return(field, x, h, n_steps, section, exclusion) for x in X]
+        )
 
-    times = np.full(m, np.nan)
-    g_prev = (X - anchor) @ normal
-    left_ball = np.linalg.norm(X - anchor, axis=1) > exclusion.r_excl
-    t_left = np.where(left_ball, 0.0, np.nan)
-
-    step = 0
-    while step < n_steps and np.isnan(times).any():
-        n_do = min(chunk, n_steps - step)
-        for k in range(n_do):
-            F = field.f_raw(X)
-            Xn = X + h * F
-            g_new = (Xn - anchor) @ normal
-            t0 = (step + k) * h
-
-            newly_left = (~left_ball) & (
-                np.linalg.norm(Xn - anchor, axis=1) > exclusion.r_excl
+    times = np.full(X.shape[0], np.nan)
+    t_left = np.full(X.shape[0], math.inf)
+    for offset in range(0, n_steps, RETURN_CHUNK):
+        pending = np.nonzero(np.isnan(times))[0]
+        if pending.size == 0:
+            break
+        nodes = _euler_nodes(field, X, h, min(RETURN_CHUNK, n_steps - offset))
+        for j in pending:
+            _, _, t, _, _, t_left[j] = _crossing_scan(
+                field, nodes[:, j], h, offset, section, exclusion, t_left[j]
             )
-            t_left[newly_left] = t0 + h
-            left_ball |= newly_left
-
-            hit = np.isnan(times) & (g_prev < 0.0) & (g_new >= 0.0)
-            if hit.any():
-                s = -g_prev[hit] / (g_new[hit] - g_prev[hit]) * h
-                t_hit = t0 + s
-                pts = X[hit] + (s / h)[:, None] * (Xn[hit] - X[hit])
-                good = (
-                    (field.f_raw(pts) @ f_anchor > 0.0)
-                    & (t_hit >= exclusion.t_min)
-                    & left_ball[hit]
-                    & (t_hit >= np.where(np.isnan(t_left[hit]), np.inf, t_left[hit]))
-                )
-                sel = np.nonzero(hit)[0][good]
-                times[sel] = t_hit[good]
-            X = Xn
-            g_prev = g_new
-        step += n_do
+            if t.size:
+                times[j] = t[0]
+        X = nodes[-1]
     return times
+
+
+def _first_return(field, x, h, n_steps, section, exclusion) -> float:
+    """First counted crossing time of one scalar-path run, NaN if none."""
+    t_left = math.inf
+    for offset in range(0, n_steps, RETURN_CHUNK):
+        try:
+            nodes = simulate(field, x, h, min(RETURN_CHUNK, n_steps - offset)).nodes
+        except DivergedError:
+            return math.nan
+        _, _, t, _, _, t_left = _crossing_scan(
+            field, nodes, h, offset, section, exclusion, t_left
+        )
+        if t.size:
+            return float(t[0])
+        x = nodes[-1]
+    return math.nan

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EquilibriumProximityError, InputError
+from .errors import EquilibriumProximityError, InputError, NumericError
 from .systems import VectorField
 
 M_FLOOR = 1e-8
@@ -323,7 +323,8 @@ def sigma_rate(lam, a: float, b: float, gamma: float) -> SigmaRate:
     """Regularized growth rate for one step.
 
     The gamma floor keeps |sigma| >= gamma*a/2 > 0, which the error-floor
-    constant downstream relies on; that inequality is asserted here.
+    constant downstream relies on; a rate that breaks it (a NaN Lambda, for
+    one) raises :class:`NumericError`.
     """
     if isinstance(lam, LambdaBound):
         index, lam_val = lam.segment_index, lam.lam
@@ -342,12 +343,17 @@ def sigma_rate(lam, a: float, b: float, gamma: float) -> SigmaRate:
     else:
         sigma = 1.5 * b * max(abs(lam_val), gamma)
         branch = "regularized"
-    assert abs(sigma) >= 0.5 * gamma * a - 1e-300, (sigma, gamma, a)
+    if not abs(sigma) >= 0.5 * gamma * a - 1e-300:
+        raise NumericError(
+            f"segment {index}: growth rate {sigma!r} from Lambda {lam_val!r} "
+            f"is below the floor gamma*a/2 = {0.5 * gamma * a!r}"
+        )
     return SigmaRate(segment_index=index, sigma=sigma, branch=branch)
 
 
 def sigma_rate_batch(lam: np.ndarray, a, b, gamma: float) -> np.ndarray:
-    """Vectorized growth rates; same branch rules as :func:`sigma_rate`."""
+    """Vectorized growth rates; same branch rules and floor check as
+    :func:`sigma_rate`, with the array index as the segment index."""
     if gamma <= 0.0:
         raise InputError("gamma must be positive")
     lam = np.asarray(lam, dtype=float)
@@ -360,5 +366,12 @@ def sigma_rate_batch(lam: np.ndarray, a, b, gamma: float) -> np.ndarray:
         0.5 * a * lam,
         1.5 * b * np.maximum(np.abs(lam), gamma),
     )
-    assert np.all(np.abs(out) >= 0.5 * gamma * a - 1e-300)
+    bad = np.flatnonzero(~(np.abs(out) >= 0.5 * gamma * a - 1e-300))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(
+            f"segment {i}: growth rate {float(out.flat[i])!r} from Lambda "
+            f"{float(lam.flat[i])!r} is below the floor gamma*a/2 = "
+            f"{0.5 * gamma * float(a.flat[i])!r}"
+        )
     return out

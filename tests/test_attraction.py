@@ -136,6 +136,14 @@ def test_integral_vdp_negative(vdp_attraction):
     assert vdp_attraction.integral.value < 0.0
 
 
+def test_integral_from_certified_trajectory(vdp_cert, vdp_attraction):
+    # the loop integral runs over the existence trajectory's first loop:
+    # period R1, trapezoid nodes 0..floor(R1/h), which is N1 nodes
+    chk = vdp_attraction.integral
+    assert chk.period == vdp_cert.R1
+    assert chk.n_samples == vdp_cert.N1
+
+
 def test_attraction_requires_certified_existence(vdp, linear):
     failed = cc.certify_existence(
         linear, (1.0, 0.0), 1e-2, 0.1, 0.015, PipelineConfig(), horizon=5.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cyclecert.errors import (
     EquilibriumProximityError,
     InvalidReparametrizationError,
 )
+from cyclecert.systems import VectorField
 
 
 def test_lipschitz_trivials(linear, harmonic):
@@ -229,6 +232,42 @@ def test_estimate_eta_blocking(linear):
     disk = SectionDisk(anchor, 0.05, linear.f_raw(anchor))
     with pytest.raises(CertificateBlockedError):
         cc.estimate_eta(linear, disk, 4, h=1e-2, horizon=5.0, refine=5)
+
+
+def _escape_field(mode):
+    """The circle flow for u1 < 1.03; beyond it u1 drifts off ("drift", no
+    return) or blows up ("blowup", the run diverges)."""
+
+    def rhs(x):
+        u1, u2 = x[..., 0], x[..., 1]
+        out = u1 * u1 if mode == "blowup" else np.ones_like(u1)
+        inside = u1 < 1.03
+        return np.stack([np.where(inside, u2, out), np.where(inside, -u1, 0.0)], -1)
+
+    def rhs2(u1, u2):
+        if u1 < 1.03:
+            return u2, -u1
+        return (u1 * u1 if mode == "blowup" else 1.0), 0.0
+
+    return VectorField(f"escape-{mode}", 2, {}, rhs, rhs_scalar2=rhs2)
+
+
+@pytest.mark.parametrize("scalar_path", [True, False])
+@pytest.mark.parametrize("mode", ["drift", "blowup"])
+def test_estimate_eta_blocking_names_sample(mode, scalar_path):
+    # the sample at u1 = 1.05 escapes; the other two return near 2*pi
+    field = _escape_field(mode)
+    if not scalar_path:
+        field = dataclasses.replace(field, rhs_scalar2=None)
+    anchor = np.array([1.0, 0.0])
+    disk = SectionDisk(anchor, 0.05, field.f_raw(anchor))
+    pts = disk.sample_points(3)
+    bad = int(np.argmax(pts[:, 0]))
+    assert bad != 0 and pts[bad, 0] > 1.03
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(CertificateBlockedError) as err:
+            cc.estimate_eta(field, disk, 3, h=1e-3, horizon=8.0, refine=2)
+    assert f"sample {bad} at {pts[bad].tolist()}" in str(err.value)
 
 
 def test_global_constants_validation(vdp_cert):

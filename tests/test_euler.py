@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import cyclecert as cc
-from cyclecert.errors import DivergedError, InputError
+from cyclecert.errors import DivergedError, InputError, NumericError
 
 
 def test_recurrence_exact(vdp):
@@ -164,11 +166,49 @@ def test_refinement_consistency(system, x0):
     assert abs(r[2e-3] - r[1e-3]) <= 5.0 * 2e-3
 
 
-def test_batch_first_return_matches_scalar(harmonic):
+def test_batch_first_return_matches_scalar(harmonic, linear):
+    # one crossing rule: the scalar-path sweep, the batched numpy sweep and
+    # return_times on a full run give the same times, bit for bit, on fields
+    # whose scalar and numpy right-hand sides agree exactly
+    h, horizon, excl = 1e-3, 10.0, cc.Exclusion(1e-2, 0.05)
+    assert 2 * np.pi / h > cc.euler.RETURN_CHUNK  # returns after the first chunk
+
+    def sweeps(field, section, pts):
+        scalar = cc.batch_first_return(field, pts, h, horizon, section, excl)
+        numpy_only = dataclasses.replace(field, rhs_scalar2=None)
+        batched = cc.batch_first_return(numpy_only, pts, h, horizon, section, excl)
+        full = []
+        for p in pts:
+            traj = cc.simulate(field, p, h, int(np.ceil(horizon / h)))
+            first = cc.return_times(traj, section, 1, excl).first()
+            full.append(np.nan if first is None else first[0])
+        return scalar, batched, np.array(full)
+
+    # [1, 0.005] crosses at t ~ 0.005 < t_min; [1, 0.02] crosses at t ~ 0.02
+    # before it has left B(anchor, 0.05): both early crossings are excluded
+    pts = np.array([[1.0, 0.0], [1.01, 0.0], [0.99, 0.0], [1.0, 0.005], [1.0, 0.02]])
+    scalar, batched, full = sweeps(harmonic, harmonic_section(harmonic), pts)
+    assert np.all(np.isfinite(scalar))
+    assert np.allclose(scalar[:3], 2 * np.pi, atol=0.02)
+    assert np.all(scalar[3:] > 2 * np.pi - 0.01)
+    assert np.array_equal(scalar, batched)
+    assert np.array_equal(scalar, full)
+
+    # the stable node never crosses the section through (1, 0)
+    anchor = np.array([1.0, 0.0])
+    section = cc.Section(anchor, linear.f_raw(anchor))
+    pts = np.array([[1.0, 0.0], [0.9, 0.0], [0.5, 0.5]])
+    for times in sweeps(linear, section, pts):
+        assert np.all(np.isnan(times))
+
+
+def test_return_times_bracket_violation_raises(harmonic, monkeypatch):
+    # a time outside its segment's bracket ((N-1)h, Nh] is an error, not an assert
+    traj = cc.simulate(harmonic, [1.0, 0.0], 1e-3, 7000)
     section = harmonic_section(harmonic)
-    pts = np.array([[1.0, 0.0], [1.01, 0.0], [0.99, 0.0]])
-    times = cc.batch_first_return(
-        harmonic, pts, 1e-3, 10.0, section, cc.Exclusion(1e-2, 0.05)
-    )
-    assert np.all(np.isfinite(times))
-    assert np.allclose(times, 2 * np.pi, atol=0.02)
+    excl = cc.default_exclusion(1e-3, 0.1)
+    good = cc.detect_crossings(traj, section, excl)[0]
+    bad = dataclasses.replace(good, time=good.time + 1e-3)
+    monkeypatch.setattr(cc.euler, "detect_crossings", lambda *args: [bad])
+    with pytest.raises(NumericError, match=f"segment {good.step_index}"):
+        cc.return_times(traj, section, 1, excl)

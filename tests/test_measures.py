@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cyclecert as cc
-from cyclecert.errors import EquilibriumProximityError, InputError
+from cyclecert.errors import EquilibriumProximityError, InputError, NumericError
 from cyclecert.measures import SliceSampling, make_slice
 
 
@@ -219,6 +219,15 @@ def test_sigma_rate_invalid_inputs():
         cc.sigma_rate(1.0, -0.1, 1.0, 0.015)
     with pytest.raises(InputError):
         cc.sigma_rate(1.0, 0.9, 1.1, 0.0)
+
+
+def test_sigma_rate_nan_lambda_raises():
+    # the floor check is a raised error, so it holds under python -O too
+    lam = np.array([-2.0, 1.0, np.nan, 0.5])
+    with pytest.raises(NumericError, match="segment 2"):
+        cc.measures.sigma_rate_batch(lam, 0.9, 1.1, 0.015)
+    with pytest.raises(NumericError):
+        cc.sigma_rate(np.nan, 0.9, 1.1, 0.015)
 
 
 def test_sigma_rules_randomized():
