@@ -34,8 +34,7 @@ print(f"fraction of the loop with positive transverse measure: "
       f"{(mu_perp > 0).mean():.2%}")
 
 spec = cc.transverse_measure(field, x0)
-print(f"at the start point: mu = {spec.mu:.4f}, mu_perp = {spec.mu_perp:.4f}, "
-      f"alignment = {spec.alignment:.3f}")
+print(f"at the start point: mu = {spec.mu:.4f}, mu_perp = {spec.mu_perp:.4f}")
 
 write_csv(
     out / "mu_perp.csv",

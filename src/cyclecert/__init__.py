@@ -22,9 +22,7 @@ from .attraction import (
 from .config import PRESETS, PipelineConfig, RunConfig, get_preset
 from .constants import (
     GlobalConstants,
-    RegionBox,
     SectionDisk,
-    estimate_ab,
     estimate_eta,
     estimate_lipschitz,
     estimate_magnitude_bounds,
@@ -54,13 +52,7 @@ from .euler import (
     simulate,
 )
 from .measures import (
-    LambdaBound,
-    SigmaRate,
-    Slice,
-    SliceSampling,
     TransverseSpectrum,
-    lambda_over_slice,
-    make_slice,
     mu_perp_batch,
     sigma_rate,
     symmetric_part,
@@ -77,10 +69,13 @@ from .syncerr import (
 from .systems import REGISTRY, SystemSpec, VectorField, load_system
 from .tube import (
     ExistenceCertificate,
+    SegmentGrids,
     Tube,
     TubeSegment,
+    ab_profile,
     build_tube,
     certify_existence,
     check_return_inclusion,
     check_step_condition,
+    lambda_profile,
 )

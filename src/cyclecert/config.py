@@ -28,13 +28,12 @@ class PipelineConfig:
 
     ``lambda_stride`` trades cost for tightness: slice bounds are sampled
     every that many segments and bridged with drift padding in between;
-    stride 1 samples every segment.  ``slice_radius`` selects the radius of
-    the slices the transverse bound is sampled on: ``tube`` uses the
-    contraction-tube radius from the previous fixed-point pass (sound once
-    the per-step condition holds, since synchronized states then stay inside
-    that tube), ``euler`` uses the bare segment, ``reach`` the cumulative
-    reachability radius (grows linearly in time and is far too conservative
-    for loop-scale horizons; kept for reference).
+    stride 1 samples every segment.  The slices the transverse bound is
+    sampled on have the contraction-tube radius of the previous fixed-point
+    pass widened by ``radius_safety`` (sound once the per-step condition
+    holds, since synchronized states then stay inside that tube); the first
+    pass uses the flat radius delta0.  The equilibrium floor on |f| is the
+    fixed :data:`cyclecert.measures.M_FLOOR`.
     """
 
     n_s: int = 5
@@ -43,17 +42,14 @@ class PipelineConfig:
     lambda_stride: int = 10
     passes: int = 2
     radius_safety: float = 1.05
-    slice_radius: str = "tube"
     ab_offsets: int = 5
     lipschitz_mode: str = "spectral_radius"
     magnitude_mode: str = "state"
     region_margin: float = 0.05
-    region_grid: int = 61
     eta_samples: int = 16
     eta_refine: int = 10
     sweep_samples: int = 11
     inclusion_samples: int = 64
-    m_floor: float = 1e-8
     seed: int = 0
     threads: int = dc_field(default_factory=threads_from_env)
 
@@ -64,8 +60,6 @@ class PipelineConfig:
             raise InputError("lambda_stride and passes must be >= 1")
         if self.pad_factor < 0.0 or self.radius_safety < 1.0:
             raise InputError("pad_factor >= 0 and radius_safety >= 1 required")
-        if self.slice_radius not in ("tube", "euler", "reach"):
-            raise InputError(f"unknown slice_radius {self.slice_radius!r}")
         if self.lipschitz_mode not in ("spectral_radius", "spectral_norm"):
             raise InputError(f"unknown lipschitz_mode {self.lipschitz_mode!r}")
         if self.magnitude_mode not in ("state", "field"):

@@ -27,84 +27,43 @@ from .errors import (
     InputError,
     TransversalityLossError,
 )
-from .euler import EulerTrajectory, Exclusion, Section, batch_first_return
+from .euler import Exclusion, Section, batch_first_return
 from .measures import M_FLOOR, _rot90
 from .systems import VectorField
 
 
-@dataclass(frozen=True)
-class RegionBox:
-    """Axis-aligned box for the working region (tube plus margin)."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
-        if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
-            raise InputError("invalid region box bounds")
-
-    @classmethod
-    def from_points(cls, points, margin: float = 0.0) -> "RegionBox":
-        points = np.asarray(points, dtype=float)
-        return cls(points.min(axis=0) - margin, points.max(axis=0) + margin)
-
-    def contains(self, points, tol: float = 0.0) -> bool:
-        points = np.asarray(points, dtype=float)
-        return bool(
-            np.all(points >= self.lo - tol) and np.all(points <= self.hi + tol)
-        )
-
-    def grid(self, resolution: int) -> np.ndarray:
-        axes = [
-            np.linspace(self.lo[k], self.hi[k], resolution)
-            for k in range(self.lo.size)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _as_samples(field: VectorField, region, grid: int) -> np.ndarray:
-    if isinstance(region, RegionBox):
-        return region.grid(grid)
-    pts = np.asarray(region, dtype=float)
+def _point_array(field: VectorField, points) -> np.ndarray:
+    """The sample points as an (m, n) float array; any other shape raises."""
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != field.dim:
-        raise InputError("expected a RegionBox or an (m, n) array of points")
+        raise InputError(
+            f"expected an (m, {field.dim}) array of points, got shape {pts.shape}"
+        )
     return pts
 
 
 def estimate_lipschitz(
-    field: VectorField,
-    region,
-    grid: int = 41,
-    mode: str = "spectral_radius",
-    safety: float = 1.0,
+    field: VectorField, points, mode: str = "spectral_radius"
 ) -> float:
-    """Growth constant of f from Jacobian samples over a region.
+    """Growth constant of f from Jacobian samples at an (m, n) point array.
 
-    ``region`` is a :class:`RegionBox` (gridded at ``grid`` points per axis)
-    or an explicit array of sample points.  ``spectral_norm`` gives the
-    Euclidean operator norm (a Lipschitz bound when the region is convex);
-    ``spectral_radius`` the largest eigenvalue magnitude.
+    ``spectral_norm`` gives the Euclidean operator norm (a Lipschitz bound
+    when the points cover a convex region); ``spectral_radius`` the largest
+    eigenvalue magnitude.
     """
-    pts = _as_samples(field, region, grid)
-    J = field.jac_raw(pts)
+    J = field.jac_raw(_point_array(field, points))
     if mode == "spectral_norm":
         JTJ = np.swapaxes(J, -1, -2) @ J
-        val = float(np.sqrt(np.linalg.eigvalsh(JTJ)[..., -1].max()))
-    elif mode == "spectral_radius":
-        val = float(np.abs(np.linalg.eigvals(J)).max())
-    else:
-        raise InputError(f"unknown Lipschitz mode {mode!r}")
-    return safety * val
+        return float(np.sqrt(np.linalg.eigvalsh(JTJ)[..., -1].max()))
+    if mode == "spectral_radius":
+        return float(np.abs(np.linalg.eigvals(J)).max())
+    raise InputError(f"unknown Lipschitz mode {mode!r}")
 
 
-def estimate_magnitude_bounds(
-    field: VectorField, region, grid: int = 41, magnitude: str = "field"
-):
-    """(min, max) of |f(x)| (``field``) or |x| (``state``) over samples."""
-    pts = _as_samples(field, region, grid)
+def estimate_magnitude_bounds(field: VectorField, points, magnitude: str = "field"):
+    """(min, max) of |f(x)| (``field``) or |x| (``state``) over an (m, n)
+    point array."""
+    pts = _point_array(field, points)
     if magnitude == "field":
         vals = np.linalg.norm(field.f_raw(pts), axis=-1)
     elif magnitude == "state":
@@ -114,16 +73,14 @@ def estimate_magnitude_bounds(
     return float(vals.min()), float(vals.max())
 
 
-def estimate_speed_bounds(
-    field: VectorField, region, grid: int = 41, m_floor: float = M_FLOOR
-):
-    """(m, M): sampled min and max of |f| over a region or point set.
+def estimate_speed_bounds(field: VectorField, points):
+    """(m, M): sampled min and max of |f| over an (m, n) point array.
 
     Raises if the minimum falls below the equilibrium floor, since every
     transverse construction downstream divides by |f|.
     """
-    m, M = estimate_magnitude_bounds(field, region, grid, magnitude="field")
-    if m <= m_floor:
+    m, M = estimate_magnitude_bounds(field, points, magnitude="field")
+    if m <= M_FLOOR:
         raise EquilibriumProximityError(
             f"sampled min |f| = {m:g} is at the floor; an equilibrium may "
             "lie inside the region"
@@ -132,11 +89,12 @@ def estimate_speed_bounds(
 
 
 # --------------------------------------------------------------------------
-# phase-rate (moving-section reparametrization) bounds
+# phase rate of the moving-section reparametrization (the per-segment
+# bounds [a_i, b_i] are sampled by cyclecert.tube.ab_profile)
 # --------------------------------------------------------------------------
 
 
-def theta_dot(field: VectorField, x_i, s: float, xi_theta, m_floor: float = M_FLOOR):
+def theta_dot(field: VectorField, x_i, s: float, xi_theta):
     """Derivative of the synchronized time at offset s along one segment.
 
     ``xi_theta`` must lie on the moving section at x_i(s) (orthogonal to
@@ -152,71 +110,11 @@ def theta_dot(field: VectorField, x_i, s: float, xi_theta, m_floor: float = M_FL
     num = float(f_i @ f_c - (xi - c) @ (field.jac_raw(c) @ f_i))
     den = float(field.f_raw(xi) @ f_c)
     nfc = float(np.linalg.norm(f_c))
-    if abs(den) < m_floor * nfc:
+    if abs(den) < M_FLOOR * nfc:
         raise TransversalityLossError(
             f"synchronization denominator {den:g} below floor at s={s:g}"
         )
     return num / den
-
-
-def _theta_dot_grid_2d(field, x_i, h, radius_at_s, n_s, offsets):
-    """theta-dot values on an (offsets, s) grid for one planar segment."""
-    f_i = field.f_raw(x_i)
-    s = np.linspace(0.0, h, n_s)
-    C = x_i[None, :] + s[:, None] * f_i[None, :]
-    FC = field.f_raw(C)
-    nf = np.linalg.norm(FC, axis=-1, keepdims=True)
-    W = _rot90(FC) / nf
-    JC = field.jac_raw(C)
-    Jf = np.einsum("sij,j->si", JC, f_i)
-    rad = np.broadcast_to(np.asarray(radius_at_s, dtype=float), (n_s,))
-    vals = np.empty((len(offsets), n_s))
-    for k, o in enumerate(offsets):
-        XI = C + o * rad[:, None] * W
-        num = FC @ f_i - np.einsum("si,si->s", XI - C, Jf)
-        den = np.einsum("si,si->s", field.f_raw(XI), FC)
-        if np.any(np.abs(den) < M_FLOOR * nf[:, 0]):
-            raise TransversalityLossError(
-                "synchronization denominator vanished on the offset grid"
-            )
-        vals[k] = num / den
-    return vals
-
-
-def estimate_ab(
-    field: VectorField,
-    traj: EulerTrajectory,
-    i: int,
-    delta_profile,
-    n_s: int = 5,
-    n_offsets: int = 5,
-    pad_factor: float = 1.0,
-):
-    """Per-segment phase-rate bounds (a, b) from a theta-dot grid.
-
-    Evaluates the closed-form rate on an s-grid and on transverse offsets up
-    to the local tube radius (both signs), then widens the observed range by
-    ``pad_factor`` times the largest neighbor jump.  a must come out
-    positive, otherwise the step is too large or the tube too fat.
-    """
-    from .errors import InvalidReparametrizationError
-
-    offsets = np.linspace(-1.0, 1.0, n_offsets)
-    vals = _theta_dot_grid_2d(field, traj.nodes[i], traj.h, delta_profile, n_s, offsets)
-    jump = 0.0
-    if vals.size > 1:
-        jump = max(
-            np.abs(np.diff(vals, axis=0)).max() if vals.shape[0] > 1 else 0.0,
-            np.abs(np.diff(vals, axis=1)).max() if vals.shape[1] > 1 else 0.0,
-        )
-    margin = pad_factor * 0.5 * jump
-    a = float(vals.min() - margin)
-    b = float(vals.max() + margin)
-    if a <= 0.0:
-        raise InvalidReparametrizationError(
-            f"phase-rate lower bound {a:g} <= 0 at segment {i}"
-        )
-    return a, b
 
 
 # --------------------------------------------------------------------------

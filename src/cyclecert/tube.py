@@ -49,7 +49,7 @@ from .euler import (
     return_times,
     simulate,
 )
-from .measures import _rot90, mu_perp_batch, sigma_rate_batch
+from .measures import M_FLOOR, _rot90, mu_perp_batch, require_planar, sigma_rate
 from .systems import VectorField
 
 
@@ -95,7 +95,7 @@ class Tube:
         a_seg,
         b_seg,
         m_tilde,
-        slice_radius,
+        sampled_radius,
         y0_disk,
         pass_history,
         slice_mode,
@@ -111,7 +111,7 @@ class Tube:
         self.a_seg = a_seg
         self.b_seg = b_seg
         self.m_tilde = m_tilde
-        self.slice_radius = slice_radius
+        self.sampled_radius = sampled_radius
         self.y0_disk = y0_disk
         self.pass_history = pass_history
         self.slice_mode = slice_mode
@@ -184,12 +184,17 @@ class Tube:
 
 
 # --------------------------------------------------------------------------
-# vectorized builder internals
+# per-segment estimators: the one kernel for Lambda_i and for [a_i, b_i]
 # --------------------------------------------------------------------------
 
 
-class _SegmentGrids:
-    """Shared s-grid data over all segments of one loop."""
+class SegmentGrids:
+    """Shared s-grid data over segments 0..N1-1 of one loop.
+
+    ``P[k, i]`` is the point x_i + s_k f_i on segment i (s_k on ``n_s``
+    points of [0, h]), ``FC`` and ``nFC`` the field and its norm there, and
+    ``W`` the unit transverse direction along which the slices extend.
+    """
 
     def __init__(self, field, traj, N1, n_s):
         self.field = field
@@ -211,11 +216,13 @@ class _SegmentGrids:
         return np.linalg.norm(self.P, axis=-1).max(axis=0)
 
 
-def _lambda_profile(field, grids, radius, anchors, cfg, m_floor):
-    """Per-segment transverse bounds via strided anchor sampling.
+def lambda_profile(field, grids, radius, anchors, cfg):
+    """Per-segment transverse bounds Lambda_i via strided anchor sampling.
 
     ``radius``: (n_s, N1) slice radii.  Anchor slices are sampled on the
-    (offset, s) grid; segments between anchors take the larger neighboring
+    (offset, s) grid, ``cfg.n_ball`` offsets in [-1, 1] plus the center,
+    and padded by ``cfg.pad_factor`` times half the largest neighbor jump
+    at the maximizer; segments between anchors take the larger neighboring
     anchor bound plus the full drift between them, scaled by pad_factor.
     Returns (lam, pad) arrays of shape (N1,).
     """
@@ -234,7 +241,7 @@ def _lambda_profile(field, grids, radius, anchors, cfg, m_floor):
             PA[None, :, :, :]
             + offs[:, None, None, None] * rA[None, :, :, None] * WA[None, :, :, :]
         )
-        vals = mu_perp_batch(field, pts, m_floor=m_floor)  # (n_off, n_s, |A|)
+        vals = mu_perp_batch(field, pts)  # (n_off, n_s, |A|)
         mx = vals.max(axis=(0, 1))
         # half the largest neighbor jump at the per-anchor maximizer
         n_off, n_s, nA = vals.shape
@@ -271,8 +278,15 @@ def _lambda_profile(field, grids, radius, anchors, cfg, m_floor):
     return lam, pad
 
 
-def _ab_profile(field, grids, radius, cfg):
-    """Per-segment phase-rate bounds from the vectorized theta-dot grid."""
+def ab_profile(field, grids, radius, cfg):
+    """Per-segment phase-rate bounds (a_i, b_i) from the theta-dot grid.
+
+    Evaluates the closed form of :func:`~cyclecert.constants.theta_dot` on
+    ``cfg.ab_offsets`` transverse offsets up to the slice radius ``radius``
+    (n_s, N1) and on the s-grid, then widens the observed range by
+    ``cfg.pad_factor`` times the largest neighbor jump.  a_i must come out
+    positive, otherwise the step is too large or the tube too fat.
+    """
     offs = np.linspace(-1.0, 1.0, cfg.ab_offsets)
     JC = field.jac_raw(grids.P)
     Jf = np.einsum("snij,nj->sni", JC, grids.FN)
@@ -282,9 +296,9 @@ def _ab_profile(field, grids, radius, cfg):
         XI = grids.P + o * radius[..., None] * grids.W
         num = base - np.einsum("sni,sni->sn", XI - grids.P, Jf)
         den = np.einsum("sni,sni->sn", field.f_raw(XI), grids.FC)
-        if np.any(np.abs(den) < cfg.m_floor * grids.nFC):
+        if np.any(np.abs(den) < M_FLOOR * grids.nFC):
             bad = int(
-                np.nonzero((np.abs(den) < cfg.m_floor * grids.nFC).any(axis=0))[0][0]
+                np.nonzero((np.abs(den) < M_FLOOR * grids.nFC).any(axis=0))[0][0]
             )
             raise InvalidReparametrizationError(
                 f"phase-rate denominator vanished at segment {bad}; step too "
@@ -330,10 +344,9 @@ def build_tube(
     if gamma <= 0.0:
         raise InputError("gamma must be positive")
     config.validate()
-    if field.dim != 2:
-        raise InputError("tube construction is implemented for planar systems")
+    require_planar(field)
 
-    grids = _SegmentGrids(field, traj, N1, config.n_s)
+    grids = SegmentGrids(field, traj, N1, config.n_s)
     m_tilde = grids.m_tilde(config.magnitude_mode)
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
 
@@ -353,38 +366,13 @@ def build_tube(
     if anchors[-1] != N1 - 1:
         anchors = np.append(anchors, N1 - 1)
 
-    def radius_for(mode, delta_nodes, sigma):
-        if mode == "euler":
-            return np.zeros((config.n_s, N1))
-        if mode == "reach":
-            alpha_nodes = np.concatenate(
-                [[delta0], delta0 + np.cumsum(b_seg * M_f * traj.h)]
-            )
-            return (
-                alpha_nodes[None, :N1]
-                + grids.s[:, None] * (b_seg * M_f)[None, :]
-            )
-        # tube mode: previous pass's radius, widened by the safety factor
-        return (
-            config.radius_safety
-            * delta_nodes[None, :N1]
-            * np.exp(sigma[None, :] * grids.s[:, None])
-        )
-
     a_seg = np.ones(N1)
     b_seg = np.ones(N1)
-    if config.slice_radius == "tube":
-        radius = np.full((config.n_s, N1), delta0)
-    else:
-        radius = radius_for(config.slice_radius, None, None)
-
+    radius = np.full((config.n_s, N1), delta0)
     history = []
-    lam = pad = sigma = None
     for pass_no in range(1, config.passes + 1):
-        lam, pad = _lambda_profile(
-            field, grids, radius, anchors, config, config.m_floor
-        )
-        sigma = sigma_rate_batch(lam, a_seg, b_seg, gamma)
+        lam, _ = lambda_profile(field, grids, radius, anchors, config)
+        sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
         )
@@ -399,25 +387,27 @@ def build_tube(
         )
         if pass_no == config.passes:
             break
-        ab_radius = delta_nodes[None, :N1] * np.exp(
-            sigma[None, :] * grids.s[:, None]
+        growth = np.exp(sigma[None, :] * grids.s[:, None])
+        a_seg, b_seg = ab_profile(
+            field, grids, delta_nodes[None, :N1] * growth, config
         )
-        a_seg, b_seg = _ab_profile(field, grids, ab_radius, config)
-        radius = radius_for(config.slice_radius, delta_nodes, sigma)
+        # the next pass samples Lambda on this pass's tube, widened by the
+        # safety factor
+        radius = config.radius_safety * delta_nodes[None, :N1] * growth
 
     tube = Tube(
         traj.h, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
-        m_tilde, radius.max(axis=0), y0_disk, history, config.slice_radius,
+        m_tilde, radius.max(axis=0), y0_disk, history, "tube",
     )
     return tube
 
 
-def slice_radius_consistent(tube: Tube, rtol: float = 1e-3) -> bool:
+def radius_consistent(tube: Tube, rtol: float = 1e-3) -> bool:
     """Final tube radii must not exceed the radii the bounds were sampled on."""
     if tube.slice_mode != "tube":
         return True
     span = np.maximum(tube.delta[:-1], tube.delta[1:])
-    return bool(np.all(span <= tube.slice_radius * (1.0 + rtol) + 1e-300))
+    return bool(np.all(span <= tube.sampled_radius * (1.0 + rtol) + 1e-300))
 
 
 # --------------------------------------------------------------------------
@@ -726,7 +716,7 @@ def certify_existence(
         samples = _collect_tube_samples(
             field, traj, tube, config, extra_radius=margin, use_delta=True
         )
-        m, _ = estimate_speed_bounds(field, samples, m_floor=config.m_floor)
+        m, _ = estimate_speed_bounds(field, samples)
         _, M_C = estimate_magnitude_bounds(
             field, samples, magnitude=config.magnitude_mode
         )
@@ -761,7 +751,6 @@ def certify_existence(
                 "pad_factor": config.pad_factor,
                 "lambda_stride": config.lambda_stride,
                 "passes": config.passes,
-                "slice_radius": config.slice_radius,
                 "tube_samples": int(samples.shape[0]),
                 "eta": eta.provenance(),
                 "seed": config.seed,
@@ -776,7 +765,7 @@ def certify_existence(
         cert.inclusion = incl
         cert.eta = eta
         cert.tube_summary = tube.summary()
-        cert.flags["radius_consistent"] = slice_radius_consistent(tube)
+        cert.flags["radius_consistent"] = radius_consistent(tube)
 
         if not cert.flags["radius_consistent"]:
             cert.failure = {

@@ -145,14 +145,15 @@ def test_criterion_5_property_suite(vdp, harmonic, linear, vdp_cert):
         a = rng.uniform(0.05, 2.0)
         b = a + rng.uniform(0.0, 1.0)
         gamma = rng.uniform(1e-4, 0.5)
-        r = cc.sigma_rate(lam, a, b, gamma)
+        # the branch is the sign: contracting iff sigma < 0
+        sigma = float(cc.sigma_rate(lam, a, b, gamma))
         ok = (
-            (r.sigma < 0) == (lam < -gamma)
-            and abs(r.sigma) >= 0.5 * gamma * a - 1e-15
+            (sigma < 0) == (lam < -gamma)
+            and abs(sigma) >= 0.5 * gamma * a - 1e-15
             and (
-                r.sigma == pytest.approx(0.5 * a * lam)
+                sigma == pytest.approx(0.5 * a * lam)
                 if lam < -gamma
-                else r.sigma == pytest.approx(1.5 * b * max(abs(lam), gamma))
+                else sigma == pytest.approx(1.5 * b * max(abs(lam), gamma))
             )
         )
         if not ok:
@@ -160,7 +161,7 @@ def test_criterion_5_property_suite(vdp, harmonic, linear, vdp_cert):
             break
 
     # c. measure equals brute-force largest symmetric eigenvalue; transverse
-    #    part never exceeds it; methods agree on planted eigenvectors
+    #    part never exceeds it
     from test_measures import charpoly_eigs
 
     for k in range(200):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cyclecert as cc
-from cyclecert.constants import RegionBox, SectionDisk
+from cyclecert.constants import SectionDisk
 from cyclecert.errors import (
     CertificateBlockedError,
     EquilibriumProximityError,
@@ -13,16 +13,17 @@ from cyclecert.errors import (
 from cyclecert.systems import VectorField
 
 
+def box_points(lo, hi, n):
+    """The n x n grid of the square [lo, hi]^2 as an (n*n, 2) point array."""
+    axis = np.linspace(lo, hi, n)
+    return np.stack([m.ravel() for m in np.meshgrid(axis, axis)], axis=-1)
+
+
 def test_lipschitz_trivials(linear, harmonic):
-    box = RegionBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+    box = box_points(-2.0, 2.0, 5)
     for mode in ("spectral_norm", "spectral_radius"):
-        assert cc.estimate_lipschitz(linear, box, grid=5, mode=mode) == pytest.approx(1.0)
-        assert cc.estimate_lipschitz(harmonic, box, grid=5, mode=mode) == pytest.approx(1.0)
-
-
-def test_lipschitz_safety_factor(linear):
-    box = RegionBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    assert cc.estimate_lipschitz(linear, box, grid=3, safety=2.0) == pytest.approx(2.0)
+        assert cc.estimate_lipschitz(linear, box, mode=mode) == pytest.approx(1.0)
+        assert cc.estimate_lipschitz(harmonic, box, mode=mode) == pytest.approx(1.0)
 
 
 def test_lipschitz_vdp_tube_region(vdp_cert):
@@ -31,8 +32,7 @@ def test_lipschitz_vdp_tube_region(vdp_cert):
 
 
 def test_speed_bounds_box(linear):
-    box = RegionBox(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
-    m, M = cc.estimate_speed_bounds(linear, box, grid=21)
+    m, M = cc.estimate_speed_bounds(linear, box_points(1.0, 2.0, 21))
     assert m == pytest.approx(np.sqrt(2.0))
     assert M == pytest.approx(2.0 * np.sqrt(2.0))
 
@@ -58,18 +58,18 @@ def test_speed_bounds_vdp_magnitudes(vdp, vdp_cert):
 
 
 def test_speed_bounds_equilibrium_flag(linear):
-    box = RegionBox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     with pytest.raises(EquilibriumProximityError):
-        cc.estimate_speed_bounds(linear, box, grid=21)  # grid hits the origin
+        # the grid hits the origin
+        cc.estimate_speed_bounds(linear, box_points(-1.0, 1.0, 21))
 
 
 def test_grid_refinement_monotonicity(vdp):
-    box = RegionBox(np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
-    L1 = cc.estimate_lipschitz(vdp, box, grid=21)
-    L2 = cc.estimate_lipschitz(vdp, box, grid=41)
+    coarse, fine = box_points(-2.0, 2.0, 21), box_points(-2.0, 2.0, 41)
+    L1 = cc.estimate_lipschitz(vdp, coarse)
+    L2 = cc.estimate_lipschitz(vdp, fine)
     assert L2 >= L1 - 1e-12
-    m1, M1 = cc.estimate_magnitude_bounds(vdp, box, grid=21)
-    m2, M2 = cc.estimate_magnitude_bounds(vdp, box, grid=41)
+    m1, M1 = cc.estimate_magnitude_bounds(vdp, coarse)
+    m2, M2 = cc.estimate_magnitude_bounds(vdp, fine)
     assert M2 >= M1 - 1e-12 and m2 <= m1 + 1e-12
 
 
@@ -159,12 +159,20 @@ def test_theta_dot_matches_finite_differences(system):
         checked += 1
 
 
-# -- estimate_ab -------------------------------------------------------------
+# -- phase-rate bounds (tube.ab_profile) -------------------------------------
+
+
+def segment_ab(field, traj, i, radius):
+    """ab_profile's (a_i, b_i) with a flat slice radius on every segment."""
+    cfg = cc.PipelineConfig()
+    grids = cc.SegmentGrids(field, traj, i + 1, cfg.n_s)
+    a, b = cc.ab_profile(field, grids, np.full((cfg.n_s, i + 1), radius), cfg)
+    return float(a[i]), float(b[i])
 
 
 def test_estimate_ab_zero_profile(vdp):
     traj = cc.simulate(vdp, [1.8929, -0.5383], 1e-4, 10)
-    a, b = cc.estimate_ab(vdp, traj, 0, 0.0)
+    a, b = segment_ab(vdp, traj, 0, 0.0)
     assert a == pytest.approx(1.0, abs=5e-4)
     assert b == pytest.approx(1.0, abs=5e-4)
     assert a <= 1.0 <= b
@@ -173,30 +181,33 @@ def test_estimate_ab_zero_profile(vdp):
 def test_estimate_ab_linear_field(linear):
     traj = cc.simulate(linear, [1.0, 0.0], 1e-2, 10)
     for delta in (0.0, 0.05, 0.2):
-        a, b = cc.estimate_ab(linear, traj, 0, delta)
+        a, b = segment_ab(linear, traj, 0, delta)
         # exact radial rate is 1/(1-s) on s in [0, h]
         assert a == pytest.approx(1.0, abs=3 * 1e-2)
         assert b == pytest.approx(1.0, abs=3 * 1e-2)
 
 
 def test_estimate_ab_brackets_grid(vdp):
+    # (a, b) bracket the scalar closed form on the sampled grid: 5 s-points
+    # and 5 transverse offsets up to the slice radius 0.1
     traj = cc.simulate(vdp, [1.8929, -0.5383], 1e-4, 10)
-    a, b = cc.estimate_ab(vdp, traj, 3, 0.1)
-    from cyclecert.constants import _theta_dot_grid_2d
-
-    vals = _theta_dot_grid_2d(
-        vdp, traj.nodes[3], traj.h, 0.1, 5, np.linspace(-1, 1, 5)
-    )
-    assert a <= vals.min() and b >= vals.max()
+    a, b = segment_ab(vdp, traj, 3, 0.1)
+    x_i = traj.nodes[3]
+    vals = []
+    for s in np.linspace(0.0, traj.h, 5):
+        c = x_i + s * vdp.f_raw(x_i)
+        fc = vdp.f_raw(c)
+        w = np.array([-fc[1], fc[0]]) / np.linalg.norm(fc)
+        for o in np.linspace(-1.0, 1.0, 5):
+            vals.append(cc.theta_dot(vdp, x_i, s, c + o * 0.1 * w))
+    assert a <= min(vals) and b >= max(vals)
     assert a > 0
 
 
 def test_estimate_ab_invalid_at_huge_radius(vdp):
     traj = cc.simulate(vdp, [1.8929, -0.5383], 1e-4, 10)
-    with pytest.raises(
-        (InvalidReparametrizationError, cc.TransversalityLossError)
-    ):
-        cc.estimate_ab(vdp, traj, 0, 50.0)
+    with pytest.raises(InvalidReparametrizationError):
+        segment_ab(vdp, traj, 0, 50.0)
 
 
 # -- estimate_eta ------------------------------------------------------------

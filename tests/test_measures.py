@@ -3,7 +3,6 @@ import pytest
 
 import cyclecert as cc
 from cyclecert.errors import EquilibriumProximityError, InputError, NumericError
-from cyclecert.measures import SliceSampling, make_slice
 
 
 def charpoly_eigs(S):
@@ -81,7 +80,8 @@ def test_mu_matches_oracle_on_random_jacobians(vdp):
 
 def test_projection_vs_eigenvector_match_planted():
     # linear field f(x) = S x with planted eigenpairs; at x = v0 the flow
-    # direction is exactly an eigenvector, so both methods must agree
+    # direction is exactly an eigenvector, so the projection onto its
+    # normal leaves the other eigenvalue
     rng = np.random.default_rng(41)
     checked = 0
     while checked < 50:
@@ -106,17 +106,13 @@ def test_projection_vs_eigenvector_match_planted():
                 "name": "planted",
             }
         )
-        proj = cc.transverse_measure(field, v0, method="projection")
-        match = cc.transverse_measure(field, v0, method="eigenvector-match")
+        proj = cc.transverse_measure(field, v0)
         assert proj.mu_perp == pytest.approx(l1, abs=1e-10)
-        assert match.mu_perp == pytest.approx(proj.mu_perp, abs=1e-10)
-        assert match.alignment == pytest.approx(1.0, abs=1e-9)
         checked += 1
 
 
 def test_transverse_measure_three_dimensional():
-    # diagonal linear system: at x = e1 the flow direction is an eigenvector,
-    # so dropping it leaves the largest remaining diagonal entry
+    # the transverse measures are planar only, like the tube builder
     field = cc.load_system(
         {
             "rhs": ["-x1", "-2*x2", "-3*x3"],
@@ -130,19 +126,14 @@ def test_transverse_measure_three_dimensional():
         }
     )
     x = np.array([1.0, 0.0, 0.0])
-    match = cc.transverse_measure(field, x, method="eigenvector-match")
-    proj = cc.transverse_measure(field, x, method="projection")
-    assert match.mu == pytest.approx(-1.0)
-    assert match.mu_perp == pytest.approx(-2.0)
-    assert proj.mu_perp == pytest.approx(-2.0)
-    assert match.alignment == pytest.approx(1.0)
-    # auto picks eigenvector matching beyond the plane
-    auto = cc.transverse_measure(field, x)
-    assert auto.method == "eigenvector-match"
-    # batch kernel agrees on the higher-dimensional path
-    X = np.array([[1.0, 0.0, 0.0], [0.5, 0.2, -0.1]])
-    vals = cc.mu_perp_batch(field, X)
-    assert vals[0] == pytest.approx(-2.0)
+    msg = "implemented for planar systems; 'diag3' has dimension 3"
+    with pytest.raises(InputError, match=msg):
+        cc.transverse_measure(field, x)
+    with pytest.raises(InputError, match=msg):
+        cc.mu_perp_batch(field, np.array([[1.0, 0.0, 0.0], [0.5, 0.2, -0.1]]))
+    traj = cc.simulate(field, x, 1e-3, 10)
+    with pytest.raises(InputError, match=msg):
+        cc.build_tube(field, traj, 0.01, 10, 0.1, 0.015, M_f=1.0)
 
 
 def test_mu_perp_batch_matches_scalar(vdp):
@@ -158,23 +149,46 @@ def test_mu_perp_batch_matches_scalar(vdp):
 # -- slice bounds -----------------------------------------------------------
 
 
+def one_segment_lambda(field, x, h, radius, n_s=5, n_ball=8):
+    """lambda_profile on the single segment [x, x + h f(x)] with a flat
+    slice radius; returns (Lambda, padding, grids)."""
+    traj = cc.simulate(field, x, h, 1)
+    grids = cc.SegmentGrids(field, traj, 1, n_s)
+    lam, pad = cc.lambda_profile(
+        field,
+        grids,
+        np.full((n_s, 1), radius),
+        np.array([0]),
+        cc.PipelineConfig(n_s=n_s, n_ball=n_ball),
+    )
+    return float(lam[0]), float(pad[0]), grids
+
+
+def slice_points(grids, radius, n_ball=8):
+    """The slice samples: n_ball transverse offsets in [-1, 1] plus the
+    center, at every s-grid point of segment 0."""
+    offs = np.union1d(np.linspace(-1.0, 1.0, n_ball), [0.0])
+    return (
+        grids.P[None, :, 0, :]
+        + offs[:, None, None] * radius * grids.W[None, :, 0, :]
+    )
+
+
 def test_lambda_zero_radius_slice(vdp):
     x = np.array([1.8929, -0.5383])
     h = 1e-3
-    slc = make_slice(vdp, x, h, 0.0, n_s=5)
-    lb = cc.lambda_over_slice(vdp, slc, SliceSampling(n_s=5, n_ball=8))
+    lam, pad, _ = one_segment_lambda(vdp, x, h, 0.0)
     s = np.linspace(0, h, 5)
     centers = x + s[:, None] * vdp.f_raw(x)
     direct = cc.mu_perp_batch(vdp, centers).max()
-    assert lb.lam >= direct
-    assert lb.lam == pytest.approx(direct + lb.padding, abs=1e-15)
+    assert lam >= direct
+    assert lam == pytest.approx(direct + pad, abs=1e-15)
 
 
 def test_lambda_constant_field_no_padding(linear):
-    slc = make_slice(linear, np.array([1.0, 0.0]), 0.01, 0.05, n_s=5)
-    lb = cc.lambda_over_slice(linear, slc, SliceSampling())
-    assert lb.lam == pytest.approx(-1.0, abs=1e-12)
-    assert lb.padding == pytest.approx(0.0, abs=1e-12)
+    lam, pad, _ = one_segment_lambda(linear, np.array([1.0, 0.0]), 0.01, 0.05)
+    assert lam == pytest.approx(-1.0, abs=1e-12)
+    assert pad == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lambda_monotone_in_radius(vdp):
@@ -182,9 +196,8 @@ def test_lambda_monotone_in_radius(vdp):
     h = 1e-3
     prev = -np.inf
     for radius in (0.0, 0.05, 0.1, 0.2):
-        slc = make_slice(vdp, x, h, radius, n_s=5)
-        pts = cc.measures.sample_slice_points(vdp, slc, SliceSampling())
-        mx = cc.mu_perp_batch(vdp, pts).max()
+        lam, pad, _ = one_segment_lambda(vdp, x, h, radius)
+        mx = lam - pad  # the sampled maximum
         assert mx >= prev - 1e-12
         prev = mx
 
@@ -195,23 +208,20 @@ def test_lambda_dominates_all_samples(vdp):
         x = rng.uniform(-1.5, 1.5, size=2)
         if np.linalg.norm(vdp.f_raw(x)) < 0.2:
             continue
-        slc = make_slice(vdp, x, 1e-3, 0.08, n_s=5)
-        pts = cc.measures.sample_slice_points(vdp, slc, SliceSampling())
-        lb = cc.lambda_over_slice(vdp, slc)
-        assert lb.lam >= cc.mu_perp_batch(vdp, pts).max()
+        lam, _, grids = one_segment_lambda(vdp, x, 1e-3, 0.08)
+        assert lam >= cc.mu_perp_batch(vdp, slice_points(grids, 0.08)).max()
 
 
 # -- growth rates -----------------------------------------------------------
 
 
 def test_sigma_rate_examples():
-    r = cc.sigma_rate(-2.0, 0.9, 1.1, 0.015)
-    assert r.sigma == pytest.approx(-0.9) and r.branch == "contracting"
-    r = cc.sigma_rate(1.0, 0.9, 1.1, 0.015)
-    assert r.sigma == pytest.approx(1.65) and r.branch == "regularized"
+    # the branch is the sign: contracting below zero, regularized above
+    assert cc.sigma_rate(-2.0, 0.9, 1.1, 0.015) == pytest.approx(-0.9)
+    assert cc.sigma_rate(1.0, 0.9, 1.1, 0.015) == pytest.approx(1.65)
     r = cc.sigma_rate(-0.01, 0.9, 1.1, 0.015)
-    assert r.sigma == pytest.approx(1.5 * 1.1 * 0.015) == pytest.approx(0.02475)
-    assert r.branch == "regularized"
+    assert r == pytest.approx(1.5 * 1.1 * 0.015) == pytest.approx(0.02475)
+    assert r > 0
 
 
 def test_sigma_rate_invalid_inputs():
@@ -221,11 +231,18 @@ def test_sigma_rate_invalid_inputs():
         cc.sigma_rate(1.0, 0.9, 1.1, 0.0)
 
 
+def test_sigma_rate_rejects_b_below_a():
+    a = np.array([0.9, 0.9, 0.9, 0.9])
+    b = np.array([1.1, 0.9, 0.8, 0.7])
+    with pytest.raises(InputError, match="segment 2: .* a <= b"):
+        cc.sigma_rate(np.zeros(4), a, b, 0.015)
+
+
 def test_sigma_rate_nan_lambda_raises():
     # the floor check is a raised error, so it holds under python -O too
     lam = np.array([-2.0, 1.0, np.nan, 0.5])
     with pytest.raises(NumericError, match="segment 2"):
-        cc.measures.sigma_rate_batch(lam, 0.9, 1.1, 0.015)
+        cc.sigma_rate(lam, 0.9, 1.1, 0.015)
     with pytest.raises(NumericError):
         cc.sigma_rate(np.nan, 0.9, 1.1, 0.015)
 
@@ -237,24 +254,22 @@ def test_sigma_rules_randomized():
         a = rng.uniform(0.05, 2.0)
         b = a + rng.uniform(0.0, 1.0)
         gamma = rng.uniform(1e-4, 0.5)
-        r = cc.sigma_rate(lam, a, b, gamma)
+        sigma = float(cc.sigma_rate(lam, a, b, gamma))
         if lam < -gamma:
-            assert r.branch == "contracting"
-            assert r.sigma == pytest.approx(0.5 * a * lam)
-            assert r.sigma < 0
+            assert sigma == pytest.approx(0.5 * a * lam)
+            assert sigma < 0
         else:
-            assert r.branch == "regularized"
-            assert r.sigma == pytest.approx(1.5 * b * max(abs(lam), gamma))
-            assert r.sigma > 0
-        assert (r.sigma < 0) == (r.branch == "contracting")
-        assert abs(r.sigma) >= 0.5 * gamma * a - 1e-15
+            assert sigma == pytest.approx(1.5 * b * max(abs(lam), gamma))
+            assert sigma > 0
+        assert abs(sigma) >= 0.5 * gamma * a - 1e-15
 
 
 def test_sigma_batch_matches_scalar():
+    # one call over 200 segments equals 200 single-segment calls bit for bit
     rng = np.random.default_rng(4)
     lam = rng.normal(scale=2.0, size=200)
     a = rng.uniform(0.1, 1.0, size=200)
     b = a + rng.uniform(0, 0.5, size=200)
-    batch = cc.measures.sigma_rate_batch(lam, a, b, 0.02)
-    scalar = [cc.sigma_rate(l, ai, bi, 0.02).sigma for l, ai, bi in zip(lam, a, b)]
+    batch = cc.sigma_rate(lam, a, b, 0.02)
+    scalar = [float(cc.sigma_rate(l, ai, bi, 0.02)) for l, ai, bi in zip(lam, a, b)]
     assert np.allclose(batch, scalar, rtol=0, atol=0)

@@ -4,7 +4,7 @@ import pytest
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
 from cyclecert.errors import InputError
-from cyclecert.tube import slice_radius_consistent
+from cyclecert.tube import radius_consistent
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
 
@@ -77,7 +77,7 @@ def test_vdp_example_tube_values(vdp_cert):
     delta_end = tube.delta[tube.N1]
     assert delta_end == pytest.approx(0.0642, rel=0.10)
     assert tube.delta.min() == pytest.approx(delta_end)
-    assert slice_radius_consistent(tube)
+    assert radius_consistent(tube)
 
 
 def test_step_condition_vdp(vdp_cert):
@@ -155,16 +155,6 @@ def test_gamma_guard():
         cc.sigma_rate(1.0, 0.9, 1.1, -0.015)
 
 
-def test_reach_slices_cannot_certify_reference_run(vdp):
-    # cumulative reachability radii grow to loop scale and drag in far-field
-    # expansion; the reference run must then fail
-    cfg = PipelineConfig(slice_radius="reach", lambda_stride=50)
-    cert = cc.certify_existence(
-        vdp, VDP_X0, VDP_H, VDP_DELTA0, VDP_GAMMA, cfg, horizon=10.0
-    )
-    assert cert.verdict == "failed"
-
-
 def test_certificate_dict_layout(vdp_cert):
     doc = vdp_cert.to_dict()
     assert doc["verdict"] == "certified"
@@ -195,3 +185,41 @@ def test_forward_invariance_of_certified_tube(vdp, vdp_cert):
         series = cc.synchronize(ref, traj, y0, t_max=horizon)
         violations += cc.tube_membership_check(series, tube)
     assert violations == []
+
+
+def test_bounds_dominate_denser_resampling(vdp, vdp_cert):
+    # soundness of the sampled bounds: on every segment of the certified
+    # loop, Lambda_i and [a_i, b_i] dominate an unpadded resampling on
+    # 9 s-points x 33 offsets of the final tube's slices, radius
+    # delta_i e^{sigma_i s}
+    tube = vdp_cert.tube
+    traj = vdp_cert.trajectory
+    h = tube.h
+    s = np.linspace(0.0, h, 9)
+    offs = np.linspace(-1.0, 1.0, 33)
+    margins = {"Lambda": np.empty(tube.N1), "a": np.empty(tube.N1), "b": np.empty(tube.N1)}
+    for lo in range(0, tube.N1, 2048):
+        seg = slice(lo, min(lo + 2048, tube.N1))
+        FN = traj.seg_dirs[seg]
+        P = traj.nodes[seg][None, :, :] + s[:, None, None] * FN[None, :, :]
+        FC = vdp.f_raw(P)
+        W = np.stack([-FC[..., 1], FC[..., 0]], axis=-1)
+        W /= np.linalg.norm(FC, axis=-1)[..., None]
+        r = tube.delta[seg][None, :] * np.exp(tube.sigma[seg][None, :] * s[:, None])
+        D = offs[:, None, None, None] * r[None, :, :, None] * W[None]
+        X = P[None] + D  # (offset, s, segment, 2)
+        margins["Lambda"][seg] = tube.lam[seg] - cc.mu_perp_batch(vdp, X).max(axis=(0, 1))
+        # closed form of theta_dot with xi = X on the section through P
+        Jf = np.einsum("snij,nj->sni", vdp.jac_raw(P), FN)
+        num = np.einsum("ni,sni->sn", FN, FC) - np.einsum("osni,sni->osn", D, Jf)
+        td = num / np.einsum("osni,sni->osn", vdp.f_raw(X), FC)
+        margins["a"][seg] = td.min(axis=(0, 1)) - tube.a_seg[seg]
+        margins["b"][seg] = tube.b_seg[seg] - td.max(axis=(0, 1))
+        if lo == 0:
+            # the vectorized closed form is the scalar theta_dot
+            for o, k in ((0, 0), (5, 4), (32, 8)):
+                ref = cc.theta_dot(vdp, traj.nodes[7], s[k], X[o, k, 7])
+                assert td[o, k, 7] == pytest.approx(ref, rel=1e-12)
+    for name, m in margins.items():
+        i = int(np.argmin(m))
+        assert m[i] >= 0.0, f"{name} falls short at segment {i} by {-m[i]:g}"
