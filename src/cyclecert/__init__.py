@@ -61,6 +61,7 @@ from .measures import (
 from .syncerr import (
     ErrorCurveReport,
     ReferenceSolution,
+    ReferenceStream,
     SyncErrorSeries,
     error_curve_experiment,
     synchronize,

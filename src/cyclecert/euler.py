@@ -13,6 +13,7 @@ linear equation.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import List
 
@@ -123,19 +124,22 @@ def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
         raise InputError(f"x0 must have shape ({field.dim},), got {x0.shape}")
 
     if _has_scalar_path(field):
-        nodes = np.empty((n_steps + 1, 2))
-        nodes[0] = x0
+        # appending floats to an array('d') costs less than two numpy
+        # element writes per step; the buffer becomes the node array as is
         rhs2 = field.rhs_scalar2
         u1, u2 = float(x0[0]), float(x0[1])
+        buf = array("d", (u1, u2))
+        append = buf.append
         try:
             for i in range(1, n_steps + 1):
                 d1, d2 = rhs2(u1, u2)
                 u1 += h * d1
                 u2 += h * d2
-                nodes[i, 0] = u1
-                nodes[i, 1] = u2
+                append(u1)
+                append(u2)
         except OverflowError:
             raise DivergedError(f"state overflowed at step {i}", i) from None
+        nodes = np.frombuffer(buf).reshape(-1, 2)
     else:
         nodes = _euler_nodes(field, x0, h, n_steps)
 

@@ -7,6 +7,22 @@ moving section carried along the Euler trajectory.  Since the reference is
 itself piecewise linear, each solve reduces to a sign-change scan over a
 short window followed by an exact linear root, warm-started at the previous
 theta; theta is nondecreasing by construction.
+
+The scan runs over blocks of samples at once.  Newton steps on the
+piecewise-linear reference predict each sample's window start, one windowed
+pass applies the rule to the whole block, and the block is kept up to the
+first sample whose window start differs from the one the previous sample's
+theta gives.  Every kept sample has then read the window the
+sample-by-sample rule reads, so the series is that rule's bit for bit; a
+bad prediction costs another pass, never a different result.
+
+A synchronization reads the reference only in a window ahead of the last
+theta.  The error curve therefore steps its reference as a
+:class:`ReferenceStream`: chunk by chunk as the synchronization reaches it,
+keeping only the nodes from the current window on, and stepping nothing
+past the last sample's window.  A :class:`ReferenceSolution` holds a whole
+reference in memory.  Both expose their resident nodes the same way, and
+one scan reads both.
 """
 
 from __future__ import annotations
@@ -16,15 +32,27 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
-from .errors import InputError, SynchronizationLostError
-from .euler import EulerTrajectory, simulate
+from .errors import DivergedError, InputError, SynchronizationLostError
+from .euler import RETURN_CHUNK, EulerTrajectory, simulate
 from .systems import VectorField
 from .tube import ExistenceCertificate, Tube, certify_existence
 from .attraction import compute_D
 
 TAU_SYNC = 1e-10
+
+# Reference steps a ReferenceStream adds per advance (4 MiB of nodes).
+STREAM_CHUNK = 1 << 18
+# Window nodes one pass of the batched scan gathers; a block holds this
+# many divided by the window length samples.
+SYNC_BLOCK_NODES = 1 << 17
+# Newton steps of the window-start prediction.
+PREDICT_STEPS = 4
+
+# outcome of one sample in a windowed pass
+_OK, _PASSED, _NO_ROOT, _RESIDUAL = range(4)
 
 
 @dataclass(frozen=True)
@@ -34,9 +62,19 @@ class ReferenceSolution:
     traj: EulerTrajectory
     refine: int
 
+    base = 0  # index of nodes[0]: the whole run is resident
+
     @property
     def h(self) -> float:
         return self.traj.h
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self.traj.nodes
+
+    @property
+    def n_steps(self) -> int:
+        return self.traj.n_steps
 
     @classmethod
     def compute(
@@ -45,6 +83,62 @@ class ReferenceSolution:
         h_ref = h / refine
         traj = simulate(field, y0, h_ref, int(math.ceil(horizon / h_ref)))
         return cls(traj=traj, refine=refine)
+
+
+class ReferenceStream:
+    """The reference of :meth:`ReferenceSolution.compute`, stepped as one
+    synchronization reads it.
+
+    Same step h/refine, same step cap.  ``nodes`` holds the resident nodes,
+    ``nodes[0]`` being node ``base`` of the reference.  :meth:`advance`
+    drops the nodes before the next sample's window start and steps up to
+    ``STREAM_CHUNK`` more, in :func:`simulate` runs that each start from the
+    last node of the one before, so the nodes are those of one long run bit
+    for bit.  :func:`synchronize` on a stream continues from sample
+    ``sample`` (warm-started at ``theta``) through the samples whose windows
+    are resident, and sets ``finished`` after the last sample.
+    """
+
+    def __init__(
+        self, field: VectorField, y0, h: float, horizon: float, refine: int = 100
+    ):
+        self.field = field
+        self.refine = refine
+        self.h = h / refine
+        self.n_steps = int(math.ceil(horizon / self.h))
+        self.base = 0
+        self.nodes = np.array(y0, dtype=float)[None, :]
+        self.sample = 0
+        self.theta = 0.0
+        self.finished = False
+
+    @property
+    def end(self) -> int:
+        """Index of the last resident node."""
+        return self.base + self.nodes.shape[0] - 1
+
+    def advance(self):
+        """Drop the nodes no later sample reads, then step the next chunk."""
+        if self.end >= self.n_steps:
+            raise InputError("reference stream is already at its step cap")
+        keep = int(self.theta / self.h)
+        start = self.end
+        stop = min(start + STREAM_CHUNK, self.n_steps)
+        kept = self.nodes[keep - self.base :].copy()
+        self.nodes = kept  # the old chunk is freed before the new one exists
+        nodes = np.empty((stop - keep + 1, kept.shape[1]))
+        nodes[: kept.shape[0]] = kept
+        x = kept[-1]
+        for k in range(start, stop, RETURN_CHUNK):
+            try:
+                run = simulate(self.field, x, self.h, min(RETURN_CHUNK, stop - k))
+            except DivergedError as exc:
+                bad = k + exc.first_bad_index
+                raise DivergedError(f"non-finite state at node {bad}", bad) from None
+            nodes[k - keep + 1 : k - keep + run.nodes.shape[0]] = run.nodes[1:]
+            x = run.nodes[-1]
+        self.nodes = nodes
+        self.base = keep
 
 
 @dataclass
@@ -62,9 +156,25 @@ class SyncErrorSeries:
         k = int((1.0 - fraction) * self.times.size)
         return float(self.errors[k:].max())
 
+    @classmethod
+    def concatenate(cls, parts: Sequence["SyncErrorSeries"]) -> "SyncErrorSeries":
+        """One series from the consecutive parts of a synchronization."""
+
+        def join(name):
+            return np.concatenate([getattr(p, name) for p in parts])
+
+        return cls(
+            times=join("times"),
+            thetas=join("thetas"),
+            errors=join("errors"),
+            residuals=join("residuals"),
+            h=parts[0].h,
+            bounds=None if parts[0].bounds is None else join("bounds"),
+        )
+
 
 def synchronize(
-    reference: ReferenceSolution,
+    reference,
     traj: EulerTrajectory,
     y0,
     window_steps: float = 3.0,
@@ -76,95 +186,52 @@ def synchronize(
 ) -> SyncErrorSeries:
     """Synchronized error series at the coarse trajectory's node times.
 
-    ``t_max`` truncates the sampled times (default: the full trajectory);
+    ``reference`` is a :class:`ReferenceSolution`, or a
+    :class:`ReferenceStream`, for which the series holds the samples from
+    ``reference.sample`` on whose windows are resident.  ``t_max``
+    truncates the sampled times (default: the full trajectory);
     ``substeps`` adds in-segment sample times at spacing h/substeps.
     Raises :class:`SynchronizationLostError` (with the sample index) when no
     sign change lies within [theta_prev, theta_prev + window_steps*h].
     """
     y0 = np.asarray(y0, dtype=float)
-    if not np.allclose(reference.traj.nodes[0], y0):
+    if reference.base == 0 and not np.allclose(reference.nodes[0], y0):
         raise InputError("reference must start at y0")
     if substeps < 1:
         raise InputError("substeps must be >= 1")
-    R = reference.traj.nodes
-    h_ref = reference.traj.h
-    n_ref = reference.traj.n_steps
     h = traj.h
-    win = int(window_steps * h / h_ref) + 4
+    win = int(window_steps * h / reference.h) + 4
 
     n_nodes = traj.n_steps + 1
     if t_max is not None:
         n_nodes = min(n_nodes, int(t_max / h) + 1)
     n_samples = (n_nodes - 1) * substeps + 1
     times = np.arange(n_samples) * (h / substeps)
-    if substeps == 1:
-        centers = traj.nodes[:n_nodes]
-        normals = np.concatenate(
-            [traj.seg_dirs[: n_nodes - 1], [traj.f_nodes[n_nodes - 1]]]
-        )
-    else:
-        centers = traj.dense_points(times)
-        normals = traj.field.f_raw(centers)
-    thetas = np.empty(n_samples)
-    errors = np.empty(n_samples)
-    residuals = np.empty(n_samples)
 
-    k_prev = 0
-    theta_prev = 0.0
-    for j in range(n_samples):
-        c = centers[j]
-        n_vec = normals[j]
-        scale = np.linalg.norm(n_vec)
-        k0 = k_prev
-        k1 = min(k0 + win, n_ref)
-        if k0 >= n_ref:
-            raise SynchronizationLostError(
-                f"reference horizon exhausted at sample {j}", j
-            )
-        g = (R[k0 : k1 + 1] - c) @ n_vec
-        atol = tau_sync * scale * (1.0 + float(np.linalg.norm(c)))
-        if g[0] >= 0.0:
-            if g[0] <= atol:
-                theta = k0 * h_ref
-                pt = R[k0]
-            else:
-                raise SynchronizationLostError(
-                    f"section already passed at sample {j} (offset {g[0]:g})", j
-                )
-        else:
-            up = np.nonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))[0]
-            if up.size == 0:
-                raise SynchronizationLostError(
-                    f"no bracketing root within window at sample {j}", j
-                )
-            i = int(up[0])
-            s = -g[i] / (g[i + 1] - g[i]) * h_ref
-            theta = (k0 + i) * h_ref + s
-            pt = R[k0 + i] + (s / h_ref) * (R[k0 + i + 1] - R[k0 + i])
-        # theta never decreases; each accepted root satisfies the residual
-        # tolerance because the in-segment equation is solved exactly
-        if theta < theta_prev:
-            theta = theta_prev
-            pt = reference.traj.dense_point(theta)
-        res = abs(float((pt - c) @ n_vec))
-        if res > tau_sync * scale * (1.0 + float(np.linalg.norm(pt))):
-            raise SynchronizationLostError(
-                f"synchronization residual {res:g} above tolerance at sample {j}",
-                j,
-            )
-        thetas[j] = theta
-        errors[j] = float(np.linalg.norm(pt - c))
-        residuals[j] = res
-        theta_prev = theta
-        k_prev = int(theta / h_ref)
+    def samples(a, b):
+        """Centers and section normals of samples a..b-1."""
+        if substeps > 1:
+            centers = traj.dense_points(times[a:b])
+            return centers, traj.field.f_raw(centers)
+        if b < n_nodes:
+            return traj.nodes[a:b], traj.seg_dirs[a:b]
+        return traj.nodes[a:b], np.concatenate(
+            [traj.seg_dirs[a : n_nodes - 1], [traj.f_nodes[n_nodes - 1]]]
+        )
+
+    stream = isinstance(reference, ReferenceStream)
+    j0, theta0 = (reference.sample, reference.theta) if stream else (0, 0.0)
+    j, theta, thetas, errors, residuals = _scan(
+        reference, win, tau_sync, times, samples, j0, theta0
+    )
+    if stream:
+        reference.sample, reference.theta = j, theta
+        reference.finished = j == n_samples
+    times = times[j0:j].copy()  # a part must not keep all the times alive
 
     bounds = None
     if tube is not None and D is not None:
-        bounds = np.empty(n_samples)
-        floor = D * h
-        for j in range(n_samples):
-            t = times[j]
-            bounds[j] = max(tube.delta_at(min(t, tube.horizon)), floor)
+        bounds = np.maximum(tube.deltas_at(np.minimum(times, tube.horizon)), D * h)
     return SyncErrorSeries(
         times=times,
         thetas=thetas,
@@ -173,6 +240,162 @@ def synchronize(
         h=h,
         bounds=bounds,
     )
+
+
+def _scan(reference, win, tau_sync, times, samples, j, theta_prev):
+    """Synchronize samples j, j+1, ... while their windows are resident.
+
+    The rule for one sample with center c and normal n, whose window starts
+    at k0 = int(theta_prev / h_ref): g_k = <R[k] - c, n> for k in
+    k0..min(k0 + win, n_ref).  If g_k0 >= 0, the sample sits on the section
+    (within atol) at k0; otherwise theta is the exact root on the first
+    segment where g goes from < 0 to >= 0.  theta never falls below
+    theta_prev, and the residual <ref(theta) - c, n> must be within
+    tolerance.
+
+    Returns the next sample, the last theta, and the thetas, errors and
+    residuals of the samples synchronized.
+    """
+    h_ref, n_ref = reference.h, reference.n_steps
+    end = reference.base + reference.nodes.shape[0] - 1
+    block = max(1, SYNC_BLOCK_NODES // (win + 1))
+    size = block
+    k_prev = int(theta_prev / h_ref)
+    t_prev = times[j - 1] if j else 0.0
+    rate = 1.0  # d(theta)/dt over the last pass, for the first guess
+    kept = []
+    while j < times.size:
+        if k_prev >= n_ref:
+            raise SynchronizationLostError(
+                f"reference horizon exhausted at sample {j}", j
+            )
+        span = min(win, n_ref - k_prev)
+        if k_prev + span > end:
+            break  # the window needs nodes not stepped yet
+        # near the step cap the windows shorten: one sample at a time there
+        b = min(j + (size if span == win else 1), times.size)
+        c, n = samples(j, b)
+        guess = theta_prev + (times[j:b] - t_prev) * rate
+        k0 = np.minimum(_predict(reference, c, n, guess, theta_prev), end - span)
+        theta, err, res, code, g0 = _window_pass(
+            reference, span + 1, k0, c, n, tau_sync, theta_prev
+        )
+        # keep the samples up to the first whose k0 is not int(theta_prev/h_ref)
+        k_next = (theta / h_ref).astype(np.int64)
+        miss = np.nonzero(k0[1:] != k_next[:-1])[0]
+        m = int(miss[0]) + 1 if miss.size else b - j
+        failed = np.nonzero(code[:m])[0]
+        if failed.size:
+            f = int(failed[0])
+            raise _lost(code[f], j + f, g0[f], res[f])
+        kept.append((theta[:m], err[:m], res[:m]))
+        size = min(2 * size, block) if m == b - j else m
+        j += m
+        if times[j - 1] > t_prev:
+            rate = (theta[m - 1] - theta_prev) / (times[j - 1] - t_prev)
+        theta_prev, k_prev, t_prev = theta[m - 1], int(k_next[m - 1]), times[j - 1]
+    if not kept:
+        return j, theta_prev, np.empty(0), np.empty(0), np.empty(0)
+    return (j, theta_prev, *(np.concatenate(column) for column in zip(*kept)))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise u . v, equal bit for bit to ``u[j] @ v[j]``."""
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Row-wise norms, equal bit for bit to ``np.linalg.norm(v[j])``."""
+    return np.sqrt(_dot(v, v))
+
+
+def _predict(reference, c, n, guess, theta_prev):
+    """Window starts for a block of samples, from Newton steps on
+    g(theta) = <ref(theta) - c, n> started at ``guess``.
+
+    The first sample's start is exact; the others are
+    int(theta_{j-1}/h_ref) of the predicted thetas.
+    """
+    R, base, h_ref = reference.nodes, reference.base, reference.h
+    lo, hi = int(theta_prev / h_ref), base + R.shape[0] - 2
+    th = guess
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(PREDICT_STEPS):
+            th = np.clip(th, lo * h_ref, (hi + 1) * h_ref)
+            k = (th / h_ref).astype(np.int64).clip(lo, hi)
+            p = R[k - base]
+            gk = _dot(p - c, n)
+            gd = _dot(R[k + 1 - base] - p, n)
+            th = np.where(gd > 0.0, (k - gk / gd) * h_ref, th)
+    th = np.maximum.accumulate(np.concatenate(([theta_prev], th[:-1])))
+    return (th / h_ref).astype(np.int64)
+
+
+def _window_pass(reference, width, k0, c, n, tau_sync, theta_prev):
+    """The rule of :func:`_scan` for a block whose windows start at ``k0``.
+
+    Returns theta, error, residual, outcome (``_OK`` or why it failed) and
+    g at the window start, per sample.
+    """
+    R, base, h_ref = reference.nodes, reference.base, reference.h
+    rows = np.arange(k0.size)
+    k = k0 - base
+    d = sliding_window_view(R, width, axis=0)[k]  # a copy, (B, 2, width)
+    d -= c[:, :, None]
+    g = np.matmul(d.transpose(0, 2, 1), n[:, :, None])[..., 0]
+    del d
+    up = (g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0)
+    i = up.argmax(axis=1)
+    g0 = g[:, 0]
+    on = g0 >= 0.0
+    scale = _norm(n)
+    atol = tau_sync * scale * (1.0 + _norm(c))
+    code = np.where(
+        on,
+        np.where(g0 <= atol, _OK, _PASSED),
+        np.where(up[rows, i], _OK, _NO_ROOT),
+    )
+    gi, gj = g[rows, i], g[rows, i + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -gi / (gj - gi) * h_ref
+    ki = k + i
+    theta = np.where(on, (base + k) * h_ref, (base + ki) * h_ref + s)
+    theta = np.where(code == _OK, theta, (base + k) * h_ref)
+    pt = np.where(
+        on[:, None], R[k], R[ki] + (s / h_ref)[:, None] * (R[ki + 1] - R[ki])
+    )
+    # theta never decreases; a clamped theta takes the dense point there
+    run = np.maximum.accumulate(np.concatenate(([theta_prev], theta)))
+    low = theta < run[:-1]
+    theta = run[1:]
+    if low.any():
+        pt[low] = _dense_points(reference, theta[low])
+    d = pt - c
+    res = np.abs(_dot(d, n))
+    code = np.where(
+        (code == _OK) & (res > tau_sync * scale * (1.0 + _norm(pt))), _RESIDUAL, code
+    )
+    return theta, _norm(d), res, code, g0
+
+
+def _dense_points(reference, t):
+    """``EulerTrajectory.dense_point`` of the reference at each time in t."""
+    R, base, h_ref = reference.nodes, reference.base, reference.h
+    i = np.minimum((t / h_ref).astype(np.int64), reference.n_steps - 1)
+    s = np.maximum(t - i * h_ref, 0.0)
+    i = (i - base).clip(0, R.shape[0] - 2)
+    pt = R[i] + (s / h_ref)[:, None] * (R[i + 1] - R[i])
+    return np.where((s == 0.0)[:, None], R[i], pt)
+
+
+def _lost(code, j, g0, res) -> SynchronizationLostError:
+    if code == _PASSED:
+        msg = f"section already passed at sample {j} (offset {g0:g})"
+    elif code == _NO_ROOT:
+        msg = f"no bracketing root within window at sample {j}"
+    else:
+        msg = f"synchronization residual {res:g} above tolerance at sample {j}"
+    return SynchronizationLostError(msg, j)
 
 
 def tube_membership_check(
@@ -187,15 +410,11 @@ def tube_membership_check(
         raise InputError(
             "tube has no step floor attached; run check_step_condition first"
         )
-    out = []
-    for j, t in enumerate(series.times):
-        if t > tube.horizon:
-            break
-        i = min(int(t / tube.h), tube.N1 - 1)
-        bound = max(tube.delta_at(t), float(tube.step_floor[i]))
-        if series.errors[j] > bound:
-            out.append(j)
-    return out
+    # the times increase, so the samples inside the horizon are a prefix
+    t = series.times[: np.searchsorted(series.times, tube.horizon, side="right")]
+    i = np.minimum((t / tube.h).astype(np.int64), tube.N1 - 1)
+    bound = np.maximum(tube.deltas_at(t), tube.step_floor[i])
+    return np.nonzero(series.errors[: t.size] > bound)[0].tolist()
 
 
 @dataclass
@@ -270,10 +489,12 @@ def error_curve_experiment(
         c = cert.constants
         D = compute_D(c.M_C, c.L, gamma, c.a, c.b)
         traj = simulate(field, x0, h, int(math.ceil(horizon / h)))
-        ref = ReferenceSolution.compute(
-            field, y0, h, horizon * (c.b + 0.1), refine=refine
-        )
-        series = synchronize(ref, traj, y0, tube=cert.tube, D=D)
+        ref = ReferenceStream(field, y0, h, horizon * (c.b + 0.1), refine=refine)
+        parts = []
+        while not ref.finished:
+            ref.advance()
+            parts.append(synchronize(ref, traj, y0, tube=cert.tube, D=D))
+        series = SyncErrorSeries.concatenate(parts)
         tail = series.tail_max(tail_fraction)
         runs.append(
             ErrorCurveRun(

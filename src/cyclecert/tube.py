@@ -138,8 +138,27 @@ class Tube:
         return i, t - i * self.h
 
     def delta_at(self, t: float) -> float:
-        i, s = self._segment_of(t)
-        return float(self.delta[i] * math.exp(self.sigma[i] * s))
+        return float(self.deltas_at([t])[0])
+
+    def deltas_at(self, ts) -> np.ndarray:
+        """The radius delta_i e^{sigma_i s} at each of an array of times."""
+        ts = np.asarray(ts, dtype=float)
+        outside = (ts < 0.0) | (ts > self.horizon * (1 + 1e-12))
+        if outside.any():
+            t = ts[outside][0]
+            raise InputError(f"time {t} outside tube horizon [0, {self.horizon}]")
+        i = np.minimum((ts / self.h).astype(np.int64), self.N1 - 1)
+        s = ts - i * self.h
+        # math.exp: np.exp differs from it in the last ulp on some arguments
+        exp = math.exp
+        return np.array(
+            [
+                d * exp(g * x)
+                for d, g, x in zip(
+                    self.delta[i].tolist(), self.sigma[i].tolist(), s.tolist()
+                )
+            ]
+        )
 
     def alpha_at(self, t: float) -> float:
         i, s = self._segment_of(t)

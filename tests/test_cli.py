@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from cyclecert.cli import main
-from cyclecert.output import canonical_json, load_schema
+from cyclecert import output
+from cyclecert.output import (
+    canonical_json,
+    load_schema,
+    write_csv,
+    write_error_curve_csv,
+)
+from cyclecert.syncerr import SyncErrorSeries
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +165,38 @@ def test_error_curve_cli_small(tmp_path):
     csv_files = list(out.glob("error_curve_h*.csv"))
     assert len(csv_files) == 1
     assert csv_files[0].read_text().splitlines()[0] == "t,theta,error,delta_bound,Dh"
+
+
+def test_error_curve_csv_matches_write_csv(tmp_path):
+    # the block-wise writer gives the bytes write_csv gives on numpy scalars
+    rng = np.random.default_rng(3)
+    n = output.CSV_ROWS + 123
+    thetas = rng.uniform(0.0, 30.0, size=n)
+    thetas[:5] = [np.nan, np.inf, -0.0, 5e-324, -1e300]
+    series = SyncErrorSeries(
+        times=np.arange(n) * 1.25e-4,
+        thetas=thetas,
+        errors=rng.uniform(0.0, 1e-3, size=n),
+        residuals=np.zeros(n),
+        h=1.25e-4,
+    )
+    D = 531.4827
+    header = ["t", "theta", "error", "delta_bound", "Dh"]
+    for bounds in (rng.uniform(0.0, 0.1, size=n), None):
+        series.bounds = bounds
+        floor = D * series.h
+        write_error_curve_csv(tmp_path / "fast.csv", series, D)
+        rows = (
+            [
+                series.times[j],
+                series.thetas[j],
+                series.errors[j],
+                bounds[j] if bounds is not None else floor,
+                floor,
+            ]
+            for j in range(n)
+        )
+        write_csv(tmp_path / "rows.csv", header, rows)
+        assert (tmp_path / "fast.csv").read_bytes() == (
+            tmp_path / "rows.csv"
+        ).read_bytes()
