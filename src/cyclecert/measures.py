@@ -56,19 +56,30 @@ def mu_max_batch(S: np.ndarray) -> np.ndarray:
 
 def mu_perp_batch(field: VectorField, X: np.ndarray) -> np.ndarray:
     """Transverse measure w^T S w at a batch of points (..., 2), with w the
-    unit normal of f; the hot kernel behind the slice bounds."""
+    unit normal of f; the hot kernel behind the slice bounds.
+
+    Computed in planar components: with w = (-f_1, f_0)/|f| and S the
+    symmetric part of J, the four terms w_i S_ij w_j are summed in the
+    order i, j = 00, 01, 10, 11, which is the order (and so the rounding)
+    of ``np.einsum("...i,...ij,...j->...", w, S, w)``.
+    """
     require_planar(field)
     X = np.asarray(X, dtype=float)
     F = field.f_raw(X)
-    nf = np.linalg.norm(F, axis=-1)
+    F0, F1 = F[..., 0], F[..., 1]
+    nf = np.sqrt(F0 * F0 + F1 * F1)
     if np.any(nf <= M_FLOOR):
         raise EquilibriumProximityError(
             "|f| at or below the floor inside a slice; transverse "
             "decomposition undefined near equilibria"
         )
-    S = symmetric_part(field.jac_raw(X))
-    w = _rot90(F) / nf[..., None]
-    return np.einsum("...i,...ij,...j->...", w, S, w)
+    J = field.jac_raw(X)
+    s00 = 0.5 * (J[..., 0, 0] + J[..., 0, 0])
+    s01 = 0.5 * (J[..., 0, 1] + J[..., 1, 0])
+    s11 = 0.5 * (J[..., 1, 1] + J[..., 1, 1])
+    w0 = -F1 / nf
+    w1 = F0 / nf
+    return w0 * s00 * w0 + w0 * s01 * w1 + w1 * s01 * w0 + w1 * s11 * w1
 
 
 @dataclass(frozen=True)
@@ -92,11 +103,11 @@ def transverse_measure(field: VectorField, x) -> TransverseSpectrum:
             f"|f(x)| = {nf:g} <= floor {M_FLOOR:g}; point is too close to "
             "an equilibrium"
         )
-    S = symmetric_part(field.eval_jacobian(x))
-    evals = np.linalg.eigvalsh(S)
-    w = _rot90(f / nf)
+    evals = np.linalg.eigvalsh(symmetric_part(field.eval_jacobian(x)))
     return TransverseSpectrum(
-        eigenvalues=evals, mu=float(evals[-1]), mu_perp=float(w @ S @ w)
+        eigenvalues=evals,
+        mu=float(evals[-1]),
+        mu_perp=float(mu_perp_batch(field, x)),
     )
 
 

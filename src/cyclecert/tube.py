@@ -206,6 +206,9 @@ class Tube:
 # per-segment estimators: the one kernel for Lambda_i and for [a_i, b_i]
 # --------------------------------------------------------------------------
 
+# Segments per block of the (a, b) profile.
+AB_BLOCK = 8192
+
 
 class SegmentGrids:
     """Shared s-grid data over segments 0..N1-1 of one loop.
@@ -284,15 +287,18 @@ def lambda_profile(field, grids, radius, anchors, cfg):
         padA[lo : lo + chunk] = cfg.pad_factor * 0.5 * jump
     lamA = lamA + padA
 
+    # the segments strictly between anchors j and j+1, in order, take the
+    # bridge of gap j
     lam = np.empty(grids.N1)
     pad = np.zeros(grids.N1)
+    drift = cfg.pad_factor * np.abs(np.diff(lamA))
+    gaps = np.diff(anchors) - 1
+    inner = np.zeros(grids.N1, dtype=bool)
+    inner[anchors[0] : anchors[-1] + 1] = True
+    inner[anchors] = False
+    lam[inner] = np.repeat(np.maximum(lamA[:-1], lamA[1:]) + drift, gaps)
+    pad[inner] = np.repeat(drift, gaps)
     lam[anchors] = lamA
-    for j in range(anchors.size - 1):
-        a0, a1 = anchors[j], anchors[j + 1]
-        if a1 > a0 + 1:
-            drift = cfg.pad_factor * abs(lamA[j + 1] - lamA[j])
-            lam[a0 + 1 : a1] = max(lamA[j], lamA[j + 1]) + drift
-            pad[a0 + 1 : a1] = drift
     pad[anchors] = padA
     return lam, pad
 
@@ -305,35 +311,59 @@ def ab_profile(field, grids, radius, cfg):
     (n_s, N1) and on the s-grid, then widens the observed range by
     ``cfg.pad_factor`` times the largest neighbor jump.  a_i must come out
     positive, otherwise the step is too large or the tube too fat.
+
+    Runs over blocks of at most ``AB_BLOCK`` segments in planar components,
+    keeping the minimum, the maximum and both neighbor jumps as running
+    values over the offsets, so memory stays at a few (n_s, AB_BLOCK)
+    arrays whatever N1 is.  A vanishing denominator is reported at the
+    first offset, and on it the first segment, where one occurs.
     """
     offs = np.linspace(-1.0, 1.0, cfg.ab_offsets)
-    JC = field.jac_raw(grids.P)
-    Jf = np.einsum("snij,nj->sni", JC, grids.FN)
-    base = np.einsum("ni,sni->sn", grids.FN, grids.FC)
-    td = np.empty((offs.size, grids.n_s, grids.N1))
-    for k, o in enumerate(offs):
-        XI = grids.P + o * radius[..., None] * grids.W
-        num = base - np.einsum("sni,sni->sn", XI - grids.P, Jf)
-        den = np.einsum("sni,sni->sn", field.f_raw(XI), grids.FC)
-        if np.any(np.abs(den) < M_FLOOR * grids.nFC):
-            bad = int(
-                np.nonzero((np.abs(den) < M_FLOOR * grids.nFC).any(axis=0))[0][0]
-            )
-            raise InvalidReparametrizationError(
-                f"phase-rate denominator vanished at segment {bad}; step too "
-                "large or tube too fat"
-            )
-        td[k] = num / den
-    amin = td.min(axis=(0, 1))
-    bmax = td.max(axis=(0, 1))
-    jump = np.zeros(grids.N1)
-    if offs.size > 1:
-        jump = np.abs(np.diff(td, axis=0)).max(axis=(0, 1))
-    if grids.n_s > 1:
-        jump = np.maximum(jump, np.abs(np.diff(td, axis=1)).max(axis=(0, 1)))
-    margin = cfg.pad_factor * jump
-    a_seg = amin - margin
-    b_seg = bmax + margin
+    a_seg = np.empty(grids.N1)
+    b_seg = np.empty(grids.N1)
+    vanished = None  # (offset, segment) of the first vanishing denominator
+    for lo in range(0, grids.N1, AB_BLOCK):
+        seg = slice(lo, lo + AB_BLOCK)
+        P, W, r = grids.P[:, seg], grids.W[:, seg], radius[:, seg, None]
+        FC, nFC = grids.FC[:, seg], grids.nFC[:, seg]
+        FC0, FC1 = FC[..., 0], FC[..., 1]
+        if vanished is None:
+            J = field.jac_raw(P)
+            FN0, FN1 = grids.FN[seg, 0], grids.FN[seg, 1]
+            Jf0 = J[..., 0, 0] * FN0 + J[..., 0, 1] * FN1
+            Jf1 = J[..., 1, 0] * FN0 + J[..., 1, 1] * FN1
+            base = FN0 * FC0 + FN1 * FC1
+            amin = np.full(nFC.shape[1], np.inf)
+            bmax = np.full(nFC.shape[1], -np.inf)
+            jump = np.zeros(nFC.shape[1])
+        # past a vanishing denominator only the earlier offsets are checked
+        for k, o in enumerate(offs if vanished is None else offs[: vanished[0]]):
+            XI = P + o * r * W
+            FX = field.f_raw(XI)
+            den = FX[..., 0] * FC0 + FX[..., 1] * FC1
+            low = np.abs(den) < M_FLOOR * nFC
+            if low.any():
+                vanished = (k, lo + int(np.nonzero(low.any(axis=0))[0][0]))
+                break
+            if vanished is not None:
+                continue
+            D = XI - P
+            td = (base - (D[..., 0] * Jf0 + D[..., 1] * Jf1)) / den
+            amin = np.minimum(amin, td.min(axis=0))
+            bmax = np.maximum(bmax, td.max(axis=0))
+            if k:
+                jump = np.maximum(jump, np.abs(td - prev).max(axis=0))
+            jump = np.maximum(jump, np.abs(np.diff(td, axis=0)).max(axis=0))
+            prev = td
+        if vanished is None:
+            margin = cfg.pad_factor * jump
+            a_seg[seg] = amin - margin
+            b_seg[seg] = bmax + margin
+    if vanished is not None:
+        raise InvalidReparametrizationError(
+            f"phase-rate denominator vanished at segment {vanished[1]}; step too "
+            "large or tube too fat"
+        )
     if np.any(a_seg <= 0.0):
         bad = int(np.nonzero(a_seg <= 0.0)[0][0])
         raise InvalidReparametrizationError(

@@ -71,6 +71,83 @@ def test_diverged_reports_first_bad_index():
     assert exc.value.first_bad_index > 0
 
 
+def one_step_nodes(rhs2, x0, h, n_steps):
+    """Scalar Euler nodes one step at a time, and the step an
+    OverflowError stops at (None if none does)."""
+    u1, u2 = x0
+    nodes = [(u1, u2)]
+    for i in range(1, n_steps + 1):
+        try:
+            d1, d2 = rhs2(u1, u2)
+        except OverflowError:
+            return np.array(nodes), i
+        u1 += h * d1
+        u2 += h * d2
+        nodes.append((u1, u2))
+    return np.array(nodes), None
+
+
+@pytest.mark.parametrize("n_steps", list(range(1, 10)) + [4097, 4100])
+def test_scalar_path_matches_one_step_loop(vdp, n_steps):
+    x0 = (1.8929, -0.5383)
+    ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, 1e-3, n_steps)
+    assert np.array_equal(cc.simulate(vdp, x0, 1e-3, n_steps).nodes, ref)
+
+
+def cubic_field(rhs2):
+    """x' = x^3 (blows up in finite time) with the given scalar rhs."""
+    return cc.VectorField(
+        "cubic",
+        2,
+        {},
+        lambda x: np.stack([x[..., 0] ** 3, 0.0 * x[..., 1]], axis=-1),
+        None,
+        rhs_scalar2=rhs2,
+    )
+
+
+@pytest.mark.parametrize("n_steps", [7, 10, 41])
+@pytest.mark.parametrize("x0", [2.0, 2.3, 2.6, 3.7])
+def test_scalar_overflow_names_the_step(x0, n_steps):
+    # float ** raises OverflowError instead of returning inf.  Over 41
+    # steps it stops at steps 11, 10, 9 and 8: every position of a
+    # four-step block; over 10 steps at 10 and 9, in the one-step tail
+    field = cubic_field(lambda u1, u2: (u1**3, 0.0))
+    _, step = one_step_nodes(field.rhs_scalar2, (x0, 0.0), 0.05, n_steps)
+    if step is None:
+        assert np.all(np.isfinite(cc.simulate(field, (x0, 0.0), 0.05, n_steps).nodes))
+        return
+    with pytest.raises(DivergedError, match=f"overflowed at step {step}$") as exc:
+        cc.simulate(field, (x0, 0.0), 0.05, n_steps)
+    assert exc.value.first_bad_index == step
+
+
+def cube(u):
+    return u * u * u
+
+
+@pytest.mark.parametrize(
+    "rhs2",
+    [
+        lambda u1, u2: (cube(u1), 0.0),
+        lambda u1, u2: (cube(u1), cube(u1) * cube(u1) - cube(u1) * cube(u1)),
+    ],
+    ids=["inf", "nan"],
+)
+@pytest.mark.parametrize("x0", [2.0, 2.6, 3.7])
+def test_scalar_nonfinite_names_first_bad_node(x0, rhs2):
+    # products overflow to inf without raising; in the second field the
+    # sixth power overflows first and inf - inf makes x2 NaN
+    field = cubic_field(rhs2)
+    ref, step = one_step_nodes(rhs2, (x0, 0.0), 0.05, 60)
+    assert step is None
+    bad = int(np.nonzero(~np.isfinite(ref).all(axis=1))[0][0])
+    with pytest.raises(DivergedError, match=f"non-finite state at node {bad}$") as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cc.simulate(field, (x0, 0.0), 0.05, 60)
+    assert exc.value.first_bad_index == bad
+
+
 def test_immutable_nodes(vdp):
     traj = cc.simulate(vdp, [1.0, 1.0], 1e-3, 10)
     with pytest.raises(ValueError):

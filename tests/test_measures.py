@@ -4,6 +4,8 @@ import pytest
 import cyclecert as cc
 from cyclecert.errors import EquilibriumProximityError, InputError, NumericError
 
+from oracles import mu_perp_einsum
+
 
 def charpoly_eigs(S):
     """Brute-force symmetric eigenvalues via characteristic-polynomial roots
@@ -137,13 +139,50 @@ def test_transverse_measure_three_dimensional():
 
 
 def test_mu_perp_batch_matches_scalar(vdp):
+    # the planar-component kernel against the einsum w^T S w, and the
+    # single-point spectrum as a view of the kernel
     rng = np.random.default_rng(7)
     X = rng.uniform(-2, 2, size=(40, 2))
     keep = np.linalg.norm(vdp.f_raw(X), axis=1) > 1e-6
     X = X[keep]
     batch = cc.mu_perp_batch(vdp, X)
+    assert np.array_equal(batch, mu_perp_einsum(vdp, X))
     scalar = [cc.transverse_measure(vdp, x).mu_perp for x in X]
-    assert np.allclose(batch, scalar, atol=1e-12)
+    assert np.array_equal(batch, scalar)
+
+
+def test_mu_perp_batch_bit_exact_on_anchor_slices(vdp, vdp_cert):
+    # every point of the stride-10 anchor slices of the certified tube
+    # (9 offsets x 5 s-points x 6314 anchors)
+    tube, traj = vdp_cert.tube, vdp_cert.trajectory
+    cfg = cc.PipelineConfig()
+    grids = cc.SegmentGrids(vdp, traj, tube.N1, cfg.n_s)
+    anchors = np.append(np.arange(0, tube.N1, cfg.lambda_stride), tube.N1 - 1)
+    offs = np.union1d(np.linspace(-1.0, 1.0, cfg.n_ball), [0.0])
+    r = tube.delta[anchors][None, :] * np.exp(
+        tube.sigma[anchors][None, :] * grids.s[:, None]
+    )
+    pts = (
+        grids.P[None, :, anchors, :]
+        + offs[:, None, None, None] * r[None, :, :, None] * grids.W[None, :, anchors, :]
+    )
+    assert pts.shape[:3] == (9, 5, 6315)
+    assert np.array_equal(cc.mu_perp_batch(vdp, pts), mu_perp_einsum(vdp, pts))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"id": "harmonic"},
+        {"id": "linear-stable", "params": {"rate": 1.0}},
+        {"id": "fitzhugh-nagumo"},
+    ],
+)
+def test_mu_perp_batch_bit_exact_random_points(spec):
+    field = cc.load_system(spec)
+    X = np.random.default_rng(31).uniform(-3, 3, size=(4, 500, 2))
+    X = X[:, np.linalg.norm(field.f_raw(X), axis=-1).min(axis=0) > 1e-6]
+    assert np.array_equal(cc.mu_perp_batch(field, X), mu_perp_einsum(field, X))
 
 
 # -- slice bounds -----------------------------------------------------------

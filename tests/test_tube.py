@@ -1,12 +1,16 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
-from cyclecert.errors import InputError
+from cyclecert.errors import InputError, InvalidReparametrizationError
 from cyclecert.tube import radius_consistent
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
+from oracles import ab_profile_whole, drift_bridge_loop
 
 
 def test_no_return_failure(linear):
@@ -223,3 +227,89 @@ def test_bounds_dominate_denser_resampling(vdp, vdp_cert):
     for name, m in margins.items():
         i = int(np.argmin(m))
         assert m[i] >= 0.0, f"{name} falls short at segment {i} by {-m[i]:g}"
+
+
+# -- the tube kernels against their whole-array oracles ----------------------
+
+
+def session_radius(tube, s):
+    """The final tube's slice radii delta_i e^{sigma_i s}, shape (n_s, N1)."""
+    return tube.delta[None, :-1] * np.exp(tube.sigma[None, :] * s[:, None])
+
+
+@pytest.mark.parametrize("n_s,ab_offsets", [(5, 5), (2, 2), (2, 5), (5, 2)])
+def test_ab_profile_bit_exact(vdp, vdp_cert, n_s, ab_offsets):
+    # 63140 segments are 7 full blocks and one of 5796
+    tube = vdp_cert.tube
+    assert tube.N1 // cc.tube.AB_BLOCK == 7
+    assert tube.N1 % cc.tube.AB_BLOCK == 5796
+    cfg = PipelineConfig(n_s=n_s, ab_offsets=ab_offsets)
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, n_s)
+    radius = session_radius(tube, grids.s)
+    a, b = cc.ab_profile(vdp, grids, radius, cfg)
+    a_ref, b_ref = ab_profile_whole(vdp, grids, radius, cfg)
+    assert np.array_equal(a, a_ref)
+    assert np.array_equal(b, b_ref)
+
+
+def test_ab_profile_denominator_error_in_later_block(vdp, vdp_cert):
+    # f vanishes right of x1 = 50.  Segment 9000 (block 1) reaches there
+    # only at the last offset, segment 30000 (block 3) at the first; the
+    # first offset's segment is reported, as the offset-by-offset scan
+    # over all segments reports it
+    tube = vdp_cert.tube
+    cfg = PipelineConfig()
+    field = dataclasses.replace(
+        vdp, rhs=lambda x: np.where(x[..., :1] > 50.0, 0.0, vdp.rhs(x))
+    )
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
+    radius = session_radius(tube, grids.s)
+    for i, sign in ((9000, 1.0), (30000, -1.0)):
+        w = grids.W[:, i, 0]
+        assert np.all(sign * w > 0.01)
+        radius[:, i] = (60.0 - grids.P[:, i, 0]) / (sign * w)
+    with pytest.raises(InvalidReparametrizationError) as ref:
+        ab_profile_whole(field, grids, radius, cfg)
+    with pytest.raises(InvalidReparametrizationError) as got:
+        cc.ab_profile(field, grids, radius, cfg)
+    assert "segment 30000;" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+def test_ab_profile_memory(vdp, vdp_cert):
+    # the block-wise profile allocates under a quarter of what the
+    # whole-array form holds at its peak on the session tube
+    tube = vdp_cert.tube
+    cfg = PipelineConfig()
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
+    radius = session_radius(tube, grids.s)
+    peaks = []
+    for fn in (ab_profile_whole, cc.ab_profile):
+        tracemalloc.start()
+        try:
+            fn(vdp, grids, radius, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    whole, blocked = peaks
+    assert whole > 40 * 2**20
+    assert blocked < whole / 4
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10, 50])
+def test_lambda_bridge_matches_gap_loop(vdp, vdp_cert, stride):
+    # strides 7, 10 and 50 leave a short last gap before segment N1 - 1
+    tube = vdp_cert.tube
+    cfg = PipelineConfig(lambda_stride=stride)
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
+    anchors = np.arange(0, tube.N1, stride)
+    if anchors[-1] != tube.N1 - 1:
+        anchors = np.append(anchors, tube.N1 - 1)
+    lam, pad = cc.lambda_profile(
+        vdp, grids, session_radius(tube, grids.s), anchors, cfg
+    )
+    lam_ref, pad_ref = drift_bridge_loop(
+        lam[anchors], pad[anchors], anchors, tube.N1, cfg.pad_factor
+    )
+    assert np.array_equal(lam, lam_ref)
+    assert np.array_equal(pad, pad_ref)
