@@ -2,8 +2,8 @@
 
 Runs the full pipeline: Euler loop, per-segment transverse bounds and phase
 rates, the tube radius chain, the per-step condition, the return-slice
-inclusion, and the return-time floor.  The tube geometry is exported as CSV
-for plotting the invariant region.
+inclusion, and the return-time floor, bounded from the tube's phase rates.
+The tube geometry is exported as CSV for plotting the invariant region.
 """
 
 from pathlib import Path
@@ -34,7 +34,8 @@ print(f"per-step condition: floor max {cert.step_condition.rhs_max:.4f}, "
 print(f"return slice: {cert.inclusion.lhs:.4f} < {cert.inclusion.rhs:g} "
       f"(geometric check: {cert.inclusion.geometric_holds})")
 print(f"return-time floor eta = {cert.eta.eta:.3f} "
-      f"(T in [{cert.eta.T_lo:.3f}, {cert.eta.T_hi:.3f}])")
+      f"(T in [{cert.eta.T_lo:.3f}, {cert.eta.T_hi:.3f}] from the tube's "
+      f"phase rates, e = {cert.eta.e:.4f}; R' = {cert.eta.R_prime:.3f})")
 print("constants:", {k: round(v, 4) for k, v in cert.constants.to_dict().items()
                      if isinstance(v, float)})
 

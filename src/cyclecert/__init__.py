@@ -27,6 +27,7 @@ from .constants import (
     estimate_lipschitz,
     estimate_magnitude_bounds,
     estimate_speed_bounds,
+    return_time_sweep,
     theta_dot,
 )
 from .errors import (

@@ -34,6 +34,11 @@ class PipelineConfig:
     holds, since synchronized states then stay inside that tube); the first
     pass uses the flat radius delta0.  The equilibrium floor on |f| is the
     fixed :data:`cyclecert.measures.M_FLOOR`.
+
+    The return-time interval [T_lo, T_hi] comes from the tube's phase-rate
+    bounds (see :func:`cyclecert.constants.estimate_eta`); no fine-step
+    sweep or refinement factor is involved.  ``eta_samples`` disk points,
+    drawn with ``seed``, are stepped at h for the discrete return bound R'.
     """
 
     n_s: int = 5
@@ -47,7 +52,6 @@ class PipelineConfig:
     magnitude_mode: str = "state"
     region_margin: float = 0.05
     eta_samples: int = 16
-    eta_refine: int = 10
     sweep_samples: int = 11
     inclusion_samples: int = 64
     seed: int = 0

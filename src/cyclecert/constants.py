@@ -17,6 +17,7 @@ for the magnitude bounds, selected per pipeline profile:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -118,7 +119,7 @@ def theta_dot(field: VectorField, x_i, s: float, xi_theta):
 
 
 # --------------------------------------------------------------------------
-# return-time sweep
+# return times
 # --------------------------------------------------------------------------
 
 
@@ -157,71 +158,171 @@ class SectionDisk:
         return self.center[None, :] + (u * self.radius)[:, None] * w[None, :]
 
 
+# Polar grid of the ball around x0 on which the speed across the start
+# section is sampled, and the ball's radius as a multiple of rho.
+BALL_RADII = 9
+BALL_ANGLES = 32
+BALL_SCALE = 3.0
+
+
 @dataclass
 class EtaEstimate:
-    """Return-time sweep results over a section disk."""
+    """Return-time interval of the tube and the discrete return bound R'.
+
+    ``sum_lo`` and ``sum_hi`` are the tube's time sums, ``rho`` the distance
+    bound at theta = R1, ``v`` and ``f_max`` the padded bounds of f.n0 and
+    |f| on the ball of radius ``ball_radius`` around x0, and ``e`` the
+    widening; e is infinite when the interval is not established.
+    """
 
     eta: float
     T_lo: float
     T_hi: float
     R_prime: float
+    sum_lo: float
+    sum_hi: float
+    rho: float
+    v: float
+    f_max: float
+    ball_radius: float
+    e: float
     n_samples: int
-    refine: int
     seed: int
-    flow_times: np.ndarray = dc_field(repr=False, default=None)
+
+    @property
+    def established(self) -> bool:
+        return math.isfinite(self.e)
 
     def provenance(self) -> dict:
         return {
+            "method": "tube",
+            "sum_lo": self.sum_lo,
+            "sum_hi": self.sum_hi,
+            "rho": self.rho,
+            "v": self.v,
+            "f_max": self.f_max,
+            "ball_radius": self.ball_radius,
+            "ball_grid": [BALL_RADII, BALL_ANGLES],
+            "e": self.e,
             "n_samples": self.n_samples,
-            "refine": self.refine,
             "seed": self.seed,
         }
 
 
-def estimate_eta(
+def return_time_sweep(
     field: VectorField,
     disk: SectionDisk,
     n_samples: int,
     h: float,
     horizon: float,
-    refine: int = 10,
     seed: int = 0,
-) -> EtaEstimate:
-    """Sweep first return times over the disk.
+) -> np.ndarray:
+    """Discrete first-return times at step h from ``n_samples`` disk points.
 
-    Fine-step surrogates of the exact flow (step h/refine) give T_lo, T_hi
-    and the floor eta = T_lo/2; the plain step h gives R', the bound on the
-    discrete first-return time.  Both sweeps use the crossing rule of
-    :func:`~cyclecert.euler.return_times`.  A sample that never returns
-    within the horizon, or whose run diverges, blocks certification.
+    Uses the crossing rule of :func:`~cyclecert.euler.return_times`.  A
+    sample that never returns within the horizon, or whose run diverges,
+    blocks certification.
     """
     pts = disk.sample_points(n_samples, seed=seed)
     section = Section(disk.center, disk.normal)
+    excl = Exclusion(t_min=10.0 * h, r_excl=0.5 * disk.radius)
+    times = batch_first_return(field, pts, h, horizon, section, excl)
+    if np.isnan(times).any():
+        bad = int(np.nonzero(np.isnan(times))[0][0])
+        raise CertificateBlockedError(
+            f"return-time sweep at step {h:g}: sample {bad} at "
+            f"{pts[bad].tolist()} diverged or did not return within "
+            f"horizon {horizon:g}"
+        )
+    return times
 
-    def sweep(step):
-        excl = Exclusion(t_min=10.0 * step, r_excl=0.5 * disk.radius)
-        times = batch_first_return(field, pts, step, horizon, section, excl)
-        if np.isnan(times).any():
-            bad = int(np.nonzero(np.isnan(times))[0][0])
-            raise CertificateBlockedError(
-                f"return-time sweep at step {step:g}: sample {bad} at "
-                f"{pts[bad].tolist()} diverged or did not return within "
-                f"horizon {horizon:g}"
-            )
-        return times
 
-    t_flow = sweep(h / refine)
-    t_euler = sweep(h)
-    T_lo, T_hi = float(t_flow.min()), float(t_flow.max())
+def _padded_range(vals: np.ndarray, pad_factor: float):
+    """(min, max) of a (radii, angles) grid widened by ``pad_factor`` times
+    the largest jump between grid neighbours (angles wrap around)."""
+    jump = max(
+        np.abs(np.diff(vals, axis=0)).max(initial=0.0),
+        np.abs(vals - np.roll(vals, 1, axis=1)).max(initial=0.0),
+    )
+    return vals.min() - pad_factor * jump, vals.max() + pad_factor * jump
+
+
+def estimate_eta(
+    field: VectorField,
+    tube,
+    rho: float,
+    horizon: float,
+    n_samples: int = 16,
+    seed: int = 0,
+    pad_factor: float = 1.0,
+) -> EtaEstimate:
+    """Return-time interval [T_lo, T_hi] from the tube's phase rates, the
+    floor eta = T_lo/2, and R' from a step-h sweep of the initial disk.
+
+    Derivation.  Once the step condition holds, a true solution started on
+    the initial disk stays in the tube, synchronized with the Euler loop:
+    its synchronized time theta moves at a rate in [a_i, b_i] while theta
+    is on segment i.  Segment i therefore takes true time in
+    [h/b_i, h/a_i], the last one only for R1 - (N1-1)h, so theta reaches
+    R1 at a true time t* in [sum_lo, sum_hi], the sums of those bounds.
+    At t* the solution lies on the moving section at x(R1), within delta(R1)
+    of it, so within ``rho`` = |x(R1) - x0| + delta(R1) of x0 (the lhs of
+    the inclusion check).  Its offset g = <y - x0, n0> from the start
+    section (n0 the unit normal there) is then at most rho in magnitude.
+    While y stays in the ball B(x0, r), r = BALL_SCALE * rho, g' = f.n0 is
+    at least v, the minimum of f.n0 sampled on a polar grid of the ball and
+    padded by ``pad_factor`` times the largest neighbour jump; so g reaches
+    zero within e = rho/v of t*, forward or backward, crossing from g < 0
+    to g > 0 as the crossing rule counts.  Meanwhile y moves at most
+    e * f_max (f_max the padded maximum of |f| on the ball), so it stays in
+    the ball if rho + e * f_max <= r, which is checked.  The first return
+    the tube follows therefore lies in [sum_lo - e, sum_hi + e].
+
+    If v <= 0 or the ball does not cover rho + e * f_max, the interval is
+    not established: e is infinite, T_lo = eta = -inf and T_hi = inf.  A
+    lower end at or below zero is reported as it is; either way eta <= 0,
+    which the certificate records as a failed condition.  Neither the step
+    condition nor the inclusion check uses eta.
+
+    R' bounds the discrete first return at step h: the largest of
+    ``n_samples`` returns of :func:`return_time_sweep` (center, both disk
+    endpoints, then seeded uniform draws).
+    """
+    h, N1 = tube.h, tube.N1
+    weights = np.full(N1, h)
+    weights[-1] = tube.R1 - (N1 - 1) * h
+    sum_lo = float(np.sum(weights / tube.b_seg))
+    sum_hi = float(np.sum(weights / tube.a_seg))
+
+    disk = tube.y0_disk
+    n0 = disk.normal / np.linalg.norm(disk.normal)
+    radius = BALL_SCALE * rho
+    r = radius * np.linspace(0.0, 1.0, BALL_RADII)
+    phi = np.linspace(0.0, 2.0 * np.pi, BALL_ANGLES, endpoint=False)
+    ring = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    F = field.f_raw(disk.center + r[:, None, None] * ring[None, :, :])
+    v = float(_padded_range(F @ n0, pad_factor)[0])
+    f_max = float(_padded_range(np.linalg.norm(F, axis=-1), pad_factor)[1])
+    e = rho / v if v > 0.0 else math.inf
+    if not rho + e * f_max <= radius:
+        e = math.inf
+    T_lo = sum_lo - e
+
+    times = return_time_sweep(field, disk, n_samples, h, horizon, seed=seed)
     return EtaEstimate(
         eta=0.5 * T_lo,
         T_lo=T_lo,
-        T_hi=T_hi,
-        R_prime=float(t_euler.max()),
+        T_hi=sum_hi + e,
+        R_prime=float(times.max()),
+        sum_lo=sum_lo,
+        sum_hi=sum_hi,
+        rho=float(rho),
+        v=v,
+        f_max=f_max,
+        ball_radius=float(radius),
+        e=e,
         n_samples=n_samples,
-        refine=refine,
         seed=seed,
-        flow_times=t_flow,
     )
 
 
@@ -254,8 +355,12 @@ class GlobalConstants:
             )
         if not (0.0 < self.a <= self.b):
             raise InputError(f"phase-rate bounds violate 0 < a <= b: {self.a}, {self.b}")
-        if not (0.0 < self.eta <= self.T_lo <= self.T_hi):
-            raise InputError("return-time bounds violate 0 < eta <= T_lo <= T_hi")
+        # eta > 0 is a certificate condition, not an input check: a tube
+        # whose return-time interval is not established still has constants
+        if not self.T_lo <= self.T_hi:
+            raise InputError(
+                f"return-time bounds violate T_lo <= T_hi: {self.T_lo}, {self.T_hi}"
+            )
 
     def to_dict(self) -> dict:
         return {

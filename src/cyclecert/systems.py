@@ -111,16 +111,22 @@ class VectorField:
 def _make_vanderpol(params):
     p = float(params.get("p", 0.3))
 
+    # each output is one preallocated array filled component by component
     def rhs(x):
         u1, u2 = x[..., 0], x[..., 1]
-        return np.stack([u2, p * u2 - p * u1 ** 2 * u2 - u1], axis=-1)
+        out = np.empty(x.shape)
+        out[..., 0] = u2
+        out[..., 1] = p * u2 - p * u1 ** 2 * u2 - u1
+        return out
 
     def jac(x):
         u1, u2 = x[..., 0], x[..., 1]
-        z = np.zeros_like(u1)
-        row1 = np.stack([z, np.ones_like(u1)], axis=-1)
-        row2 = np.stack([-2.0 * p * u1 * u2 - 1.0, p - p * u1 ** 2], axis=-1)
-        return np.stack([row1, row2], axis=-2)
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 0.0
+        out[..., 0, 1] = 1.0
+        out[..., 1, 0] = -2.0 * p * u1 * u2 - 1.0
+        out[..., 1, 1] = p - p * u1 ** 2
+        return out
 
     def rhs2(u1, u2):
         return u2, p * u2 - p * u1 * u1 * u2 - u1

@@ -771,14 +771,15 @@ def certify_existence(
         )
         M_f = max(M_C, float(tube.m_tilde.max()))
 
+        incl = check_return_inclusion(tube, traj, n_samples=config.inclusion_samples)
         eta = estimate_eta(
             field,
-            tube.y0_disk,
-            config.eta_samples,
-            h,
+            tube,
+            incl.lhs,
             horizon=min(horizon, 2.5 * R1),
-            refine=config.eta_refine,
+            n_samples=config.eta_samples,
             seed=config.seed,
+            pad_factor=config.pad_factor,
         )
         constants = GlobalConstants(
             L=L,
@@ -809,7 +810,6 @@ def certify_existence(
         cert.constants = constants
 
         step = check_step_condition(tube, constants)
-        incl = check_return_inclusion(tube, traj, n_samples=config.inclusion_samples)
         cert.step_condition = step
         cert.inclusion = incl
         cert.eta = eta
@@ -844,7 +844,10 @@ def certify_existence(
             cert.failure = {
                 "reason": "eta-nonpositive",
                 "kind": "negative",
-                "detail": "return-time floor could not be established",
+                "detail": f"return-time lower bound T_lo = {eta.T_lo:g} <= 0"
+                if eta.established
+                else f"return-time interval not established: v = {eta.v:g}, "
+                f"ball radius {eta.ball_radius:g} for rho = {eta.rho:g}",
             }
             return cert
         cert.verdict = "certified"

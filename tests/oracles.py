@@ -1,14 +1,22 @@
-"""Straightforward whole-array versions of the tube kernels.
+"""Straightforward versions of library kernels, kept as test oracles.
 
 These are the einsum and per-gap loop forms that ``measures.mu_perp_batch``
 and ``tube.lambda_profile`` / ``tube.ab_profile`` compute in planar
-components and over segment blocks; the tests hold the library kernels to
-them bit for bit.
+components and over segment blocks, the stacked Van der Pol right-hand side
+and Jacobian, and the sampled return-time sweep that the tube's return-time
+interval replaced; the tests hold the library to them.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from cyclecert.errors import EquilibriumProximityError, InvalidReparametrizationError
+from cyclecert.errors import (
+    CertificateBlockedError,
+    EquilibriumProximityError,
+    InvalidReparametrizationError,
+)
+from cyclecert.euler import Exclusion, Section, batch_first_return
 from cyclecert.measures import M_FLOOR, symmetric_part
 
 
@@ -64,3 +72,59 @@ def ab_profile_whole(field, grids, radius, cfg):
     jump = np.maximum(jump, np.abs(np.diff(td, axis=1)).max(axis=(0, 1)))
     margin = cfg.pad_factor * jump
     return td.min(axis=(0, 1)) - margin, td.max(axis=(0, 1)) + margin
+
+
+def vanderpol_stacked(p):
+    """The Van der Pol (rhs, jac) pair built with ``np.stack``."""
+
+    def rhs(x):
+        u1, u2 = x[..., 0], x[..., 1]
+        return np.stack([u2, p * u2 - p * u1 ** 2 * u2 - u1], axis=-1)
+
+    def jac(x):
+        u1, u2 = x[..., 0], x[..., 1]
+        z = np.zeros_like(u1)
+        row1 = np.stack([z, np.ones_like(u1)], axis=-1)
+        row2 = np.stack([-2.0 * p * u1 * u2 - 1.0, p - p * u1 ** 2], axis=-1)
+        return np.stack([row1, row2], axis=-2)
+
+    return rhs, jac
+
+
+def eta_sweep_oracle(field, disk, n_samples, h, horizon, refine=10, seed=0):
+    """Sweep first return times over the disk.
+
+    Fine-step surrogates of the exact flow (step h/refine) give T_lo, T_hi
+    and the floor eta = T_lo/2; the plain step h gives R', the bound on the
+    discrete first-return time.  Both sweeps use the crossing rule of
+    :func:`~cyclecert.euler.return_times`.  A sample that never returns
+    within the horizon, or whose run diverges, blocks certification.
+    """
+    pts = disk.sample_points(n_samples, seed=seed)
+    section = Section(disk.center, disk.normal)
+
+    def sweep(step):
+        excl = Exclusion(t_min=10.0 * step, r_excl=0.5 * disk.radius)
+        times = batch_first_return(field, pts, step, horizon, section, excl)
+        if np.isnan(times).any():
+            bad = int(np.nonzero(np.isnan(times))[0][0])
+            raise CertificateBlockedError(
+                f"return-time sweep at step {step:g}: sample {bad} at "
+                f"{pts[bad].tolist()} diverged or did not return within "
+                f"horizon {horizon:g}"
+            )
+        return times
+
+    t_flow = sweep(h / refine)
+    t_euler = sweep(h)
+    T_lo, T_hi = float(t_flow.min()), float(t_flow.max())
+    return SimpleNamespace(
+        eta=0.5 * T_lo,
+        T_lo=T_lo,
+        T_hi=T_hi,
+        R_prime=float(t_euler.max()),
+        n_samples=n_samples,
+        refine=refine,
+        seed=seed,
+        flow_times=t_flow,
+    )

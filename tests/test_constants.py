@@ -11,6 +11,7 @@ from cyclecert.errors import (
     InvalidReparametrizationError,
 )
 from cyclecert.systems import VectorField
+from oracles import eta_sweep_oracle
 
 
 def box_points(lo, hi, n):
@@ -211,12 +212,15 @@ def test_estimate_ab_invalid_at_huge_radius(vdp):
 
 
 # -- estimate_eta ------------------------------------------------------------
+#
+# The sampled h/10 return-time sweep is ``oracles.eta_sweep_oracle``; the
+# tests of sampled return times run on it.
 
 
 def test_estimate_eta_harmonic(harmonic):
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.05, harmonic.f_raw(anchor))
-    est = cc.estimate_eta(harmonic, disk, 8, h=1e-3, horizon=10.0, refine=10)
+    est = eta_sweep_oracle(harmonic, disk, 8, h=1e-3, horizon=10.0, refine=10)
     # the circle flow has period 2*pi independent of the start point
     assert est.T_lo == pytest.approx(2 * np.pi, abs=0.02)
     assert est.T_hi == pytest.approx(2 * np.pi, abs=0.02)
@@ -226,23 +230,113 @@ def test_estimate_eta_harmonic(harmonic):
 def test_estimate_eta_degenerate_disk(harmonic):
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.0, harmonic.f_raw(anchor))
-    est = cc.estimate_eta(harmonic, disk, 1, h=1e-3, horizon=10.0, refine=10)
+    est = eta_sweep_oracle(harmonic, disk, 1, h=1e-3, horizon=10.0, refine=10)
     assert est.eta == pytest.approx(0.5 * est.T_lo)
     assert est.T_lo == est.T_hi
 
 
 def test_estimate_eta_vdp(vdp_cert):
-    est = vdp_cert.eta
+    cfg = cc.PipelineConfig()
+    est = eta_sweep_oracle(
+        vdp_cert.trajectory.field,
+        vdp_cert.tube.y0_disk,
+        cfg.eta_samples,
+        vdp_cert.h,
+        horizon=min(10.0, 2.5 * vdp_cert.R1),
+        refine=10,
+        seed=cfg.seed,
+    )
     assert est.eta == pytest.approx(3.16, abs=0.05)
     assert 6.25 <= est.T_lo <= est.T_hi <= 6.40
     assert est.R_prime >= est.T_lo
+    # the production R' is the oracle's step-h sweep, bit for bit
+    assert vdp_cert.eta.R_prime == est.R_prime
 
 
 def test_estimate_eta_blocking(linear):
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.05, linear.f_raw(anchor))
     with pytest.raises(CertificateBlockedError):
-        cc.estimate_eta(linear, disk, 4, h=1e-2, horizon=5.0, refine=5)
+        cc.return_time_sweep(linear, disk, 4, h=1e-2, horizon=5.0)
+
+
+# (system, x0, h, delta0, gamma, horizon) of the tubes the interval is
+# checked on; only the Van der Pol run is certified.  The harmonic run
+# holds the step condition but not the inclusion, the FitzHugh-Nagumo run
+# neither: the check is on the interval's numbers, which the tube gives
+# whether or not the certificate holds.
+INTERVAL_RUNS = {
+    "fitzhugh-nagumo": (
+        {"id": "fitzhugh-nagumo"}, (1.833419474496068, 0.3354878852385902),
+        4e-3, 0.05, 0.05, 60.0,
+    ),
+    "harmonic": ({"id": "harmonic"}, (1.0, 0.0), 5e-4, 0.02, 0.1, 10.0),
+}
+
+
+@pytest.mark.parametrize("name", ["vanderpol", "fitzhugh-nagumo", "harmonic"])
+def test_tube_interval_contains_sampled_returns(name, vdp_cert):
+    # 64 first returns at h/10 from the initial disk lie in [T_lo, T_hi]
+    if name == "vanderpol":
+        cert, horizon = vdp_cert, 10.0
+    else:
+        spec, x0, h, delta0, gamma, horizon = INTERVAL_RUNS[name]
+        cert = cc.certify_existence(
+            cc.load_system(spec), x0, h, delta0, gamma, horizon=horizon
+        )
+    eta = cert.eta
+    assert eta.established and eta.eta > 0.0
+    if name != "fitzhugh-nagumo":
+        assert cert.step_condition.holds
+    oracle = eta_sweep_oracle(
+        cert.trajectory.field,
+        cert.tube.y0_disk,
+        64,
+        cert.h,
+        horizon=min(horizon, 2.5 * cert.R1),
+        refine=10,
+    )
+    times = oracle.flow_times
+    assert times.size == 64
+    assert eta.T_lo <= times.min() and times.max() <= eta.T_hi, (
+        eta.T_lo, times.min(), times.max(), eta.T_hi
+    )
+
+
+def test_estimate_eta_sums_follow_phase_rates(vdp_cert):
+    tube = vdp_cert.tube
+    last = tube.R1 - (tube.N1 - 1) * tube.h
+    eta = vdp_cert.eta
+    assert eta.sum_lo == pytest.approx(
+        tube.h * np.sum(1.0 / tube.b_seg[:-1]) + last / tube.b_seg[-1], rel=1e-12
+    )
+    assert eta.sum_hi == pytest.approx(
+        tube.h * np.sum(1.0 / tube.a_seg[:-1]) + last / tube.a_seg[-1], rel=1e-12
+    )
+    # rho is the inclusion check's lhs, and the ball covers the drift
+    assert eta.rho == vdp_cert.inclusion.lhs
+    assert eta.rho + eta.e * eta.f_max <= eta.ball_radius
+
+
+@pytest.mark.parametrize(
+    "rho, why",
+    [
+        # a ball of radius 15 around x0 holds points where f.n0 < 0
+        (5.0, "no speed floor"),
+        # |f| grows with rho while v shrinks: the ball of radius 0.9
+        # cannot hold rho + e * f_max
+        (0.3, "ball too small"),
+    ],
+)
+def test_estimate_eta_not_established(vdp, vdp_cert, rho, why):
+    eta = cc.estimate_eta(vdp, vdp_cert.tube, rho, horizon=10.0)
+    if why == "no speed floor":
+        assert eta.v <= 0.0
+    else:
+        assert eta.v > 0.0 and rho + rho / eta.v * eta.f_max > eta.ball_radius
+    assert not eta.established
+    assert eta.T_lo == -np.inf and eta.T_hi == np.inf and not eta.eta > 0.0
+    assert eta.R_prime == vdp_cert.eta.R_prime
 
 
 def _escape_field(mode):
@@ -277,7 +371,7 @@ def test_estimate_eta_blocking_names_sample(mode, scalar_path):
     assert bad != 0 and pts[bad, 0] > 1.03
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CertificateBlockedError) as err:
-            cc.estimate_eta(field, disk, 3, h=1e-3, horizon=8.0, refine=2)
+            cc.return_time_sweep(field, disk, 3, h=1e-3, horizon=8.0)
     assert f"sample {bad} at {pts[bad].tolist()}" in str(err.value)
 
 

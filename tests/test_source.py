@@ -1,7 +1,10 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import cyclecert
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_assert_statements_in_package():
@@ -17,3 +20,18 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_benchmark_tracer_bindings_exist():
+    # the traced benchmark run replaces each WRAPS attribute where its
+    # caller looks it up; a refactor that drops one breaks that run
+    path = ROOT / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{owner}.{attr}"
+        for owner, attr, _, _ in tracing.WRAPS
+        if attr not in vars(tracing._resolve(owner))
+    ]
+    assert tracing.WRAPS and missing == []

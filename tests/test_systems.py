@@ -5,6 +5,7 @@ import pytest
 
 import cyclecert as cc
 from cyclecert.errors import InputError, NumericError
+from oracles import vanderpol_stacked
 
 
 def vdp_rhs_oracle(u1, u2, p):
@@ -35,6 +36,17 @@ def test_vanderpol_jacobian(vdp):
     assert np.allclose(J, vdp_jac_oracle(1.8929, -0.5383, 0.3), atol=1e-15)
     assert J[1, 0] == pytest.approx(-0.3886, abs=1e-4)
     assert J[1, 1] == pytest.approx(-0.7749, abs=1e-4)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (257,), (5, 3, 7)])
+def test_vanderpol_arrays_match_stacked(vdp, shape):
+    # rhs and jac fill one preallocated array each; their values are those
+    # of the np.stack construction bit for bit
+    rhs, jac = vanderpol_stacked(0.3)
+    x = np.random.default_rng(3).uniform(-3.0, 3.0, size=shape + (2,))
+    for got, want in ((vdp.f_raw(x), rhs(x)), (vdp.jac_raw(x), jac(x))):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_trivial_jacobians(linear, harmonic):

@@ -1,12 +1,17 @@
+import copy
 import dataclasses
+import json
 import tracemalloc
 
+import jsonschema
 import numpy as np
 import pytest
 
+import cyclecert
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
 from cyclecert.errors import InputError, InvalidReparametrizationError
+from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_consistent
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
@@ -169,6 +174,65 @@ def test_certificate_dict_layout(vdp_cert):
         assert key in doc["constants"]
     assert doc["tube_summary"]["N1"] == vdp_cert.N1
     assert doc["flags"]["radius_consistent"]
+
+
+def _eta_with(change):
+    """``estimate_eta`` run on a changed tube or distance bound."""
+    real = cc.constants.estimate_eta
+
+    def wrapped(field, tube, rho, **kw):
+        if change == "lower-end":
+            # phase rates 1e6 times faster: the tube sums shrink below e
+            tube = copy.copy(tube)
+            tube.b_seg = tube.b_seg * 1e6
+        else:
+            # a ball of radius 15 around x0, where f.n0 < 0 somewhere
+            rho = 5.0
+        return real(field, tube, rho, **kw)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("change", ["lower-end", "no-speed-floor"])
+def test_eta_failure_is_a_failed_certificate(vdp, monkeypatch, change):
+    # a return-time interval that gives no eta > 0 fails the eta condition;
+    # the certificate keeps its constants and stays schema-valid
+    monkeypatch.setattr(cyclecert.tube, "estimate_eta", _eta_with(change))
+    cert = cc.certify_existence(
+        vdp, VDP_X0, VDP_H, VDP_DELTA0, VDP_GAMMA, PipelineConfig(), horizon=10.0
+    )
+    assert cert.step_condition.holds and cert.inclusion.sufficient_holds
+    assert cert.failure["reason"] == "eta-nonpositive"
+    assert cert.failure["kind"] == "negative"
+    assert cert.eta.established == (change == "lower-end")
+    assert cert.eta.T_lo <= 0.0 and cert.constants.eta <= 0.0
+    doc = json.loads(canonical_json(cert.to_dict()))
+    assert doc["conditions"]["eta"]["holds"] is False
+    jsonschema.validate(doc, load_schema("existence_certificate.schema.json"))
+
+
+def test_inclusion_failure_with_unestablished_interval(harmonic):
+    # the harmonic tube grows past delta0 and its ball does not cover
+    # rho + e * f_max: the inclusion fails first, constants are kept
+    cert = cc.certify_existence(
+        harmonic, (1.0, 0.0), 1e-3, 0.02, 0.2, PipelineConfig(), horizon=10.0
+    )
+    assert cert.step_condition.holds
+    assert cert.failure["reason"] == "eq_new-violated"
+    assert not cert.eta.established
+    assert cert.constants is not None
+    doc = json.loads(canonical_json(cert.to_dict()))
+    jsonschema.validate(doc, load_schema("existence_certificate.schema.json"))
+
+
+def test_coarse_step_keeps_constants(vdp):
+    # the error curve's coarsest step fails eq_h but still yields D
+    cert = cc.certify_existence(
+        vdp, VDP_X0, 5e-4, VDP_DELTA0, VDP_GAMMA, PipelineConfig(), horizon=10.0
+    )
+    assert cert.failure["reason"] == "eq_h-violated"
+    c = cert.constants
+    assert np.isfinite(cc.compute_D(c.M_C, c.L, VDP_GAMMA, c.a, c.b))
 
 
 def test_forward_invariance_of_certified_tube(vdp, vdp_cert):
