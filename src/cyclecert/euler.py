@@ -5,6 +5,11 @@ the dense interpolant x_i(s) = x_i + s f(x_i) for s in [0, h].  Because the
 recurrence makes node differences equal h f(x_i) exactly, segment directions
 are recovered from the stored nodes without re-evaluating f.
 
+Planar fields with a scalar right-hand side step in blocks of verified
+Picard sweeps over numpy arrays (:func:`_planar_nodes`); every node is
+checked against the scalar recurrence, so the nodes are those of a loop of
+single steps on plain floats, bit for bit.
+
 Hyperplane sections, crossing detection and return times live here as well:
 each segment is linear, so in-segment crossing offsets are exact roots of a
 linear equation.
@@ -89,7 +94,8 @@ class EulerTrajectory:
 
 
 def _has_scalar_path(field: VectorField) -> bool:
-    """Whether Euler steps can run on plain floats through ``rhs_scalar2``."""
+    """Whether Euler steps can run through ``rhs_scalar2`` (on plain floats
+    and float64 arrays)."""
     return field.rhs_scalar2 is not None and field.dim == 2
 
 
@@ -106,15 +112,31 @@ def _euler_nodes(field: VectorField, x0: np.ndarray, h: float, n_steps: int):
     return nodes
 
 
-def _scalar_nodes(rhs2, u1, u2, h, n_steps):
+# Steps in the first block of verified Picard sweeps; a block whose sweeps
+# stop short makes the next one half as long, down to SWEEP_MIN steps, and
+# runs or tails shorter than SWEEP_MIN steps take the scalar loop.
+SWEEP_STEPS = 8192
+SWEEP_MIN = 512
+# Sweep cost in units of one node of one sweep: a sweep over L nodes costs
+# about L + SWEEP_OVERHEAD, one scalar Euler step about SCALAR_COST.  A block
+# stops sweeping once its sweeps cost what the scalar loop would.  Measured
+# on Van der Pol with numpy 2.4 on a shared 2-core x86-64 VM: 17-22 us a
+# sweep plus 11-13 ns a node, against 230-400 ns a scalar step.
+SWEEP_OVERHEAD = 2000
+SCALAR_COST = 30
+
+
+def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     """Euler nodes of a planar run stepped on plain floats, shape (n+1, 2).
 
-    Each step is one ``rhs2`` call and u += h*d, unrolled four steps per
-    loop iteration whose nodes go into a list in one ``extend``;
-    ``np.fromiter`` converts the list at about half the cost of
+    The fallback of :func:`_planar_nodes`, and the recurrence its sweeps
+    verify against.  Each step is one ``rhs2`` call and u += h*d, unrolled
+    four steps per loop iteration whose nodes go into a list in one
+    ``extend``; ``np.fromiter`` converts the list at about half the cost of
     ``np.array``.  A block that overflows leaves (u1, u2) at its first
     node; the one-step loop then steps on from there, so an
-    ``OverflowError`` names the step it names in a loop of single steps.
+    ``OverflowError`` names the step it names in a loop of single steps,
+    counted from ``first_step``, the step number of (u1, u2).
     """
     buf = [u1, u2]
     extend = buf.extend
@@ -147,15 +169,107 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps):
             append(u1)
             append(u2)
     except OverflowError:
-        raise DivergedError(f"state overflowed at step {i}", i) from None
+        step = first_step + i
+        raise DivergedError(f"state overflowed at step {step}", step) from None
     return np.fromiter(buf, np.float64, len(buf)).reshape(-1, 2)
+
+
+def _sweep_guess(rhs2, a1, a2, h, n_steps):
+    """Guessed Euler nodes (2, n+1) from the node (a1, a2): the quadratic in
+    the step number through the node and its two Euler successors."""
+    d1, d2 = rhs2(a1, a2)
+    e1, e2 = rhs2(a1 + h * d1, a2 + h * d2)
+    k = np.arange(n_steps + 1.0)
+    q = 0.5 * h * k * (k - 1.0)
+    return np.stack(
+        [a1 + (h * d1) * k + (e1 - d1) * q, a2 + (h * d2) * k + (e2 - d2) * q]
+    )
+
+
+def _sweep_block(rhs2, X, h):
+    """Verify Euler nodes X[:, 1:] from the exact node X[:, 0] by Picard sweeps.
+
+    ``X`` has shape (2, n+1).  Each sweep evaluates ``rhs2`` on the
+    unverified suffix as float64 arrays and accepts node j+1 only where its
+    bits equal X[j] + h*rhs2(X[j]), the scalar loop's own operations on the
+    verified node j.  The first mismatch is replaced by that successor,
+    which is therefore exact, and the nodes after it are guessed again by a
+    running sum of the sweep's increments.  The sum is only a guess: a wrong
+    node never passes the check, so each sweep verifies at least one node
+    and the guesses decide only how many.
+
+    Returns the number of verified steps, n unless the sweeps stopped
+    because they cost more than the scalar loop would (see SCALAR_COST).
+    """
+    n = X.shape[1] - 1
+    H = np.empty((2, n))
+    Y = np.empty((2, n))
+    Xbits, Ybits = X.view(np.int64), Y.view(np.int64)
+    s = work = 0
+    while s < n and work < SCALAR_COST * n:
+        L = n - s
+        D1, D2 = rhs2(X[0, s:n], X[1, s:n])
+        np.multiply(D1, h, out=H[0, :L])
+        np.multiply(D2, h, out=H[1, :L])
+        np.add(X[:, s:n], H[:, :L], out=Y[:, :L])
+        same = (Ybits[:, :L] == Xbits[:, s + 1 :]).all(axis=0)
+        m = int(same.argmin())
+        if same[m]:
+            return n
+        # nodes s+1..s+m hold; Y[:, m] is the successor of node s+m
+        s += m + 1
+        H[:, m] = Y[:, m]
+        np.cumsum(H[:, m:L], axis=1, out=X[:, s:])
+        work += L + SWEEP_OVERHEAD
+    return s
+
+
+def _planar_nodes(rhs2, u1, u2, h, n_steps):
+    """Euler nodes of a planar run, shape (n+1, 2), bit for bit those of
+    :func:`_scalar_nodes`.
+
+    The run is stepped in blocks of verified Picard sweeps
+    (:func:`_sweep_block`), each block starting from the last node of the
+    one before.  A block whose sweeps stop short continues from its last
+    verified node with half the block length.  The scalar loop steps the
+    rest of the run once blocks would be shorter than ``SWEEP_MIN`` steps,
+    or from the first node of a block that holds a non-finite value, so a
+    run that diverges fails at the step, and with the message, of the
+    scalar loop.  It also steps the rest of the run from a block where
+    ``rhs2`` raises TypeError or ValueError on arrays, as one that branches
+    on its arguments does.
+    """
+    nodes = np.empty((n_steps + 1, 2))
+    nodes[0] = u1, u2
+    width, k = SWEEP_STEPS, 0
+    with np.errstate(all="ignore"):
+        while width >= SWEEP_MIN and n_steps - k >= SWEEP_MIN:
+            n = min(width, n_steps - k)
+            X = _sweep_guess(rhs2, nodes[k, 0], nodes[k, 1], h, n)
+            X[:, 0] = nodes[k]
+            try:
+                done = _sweep_block(rhs2, X, h)
+            except (TypeError, ValueError):
+                break  # rhs2 takes plain floats only, e.g. it branches on them
+            if not np.isfinite(X[:, 1 : done + 1]).all():
+                break
+            nodes[k + 1 : k + done + 1] = X[:, 1 : done + 1].T
+            k += done
+            if done < n:
+                width //= 2
+    if k < n_steps:
+        u1, u2 = float(nodes[k, 0]), float(nodes[k, 1])
+        nodes[k:] = _scalar_nodes(rhs2, u1, u2, h, n_steps - k, k)
+    return nodes
 
 
 def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
     """Integrate dx/dt = f(x) with the explicit Euler scheme.
 
-    Planar fields with ``rhs_scalar2`` step on plain floats, four steps per
-    loop iteration (see :func:`_scalar_nodes`); other fields step with numpy.
+    Planar fields with ``rhs_scalar2`` step in blocks of verified Picard
+    sweeps over numpy arrays, with the scalar loop as fallback (see
+    :func:`_planar_nodes`); their nodes are those of the scalar recurrence
+    u += h*rhs2(u), bit for bit.  Other fields step with numpy.
 
     Raises
     ------
@@ -172,7 +286,7 @@ def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
 
     if _has_scalar_path(field):
         u1, u2 = float(x0[0]), float(x0[1])
-        nodes = _scalar_nodes(field.rhs_scalar2, u1, u2, h, n_steps)
+        nodes = _planar_nodes(field.rhs_scalar2, u1, u2, h, n_steps)
     else:
         nodes = _euler_nodes(field, x0, h, n_steps)
 
@@ -379,7 +493,7 @@ def batch_first_return(
     of one long run.  Each chunk goes through the crossing rule of
     :func:`detect_crossings`, and a sample stops at its first counted
     crossing.  Planar fields with ``rhs_scalar2`` step one sample at a time
-    on :func:`simulate`'s scalar path, where a sample whose run diverges
+    on :func:`simulate`'s planar path, where a sample whose run diverges
     gives NaN.  Other fields step the whole batch at once with numpy.
     """
     X = np.array(points, dtype=float)
@@ -407,7 +521,7 @@ def batch_first_return(
 
 
 def _first_return(field, x, h, n_steps, section, exclusion) -> float:
-    """First counted crossing time of one scalar-path run, NaN if none."""
+    """First counted crossing time of one planar-path run, NaN if none."""
     t_left = math.inf
     for offset in range(0, n_steps, RETURN_CHUNK):
         try:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -155,18 +154,19 @@ def write_error_curve_csv(path, series, D: float):
 
     Columns are taken with ``tolist()`` a block of rows at a time and
     formatted as Python floats, which gives the text numpy scalars give, in
-    less time; each block is written before the next is formatted.
+    less time; each block is written before the next is formatted.  The
+    constant Dh column is formatted once, into the row template.
     """
     floor = D * series.h
     n = series.times.size
     bounds = series.bounds if series.bounds is not None else np.full(n, floor)
     columns = (series.times, series.thetas, series.errors, bounds)
-    row = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    row = "%.17g,%.17g,%.17g,%.17g," + "%.17g" % floor + "\n"
 
     def blocks():
         yield "t,theta,error,delta_bound,Dh\n"
         for a in range(0, n, CSV_ROWS):
-            rows = zip(*(c[a : a + CSV_ROWS].tolist() for c in columns), repeat(floor))
+            rows = zip(*(c[a : a + CSV_ROWS].tolist() for c in columns))
             yield "".join(row % r for r in rows)
 
     atomic_write_text(path, blocks())

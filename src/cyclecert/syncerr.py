@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
 from .errors import DivergedError, InputError, SynchronizationLostError
-from .euler import RETURN_CHUNK, EulerTrajectory, simulate
+from .euler import EulerTrajectory, simulate
 from .systems import VectorField
 from .tube import ExistenceCertificate, Tube, certify_existence
 from .attraction import compute_D
@@ -92,11 +92,11 @@ class ReferenceStream:
     Same step h/refine, same step cap.  ``nodes`` holds the resident nodes,
     ``nodes[0]`` being node ``base`` of the reference.  :meth:`advance`
     drops the nodes before the next sample's window start and steps up to
-    ``STREAM_CHUNK`` more, in :func:`simulate` runs that each start from the
-    last node of the one before, so the nodes are those of one long run bit
-    for bit.  :func:`synchronize` on a stream continues from sample
-    ``sample`` (warm-started at ``theta``) through the samples whose windows
-    are resident, and sets ``finished`` after the last sample.
+    ``STREAM_CHUNK`` more in one :func:`simulate` run from the last resident
+    node, so the nodes are those of one long run bit for bit.
+    :func:`synchronize` on a stream continues from sample ``sample``
+    (warm-started at ``theta``) through the samples whose windows are
+    resident, and sets ``finished`` after the last sample.
     """
 
     def __init__(
@@ -128,15 +128,12 @@ class ReferenceStream:
         self.nodes = kept  # the old chunk is freed before the new one exists
         nodes = np.empty((stop - keep + 1, kept.shape[1]))
         nodes[: kept.shape[0]] = kept
-        x = kept[-1]
-        for k in range(start, stop, RETURN_CHUNK):
-            try:
-                run = simulate(self.field, x, self.h, min(RETURN_CHUNK, stop - k))
-            except DivergedError as exc:
-                bad = k + exc.first_bad_index
-                raise DivergedError(f"non-finite state at node {bad}", bad) from None
-            nodes[k - keep + 1 : k - keep + run.nodes.shape[0]] = run.nodes[1:]
-            x = run.nodes[-1]
+        try:
+            run = simulate(self.field, kept[-1], self.h, stop - start)
+        except DivergedError as exc:
+            bad = start + exc.first_bad_index
+            raise DivergedError(f"non-finite state at node {bad}", bad) from None
+        nodes[kept.shape[0] :] = run.nodes[1:]
         self.nodes = nodes
         self.base = keep
 

@@ -38,8 +38,13 @@ class VectorField:
     rhs: Callable[[np.ndarray], np.ndarray]
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = DEFAULT_FD_STEP
-    # fast scalar path used by the integration hot loop (planar systems only):
-    # (u1, u2) -> (du1, du2) on plain floats
+    # planar systems only: (u1, u2) -> (du1, du2), called on plain floats
+    # and on float64 arrays.  It may use only + - * / (no **, no math or
+    # numpy functions), so it rounds element by element on arrays as it does
+    # on floats; simulate's sweeps verify array results against the float
+    # recurrence on that basis.  Every registry system meets this.  One that
+    # raises TypeError or ValueError on arrays (it branches on its
+    # arguments) is stepped on plain floats only.
     rhs_scalar2: Optional[Callable] = dc_field(default=None, repr=False)
 
     @property

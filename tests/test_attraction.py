@@ -195,11 +195,13 @@ def test_certified_implies_empirical_attraction(vdp, vdp_cert):
     # reference orbit strictly decreases for initial-disk starts.  Query and
     # orbit use the same fine step so both approach the same discrete cycle,
     # and the distance goes to the orbit polyline, not just its nodes;
-    # otherwise step-size mismatch puts a floor under the distances.
-    T = vdp_cert.eta.T_hi
+    # otherwise step-size mismatch puts a floor under the distances.  The
+    # distances are read once per loop period R1; the orbit spans T_hi, an
+    # upper bound on the return time, so it holds the whole closed loop.
+    T = vdp_cert.R1
     h_fine = VDP_H / 5
     settle = cc.simulate(vdp, VDP_X0, h_fine, int(10 * T / h_fine))
-    orbit = settle.nodes[-int(T / h_fine) :]
+    orbit = settle.nodes[-int(vdp_cert.eta.T_hi / h_fine) :]
     A = orbit[:-1]
     seg = orbit[1:] - A
     seg_len2 = (seg ** 2).sum(axis=1)

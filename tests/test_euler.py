@@ -148,6 +148,137 @@ def test_scalar_nonfinite_names_first_bad_node(x0, rhs2):
     assert exc.value.first_bad_index == bad
 
 
+SWEEP_W = cc.euler.SWEEP_STEPS
+
+
+def recording(field):
+    """Copy of ``field`` whose rhs_scalar2 notes whether it got arrays."""
+    seen = []
+    rhs2 = field.rhs_scalar2
+
+    def rhs2_recorded(u1, u2):
+        seen.append(isinstance(u1, np.ndarray))
+        return rhs2(u1, u2)
+
+    return dataclasses.replace(field, rhs_scalar2=rhs2_recorded), seen
+
+
+@pytest.mark.parametrize(
+    "n_steps", [1, 3, SWEEP_W - 1, SWEEP_W, SWEEP_W + 1, 3 * SWEEP_W + 5]
+)
+@pytest.mark.parametrize("h", [1.25e-6, 5e-6, 1e-4, 5e-4])
+@pytest.mark.parametrize("system", sorted(cc.systems.REGISTRY))
+def test_block_path_matches_one_step_loop(system, h, n_steps):
+    # the sweeps' nodes are the scalar recurrence's, bit for bit, on every
+    # registry system; runs shorter than SWEEP_MIN steps never sweep
+    field, seen = recording(cc.load_system({"id": system}))
+    x0 = (1.8929, -0.5383)
+    ref, _ = one_step_nodes(field.rhs_scalar2, x0, h, n_steps)
+    seen.clear()
+    nodes = cc.simulate(field, x0, h, n_steps).nodes
+    assert any(seen) == (n_steps >= cc.euler.SWEEP_MIN)
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+
+
+def test_float_only_rhs2_takes_the_scalar_loop():
+    # an rhs2 that branches on its arguments raises ValueError on arrays;
+    # its runs step on plain floats
+    def rhs2(u1, u2):
+        return (u2, -u1) if u1 < 0.5 else (u2, -2.0 * u1)
+
+    field = cc.VectorField("kinked", 2, {}, lambda x: x, None, rhs_scalar2=rhs2)
+    x0, h, n_steps = (1.0, 0.0), 1e-3, 2 * SWEEP_W
+    ref, _ = one_step_nodes(rhs2, x0, h, n_steps)
+    nodes = cc.simulate(field, x0, h, n_steps).nodes
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+
+
+def zeros_guess(rhs2, a1, a2, h, n_steps):
+    return np.zeros((2, n_steps + 1))
+
+
+def noise_guess(rhs2, a1, a2, h, n_steps):
+    rng = np.random.default_rng(n_steps)
+    return np.array([[a1], [a2]]) + rng.normal(scale=1e-3, size=(2, n_steps + 1))
+
+
+def one_ulp_guess(rhs2, a1, a2, h, n_steps):
+    # the exact nodes, but one of them a single ulp off
+    nodes, _ = one_step_nodes(rhs2, (float(a1), float(a2)), h, n_steps)
+    nodes[n_steps // 2, 1] = np.nextafter(nodes[n_steps // 2, 1], np.inf)
+    return np.ascontiguousarray(nodes.T)
+
+
+@pytest.mark.parametrize("guess", [zeros_guess, noise_guess, one_ulp_guess])
+@pytest.mark.parametrize("h", [1.25e-6, 1e-4])
+def test_block_path_ignores_the_guess(vdp, monkeypatch, guess, h):
+    # a guess only decides how many nodes a sweep verifies, never their bits
+    x0 = (1.8929, -0.5383)
+    n_steps = 2 * SWEEP_W + 7
+    ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, n_steps)
+    monkeypatch.setattr(cc.euler, "_sweep_guess", guess)
+    field, seen = recording(vdp)
+    nodes = cc.simulate(field, x0, h, n_steps).nodes
+    assert any(seen)
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+
+
+def test_block_path_checks_the_sign_of_zero(linear, monkeypatch):
+    # x2 stays +0.0 from (1, 0); a guess of -0.0 compares equal to it as a
+    # float, so only a check of the bits keeps the zeros the scalar loop has
+    def negative_zero_guess(rhs2, a1, a2, h, n_steps):
+        nodes, _ = one_step_nodes(rhs2, (float(a1), float(a2)), h, n_steps)
+        return np.array([nodes[:, 0], np.full(n_steps + 1, -0.0)])
+
+    x0, h, n_steps = (1.0, 0.0), 1e-5, SWEEP_W + 1
+    ref, _ = one_step_nodes(linear.rhs_scalar2, x0, h, n_steps)
+    monkeypatch.setattr(cc.euler, "_sweep_guess", negative_zero_guess)
+    nodes = cc.simulate(linear, x0, h, n_steps).nodes
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("x0", [1.2, 2.0, 2.6, 3.7])
+def test_block_overflow_names_the_step(x0):
+    # x' = x^3 at a step small enough for the block path: the run overflows
+    # in the first block (2.6, 3.7), in a later one (2.0) or not at all
+    # (1.2).  Float ** raises OverflowError where numpy's gives inf, so the
+    # block holding it is re-stepped by the scalar loop.
+    field, seen = recording(cubic_field(lambda u1, u2: (u1**3, 0.0)))
+    h, n_steps = 1e-5, 3 * SWEEP_W + 5
+    _, step = one_step_nodes(field.rhs_scalar2, (x0, 0.0), h, n_steps)
+    seen.clear()
+    if step is None:
+        assert np.all(np.isfinite(cc.simulate(field, (x0, 0.0), h, n_steps).nodes))
+    else:
+        with pytest.raises(DivergedError, match=f"overflowed at step {step}$") as exc:
+            cc.simulate(field, (x0, 0.0), h, n_steps)
+        assert exc.value.first_bad_index == step
+    assert any(seen)
+    assert (step is None) == (x0 == 1.2)
+
+
+@pytest.mark.parametrize(
+    "rhs2",
+    [
+        lambda u1, u2: (cube(u1), 0.0),
+        lambda u1, u2: (cube(u1), cube(u1) * cube(u1) - cube(u1) * cube(u1)),
+    ],
+    ids=["inf", "nan"],
+)
+@pytest.mark.parametrize("x0", [2.0, 2.6, 3.7])
+def test_block_nonfinite_names_first_bad_node(x0, rhs2):
+    field, seen = recording(cubic_field(rhs2))
+    h, n_steps = 1e-5, 3 * SWEEP_W + 5
+    ref, step = one_step_nodes(rhs2, (x0, 0.0), h, n_steps)
+    assert step is None
+    bad = int(np.nonzero(~np.isfinite(ref).all(axis=1))[0][0])
+    with pytest.raises(DivergedError, match=f"non-finite state at node {bad}$") as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cc.simulate(field, (x0, 0.0), h, n_steps)
+    assert exc.value.first_bad_index == bad
+    assert any(seen)
+
+
 def test_immutable_nodes(vdp):
     traj = cc.simulate(vdp, [1.0, 1.0], 1e-3, 10)
     with pytest.raises(ValueError):

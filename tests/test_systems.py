@@ -168,3 +168,20 @@ def test_batched_rhs_shapes(vdp):
     X = np.ones((4, 7, 2))
     assert vdp.f_raw(X).shape == (4, 7, 2)
     assert vdp.jac_raw(X).shape == (4, 7, 2, 2)
+
+
+@pytest.mark.parametrize("system", sorted(cc.systems.REGISTRY))
+def test_rhs_scalar2_broadcasts_bit_exact(system):
+    # the contract simulate's sweeps rest on: rhs_scalar2 on float64 arrays
+    # rounds element by element as it does on Python floats
+    field = cc.load_system({"id": system})
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-8.0, 50.0, size=(2, 400))
+    u = mags * rng.choice([-1.0, 1.0], size=mags.shape)
+    u[:, :3] = [[0.0, -0.0, 1.0], [-0.0, 0.0, 0.0]]
+    arrays = np.array(np.broadcast_arrays(*field.rhs_scalar2(u[0], u[1])))
+    floats = np.array(
+        [field.rhs_scalar2(float(a), float(b)) for a, b in u.T.tolist()]
+    ).T
+    assert arrays.shape == floats.shape == u.shape
+    assert np.array_equal(arrays.view(np.int64), floats.view(np.int64))
