@@ -74,7 +74,14 @@ def contraction_exponent(
     _, M_f = estimate_magnitude_bounds(
         field, traj.nodes[: N1 + 1], magnitude=config.magnitude_mode
     )
-    tube = build_tube(field, traj, R1, N1, delta0, gamma, M_f, config)
+    return _tube_exponent(
+        z, build_tube(field, traj, R1, N1, delta0, gamma, M_f, config)
+    )
+
+
+def _tube_exponent(z: np.ndarray, tube) -> ContractionExponent:
+    """The loop exponent from z accumulated over the rates of z's tube."""
+    N1, h = tube.N1, tube.h
     K0 = float(h * tube.sigma[: N1 - 1].sum())
     sigma_last = float(tube.sigma[N1 - 1])
     return ContractionExponent(
@@ -82,9 +89,40 @@ def contraction_exponent(
         K0=K0,
         Kh=K0 + h * sigma_last,
         N1=N1,
-        R1=float(R1),
+        R1=tube.R1,
         sigma_last=sigma_last,
-        h=float(h),
+        h=h,
+    )
+
+
+def _existence_run_from(
+    existence: Optional[ExistenceCertificate],
+    field: VectorField,
+    z: np.ndarray,
+    delta0: float,
+    h: float,
+    gamma: float,
+    config: PipelineConfig,
+    horizon: float,
+) -> bool:
+    """Whether :func:`contraction_exponent` from z would repeat the run of
+    ``existence``, so that the tube it builds is ``existence.tube``.
+
+    The existence run simulates, finds the first return and bounds |x| or
+    |f| exactly as the exponent's run does; the two agree when the start
+    point is bit for bit x0 and the field, h, gamma, delta0, the pipeline
+    configuration and the number of steps are the same.  A tube built with
+    ``sigma_override`` is not the tube of the run.
+    """
+    if existence is None or existence.tube is None or existence.trajectory is None:
+        return False
+    return (
+        existence.tube.slice_mode != "override"
+        and existence.trajectory.field is field
+        and z.tobytes() == existence.trajectory.nodes[0].tobytes()
+        and (h, gamma, delta0) == (existence.h, existence.gamma, existence.delta0)
+        and config == existence.config
+        and math.ceil(horizon / h) == math.ceil(existence.horizon / existence.h)
     )
 
 
@@ -108,9 +146,17 @@ def sweep_Y0(
     gamma: float,
     config: PipelineConfig = PipelineConfig(),
     horizon: float = 10.0,
+    existence: Optional[ExistenceCertificate] = None,
 ) -> SweepResult:
-    """Exponents from evenly spaced start points of the disk (endpoints and
-    center always included); d is their maximum K."""
+    """Exponents from evenly spaced start points of the disk; d is their
+    maximum K.
+
+    The points are ``disk.linspace_points(n_samples)``: both endpoints, and
+    the center only when n_samples is odd; one sample is the center.  When
+    the center sample's run would repeat the run of ``existence`` (see
+    :func:`_existence_run_from`), its exponent is read from
+    ``existence.tube`` in place of building that tube again.
+    """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
     if n_samples == 1:
@@ -123,11 +169,20 @@ def sweep_Y0(
             field, pts[k], h, gamma, disk.radius, config, horizon
         )
 
+    exps = [None] * pts.shape[0]
+    mid = pts.shape[0] // 2
+    if _existence_run_from(
+        existence, field, pts[mid], disk.radius, h, gamma, config, horizon
+    ):
+        exps[mid] = _tube_exponent(pts[mid], existence.tube)
+    todo = [k for k, e in enumerate(exps) if e is None]
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            exps = list(pool.map(run, range(pts.shape[0])))
+            done = list(pool.map(run, todo))
     else:
-        exps = [run(k) for k in range(pts.shape[0])]
+        done = [run(k) for k in todo]
+    for k, e in zip(todo, done):
+        exps[k] = e
     d = max(e.K_max for e in exps)
     return SweepResult(d=float(d), exponents=exps)
 
@@ -246,7 +301,8 @@ def certify_attraction(
     """Sweep the initial disk and issue the basin certificate.
 
     Requires a certified existence certificate; its constants provide D and
-    the return-time bounds.
+    the return-time bounds, and its tube the exponent of the disk center
+    when the sweep samples it with the existence run's settings.
     """
     if not existence.certified:
         raise InputError(
@@ -268,6 +324,7 @@ def certify_attraction(
             existence.gamma,
             config,
             horizon,
+            existence=existence,
         )
         cert.d = sweep.d
         cert.exponents = sweep.exponents

@@ -29,7 +29,7 @@ from .errors import (
     TransversalityLossError,
 )
 from .euler import Exclusion, Section, batch_first_return
-from .measures import M_FLOOR, _rot90
+from .measures import M_FLOOR, _rot90, planar_norm
 from .systems import VectorField
 
 
@@ -51,14 +51,54 @@ def estimate_lipschitz(
     ``spectral_norm`` gives the Euclidean operator norm (a Lipschitz bound
     when the points cover a convex region); ``spectral_radius`` the largest
     eigenvalue magnitude.
+
+    In the planar ``spectral_radius`` case ``np.linalg.eigvals`` runs only
+    on the matrices :func:`_spectral_radius_candidates` keeps, which hold
+    the maximum, so the value is the one of the call on every matrix.
     """
     J = field.jac_raw(_point_array(field, points))
     if mode == "spectral_norm":
         JTJ = np.swapaxes(J, -1, -2) @ J
         return float(np.sqrt(np.linalg.eigvalsh(JTJ)[..., -1].max()))
     if mode == "spectral_radius":
+        if J.shape[-1] == 2:
+            J = _spectral_radius_candidates(J)
         return float(np.abs(np.linalg.eigvals(J)).max())
     raise InputError(f"unknown Lipschitz mode {mode!r}")
+
+
+# Closed-form spectral radii this close to the largest, relative to
+# 1 + max|J|, may hold the largest LAPACK value.
+SPECTRAL_MARGIN = 1e-6
+
+
+def _spectral_radius_candidates(J: np.ndarray) -> np.ndarray:
+    """The 2x2 matrices of a batch (m, 2, 2) whose spectral radius can be
+    the largest.
+
+    With t the half trace and det the determinant, the closed form is
+    |t| + sqrt(t^2 - det) for a real pair and sqrt(det) for a complex one.
+    It and LAPACK each move a 2x2 eigenvalue by at most about
+    sqrt(eps) |J| (1.5e-8 |J|, at a defective matrix), so a matrix more
+    than ``SPECTRAL_MARGIN`` (1 + max|J|) below the largest closed-form
+    value cannot hold the largest LAPACK one.  An empty batch, or one with
+    a non-finite entry or closed-form value, is returned whole, so
+    ``np.linalg.eigvals`` fails on it as it would without the filter.
+    """
+    a, b, c, d = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = 0.5 * (a + d)
+        det = a * d - b * c
+        disc = t * t - det
+        rho = np.where(
+            disc >= 0.0,
+            np.abs(t) + np.sqrt(np.maximum(disc, 0.0)),
+            np.sqrt(np.abs(det)),
+        )
+    if rho.size == 0 or not np.all(np.isfinite(rho)):
+        return J
+    floor = rho.max() - SPECTRAL_MARGIN * (1.0 + np.abs(J).max())
+    return J[rho >= floor]
 
 
 def estimate_magnitude_bounds(field: VectorField, points, magnitude: str = "field"):
@@ -66,9 +106,9 @@ def estimate_magnitude_bounds(field: VectorField, points, magnitude: str = "fiel
     point array."""
     pts = _point_array(field, points)
     if magnitude == "field":
-        vals = np.linalg.norm(field.f_raw(pts), axis=-1)
+        vals = planar_norm(field.f_raw(pts))
     elif magnitude == "state":
-        vals = np.linalg.norm(pts, axis=-1)
+        vals = planar_norm(pts)
     else:
         raise InputError(f"unknown magnitude kind {magnitude!r}")
     return float(vals.min()), float(vals.max())

@@ -24,6 +24,7 @@ from typing import List
 import numpy as np
 
 from .errors import DivergedError, InputError, NumericError
+from .measures import planar_norm
 from .systems import VectorField
 
 
@@ -380,7 +381,7 @@ def _crossing_scan(
     if exclusion.r_excl <= 0.0:
         t_left = 0.0
     elif t_left == math.inf:
-        dist = np.linalg.norm(nodes - section.anchor, axis=1)
+        dist = planar_norm(nodes - section.anchor)
         outside = np.nonzero(dist > exclusion.r_excl)[0]
         if outside.size:
             t_left = (offset + int(outside[0])) * h

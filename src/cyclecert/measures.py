@@ -49,6 +49,20 @@ def _rot90(v):
     return np.stack([-v[..., 1], v[..., 0]], axis=-1)
 
 
+def planar_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of an array of vectors.
+
+    Planar vectors (..., 2) take sqrt(v0*v0 + v1*v1) in components, which
+    equals ``np.linalg.norm(v, axis=-1)`` bit for bit (its sum over a
+    length-2 axis adds the same two squares) at a fraction of the cost.
+    Any other length goes to ``np.linalg.norm``.
+    """
+    if v.shape[-1] != 2:
+        return np.linalg.norm(v, axis=-1)
+    v0, v1 = v[..., 0], v[..., 1]
+    return np.sqrt(v0 * v0 + v1 * v1)
+
+
 def mu_max_batch(S: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of symmetric matrices, batched."""
     return np.linalg.eigvalsh(S)[..., -1]
@@ -67,7 +81,7 @@ def mu_perp_batch(field: VectorField, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     F = field.f_raw(X)
     F0, F1 = F[..., 0], F[..., 1]
-    nf = np.sqrt(F0 * F0 + F1 * F1)
+    nf = planar_norm(F)
     if np.any(nf <= M_FLOOR):
         raise EquilibriumProximityError(
             "|f| at or below the floor inside a slice; transverse "

@@ -49,7 +49,14 @@ from .euler import (
     return_times,
     simulate,
 )
-from .measures import M_FLOOR, _rot90, mu_perp_batch, require_planar, sigma_rate
+from .measures import (
+    M_FLOOR,
+    _rot90,
+    mu_perp_batch,
+    planar_norm,
+    require_planar,
+    sigma_rate,
+)
 from .systems import VectorField
 
 
@@ -208,6 +215,9 @@ class Tube:
 
 # Segments per block of the (a, b) profile.
 AB_BLOCK = 8192
+# Slice points per block of the Lambda profile: 2^16 points (1456 anchors of
+# 9 offsets by 5 s-nodes) keep each of mu_perp_batch's temporaries at 512 KiB.
+LAMBDA_BLOCK = 2**16
 
 
 class SegmentGrids:
@@ -216,6 +226,8 @@ class SegmentGrids:
     ``P[k, i]`` is the point x_i + s_k f_i on segment i (s_k on ``n_s``
     points of [0, h]), ``FC`` and ``nFC`` the field and its norm there, and
     ``W`` the unit transverse direction along which the slices extend.
+    Norms are taken in planar components (:func:`planar_norm`), bit for bit
+    those of ``np.linalg.norm``.
     """
 
     def __init__(self, field, traj, N1, n_s):
@@ -229,13 +241,13 @@ class SegmentGrids:
         # centers (n_s, N1, n) and their field values / transverse directions
         self.P = self.C[None, :, :] + self.s[:, None, None] * self.FN[None, :, :]
         self.FC = field.f_raw(self.P)
-        self.nFC = np.linalg.norm(self.FC, axis=-1)
+        self.nFC = planar_norm(self.FC)
         self.W = _rot90(self.FC) / self.nFC[..., None]
 
     def m_tilde(self, magnitude: str) -> np.ndarray:
         if magnitude == "field":
             return self.nFC.max(axis=0)
-        return np.linalg.norm(self.P, axis=-1).max(axis=0)
+        return planar_norm(self.P).max(axis=0)
 
 
 def lambda_profile(field, grids, radius, anchors, cfg):
@@ -247,13 +259,18 @@ def lambda_profile(field, grids, radius, anchors, cfg):
     at the maximizer; segments between anchors take the larger neighboring
     anchor bound plus the full drift between them, scaled by pad_factor.
     Returns (lam, pad) arrays of shape (N1,).
+
+    The anchor slices are sampled over blocks of at most ``LAMBDA_BLOCK``
+    slice points (and at least one anchor), so the working arrays stay
+    cache-sized whatever N1 and the stride are.  Every value is taken per
+    anchor, so the block size does not change the result.
     """
     offs = np.linspace(-1.0, 1.0, cfg.n_ball)
     if not np.any(offs == 0.0):
         offs = np.sort(np.append(offs, 0.0))
     lamA = np.empty(anchors.size)
     padA = np.empty(anchors.size)
-    chunk = 8192
+    chunk = max(1, LAMBDA_BLOCK // (offs.size * grids.n_s))
     for lo in range(0, anchors.size, chunk):
         A = anchors[lo : lo + chunk]
         PA = grids.P[:, A, :]
@@ -626,6 +643,8 @@ class ExistenceCertificate:
     # live objects for downstream consumers; not serialized
     tube: Optional[Tube] = dc_field(default=None, repr=False)
     trajectory: Optional[EulerTrajectory] = dc_field(default=None, repr=False)
+    config: Optional[PipelineConfig] = dc_field(default=None, repr=False)
+    horizon: Optional[float] = dc_field(default=None, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -681,7 +700,7 @@ def _collect_tube_samples(field, traj, tube, config, extra_radius, use_delta=Tru
     FN = traj.seg_dirs[anchors]
     P = C[None, :, :] + s[:, None, None] * FN[None, :, :]
     FC = field.f_raw(P)
-    W = _rot90(FC) / np.linalg.norm(FC, axis=-1, keepdims=True)
+    W = _rot90(FC) / planar_norm(FC)[..., None]
     rad = np.full((s.size, anchors.size), extra_radius)
     if use_delta:
         rad = rad + tube.delta[anchors][None, :] * np.exp(
@@ -725,6 +744,8 @@ def certify_existence(
         delta0=float(delta0),
         gamma=float(gamma),
         seed=config.seed,
+        config=config,
+        horizon=horizon,
     )
     try:
         traj = simulate(field, x0, h, int(math.ceil(horizon / h)))

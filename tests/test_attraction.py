@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -224,3 +226,113 @@ def test_certified_implies_empirical_attraction(vdp, vdp_cert):
             for p in range(1, 6)
         ]
         assert all(d2 < d1 for d1, d2 in zip(dists, dists[1:])), dists
+
+
+# -- the disk sweep and the existence tube -----------------------------------
+
+COARSE_H = 2e-3
+COARSE_CFG = PipelineConfig(lambda_stride=50, threads=1)
+
+
+@pytest.fixture(scope="module")
+def coarse_existence(vdp):
+    cert = cc.certify_existence(
+        vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG, horizon=10.0
+    )
+    assert cert.tube is not None and cert.tube.slice_mode == "tube"
+    return cert
+
+
+def exponent_fields(e):
+    return (e.z.tobytes(), e.K0, e.Kh, e.N1, e.R1, e.sigma_last, e.h)
+
+
+def counted_builds(monkeypatch):
+    """Count the sweep's tube builds through attraction's binding."""
+    calls = []
+    build = cc.attraction.build_tube
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cc.attraction, "build_tube", counting)
+    return calls
+
+
+def coarse_sweep(field, existence, n, center=VDP_X0, radius=VDP_DELTA0, h=COARSE_H,
+                 gamma=VDP_GAMMA, cfg=COARSE_CFG, horizon=10.0):
+    center = np.asarray(center)
+    disk = cc.SectionDisk(center, radius, field.f_raw(center))
+    return cc.sweep_Y0(field, disk, n, h, gamma, cfg, horizon, existence=existence)
+
+
+def test_sweep_reuses_existence_tube_at_center(vdp, coarse_existence, monkeypatch):
+    calls = counted_builds(monkeypatch)
+    reused = coarse_sweep(vdp, coarse_existence, 11)
+    assert len(calls) == 10
+    assert len(reused.exponents) == 11
+    built = coarse_sweep(vdp, None, 11)
+    assert len(calls) == 21
+    assert [exponent_fields(e) for e in reused.exponents] == [
+        exponent_fields(e) for e in built.exponents
+    ]
+    assert reused.d == built.d
+    fresh = cc.contraction_exponent(
+        vdp, VDP_X0, COARSE_H, VDP_GAMMA, VDP_DELTA0, COARSE_CFG, horizon=10.0
+    )
+    assert exponent_fields(reused.exponents[5]) == exponent_fields(fresh)
+
+
+def test_attraction_center_exponent_is_fresh_exponent(vdp, vdp_attraction):
+    # the production sweep takes its center sample from the existence tube
+    fresh = cc.contraction_exponent(
+        vdp, VDP_X0, VDP_H, VDP_GAMMA, VDP_DELTA0, PipelineConfig(), horizon=10.0
+    )
+    assert exponent_fields(vdp_attraction.exponents[5]) == exponent_fields(fresh)
+
+
+@pytest.mark.parametrize(
+    "change",
+    ["even", "center", "delta0", "h", "gamma", "config", "horizon", "override", "field"],
+)
+def test_sweep_reuse_needs_the_existence_run(vdp, coarse_existence, monkeypatch, change):
+    existence, field, n = coarse_existence, vdp, 3
+    kwargs = {}
+    if change == "even":
+        n = 4
+    elif change == "center":
+        kwargs["center"] = (VDP_X0[0] + 1e-3, VDP_X0[1])
+    elif change == "delta0":
+        kwargs["radius"] = 0.09
+    elif change == "h":
+        # the same number of steps: 10 / h rounds up to 5000 either way
+        kwargs["h"] = COARSE_H * (1.0 + 1e-7)
+    elif change == "config":
+        kwargs["cfg"] = PipelineConfig(lambda_stride=49, threads=1)
+    elif change == "horizon":
+        kwargs["horizon"] = 12.0
+    elif change == "gamma":
+        kwargs["gamma"] = 0.02
+    elif change == "override":
+        existence = cc.certify_existence(
+            vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG,
+            horizon=10.0, sigma_override=-0.5,
+        )
+        assert existence.tube.slice_mode == "override"
+    elif change == "field":
+        field = dataclasses.replace(vdp)
+    calls = counted_builds(monkeypatch)
+    sweep = coarse_sweep(field, existence, n, **kwargs)
+    assert len(calls) == n
+    assert len(sweep.exponents) == n
+
+
+def test_sweep_threads_match_serial(vdp):
+    runs = [
+        coarse_sweep(vdp, None, 5, cfg=PipelineConfig(lambda_stride=50, threads=t))
+        for t in (1, 2)
+    ]
+    serial, threaded = ([exponent_fields(e) for e in r.exponents] for r in runs)
+    assert threaded == serial
+    assert runs[1].d == runs[0].d

@@ -32,6 +32,93 @@ def test_lipschitz_vdp_tube_region(vdp_cert):
     assert vdp_cert.constants.L == pytest.approx(1.516, rel=0.05)
 
 
+
+def matrix_field(mats):
+    """A planar field whose Jacobian at the m points of a batch is the
+    (m, 2, 2) batch ``mats``."""
+    return VectorField(
+        name="matrices", dim=2, params={}, rhs=lambda x: x, jacobian=lambda x: mats
+    )
+
+
+def spectral_family(kind, rng):
+    """2x2 matrices whose spectral radius is at or near 2."""
+    k = np.arange(40)
+    if kind == "near-defective":
+        # [[a, b], [1e-12, a + 1e-9]], and the defective [[a, 1], [0, a]]
+        a = np.concatenate([2.0 + 1e-9 * k, -2.0 - 1e-9 * k])
+        J = np.zeros((a.size, 2, 2))
+        J[:, 0, 0], J[:, 0, 1] = a, rng.uniform(-1.0, 1.0, a.size)
+        J[:, 1, 0], J[:, 1, 1] = 1e-12, a + 1e-9
+        D = np.zeros((a.size, 2, 2))
+        D[:, 0, 0] = D[:, 1, 1] = a
+        D[:, 0, 1] = 1.0
+        return np.concatenate([J, D])
+    if kind == "misordered":
+        # near-defective, radii within 1e-8 of each other: the closed form
+        # is off by up to 3e-8 and orders them otherwise than LAPACK does
+        E = np.zeros((400, 2, 2))
+        E[:, 0, 0] = 2.0 + rng.uniform(-1e-9, 1e-9, 400)
+        E[:, 1, 1] = E[:, 0, 0] + rng.uniform(-1e-9, 1e-9, 400)
+        E[:, 0, 1] = rng.uniform(0.5, 1.5, 400)
+        E[:, 1, 0] = rng.uniform(0.0, 1e-16, 400)
+        return E
+    if kind == "rotation":
+        # r times a rotation by theta: a complex pair of modulus r
+        r, th = 2.0 + 1e-9 * k, rng.uniform(0.0, 2.0 * np.pi, k.size)
+        c, s = r * np.cos(th), r * np.sin(th)
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    # ties: copies of one matrix, and different matrices of radius 2
+    one = np.repeat([[[2.0, 0.3], [0.0, -1.0]]], 5, axis=0)
+    th = np.pi / 3
+    rot = 2.0 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return np.concatenate([one, [np.diag([2.0, -2.0]), 2.0 * np.eye(2), rot]])
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("kind", ["near-defective", "misordered", "rotation", "ties"])
+def test_lipschitz_filter_matches_full_eigvals(kind, scale):
+    # the closed-form filter keeps the matrix LAPACK finds largest: L is
+    # the value of eigvals over the whole batch, bit for bit
+    rng = np.random.default_rng(11)
+    background = rng.uniform(-0.9, 0.9, (2000, 2, 2))  # radius < 1.8
+    family = spectral_family(kind, rng)
+    J = scale * np.concatenate([background, family])
+    J = J[rng.permutation(len(J))]
+    ref = float(np.abs(np.linalg.eigvals(J)).max())
+    got = cc.estimate_lipschitz(matrix_field(J), np.zeros((len(J), 2)))
+    assert got.hex() == ref.hex()
+    if scale == 1.0:
+        # no background matrix reaches LAPACK
+        assert len(cc.constants._spectral_radius_candidates(J)) <= len(family)
+
+
+def test_lipschitz_filter_vdp_tube_samples(vdp, vdp_cert):
+    cfg = cc.PipelineConfig()
+    pts = cc.tube._collect_tube_samples(
+        vdp, vdp_cert.trajectory, vdp_cert.tube, cfg,
+        extra_radius=cfg.region_margin * vdp_cert.delta0, use_delta=False,
+    )
+    ref = float(np.abs(np.linalg.eigvals(vdp.jac_raw(pts))).max())
+    assert cc.estimate_lipschitz(vdp, pts) == ref == vdp_cert.constants.L
+
+
+def test_lipschitz_filter_non_finite_falls_back():
+    J = np.random.default_rng(12).uniform(-1.0, 1.0, (50, 2, 2))
+    # a finite batch whose closed form overflows takes the full call
+    big = J.copy()
+    big[7] = 1e200
+    ref = float(np.abs(np.linalg.eigvals(big)).max())
+    assert cc.estimate_lipschitz(matrix_field(big), np.zeros((50, 2))) == ref
+    # a non-finite entry fails as eigvals fails on the whole batch
+    for bad in (np.nan, np.inf, -np.inf):
+        J_bad = J.copy()
+        J_bad[13, 1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvals(J_bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            cc.estimate_lipschitz(matrix_field(J_bad), np.zeros((50, 2)))
+
 def test_speed_bounds_box(linear):
     m, M = cc.estimate_speed_bounds(linear, box_points(1.0, 2.0, 21))
     assert m == pytest.approx(np.sqrt(2.0))

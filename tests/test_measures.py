@@ -185,6 +185,27 @@ def test_mu_perp_batch_bit_exact_random_points(spec):
     assert np.array_equal(cc.mu_perp_batch(field, X), mu_perp_einsum(field, X))
 
 
+def test_planar_norm_bit_exact():
+    # every pair of magnitudes 1e-160..1e160 of both signs, subnormals,
+    # signed zeros, infinities and NaN, against np.linalg.norm bit for bit
+    # (overflow to inf included)
+    mags = 10.0 ** np.arange(-160, 161, 8)
+    sub = np.array([5e-324, 1e-320, 1e-310, 2.2250738585072009e-308])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    rand = np.random.default_rng(3).standard_normal(16) * 1e5
+    vals = np.concatenate([mags, -mags, sub, -sub, special, rand])
+    V = np.stack(np.meshgrid(vals, vals), axis=-1).reshape(-1, 2)
+    with np.errstate(over="ignore"):
+        for X in (V, V.reshape(-1, 4, 2), V[::3], np.ascontiguousarray(V.T).T):
+            got = cc.measures.planar_norm(X)
+            ref = np.linalg.norm(X, axis=-1)
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # other lengths are np.linalg.norm itself
+    Y = np.random.default_rng(4).standard_normal((5, 3))
+    assert np.array_equal(cc.measures.planar_norm(Y), np.linalg.norm(Y, axis=-1))
+
+
 # -- slice bounds -----------------------------------------------------------
 
 

@@ -377,3 +377,29 @@ def test_lambda_bridge_matches_gap_loop(vdp, vdp_cert, stride):
     )
     assert np.array_equal(lam, lam_ref)
     assert np.array_equal(pad, pad_ref)
+
+
+@pytest.mark.parametrize(
+    "stride,per_block", [(1, 1), (1, 7), (1, None), (10, 1), (10, 7)]
+)
+def test_lambda_profile_blocks_bit_exact(vdp, vdp_cert, monkeypatch, stride, per_block):
+    # blocks of 1 and 7 anchors, and at stride 1 the default size, against
+    # one block over the loop; the first 4001 segments keep the one-block
+    # and one-anchor runs small and leave a short last gap and last block
+    tube = vdp_cert.tube
+    cfg = PipelineConfig(lambda_stride=stride)
+    N1 = 4001
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, N1, cfg.n_s)
+    radius = session_radius(tube, grids.s)[:, :N1]
+    anchors = np.unique(np.append(np.arange(0, N1, stride), N1 - 1))
+    points = 9 * cfg.n_s  # slice points per anchor: 8 offsets and the center
+    monkeypatch.setattr(cc.tube, "LAMBDA_BLOCK", anchors.size * points)
+    lam_ref, pad_ref = cc.lambda_profile(vdp, grids, radius, anchors, cfg)
+    if per_block is None:
+        monkeypatch.undo()
+        assert cc.tube.LAMBDA_BLOCK < anchors.size * points
+    else:
+        monkeypatch.setattr(cc.tube, "LAMBDA_BLOCK", per_block * points)
+    lam, pad = cc.lambda_profile(vdp, grids, radius, anchors, cfg)
+    assert np.array_equal(lam, lam_ref)
+    assert np.array_equal(pad, pad_ref)
