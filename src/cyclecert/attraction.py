@@ -19,8 +19,16 @@ import numpy as np
 
 from .config import PipelineConfig
 from .constants import SectionDisk, estimate_magnitude_bounds
-from .errors import CertificateBlockedError, CycleCertError, InputError
-from .euler import EulerTrajectory, Section, default_exclusion, return_times, simulate
+from .errors import CertificateBlockedError, CycleCertError, DivergedError, InputError
+from .euler import (
+    RETURN_CHUNK,
+    EulerTrajectory,
+    Section,
+    _crossing_scan,
+    default_exclusion,
+    return_times,
+    simulate,
+)
 from .measures import mu_perp_batch
 from .systems import VectorField
 from .tube import ExistenceCertificate, build_tube
@@ -59,13 +67,33 @@ def contraction_exponent(
 ) -> ContractionExponent:
     """Run the tube pipeline from z and accumulate its growth exponent.
 
+    The run is stepped in chunks of ``RETURN_CHUNK`` steps up to the end of
+    the chunk that holds its first counted return, since the tube reads no
+    node after it; the chunks are one run bit for bit.
+
     Raises :class:`CertificateBlockedError` when z does not return within
     the horizon.
     """
     z = np.asarray(z, dtype=float)
-    traj = simulate(field, z, h, int(math.ceil(horizon / h)))
-    section = Section.through(field, traj.nodes[0])
-    rt = return_times(traj, section, 1, default_exclusion(h, delta0))
+    n_steps = int(math.ceil(horizon / h))
+    section = Section.through(field, z)
+    exclusion = default_exclusion(h, delta0)
+    runs, x, t_left = [z[None, :]], z, math.inf
+    for offset in range(0, n_steps, RETURN_CHUNK):
+        try:
+            nodes = simulate(field, x, h, min(RETURN_CHUNK, n_steps - offset)).nodes
+        except DivergedError as exc:
+            bad = offset + exc.first_bad_index
+            raise DivergedError(f"non-finite state at node {bad}", bad) from None
+        runs.append(nodes[1:])
+        _, _, t, _, _, t_left = _crossing_scan(
+            field, nodes, h, offset, section, exclusion, t_left
+        )
+        if t.size:
+            break
+        x = nodes[-1]
+    traj = EulerTrajectory(field, z, h, np.concatenate(runs))
+    rt = return_times(traj, section, 1, exclusion)
     if not rt.complete:
         raise CertificateBlockedError(
             f"start point {z.tolist()} did not return within horizon {horizon:g}"

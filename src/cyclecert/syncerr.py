@@ -9,10 +9,15 @@ short window followed by an exact linear root, warm-started at the previous
 theta; theta is nondecreasing by construction.
 
 The scan runs over blocks of samples at once.  Newton steps on the
-piecewise-linear reference predict each sample's window start, one windowed
-pass applies the rule to the whole block, and the block is kept up to the
-first sample whose window start differs from the one the previous sample's
-theta gives.  Every kept sample has then read the window the
+piecewise-linear reference predict each sample's theta, hence its window
+start, one windowed pass applies the rule to the whole block, and the block
+is kept up to the first sample whose window start differs from the one the
+previous sample's theta gives.  The pass reads only a prefix of the
+windows, a few nodes past the latest predicted root: the first up-crossing
+in a prefix is the first in the window, and g is computed node by node.  A
+sample with no up-crossing in the prefix ends the kept part of the block,
+and the next pass scans its full window, where the rule decides whether the
+synchronization is lost.  Every kept sample has then read what the
 sample-by-sample rule reads, so the series is that rule's bit for bit; a
 bad prediction costs another pass, never a different result.
 
@@ -50,6 +55,8 @@ STREAM_CHUNK = 1 << 18
 SYNC_BLOCK_NODES = 1 << 17
 # Newton steps of the window-start prediction.
 PREDICT_STEPS = 4
+# Nodes a pass scans past the segment of the latest predicted root.
+WINDOW_MARGIN = 4
 
 # outcome of one sample in a windowed pass
 _OK, _PASSED, _NO_ROOT, _RESIDUAL = range(4)
@@ -250,6 +257,13 @@ def _scan(reference, win, tau_sync, times, samples, j, theta_prev):
     theta_prev, and the residual <ref(theta) - c, n> must be within
     tolerance.
 
+    A pass predicts every sample's window start k0 and root segment (see
+    :func:`_predict`), leaves out the samples whose predicted window is not
+    resident yet, and scans the windows only up to ``WINDOW_MARGIN`` nodes
+    past the latest predicted root segment.  It keeps its samples up to the
+    first one whose k0 was wrong or whose narrowed window holds no
+    up-crossing; after the latter, the next pass scans full windows.
+
     Returns the next sample, the last theta, and the thetas, errors and
     residuals of the samples synchronized.
     """
@@ -260,6 +274,7 @@ def _scan(reference, win, tau_sync, times, samples, j, theta_prev):
     k_prev = int(theta_prev / h_ref)
     t_prev = times[j - 1] if j else 0.0
     rate = 1.0  # d(theta)/dt over the last pass, for the first guess
+    full = False  # the last pass found no root in a narrowed window
     kept = []
     while j < times.size:
         if k_prev >= n_ref:
@@ -273,20 +288,37 @@ def _scan(reference, win, tau_sync, times, samples, j, theta_prev):
         b = min(j + (size if span == win else 1), times.size)
         c, n = samples(j, b)
         guess = theta_prev + (times[j:b] - t_prev) * rate
-        k0 = np.minimum(_predict(reference, c, n, guess, theta_prev), end - span)
+        k0, k_root = _predict(reference, c, n, guess, theta_prev)
+        # samples predicted to start past the resident nodes wait for the
+        # next chunk; k0 is nondecreasing and k0[0] = k_prev fits
+        fits = int(np.searchsorted(k0, end - span, side="right"))
+        if fits < b - j:
+            b = j + fits
+            c, n, k0, k_root = c[:fits], n[:fits], k0[:fits], k_root[:fits]
+        # scan the windows' prefix up to the latest predicted root segment
+        width = span + 1
+        if not full:
+            width = min(int((k_root - k0).max()) + 2 + WINDOW_MARGIN, width)
         theta, err, res, code, g0 = _window_pass(
-            reference, span + 1, k0, c, n, tau_sync, theta_prev
+            reference, width, k0, c, n, tau_sync, theta_prev
         )
         # keep the samples up to the first whose k0 is not int(theta_prev/h_ref)
         k_next = (theta / h_ref).astype(np.int64)
         miss = np.nonzero(k0[1:] != k_next[:-1])[0]
         m = int(miss[0]) + 1 if miss.size else b - j
+        # and before the first without a root in a narrowed window
+        short = np.nonzero(code[:m] == _NO_ROOT)[0]
+        full = width <= span and short.size > 0
+        if full:
+            m = int(short[0])
+        size = min(2 * size, block) if m == b - j else max(m, 1)
+        if m == 0:
+            continue
         failed = np.nonzero(code[:m])[0]
         if failed.size:
             f = int(failed[0])
             raise _lost(code[f], j + f, g0[f], res[f])
         kept.append((theta[:m], err[:m], res[:m]))
-        size = min(2 * size, block) if m == b - j else m
         j += m
         if times[j - 1] > t_prev:
             rate = (theta[m - 1] - theta_prev) / (times[j - 1] - t_prev)
@@ -307,11 +339,12 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _predict(reference, c, n, guess, theta_prev):
-    """Window starts for a block of samples, from Newton steps on
-    g(theta) = <ref(theta) - c, n> started at ``guess``.
+    """Window starts and root segments for a block of samples, from Newton
+    steps on g(theta) = <ref(theta) - c, n> started at ``guess``.
 
-    The first sample's start is exact; the others are
-    int(theta_{j-1}/h_ref) of the predicted thetas.
+    With the predicted thetas made nondecreasing from ``theta_prev``, the
+    root segment of sample j is int(theta_j/h_ref) and its window start
+    int(theta_{j-1}/h_ref); the first sample's start is exact.
     """
     R, base, h_ref = reference.nodes, reference.base, reference.h
     lo, hi = int(theta_prev / h_ref), base + R.shape[0] - 2
@@ -324,8 +357,9 @@ def _predict(reference, c, n, guess, theta_prev):
             gk = _dot(p - c, n)
             gd = _dot(R[k + 1 - base] - p, n)
             th = np.where(gd > 0.0, (k - gk / gd) * h_ref, th)
-    th = np.maximum.accumulate(np.concatenate(([theta_prev], th[:-1])))
-    return (th / h_ref).astype(np.int64)
+    th = np.maximum.accumulate(np.concatenate(([theta_prev], th)))
+    k = (th / h_ref).astype(np.int64)
+    return k[:-1], k[1:]
 
 
 def _window_pass(reference, width, k0, c, n, tau_sync, theta_prev):

@@ -223,6 +223,78 @@ def test_block_path_ignores_the_guess(vdp, monkeypatch, guess, h):
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
+def counting_extrapolation(monkeypatch, wrong=None):
+    """Route the extrapolated guess through ``wrong`` (applied to the true
+    extrapolation, and the arguments), recording the node k of each call."""
+    calls = []
+    extrapolate = cc.euler._extrapolated_guess
+
+    def guess(nodes, k, width, n_steps):
+        calls.append(k)
+        X = extrapolate(nodes, k, width, n_steps)
+        return X if wrong is None else wrong(X, nodes, k, n_steps)
+
+    monkeypatch.setattr(cc.euler, "_extrapolated_guess", guess)
+    return calls
+
+
+@pytest.mark.parametrize("gate", ["open", "shut"])
+@pytest.mark.parametrize("h", [1.25e-6, 1e-4])
+@pytest.mark.parametrize("guess", ["zero_weights", "noise", "one_ulp"])
+def test_block_path_ignores_the_extrapolated_guess(vdp, monkeypatch, guess, h, gate):
+    # the extrapolation from the block before decides, like the quadratic
+    # guess, only how many nodes a sweep verifies; the gate is forced open
+    # (every block after a full one extrapolates) or shut (none does)
+    x0 = (1.8929, -0.5383)
+    n_steps = 4 * SWEEP_W + 7
+    ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, n_steps)
+
+    def wrong(X, nodes, k, n):
+        if guess == "noise":
+            return X + np.random.default_rng(k).normal(scale=1e-3, size=X.shape)
+        if guess == "one_ulp":
+            u1, u2 = float(nodes[k, 0]), float(nodes[k, 1])
+            exact, _ = one_step_nodes(vdp.rhs_scalar2, (u1, u2), h, n)
+            exact[n // 2, 1] = np.nextafter(exact[n // 2, 1], np.inf)
+            return np.ascontiguousarray(exact.T)
+        return X
+
+    if guess == "zero_weights":
+        monkeypatch.setattr(
+            cc.euler, "_lagrange_weights", lambda width: np.zeros((5, width + 1))
+        )
+    calls = counting_extrapolation(monkeypatch, wrong)
+    monkeypatch.setattr(cc.euler, "SWEEP_SMOOTH", 10**9 if gate == "open" else 0)
+    nodes = cc.simulate(vdp, x0, h, n_steps).nodes
+    assert bool(calls) == (gate == "open")
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("h", [1.25e-6, 5e-6, 1e-4])
+def test_extrapolation_gate_follows_the_convergence(vdp, monkeypatch, h):
+    # at the h/100 reference steps every block after the first converges in
+    # few sweeps and extrapolates; at h = 1e-4 none does, and every block
+    # keeps the quadratic guess
+    calls = counting_extrapolation(monkeypatch)
+    n_steps = 4 * SWEEP_W
+    cc.simulate(vdp, (1.8929, -0.5383), h, n_steps)
+    if h < 1e-5:
+        assert calls == [SWEEP_W, 2 * SWEEP_W, 3 * SWEEP_W]
+    else:
+        assert calls == []
+
+
+@pytest.mark.parametrize("h", [1.25e-6, 1e-4])
+@pytest.mark.parametrize("system", sorted(cc.systems.REGISTRY))
+def test_extrapolated_blocks_match_one_step_loop(system, h):
+    # four full blocks and a scalar tail, whichever guess the gate picks
+    field = cc.load_system({"id": system})
+    x0, n_steps = (1.8929, -0.5383), 4 * SWEEP_W + 5
+    ref, _ = one_step_nodes(field.rhs_scalar2, x0, h, n_steps)
+    nodes = cc.simulate(field, x0, h, n_steps).nodes
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+
+
 def test_block_path_checks_the_sign_of_zero(linear, monkeypatch):
     # x2 stays +0.0 from (1, 0); a guess of -0.0 compares equal to it as a
     # float, so only a check of the bits keeps the zeros the scalar loop has

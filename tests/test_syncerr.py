@@ -466,3 +466,70 @@ def test_stream_memory_below_quarter_of_reference(vdp):
     assert stream.end >= 2_000_000
     node_bytes = 16 * (stream.end + 1)
     assert peak < node_bytes / 4, (peak, node_bytes)
+
+
+def test_synchronize_narrow_window_misses_match_oracle(
+    vdp, linear, vdp_cert, monkeypatch
+):
+    # with no Newton steps and no margin, many narrowed windows end before
+    # their sample's root; such a sample is scanned again at the full width,
+    # and the series and the lost synchronizations stay the loop's
+    monkeypatch.setattr(syncerr, "PREDICT_STEPS", 0)
+    monkeypatch.setattr(syncerr, "WINDOW_MARGIN", 0)
+    passes = []
+    window_pass = syncerr._window_pass
+
+    def recorded(reference, width, *args):
+        out = window_pass(reference, width, *args)
+        passes.append((width, bool((out[3] == syncerr._NO_ROOT).any())))
+        return out
+
+    monkeypatch.setattr(syncerr, "_window_pass", recorded)
+    h = 1e-3
+    x0 = np.asarray(VDP_X0)
+    traj = cc.simulate(vdp, x0, h, 3000)
+    ref50 = ReferenceSolution.compute(vdp, x0, h, 4.0, refine=50)
+    drift_field = cc.load_system({"id": "vanderpol", "params": {"p": 1.0}})
+    drift_traj = cc.simulate(vdp, x0, h, 8000)
+    drift_ref = ReferenceSolution.compute(drift_field, x0, h, 16.0, refine=20)
+    lin_x0, lin_y0 = np.array([1.0, 0.0]), np.array([1.0, 0.05])
+    lin_traj = cc.simulate(linear, lin_x0, h, 5000)
+    lin_ref = ReferenceSolution.compute(linear, lin_y0, h, 6.0, refine=100)
+    jump_ref = ReferenceSolution.compute(vdp, x0, h, 2.5, refine=10)
+    cases = [
+        (ref50, traj, x0, {"tube": vdp_cert.tube, "D": 70.0}),
+        (ref50, traj, x0, {"substeps": 4}),
+        (ReferenceSolution(traj=traj, refine=1), traj, x0, {"substeps": 4}),
+        (lin_ref, lin_traj, lin_y0, {}),
+        (drift_ref, drift_traj, x0, {}),
+        (jump_ref, backward_jump(vdp, h), x0, {"substeps": 4, "tau_sync": 1e-2}),
+    ]
+    rescans = 0
+    for ref, coarse, y0, kwargs in cases:
+        passes.clear()
+        assert_same_series(
+            cc.synchronize(ref, coarse, y0, **kwargs),
+            synchronize_oracle(ref, coarse, y0, **kwargs),
+        )
+        full = int(3.0 * h / ref.h) + 5
+        assert min(width for width, _ in passes) < full
+        rescans += sum(
+            width < full and short and after == full
+            for (width, short), (after, _) in zip(passes, passes[1:])
+        )
+    assert rescans > 0
+
+    # every lost synchronization is still decided on the full window
+    nodes = traj.nodes.copy()
+    nodes[1500] = nodes[1497]
+    passed = EulerTrajectory(vdp, x0, h, nodes)
+    lost_cases = [
+        (ReferenceSolution(traj=cc.simulate(vdp, x0, h, 1000), refine=1), traj, {}),
+        (ReferenceSolution.compute(vdp, x0, h, 0.05, refine=10), traj, {}),
+        (ReferenceSolution(traj=traj, refine=1), passed, {}),
+        (ref50, traj, {"tau_sync": 1e-17}),
+        (jump_ref, backward_jump(vdp, h), {"substeps": 4}),
+    ]
+    for ref, coarse, kwargs in lost_cases:
+        got = lost(cc.synchronize, ref, coarse, x0, **kwargs)
+        assert got == lost(synchronize_oracle, ref, coarse, x0, **kwargs)
