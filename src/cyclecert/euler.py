@@ -105,13 +105,15 @@ def _has_scalar_path(field: VectorField) -> bool:
     return field.rhs_scalar2 is not None and field.dim == 2
 
 
-def _euler_nodes(field: VectorField, x0: np.ndarray, h: float, n_steps: int):
+def _euler_nodes(
+    field: VectorField, x0: np.ndarray, h: float, n_steps: int, out=None
+):
     """Euler nodes stepped with numpy from one point or a batch of points.
 
-    Returns an array of shape ``(n_steps + 1,) + x0.shape``; non-finite
-    states propagate instead of raising.
+    Returns an array of shape ``(n_steps + 1,) + x0.shape``, ``out`` when
+    given; non-finite states propagate instead of raising.
     """
-    nodes = np.empty((n_steps + 1,) + x0.shape)
+    nodes = np.empty((n_steps + 1,) + x0.shape) if out is None else out
     nodes[0] = x0
     for i in range(n_steps):
         nodes[i + 1] = nodes[i] + h * field.f_raw(nodes[i])
@@ -266,9 +268,9 @@ def _sweep_block(rhs2, X, h):
     return s, sweeps
 
 
-def _planar_nodes(rhs2, u1, u2, h, n_steps):
+def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
     """Euler nodes of a planar run, shape (n+1, 2), bit for bit those of
-    :func:`_scalar_nodes`.
+    :func:`_scalar_nodes`; written into ``out`` when given.
 
     The run is stepped in blocks of verified Picard sweeps
     (:func:`_sweep_block`), each block starting from the last node of the
@@ -284,8 +286,12 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps):
     step, and with the message, of the scalar loop.  It also steps the rest
     of the run from a block where ``rhs2`` raises TypeError or ValueError on
     arrays, as one that branches on its arguments does.
+
+    Each verified block goes into ``nodes`` one component at a time: a
+    transposed copy of the (2, n) block would let numpy loop over the
+    length-2 axis innermost.
     """
-    nodes = np.empty((n_steps + 1, 2))
+    nodes = np.empty((n_steps + 1, 2)) if out is None else out
     nodes[0] = u1, u2
     width, k = SWEEP_STEPS, 0
     smooth = False  # the block before was full and took few sweeps
@@ -303,7 +309,8 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps):
                 break  # rhs2 takes plain floats only, e.g. it branches on them
             if not np.isfinite(X[:, 1 : done + 1]).all():
                 break
-            nodes[k + 1 : k + done + 1] = X[:, 1 : done + 1].T
+            nodes[k + 1 : k + done + 1, 0] = X[0, 1 : done + 1]
+            nodes[k + 1 : k + done + 1, 1] = X[1, 1 : done + 1]
             k += done
             smooth = done == width and sweeps <= SWEEP_SMOOTH
             if done < n:
@@ -314,7 +321,9 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps):
     return nodes
 
 
-def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
+def simulate(
+    field: VectorField, x0, h: float, n_steps: int, out=None
+) -> EulerTrajectory:
     """Integrate dx/dt = f(x) with the explicit Euler scheme.
 
     Planar fields with ``rhs_scalar2`` step in blocks of verified Picard
@@ -322,29 +331,42 @@ def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
     :func:`_planar_nodes`); their nodes are those of the scalar recurrence
     u += h*rhs2(u), bit for bit.  Other fields step with numpy.
 
+    ``out``, a float64 array of shape (n_steps + 1, dim), receives the
+    nodes, and the returned trajectory's ``nodes`` is a read-only view of
+    it: the trajectory changes when ``out`` is written afterwards.  ``x0``
+    may be a row of ``out`` (it is copied before any node is written).
+
     Raises
     ------
     DivergedError
-        If any node is non-finite; carries the first bad index.
+        If any node is non-finite; carries the first bad index.  The
+        contents of ``out`` are then unspecified.
     """
     if h <= 0.0:
         raise InputError("step size h must be positive")
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.array(x0, dtype=float)
     if x0.shape != (field.dim,):
         raise InputError(f"x0 must have shape ({field.dim},), got {x0.shape}")
+    if out is not None and (
+        out.shape != (n_steps + 1, field.dim) or out.dtype != np.float64
+    ):
+        raise InputError(
+            f"out must be a float64 array of shape ({n_steps + 1}, {field.dim})"
+        )
 
     if _has_scalar_path(field):
         u1, u2 = float(x0[0]), float(x0[1])
-        nodes = _planar_nodes(field.rhs_scalar2, u1, u2, h, n_steps)
+        nodes = _planar_nodes(field.rhs_scalar2, u1, u2, h, n_steps, out)
     else:
-        nodes = _euler_nodes(field, x0, h, n_steps)
+        nodes = _euler_nodes(field, x0, h, n_steps, out)
 
     if not np.all(np.isfinite(nodes)):
         bad = int(np.nonzero(~np.isfinite(nodes).all(axis=1))[0][0])
         raise DivergedError(f"non-finite state at node {bad}", bad)
-    return EulerTrajectory(field, x0, h, nodes)
+    # a view, so that making the trajectory read-only leaves out writable
+    return EulerTrajectory(field, x0, h, nodes if out is None else nodes[:])
 
 
 # --------------------------------------------------------------------------

@@ -25,9 +25,10 @@ A synchronization reads the reference only in a window ahead of the last
 theta.  The error curve therefore steps its reference as a
 :class:`ReferenceStream`: chunk by chunk as the synchronization reaches it,
 keeping only the nodes from the current window on, and stepping nothing
-past the last sample's window.  A :class:`ReferenceSolution` holds a whole
-reference in memory.  Both expose their resident nodes the same way, and
-one scan reads both.
+past the last sample's window.  Each chunk is stepped in place, into one
+buffer right behind the kept nodes, so streaming copies only those.  A
+:class:`ReferenceSolution` holds a whole reference in memory.  Both expose
+their resident nodes the same way, and one scan reads both.
 """
 
 from __future__ import annotations
@@ -50,11 +51,20 @@ TAU_SYNC = 1e-10
 
 # Reference steps a ReferenceStream adds per advance (4 MiB of nodes).
 STREAM_CHUNK = 1 << 18
-# Window nodes one pass of the batched scan gathers; a block holds this
-# many divided by the window length samples.
-SYNC_BLOCK_NODES = 1 << 17
-# Newton steps of the window-start prediction.
-PREDICT_STEPS = 4
+# Rows a ReferenceStream's buffer holds past one chunk for the kept nodes,
+# which are fewer than one synchronization window: 3*refine + 4 nodes at the
+# default window of 3 coarse steps, so this fits refine up to 1364.
+STREAM_SLACK = 1 << 12
+# Window nodes one pass of the batched scan may gather; a block holds this
+# many divided by the window length samples.  Only the speed depends on it.
+# Passes scan a prefix of about a third of each window, so a pass of 2^19
+# window nodes gathers about 3 MiB; on the error curve of vdp-example2 that
+# is 242 passes for 315,706 samples (842 at 2^17).
+SYNC_BLOCK_NODES = 1 << 19
+# Newton steps of the prediction of window starts and roots.  The
+# predictions only place the pass boundaries: two steps keep the passes as
+# long as four did on vdp-example2 at half the cost.
+PREDICT_STEPS = 2
 # Nodes a pass scans past the segment of the latest predicted root.
 WINDOW_MARGIN = 4
 
@@ -104,6 +114,12 @@ class ReferenceStream:
     :func:`synchronize` on a stream continues from sample ``sample``
     (warm-started at ``theta``) through the samples whose windows are
     resident, and sets ``finished`` after the last sample.
+
+    The nodes live in one buffer of a chunk plus ``STREAM_SLACK`` rows:
+    :meth:`advance` moves the kept nodes to its front and steps the chunk
+    into the rows after them, so ``nodes`` is a view that the next advance
+    overwrites.  The buffer doubles only when the kept nodes and a chunk do
+    not fit in it.
     """
 
     def __init__(
@@ -114,7 +130,10 @@ class ReferenceStream:
         self.h = h / refine
         self.n_steps = int(math.ceil(horizon / self.h))
         self.base = 0
-        self.nodes = np.array(y0, dtype=float)[None, :]
+        rows = min(STREAM_CHUNK, self.n_steps) + 1 + STREAM_SLACK
+        self._buffer = np.empty((rows, field.dim))
+        self._buffer[0] = y0
+        self.nodes = self._buffer[:1]
         self.sample = 0
         self.theta = 0.0
         self.finished = False
@@ -131,18 +150,22 @@ class ReferenceStream:
         keep = int(self.theta / self.h)
         start = self.end
         stop = min(start + STREAM_CHUNK, self.n_steps)
-        kept = self.nodes[keep - self.base :].copy()
-        self.nodes = kept  # the old chunk is freed before the new one exists
-        nodes = np.empty((stop - keep + 1, kept.shape[1]))
-        nodes[: kept.shape[0]] = kept
+        kept = self.nodes[keep - self.base :]
+        n_kept = kept.shape[0]
+        rows = n_kept + stop - start
+        buffer = self._buffer
+        if rows > buffer.shape[0]:
+            shape = (max(2 * buffer.shape[0], rows), buffer.shape[1])
+            buffer = self._buffer = np.empty(shape)
+        buffer[:n_kept] = kept  # numpy copies through a temporary on overlap
+        self.nodes, self.base = buffer[:n_kept], keep
+        run = buffer[n_kept - 1 : rows]
         try:
-            run = simulate(self.field, kept[-1], self.h, stop - start)
+            simulate(self.field, run[0], self.h, stop - start, out=run)
         except DivergedError as exc:
             bad = start + exc.first_bad_index
             raise DivergedError(f"non-finite state at node {bad}", bad) from None
-        nodes[kept.shape[0] :] = run.nodes[1:]
-        self.nodes = nodes
-        self.base = keep
+        self.nodes = buffer[:rows]
 
 
 @dataclass
@@ -235,7 +258,13 @@ def synchronize(
 
     bounds = None
     if tube is not None and D is not None:
-        bounds = np.maximum(tube.deltas_at(np.minimum(times, tube.horizon)), D * h)
+        # the times increase; those past the horizon all take its radius
+        inside = int(np.searchsorted(times, tube.horizon, side="right"))
+        deltas = np.empty(times.size)
+        deltas[:inside] = tube.deltas_at(times[:inside])
+        if inside < times.size:
+            deltas[inside:] = tube.deltas_at([tube.horizon])[0]
+        bounds = np.maximum(deltas, D * h)
     return SyncErrorSeries(
         times=times,
         thetas=thetas,
@@ -372,7 +401,10 @@ def _window_pass(reference, width, k0, c, n, tau_sync, theta_prev):
     rows = np.arange(k0.size)
     k = k0 - base
     d = sliding_window_view(R, width, axis=0)[k]  # a copy, (B, 2, width)
-    d -= c[:, :, None]
+    # one component at a time: a broadcast (B, 2, 1) operand would make
+    # numpy loop over the length-2 axis innermost
+    d[:, 0] -= c[:, 0, None]
+    d[:, 1] -= c[:, 1, None]
     g = np.matmul(d.transpose(0, 2, 1), n[:, :, None])[..., 0]
     del d
     up = (g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0)

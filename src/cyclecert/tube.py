@@ -148,7 +148,11 @@ class Tube:
         return float(self.deltas_at([t])[0])
 
     def deltas_at(self, ts) -> np.ndarray:
-        """The radius delta_i e^{sigma_i s} at each of an array of times."""
+        """The radius delta_i e^{sigma_i s} at each of an array of times.
+
+        A time on a node (s == 0) takes delta_i itself, which is what
+        delta_i * e^{sigma_i * 0} rounds to.
+        """
         ts = np.asarray(ts, dtype=float)
         outside = (ts < 0.0) | (ts > self.horizon * (1 + 1e-12))
         if outside.any():
@@ -156,16 +160,18 @@ class Tube:
             raise InputError(f"time {t} outside tube horizon [0, {self.horizon}]")
         i = np.minimum((ts / self.h).astype(np.int64), self.N1 - 1)
         s = ts - i * self.h
+        out = self.delta[i]
+        off = np.nonzero(s != 0.0)[0]
+        i = i[off]
         # math.exp: np.exp differs from it in the last ulp on some arguments
         exp = math.exp
-        return np.array(
-            [
-                d * exp(g * x)
-                for d, g, x in zip(
-                    self.delta[i].tolist(), self.sigma[i].tolist(), s.tolist()
-                )
-            ]
-        )
+        out[off] = [
+            d * exp(g * x)
+            for d, g, x in zip(
+                self.delta[i].tolist(), self.sigma[i].tolist(), s[off].tolist()
+            )
+        ]
+        return out
 
     def alpha_at(self, t: float) -> float:
         i, s = self._segment_of(t)
@@ -220,6 +226,34 @@ AB_BLOCK = 8192
 LAMBDA_BLOCK = 2**16
 
 
+def _offset_points(P, t, W, out=None):
+    """Planar points P + t*W of shape (..., 2), formed one component at a
+    time, into ``out`` when given.
+
+    ``P`` and ``W`` are (..., 2) arrays and ``t`` broadcasts against their
+    leading axes.  Each component is computed into the interleaved result
+    directly: broadcasting t against (..., 2) operands would make numpy
+    loop over the length-2 axis innermost.  The rounding is that of
+    ``P + t[..., None] * W``.
+    """
+    if out is None:
+        shape = np.broadcast_shapes(P.shape[:-1], t.shape, W.shape[:-1])
+        out = np.empty(shape + (2,))
+    for c in range(2):
+        np.multiply(t, W[..., c], out=out[..., c])
+        np.add(P[..., c], out[..., c], out=out[..., c])
+    return out
+
+
+def _unit_normals(F, nF):
+    """The quarter turn of planar vectors F divided by their norms nF."""
+    W = np.empty(F.shape)
+    np.negative(F[..., 1], out=W[..., 0])
+    W[..., 0] /= nF
+    np.divide(F[..., 0], nF, out=W[..., 1])
+    return W
+
+
 class SegmentGrids:
     """Shared s-grid data over segments 0..N1-1 of one loop.
 
@@ -239,10 +273,10 @@ class SegmentGrids:
         self.FN = traj.seg_dirs[:N1]
         self.s = np.linspace(0.0, traj.h, n_s)
         # centers (n_s, N1, n) and their field values / transverse directions
-        self.P = self.C[None, :, :] + self.s[:, None, None] * self.FN[None, :, :]
+        self.P = _offset_points(self.C, self.s[:, None], self.FN)
         self.FC = field.f_raw(self.P)
         self.nFC = planar_norm(self.FC)
-        self.W = _rot90(self.FC) / self.nFC[..., None]
+        self.W = _unit_normals(self.FC, self.nFC)
 
     def m_tilde(self, magnitude: str) -> np.ndarray:
         if magnitude == "field":
@@ -273,12 +307,9 @@ def lambda_profile(field, grids, radius, anchors, cfg):
     chunk = max(1, LAMBDA_BLOCK // (offs.size * grids.n_s))
     for lo in range(0, anchors.size, chunk):
         A = anchors[lo : lo + chunk]
-        PA = grids.P[:, A, :]
-        WA = grids.W[:, A, :]
         rA = radius[:, A]
-        pts = (
-            PA[None, :, :, :]
-            + offs[:, None, None, None] * rA[None, :, :, None] * WA[None, :, :, :]
+        pts = _offset_points(
+            grids.P[:, A, :], offs[:, None, None] * rA, grids.W[:, A, :]
         )
         vals = mu_perp_batch(field, pts)  # (n_off, n_s, |A|)
         mx = vals.max(axis=(0, 1))
@@ -341,7 +372,7 @@ def ab_profile(field, grids, radius, cfg):
     vanished = None  # (offset, segment) of the first vanishing denominator
     for lo in range(0, grids.N1, AB_BLOCK):
         seg = slice(lo, lo + AB_BLOCK)
-        P, W, r = grids.P[:, seg], grids.W[:, seg], radius[:, seg, None]
+        P, W, r = grids.P[:, seg], grids.W[:, seg], radius[:, seg]
         FC, nFC = grids.FC[:, seg], grids.nFC[:, seg]
         FC0, FC1 = FC[..., 0], FC[..., 1]
         if vanished is None:
@@ -349,13 +380,15 @@ def ab_profile(field, grids, radius, cfg):
             FN0, FN1 = grids.FN[seg, 0], grids.FN[seg, 1]
             Jf0 = J[..., 0, 0] * FN0 + J[..., 0, 1] * FN1
             Jf1 = J[..., 1, 0] * FN0 + J[..., 1, 1] * FN1
+            del J
             base = FN0 * FC0 + FN1 * FC1
             amin = np.full(nFC.shape[1], np.inf)
             bmax = np.full(nFC.shape[1], -np.inf)
             jump = np.zeros(nFC.shape[1])
+        XI = np.empty(P.shape)
         # past a vanishing denominator only the earlier offsets are checked
         for k, o in enumerate(offs if vanished is None else offs[: vanished[0]]):
-            XI = P + o * r * W
+            _offset_points(P, o * r, W, out=XI)
             FX = field.f_raw(XI)
             den = FX[..., 0] * FC0 + FX[..., 1] * FC1
             low = np.abs(den) < M_FLOOR * nFC
@@ -364,8 +397,8 @@ def ab_profile(field, grids, radius, cfg):
                 break
             if vanished is not None:
                 continue
-            D = XI - P
-            td = (base - (D[..., 0] * Jf0 + D[..., 1] * Jf1)) / den
+            D0, D1 = XI[..., 0] - P[..., 0], XI[..., 1] - P[..., 1]
+            td = (base - (D0 * Jf0 + D1 * Jf1)) / den
             amin = np.minimum(amin, td.min(axis=0))
             bmax = np.maximum(bmax, td.max(axis=0))
             if k:
@@ -696,21 +729,16 @@ def _collect_tube_samples(field, traj, tube, config, extra_radius, use_delta=Tru
     if anchors[-1] != N1 - 1:
         anchors = np.append(anchors, N1 - 1)
     s = np.linspace(0.0, tube.h, config.n_s)
-    C = traj.nodes[anchors]
-    FN = traj.seg_dirs[anchors]
-    P = C[None, :, :] + s[:, None, None] * FN[None, :, :]
+    P = _offset_points(traj.nodes[anchors], s[:, None], traj.seg_dirs[anchors])
     FC = field.f_raw(P)
-    W = _rot90(FC) / planar_norm(FC)[..., None]
+    W = _unit_normals(FC, planar_norm(FC))
     rad = np.full((s.size, anchors.size), extra_radius)
     if use_delta:
         rad = rad + tube.delta[anchors][None, :] * np.exp(
             tube.sigma[anchors][None, :] * s[:, None]
         )
     offs = np.linspace(-1.0, 1.0, max(3, config.n_ball))
-    pts = (
-        P[None, :, :, :]
-        + offs[:, None, None, None] * rad[None, :, :, None] * W[None, :, :, :]
-    )
+    pts = _offset_points(P, offs[:, None, None] * rad, W)
     return pts.reshape(-1, field.dim)
 
 

@@ -351,6 +351,30 @@ def test_block_nonfinite_names_first_bad_node(x0, rhs2):
     assert any(seen)
 
 
+@pytest.mark.parametrize("scalar_path", [True, False])
+@pytest.mark.parametrize("n_steps", [10, 3 * SWEEP_W + 5])
+def test_simulate_into_out(vdp, scalar_path, n_steps):
+    # the nodes go into out, a row of out may be the start point, and the
+    # trajectory is a read-only view of out that leaves out writable
+    field = vdp if scalar_path else dataclasses.replace(vdp, rhs_scalar2=None)
+    x0 = (1.8929, -0.5383)
+    ref = cc.simulate(field, x0, 1e-5, n_steps).nodes
+    buf = np.full((n_steps + 3, 2), np.nan)
+    buf[1] = x0
+    out = buf[1 : n_steps + 2]
+    traj = cc.simulate(field, out[0], 1e-5, n_steps, out=out)
+    assert np.array_equal(out, ref) and np.array_equal(traj.nodes, ref)
+    assert np.shares_memory(traj.nodes, buf) and buf.flags.writeable
+    assert np.array_equal(traj.x0, x0) and not np.shares_memory(traj.x0, buf)
+    with pytest.raises(ValueError):
+        traj.nodes[0, 0] = 0.0
+    buf[2] = 0.0
+    assert traj.nodes[1, 0] == 0.0
+    for bad in (np.empty((n_steps, 2)), np.empty((n_steps + 1, 2), np.float32)):
+        with pytest.raises(InputError, match="out must be"):
+            cc.simulate(field, x0, 1e-5, n_steps, out=bad)
+
+
 def test_immutable_nodes(vdp):
     traj = cc.simulate(vdp, [1.0, 1.0], 1e-3, 10)
     with pytest.raises(ValueError):

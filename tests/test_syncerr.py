@@ -6,7 +6,7 @@ import pytest
 
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
-from cyclecert.errors import InputError, SynchronizationLostError
+from cyclecert.errors import DivergedError, InputError, SynchronizationLostError
 from cyclecert import syncerr
 from cyclecert.euler import EulerTrajectory
 from cyclecert.syncerr import (
@@ -330,7 +330,7 @@ def test_error_curve_bounds_filled(vdp):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("predict_steps", [syncerr.PREDICT_STEPS, 0])
+@pytest.mark.parametrize("predict_steps", sorted({0, 4, syncerr.PREDICT_STEPS}))
 def test_synchronize_matches_oracle(vdp, linear, vdp_cert, monkeypatch, predict_steps):
     # predict_steps=0 leaves only the first guess theta ~ t, which is wrong
     # for most samples: every kept sample must still be the loop's
@@ -466,6 +466,119 @@ def test_stream_memory_below_quarter_of_reference(vdp):
     assert stream.end >= 2_000_000
     node_bytes = 16 * (stream.end + 1)
     assert peak < node_bytes / 4, (peak, node_bytes)
+
+
+def cubic(scalar_path):
+    """x' = x^3, which blows up in finite time, on the planar path (its
+    products overflow to inf) or on the numpy path."""
+    rhs2 = (lambda u1, u2: (u1 * u1 * u1, 0.0)) if scalar_path else None
+    return cc.VectorField(
+        "cubic",
+        2,
+        {},
+        lambda x: np.stack([x[..., 0] ** 3, 0.0 * x[..., 1]], axis=-1),
+        None,
+        rhs_scalar2=rhs2,
+    )
+
+
+@pytest.mark.parametrize("keep_all", [True, False])
+@pytest.mark.parametrize("scalar_path", [True, False])
+def test_stream_divergence_names_the_global_node(monkeypatch, scalar_path, keep_all):
+    # the run diverges in the 13th chunk of 1024 steps; the stream names
+    # the node one simulate over the same steps names, whether it keeps
+    # every node (its buffer grows) or only the last (it reuses its buffer)
+    monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1024)
+    field = cubic(scalar_path)
+    stream = ReferenceStream(field, (2.0, 0.0), 1e-3, 1.0, refine=100)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergedError) as one:
+            cc.simulate(field, (2.0, 0.0), stream.h, stream.n_steps)
+        bad = one.value.first_bad_index
+        assert 12 * 1024 < bad < 13 * 1024
+        named = f"non-finite state at node {bad}$"
+        with pytest.raises(DivergedError, match=named) as got:
+            while True:
+                if not keep_all:
+                    stream.theta = stream.end * stream.h
+                stream.advance()
+    assert got.value.first_bad_index == bad
+    assert stream.end < bad < stream.end + 1024
+
+
+@pytest.fixture(scope="module")
+def chunked_case(vdp, vdp_cert):
+    """A coarse run, its h/50 reference and the oracle series with bounds;
+    the reference spans about 12 chunks of 2^14 steps."""
+    h = 1e-3
+    traj = cc.simulate(vdp, VDP_X0, h, 3000)
+    ref = ReferenceSolution.compute(vdp, VDP_X0, h, 4.0, refine=50)
+    kwargs = {"tube": vdp_cert.tube, "D": 70.0}
+    return traj, kwargs, synchronize_oracle(ref, traj, VDP_X0, **kwargs)
+
+
+@pytest.mark.parametrize("predict_steps", [0, 2, 4])
+@pytest.mark.parametrize("block_nodes", [1 << 10, 1 << 17, 1 << 19])
+def test_pass_constants_change_only_the_speed(
+    vdp, chunked_case, monkeypatch, block_nodes, predict_steps
+):
+    monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1 << 14)
+    monkeypatch.setattr(syncerr, "SYNC_BLOCK_NODES", block_nodes)
+    monkeypatch.setattr(syncerr, "PREDICT_STEPS", predict_steps)
+    traj, kwargs, want = chunked_case
+    got, stream = streamed(vdp, VDP_X0, traj.h, 4.0, 50, traj, **kwargs)
+    assert stream.end > 8 * (1 << 14)
+    assert_same_series(got, want)
+
+
+def test_stream_reuses_its_buffer(vdp, monkeypatch):
+    # while the kept nodes and a chunk fit, every advance steps into the
+    # buffer of the one before; a stream that keeps every node doubles it
+    monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1 << 14)
+    h = 1e-3
+    traj = cc.simulate(vdp, VDP_X0, h, 3000)
+    stream = ReferenceStream(vdp, VDP_X0, h, 4.0, refine=50)
+    rows = stream._buffer.shape[0]
+    assert rows == (1 << 14) + 1 + syncerr.STREAM_SLACK
+    advances = 0
+    while not stream.finished:
+        before = stream.nodes
+        stream.advance()
+        assert np.shares_memory(stream.nodes, before)
+        cc.synchronize(stream, traj, VDP_X0)
+        advances += 1
+    assert advances > 8 and stream._buffer.shape[0] == rows
+
+    stream = ReferenceStream(vdp, VDP_X0, h, 4.0, refine=50)
+    sizes = [rows]
+    for _ in range(4):
+        before = stream.nodes
+        stream.advance()
+        sizes.append(stream._buffer.shape[0])
+        assert np.shares_memory(stream.nodes, before) == (sizes[-1] == sizes[-2])
+    assert sizes == [rows, rows, 2 * rows, 4 * rows, 4 * rows]
+    one = cc.simulate(vdp, VDP_X0, stream.h, stream.end)
+    assert np.array_equal(stream.nodes, one.nodes)
+
+
+def test_bounds_past_the_horizon_match_the_exp_loop(vdp, vdp_cert):
+    # 37% of the samples lie past the tube's horizon; with D = 0 the bound
+    # column is the tube radius, which must be the per-sample math.exp
+    # loop's at every sample, on a node (s == 0) or inside a segment
+    tube = vdp_cert.tube
+    h = 1e-3
+    traj = cc.simulate(vdp, VDP_X0, h, 10000)
+    ref = ReferenceSolution.compute(vdp, VDP_X0, h, 11.0, refine=10)
+    series = cc.synchronize(ref, traj, VDP_X0, tube=tube, D=0.0, substeps=3)
+    past = series.times > tube.horizon
+    assert 0.3 < past.mean() < 0.4
+    want = [_delta_oracle(tube, min(t, tube.horizon)) for t in series.times]
+    assert np.array_equal(series.bounds, want)
+    s = series.times[~past] - np.minimum(
+        (series.times[~past] / tube.h).astype(np.int64), tube.N1 - 1
+    ) * tube.h
+    assert (s == 0.0).any() and (s != 0.0).any()
+    assert np.array_equal(tube.deltas_at(series.times[~past]), want[: (~past).sum()])
 
 
 def test_synchronize_narrow_window_misses_match_oracle(
