@@ -73,7 +73,6 @@ from .tube import (
     ExistenceCertificate,
     SegmentGrids,
     Tube,
-    TubeSegment,
     ab_profile,
     build_tube,
     certify_existence,

@@ -52,7 +52,7 @@ def estimate_lipschitz(
     when the points cover a convex region); ``spectral_radius`` the largest
     eigenvalue magnitude.
 
-    In the planar ``spectral_radius`` case ``np.linalg.eigvals`` runs only
+    In the ``spectral_radius`` case ``np.linalg.eigvals`` runs only
     on the matrices :func:`_spectral_radius_candidates` keeps, which hold
     the maximum, so the value is the one of the call on every matrix.
     """
@@ -61,8 +61,7 @@ def estimate_lipschitz(
         JTJ = np.swapaxes(J, -1, -2) @ J
         return float(np.sqrt(np.linalg.eigvalsh(JTJ)[..., -1].max()))
     if mode == "spectral_radius":
-        if J.shape[-1] == 2:
-            J = _spectral_radius_candidates(J)
+        J = _spectral_radius_candidates(J)
         return float(np.abs(np.linalg.eigvals(J)).max())
     raise InputError(f"unknown Lipschitz mode {mode!r}")
 

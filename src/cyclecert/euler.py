@@ -5,10 +5,11 @@ the dense interpolant x_i(s) = x_i + s f(x_i) for s in [0, h].  Because the
 recurrence makes node differences equal h f(x_i) exactly, segment directions
 are recovered from the stored nodes without re-evaluating f.
 
-Planar fields with a scalar right-hand side step in blocks of verified
-Picard sweeps over numpy arrays (:func:`_planar_nodes`); every node is
-checked against the scalar recurrence, so the nodes are those of a loop of
-single steps on plain floats, bit for bit.  A block starts from a guess of
+There is one integrator: the recurrence u += h*rhs2(u) on a field's
+``rhs_scalar2``.  It runs in blocks of verified Picard sweeps over numpy
+arrays (:func:`_planar_nodes`); every node is checked against the scalar
+recurrence, so the nodes are those of a loop of single steps on plain
+floats, bit for bit.  A block starts from a guess of
 its nodes: the quadratic through its first node and two Euler steps, or,
 after a full block that took few sweeps, the degree-4 extrapolation of that
 block's nodes.  The guess decides how many sweeps a block takes, never a
@@ -99,27 +100,6 @@ class EulerTrajectory:
         )
 
 
-def _has_scalar_path(field: VectorField) -> bool:
-    """Whether Euler steps can run through ``rhs_scalar2`` (on plain floats
-    and float64 arrays)."""
-    return field.rhs_scalar2 is not None and field.dim == 2
-
-
-def _euler_nodes(
-    field: VectorField, x0: np.ndarray, h: float, n_steps: int, out=None
-):
-    """Euler nodes stepped with numpy from one point or a batch of points.
-
-    Returns an array of shape ``(n_steps + 1,) + x0.shape``, ``out`` when
-    given; non-finite states propagate instead of raising.
-    """
-    nodes = np.empty((n_steps + 1,) + x0.shape) if out is None else out
-    nodes[0] = x0
-    for i in range(n_steps):
-        nodes[i + 1] = nodes[i] + h * field.f_raw(nodes[i])
-    return nodes
-
-
 # Steps in the first block of verified Picard sweeps; a block whose sweeps
 # stop short makes the next one half as long, down to SWEEP_MIN steps, and
 # runs or tails shorter than SWEEP_MIN steps take the scalar loop.
@@ -148,9 +128,10 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     verify against.  Each step is one ``rhs2`` call and u += h*d, unrolled
     four steps per loop iteration whose nodes go into a list in one
     ``extend``; ``np.fromiter`` converts the list at about half the cost of
-    ``np.array``.  A block that overflows leaves (u1, u2) at its first
-    node; the one-step loop then steps on from there, so an
-    ``OverflowError`` names the step it names in a loop of single steps,
+    ``np.array``.  A block where ``rhs2`` raises ArithmeticError or
+    ValueError (an overflow, a division by zero, a math domain error)
+    leaves (u1, u2) at its first node; the one-step loop then steps on from
+    there, so the error names the step it names in a loop of single steps,
     counted from ``first_step``, the step number of (u1, u2).
     """
     buf = [u1, u2]
@@ -172,7 +153,7 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
             u2 = c2 + h * d2
             extend((a1, a2, b1, b2, c1, c2, u1, u2))
         start = n_steps - n_steps % 4
-    except OverflowError:
+    except (ArithmeticError, ValueError):
         pass
     append = buf.append
     i = start
@@ -183,9 +164,10 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
             u2 += h * d2
             append(u1)
             append(u2)
-    except OverflowError:
+    except (ArithmeticError, ValueError) as e:
         step = first_step + i
-        raise DivergedError(f"state overflowed at step {step}", step) from None
+        reason = "state overflowed" if isinstance(e, OverflowError) else repr(e)
+        raise DivergedError(f"{reason} at step {step}", step) from None
     return np.fromiter(buf, np.float64, len(buf)).reshape(-1, 2)
 
 
@@ -285,7 +267,7 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
     block that holds a non-finite value, so a run that diverges fails at the
     step, and with the message, of the scalar loop.  It also steps the rest
     of the run from a block where ``rhs2`` raises TypeError or ValueError on
-    arrays, as one that branches on its arguments does.
+    arrays, as one that calls math or branches on its arguments does.
 
     Each verified block goes into ``nodes`` one component at a time: a
     transposed copy of the (2, n) block would let numpy loop over the
@@ -298,15 +280,15 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
     with np.errstate(all="ignore"):
         while width >= SWEEP_MIN and n_steps - k >= SWEEP_MIN:
             n = min(width, n_steps - k)
-            if smooth:
-                X = _extrapolated_guess(nodes, k, width, n)
-            else:
-                X = _sweep_guess(rhs2, nodes[k, 0], nodes[k, 1], h, n)
-            X[:, 0] = nodes[k]
             try:
+                if smooth:
+                    X = _extrapolated_guess(nodes, k, width, n)
+                else:
+                    X = _sweep_guess(rhs2, nodes[k, 0], nodes[k, 1], h, n)
+                X[:, 0] = nodes[k]
                 done, sweeps = _sweep_block(rhs2, X, h)
             except (TypeError, ValueError):
-                break  # rhs2 takes plain floats only, e.g. it branches on them
+                break  # rhs2 takes plain floats only, e.g. it calls math
             if not np.isfinite(X[:, 1 : done + 1]).all():
                 break
             nodes[k + 1 : k + done + 1, 0] = X[0, 1 : done + 1]
@@ -326,10 +308,10 @@ def simulate(
 ) -> EulerTrajectory:
     """Integrate dx/dt = f(x) with the explicit Euler scheme.
 
-    Planar fields with ``rhs_scalar2`` step in blocks of verified Picard
-    sweeps over numpy arrays, with the scalar loop as fallback (see
-    :func:`_planar_nodes`); their nodes are those of the scalar recurrence
-    u += h*rhs2(u), bit for bit.  Other fields step with numpy.
+    The run steps in blocks of verified Picard sweeps over numpy arrays,
+    with the scalar loop as fallback (see :func:`_planar_nodes`); its nodes
+    are those of the scalar recurrence u += h*rhs2(u) on the field's
+    ``rhs_scalar2``, bit for bit.
 
     ``out``, a float64 array of shape (n_steps + 1, dim), receives the
     nodes, and the returned trajectory's ``nodes`` is a read-only view of
@@ -356,11 +338,8 @@ def simulate(
             f"out must be a float64 array of shape ({n_steps + 1}, {field.dim})"
         )
 
-    if _has_scalar_path(field):
-        u1, u2 = float(x0[0]), float(x0[1])
-        nodes = _planar_nodes(field.rhs_scalar2, u1, u2, h, n_steps, out)
-    else:
-        nodes = _euler_nodes(field, x0, h, n_steps, out)
+    u1, u2 = float(x0[0]), float(x0[1])
+    nodes = _planar_nodes(field.rhs_scalar2, u1, u2, h, n_steps, out)
 
     if not np.all(np.isfinite(nodes)):
         bad = int(np.nonzero(~np.isfinite(nodes).all(axis=1))[0][0])
@@ -395,11 +374,6 @@ class Section:
     def offset(self, z) -> float:
         """Signed offset <z - anchor, normal>; zero on the section."""
         return float(np.dot(np.asarray(z, dtype=float) - self.anchor, self.normal))
-
-    def contains(self, z, tol: float = 1e-9) -> bool:
-        return abs(self.offset(z)) <= tol * np.linalg.norm(self.normal) * (
-            1.0 + np.linalg.norm(z)
-        )
 
 
 @dataclass(frozen=True)
@@ -565,46 +539,23 @@ def batch_first_return(
     starting from the last node of the one before, so the nodes are those
     of one long run.  Each chunk goes through the crossing rule of
     :func:`detect_crossings`, and a sample stops at its first counted
-    crossing.  Planar fields with ``rhs_scalar2`` step one sample at a time
-    on :func:`simulate`'s planar path, where a sample whose run diverges
-    gives NaN.  Other fields step the whole batch at once with numpy.
+    crossing.  The samples step one at a time through :func:`simulate`; a
+    sample whose run diverges gives NaN.
     """
-    X = np.array(points, dtype=float)
     n_steps = int(math.ceil(horizon / h))
-    if _has_scalar_path(field):
-        return np.array(
-            [_first_return(field, x, h, n_steps, section, exclusion) for x in X]
-        )
-
-    times = np.full(X.shape[0], np.nan)
-    t_left = np.full(X.shape[0], math.inf)
-    for offset in range(0, n_steps, RETURN_CHUNK):
-        pending = np.nonzero(np.isnan(times))[0]
-        if pending.size == 0:
-            break
-        nodes = _euler_nodes(field, X, h, min(RETURN_CHUNK, n_steps - offset))
-        for j in pending:
-            _, _, t, _, _, t_left[j] = _crossing_scan(
-                field, nodes[:, j], h, offset, section, exclusion, t_left[j]
+    times = np.full(len(points), np.nan)
+    for j, x in enumerate(np.array(points, dtype=float)):
+        t_left = math.inf
+        for offset in range(0, n_steps, RETURN_CHUNK):
+            try:
+                nodes = simulate(field, x, h, min(RETURN_CHUNK, n_steps - offset)).nodes
+            except DivergedError:
+                break
+            _, _, t, _, _, t_left = _crossing_scan(
+                field, nodes, h, offset, section, exclusion, t_left
             )
             if t.size:
                 times[j] = t[0]
-        X = nodes[-1]
+                break
+            x = nodes[-1]
     return times
-
-
-def _first_return(field, x, h, n_steps, section, exclusion) -> float:
-    """First counted crossing time of one planar-path run, NaN if none."""
-    t_left = math.inf
-    for offset in range(0, n_steps, RETURN_CHUNK):
-        try:
-            nodes = simulate(field, x, h, min(RETURN_CHUNK, n_steps - offset)).nodes
-        except DivergedError:
-            return math.nan
-        _, _, t, _, _, t_left = _crossing_scan(
-            field, nodes, h, offset, section, exclusion, t_left
-        )
-        if t.size:
-            return float(t[0])
-        x = nodes[-1]
-    return math.nan

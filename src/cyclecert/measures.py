@@ -4,7 +4,7 @@ For the Euclidean norm the matrix measure of A is the largest eigenvalue of
 the symmetric part (A + A^T)/2.  The transverse variant excludes the flow
 direction by projecting the symmetric part onto the orthogonal complement
 of f(x), which in the plane is the single direction f(x) turned by a
-quarter.  Only planar systems are supported, as in the tube builder.
+quarter.
 
 The slice-wise transverse bounds Lambda_i and the phase-rate bounds
 [a_i, b_i] are sampled by :func:`cyclecert.tube.lambda_profile` and
@@ -27,15 +27,6 @@ from .systems import VectorField
 M_FLOOR = 1e-8
 
 
-def require_planar(field: VectorField):
-    """Raise :class:`InputError` unless the system is planar."""
-    if field.dim != 2:
-        raise InputError(
-            f"cyclecert is implemented for planar systems; {field.name!r} has "
-            f"dimension {field.dim}"
-        )
-
-
 def symmetric_part(J) -> np.ndarray:
     """(J + J^T)/2 for one matrix or a batch (..., n, n)."""
     J = np.asarray(J, dtype=float)
@@ -50,15 +41,12 @@ def _rot90(v):
 
 
 def planar_norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis of an array of vectors.
+    """Euclidean norm over the last axis of planar vectors (..., 2).
 
-    Planar vectors (..., 2) take sqrt(v0*v0 + v1*v1) in components, which
-    equals ``np.linalg.norm(v, axis=-1)`` bit for bit (its sum over a
-    length-2 axis adds the same two squares) at a fraction of the cost.
-    Any other length goes to ``np.linalg.norm``.
+    sqrt(v0*v0 + v1*v1) in components equals ``np.linalg.norm(v, axis=-1)``
+    bit for bit (its sum over a length-2 axis adds the same two squares) at
+    a fraction of the cost.
     """
-    if v.shape[-1] != 2:
-        return np.linalg.norm(v, axis=-1)
     v0, v1 = v[..., 0], v[..., 1]
     return np.sqrt(v0 * v0 + v1 * v1)
 
@@ -77,7 +65,6 @@ def mu_perp_batch(field: VectorField, X: np.ndarray) -> np.ndarray:
     order i, j = 00, 01, 10, 11, which is the order (and so the rounding)
     of ``np.einsum("...i,...ij,...j->...", w, S, w)``.
     """
-    require_planar(field)
     X = np.asarray(X, dtype=float)
     F = field.f_raw(X)
     F0, F1 = F[..., 0], F[..., 1]
@@ -108,7 +95,6 @@ class TransverseSpectrum:
 
 def transverse_measure(field: VectorField, x) -> TransverseSpectrum:
     """Full measure mu and transverse measure mu_perp at one point."""
-    require_planar(field)
     x = np.asarray(x, dtype=float)
     f = field.eval_f(x)
     nf = float(np.linalg.norm(f))

@@ -93,16 +93,14 @@ def write_csv(path, header, rows):
 
 
 def write_trajectory_csv(path, traj, stride: int = 1):
-    n = traj.nodes.shape[1]
-    header = ["t"] + [f"x_{k + 1}" for k in range(n)]
+    header = ["t", "x_1", "x_2"]
     idx = range(0, traj.n_steps + 1, stride)
     rows = ([i * traj.h] + list(traj.nodes[i]) for i in idx)
     write_csv(path, header, rows)
 
 
 def write_crossings_csv(path, returns):
-    dim = len(returns[0][2].point) if returns else 2
-    header = ["p", "R_p", "N_p"] + [f"x_{k + 1}" for k in range(dim)]
+    header = ["p", "R_p", "N_p", "x_1", "x_2"]
     rows = (
         [p + 1, rp, np_, *crossing.point]
         for p, (rp, np_, crossing) in enumerate(returns)

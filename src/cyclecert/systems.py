@@ -1,12 +1,13 @@
-"""Autonomous ODE systems with Jacobians.
+"""Planar autonomous ODE systems with Jacobians.
 
-A :class:`VectorField` wraps the right-hand side f of dx/dt = f(x) together
-with its Jacobian J(x).  Registry systems ship an analytic, numpy-broadcasting
-Jacobian; user-defined systems loaded from a config fall back to central
-finite differences unless Jacobian expressions are supplied.
+A :class:`VectorField` wraps the right-hand side f of dx/dt = f(x), its
+Jacobian J(x) and ``rhs_scalar2``, the f that every Euler step calls.
+Registry systems are written by hand and load without sympy.  Inline
+systems from a config are expressions in the state variables x1, x2 that
+sympy compiles, with the Jacobian derived from them.
 
-Right-hand sides and Jacobians accept arrays of shape (..., n) and return
-(..., n) resp. (..., n, n), so the rest of the toolkit can evaluate whole
+Right-hand sides and Jacobians accept arrays of shape (..., 2) and return
+(..., 2) resp. (..., 2, 2), so the rest of the toolkit can evaluate whole
 batches of points in one call.
 """
 
@@ -21,35 +22,45 @@ import numpy as np
 
 from .errors import InputError, NumericError
 
-DEFAULT_FD_STEP = 1e-6
+
+def _check_planar(name: str, dim: int):
+    """Raise :class:`InputError` unless the system is planar."""
+    if dim != 2:
+        raise InputError(
+            f"cyclecert is implemented for planar systems; {name!r} has "
+            f"dimension {dim}"
+        )
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """An autonomous system f: R^n -> R^n with a Jacobian.
+    """A planar autonomous system f: R^2 -> R^2 with its Jacobian.
 
-    Immutable after construction; evaluation is pure, so instances are safe
-    to share across threads.
+    Construction raises :class:`InputError` unless ``dim`` is 2 and
+    ``rhs_scalar2`` is given.  Immutable after construction; evaluation is
+    pure, so instances are safe to share across threads.
     """
 
     name: str
     dim: int
     params: dict
     rhs: Callable[[np.ndarray], np.ndarray]
+    # None only for a field that is stepped but never differentiated
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = DEFAULT_FD_STEP
-    # planar systems only: (u1, u2) -> (du1, du2), called on plain floats
-    # and on float64 arrays.  It may use only + - * / (no **, no math or
-    # numpy functions), so it rounds element by element on arrays as it does
-    # on floats; simulate's sweeps verify array results against the float
-    # recurrence on that basis.  Every registry system meets this.  One that
-    # raises TypeError or ValueError on arrays (it branches on its
-    # arguments) is stepped on plain floats only.
+    # (u1, u2) -> (du1, du2), called on plain floats and on float64 arrays;
+    # every Euler step goes through it.  It may use only + - * / (no **, no
+    # math or numpy functions), so it rounds element by element on arrays as
+    # it does on floats; simulate's sweeps verify array results against the
+    # float recurrence on that basis.  Every registry system and every
+    # polynomial or rational inline system meets this.  One that raises
+    # TypeError or ValueError on arrays (it calls math functions or branches
+    # on its arguments) is stepped on plain floats only.
     rhs_scalar2: Optional[Callable] = dc_field(default=None, repr=False)
 
-    @property
-    def jacobian_mode(self) -> str:
-        return "analytic" if self.jacobian is not None else "finite-difference"
+    def __post_init__(self):
+        _check_planar(self.name, self.dim)
+        if self.rhs_scalar2 is None:
+            raise InputError(f"system {self.name!r} has no rhs_scalar2")
 
     # -- raw evaluation (no validation), used by vectorized inner loops -----
 
@@ -57,21 +68,7 @@ class VectorField:
         return self.rhs(np.asarray(x, dtype=float))
 
     def jac_raw(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.jacobian is not None:
-            return self.jacobian(x)
-        return self._jac_fd(x)
-
-    def _jac_fd(self, x):
-        """Central-difference Jacobian with step ``fd_step``, batched."""
-        eps = self.fd_step
-        cols = []
-        for k in range(self.dim):
-            e = np.zeros(self.dim)
-            e[k] = eps
-            cols.append((self.rhs(x + e) - self.rhs(x - e)) / (2.0 * eps))
-        # cols[k] = df/dx_k, shape (..., n); stack to (..., n, n)
-        return np.stack(cols, axis=-1)
+        return self.jacobian(np.asarray(x, dtype=float))
 
     # -- validated public operations ----------------------------------------
 
@@ -247,20 +244,16 @@ class SystemSpec:
 
         {"id": "vanderpol", "params": {"p": 0.3}}
         {"name": "...", "rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"],
-         "params": {"p": 0.3},
-         "jacobian": [["0", "1"], ["-2*p*x1*x2 - 1", "p - p*x1**2"]]}
+         "params": {"p": 0.3}}
 
-    Inline expressions use state variables ``x1..xn`` plus parameter names.
-    Inline systems use finite-difference Jacobians unless ``jacobian``
-    expressions are given.
+    Inline expressions use the state variables ``x1, x2`` plus parameter
+    names; the Jacobian is derived from them.  Other keys raise InputError.
     """
 
     system_id: Optional[str] = None
     rhs_exprs: Optional[list] = None
     params: dict = dc_field(default_factory=dict)
-    jacobian_exprs: Optional[list] = None
     name: Optional[str] = None
-    fd_step: float = DEFAULT_FD_STEP
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemSpec":
@@ -268,13 +261,17 @@ class SystemSpec:
             raise InputError("system spec must be a JSON object")
         if "id" not in d and "rhs" not in d:
             raise InputError("system spec needs either 'id' or 'rhs'")
+        unknown = sorted(set(d) - {"id", "rhs", "params", "name"})
+        if unknown:
+            raise InputError(
+                f"unknown system spec key(s) {unknown}; the Jacobian of an "
+                "inline system is derived from its rhs"
+            )
         return cls(
             system_id=d.get("id"),
             rhs_exprs=d.get("rhs"),
             params=dict(d.get("params", {})),
-            jacobian_exprs=d.get("jacobian"),
             name=d.get("name"),
-            fd_step=float(d.get("fd_step", DEFAULT_FD_STEP)),
         )
 
     @classmethod
@@ -287,32 +284,92 @@ class SystemSpec:
         return cls.from_dict(d)
 
 
-def _lambdify_exprs(exprs, var_names, params, dim):
-    """Compile a list of expressions into one batched numpy callable."""
-    import sympy
+def _filled(fn, shape):
+    """Batched callable x (..., 2) -> (...,) + shape whose entries, in C
+    order, are the components ``fn(x1, x2)`` returns."""
 
-    symbols = sympy.symbols(var_names)
-    local = dict(zip(var_names, symbols))
-    compiled = []
+    def call(x):
+        out = np.empty(x.shape[:-1] + shape)
+        flat = out.reshape(x.shape[:-1] + (-1,))
+        for k, value in enumerate(fn(x[..., 0], x[..., 1])):
+            flat[..., k] = value
+        return out
+
+    return call
+
+
+def _inline_system(name, exprs, params) -> VectorField:
+    """Compile inline expressions in x1, x2 with sympy.
+
+    ``rhs_scalar2`` is printed for the ``math`` module with integer powers
+    written as products (negative ones as 1/(...)), so a polynomial or
+    rational system uses only + - * / and meets the contract of
+    :class:`VectorField`; non-integer powers go to ``math.pow``, which,
+    like every other ``math`` function, raises TypeError on arrays.  ``rhs``
+    and the Jacobian, ``sympy.Matrix(exprs).jacobian([x1, x2])``, are
+    printed the same way for numpy.  Parameters stay names bound to their
+    float values at call time, so no digit of them is lost in printing.
+    """
+    import sympy
+    from sympy.printing.numpy import NumPyPrinter
+    from sympy.printing.precedence import PRECEDENCE
+    from sympy.printing.pycode import PythonCodePrinter
+
+    def products(printer, expr):
+        base = printer.parenthesize(expr.base, PRECEDENCE["Atom"], strict=True)
+        prod = "*".join([base] * abs(int(expr.exp)))
+        return f"({prod})" if expr.exp > 0 else f"(1/({prod}))"
+
+    class ArrayPrinter(NumPyPrinter):
+        def _print_Pow(self, expr, rational=False):
+            if expr.exp.is_Integer:
+                return products(self, expr)
+            return super()._print_Pow(expr, rational=rational)
+
+    class MathPrinter(PythonCodePrinter):
+        def _print_Pow(self, expr, rational=False):
+            if expr.exp.is_Integer:
+                return products(self, expr)
+            pow_ = self._module_format("math.pow")
+            return f"{pow_}({self._print(expr.base)}, {self._print(expr.exp)})"
+
+    values = {k: float(v) for k, v in params.items()}
+    names = ["x1", "x2", *values]
+    local = {k: sympy.Symbol(k) for k in names}
+    syms = []
     for expr in exprs:
         try:
             sym = sympy.sympify(expr, locals=local)
         except (sympy.SympifyError, SyntaxError, TypeError) as e:
             raise InputError(f"malformed expression {expr!r}: {e}") from e
-        free = {str(s) for s in sym.free_symbols} - set(var_names)
-        missing = free - set(params)
+        missing = {str(s) for s in sym.free_symbols} - set(names)
         if missing:
             raise InputError(f"missing parameter(s) {sorted(missing)} in {expr!r}")
-        sym = sym.subs({sympy.Symbol(k): v for k, v in params.items()})
-        compiled.append(sympy.lambdify(symbols, sym, modules="numpy"))
-    return compiled
+        syms.append(sym)
+    x = [local["x1"], local["x2"]]
+    jac = sympy.Matrix(syms).jacobian(x)
+
+    def compiled(components, module, printer):
+        settings = {"fully_qualified_modules": False, "inline": True}
+        return sympy.lambdify(
+            x, tuple(components), modules=[values, module], printer=printer(settings)
+        )
+
+    return VectorField(
+        name,
+        2,
+        dict(params),
+        _filled(compiled(syms, "numpy", ArrayPrinter), (2,)),
+        _filled(compiled(jac, "numpy", ArrayPrinter), (2, 2)),
+        rhs_scalar2=compiled(syms, "math", MathPrinter),
+    )
 
 
 def load_system(spec) -> VectorField:
     """Build a :class:`VectorField` from a :class:`SystemSpec`, dict or path.
 
-    Registry ids are bound with their analytic Jacobians; inline systems get
-    central-difference Jacobians unless Jacobian expressions are provided.
+    Registry ids are bound to their hand-written functions, without
+    importing sympy; inline systems are compiled by :func:`_inline_system`.
     """
     if isinstance(spec, (str, Path)):
         spec = SystemSpec.from_json(spec)
@@ -330,38 +387,6 @@ def load_system(spec) -> VectorField:
             )
         return maker(spec.params)
 
-    dim = len(spec.rhs_exprs)
-    var_names = [f"x{k + 1}" for k in range(dim)]
-    fns = _lambdify_exprs(spec.rhs_exprs, var_names, spec.params, dim)
-
-    def rhs(x):
-        comps = [np.asarray(fn(*np.moveaxis(x, -1, 0)), dtype=float) for fn in fns]
-        comps = [np.broadcast_to(c, x.shape[:-1]) for c in comps]
-        return np.stack(comps, axis=-1)
-
-    jac = None
-    if spec.jacobian_exprs is not None:
-        flat = [e for row in spec.jacobian_exprs for e in row]
-        if len(flat) != dim * dim:
-            raise InputError("jacobian must be an n-by-n array of expressions")
-        jfns = _lambdify_exprs(flat, var_names, spec.params, dim)
-
-        def jac(x):
-            vals = [
-                np.broadcast_to(
-                    np.asarray(fn(*np.moveaxis(x, -1, 0)), dtype=float),
-                    x.shape[:-1],
-                )
-                for fn in jfns
-            ]
-            arr = np.stack(vals, axis=-1)
-            return arr.reshape(x.shape[:-1] + (dim, dim))
-
-    return VectorField(
-        spec.name or "inline",
-        dim,
-        dict(spec.params),
-        rhs,
-        jac,
-        fd_step=spec.fd_step,
-    )
+    name = spec.name or "inline"
+    _check_planar(name, len(spec.rhs_exprs))
+    return _inline_system(name, spec.rhs_exprs, spec.params)

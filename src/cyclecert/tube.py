@@ -54,36 +54,9 @@ from .measures import (
     _rot90,
     mu_perp_batch,
     planar_norm,
-    require_planar,
     sigma_rate,
 )
 from .systems import VectorField
-
-
-@dataclass(frozen=True)
-class TubeSegment:
-    """Per-segment view of the tube (radii evolve in s over [0, h])."""
-
-    index: int
-    alpha_start: float
-    delta_start: float
-    lam: float
-    sigma: float
-    a: float
-    b: float
-    M_tilde: float
-    h: float
-    M_f: float
-
-    def alpha(self, s: float) -> float:
-        return self.alpha_start + self.b * self.M_f * s
-
-    def delta(self, s: float) -> float:
-        return self.delta_start * math.exp(self.sigma * s)
-
-    @property
-    def branch(self) -> str:
-        return "contracting" if self.sigma < 0.0 else "regularized"
 
 
 class Tube:
@@ -138,12 +111,6 @@ class Tube:
     def horizon(self) -> float:
         return self.N1 * self.h
 
-    def _segment_of(self, t: float):
-        if t < 0.0 or t > self.horizon * (1 + 1e-12):
-            raise InputError(f"time {t} outside tube horizon [0, {self.horizon}]")
-        i = min(int(t / self.h), self.N1 - 1)
-        return i, t - i * self.h
-
     def delta_at(self, t: float) -> float:
         return float(self.deltas_at([t])[0])
 
@@ -172,24 +139,6 @@ class Tube:
             )
         ]
         return out
-
-    def alpha_at(self, t: float) -> float:
-        i, s = self._segment_of(t)
-        return float(self.alpha[i] + self.b_seg[i] * self.M_f * s)
-
-    def segment(self, i: int) -> TubeSegment:
-        return TubeSegment(
-            index=i,
-            alpha_start=float(self.alpha[i]),
-            delta_start=float(self.delta[i]),
-            lam=float(self.lam[i]),
-            sigma=float(self.sigma[i]),
-            a=float(self.a_seg[i]),
-            b=float(self.b_seg[i]),
-            M_tilde=float(self.m_tilde[i]),
-            h=self.h,
-            M_f=self.M_f,
-        )
 
     def summary(self) -> dict:
         return {
@@ -443,7 +392,6 @@ def build_tube(
     if gamma <= 0.0:
         raise InputError("gamma must be positive")
     config.validate()
-    require_planar(field)
 
     grids = SegmentGrids(field, traj, N1, config.n_s)
     m_tilde = grids.m_tilde(config.magnitude_mode)
@@ -594,7 +542,7 @@ def check_return_inclusion(
     """Check that the final tube slice cut by the start section fits in Y0.
 
     Sufficient numeric test: |x(R1) - x0| + delta(R1) < delta0 (strict).
-    Geometric test (planar): walk the final segment, intersect each
+    Geometric test: walk the final segment, intersect each
     transverse tube segment with the start section and verify every
     intersection point lies inside the initial disk.
     """
@@ -606,35 +554,32 @@ def check_return_inclusion(
     lhs = gap + d_r1
     sufficient = lhs < tube.delta0
 
-    geo_holds = None
-    geo_max = None
-    pts_checked = 0
-    if traj.nodes.shape[1] == 2:
-        i = tube.N1 - 1
-        h = tube.h
-        s = np.linspace(0.0, h, n_samples)
-        c = traj.nodes[i][None, :] + s[:, None] * traj.seg_dirs[i][None, :]
-        fc = traj.field.f_raw(c)
-        w = _rot90(fc) / np.linalg.norm(fc, axis=-1, keepdims=True)
-        r = tube.delta[i] * np.exp(tube.sigma[i] * s)
-        wn = w @ n0
-        gc = (c - x0) @ n0
-        dists = []
-        scale = np.linalg.norm(n0)
-        for k in range(n_samples):
-            if abs(wn[k]) > 1e-12 * scale:
-                u = -gc[k] / wn[k]
-                if abs(u) <= r[k]:
-                    q = c[k] + u * w[k]
-                    dists.append(np.linalg.norm(q - x0))
-            elif abs(gc[k]) <= 1e-9 * scale:
-                # slice parallel to and inside the section: check endpoints
-                for sgn in (-1.0, 1.0):
-                    dists.append(np.linalg.norm(c[k] + sgn * r[k] * w[k] - x0))
-        pts_checked = len(dists)
-        if pts_checked:
-            geo_max = float(max(dists))
-            geo_holds = geo_max <= tube.delta0
+    i = tube.N1 - 1
+    h = tube.h
+    s = np.linspace(0.0, h, n_samples)
+    c = traj.nodes[i][None, :] + s[:, None] * traj.seg_dirs[i][None, :]
+    fc = traj.field.f_raw(c)
+    w = _rot90(fc) / np.linalg.norm(fc, axis=-1, keepdims=True)
+    r = tube.delta[i] * np.exp(tube.sigma[i] * s)
+    wn = w @ n0
+    gc = (c - x0) @ n0
+    dists = []
+    scale = np.linalg.norm(n0)
+    for k in range(n_samples):
+        if abs(wn[k]) > 1e-12 * scale:
+            u = -gc[k] / wn[k]
+            if abs(u) <= r[k]:
+                q = c[k] + u * w[k]
+                dists.append(np.linalg.norm(q - x0))
+        elif abs(gc[k]) <= 1e-9 * scale:
+            # slice parallel to and inside the section: check endpoints
+            for sgn in (-1.0, 1.0):
+                dists.append(np.linalg.norm(c[k] + sgn * r[k] * w[k] - x0))
+    pts_checked = len(dists)
+    geo_holds = geo_max = None
+    if pts_checked:
+        geo_max = float(max(dists))
+        geo_holds = geo_max <= tube.delta0
     return InclusionReport(
         lhs=float(lhs),
         rhs=float(tube.delta0),

@@ -3,8 +3,9 @@
 These are the einsum and per-gap loop forms that ``measures.mu_perp_batch``
 and ``tube.lambda_profile`` / ``tube.ab_profile`` compute in planar
 components and over segment blocks, the stacked Van der Pol right-hand side
-and Jacobian, and the sampled return-time sweep that the tube's return-time
-interval replaced; the tests hold the library to them.
+and Jacobian, the sampled return-time sweep that the tube's return-time
+interval replaced, and a central-difference Jacobian that checks the
+hand-written registry Jacobians; the tests hold the library to them.
 """
 
 from types import SimpleNamespace
@@ -18,6 +19,21 @@ from cyclecert.errors import (
 )
 from cyclecert.euler import Exclusion, Section, batch_first_return
 from cyclecert.measures import M_FLOOR, symmetric_part
+
+
+FD_STEP = 1e-6
+
+
+def central_difference_jacobian(field, x, eps=FD_STEP):
+    """J(x) for points (..., n) from central differences of f with step eps."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for k in range(x.shape[-1]):
+        e = np.zeros(x.shape[-1])
+        e[k] = eps
+        cols.append((field.f_raw(x + e) - field.f_raw(x - e)) / (2.0 * eps))
+    # cols[k] = df/dx_k, shape (..., n); stack to (..., n, n)
+    return np.stack(cols, axis=-1)
 
 
 def mu_perp_einsum(field, X):

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -37,7 +36,12 @@ def matrix_field(mats):
     """A planar field whose Jacobian at the m points of a batch is the
     (m, 2, 2) batch ``mats``."""
     return VectorField(
-        name="matrices", dim=2, params={}, rhs=lambda x: x, jacobian=lambda x: mats
+        name="matrices",
+        dim=2,
+        params={},
+        rhs=lambda x: x,
+        jacobian=lambda x: mats,
+        rhs_scalar2=lambda u1, u2: (u1, u2),
     )
 
 
@@ -444,13 +448,26 @@ def _escape_field(mode):
     return VectorField(f"escape-{mode}", 2, {}, rhs, rhs_scalar2=rhs2)
 
 
-@pytest.mark.parametrize("scalar_path", [True, False])
+def _escape_inline(mode):
+    """:func:`_escape_field` as an inline spec, whose Piecewise rhs_scalar2
+    steps on plain floats only."""
+    out = "x1**2" if mode == "blowup" else "1"
+    return cc.load_system(
+        {
+            "name": f"escape-{mode}",
+            "rhs": [
+                f"Piecewise((x2, x1 < 1.03), ({out}, True))",
+                "Piecewise((-x1, x1 < 1.03), (0, True))",
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("handwritten", [True, False])
 @pytest.mark.parametrize("mode", ["drift", "blowup"])
-def test_estimate_eta_blocking_names_sample(mode, scalar_path):
+def test_estimate_eta_blocking_names_sample(mode, handwritten):
     # the sample at u1 = 1.05 escapes; the other two return near 2*pi
-    field = _escape_field(mode)
-    if not scalar_path:
-        field = dataclasses.replace(field, rhs_scalar2=None)
+    field = _escape_field(mode) if handwritten else _escape_inline(mode)
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.05, field.f_raw(anchor))
     pts = disk.sample_points(3)

@@ -73,13 +73,13 @@ def test_diverged_reports_first_bad_index():
 
 def one_step_nodes(rhs2, x0, h, n_steps):
     """Scalar Euler nodes one step at a time, and the step an
-    OverflowError stops at (None if none does)."""
+    ArithmeticError or ValueError stops at (None if none does)."""
     u1, u2 = x0
     nodes = [(u1, u2)]
     for i in range(1, n_steps + 1):
         try:
             d1, d2 = rhs2(u1, u2)
-        except OverflowError:
+        except (ArithmeticError, ValueError):
             return np.array(nodes), i
         u1 += h * d1
         u2 += h * d2
@@ -149,6 +149,7 @@ def test_scalar_nonfinite_names_first_bad_node(x0, rhs2):
 
 
 SWEEP_W = cc.euler.SWEEP_STEPS
+VDP_INLINE = {"rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"], "params": {"p": 0.3}}
 
 
 def recording(field):
@@ -178,6 +179,35 @@ def test_block_path_matches_one_step_loop(system, h, n_steps):
     nodes = cc.simulate(field, x0, h, n_steps).nodes
     assert any(seen) == (n_steps >= cc.euler.SWEEP_MIN)
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+
+
+def test_math_rhs2_takes_the_scalar_loop():
+    # an inline spec with a math function compiles to an rhs_scalar2 that
+    # raises TypeError on arrays; its runs step on plain floats
+    field = cc.load_system({"rhs": ["x2", "-sin(x1) - p*x2"], "params": {"p": 0.1}})
+    u = np.linspace(0.0, 1.0, 2 * cc.euler.SWEEP_MIN)
+    with pytest.raises(TypeError):
+        field.rhs_scalar2(u, u)
+    x0, h, n_steps = (1.0, 0.0), 1e-3, 2 * SWEEP_W + 3
+    ref, _ = one_step_nodes(field.rhs_scalar2, x0, h, n_steps)
+    nodes = cc.simulate(field, x0, h, n_steps).nodes
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "rhs,x0",
+    [(["1/x1", "1"], (0.0, 0.0)), (["-1", "sqrt(x1)"], (0.035, 0.0))],
+    ids=["zero-division", "math-domain"],
+)
+def test_float_errors_name_the_step(rhs, x0):
+    # where the plain-float rhs raises (1/0, sqrt of a negative) the run
+    # diverges at the step the one-step loop stops at
+    field = cc.load_system({"rhs": rhs})
+    _, step = one_step_nodes(field.rhs_scalar2, x0, 0.01, 10)
+    assert step is not None
+    with pytest.raises(DivergedError, match=f"at step {step}$") as exc:
+        cc.simulate(field, x0, 0.01, 10)
+    assert exc.value.first_bad_index == step
 
 
 def test_float_only_rhs2_takes_the_scalar_loop():
@@ -351,12 +381,13 @@ def test_block_nonfinite_names_first_bad_node(x0, rhs2):
     assert any(seen)
 
 
-@pytest.mark.parametrize("scalar_path", [True, False])
+@pytest.mark.parametrize("registry", [True, False])
 @pytest.mark.parametrize("n_steps", [10, 3 * SWEEP_W + 5])
-def test_simulate_into_out(vdp, scalar_path, n_steps):
+def test_simulate_into_out(vdp, registry, n_steps):
     # the nodes go into out, a row of out may be the start point, and the
-    # trajectory is a read-only view of out that leaves out writable
-    field = vdp if scalar_path else dataclasses.replace(vdp, rhs_scalar2=None)
+    # trajectory is a read-only view of out that leaves out writable; for
+    # the registry Van der Pol and for one compiled from an inline spec
+    field = vdp if registry else cc.load_system(VDP_INLINE)
     x0 = (1.8929, -0.5383)
     ref = cc.simulate(field, x0, 1e-5, n_steps).nodes
     buf = np.full((n_steps + 3, 2), np.nan)
@@ -471,32 +502,28 @@ def test_refinement_consistency(system, x0):
 
 
 def test_batch_first_return_matches_scalar(harmonic, linear):
-    # one crossing rule: the scalar-path sweep, the batched numpy sweep and
-    # return_times on a full run give the same times, bit for bit, on fields
-    # whose scalar and numpy right-hand sides agree exactly
+    # one crossing rule: the chunked sweep and return_times on a full run
+    # give the same times, bit for bit
     h, horizon, excl = 1e-3, 10.0, cc.Exclusion(1e-2, 0.05)
     assert 2 * np.pi / h > cc.euler.RETURN_CHUNK  # returns after the first chunk
 
     def sweeps(field, section, pts):
-        scalar = cc.batch_first_return(field, pts, h, horizon, section, excl)
-        numpy_only = dataclasses.replace(field, rhs_scalar2=None)
-        batched = cc.batch_first_return(numpy_only, pts, h, horizon, section, excl)
+        chunked = cc.batch_first_return(field, pts, h, horizon, section, excl)
         full = []
         for p in pts:
             traj = cc.simulate(field, p, h, int(np.ceil(horizon / h)))
             first = cc.return_times(traj, section, 1, excl).first()
             full.append(np.nan if first is None else first[0])
-        return scalar, batched, np.array(full)
+        return chunked, np.array(full)
 
     # [1, 0.005] crosses at t ~ 0.005 < t_min; [1, 0.02] crosses at t ~ 0.02
     # before it has left B(anchor, 0.05): both early crossings are excluded
     pts = np.array([[1.0, 0.0], [1.01, 0.0], [0.99, 0.0], [1.0, 0.005], [1.0, 0.02]])
-    scalar, batched, full = sweeps(harmonic, harmonic_section(harmonic), pts)
-    assert np.all(np.isfinite(scalar))
-    assert np.allclose(scalar[:3], 2 * np.pi, atol=0.02)
-    assert np.all(scalar[3:] > 2 * np.pi - 0.01)
-    assert np.array_equal(scalar, batched)
-    assert np.array_equal(scalar, full)
+    chunked, full = sweeps(harmonic, harmonic_section(harmonic), pts)
+    assert np.all(np.isfinite(chunked))
+    assert np.allclose(chunked[:3], 2 * np.pi, atol=0.02)
+    assert np.all(chunked[3:] > 2 * np.pi - 0.01)
+    assert np.array_equal(chunked, full)
 
     # the stable node never crosses the section through (1, 0)
     anchor = np.array([1.0, 0.0])

@@ -101,41 +101,12 @@ def test_projection_vs_eigenvector_match_planted():
                     f"{float(S[1,0])!r}*x1 + {float(S[1,1])!r}*x2",
                 ],
                 "params": {},
-                "jacobian": [
-                    [repr(float(S[0, 0])), repr(float(S[0, 1]))],
-                    [repr(float(S[1, 0])), repr(float(S[1, 1]))],
-                ],
                 "name": "planted",
             }
         )
         proj = cc.transverse_measure(field, v0)
         assert proj.mu_perp == pytest.approx(l1, abs=1e-10)
         checked += 1
-
-
-def test_transverse_measure_three_dimensional():
-    # the transverse measures are planar only, like the tube builder
-    field = cc.load_system(
-        {
-            "rhs": ["-x1", "-2*x2", "-3*x3"],
-            "params": {},
-            "jacobian": [
-                ["-1", "0", "0"],
-                ["0", "-2", "0"],
-                ["0", "0", "-3"],
-            ],
-            "name": "diag3",
-        }
-    )
-    x = np.array([1.0, 0.0, 0.0])
-    msg = "implemented for planar systems; 'diag3' has dimension 3"
-    with pytest.raises(InputError, match=msg):
-        cc.transverse_measure(field, x)
-    with pytest.raises(InputError, match=msg):
-        cc.mu_perp_batch(field, np.array([[1.0, 0.0, 0.0], [0.5, 0.2, -0.1]]))
-    traj = cc.simulate(field, x, 1e-3, 10)
-    with pytest.raises(InputError, match=msg):
-        cc.build_tube(field, traj, 0.01, 10, 0.1, 0.015, M_f=1.0)
 
 
 def test_mu_perp_batch_matches_scalar(vdp):
@@ -201,9 +172,6 @@ def test_planar_norm_bit_exact():
             ref = np.linalg.norm(X, axis=-1)
             assert got.shape == ref.shape
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    # other lengths are np.linalg.norm itself
-    Y = np.random.default_rng(4).standard_normal((5, 3))
-    assert np.array_equal(cc.measures.planar_norm(Y), np.linalg.norm(Y, axis=-1))
 
 
 # -- slice bounds -----------------------------------------------------------

@@ -1,5 +1,8 @@
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cyclecert
@@ -35,3 +38,18 @@ def test_benchmark_tracer_bindings_exist():
         if attr not in vars(tracing._resolve(owner))
     ]
     assert tracing.WRAPS and missing == []
+
+
+def test_registry_load_does_not_import_sympy():
+    # importing sympy takes longer than a whole registry load; only inline
+    # specs need it
+    code = (
+        "import sys, cyclecert; cyclecert.load_system({'id': 'vanderpol'}); "
+        "print('sympy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclecert.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"

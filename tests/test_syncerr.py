@@ -468,28 +468,29 @@ def test_stream_memory_below_quarter_of_reference(vdp):
     assert peak < node_bytes / 4, (peak, node_bytes)
 
 
-def cubic(scalar_path):
-    """x' = x^3, which blows up in finite time, on the planar path (its
-    products overflow to inf) or on the numpy path."""
-    rhs2 = (lambda u1, u2: (u1 * u1 * u1, 0.0)) if scalar_path else None
+def cubic(handwritten):
+    """x' = x^3, which blows up in finite time (its products overflow to
+    inf), written by hand or compiled from an inline spec."""
+    if not handwritten:
+        return cc.load_system({"name": "cubic", "rhs": ["x1**3", "0"]})
     return cc.VectorField(
         "cubic",
         2,
         {},
         lambda x: np.stack([x[..., 0] ** 3, 0.0 * x[..., 1]], axis=-1),
         None,
-        rhs_scalar2=rhs2,
+        rhs_scalar2=lambda u1, u2: (u1 * u1 * u1, 0.0),
     )
 
 
 @pytest.mark.parametrize("keep_all", [True, False])
-@pytest.mark.parametrize("scalar_path", [True, False])
-def test_stream_divergence_names_the_global_node(monkeypatch, scalar_path, keep_all):
+@pytest.mark.parametrize("handwritten", [True, False])
+def test_stream_divergence_names_the_global_node(monkeypatch, handwritten, keep_all):
     # the run diverges in the 13th chunk of 1024 steps; the stream names
     # the node one simulate over the same steps names, whether it keeps
     # every node (its buffer grows) or only the last (it reuses its buffer)
     monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1024)
-    field = cubic(scalar_path)
+    field = cubic(handwritten)
     stream = ReferenceStream(field, (2.0, 0.0), 1e-3, 1.0, refine=100)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergedError) as one:

@@ -5,7 +5,7 @@ import pytest
 
 import cyclecert as cc
 from cyclecert.errors import InputError, NumericError
-from oracles import vanderpol_stacked
+from oracles import FD_STEP, central_difference_jacobian, vanderpol_stacked
 
 
 def vdp_rhs_oracle(u1, u2, p):
@@ -71,7 +71,7 @@ def test_analytic_vs_fd_jacobian(spec):
     rng = np.random.default_rng(5)
     pts = rng.uniform(-3.0, 3.0, size=(100, field.dim))
     J_an = field.jac_raw(pts)
-    J_fd = field._jac_fd(pts)
+    J_fd = central_difference_jacobian(field, pts)
     assert np.abs(J_an - J_fd).max() <= 1e-6
 
 
@@ -80,8 +80,8 @@ def test_fd_agreement_invariant(vdp):
     rng = np.random.default_rng(11)
     for x in rng.uniform(-3, 3, size=(20, 2)):
         J = vdp.eval_jacobian(x)
-        J_fd = vdp._jac_fd(x)
-        bound = 10 * vdp.fd_step * (1.0 + np.abs(J).max())
+        J_fd = central_difference_jacobian(vdp, x)
+        bound = 10 * FD_STEP * (1.0 + np.abs(J).max())
         assert np.abs(J - J_fd).max() <= bound
 
 
@@ -115,36 +115,86 @@ def test_load_registry_and_unknown_id():
         cc.load_system({"id": "does-not-exist"})
 
 
-def test_inline_matches_registry(vdp):
-    inline = cc.load_system(
+# inline specs of registry systems, written with ** as a user would
+INLINE = {
+    "vanderpol-inline": (
+        {"rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"], "params": {"p": 0.3}},
+        {"id": "vanderpol"},
+    ),
+    "fitzhugh-nagumo-inline": (
         {
-            "name": "vdp-inline",
-            "rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"],
-            "params": {"p": 0.3},
-        }
-    )
-    assert inline.jacobian_mode == "finite-difference"
+            "rhs": ["x1 - x1**3/3 - x2 + current", "eps*(x1 + a - b*x2)"],
+            "params": {"a": 0.7, "b": 0.8, "eps": 0.08, "current": 0.5},
+        },
+        {"id": "fitzhugh-nagumo"},
+    ),
+}
+
+
+def test_inline_matches_registry(vdp):
+    inline = cc.load_system({"name": "vdp-inline", **INLINE["vanderpol-inline"][0]})
     rng = np.random.default_rng(3)
     for x in rng.uniform(-2, 2, size=(25, 2)):
         assert np.allclose(inline.eval_f(x), vdp.eval_f(x), atol=1e-14)
         assert np.allclose(
-            inline.eval_jacobian(x), vdp.eval_jacobian(x), atol=1e-6
+            inline.eval_jacobian(x), vdp.eval_jacobian(x), atol=1e-14
         )
 
 
+@pytest.mark.parametrize("name", sorted(INLINE))
+def test_derived_jacobian_matches_registry_bit_exact(name):
+    # the Jacobian sympy derives from the rhs, printed with integer powers
+    # as products, rounds as the hand-written registry Jacobian does
+    inline, registry = (cc.load_system(spec) for spec in INLINE[name])
+    x = np.random.default_rng(17).uniform(-3.0, 3.0, size=(1000, 2))
+    got, want = inline.jac_raw(x), registry.jac_raw(x)
+    assert got.shape == want.shape == (1000, 2, 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("p", [1 / 3, 0.1 + 0.2])
+def test_inline_parameters_keep_full_precision(p):
+    # parameters are bound as floats, not printed into the generated code
+    field = cc.load_system({"rhs": ["p*x1", "x2"], "params": {"p": p}})
+    assert field.f_raw([1.0, 0.0])[0] == p
+    assert field.rhs_scalar2(1.0, 0.0)[0] == p
+
+
 def test_inline_with_jacobian_expressions():
-    field = cc.load_system(
-        {
-            "rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"],
-            "params": {"p": 0.3},
-            "jacobian": [["0", "1"], ["-2*p*x1*x2 - 1", "p - p*x1**2"]],
-        }
-    )
-    assert field.jacobian_mode == "analytic"
-    x = np.array([1.8929, -0.5383])
-    assert np.allclose(
-        field.eval_jacobian(x), vdp_jac_oracle(1.8929, -0.5383, 0.3), atol=1e-14
-    )
+    # Jacobians are derived from the rhs; a spec that still gives one is
+    # rejected by name rather than silently ignored
+    msg = r"unknown system spec key\(s\) \['jacobian'\]"
+    with pytest.raises(InputError, match=msg):
+        cc.load_system(
+            {
+                "rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"],
+                "params": {"p": 0.3},
+                "jacobian": [["0", "1"], ["-2*p*x1*x2 - 1", "p - p*x1**2"]],
+            }
+        )
+
+
+@pytest.mark.parametrize(
+    "spec,msg",
+    [
+        ({"rhs": ["x2", "-x1"], "fd_step": 1e-6}, r"key\(s\) \['fd_step'\]"),
+        (
+            {"rhs": ["-x1", "-2*x2", "-3*x3"], "name": "diag3"},
+            "implemented for planar systems; 'diag3' has dimension 3",
+        ),
+    ],
+    ids=["fd_step", "three-dimensional"],
+)
+def test_unsupported_specs_raise(spec, msg):
+    with pytest.raises(InputError, match=msg):
+        cc.load_system(spec)
+
+
+def test_vector_field_requires_planar_scalar_rhs(vdp):
+    with pytest.raises(InputError, match="'bare' has no rhs_scalar2"):
+        cc.VectorField("bare", 2, {}, vdp.rhs, vdp.jacobian)
+    with pytest.raises(InputError, match="'cube3' has dimension 3"):
+        cc.VectorField("cube3", 3, {}, vdp.rhs, rhs_scalar2=vdp.rhs_scalar2)
 
 
 def test_load_from_json_file(tmp_path, vdp):
@@ -170,11 +220,12 @@ def test_batched_rhs_shapes(vdp):
     assert vdp.jac_raw(X).shape == (4, 7, 2, 2)
 
 
-@pytest.mark.parametrize("system", sorted(cc.systems.REGISTRY))
+@pytest.mark.parametrize("system", sorted(cc.systems.REGISTRY) + sorted(INLINE))
 def test_rhs_scalar2_broadcasts_bit_exact(system):
     # the contract simulate's sweeps rest on: rhs_scalar2 on float64 arrays
-    # rounds element by element as it does on Python floats
-    field = cc.load_system({"id": system})
+    # rounds element by element as it does on Python floats, for the
+    # registry and for rhs_scalar2 generated from inline specs
+    field = cc.load_system(INLINE[system][0] if system in INLINE else {"id": system})
     rng = np.random.default_rng(7)
     mags = 10.0 ** rng.uniform(-8.0, 50.0, size=(2, 400))
     u = mags * rng.choice([-1.0, 1.0], size=mags.shape)

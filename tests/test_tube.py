@@ -69,13 +69,40 @@ def test_alpha_monotone_delta_positive(vdp_cert):
 
 
 def test_tube_segment_view(vdp_cert):
-    tube = vdp_cert.tube
-    seg = tube.segment(10)
-    assert seg.alpha(0.0) == tube.alpha[10]
-    assert seg.alpha(tube.h) == pytest.approx(tube.alpha[11])
-    assert seg.delta(0.0) == tube.delta[10]
-    assert seg.delta(tube.h) == pytest.approx(tube.delta[11], rel=1e-12)
-    assert seg.branch in ("contracting", "regularized")
+    # segment 10 from the tube's arrays: alpha grows by b*M_f*h over it and
+    # delta by exp(sigma*h), at the rate deltas_at evaluates inside it
+    tube, i = vdp_cert.tube, 10
+    h, s = tube.h, 0.25 * tube.h
+    assert tube.alpha[i + 1] == pytest.approx(
+        tube.alpha[i] + tube.b_seg[i] * tube.M_f * h
+    )
+    assert tube.deltas_at([i * h])[0] == tube.delta[i]
+    inside = tube.deltas_at([i * h + s])[0]
+    assert inside == pytest.approx(tube.delta[i] * np.exp(tube.sigma[i] * s), rel=1e-12)
+    assert tube.delta[i] * np.exp(tube.sigma[i] * h) == pytest.approx(
+        tube.delta[i + 1], rel=1e-12
+    )
+
+
+def test_inline_spec_certifies_like_registry(vdp_cert):
+    # the inline Van der Pol, stepped through its generated rhs_scalar2 and
+    # measured with its derived Jacobian, gives the registry's certificate
+    field = cc.load_system(
+        {"rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"], "params": {"p": 0.3}}
+    )
+    cert = cc.certify_existence(
+        field, VDP_X0, VDP_H, VDP_DELTA0, VDP_GAMMA, PipelineConfig(), horizon=10.0
+    )
+    assert cert.certified, cert.failure
+    got, want = cert.constants, vdp_cert.constants
+    for f in dataclasses.fields(want):
+        if isinstance(getattr(want, f.name), float):
+            assert getattr(got, f.name) == pytest.approx(
+                getattr(want, f.name), rel=1e-12, abs=0.0
+            ), f.name
+    assert cert.tube_summary["delta_end"] == pytest.approx(
+        vdp_cert.tube_summary["delta_end"], rel=1e-12, abs=0.0
+    )
 
 
 def test_vdp_example_tube_values(vdp_cert):
