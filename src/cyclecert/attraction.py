@@ -99,9 +99,7 @@ def contraction_exponent(
             f"start point {z.tolist()} did not return within horizon {horizon:g}"
         )
     R1, N1, _ = rt.first()
-    _, M_f = estimate_magnitude_bounds(
-        field, traj.nodes[: N1 + 1], magnitude=config.magnitude_mode
-    )
+    _, M_f = estimate_magnitude_bounds(field, traj.nodes[: N1 + 1], magnitude="state")
     return _tube_exponent(
         z, build_tube(field, traj, R1, N1, delta0, gamma, M_f, config)
     )

@@ -66,16 +66,8 @@ def _run_config(args) -> RunConfig:
     else:
         if not args.system:
             raise InputError("either --preset or --system is required")
-        system = (
-            {"id": args.system}
-            if not args.system.endswith(".json")
-            else args.system
-        )
-        if isinstance(system, str):
-            import json
-
-            with open(system) as fh:
-                system = json.load(fh)
+        # a path is read by load_system, whose errors are InputErrors
+        system = args.system if args.system.endswith(".json") else {"id": args.system}
         cfg = RunConfig(
             system=system,
             x0=(1.0, 0.0),

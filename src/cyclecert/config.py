@@ -24,57 +24,44 @@ def threads_from_env(default: int = 1) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Sampling densities, padding and estimator conventions.
+    """Sampling densities, the slice-bound stride, the seed and the threads.
 
+    ``n_s`` points along each segment and ``n_ball`` transverse offsets
+    (plus the center) sample the slice bounds Lambda_i; ``ab_offsets``
+    offsets on the same s-grid sample the phase rates (a_i, b_i).
     ``lambda_stride`` trades cost for tightness: slice bounds are sampled
     every that many segments and bridged with drift padding in between;
-    stride 1 samples every segment.  The slices the transverse bound is
-    sampled on have the contraction-tube radius of the previous fixed-point
-    pass widened by ``radius_safety`` (sound once the per-step condition
-    holds, since synchronized states then stay inside that tube); the first
-    pass uses the flat radius delta0.  The equilibrium floor on |f| is the
-    fixed :data:`cyclecert.measures.M_FLOOR`.
-
-    The return-time interval [T_lo, T_hi] comes from the tube's phase-rate
-    bounds (see :func:`cyclecert.constants.estimate_eta`); no fine-step
-    sweep or refinement factor is involved.  ``eta_samples`` disk points,
-    drawn with ``seed``, are stepped at h for the discrete return bound R'.
+    stride 1 samples every segment.  ``sweep_samples`` disk points give the
+    attraction sweep; ``seed`` draws the disk points of the return bound R';
+    ``threads`` runs the sweep's tube builds in a pool.  The fixed settings
+    (padding, fixed-point passes, slice radius safety, region margin) are
+    constants of :mod:`cyclecert.tube`.
     """
 
     n_s: int = 5
     n_ball: int = 8
-    pad_factor: float = 1.0
     lambda_stride: int = 10
-    passes: int = 2
-    radius_safety: float = 1.05
     ab_offsets: int = 5
-    lipschitz_mode: str = "spectral_radius"
-    magnitude_mode: str = "state"
-    region_margin: float = 0.05
-    eta_samples: int = 16
     sweep_samples: int = 11
-    inclusion_samples: int = 64
     seed: int = 0
     threads: int = dc_field(default_factory=threads_from_env)
 
     def validate(self):
         if self.n_s < 2 or self.n_ball < 2 or self.ab_offsets < 2:
             raise InputError("sampling densities must be at least 2")
-        if self.lambda_stride < 1 or self.passes < 1:
-            raise InputError("lambda_stride and passes must be >= 1")
-        if self.pad_factor < 0.0 or self.radius_safety < 1.0:
-            raise InputError("pad_factor >= 0 and radius_safety >= 1 required")
-        if self.lipschitz_mode not in ("spectral_radius", "spectral_norm"):
-            raise InputError(f"unknown lipschitz_mode {self.lipschitz_mode!r}")
-        if self.magnitude_mode not in ("state", "field"):
-            raise InputError(f"unknown magnitude_mode {self.magnitude_mode!r}")
+        if self.lambda_stride < 1:
+            raise InputError("lambda_stride must be >= 1")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One certification run: system, start point, step, tube and rate knobs."""
+    """One certification run: system, start point, step, tube and rate knobs.
 
-    system: dict
+    ``system`` is anything :func:`cyclecert.systems.load_system` takes: a
+    spec dict or the path of a system JSON file.
+    """
+
+    system: dict | str
     x0: tuple
     h: float
     delta0: float

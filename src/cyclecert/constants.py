@@ -4,15 +4,10 @@ Everything here is a sampled estimate, not a rigorous enclosure; each
 estimator therefore records its sampling resolution so certificates can
 carry the provenance of every constant.
 
-Two conventions are supported for the Jacobian-derived growth constant and
-for the magnitude bounds, selected per pipeline profile:
-
-* ``spectral_radius`` / ``state``: largest |eigenvalue| of J, and bounds on
-  |x| over the working set.  These are the conventions the certification
-  pipeline defaults to; they reproduce the reference tolerances of the
-  planar test problems.
-* ``spectral_norm`` / ``field``: largest singular value of J (a true
-  Euclidean Lipschitz bound on a convex region), and bounds on |f(x)|.
+The growth constant L is the largest |eigenvalue| of the sampled Jacobians,
+and the magnitude bounds M~_i, M_C and M_f bound |x| over the working set;
+the reference tolerances of the planar test problems are calibrated to
+these conventions.  The speed bounds (m, M) bound |f(x)|.
 """
 
 from __future__ import annotations
@@ -43,27 +38,16 @@ def _point_array(field: VectorField, points) -> np.ndarray:
     return pts
 
 
-def estimate_lipschitz(
-    field: VectorField, points, mode: str = "spectral_radius"
-) -> float:
-    """Growth constant of f from Jacobian samples at an (m, n) point array.
+def estimate_lipschitz(field: VectorField, points) -> float:
+    """Growth constant of f: the largest eigenvalue magnitude of the
+    Jacobian over an (m, n) point array.
 
-    ``spectral_norm`` gives the Euclidean operator norm (a Lipschitz bound
-    when the points cover a convex region); ``spectral_radius`` the largest
-    eigenvalue magnitude.
-
-    In the ``spectral_radius`` case ``np.linalg.eigvals`` runs only
-    on the matrices :func:`_spectral_radius_candidates` keeps, which hold
-    the maximum, so the value is the one of the call on every matrix.
+    ``np.linalg.eigvals`` runs only on the matrices
+    :func:`_spectral_radius_candidates` keeps, which hold the maximum, so
+    the value is the one of the call on every matrix.
     """
-    J = field.jac_raw(_point_array(field, points))
-    if mode == "spectral_norm":
-        JTJ = np.swapaxes(J, -1, -2) @ J
-        return float(np.sqrt(np.linalg.eigvalsh(JTJ)[..., -1].max()))
-    if mode == "spectral_radius":
-        J = _spectral_radius_candidates(J)
-        return float(np.abs(np.linalg.eigvals(J)).max())
-    raise InputError(f"unknown Lipschitz mode {mode!r}")
+    J = _spectral_radius_candidates(field.jac_raw(_point_array(field, points)))
+    return float(np.abs(np.linalg.eigvals(J)).max())
 
 
 # Closed-form spectral radii this close to the largest, relative to

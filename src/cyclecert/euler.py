@@ -6,14 +6,9 @@ recurrence makes node differences equal h f(x_i) exactly, segment directions
 are recovered from the stored nodes without re-evaluating f.
 
 There is one integrator: the recurrence u += h*rhs2(u) on a field's
-``rhs_scalar2``.  It runs in blocks of verified Picard sweeps over numpy
-arrays (:func:`_planar_nodes`); every node is checked against the scalar
-recurrence, so the nodes are those of a loop of single steps on plain
-floats, bit for bit.  A block starts from a guess of
-its nodes: the quadratic through its first node and two Euler steps, or,
-after a full block that took few sweeps, the degree-4 extrapolation of that
-block's nodes.  The guess decides how many sweeps a block takes, never a
-bit of a node.
+``rhs_scalar2``, run in blocks of verified Picard sweeps over numpy arrays
+(:func:`_planar_nodes`).  README "Bit-identity contract" says why its nodes
+are those of a loop of single steps on plain floats, bit for bit.
 
 Hyperplane sections, crossing detection and return times live here as well:
 each segment is linear, so in-segment crossing offsets are exact roots of a
@@ -125,40 +120,16 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     """Euler nodes of a planar run stepped on plain floats, shape (n+1, 2).
 
     The fallback of :func:`_planar_nodes`, and the recurrence its sweeps
-    verify against.  Each step is one ``rhs2`` call and u += h*d, unrolled
-    four steps per loop iteration whose nodes go into a list in one
-    ``extend``; ``np.fromiter`` converts the list at about half the cost of
-    ``np.array``.  A block where ``rhs2`` raises ArithmeticError or
-    ValueError (an overflow, a division by zero, a math domain error)
-    leaves (u1, u2) at its first node; the one-step loop then steps on from
-    there, so the error names the step it names in a loop of single steps,
-    counted from ``first_step``, the step number of (u1, u2).
+    verify against: each step is one ``rhs2`` call and u += h*d.  An
+    ArithmeticError or ValueError of ``rhs2`` (an overflow, a division by
+    zero, a math domain error) is raised as a DivergedError naming its
+    step, counted from ``first_step``, the step number of (u1, u2).
     """
     buf = [u1, u2]
-    extend = buf.extend
-    start = 0
-    try:
-        for start in range(0, n_steps - 3, 4):
-            d1, d2 = rhs2(u1, u2)
-            a1 = u1 + h * d1
-            a2 = u2 + h * d2
-            d1, d2 = rhs2(a1, a2)
-            b1 = a1 + h * d1
-            b2 = a2 + h * d2
-            d1, d2 = rhs2(b1, b2)
-            c1 = b1 + h * d1
-            c2 = b2 + h * d2
-            d1, d2 = rhs2(c1, c2)
-            u1 = c1 + h * d1
-            u2 = c2 + h * d2
-            extend((a1, a2, b1, b2, c1, c2, u1, u2))
-        start = n_steps - n_steps % 4
-    except (ArithmeticError, ValueError):
-        pass
     append = buf.append
-    i = start
+    i = 0
     try:
-        for i in range(start + 1, n_steps + 1):
+        for i in range(1, n_steps + 1):
             d1, d2 = rhs2(u1, u2)
             u1 += h * d1
             u2 += h * d2

@@ -8,27 +8,14 @@ itself piecewise linear, each solve reduces to a sign-change scan over a
 short window followed by an exact linear root, warm-started at the previous
 theta; theta is nondecreasing by construction.
 
-The scan runs over blocks of samples at once.  Newton steps on the
-piecewise-linear reference predict each sample's theta, hence its window
-start, one windowed pass applies the rule to the whole block, and the block
-is kept up to the first sample whose window start differs from the one the
-previous sample's theta gives.  The pass reads only a prefix of the
-windows, a few nodes past the latest predicted root: the first up-crossing
-in a prefix is the first in the window, and g is computed node by node.  A
-sample with no up-crossing in the prefix ends the kept part of the block,
-and the next pass scans its full window, where the rule decides whether the
-synchronization is lost.  Every kept sample has then read what the
-sample-by-sample rule reads, so the series is that rule's bit for bit; a
-bad prediction costs another pass, never a different result.
-
-A synchronization reads the reference only in a window ahead of the last
-theta.  The error curve therefore steps its reference as a
-:class:`ReferenceStream`: chunk by chunk as the synchronization reaches it,
-keeping only the nodes from the current window on, and stepping nothing
-past the last sample's window.  Each chunk is stepped in place, into one
-buffer right behind the kept nodes, so streaming copies only those.  A
-:class:`ReferenceSolution` holds a whole reference in memory.  Both expose
-their resident nodes the same way, and one scan reads both.
+The scan runs over blocks of samples at once, in windowed passes whose
+boundaries Newton predictions of theta place.  The error curve steps its
+reference as a :class:`ReferenceStream`, chunk by chunk as the
+synchronization reaches it, keeping only the nodes from the current window
+on; a :class:`ReferenceSolution` holds a whole reference in memory.  Both
+expose their resident nodes the same way, and one scan reads both.  README
+"Bit-identity contract" says why the passes and the stream give, bit for
+bit, the series of the sample-by-sample rule on one long reference.
 """
 
 from __future__ import annotations
@@ -48,12 +35,17 @@ from .tube import ExistenceCertificate, Tube, certify_existence
 from .attraction import compute_D
 
 TAU_SYNC = 1e-10
+# A sample's search window spans this many coarse steps of reference time
+# from the previous theta.
+WINDOW_STEPS = 3.0
+# The error curve's tail: the final fifth of the samples.
+TAIL_FRACTION = 0.2
 
 # Reference steps a ReferenceStream adds per advance (4 MiB of nodes).
 STREAM_CHUNK = 1 << 18
 # Rows a ReferenceStream's buffer holds past one chunk for the kept nodes,
-# which are fewer than one synchronization window: 3*refine + 4 nodes at the
-# default window of 3 coarse steps, so this fits refine up to 1364.
+# which are fewer than one synchronization window: 3*refine + 4 nodes at
+# WINDOW_STEPS = 3, so this fits refine up to 1364.
 STREAM_SLACK = 1 << 12
 # Window nodes one pass of the batched scan may gather; a block holds this
 # many divided by the window length samples.  Only the speed depends on it.
@@ -179,8 +171,9 @@ class SyncErrorSeries:
     h: float
     bounds: Optional[np.ndarray] = None  # max(delta(t_j), D*h) when available
 
-    def tail_max(self, fraction: float = 0.2) -> float:
-        k = int((1.0 - fraction) * self.times.size)
+    def tail_max(self) -> float:
+        """The largest error over the final ``TAIL_FRACTION`` of the samples."""
+        k = int((1.0 - TAIL_FRACTION) * self.times.size)
         return float(self.errors[k:].max())
 
     @classmethod
@@ -204,7 +197,6 @@ def synchronize(
     reference,
     traj: EulerTrajectory,
     y0,
-    window_steps: float = 3.0,
     tau_sync: float = TAU_SYNC,
     tube: Optional[Tube] = None,
     D: Optional[float] = None,
@@ -219,7 +211,7 @@ def synchronize(
     truncates the sampled times (default: the full trajectory);
     ``substeps`` adds in-segment sample times at spacing h/substeps.
     Raises :class:`SynchronizationLostError` (with the sample index) when no
-    sign change lies within [theta_prev, theta_prev + window_steps*h].
+    sign change lies within [theta_prev, theta_prev + WINDOW_STEPS*h].
     """
     y0 = np.asarray(y0, dtype=float)
     if reference.base == 0 and not np.allclose(reference.nodes[0], y0):
@@ -227,7 +219,7 @@ def synchronize(
     if substeps < 1:
         raise InputError("substeps must be >= 1")
     h = traj.h
-    win = int(window_steps * h / reference.h) + 4
+    win = int(WINDOW_STEPS * h / reference.h) + 4
 
     n_nodes = traj.n_steps + 1
     if t_max is not None:
@@ -507,12 +499,11 @@ class ErrorCurveReport:
     """Per-step-size error curves plus the tail/floor comparison."""
 
     runs: List[ErrorCurveRun]
-    tail_fraction: float
 
     def to_dict(self) -> dict:
         return {
             "kind": "error-curve-report",
-            "tail_fraction": self.tail_fraction,
+            "tail_fraction": TAIL_FRACTION,
             "runs": [r.summary() for r in self.runs],
         }
 
@@ -528,24 +519,22 @@ def error_curve_experiment(
     config: PipelineConfig = PipelineConfig(),
     cert_horizon: float = 10.0,
     refine: int = 100,
-    tail_fraction: float = 0.2,
-    require_certified: bool = False,
 ) -> ErrorCurveReport:
     """Error curves for several step sizes against h/refine references.
 
     The certification pipeline runs per h to estimate its constants and D;
-    the reported tail is the maximum error over the final ``tail_fraction``
+    the reported tail is the maximum error over the final ``TAIL_FRACTION``
     of the horizon, compared against the floor D*h.  Coarse steps routinely
     fail the per-step tube condition while their error floor remains valid
-    in practice, so a failed verdict is recorded per run rather than fatal
-    unless ``require_certified`` is set.
+    in practice, so a failed verdict is recorded per run rather than fatal;
+    only a run without constants, hence without D, raises.
     """
     runs = []
     for h in h_list:
         cert = certify_existence(
             field, x0, h, delta0, gamma, config, horizon=cert_horizon
         )
-        if cert.constants is None or (require_certified and not cert.certified):
+        if cert.constants is None:
             raise InputError(
                 f"step size {h:g} is not certifiable: {cert.failure}"
             )
@@ -558,7 +547,7 @@ def error_curve_experiment(
             ref.advance()
             parts.append(synchronize(ref, traj, y0, tube=cert.tube, D=D))
         series = SyncErrorSeries.concatenate(parts)
-        tail = series.tail_max(tail_fraction)
+        tail = series.tail_max()
         runs.append(
             ErrorCurveRun(
                 h=float(h),
@@ -570,4 +559,4 @@ def error_curve_experiment(
                 certificate=cert,
             )
         )
-    return ErrorCurveReport(runs=runs, tail_fraction=tail_fraction)
+    return ErrorCurveReport(runs=runs)

@@ -267,6 +267,10 @@ class SystemSpec:
                 f"unknown system spec key(s) {unknown}; the Jacobian of an "
                 "inline system is derived from its rhs"
             )
+        if not isinstance(d.get("rhs", []), list):
+            raise InputError("system spec 'rhs' must be a list of expressions")
+        if not isinstance(d.get("params", {}), dict):
+            raise InputError("system spec 'params' must be a JSON object")
         return cls(
             system_id=d.get("id"),
             rhs_exprs=d.get("rhs"),
@@ -281,6 +285,8 @@ class SystemSpec:
                 d = json.load(fh)
         except json.JSONDecodeError as e:
             raise InputError(f"malformed system file {path}: {e}") from e
+        except OSError as e:
+            raise InputError(f"cannot read system file {path}: {e}") from e
         return cls.from_dict(d)
 
 
@@ -342,6 +348,8 @@ def _inline_system(name, exprs, params) -> VectorField:
             sym = sympy.sympify(expr, locals=local)
         except (sympy.SympifyError, SyntaxError, TypeError) as e:
             raise InputError(f"malformed expression {expr!r}: {e}") from e
+        if not isinstance(sym, sympy.Expr):
+            raise InputError(f"expression {expr!r} is not an arithmetic expression")
         missing = {str(s) for s in sym.free_symbols} - set(names)
         if missing:
             raise InputError(f"missing parameter(s) {sorted(missing)} in {expr!r}")
@@ -351,9 +359,16 @@ def _inline_system(name, exprs, params) -> VectorField:
 
     def compiled(components, module, printer):
         settings = {"fully_qualified_modules": False, "inline": True}
-        return sympy.lambdify(
-            x, tuple(components), modules=[values, module], printer=printer(settings)
-        )
+        try:
+            return sympy.lambdify(
+                x, tuple(components), modules=[values, module],
+                printer=printer(settings),
+            )
+        except NotImplementedError as e:  # "Unsupported by <printer>: <name>"
+            name = str(e).splitlines()[0].rsplit(": ", 1)[-1]
+            raise InputError(
+                f"unsupported function {name} in {list(exprs)}"
+            ) from None
 
     return VectorField(
         name,
@@ -377,6 +392,11 @@ def load_system(spec) -> VectorField:
         spec = SystemSpec.from_dict(spec)
     if not isinstance(spec, SystemSpec):
         raise InputError(f"cannot interpret system spec of type {type(spec)!r}")
+    for k, v in spec.params.items():
+        try:
+            float(v)
+        except (TypeError, ValueError):
+            raise InputError(f"parameter {k!r} must be a number, got {v!r}") from None
 
     if spec.system_id is not None:
         maker = REGISTRY.get(spec.system_id)

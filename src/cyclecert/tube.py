@@ -168,39 +168,22 @@ class Tube:
 # per-segment estimators: the one kernel for Lambda_i and for [a_i, b_i]
 # --------------------------------------------------------------------------
 
+# Each sampled extremum (Lambda_i, a_i, b_i) is widened by this factor
+# times its neighbor-jump pad.
+PAD_FACTOR = 1.0
+# Fixed-point passes of build_tube, and the factor by which each refinement
+# pass widens the previous pass's tube radii into the slice radii it samples.
+PASSES = 2
+RADIUS_SAFETY = 1.05
+# Transverse margin, in units of delta0, around the tube samples that back
+# the constants L, m and M_C.
+REGION_MARGIN = 0.05
+
 # Segments per block of the (a, b) profile.
 AB_BLOCK = 8192
 # Slice points per block of the Lambda profile: 2^16 points (1456 anchors of
 # 9 offsets by 5 s-nodes) keep each of mu_perp_batch's temporaries at 512 KiB.
 LAMBDA_BLOCK = 2**16
-
-
-def _offset_points(P, t, W, out=None):
-    """Planar points P + t*W of shape (..., 2), formed one component at a
-    time, into ``out`` when given.
-
-    ``P`` and ``W`` are (..., 2) arrays and ``t`` broadcasts against their
-    leading axes.  Each component is computed into the interleaved result
-    directly: broadcasting t against (..., 2) operands would make numpy
-    loop over the length-2 axis innermost.  The rounding is that of
-    ``P + t[..., None] * W``.
-    """
-    if out is None:
-        shape = np.broadcast_shapes(P.shape[:-1], t.shape, W.shape[:-1])
-        out = np.empty(shape + (2,))
-    for c in range(2):
-        np.multiply(t, W[..., c], out=out[..., c])
-        np.add(P[..., c], out[..., c], out=out[..., c])
-    return out
-
-
-def _unit_normals(F, nF):
-    """The quarter turn of planar vectors F divided by their norms nF."""
-    W = np.empty(F.shape)
-    np.negative(F[..., 1], out=W[..., 0])
-    W[..., 0] /= nF
-    np.divide(F[..., 0], nF, out=W[..., 1])
-    return W
 
 
 class SegmentGrids:
@@ -222,14 +205,13 @@ class SegmentGrids:
         self.FN = traj.seg_dirs[:N1]
         self.s = np.linspace(0.0, traj.h, n_s)
         # centers (n_s, N1, n) and their field values / transverse directions
-        self.P = _offset_points(self.C, self.s[:, None], self.FN)
+        self.P = self.C + self.s[:, None, None] * self.FN
         self.FC = field.f_raw(self.P)
         self.nFC = planar_norm(self.FC)
-        self.W = _unit_normals(self.FC, self.nFC)
+        self.W = _rot90(self.FC) / self.nFC[..., None]
 
-    def m_tilde(self, magnitude: str) -> np.ndarray:
-        if magnitude == "field":
-            return self.nFC.max(axis=0)
+    def m_tilde(self) -> np.ndarray:
+        """The per-segment magnitude bound M~_i: the largest |x| on the s-grid."""
         return planar_norm(self.P).max(axis=0)
 
 
@@ -238,9 +220,9 @@ def lambda_profile(field, grids, radius, anchors, cfg):
 
     ``radius``: (n_s, N1) slice radii.  Anchor slices are sampled on the
     (offset, s) grid, ``cfg.n_ball`` offsets in [-1, 1] plus the center,
-    and padded by ``cfg.pad_factor`` times half the largest neighbor jump
-    at the maximizer; segments between anchors take the larger neighboring
-    anchor bound plus the full drift between them, scaled by pad_factor.
+    and padded by ``PAD_FACTOR`` times half the largest neighbor jump at
+    the maximizer; segments between anchors take the larger neighboring
+    anchor bound plus the full drift between them, scaled by PAD_FACTOR.
     Returns (lam, pad) arrays of shape (N1,).
 
     The anchor slices are sampled over blocks of at most ``LAMBDA_BLOCK``
@@ -257,9 +239,7 @@ def lambda_profile(field, grids, radius, anchors, cfg):
     for lo in range(0, anchors.size, chunk):
         A = anchors[lo : lo + chunk]
         rA = radius[:, A]
-        pts = _offset_points(
-            grids.P[:, A, :], offs[:, None, None] * rA, grids.W[:, A, :]
-        )
+        pts = grids.P[:, A] + (offs[:, None, None] * rA)[..., None] * grids.W[:, A]
         vals = mu_perp_batch(field, pts)  # (n_off, n_s, |A|)
         mx = vals.max(axis=(0, 1))
         # half the largest neighbor jump at the per-anchor maximizer
@@ -281,14 +261,14 @@ def lambda_profile(field, grids, radius, anchors, cfg):
                 np.abs(vals[oi[ok], si[ok] + d, cols[ok]] - mx[ok]),
             )
         lamA[lo : lo + chunk] = mx
-        padA[lo : lo + chunk] = cfg.pad_factor * 0.5 * jump
+        padA[lo : lo + chunk] = PAD_FACTOR * 0.5 * jump
     lamA = lamA + padA
 
     # the segments strictly between anchors j and j+1, in order, take the
     # bridge of gap j
     lam = np.empty(grids.N1)
     pad = np.zeros(grids.N1)
-    drift = cfg.pad_factor * np.abs(np.diff(lamA))
+    drift = PAD_FACTOR * np.abs(np.diff(lamA))
     gaps = np.diff(anchors) - 1
     inner = np.zeros(grids.N1, dtype=bool)
     inner[anchors[0] : anchors[-1] + 1] = True
@@ -306,7 +286,7 @@ def ab_profile(field, grids, radius, cfg):
     Evaluates the closed form of :func:`~cyclecert.constants.theta_dot` on
     ``cfg.ab_offsets`` transverse offsets up to the slice radius ``radius``
     (n_s, N1) and on the s-grid, then widens the observed range by
-    ``cfg.pad_factor`` times the largest neighbor jump.  a_i must come out
+    ``PAD_FACTOR`` times the largest neighbor jump.  a_i must come out
     positive, otherwise the step is too large or the tube too fat.
 
     Runs over blocks of at most ``AB_BLOCK`` segments in planar components,
@@ -334,10 +314,9 @@ def ab_profile(field, grids, radius, cfg):
             amin = np.full(nFC.shape[1], np.inf)
             bmax = np.full(nFC.shape[1], -np.inf)
             jump = np.zeros(nFC.shape[1])
-        XI = np.empty(P.shape)
         # past a vanishing denominator only the earlier offsets are checked
         for k, o in enumerate(offs if vanished is None else offs[: vanished[0]]):
-            _offset_points(P, o * r, W, out=XI)
+            XI = P + (o * r)[..., None] * W
             FX = field.f_raw(XI)
             den = FX[..., 0] * FC0 + FX[..., 1] * FC1
             low = np.abs(den) < M_FLOOR * nFC
@@ -355,7 +334,7 @@ def ab_profile(field, grids, radius, cfg):
             jump = np.maximum(jump, np.abs(np.diff(td, axis=0)).max(axis=0))
             prev = td
         if vanished is None:
-            margin = cfg.pad_factor * jump
+            margin = PAD_FACTOR * jump
             a_seg[seg] = amin - margin
             b_seg[seg] = bmax + margin
     if vanished is not None:
@@ -394,7 +373,7 @@ def build_tube(
     config.validate()
 
     grids = SegmentGrids(field, traj, N1, config.n_s)
-    m_tilde = grids.m_tilde(config.magnitude_mode)
+    m_tilde = grids.m_tilde()
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
 
     if sigma_override is not None:
@@ -417,7 +396,7 @@ def build_tube(
     b_seg = np.ones(N1)
     radius = np.full((config.n_s, N1), delta0)
     history = []
-    for pass_no in range(1, config.passes + 1):
+    for pass_no in range(1, PASSES + 1):
         lam, _ = lambda_profile(field, grids, radius, anchors, config)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
@@ -432,7 +411,7 @@ def build_tube(
                 "b_max": float(b_seg.max()),
             }
         )
-        if pass_no == config.passes:
+        if pass_no == PASSES:
             break
         growth = np.exp(sigma[None, :] * grids.s[:, None])
         a_seg, b_seg = ab_profile(
@@ -440,7 +419,7 @@ def build_tube(
         )
         # the next pass samples Lambda on this pass's tube, widened by the
         # safety factor
-        radius = config.radius_safety * delta_nodes[None, :N1] * growth
+        radius = RADIUS_SAFETY * delta_nodes[None, :N1] * growth
 
     tube = Tube(
         traj.h, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
@@ -674,16 +653,16 @@ def _collect_tube_samples(field, traj, tube, config, extra_radius, use_delta=Tru
     if anchors[-1] != N1 - 1:
         anchors = np.append(anchors, N1 - 1)
     s = np.linspace(0.0, tube.h, config.n_s)
-    P = _offset_points(traj.nodes[anchors], s[:, None], traj.seg_dirs[anchors])
+    P = traj.nodes[anchors] + s[:, None, None] * traj.seg_dirs[anchors]
     FC = field.f_raw(P)
-    W = _unit_normals(FC, planar_norm(FC))
+    W = _rot90(FC) / planar_norm(FC)[..., None]
     rad = np.full((s.size, anchors.size), extra_radius)
     if use_delta:
         rad = rad + tube.delta[anchors][None, :] * np.exp(
             tube.sigma[anchors][None, :] * s[:, None]
         )
     offs = np.linspace(-1.0, 1.0, max(3, config.n_ball))
-    pts = _offset_points(P, offs[:, None, None] * rad, W)
+    pts = P + (offs[:, None, None] * rad)[..., None] * W
     return pts.reshape(-1, field.dim)
 
 
@@ -739,9 +718,7 @@ def certify_existence(
         # provisional magnitude bound over flat-radius slices, for the
         # alpha bookkeeping inside the builder
         grids_pts = traj.nodes[: N1 + 1]
-        _, M_f0 = estimate_magnitude_bounds(
-            field, grids_pts, magnitude=config.magnitude_mode
-        )
+        _, M_f0 = estimate_magnitude_bounds(field, grids_pts, magnitude="state")
         tube = build_tube(
             field, traj, R1, N1, delta0, gamma, M_f0, config,
             sigma_override=sigma_override,
@@ -751,29 +728,21 @@ def certify_existence(
 
         # final constants: growth constant along the (inflated) segments,
         # magnitude bounds over the built tube plus the margin
-        margin = config.region_margin * delta0
+        margin = REGION_MARGIN * delta0
         seg_samples = _collect_tube_samples(
             field, traj, tube, config, extra_radius=margin, use_delta=False
         )
-        L = estimate_lipschitz(field, seg_samples, mode=config.lipschitz_mode)
+        L = estimate_lipschitz(field, seg_samples)
         samples = _collect_tube_samples(
             field, traj, tube, config, extra_radius=margin, use_delta=True
         )
         m, _ = estimate_speed_bounds(field, samples)
-        _, M_C = estimate_magnitude_bounds(
-            field, samples, magnitude=config.magnitude_mode
-        )
+        _, M_C = estimate_magnitude_bounds(field, samples, magnitude="state")
         M_f = max(M_C, float(tube.m_tilde.max()))
 
-        incl = check_return_inclusion(tube, traj, n_samples=config.inclusion_samples)
+        incl = check_return_inclusion(tube, traj)
         eta = estimate_eta(
-            field,
-            tube,
-            incl.lhs,
-            horizon=min(horizon, 2.5 * R1),
-            n_samples=config.eta_samples,
-            seed=config.seed,
-            pad_factor=config.pad_factor,
+            field, tube, incl.lhs, horizon=min(horizon, 2.5 * R1), seed=config.seed
         )
         constants = GlobalConstants(
             L=L,
@@ -787,14 +756,14 @@ def certify_existence(
             T_hi=eta.T_hi,
             R_prime=eta.R_prime,
             provenance={
-                "lipschitz_mode": config.lipschitz_mode,
-                "magnitude_mode": config.magnitude_mode,
-                "region_margin": config.region_margin,
+                "lipschitz_mode": "spectral_radius",
+                "magnitude_mode": "state",
+                "region_margin": REGION_MARGIN,
                 "n_s": config.n_s,
                 "n_ball": config.n_ball,
-                "pad_factor": config.pad_factor,
+                "pad_factor": PAD_FACTOR,
                 "lambda_stride": config.lambda_stride,
-                "passes": config.passes,
+                "passes": PASSES,
                 "tube_samples": int(samples.shape[0]),
                 "eta": eta.provenance(),
                 "seed": config.seed,
@@ -815,7 +784,7 @@ def certify_existence(
                 "reason": "slice-radius-inconsistent",
                 "kind": "blocking",
                 "detail": "tube radii exceeded the slice radii the transverse "
-                "bounds were sampled on; increase passes or radius_safety",
+                "bounds were sampled on: the fixed-point passes did not settle",
             }
             return cert
         if not step.holds:

@@ -19,6 +19,7 @@ from cyclecert.errors import (
 )
 from cyclecert.euler import Exclusion, Section, batch_first_return
 from cyclecert.measures import M_FLOOR, symmetric_part
+from cyclecert.tube import PAD_FACTOR
 
 
 FD_STEP = 1e-6
@@ -86,7 +87,7 @@ def ab_profile_whole(field, grids, radius, cfg):
         td[k] = num / den
     jump = np.abs(np.diff(td, axis=0)).max(axis=(0, 1))
     jump = np.maximum(jump, np.abs(np.diff(td, axis=1)).max(axis=(0, 1)))
-    margin = cfg.pad_factor * jump
+    margin = PAD_FACTOR * jump
     return td.min(axis=(0, 1)) - margin, td.max(axis=(0, 1)) + margin
 
 

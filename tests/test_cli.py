@@ -29,6 +29,37 @@ def test_certify_existence_preset_exit0(preset_out):
     assert doc["tube_summary"]["N1"] == 63140
 
 
+def test_existence_provenance_pinned(preset_out):
+    # every estimator setting the certificate records, with its value, so
+    # that none drops out of the JSON unnoticed
+    doc = json.loads((preset_out / "existence_certificate.json").read_text())
+    assert doc["constants"]["provenance"] == {
+        "eta": {
+            "ball_grid": [9, 32],
+            "ball_radius": 0.23237627972794941,
+            "e": 0.05381784718263852,
+            "f_max": 1.771380777699948,
+            "method": "tube",
+            "n_samples": 16,
+            "rho": 0.07745875990931647,
+            "seed": 0,
+            "sum_hi": 6.540384127373812,
+            "sum_lo": 6.1028939843032255,
+            "v": 1.4392764475778668,
+        },
+        "lambda_stride": 10,
+        "lipschitz_mode": "spectral_radius",
+        "magnitude_mode": "state",
+        "n_ball": 8,
+        "n_s": 5,
+        "pad_factor": 1.0,
+        "passes": 2,
+        "region_margin": 0.05,
+        "seed": 0,
+        "tube_samples": 252600,
+    }
+
+
 def test_existence_schema_valid(preset_out):
     doc = json.loads((preset_out / "existence_certificate.json").read_text())
     jsonschema.validate(doc, load_schema("existence_certificate.schema.json"))
@@ -79,6 +110,17 @@ def test_blocking_error_exit2(tmp_path):
     assert code == 2
     doc = json.loads((out / "error.json").read_text())
     assert doc["kind"] == "error"
+
+
+def test_missing_system_file_exit2(tmp_path, capsys):
+    out = tmp_path / "nofile"
+    missing = tmp_path / "missing.json"
+    code = main(["certify-existence", "--system", str(missing), "--out", str(out)])
+    assert code == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "input-error"
+    assert "cannot read system file" in doc["detail"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_invalid_gamma_exit2(tmp_path):

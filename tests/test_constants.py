@@ -21,9 +21,8 @@ def box_points(lo, hi, n):
 
 def test_lipschitz_trivials(linear, harmonic):
     box = box_points(-2.0, 2.0, 5)
-    for mode in ("spectral_norm", "spectral_radius"):
-        assert cc.estimate_lipschitz(linear, box, mode=mode) == pytest.approx(1.0)
-        assert cc.estimate_lipschitz(harmonic, box, mode=mode) == pytest.approx(1.0)
+    assert cc.estimate_lipschitz(linear, box) == pytest.approx(1.0)
+    assert cc.estimate_lipschitz(harmonic, box) == pytest.approx(1.0)
 
 
 def test_lipschitz_vdp_tube_region(vdp_cert):
@@ -101,7 +100,7 @@ def test_lipschitz_filter_vdp_tube_samples(vdp, vdp_cert):
     cfg = cc.PipelineConfig()
     pts = cc.tube._collect_tube_samples(
         vdp, vdp_cert.trajectory, vdp_cert.tube, cfg,
-        extra_radius=cfg.region_margin * vdp_cert.delta0, use_delta=False,
+        extra_radius=cc.tube.REGION_MARGIN * vdp_cert.delta0, use_delta=False,
     )
     ref = float(np.abs(np.linalg.eigvals(vdp.jac_raw(pts))).max())
     assert cc.estimate_lipschitz(vdp, pts) == ref == vdp_cert.constants.L
@@ -331,7 +330,7 @@ def test_estimate_eta_vdp(vdp_cert):
     est = eta_sweep_oracle(
         vdp_cert.trajectory.field,
         vdp_cert.tube.y0_disk,
-        cfg.eta_samples,
+        vdp_cert.eta.n_samples,
         vdp_cert.h,
         horizon=min(10.0, 2.5 * vdp_cert.R1),
         refine=10,

@@ -182,8 +182,29 @@ def test_inline_with_jacobian_expressions():
             {"rhs": ["-x1", "-2*x2", "-3*x3"], "name": "diag3"},
             "implemented for planar systems; 'diag3' has dimension 3",
         ),
+        ({"rhs": ["foo(x1)", "x2"]}, r"unsupported function foo in \['foo\(x1\)'"),
+        (
+            {"rhs": ["x2", "-p*x1"], "params": {"p": "abc"}},
+            "parameter 'p' must be a number, got 'abc'",
+        ),
+        (
+            {"id": "vanderpol", "params": {"p": "abc"}},
+            "parameter 'p' must be a number, got 'abc'",
+        ),
+        ({"rhs": ["x1 > 0", "x2"]}, "'x1 > 0' is not an arithmetic expression"),
+        ({"rhs": "x2"}, "'rhs' must be a list"),
+        ({"rhs": ["x2", "-x1"], "params": [0.3]}, "'params' must be a JSON object"),
     ],
-    ids=["fd_step", "three-dimensional"],
+    ids=[
+        "fd_step",
+        "three-dimensional",
+        "undefined-function",
+        "non-numeric-param",
+        "non-numeric-registry-param",
+        "relational",
+        "rhs-not-a-list",
+        "params-not-an-object",
+    ],
 )
 def test_unsupported_specs_raise(spec, msg):
     with pytest.raises(InputError, match=msg):

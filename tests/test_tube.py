@@ -400,7 +400,7 @@ def test_lambda_bridge_matches_gap_loop(vdp, vdp_cert, stride):
         vdp, grids, session_radius(tube, grids.s), anchors, cfg
     )
     lam_ref, pad_ref = drift_bridge_loop(
-        lam[anchors], pad[anchors], anchors, tube.N1, cfg.pad_factor
+        lam[anchors], pad[anchors], anchors, tube.N1, cc.tube.PAD_FACTOR
     )
     assert np.array_equal(lam, lam_ref)
     assert np.array_equal(pad, pad_ref)
