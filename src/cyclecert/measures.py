@@ -47,7 +47,11 @@ def planar_norm(v: np.ndarray) -> np.ndarray:
     bit for bit (its sum over a length-2 axis adds the same two squares) at
     a fraction of the cost.
     """
-    v0, v1 = v[..., 0], v[..., 1]
+    return norm_planes(v[..., 0], v[..., 1])
+
+
+def norm_planes(v0, v1):
+    """:func:`planar_norm` of the vectors with component arrays v0, v1."""
     return np.sqrt(v0 * v0 + v1 * v1)
 
 
@@ -56,28 +60,32 @@ def mu_max_batch(S: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(S)[..., -1]
 
 
-def mu_perp_batch(field: VectorField, X: np.ndarray) -> np.ndarray:
+def mu_perp_batch(field: VectorField, X: np.ndarray, u2=None) -> np.ndarray:
     """Transverse measure w^T S w at a batch of points (..., 2), with w the
-    unit normal of f; the hot kernel behind the slice bounds.
+    unit normal of f; the hot kernel behind the slice bounds.  With ``u2``
+    given, the points are the component planes ``X`` (first) and ``u2``.
 
     Computed in planar components: with w = (-f_1, f_0)/|f| and S the
     symmetric part of J, the four terms w_i S_ij w_j are summed in the
     order i, j = 00, 01, 10, 11, which is the order (and so the rounding)
     of ``np.einsum("...i,...ij,...j->...", w, S, w)``.
     """
-    X = np.asarray(X, dtype=float)
-    F = field.f_raw(X)
-    F0, F1 = F[..., 0], F[..., 1]
-    nf = planar_norm(F)
+    if u2 is None:
+        X = np.asarray(X, dtype=float)
+        u1, u2 = X[..., 0], X[..., 1]
+    else:
+        u1 = X
+    F0, F1 = field.f_planes(u1, u2)
+    nf = norm_planes(F0, F1)
     if np.any(nf <= M_FLOOR):
         raise EquilibriumProximityError(
             "|f| at or below the floor inside a slice; transverse "
             "decomposition undefined near equilibria"
         )
-    J = field.jac_raw(X)
-    s00 = 0.5 * (J[..., 0, 0] + J[..., 0, 0])
-    s01 = 0.5 * (J[..., 0, 1] + J[..., 1, 0])
-    s11 = 0.5 * (J[..., 1, 1] + J[..., 1, 1])
+    j00, j01, j10, j11 = field.jac_planes(u1, u2)
+    s00 = 0.5 * (j00 + j00)
+    s01 = 0.5 * (j01 + j10)
+    s11 = 0.5 * (j11 + j11)
     w0 = -F1 / nf
     w1 = F0 / nf
     return w0 * s00 * w0 + w0 * s01 * w1 + w1 * s01 * w0 + w1 * s11 * w1

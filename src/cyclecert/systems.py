@@ -6,9 +6,11 @@ Registry systems are written by hand and load without sympy.  Inline
 systems from a config are expressions in the state variables x1, x2 that
 sympy compiles, with the Jacobian derived from them.
 
-Right-hand sides and Jacobians accept arrays of shape (..., 2) and return
-(..., 2) resp. (..., 2, 2), so the rest of the toolkit can evaluate whole
-batches of points in one call.
+Both kinds write f and J once, as planar kernels on component arrays.
+Right-hand sides and Jacobians are views of them that accept arrays of
+shape (..., 2) and return (..., 2) resp. (..., 2, 2), so the rest of the
+toolkit can evaluate whole batches of points in one call; the tube kernels
+call the planar kernels directly (:meth:`VectorField.f_planes`).
 """
 
 from __future__ import annotations
@@ -39,6 +41,18 @@ class VectorField:
     Construction raises :class:`InputError` unless ``dim`` is 2 and
     ``rhs_scalar2`` is given.  Immutable after construction; evaluation is
     pure, so instances are safe to share across threads.
+
+    Planar kernels: every system this module builds writes f once, as
+    ``(u1, u2) -> (f1, f2)``, and J once, as ``(u1, u2) -> (j00, j01, j10,
+    j11)``, on component arrays (a constant entry may be a plain number).
+    Its ``rhs`` and ``jacobian`` are :class:`PlanarView` objects that fill
+    one (..., 2) resp. (..., 2, 2) array with the kernel's components.
+    :meth:`f_planes` and :meth:`jac_planes` call the kernel itself when the
+    field holds such a view, so the planes and the interleaved arrays come
+    from the same expression per component and are equal bit for bit.  Any
+    other ``rhs`` or ``jacobian`` (a user callable, or a wrapper that counts
+    the points it sees) is called on the stacked points, so it still sees
+    every point, and its result is split into planes.
     """
 
     name: str
@@ -69,6 +83,23 @@ class VectorField:
 
     def jac_raw(self, x):
         return self.jacobian(np.asarray(x, dtype=float))
+
+    def f_planes(self, u1, u2):
+        """(f1, f2) at the points with component arrays u1, u2, each an
+        array of the points' shape."""
+        if isinstance(self.rhs, PlanarView):
+            shape = np.broadcast_shapes(np.shape(u1), np.shape(u2))
+            return tuple(np.broadcast_to(v, shape) for v in self.rhs.kernel(u1, u2))
+        out = self.rhs(np.stack([u1, u2], axis=-1))
+        return out[..., 0], out[..., 1]
+
+    def jac_planes(self, u1, u2):
+        """(j00, j01, j10, j11) at the points with component arrays u1, u2;
+        a constant entry may be a plain number, which broadcasts."""
+        if isinstance(self.jacobian, PlanarView):
+            return self.jacobian.kernel(u1, u2)
+        J = self.jacobian(np.stack([u1, u2], axis=-1))
+        return J[..., 0, 0], J[..., 0, 1], J[..., 1, 0], J[..., 1, 1]
 
     # -- validated public operations ----------------------------------------
 
@@ -113,58 +144,40 @@ class VectorField:
 def _make_vanderpol(params):
     p = float(params.get("p", 0.3))
 
-    # each output is one preallocated array filled component by component
-    def rhs(x):
-        u1, u2 = x[..., 0], x[..., 1]
-        out = np.empty(x.shape)
-        out[..., 0] = u2
-        out[..., 1] = p * u2 - p * u1 ** 2 * u2 - u1
-        return out
+    def f(u1, u2):
+        return u2, p * u2 - p * u1 ** 2 * u2 - u1
 
-    def jac(x):
-        u1, u2 = x[..., 0], x[..., 1]
-        out = np.empty(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 0.0
-        out[..., 0, 1] = 1.0
-        out[..., 1, 0] = -2.0 * p * u1 * u2 - 1.0
-        out[..., 1, 1] = p - p * u1 ** 2
-        return out
+    def jac(u1, u2):
+        return 0.0, 1.0, -2.0 * p * u1 * u2 - 1.0, p - p * u1 ** 2
 
     def rhs2(u1, u2):
         return u2, p * u2 - p * u1 * u1 * u2 - u1
 
-    return VectorField("vanderpol", 2, {"p": p}, rhs, jac, rhs_scalar2=rhs2)
+    return _planar_field("vanderpol", {"p": p}, f, jac, rhs2)
 
 
 def _make_harmonic(params):
-    def rhs(x):
-        return np.stack([x[..., 1], -x[..., 0]], axis=-1)
-
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def jac(x):
-        return np.broadcast_to(J, x.shape[:-1] + (2, 2)).copy()
-
-    def rhs2(u1, u2):
+    def f(u1, u2):
         return u2, -u1
 
-    return VectorField("harmonic", 2, {}, rhs, jac, rhs_scalar2=rhs2)
+    def jac(u1, u2):
+        return 0.0, 1.0, -1.0, 0.0
+
+    return _planar_field("harmonic", {}, f, jac, f)
 
 
 def _make_linear_stable(params):
     rate = float(params.get("rate", 1.0))
+    # the entries of -rate * I, with its signed off-diagonal zeros
+    diag, off = -rate * 1.0, -rate * 0.0
 
-    def rhs(x):
-        return -rate * x
-
-    def jac(x):
-        eye = -rate * np.eye(2)
-        return np.broadcast_to(eye, x.shape[:-1] + (2, 2)).copy()
-
-    def rhs2(u1, u2):
+    def f(u1, u2):
         return -rate * u1, -rate * u2
 
-    return VectorField("linear-stable", 2, {"rate": rate}, rhs, jac, rhs_scalar2=rhs2)
+    def jac(u1, u2):
+        return diag, off, off, diag
+
+    return _planar_field("linear-stable", {"rate": rate}, f, jac, f)
 
 
 def _make_fitzhugh_nagumo(params):
@@ -173,30 +186,21 @@ def _make_fitzhugh_nagumo(params):
     eps = float(params.get("eps", 0.08))
     current = float(params.get("current", 0.5))
 
-    def rhs(x):
-        v, w = x[..., 0], x[..., 1]
-        return np.stack(
-            [v - v ** 3 / 3.0 - w + current, eps * (v + a - b * w)], axis=-1
-        )
+    def f(v, w):
+        return v - v ** 3 / 3.0 - w + current, eps * (v + a - b * w)
 
-    def jac(x):
-        v = x[..., 0]
-        row1 = np.stack([1.0 - v ** 2, -np.ones_like(v)], axis=-1)
-        row2 = np.stack(
-            [np.full_like(v, eps), np.full_like(v, -eps * b)], axis=-1
-        )
-        return np.stack([row1, row2], axis=-2)
+    def jac(v, w):
+        return 1.0 - v ** 2, -1.0, eps, -eps * b
 
     def rhs2(v, w):
         return v - v * v * v / 3.0 - w + current, eps * (v + a - b * w)
 
-    return VectorField(
+    return _planar_field(
         "fitzhugh-nagumo",
-        2,
         {"a": a, "b": b, "eps": eps, "current": current},
-        rhs,
+        f,
         jac,
-        rhs_scalar2=rhs2,
+        rhs2,
     )
 
 
@@ -204,22 +208,13 @@ def _make_unstable_focus(params):
     # expanding spiral: radial growth `growth`, unit angular speed
     growth = float(params.get("growth", 0.05))
 
-    def rhs(x):
-        u1, u2 = x[..., 0], x[..., 1]
-        return np.stack([growth * u1 - u2, u1 + growth * u2], axis=-1)
-
-    J = None
-
-    def jac(x):
-        m = np.array([[growth, -1.0], [1.0, growth]])
-        return np.broadcast_to(m, x.shape[:-1] + (2, 2)).copy()
-
-    def rhs2(u1, u2):
+    def f(u1, u2):
         return growth * u1 - u2, u1 + growth * u2
 
-    return VectorField(
-        "unstable-focus", 2, {"growth": growth}, rhs, jac, rhs_scalar2=rhs2
-    )
+    def jac(u1, u2):
+        return growth, -1.0, 1.0, growth
+
+    return _planar_field("unstable-focus", {"growth": growth}, f, jac, f)
 
 
 REGISTRY = {
@@ -290,18 +285,30 @@ class SystemSpec:
         return cls.from_dict(d)
 
 
-def _filled(fn, shape):
-    """Batched callable x (..., 2) -> (...,) + shape whose entries, in C
-    order, are the components ``fn(x1, x2)`` returns."""
+class PlanarView:
+    """Batched view x (..., 2) -> (...,) + ``shape`` of a planar kernel: the
+    entries, in C order, are the components ``kernel(x1, x2)`` returns, each
+    filled into one preallocated array."""
 
-    def call(x):
-        out = np.empty(x.shape[:-1] + shape)
+    def __init__(self, kernel, shape):
+        self.kernel = kernel
+        self.shape = shape
+
+    def __call__(self, x):
+        out = np.empty(x.shape[:-1] + self.shape)
         flat = out.reshape(x.shape[:-1] + (-1,))
-        for k, value in enumerate(fn(x[..., 0], x[..., 1])):
+        for k, value in enumerate(self.kernel(x[..., 0], x[..., 1])):
             flat[..., k] = value
         return out
 
-    return call
+
+def _planar_field(name, params, f, jac, rhs2) -> VectorField:
+    """The field whose ``rhs`` and ``jacobian`` are views of the planar
+    kernels ``f`` and ``jac``."""
+    return VectorField(
+        name, 2, params, PlanarView(f, (2,)), PlanarView(jac, (2, 2)),
+        rhs_scalar2=rhs2,
+    )
 
 
 def _inline_system(name, exprs, params) -> VectorField:
@@ -370,13 +377,12 @@ def _inline_system(name, exprs, params) -> VectorField:
                 f"unsupported function {name} in {list(exprs)}"
             ) from None
 
-    return VectorField(
+    return _planar_field(
         name,
-        2,
         dict(params),
-        _filled(compiled(syms, "numpy", ArrayPrinter), (2,)),
-        _filled(compiled(jac, "numpy", ArrayPrinter), (2, 2)),
-        rhs_scalar2=compiled(syms, "math", MathPrinter),
+        compiled(syms, "numpy", ArrayPrinter),
+        compiled(jac, "numpy", ArrayPrinter),
+        compiled(syms, "math", MathPrinter),
     )
 
 

@@ -53,6 +53,7 @@ from .measures import (
     M_FLOOR,
     _rot90,
     mu_perp_batch,
+    norm_planes,
     planar_norm,
     sigma_rate,
 )
@@ -179,21 +180,25 @@ RADIUS_SAFETY = 1.05
 # the constants L, m and M_C.
 REGION_MARGIN = 0.05
 
-# Segments per block of the (a, b) profile.
+# Segments per block of the (a, b) profile: 8192 segments by 5 s-nodes keep
+# each of its temporaries, one component plane, at 320 KiB.
 AB_BLOCK = 8192
 # Slice points per block of the Lambda profile: 2^16 points (1456 anchors of
-# 9 offsets by 5 s-nodes) keep each of mu_perp_batch's temporaries at 512 KiB.
+# 9 offsets by 5 s-nodes) keep each of mu_perp_batch's temporaries, one
+# component plane, at 512 KiB.
 LAMBDA_BLOCK = 2**16
 
 
 class SegmentGrids:
-    """Shared s-grid data over segments 0..N1-1 of one loop.
+    """Shared s-grid data over segments 0..N1-1 of one loop, one component
+    plane of shape (n_s, N1) per coordinate.
 
-    ``P[k, i]`` is the point x_i + s_k f_i on segment i (s_k on ``n_s``
-    points of [0, h]), ``FC`` and ``nFC`` the field and its norm there, and
-    ``W`` the unit transverse direction along which the slices extend.
-    Norms are taken in planar components (:func:`planar_norm`), bit for bit
-    those of ``np.linalg.norm``.
+    ``(P0[k, i], P1[k, i])`` is the point x_i + s_k f_i on segment i (s_k
+    on ``n_s`` points of [0, h]), ``(FC0, FC1)`` and ``nFC`` the field and
+    its norm there, and ``(W0, W1)`` the unit transverse direction along
+    which the slices extend.  ``FN0, FN1`` (N1,) are the segment directions
+    f_i.  Norms are taken in planar components (:func:`norm_planes`), bit
+    for bit those of ``np.linalg.norm``.
     """
 
     def __init__(self, field, traj, N1, n_s):
@@ -201,18 +206,20 @@ class SegmentGrids:
         self.h = traj.h
         self.N1 = N1
         self.n_s = n_s
-        self.C = traj.nodes[:N1]
-        self.FN = traj.seg_dirs[:N1]
         self.s = np.linspace(0.0, traj.h, n_s)
-        # centers (n_s, N1, n) and their field values / transverse directions
-        self.P = self.C + self.s[:, None, None] * self.FN
-        self.FC = field.f_raw(self.P)
-        self.nFC = planar_norm(self.FC)
-        self.W = _rot90(self.FC) / self.nFC[..., None]
+        C, FN = traj.nodes[:N1], traj.seg_dirs[:N1]
+        self.FN0, self.FN1 = FN[:, 0].copy(), FN[:, 1].copy()
+        s = self.s[:, None]
+        self.P0 = C[:, 0] + s * self.FN0
+        self.P1 = C[:, 1] + s * self.FN1
+        self.FC0, self.FC1 = field.f_planes(self.P0, self.P1)
+        self.nFC = norm_planes(self.FC0, self.FC1)
+        self.W0 = -self.FC1 / self.nFC
+        self.W1 = self.FC0 / self.nFC
 
     def m_tilde(self) -> np.ndarray:
         """The per-segment magnitude bound M~_i: the largest |x| on the s-grid."""
-        return planar_norm(self.P).max(axis=0)
+        return norm_planes(self.P0, self.P1).max(axis=0)
 
 
 def lambda_profile(field, grids, radius, anchors, cfg):
@@ -237,10 +244,15 @@ def lambda_profile(field, grids, radius, anchors, cfg):
     padA = np.empty(anchors.size)
     chunk = max(1, LAMBDA_BLOCK // (offs.size * grids.n_s))
     for lo in range(0, anchors.size, chunk):
+        # np.take gathers the anchor columns C-ordered (``P0[:, A]`` would
+        # not be), and so are the slice points and every temporary after them
         A = anchors[lo : lo + chunk]
-        rA = radius[:, A]
-        pts = grids.P[:, A] + (offs[:, None, None] * rA)[..., None] * grids.W[:, A]
-        vals = mu_perp_batch(field, pts)  # (n_off, n_s, |A|)
+        P0, P1, W0, W1, rA = (
+            np.take(v, A, axis=1)
+            for v in (grids.P0, grids.P1, grids.W0, grids.W1, radius)
+        )
+        t = offs[:, None, None] * rA
+        vals = mu_perp_batch(field, P0 + t * W0, P1 + t * W1)  # (n_off, n_s, |A|)
         mx = vals.max(axis=(0, 1))
         # half the largest neighbor jump at the per-anchor maximizer
         n_off, n_s, nA = vals.shape
@@ -289,7 +301,7 @@ def ab_profile(field, grids, radius, cfg):
     ``PAD_FACTOR`` times the largest neighbor jump.  a_i must come out
     positive, otherwise the step is too large or the tube too fat.
 
-    Runs over blocks of at most ``AB_BLOCK`` segments in planar components,
+    Runs over blocks of at most ``AB_BLOCK`` segments on component planes,
     keeping the minimum, the maximum and both neighbor jumps as running
     values over the offsets, so memory stays at a few (n_s, AB_BLOCK)
     arrays whatever N1 is.  A vanishing denominator is reported at the
@@ -301,37 +313,50 @@ def ab_profile(field, grids, radius, cfg):
     vanished = None  # (offset, segment) of the first vanishing denominator
     for lo in range(0, grids.N1, AB_BLOCK):
         seg = slice(lo, lo + AB_BLOCK)
-        P, W, r = grids.P[:, seg], grids.W[:, seg], radius[:, seg]
-        FC, nFC = grids.FC[:, seg], grids.nFC[:, seg]
-        FC0, FC1 = FC[..., 0], FC[..., 1]
+        P0, P1, r = grids.P0[:, seg], grids.P1[:, seg], radius[:, seg]
+        W0, W1 = grids.W0[:, seg], grids.W1[:, seg]
+        FC0, FC1 = grids.FC0[:, seg], grids.FC1[:, seg]
+        floor = M_FLOOR * grids.nFC[:, seg]
+        buf, low = np.empty(P0.shape), np.empty(P0.shape, dtype=bool)
         if vanished is None:
-            J = field.jac_raw(P)
-            FN0, FN1 = grids.FN[seg, 0], grids.FN[seg, 1]
-            Jf0 = J[..., 0, 0] * FN0 + J[..., 0, 1] * FN1
-            Jf1 = J[..., 1, 0] * FN0 + J[..., 1, 1] * FN1
-            del J
+            j00, j01, j10, j11 = field.jac_planes(P0, P1)
+            FN0, FN1 = grids.FN0[seg], grids.FN1[seg]
+            Jf0 = j00 * FN0 + j01 * FN1
+            Jf1 = j10 * FN0 + j11 * FN1
             base = FN0 * FC0 + FN1 * FC1
-            amin = np.full(nFC.shape[1], np.inf)
-            bmax = np.full(nFC.shape[1], -np.inf)
-            jump = np.zeros(nFC.shape[1])
+            amin = np.full(P0.shape[1], np.inf)
+            bmax = np.full(P0.shape[1], -np.inf)
+            jump = np.zeros(P0.shape[1])
         # past a vanishing denominator only the earlier offsets are checked
         for k, o in enumerate(offs if vanished is None else offs[: vanished[0]]):
-            XI = P + (o * r)[..., None] * W
-            FX = field.f_raw(XI)
-            den = FX[..., 0] * FC0 + FX[..., 1] * FC1
-            low = np.abs(den) < M_FLOOR * nFC
-            if low.any():
+            # temporaries are reused in place once read for the last time;
+            # each step is the IEEE operation of the expression beside it
+            t = o * r
+            XI0 = t * W0
+            XI0 += P0  # P0 + t W0
+            XI1 = np.multiply(t, W1, out=t)
+            XI1 += P1  # P1 + t W1
+            FX0, FX1 = field.f_planes(XI0, XI1)
+            den = FX0 * FC0
+            den += np.multiply(FX1, FC1, out=buf)  # FX0 FC0 + FX1 FC1
+            if np.less(np.abs(den, out=buf), floor, out=low).any():
                 vanished = (k, lo + int(np.nonzero(low.any(axis=0))[0][0]))
                 break
             if vanished is not None:
                 continue
-            D0, D1 = XI[..., 0] - P[..., 0], XI[..., 1] - P[..., 1]
-            td = (base - (D0 * Jf0 + D1 * Jf1)) / den
-            amin = np.minimum(amin, td.min(axis=0))
-            bmax = np.maximum(bmax, td.max(axis=0))
+            # td = (base - ((XI0 - P0) Jf0 + (XI1 - P1) Jf1)) / den
+            td = np.subtract(XI0, P0, out=XI0)
+            td *= Jf0
+            td += np.multiply(np.subtract(XI1, P1, out=buf), Jf1, out=buf)
+            np.subtract(base, td, out=td)
+            td /= den
+            np.minimum(amin, td.min(axis=0), out=amin)
+            np.maximum(bmax, td.max(axis=0), out=bmax)
             if k:
-                jump = np.maximum(jump, np.abs(td - prev).max(axis=0))
-            jump = np.maximum(jump, np.abs(np.diff(td, axis=0)).max(axis=0))
+                d = np.subtract(td, prev, out=buf)
+                np.maximum(jump, np.abs(d, out=d).max(axis=0), out=jump)
+            d = np.subtract(td[1:], td[:-1], out=buf[1:])  # np.diff(td, axis=0)
+            np.maximum(jump, np.abs(d, out=d).max(axis=0), out=jump)
             prev = td
         if vanished is None:
             margin = PAD_FACTOR * jump

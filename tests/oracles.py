@@ -2,8 +2,9 @@
 
 These are the einsum and per-gap loop forms that ``measures.mu_perp_batch``
 and ``tube.lambda_profile`` / ``tube.ab_profile`` compute in planar
-components and over segment blocks, the stacked Van der Pol right-hand side
-and Jacobian, the sampled return-time sweep that the tube's return-time
+components and over segment blocks, the stacked (..., 2) Van der Pol and
+FitzHugh-Nagumo right-hand sides and Jacobians that the registry's planar
+kernels replaced, the sampled return-time sweep that the tube's return-time
 interval replaced, and a central-difference Jacobian that checks the
 hand-written registry Jacobians; the tests hold the library to them.
 """
@@ -65,9 +66,26 @@ def drift_bridge_loop(lamA, padA, anchors, N1, pad_factor):
     return lam, pad
 
 
+def interleaved(grids):
+    """The component planes of a ``SegmentGrids`` stacked into (..., 2)
+    point arrays ``P``, ``W``, ``FC`` and ``FN``."""
+    return SimpleNamespace(
+        P=np.stack([grids.P0, grids.P1], axis=-1),
+        W=np.stack([grids.W0, grids.W1], axis=-1),
+        FC=np.stack([grids.FC0, grids.FC1], axis=-1),
+        FN=np.stack([grids.FN0, grids.FN1], axis=-1),
+        nFC=grids.nFC,
+        n_s=grids.n_s,
+        N1=grids.N1,
+    )
+
+
 def ab_profile_whole(field, grids, radius, cfg):
     """(a_i, b_i) over all segments at once, with the full
-    (offsets, n_s, N1) theta-dot array and its neighbor differences."""
+    (offsets, n_s, N1) theta-dot array and its neighbor differences.
+
+    ``grids`` holds (..., 2) point arrays, :func:`interleaved` of a
+    ``SegmentGrids``."""
     offs = np.linspace(-1.0, 1.0, cfg.ab_offsets)
     JC = field.jac_raw(grids.P)
     Jf = np.einsum("snij,nj->sni", JC, grids.FN)
@@ -103,6 +121,26 @@ def vanderpol_stacked(p):
         z = np.zeros_like(u1)
         row1 = np.stack([z, np.ones_like(u1)], axis=-1)
         row2 = np.stack([-2.0 * p * u1 * u2 - 1.0, p - p * u1 ** 2], axis=-1)
+        return np.stack([row1, row2], axis=-2)
+
+    return rhs, jac
+
+
+def fitzhugh_nagumo_stacked(a, b, eps, current):
+    """The FitzHugh-Nagumo (rhs, jac) pair built with ``np.stack``."""
+
+    def rhs(x):
+        v, w = x[..., 0], x[..., 1]
+        return np.stack(
+            [v - v ** 3 / 3.0 - w + current, eps * (v + a - b * w)], axis=-1
+        )
+
+    def jac(x):
+        v = x[..., 0]
+        row1 = np.stack([1.0 - v ** 2, -np.ones_like(v)], axis=-1)
+        row2 = np.stack(
+            [np.full_like(v, eps), np.full_like(v, -eps * b)], axis=-1
+        )
         return np.stack([row1, row2], axis=-2)
 
     return rhs, jac

@@ -133,12 +133,14 @@ def test_mu_perp_batch_bit_exact_on_anchor_slices(vdp, vdp_cert):
     r = tube.delta[anchors][None, :] * np.exp(
         tube.sigma[anchors][None, :] * grids.s[:, None]
     )
-    pts = (
-        grids.P[None, :, anchors, :]
-        + offs[:, None, None, None] * r[None, :, :, None] * grids.W[None, :, anchors, :]
-    )
-    assert pts.shape[:3] == (9, 5, 6315)
-    assert np.array_equal(cc.mu_perp_batch(vdp, pts), mu_perp_einsum(vdp, pts))
+    t = offs[:, None, None] * r
+    X0 = grids.P0[:, anchors] + t * grids.W0[:, anchors]
+    X1 = grids.P1[:, anchors] + t * grids.W1[:, anchors]
+    assert X0.shape == (9, 5, 6315)
+    pts = np.stack([X0, X1], axis=-1)
+    ref = mu_perp_einsum(vdp, pts)
+    assert np.array_equal(cc.mu_perp_batch(vdp, X0, X1), ref)
+    assert np.array_equal(cc.mu_perp_batch(vdp, pts), ref)
 
 
 @pytest.mark.parametrize(
@@ -195,10 +197,13 @@ def one_segment_lambda(field, x, h, radius, n_s=5, n_ball=8):
 def slice_points(grids, radius, n_ball=8):
     """The slice samples: n_ball transverse offsets in [-1, 1] plus the
     center, at every s-grid point of segment 0."""
-    offs = np.union1d(np.linspace(-1.0, 1.0, n_ball), [0.0])
-    return (
-        grids.P[None, :, 0, :]
-        + offs[:, None, None] * radius * grids.W[None, :, 0, :]
+    offs = np.union1d(np.linspace(-1.0, 1.0, n_ball), [0.0])[:, None]
+    return np.stack(
+        [
+            grids.P0[:, 0] + offs * radius * grids.W0[:, 0],
+            grids.P1[:, 0] + offs * radius * grids.W1[:, 0],
+        ],
+        axis=-1,
     )
 
 

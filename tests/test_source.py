@@ -53,3 +53,17 @@ def test_registry_load_does_not_import_sympy():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_registry_systems_are_planar_views():
+    # every registry system gives f and J as planar kernels, so the tube
+    # kernels take the planar path for it; a system that hands over the
+    # interleaved arrays directly would drop onto the stacked path
+    view = cyclecert.systems.PlanarView
+    stacked = [
+        sid
+        for sid in cyclecert.systems.REGISTRY
+        for field in [cyclecert.load_system({"id": sid})]
+        if not (isinstance(field.rhs, view) and isinstance(field.jacobian, view))
+    ]
+    assert stacked == []

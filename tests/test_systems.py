@@ -5,7 +5,12 @@ import pytest
 
 import cyclecert as cc
 from cyclecert.errors import InputError, NumericError
-from oracles import FD_STEP, central_difference_jacobian, vanderpol_stacked
+from oracles import (
+    FD_STEP,
+    central_difference_jacobian,
+    fitzhugh_nagumo_stacked,
+    vanderpol_stacked,
+)
 
 
 def vdp_rhs_oracle(u1, u2, p):
@@ -257,3 +262,44 @@ def test_rhs_scalar2_broadcasts_bit_exact(system):
     ).T
     assert arrays.shape == floats.shape == u.shape
     assert np.array_equal(arrays.view(np.int64), floats.view(np.int64))
+
+
+STACKED = {
+    "vanderpol": lambda f: vanderpol_stacked(**f.params),
+    "fitzhugh-nagumo": lambda f: fitzhugh_nagumo_stacked(**f.params),
+}
+PLANAR_SPECS = {
+    **{sid: {"id": sid} for sid in cc.systems.REGISTRY},
+    **{name: specs[0] for name, specs in INLINE.items()},
+    # a constant component, which the kernel returns as a plain number
+    "constant-f1": {"rhs": ["0.5", "-x1"]},
+}
+
+
+def _bits(value, shape):
+    """The bytes of ``value`` (an entry plane or a constant) at ``shape``."""
+    return np.broadcast_to(np.asarray(value, dtype=float), shape).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 7)])
+@pytest.mark.parametrize("system", sorted(PLANAR_SPECS))
+def test_planar_kernels_match_interleaved(system, shape):
+    # f_planes and jac_planes call the planar kernels themselves; each entry,
+    # a constant Jacobian entry broadcast to the points, equals the
+    # interleaved view at the stacked points and, for the systems whose
+    # (..., 2) forms were written by hand, that form too.  f planes have the
+    # points' shape, a constant component included
+    field = cc.load_system(PLANAR_SPECS[system])
+    x = np.random.default_rng(23).uniform(-3.0, 3.0, size=shape + (2,))
+    u1, u2 = x[..., 0].copy(), x[..., 1].copy()
+    f, J = field.f_raw(x), field.jac_raw(x)
+    f_planes, jac_planes = field.f_planes(u1, u2), field.jac_planes(u1, u2)
+    assert [np.shape(v) for v in f_planes] == [shape, shape]
+    assert [_bits(v, shape) for v in f_planes] == [f[..., k].tobytes() for k in (0, 1)]
+    assert [_bits(v, shape) for v in jac_planes] == [
+        J[..., i, j].tobytes() for i in (0, 1) for j in (0, 1)
+    ]
+    if system in STACKED:
+        rhs, jac = STACKED[system](field)
+        assert f.tobytes() == rhs(x).tobytes()
+        assert J.tobytes() == jac(x).tobytes()

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import json
 import tracemalloc
 
@@ -15,7 +16,7 @@ from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_consistent
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
-from oracles import ab_profile_whole, drift_bridge_loop
+from oracles import ab_profile_whole, drift_bridge_loop, interleaved
 
 
 def test_no_return_failure(linear):
@@ -338,7 +339,7 @@ def test_ab_profile_bit_exact(vdp, vdp_cert, n_s, ab_offsets):
     grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, n_s)
     radius = session_radius(tube, grids.s)
     a, b = cc.ab_profile(vdp, grids, radius, cfg)
-    a_ref, b_ref = ab_profile_whole(vdp, grids, radius, cfg)
+    a_ref, b_ref = ab_profile_whole(vdp, interleaved(grids), radius, cfg)
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b, b_ref)
 
@@ -356,15 +357,47 @@ def test_ab_profile_denominator_error_in_later_block(vdp, vdp_cert):
     grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
     radius = session_radius(tube, grids.s)
     for i, sign in ((9000, 1.0), (30000, -1.0)):
-        w = grids.W[:, i, 0]
+        w = grids.W0[:, i]
         assert np.all(sign * w > 0.01)
-        radius[:, i] = (60.0 - grids.P[:, i, 0]) / (sign * w)
+        radius[:, i] = (60.0 - grids.P0[:, i]) / (sign * w)
     with pytest.raises(InvalidReparametrizationError) as ref:
-        ab_profile_whole(field, grids, radius, cfg)
+        ab_profile_whole(field, interleaved(grids), radius, cfg)
     with pytest.raises(InvalidReparametrizationError) as got:
         cc.ab_profile(field, grids, radius, cfg)
     assert "segment 30000;" in str(ref.value)
     assert str(got.value) == str(ref.value)
+
+
+def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
+    # rhs and jacobian wrapped the way the traced benchmark run counts
+    # points: functools.wraps copies the planar kernel onto each wrapper,
+    # yet the tube kernels call the wrappers on the stacked points, so the
+    # counts see every point, and the tube is the planar path's bit for bit
+    seen = {"f": 0, "J": 0}
+
+    def counting(fn, key):
+        @functools.wraps(fn)
+        def counted(x):
+            seen[key] += x.size // 2
+            return fn(x)
+
+        return counted
+
+    field = dataclasses.replace(
+        vdp, rhs=counting(vdp.rhs, "f"), jacobian=counting(vdp.jacobian, "J")
+    )
+    assert field.rhs.kernel is vdp.rhs.kernel
+    tube, cfg = vdp_cert.tube, PipelineConfig()
+    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, tube.M_f, cfg)
+    got, ref = cc.build_tube(field, *args), cc.build_tube(vdp, *args)
+    for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+    # the s-grid: f; each pass's Lambda: f and J on 9 offsets of the 6315
+    # stride-10 anchor slices; the (a, b) pass: J on the s-grid, f on
+    # ab_offsets offsets of it
+    grid = cfg.n_s * tube.N1
+    slices = cc.tube.PASSES * 9 * cfg.n_s * 6315
+    assert seen == {"f": grid + slices + cfg.ab_offsets * grid, "J": slices + grid}
 
 
 def test_ab_profile_memory(vdp, vdp_cert):
@@ -375,10 +408,10 @@ def test_ab_profile_memory(vdp, vdp_cert):
     grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
     radius = session_radius(tube, grids.s)
     peaks = []
-    for fn in (ab_profile_whole, cc.ab_profile):
+    for fn, g in ((ab_profile_whole, interleaved(grids)), (cc.ab_profile, grids)):
         tracemalloc.start()
         try:
-            fn(vdp, grids, radius, cfg)
+            fn(vdp, g, radius, cfg)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
