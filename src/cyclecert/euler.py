@@ -180,44 +180,49 @@ def _extrapolated_guess(nodes, k, width, n_steps):
     return prior.T @ _lagrange_weights(width)[:, : n_steps + 1]
 
 
-def _sweep_block(rhs2, X, h):
-    """Verify Euler nodes X[:, 1:] from the exact node X[:, 0] by Picard sweeps.
+def _sweep_block(rhs2, Z, h, work):
+    """Verify Euler nodes Z[1:] from the exact node Z[0] by Picard sweeps.
 
-    ``X`` has shape (2, n+1) and holds the exact first node and a guess of
-    the rest (see :func:`_planar_nodes`).  Each sweep evaluates ``rhs2`` on
-    the unverified suffix as float64 arrays and accepts node j+1 only where
-    its bits equal X[j] + h*rhs2(X[j]), the scalar loop's own operations on
-    the verified node j.  The first mismatch is replaced by that successor,
-    which is therefore exact, and the nodes after it are guessed again by a
-    running sum of the sweep's increments.  The sum, like the first guess,
-    is only a guess: a wrong node never passes the check, so each sweep
-    verifies at least one node and the guesses decide only how many.
+    ``Z`` is the complex128 view of n+1 rows of a node array (README
+    "Bit-identity contract", interleaved arithmetic): the exact first node
+    and a guess of the rest, which the sweeps overwrite in place.  Each
+    sweep evaluates ``rhs2`` on the unverified suffix as float64 arrays and
+    accepts node j+1 only where its bits equal Z[j] + h*rhs2(Z[j]), the
+    scalar loop's own operations on the verified node j.  The first
+    mismatch is replaced by that successor, which is therefore exact, and
+    the nodes after it are guessed again by a running sum of the sweep's
+    increments.  The sum, like the first guess, is only a guess: a wrong
+    node never passes the check, so each sweep verifies at least one node
+    and the guesses decide only how many.
 
     Returns the number of verified steps, n unless the sweeps stopped
     because they cost more than the scalar loop would (see SCALAR_COST),
-    and the number of sweeps run.
+    and the number of sweeps run.  ``work`` holds the increments and
+    successors, complex, and the components ``rhs2`` reads, (2, ...) float.
     """
-    n = X.shape[1] - 1
-    H = np.empty((2, n))
-    Y = np.empty((2, n))
-    Xbits, Ybits = X.view(np.int64), Y.view(np.int64)
-    s = work = sweeps = 0
-    while s < n and work < SCALAR_COST * n:
+    H, Y, U = work
+    n = Z.size - 1
+    s = cost = sweeps = 0
+    while s < n and cost < SCALAR_COST * n:
         L = n - s
         sweeps += 1
-        D1, D2 = rhs2(X[0, s:n], X[1, s:n])
-        np.multiply(D1, h, out=H[0, :L])
-        np.multiply(D2, h, out=H[1, :L])
-        np.add(X[:, s:n], H[:, :L], out=Y[:, :L])
-        same = (Ybits[:, :L] == Xbits[:, s + 1 :]).all(axis=0)
+        # rhs2 reads each component several times: from contiguous copies
+        np.copyto(U[:, :L], Z[s:n, None].view(np.float64).T)
+        D1, D2 = rhs2(U[0, :L], U[1, :L])
+        np.multiply(D1, h, out=H.real[:L])
+        np.multiply(D2, h, out=H.imag[:L])
+        np.add(Z[s:n], H[:L], out=Y[:L])
+        # a node holds where both int64 halves match: a uint16 of two Trues
+        same = Y[:L, None].view(np.int64) == Z[s + 1 :, None].view(np.int64)
+        same = same.view(np.uint16)[:, 0] == 0x0101
         m = int(same.argmin())
         if same[m]:
             return n, sweeps
-        # nodes s+1..s+m hold; Y[:, m] is the successor of node s+m
+        # nodes s+1..s+m hold; Y[m] is the successor of node s+m
         s += m + 1
-        H[:, m] = Y[:, m]
-        np.cumsum(H[:, m:L], axis=1, out=X[:, s:])
-        work += L + SWEEP_OVERHEAD
+        H[m] = Y[m]
+        np.cumsum(H[m:L], out=Z[s:])
+        cost += L + SWEEP_OVERHEAD
     return s, sweeps
 
 
@@ -240,12 +245,17 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
     of the run from a block where ``rhs2`` raises TypeError or ValueError on
     arrays, as one that calls math or branches on its arguments does.
 
-    Each verified block goes into ``nodes`` one component at a time: a
-    transposed copy of the (2, n) block would let numpy loop over the
-    length-2 axis innermost.
+    Each guess is written into ``nodes`` one component at a time, and the
+    sweeps verify it there, on the complex128 view of the rows.  Swept
+    blocks are checked finite, so a DivergedError at the first non-finite
+    node can only come from the nodes the scalar loop stepped.
     """
     nodes = np.empty((n_steps + 1, 2)) if out is None else out
     nodes[0] = u1, u2
+    Z = nodes.view(np.complex128)[:, 0]
+    # once per run: fresh block-size arrays cost the allocator page faults
+    w = min(SWEEP_STEPS, n_steps)
+    work = np.empty(w, np.complex128), np.empty(w, np.complex128), np.empty((2, w))
     width, k = SWEEP_STEPS, 0
     smooth = False  # the block before was full and took few sweeps
     with np.errstate(all="ignore"):
@@ -256,14 +266,13 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
                     X = _extrapolated_guess(nodes, k, width, n)
                 else:
                     X = _sweep_guess(rhs2, nodes[k, 0], nodes[k, 1], h, n)
-                X[:, 0] = nodes[k]
-                done, sweeps = _sweep_block(rhs2, X, h)
+                nodes[k + 1 : k + n + 1, 0] = X[0, 1:]
+                nodes[k + 1 : k + n + 1, 1] = X[1, 1:]
+                done, sweeps = _sweep_block(rhs2, Z[k : k + n + 1], h, work)
             except (TypeError, ValueError):
                 break  # rhs2 takes plain floats only, e.g. it calls math
-            if not np.isfinite(X[:, 1 : done + 1]).all():
+            if not np.isfinite(nodes[k + 1 : k + done + 1]).all():
                 break
-            nodes[k + 1 : k + done + 1, 0] = X[0, 1 : done + 1]
-            nodes[k + 1 : k + done + 1, 1] = X[1, 1 : done + 1]
             k += done
             smooth = done == width and sweeps <= SWEEP_SMOOTH
             if done < n:
@@ -271,6 +280,10 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
     if k < n_steps:
         u1, u2 = float(nodes[k, 0]), float(nodes[k, 1])
         nodes[k:] = _scalar_nodes(rhs2, u1, u2, h, n_steps - k, k)
+    finite = np.isfinite(nodes[k:]).all(axis=1)
+    if not finite.all():
+        bad = k + int(finite.argmin())
+        raise DivergedError(f"non-finite state at node {bad}", bad)
     return nodes
 
 
@@ -284,9 +297,10 @@ def simulate(
     are those of the scalar recurrence u += h*rhs2(u) on the field's
     ``rhs_scalar2``, bit for bit.
 
-    ``out``, a float64 array of shape (n_steps + 1, dim), receives the
-    nodes, and the returned trajectory's ``nodes`` is a read-only view of
-    it: the trajectory changes when ``out`` is written afterwards.  ``x0``
+    ``out``, a float64 array of shape (n_steps + 1, dim) with contiguous
+    rows (a Fortran-ordered or column-strided one raises InputError),
+    receives the nodes, and the returned trajectory's ``nodes`` is a
+    read-only view of it: the trajectory changes when ``out`` is written afterwards.  ``x0``
     may be a row of ``out`` (it is copied before any node is written).
 
     Raises
@@ -303,18 +317,17 @@ def simulate(
     if x0.shape != (field.dim,):
         raise InputError(f"x0 must have shape ({field.dim},), got {x0.shape}")
     if out is not None and (
-        out.shape != (n_steps + 1, field.dim) or out.dtype != np.float64
+        out.shape != (n_steps + 1, field.dim)
+        or out.dtype != np.float64
+        or out.strides[1] != out.itemsize
     ):
         raise InputError(
             f"out must be a float64 array of shape ({n_steps + 1}, {field.dim})"
+            " with contiguous rows"
         )
 
     u1, u2 = float(x0[0]), float(x0[1])
     nodes = _planar_nodes(field.rhs_scalar2, u1, u2, h, n_steps, out)
-
-    if not np.all(np.isfinite(nodes)):
-        bad = int(np.nonzero(~np.isfinite(nodes).all(axis=1))[0][0])
-        raise DivergedError(f"non-finite state at node {bad}", bad)
     # a view, so that making the trajectory read-only leaves out writable
     return EulerTrajectory(field, x0, h, nodes if out is None else nodes[:])
 

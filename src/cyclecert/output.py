@@ -155,19 +155,30 @@ def write_error_curve_csv(path, series, D: float):
     template repeated once per row, which gives the text numpy scalars
     give, in less time; each block is written before the next is
     formatted.  The constant Dh column is formatted once, into the row
-    template.
+    template, and so is the bound of the final rows whose bound has the
+    bits of the last one (on an error curve, the rows past the point where
+    the tube radius falls below the floor D*h).
     """
-    floor = D * series.h
+    floor = "%.17g" % (D * series.h)
     n = series.times.size
-    bounds = series.bounds if series.bounds is not None else np.full(n, floor)
+    bounds = series.bounds if series.bounds is not None else np.full(n, D * series.h)
+    bits = bounds.view(np.int64)
+    differ = np.flatnonzero(bits[:-1] != bits[-1:])
+    tail = int(differ[-1]) + 1 if differ.size else 0
+    last = "%.17g," % float(bounds[-1]) if n else ""
     columns = (series.times, series.thetas, series.errors, bounds)
-    row = "%.17g,%.17g,%.17g,%.17g," + "%.17g" % floor + "\n"
+    parts = (
+        (0, tail, "%.17g," * 4 + floor + "\n", columns),
+        (tail, n, "%.17g," * 3 + last + floor + "\n", columns[:3]),
+    )
 
     def blocks():
         yield "t,theta,error,delta_bound,Dh\n"
-        for a in range(0, n, CSV_ROWS):
-            block = np.stack([c[a : a + CSV_ROWS] for c in columns], axis=1)
-            yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+        for start, stop, row, cols in parts:
+            for a in range(start, stop, CSV_ROWS):
+                b = min(a + CSV_ROWS, stop)
+                block = np.stack([c[a:b] for c in cols], axis=1)
+                yield (row * block.shape[0]) % tuple(block.ravel().tolist())
 
     atomic_write_text(path, blocks())
 

@@ -210,6 +210,7 @@ def synchronize(
     ``reference.sample`` on whose windows are resident.  ``t_max``
     truncates the sampled times (default: the full trajectory);
     ``substeps`` adds in-segment sample times at spacing h/substeps.
+    The reference's node rows must be contiguous (InputError otherwise).
     Raises :class:`SynchronizationLostError` (with the sample index) when no
     sign change lies within [theta_prev, theta_prev + WINDOW_STEPS*h].
     """
@@ -218,6 +219,8 @@ def synchronize(
         raise InputError("reference must start at y0")
     if substeps < 1:
         raise InputError("substeps must be >= 1")
+    if reference.nodes.strides[1] != reference.nodes.itemsize:
+        raise InputError("reference nodes must have contiguous rows")
     h = traj.h
     win = int(WINDOW_STEPS * h / reference.h) + 4
 
@@ -225,12 +228,14 @@ def synchronize(
     if t_max is not None:
         n_nodes = min(n_nodes, int(t_max / h) + 1)
     n_samples = (n_nodes - 1) * substeps + 1
-    times = np.arange(n_samples) * (h / substeps)
+
+    def sample_times(a, b):  # np.arange(n_samples) * (h / substeps), a slice
+        return np.arange(a, b) * (h / substeps)
 
     def samples(a, b):
         """Centers and section normals of samples a..b-1."""
         if substeps > 1:
-            centers = traj.dense_points(times[a:b])
+            centers = traj.dense_points(sample_times(a, b))
             return centers, traj.field.f_raw(centers)
         if b < n_nodes:
             return traj.nodes[a:b], traj.seg_dirs[a:b]
@@ -241,12 +246,12 @@ def synchronize(
     stream = isinstance(reference, ReferenceStream)
     j0, theta0 = (reference.sample, reference.theta) if stream else (0, 0.0)
     j, theta, thetas, errors, residuals = _scan(
-        reference, win, tau_sync, times, samples, j0, theta0
+        reference, win, tau_sync, n_samples, sample_times, samples, j0, theta0
     )
     if stream:
         reference.sample, reference.theta = j, theta
         reference.finished = j == n_samples
-    times = times[j0:j].copy()  # a part must not keep all the times alive
+    times = sample_times(j0, j)
 
     bounds = None
     if tube is not None and D is not None:
@@ -267,7 +272,7 @@ def synchronize(
     )
 
 
-def _scan(reference, win, tau_sync, times, samples, j, theta_prev):
+def _scan(reference, win, tau_sync, n_samples, sample_times, samples, j, theta_prev):
     """Synchronize samples j, j+1, ... while their windows are resident.
 
     The rule for one sample with center c and normal n, whose window starts
@@ -293,11 +298,11 @@ def _scan(reference, win, tau_sync, times, samples, j, theta_prev):
     block = max(1, SYNC_BLOCK_NODES // (win + 1))
     size = block
     k_prev = int(theta_prev / h_ref)
-    t_prev = times[j - 1] if j else 0.0
+    t_prev = sample_times(j - 1, j)[0] if j else 0.0
     rate = 1.0  # d(theta)/dt over the last pass, for the first guess
     full = False  # the last pass found no root in a narrowed window
     kept = []
-    while j < times.size:
+    while j < n_samples:
         if k_prev >= n_ref:
             raise SynchronizationLostError(
                 f"reference horizon exhausted at sample {j}", j
@@ -306,9 +311,10 @@ def _scan(reference, win, tau_sync, times, samples, j, theta_prev):
         if k_prev + span > end:
             break  # the window needs nodes not stepped yet
         # near the step cap the windows shorten: one sample at a time there
-        b = min(j + (size if span == win else 1), times.size)
+        b = min(j + (size if span == win else 1), n_samples)
         c, n = samples(j, b)
-        guess = theta_prev + (times[j:b] - t_prev) * rate
+        t = sample_times(j, b)
+        guess = theta_prev + (t - t_prev) * rate
         k0, k_root = _predict(reference, c, n, guess, theta_prev)
         # samples predicted to start past the resident nodes wait for the
         # next chunk; k0 is nondecreasing and k0[0] = k_prev fits
@@ -341,9 +347,9 @@ def _scan(reference, win, tau_sync, times, samples, j, theta_prev):
             raise _lost(code[f], j + f, g0[f], res[f])
         kept.append((theta[:m], err[:m], res[:m]))
         j += m
-        if times[j - 1] > t_prev:
-            rate = (theta[m - 1] - theta_prev) / (times[j - 1] - t_prev)
-        theta_prev, k_prev, t_prev = theta[m - 1], int(k_next[m - 1]), times[j - 1]
+        if t[m - 1] > t_prev:
+            rate = (theta[m - 1] - theta_prev) / (t[m - 1] - t_prev)
+        theta_prev, k_prev, t_prev = theta[m - 1], int(k_next[m - 1]), t[m - 1]
     if not kept:
         return j, theta_prev, np.empty(0), np.empty(0), np.empty(0)
     return (j, theta_prev, *(np.concatenate(column) for column in zip(*kept)))
@@ -392,12 +398,12 @@ def _window_pass(reference, width, k0, c, n, tau_sync, theta_prev):
     R, base, h_ref = reference.nodes, reference.base, reference.h
     rows = np.arange(k0.size)
     k = k0 - base
-    d = sliding_window_view(R, width, axis=0)[k]  # a copy, (B, 2, width)
-    # one component at a time: a broadcast (B, 2, 1) operand would make
-    # numpy loop over the length-2 axis innermost
-    d[:, 0] -= c[:, 0, None]
-    d[:, 1] -= c[:, 1, None]
-    g = np.matmul(d.transpose(0, 2, 1), n[:, :, None])[..., 0]
+    # the windows as rows of complex nodes (README "Bit-identity contract",
+    # interleaved arithmetic): one contiguous gather, one subtraction
+    Rc = R.view(np.complex128)[:, 0]
+    d = sliding_window_view(Rc, width)[k]  # a copy, (B, width)
+    d -= np.ascontiguousarray(c).view(np.complex128)
+    g = np.matmul(d[..., None].view(np.float64), n[:, :, None])[..., 0]
     del d
     up = (g[:, :-1] < 0.0) & (g[:, 1:] >= 0.0)
     i = up.argmax(axis=1)

@@ -242,3 +242,58 @@ def test_error_curve_csv_matches_write_csv(tmp_path):
         assert (tmp_path / "fast.csv").read_bytes() == (
             tmp_path / "rows.csv"
         ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "floor-tail",
+        "signed-zero-tail",
+        "last-not-repeated",
+        "no-bounds",
+        "empty",
+        "one-row",
+    ],
+)
+def test_error_curve_csv_tail_rows_match_write_csv(tmp_path, case):
+    # the final rows whose bound repeats the last one take a row template
+    # with that bound formatted once; the bytes stay write_csv's %.17g rows
+    rng = np.random.default_rng(7)
+    n = {"empty": 0, "one-row": 1}.get(case, output.CSV_ROWS + 2000)
+    h, D = 1.25e-4, 531.4827
+    floor = D * h
+    bounds = None
+    if case == "floor-tail":
+        # the floor from row 1000 on: a tail over two blocks of rows
+        bounds = np.full(n, floor)
+        bounds[:1000] = np.geomspace(10.0, 0.1, 1000)
+    elif case == "signed-zero-tail":
+        # -0.0 equals 0.0 but formats as "-0": only the last two rows repeat
+        bounds = rng.uniform(0.0, 0.1, size=n)
+        bounds[-3:] = [0.0, -0.0, -0.0]
+    elif case in ("last-not-repeated", "one-row"):
+        bounds = rng.uniform(0.0, 0.1, size=n)
+    series = SyncErrorSeries(
+        times=np.arange(n) * h,
+        thetas=rng.uniform(0.0, 30.0, size=n),
+        errors=rng.uniform(0.0, 1e-3, size=n),
+        residuals=np.zeros(n),
+        h=h,
+        bounds=bounds,
+    )
+    write_error_curve_csv(tmp_path / "fast.csv", series, D)
+    rows = (
+        [
+            series.times[j],
+            series.thetas[j],
+            series.errors[j],
+            bounds[j] if bounds is not None else floor,
+            floor,
+        ]
+        for j in range(n)
+    )
+    header = ["t", "theta", "error", "delta_bound", "Dh"]
+    write_csv(tmp_path / "rows.csv", header, rows)
+    text = (tmp_path / "fast.csv").read_bytes()
+    assert text == (tmp_path / "rows.csv").read_bytes()
+    assert text.count(b"\n") == n + 1

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -404,6 +405,89 @@ def test_simulate_into_out(vdp, registry, n_steps):
     for bad in (np.empty((n_steps, 2)), np.empty((n_steps + 1, 2), np.float32)):
         with pytest.raises(InputError, match="out must be"):
             cc.simulate(field, x0, 1e-5, n_steps, out=bad)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column-strided", "row-strided"])
+def test_simulate_out_needs_contiguous_rows(vdp, layout):
+    # the sweeps step the rows of out as complex numbers: out may skip
+    # rows, but each row's two values must be adjacent
+    x0, n_steps = (1.8929, -0.5383), 2 * SWEEP_W + 3
+    ref = cc.simulate(vdp, x0, 1e-5, n_steps).nodes
+    if layout == "fortran":
+        out = np.empty((n_steps + 1, 2), order="F")
+    elif layout == "column-strided":
+        out = np.empty((n_steps + 1, 4))[:, ::2]
+    else:
+        out = np.empty((2 * n_steps + 2, 2))[::2]
+    if layout == "row-strided":
+        traj = cc.simulate(vdp, x0, 1e-5, n_steps, out=out)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        assert np.shares_memory(traj.nodes, out)
+    else:
+        with pytest.raises(InputError, match="with contiguous rows"):
+            cc.simulate(vdp, x0, 1e-5, n_steps, out=out)
+
+
+@pytest.mark.parametrize(
+    "x0,h,n_steps",
+    [
+        ((2.0, 0.0), 0.05, cc.euler.SWEEP_MIN - 1),  # the scalar loop only
+        ((2.0, 0.0), 1e-5, 3 * SWEEP_W + 5),  # a later swept block
+        ((3.7, 0.0), 1e-5, 3 * SWEEP_W + 5),  # the first swept block
+        ((math.inf, 0.0), 1e-5, 3 * SWEEP_W + 5),  # the start point
+        ((math.nan, 1.0), 0.05, 20),
+    ],
+)
+def test_nonfinite_run_names_its_first_bad_node(x0, h, n_steps):
+    # swept blocks are checked finite one by one and only the nodes the
+    # scalar loop steps are scanned afterwards; a run still fails at the
+    # first non-finite node of the one-step loop.  x' = x^3 from an inline
+    # spec: x1**3 compiles to a product, which overflows to inf on floats
+    field, seen = recording(cc.load_system({"rhs": ["x1**3", "0"]}))
+    ref, step = one_step_nodes(field.rhs_scalar2, x0, h, n_steps)
+    assert step is None
+    bad = int(np.nonzero(~np.isfinite(ref).all(axis=1))[0][0])
+    seen.clear()
+    with pytest.raises(DivergedError, match=f"non-finite state at node {bad}$") as exc:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cc.simulate(field, x0, h, n_steps)
+    assert exc.value.first_bad_index == bad
+    assert any(seen) == (n_steps >= cc.euler.SWEEP_MIN)
+
+
+def test_interleaved_arithmetic_is_componentwise():
+    # README "Bit-identity contract", interleaved arithmetic: the rows of an
+    # (n, 2) float64 array are complex128 numbers, and complex +, - and
+    # cumsum give the bits of the float64 operations on each column
+    rng = np.random.default_rng(14)
+    n = 4096
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, 1e300, -1e300]
+    special += [math.inf, -math.inf]
+
+    def operand(scale):
+        x = rng.normal(size=(n, 2)) * scale
+        rows, cols = rng.integers(0, n, 600), rng.integers(0, 2, 600)
+        x[rows, cols] = rng.choice(special, 600)
+        return x
+
+    def complex_view(x):
+        return x.view(np.complex128)[:, 0]
+
+    def bits(z):
+        return z[:, None].view(np.int64)
+
+    magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, size=(n, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e300 + 1e300
+        for scale in (1.0, magnitudes):
+            a, b = operand(scale), operand(scale)
+            za, zb = complex_view(a), complex_view(b)
+            for op in (np.add, np.subtract):
+                want = np.stack([op(a[:, 0], b[:, 0]), op(a[:, 1], b[:, 1])], axis=1)
+                assert np.array_equal(bits(op(za, zb)), want.view(np.int64))
+            for x in (a, rng.normal(size=(n, 2)) * scale):
+                want = np.stack([np.cumsum(x[:, 0]), np.cumsum(x[:, 1])], axis=1)
+                got = np.cumsum(complex_view(x))
+                assert np.array_equal(bits(got), want.view(np.int64))
 
 
 def test_immutable_nodes(vdp):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import cyclecert as cc
 from cyclecert.config import PipelineConfig
 from cyclecert.errors import DivergedError, InputError, SynchronizationLostError
 from cyclecert import syncerr
+from cyclecert.cli import main
 from cyclecert.euler import EulerTrajectory
 from cyclecert.syncerr import (
     TAU_SYNC,
@@ -647,3 +649,70 @@ def test_synchronize_narrow_window_misses_match_oracle(
     for ref, coarse, kwargs in lost_cases:
         got = lost(cc.synchronize, ref, coarse, x0, **kwargs)
         assert got == lost(synchronize_oracle, ref, coarse, x0, **kwargs)
+
+
+def test_reference_rows_must_be_contiguous(vdp):
+    # the windows are gathered as rows of complex nodes: a reference whose
+    # rows are spaced apart synchronizes as the loop does, one whose rows
+    # are not contiguous (Fortran order, strided columns) raises InputError
+    h = 1e-3
+    traj = cc.simulate(vdp, VDP_X0, h, 1000)
+    ref = ReferenceSolution.compute(vdp, VDP_X0, h, 1.2, refine=10)
+    want = synchronize_oracle(ref, traj, VDP_X0)
+    spaced = np.empty((2 * ref.nodes.shape[0], 2))
+    spaced[::2] = ref.nodes
+    layouts = {
+        "row-strided": spaced[::2],
+        "fortran": np.asfortranarray(ref.nodes),
+        "column-strided": np.repeat(ref.nodes, 2, axis=1)[:, ::2],
+    }
+    for name, nodes in layouts.items():
+        assert np.array_equal(nodes, ref.nodes)
+        other = ReferenceSolution(EulerTrajectory(vdp, VDP_X0, ref.h, nodes), 10)
+        if name == "row-strided":
+            assert_same_series(cc.synchronize(other, traj, VDP_X0), want)
+        else:
+            with pytest.raises(InputError, match="contiguous rows"):
+                cc.synchronize(other, traj, VDP_X0)
+
+
+# Perf guards: counts of the parent implementation that a change of the
+# guesses or the windows must not raise (the outputs would not show it).
+# Array evaluations of rhs_scalar2 per node over the first 2^20 steps of the
+# h = 1.25e-6 reference of vdp-example2, stepped as the error curve steps
+# it (3.0387 measured).
+SWEEP_EVALS_PER_NODE = 3.04
+# _window_pass calls of the vdp-example2 error curve at h = 5e-4.
+WINDOW_PASSES = 49
+
+
+def test_reference_sweeps_per_node_stay_pinned(vdp):
+    run = cc.get_preset("vdp-example2")
+    points = []
+    rhs2 = vdp.rhs_scalar2
+
+    def counted(u1, u2):
+        if isinstance(u1, np.ndarray):
+            points.append(u1.size)
+        return rhs2(u1, u2)
+
+    field = dataclasses.replace(vdp, rhs_scalar2=counted)
+    stream = ReferenceStream(field, run.y0, 1.25e-4, 40.0, refine=100)
+    while stream.end < 1 << 20:
+        stream.advance()
+    assert stream.h == 1.25e-6 and stream.end == 1 << 20
+    assert sum(points) / stream.end <= SWEEP_EVALS_PER_NODE
+
+
+def test_error_curve_window_passes_stay_pinned(tmp_path, monkeypatch):
+    calls = []
+    window_pass = syncerr._window_pass
+
+    def counted(*args):
+        calls.append(args[1])
+        return window_pass(*args)
+
+    monkeypatch.setattr(syncerr, "_window_pass", counted)
+    argv = ["error-curve", "--preset", "vdp-example2", "--h-list", "0.0005"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert 0 < len(calls) <= WINDOW_PASSES
