@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, threads_from_env
 from .constants import SectionDisk, estimate_magnitude_bounds
 from .errors import CertificateBlockedError, CycleCertError, DivergedError, InputError
 from .euler import (
@@ -202,8 +202,9 @@ def sweep_Y0(
     ):
         exps[mid] = _tube_exponent(pts[mid], existence.tube)
     todo = [k for k, e in enumerate(exps) if e is None]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    threads = threads_from_env() if config.threads is None else config.threads
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run, todo))
     else:
         done = [run(k) for k in todo]

@@ -33,7 +33,8 @@ class PipelineConfig:
     every that many segments and bridged with drift padding in between;
     stride 1 samples every segment.  ``sweep_samples`` disk points give the
     attraction sweep; ``seed`` draws the disk points of the return bound R';
-    ``threads`` runs the sweep's tube builds in a pool.  The fixed settings
+    ``threads`` runs the sweep's tube builds in a pool; None reads
+    ``CYCLECERT_THREADS`` when the sweep runs.  The fixed settings
     (padding, fixed-point passes, slice radius safety, region margin) are
     constants of :mod:`cyclecert.tube`.
     """
@@ -44,7 +45,7 @@ class PipelineConfig:
     ab_offsets: int = 5
     sweep_samples: int = 11
     seed: int = 0
-    threads: int = dc_field(default_factory=threads_from_env)
+    threads: Optional[int] = None
 
     def validate(self):
         if self.n_s < 2 or self.n_ball < 2 or self.ab_offsets < 2:

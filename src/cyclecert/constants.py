@@ -43,13 +43,20 @@ def estimate_lipschitz(field: VectorField, points) -> float:
     Jacobian over an (m, n) point array.
 
     ``np.linalg.eigvals`` runs only on the matrices
-    :func:`_spectral_radius_candidates` keeps, which hold the maximum, so
-    the value is the one of the call on every matrix.
+    :func:`_spectral_radius_candidates` keeps of each block of
+    ``LIPSCHITZ_BLOCK`` points, which hold the maximum, so the value is
+    the one of the call on every matrix.
     """
-    J = _spectral_radius_candidates(field.jac_raw(_point_array(field, points)))
-    return float(np.abs(np.linalg.eigvals(J)).max())
+    pts = _point_array(field, points)
+    J = [np.empty((0, 2, 2))] + [
+        _spectral_radius_candidates(field.jac_raw(pts[lo : lo + LIPSCHITZ_BLOCK]))
+        for lo in range(0, len(pts), LIPSCHITZ_BLOCK)
+    ]
+    return float(np.abs(np.linalg.eigvals(np.concatenate(J))).max())
 
 
+# Points per block of estimate_lipschitz: Jacobian blocks of 1 MiB.
+LIPSCHITZ_BLOCK = 2**15
 # Closed-form spectral radii this close to the largest, relative to
 # 1 + max|J|, may hold the largest LAPACK value.
 SPECTRAL_MARGIN = 1e-6

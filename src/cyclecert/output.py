@@ -144,7 +144,7 @@ def write_measures_csv(path, tube, mu_perp_nodes, stride: int = 1):
 
 
 # rows formatted per pass of write_error_curve_csv
-CSV_ROWS = 1 << 16
+CSV_ROWS = 1 << 13
 
 
 def write_error_curve_csv(path, series, D: float):

@@ -54,7 +54,6 @@ from .measures import (
     _rot90,
     mu_perp_batch,
     norm_planes,
-    planar_norm,
     sigma_rate,
 )
 from .systems import VectorField
@@ -180,42 +179,46 @@ RADIUS_SAFETY = 1.05
 # the constants L, m and M_C.
 REGION_MARGIN = 0.05
 
-# Segments per block of the (a, b) profile: 8192 segments by 5 s-nodes keep
-# each of its temporaries, one component plane, at 320 KiB.
+# Segments per block of build_tube's segment loop and of the (a, b) profile:
+# 8192 segments by 5 s-nodes keep each plane of a block, allocated once per
+# build, and each temporary at 320 KiB.
 AB_BLOCK = 8192
-# Slice points per block of the Lambda profile: 2^16 points (1456 anchors of
-# 9 offsets by 5 s-nodes) keep each of mu_perp_batch's temporaries, one
-# component plane, at 512 KiB.
+# Slice points per block of the Lambda profile, whose anchors are column
+# slices of the anchor grid: 2^16 points (1456 anchors of 9 offsets by 5
+# s-nodes) keep each of mu_perp_batch's temporaries at 512 KiB.
 LAMBDA_BLOCK = 2**16
 
 
 class SegmentGrids:
-    """Shared s-grid data over segments 0..N1-1 of one loop, one component
-    plane of shape (n_s, N1) per coordinate.
+    """Shared s-grid data over segments ``segs`` (a slice or index array,
+    default all) of 0..N1-1, one plane (n_s, K) per coordinate for K of them.
 
-    ``(P0[k, i], P1[k, i])`` is the point x_i + s_k f_i on segment i (s_k
-    on ``n_s`` points of [0, h]), ``(FC0, FC1)`` and ``nFC`` the field and
-    its norm there, and ``(W0, W1)`` the unit transverse direction along
-    which the slices extend.  ``FN0, FN1`` (N1,) are the segment directions
+    ``(P0[k, j], P1[k, j])`` is the point x_i + s_k f_i on the j-th segment
+    i (s_k on ``n_s`` points of [0, h]), ``(FC0, FC1)`` and ``nFC`` the
+    field and its norm there, and ``(W0, W1)`` the unit transverse
+    direction along which the slices extend; ``out`` (5, n_s, K) receives
+    P0, P1, nFC, W0 and W1.  ``FN0, FN1`` (K,) are the segment directions
     f_i.  Norms are taken in planar components (:func:`norm_planes`), bit
     for bit those of ``np.linalg.norm``.
     """
 
-    def __init__(self, field, traj, N1, n_s):
-        self.field = field
-        self.h = traj.h
+    def __init__(self, field, traj, N1, n_s, segs=slice(None), out=None):
         self.N1 = N1
         self.n_s = n_s
         self.s = np.linspace(0.0, traj.h, n_s)
-        C, FN = traj.nodes[:N1], traj.seg_dirs[:N1]
+        C, FN = traj.nodes[:N1][segs], traj.seg_dirs[:N1][segs]
         self.FN0, self.FN1 = FN[:, 0].copy(), FN[:, 1].copy()
+        out = np.empty((5, n_s, len(FN))) if out is None else out
+        self.P0, self.P1, self.nFC, self.W0, self.W1 = out
         s = self.s[:, None]
-        self.P0 = C[:, 0] + s * self.FN0
-        self.P1 = C[:, 1] + s * self.FN1
-        self.FC0, self.FC1 = field.f_planes(self.P0, self.P1)
-        self.nFC = norm_planes(self.FC0, self.FC1)
-        self.W0 = -self.FC1 / self.nFC
-        self.W1 = self.FC0 / self.nFC
+        np.add(C[:, 0], np.multiply(s, self.FN0, out=self.P0), out=self.P0)
+        np.add(C[:, 1], np.multiply(s, self.FN1, out=self.P1), out=self.P1)
+        FC0, FC1 = self.FC0, self.FC1 = field.f_planes(self.P0, self.P1)
+        np.multiply(FC0, FC0, out=self.nFC)  # norm_planes(FC0, FC1)
+        self.nFC += np.multiply(FC1, FC1, out=self.W1)
+        np.sqrt(self.nFC, out=self.nFC)
+        np.divide(np.negative(FC1, out=self.W0), self.nFC, out=self.W0)
+        np.divide(FC0, self.nFC, out=self.W1)
 
     def m_tilde(self) -> np.ndarray:
         """The per-segment magnitude bound M~_i: the largest |x| on the s-grid."""
@@ -225,12 +228,12 @@ class SegmentGrids:
 def lambda_profile(field, grids, radius, anchors, cfg):
     """Per-segment transverse bounds Lambda_i via strided anchor sampling.
 
-    ``radius``: (n_s, N1) slice radii.  Anchor slices are sampled on the
-    (offset, s) grid, ``cfg.n_ball`` offsets in [-1, 1] plus the center,
-    and padded by ``PAD_FACTOR`` times half the largest neighbor jump at
-    the maximizer; segments between anchors take the larger neighboring
-    anchor bound plus the full drift between them, scaled by PAD_FACTOR.
-    Returns (lam, pad) arrays of shape (N1,).
+    ``grids`` and the slice radii ``radius`` have a column per anchor or per
+    segment.  Anchor slices are sampled on the (offset, s) grid,
+    ``cfg.n_ball`` offsets in [-1, 1] plus the center, and padded by
+    ``PAD_FACTOR`` times half the largest neighbor jump at the maximizer;
+    segments between anchors take the larger neighboring anchor bound plus
+    the full drift between them, scaled by PAD_FACTOR.  Returns (lam, pad).
 
     The anchor slices are sampled over blocks of at most ``LAMBDA_BLOCK``
     slice points (and at least one anchor), so the working arrays stay
@@ -244,12 +247,10 @@ def lambda_profile(field, grids, radius, anchors, cfg):
     padA = np.empty(anchors.size)
     chunk = max(1, LAMBDA_BLOCK // (offs.size * grids.n_s))
     for lo in range(0, anchors.size, chunk):
-        # np.take gathers the anchor columns C-ordered (``P0[:, A]`` would
-        # not be), and so are the slice points and every temporary after them
-        A = anchors[lo : lo + chunk]
+        A = slice(lo, lo + chunk)
+        cols = A if grids.P0.shape[1] == anchors.size else anchors[A]
         P0, P1, W0, W1, rA = (
-            np.take(v, A, axis=1)
-            for v in (grids.P0, grids.P1, grids.W0, grids.W1, radius)
+            v[:, cols] for v in (grids.P0, grids.P1, grids.W0, grids.W1, radius)
         )
         t = offs[:, None, None] * rA
         vals = mu_perp_batch(field, P0 + t * W0, P1 + t * W1)  # (n_off, n_s, |A|)
@@ -272,8 +273,8 @@ def lambda_profile(field, grids, radius, anchors, cfg):
                 jump[ok],
                 np.abs(vals[oi[ok], si[ok] + d, cols[ok]] - mx[ok]),
             )
-        lamA[lo : lo + chunk] = mx
-        padA[lo : lo + chunk] = PAD_FACTOR * 0.5 * jump
+        lamA[A] = mx
+        padA[A] = PAD_FACTOR * 0.5 * jump
     lamA = lamA + padA
 
     # the segments strictly between anchors j and j+1, in order, take the
@@ -297,30 +298,38 @@ def ab_profile(field, grids, radius, cfg):
 
     Evaluates the closed form of :func:`~cyclecert.constants.theta_dot` on
     ``cfg.ab_offsets`` transverse offsets up to the slice radius ``radius``
-    (n_s, N1) and on the s-grid, then widens the observed range by
-    ``PAD_FACTOR`` times the largest neighbor jump.  a_i must come out
-    positive, otherwise the step is too large or the tube too fat.
+    (n_s, N1) and on the s-grid of every segment, then widens the observed
+    range by ``PAD_FACTOR`` times the largest neighbor jump.  a_i must come
+    out positive, otherwise the step is too large or the tube too fat.
+    """
+    segs = (slice(lo, lo + AB_BLOCK) for lo in range(0, grids.N1, AB_BLOCK))
+    blocks = ((seg, seg, grids, radius[:, seg]) for seg in segs)
+    return _ab_blocks(field, blocks, grids.N1, cfg)
 
-    Runs over blocks of at most ``AB_BLOCK`` segments on component planes,
-    keeping the minimum, the maximum and both neighbor jumps as running
-    values over the offsets, so memory stays at a few (n_s, AB_BLOCK)
-    arrays whatever N1 is.  A vanishing denominator is reported at the
-    first offset, and on it the first segment, where one occurs.
+
+def _ab_blocks(field, blocks, N1, cfg):
+    """:func:`ab_profile` over the blocks ``blocks`` yields in order:
+    (segments, their grid columns, the grid, their slice radii).
+
+    Keeps the minimum, the maximum and both neighbor jumps as running values
+    over the offsets, in a few (n_s, AB_BLOCK) planes allocated once.  A
+    vanishing denominator is reported at the first offset, and on it the
+    first segment, where one occurs.
     """
     offs = np.linspace(-1.0, 1.0, cfg.ab_offsets)
-    a_seg = np.empty(grids.N1)
-    b_seg = np.empty(grids.N1)
+    a_seg, b_seg = np.empty(N1), np.empty(N1)
+    work = np.empty((6, cfg.n_s, AB_BLOCK))  # the temporaries' planes
     vanished = None  # (offset, segment) of the first vanishing denominator
-    for lo in range(0, grids.N1, AB_BLOCK):
-        seg = slice(lo, lo + AB_BLOCK)
-        P0, P1, r = grids.P0[:, seg], grids.P1[:, seg], radius[:, seg]
-        W0, W1 = grids.W0[:, seg], grids.W1[:, seg]
-        FC0, FC1 = grids.FC0[:, seg], grids.FC1[:, seg]
-        floor = M_FLOOR * grids.nFC[:, seg]
-        buf, low = np.empty(P0.shape), np.empty(P0.shape, dtype=bool)
+    for seg, cols, g, r in blocks:
+        P0, P1, W0, W1, FC0, FC1, nFC = (
+            v[:, cols] for v in (g.P0, g.P1, g.W0, g.W1, g.FC0, g.FC1, g.nFC)
+        )
+        floor, buf, den, t, *tds = work[..., : r.shape[1]]
+        np.multiply(M_FLOOR, nFC, out=floor)
+        low = np.empty(P0.shape, dtype=bool)
         if vanished is None:
             j00, j01, j10, j11 = field.jac_planes(P0, P1)
-            FN0, FN1 = grids.FN0[seg], grids.FN1[seg]
+            FN0, FN1 = g.FN0[cols], g.FN1[cols]
             Jf0 = j00 * FN0 + j01 * FN1
             Jf1 = j10 * FN0 + j11 * FN1
             base = FN0 * FC0 + FN1 * FC1
@@ -329,18 +338,18 @@ def ab_profile(field, grids, radius, cfg):
             jump = np.zeros(P0.shape[1])
         # past a vanishing denominator only the earlier offsets are checked
         for k, o in enumerate(offs if vanished is None else offs[: vanished[0]]):
-            # temporaries are reused in place once read for the last time;
-            # each step is the IEEE operation of the expression beside it
-            t = o * r
-            XI0 = t * W0
+            # each step is the IEEE operation of the expression beside it,
+            # written into a plane once that plane's last value is read
+            np.multiply(o, r, out=t)
+            XI0 = np.multiply(t, W0, out=tds[k % 2])
             XI0 += P0  # P0 + t W0
             XI1 = np.multiply(t, W1, out=t)
             XI1 += P1  # P1 + t W1
             FX0, FX1 = field.f_planes(XI0, XI1)
-            den = FX0 * FC0
+            np.multiply(FX0, FC0, out=den)
             den += np.multiply(FX1, FC1, out=buf)  # FX0 FC0 + FX1 FC1
             if np.less(np.abs(den, out=buf), floor, out=low).any():
-                vanished = (k, lo + int(np.nonzero(low.any(axis=0))[0][0]))
+                vanished = (k, seg.start + int(np.nonzero(low.any(axis=0))[0][0]))
                 break
             if vanished is not None:
                 continue
@@ -388,8 +397,9 @@ def build_tube(
 ) -> Tube:
     """Build the tube over one return loop with a short fixed-point iteration.
 
-    ``sigma_override`` (test hook) replaces every per-step rate by a constant
-    or an array, bypassing the slice bounds.
+    Lambda is sampled on the anchor segments' grid, the rest per block of
+    ``AB_BLOCK`` segments.  ``sigma_override`` (test hook) replaces every
+    per-step rate by a constant or an array, bypassing the slice bounds.
     """
     if delta0 <= 0.0:
         raise InputError("delta0 must be positive")
@@ -397,8 +407,6 @@ def build_tube(
         raise InputError("gamma must be positive")
     config.validate()
 
-    grids = SegmentGrids(field, traj, N1, config.n_s)
-    m_tilde = grids.m_tilde()
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
 
     if sigma_override is not None:
@@ -408,18 +416,34 @@ def build_tube(
         lam = np.full(N1, np.nan)
         a_seg = np.ones(N1)
         b_seg = np.ones(N1)
+        m_tilde = SegmentGrids(field, traj, N1, config.n_s).m_tilde()
         return Tube(
             traj.h, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
             m_tilde, np.zeros(N1), y0_disk, [], "override",
         )
 
-    anchors = np.arange(0, N1, config.lambda_stride)
-    if anchors[-1] != N1 - 1:
-        anchors = np.append(anchors, N1 - 1)
+    anchors = np.unique(np.append(np.arange(0, N1, config.lambda_stride), N1 - 1))
+    grids = SegmentGrids(field, traj, N1, config.n_s, anchors)
+    m_tilde, sampled_radius = np.empty(N1), np.empty(N1)
+
+    def blocks(delta_nodes, sigma):
+        # each block's grid and tube radii delta_i e^{sigma_i s}; M~ and the
+        # sampled (next pass's slice) radii are kept as maxima
+        work = np.empty((7, config.n_s, AB_BLOCK))
+        for lo in range(0, N1, AB_BLOCK):
+            seg = slice(lo, min(lo + AB_BLOCK, N1))
+            w = work[..., : seg.stop - lo]
+            g = SegmentGrids(field, traj, N1, config.n_s, seg, out=w[:5])
+            m_tilde[seg] = g.m_tilde()
+            growth = np.exp(np.multiply(sigma[seg], g.s[:, None], out=w[5]), out=w[5])
+            delta = delta_nodes[None, seg]
+            wide = np.multiply(RADIUS_SAFETY * delta, growth, out=w[6])
+            sampled_radius[seg] = wide.max(axis=0)
+            yield seg, slice(None), g, np.multiply(delta, growth, out=growth)
 
     a_seg = np.ones(N1)
     b_seg = np.ones(N1)
-    radius = np.full((config.n_s, N1), delta0)
+    radius = np.full((config.n_s, anchors.size), delta0)
     history = []
     for pass_no in range(1, PASSES + 1):
         lam, _ = lambda_profile(field, grids, radius, anchors, config)
@@ -438,17 +462,15 @@ def build_tube(
         )
         if pass_no == PASSES:
             break
-        growth = np.exp(sigma[None, :] * grids.s[:, None])
-        a_seg, b_seg = ab_profile(
-            field, grids, delta_nodes[None, :N1] * growth, config
-        )
+        a_seg, b_seg = _ab_blocks(field, blocks(delta_nodes, sigma), N1, config)
         # the next pass samples Lambda on this pass's tube, widened by the
         # safety factor
-        radius = RADIUS_SAFETY * delta_nodes[None, :N1] * growth
+        growth = np.exp(sigma[None, anchors] * grids.s[:, None])
+        radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
 
     tube = Tube(
         traj.h, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
-        m_tilde, radius.max(axis=0), y0_disk, history, "tube",
+        m_tilde, sampled_radius, y0_disk, history, "tube",
     )
     return tube
 
@@ -673,22 +695,16 @@ def _collect_tube_samples(field, traj, tube, config, extra_radius, use_delta=Tru
     constant between segment points only, so that narrower set backs the
     Lipschitz estimate while the magnitude bounds cover the full tube.
     """
-    N1 = tube.N1
-    anchors = np.arange(0, N1, max(1, config.lambda_stride))
-    if anchors[-1] != N1 - 1:
-        anchors = np.append(anchors, N1 - 1)
-    s = np.linspace(0.0, tube.h, config.n_s)
-    P = traj.nodes[anchors] + s[:, None, None] * traj.seg_dirs[anchors]
-    FC = field.f_raw(P)
-    W = _rot90(FC) / planar_norm(FC)[..., None]
-    rad = np.full((s.size, anchors.size), extra_radius)
+    N1, stride = tube.N1, max(1, config.lambda_stride)
+    anchors = np.unique(np.append(np.arange(0, N1, stride), N1 - 1))
+    g = SegmentGrids(field, traj, N1, config.n_s, anchors)
+    rad = np.full(g.P0.shape, extra_radius)
     if use_delta:
-        rad = rad + tube.delta[anchors][None, :] * np.exp(
-            tube.sigma[anchors][None, :] * s[:, None]
-        )
-    offs = np.linspace(-1.0, 1.0, max(3, config.n_ball))
-    pts = P + (offs[:, None, None] * rad)[..., None] * W
-    return pts.reshape(-1, field.dim)
+        rad = rad + tube.delta[anchors] * np.exp(tube.sigma[anchors] * g.s[:, None])
+    t = np.linspace(-1.0, 1.0, max(3, config.n_ball))[:, None, None] * rad
+    X0 = g.P0 + t * g.W0
+    X1 = np.add(g.P1, np.multiply(t, g.W1, out=t), out=t)  # P1 + t W1
+    return np.stack([X0, X1], axis=-1).reshape(-1, 2)
 
 
 def certify_existence(

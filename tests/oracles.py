@@ -2,7 +2,8 @@
 
 These are the einsum and per-gap loop forms that ``measures.mu_perp_batch``
 and ``tube.lambda_profile`` / ``tube.ab_profile`` compute in planar
-components and over segment blocks, the stacked (..., 2) Van der Pol and
+components and over segment blocks, the whole-loop planes that
+``tube.build_tube`` streams in segment blocks, the stacked (..., 2) Van der Pol and
 FitzHugh-Nagumo right-hand sides and Jacobians that the registry's planar
 kernels replaced, the sampled return-time sweep that the tube's return-time
 interval replaced, and a central-difference Jacobian that checks the
@@ -19,8 +20,15 @@ from cyclecert.errors import (
     InvalidReparametrizationError,
 )
 from cyclecert.euler import Exclusion, Section, batch_first_return
-from cyclecert.measures import M_FLOOR, symmetric_part
-from cyclecert.tube import PAD_FACTOR
+from cyclecert.measures import M_FLOOR, sigma_rate, symmetric_part
+from cyclecert.tube import (
+    PAD_FACTOR,
+    PASSES,
+    RADIUS_SAFETY,
+    SegmentGrids,
+    ab_profile,
+    lambda_profile,
+)
 
 
 FD_STEP = 1e-6
@@ -107,6 +115,34 @@ def ab_profile_whole(field, grids, radius, cfg):
     jump = np.maximum(jump, np.abs(np.diff(td, axis=1)).max(axis=(0, 1)))
     margin = PAD_FACTOR * jump
     return td.min(axis=(0, 1)) - margin, td.max(axis=(0, 1)) + margin
+
+
+def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
+    """The per-segment arrays of ``build_tube`` from whole-loop (n_s, N1)
+    planes: one ``SegmentGrids`` over every segment, which both Lambda
+    passes and the (a, b) pass read, and the slice radii of every segment
+    as one plane per pass."""
+    grids = SegmentGrids(field, traj, N1, cfg.n_s)
+    anchors = np.arange(0, N1, cfg.lambda_stride)
+    if anchors[-1] != N1 - 1:
+        anchors = np.append(anchors, N1 - 1)
+    a_seg, b_seg = np.ones(N1), np.ones(N1)
+    radius = np.full((cfg.n_s, N1), delta0)
+    for pass_no in range(1, PASSES + 1):
+        lam, _ = lambda_profile(field, grids, radius, anchors, cfg)
+        sigma = sigma_rate(lam, a_seg, b_seg, gamma)
+        delta_nodes = np.concatenate(
+            [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
+        )
+        if pass_no == PASSES:
+            break
+        growth = np.exp(sigma[None, :] * grids.s[:, None])
+        a_seg, b_seg = ab_profile(field, grids, delta_nodes[None, :N1] * growth, cfg)
+        radius = RADIUS_SAFETY * delta_nodes[None, :N1] * growth
+    return SimpleNamespace(
+        lam=lam, sigma=sigma, a_seg=a_seg, b_seg=b_seg,
+        m_tilde=grids.m_tilde(), sampled_radius=radius.max(axis=0),
+    )
 
 
 def vanderpol_stacked(p):

@@ -336,3 +336,21 @@ def test_sweep_threads_match_serial(vdp):
     serial, threaded = ([exponent_fields(e) for e in r.exponents] for r in runs)
     assert threaded == serial
     assert runs[1].d == runs[0].d
+
+
+def test_sweep_reads_threads_env_when_it_runs(vdp, monkeypatch):
+    # a PipelineConfig that leaves threads unset reads CYCLECERT_THREADS
+    # at the sweep, so a value set after the config was made takes effect
+    monkeypatch.delenv("CYCLECERT_THREADS", raising=False)
+    cfg = PipelineConfig(lambda_stride=50)
+    pools = []
+
+    class Recording(cc.attraction.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cc.attraction, "ThreadPoolExecutor", Recording)
+    monkeypatch.setenv("CYCLECERT_THREADS", "2")
+    coarse_sweep(vdp, None, 3, cfg=cfg)
+    assert pools == [2]

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cyclecert
 from cyclecert.cli import main
 from cyclecert import output
 from cyclecert.output import (
@@ -179,6 +184,36 @@ def test_certify_attraction_cli(tmp_path):
     assert doc["verdict"] == "certified"
     assert doc["sample_count"] == 3
     assert (out / "existence_certificate.json").exists()
+
+
+def test_bad_threads_env_is_an_input_error(tmp_path, monkeypatch):
+    # CYCLECERT_THREADS is read when the sweep runs, not at import, where
+    # the presets and the signature defaults build their PipelineConfig
+    env = dict(
+        os.environ,
+        CYCLECERT_THREADS="abc",
+        PYTHONPATH=str(Path(cyclecert.__file__).parents[1]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", "import cyclecert.cli"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    monkeypatch.setenv("CYCLECERT_THREADS", "abc")
+    out = tmp_path / "threads"
+    code = main(
+        [
+            "certify-attraction",
+            "--preset", "vdp-example1",
+            "--samples", "3",
+            "--stride", "50",
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "input-error"
+    assert "CYCLECERT_THREADS" in doc["detail"]
 
 
 def test_canonical_json_float_format():

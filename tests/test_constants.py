@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,27 @@ def spectral_family(kind, rng):
     return np.concatenate([one, [np.diag([2.0, -2.0]), 2.0 * np.eye(2), rot]])
 
 
+def indexed_matrix_field(mats):
+    """A planar field whose Jacobian at the point (k, 0) is ``mats[k]``."""
+    return VectorField(
+        name="matrices",
+        dim=2,
+        params={},
+        rhs=lambda x: x,
+        jacobian=lambda x: mats[x[..., 0].astype(np.int64)],
+        rhs_scalar2=lambda u1, u2: (u1, u2),
+    )
+
+
+def eigvals_sizes(monkeypatch):
+    """The batch sizes np.linalg.eigvals is called with from now on."""
+    sizes, eigvals = [], np.linalg.eigvals
+    monkeypatch.setattr(
+        np.linalg, "eigvals", lambda J: sizes.append(len(J)) or eigvals(J)
+    )
+    return sizes
+
+
 @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1.0, 1e4, 1e8])
 @pytest.mark.parametrize("kind", ["near-defective", "misordered", "rotation", "ties"])
 def test_lipschitz_filter_matches_full_eigvals(kind, scale):
@@ -96,6 +119,26 @@ def test_lipschitz_filter_matches_full_eigvals(kind, scale):
         assert len(cc.constants._spectral_radius_candidates(J)) <= len(family)
 
 
+@pytest.mark.parametrize("block", [7, 97, 1024])
+@pytest.mark.parametrize("kind", ["near-defective", "misordered", "rotation", "ties"])
+def test_lipschitz_blocks_match_full_eigvals(kind, block, monkeypatch):
+    # blocks of 7, 97 and 1024 points: each block's filter keeps the matrix
+    # LAPACK finds largest however the family falls across blocks, also
+    # next to a block whose large-entry matrix widens its margin
+    rng = np.random.default_rng(13)
+    background = rng.uniform(-0.9, 0.9, (2000, 2, 2))
+    J = np.concatenate([background, spectral_family(kind, rng)])
+    J = J[rng.permutation(len(J))]
+    J[-5] = [[0.0, 1e3], [0.0, 0.0]]  # radius 0, max|J| 1e3
+    ref = float(np.abs(np.linalg.eigvals(J)).max())
+    monkeypatch.setattr(cc.constants, "LIPSCHITZ_BLOCK", block)
+    pts = np.stack([np.arange(len(J)), np.zeros(len(J))], axis=-1)
+    sizes = eigvals_sizes(monkeypatch)
+    got = cc.estimate_lipschitz(indexed_matrix_field(J), pts)
+    assert got.hex() == ref.hex()
+    assert sizes[0] < len(J)
+
+
 def test_lipschitz_filter_vdp_tube_samples(vdp, vdp_cert):
     cfg = cc.PipelineConfig()
     pts = cc.tube._collect_tube_samples(
@@ -104,6 +147,25 @@ def test_lipschitz_filter_vdp_tube_samples(vdp, vdp_cert):
     )
     ref = float(np.abs(np.linalg.eigvals(vdp.jac_raw(pts))).max())
     assert cc.estimate_lipschitz(vdp, pts) == ref == vdp_cert.constants.L
+
+
+def test_lipschitz_memory(vdp, vdp_cert):
+    # the Jacobians of the 252,600 segment samples are taken in blocks: the
+    # estimate peaks under 6 MiB, where the whole (m, 2, 2) stack and its
+    # absolute values peaked at 23 MiB
+    pts = cc.tube._collect_tube_samples(
+        vdp, vdp_cert.trajectory, vdp_cert.tube, cc.PipelineConfig(),
+        extra_radius=cc.tube.REGION_MARGIN * vdp_cert.delta0, use_delta=False,
+    )
+    assert len(pts) == 252600
+    tracemalloc.start()
+    try:
+        L = cc.estimate_lipschitz(vdp, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L == vdp_cert.constants.L
+    assert peak < 6 * 2**20
 
 
 def test_lipschitz_filter_non_finite_falls_back():

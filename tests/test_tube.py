@@ -16,7 +16,7 @@ from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_consistent
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
-from oracles import ab_profile_whole, drift_bridge_loop, interleaved
+from oracles import ab_profile_whole, build_tube_whole, drift_bridge_loop, interleaved
 
 
 def test_no_return_failure(linear):
@@ -392,12 +392,13 @@ def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
     got, ref = cc.build_tube(field, *args), cc.build_tube(vdp, *args)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-    # the s-grid: f; each pass's Lambda: f and J on 9 offsets of the 6315
-    # stride-10 anchor slices; the (a, b) pass: J on the s-grid, f on
-    # ab_offsets offsets of it
-    grid = cfg.n_s * tube.N1
-    slices = cc.tube.PASSES * 9 * cfg.n_s * 6315
-    assert seen == {"f": grid + slices + cfg.ab_offsets * grid, "J": slices + grid}
+    # the s-grid: f, on the 6315 stride-10 anchors once more for their own
+    # grid; each pass's Lambda: f and J on 9 offsets of the anchor slices;
+    # the (a, b) pass: J on the s-grid, f on ab_offsets offsets of it
+    grid, anchor_grid = cfg.n_s * tube.N1, cfg.n_s * 6315
+    slices = cc.tube.PASSES * 9 * anchor_grid
+    f = grid + anchor_grid + slices + cfg.ab_offsets * grid
+    assert seen == {"f": f, "J": slices + grid}
 
 
 def test_ab_profile_memory(vdp, vdp_cert):
@@ -418,6 +419,70 @@ def test_ab_profile_memory(vdp, vdp_cert):
     whole, blocked = peaks
     assert whole > 40 * 2**20
     assert blocked < whole / 4
+
+
+def test_build_tube_memory(vdp, vdp_cert):
+    # every per-segment stage streams segment blocks, so no (n_s, N1) plane
+    # exists: the build of the session tube peaks under 15 MiB, where the
+    # whole-loop planes peaked at 32 MiB
+    tube = vdp_cert.tube
+    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, tube.M_f)
+    tracemalloc.start()
+    try:
+        cc.build_tube(vdp, *args, PipelineConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15 * 2**20
+
+
+FHN_X0, FHN_H = (1.833419474496068, 0.3354878852385902), 4e-3
+
+
+@pytest.mark.parametrize(
+    "system,stride,block",
+    [
+        ("vanderpol", 10, None),
+        ("vanderpol", 7, 1000),
+        ("fitzhugh-nagumo", 10, None),
+        ("fitzhugh-nagumo", 7, 333),
+    ],
+)
+def test_streamed_build_matches_whole_grid(
+    vdp, vdp_cert, monkeypatch, system, stride, block
+):
+    # N1 = 63140 (Van der Pol) and 9870 (FitzHugh-Nagumo) end in a short
+    # block of the default AB_BLOCK and of 1000 and 333; strides 7 and 10
+    # leave a short last gap before segment N1 - 1
+    if system == "vanderpol":
+        field, traj, delta0, gamma = vdp, vdp_cert.trajectory, VDP_DELTA0, VDP_GAMMA
+        R1, N1 = vdp_cert.R1, vdp_cert.N1
+    else:
+        field, delta0, gamma = cc.load_system({"id": system}), 0.05, 0.05
+        traj = cc.simulate(field, FHN_X0, FHN_H, 15000)
+        section = cc.Section.through(field, traj.nodes[0])
+        excl = cc.default_exclusion(FHN_H, delta0)
+        R1, N1, _ = cc.return_times(traj, section, 1, excl).first()
+        assert N1 == 9870
+    if block is not None:
+        monkeypatch.setattr(cc.tube, "AB_BLOCK", block)
+    B = cc.tube.AB_BLOCK
+    assert N1 % B and N1 > B
+    cfg = PipelineConfig(lambda_stride=stride)
+    anchors = np.unique(np.append(np.arange(0, N1, stride), N1 - 1))
+    assert 1 < anchors[-1] - anchors[-2] < stride
+    # block grids and the anchor grid are columns of the whole-loop grid
+    whole = cc.SegmentGrids(field, traj, N1, cfg.n_s)
+    for segs in (slice(0, B), slice(B, 2 * B), slice(N1 - N1 % B, N1), anchors):
+        part = cc.SegmentGrids(field, traj, N1, cfg.n_s, segs)
+        for name in ("P0", "P1", "FC0", "FC1", "nFC", "W0", "W1", "FN0", "FN1"):
+            got, ref = getattr(part, name), getattr(whole, name)[..., segs]
+            assert got.tobytes() == ref.tobytes(), name
+    # the streamed build against the build on whole-loop planes
+    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
+    ref = build_tube_whole(field, traj, N1, delta0, gamma, cfg)
+    for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius"):
+        assert getattr(tube, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.mark.parametrize("stride", [1, 7, 10, 50])
