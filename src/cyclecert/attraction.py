@@ -137,14 +137,12 @@ def _existence_run_from(
     The existence run simulates, finds the first return and bounds |x| or
     |f| exactly as the exponent's run does; the two agree when the start
     point is bit for bit x0 and the field, h, gamma, delta0, the pipeline
-    configuration and the number of steps are the same.  A tube built with
-    ``sigma_override`` is not the tube of the run.
+    configuration and the number of steps are the same.
     """
     if existence is None or existence.tube is None or existence.trajectory is None:
         return False
     return (
-        existence.tube.slice_mode != "override"
-        and existence.trajectory.field is field
+        existence.trajectory.field is field
         and z.tobytes() == existence.trajectory.nodes[0].tobytes()
         and (h, gamma, delta0) == (existence.h, existence.gamma, existence.delta0)
         and config == existence.config

@@ -104,14 +104,19 @@ def _run_config(args) -> RunConfig:
     return cfg
 
 
-def _prepare(cfg: RunConfig):
-    field = load_system(cfg.system)
-    return field
+def _exit_code(cert) -> int:
+    """0 for a certified certificate, 1 for a negative verdict, 2 for a
+    blocking failure."""
+    if cert.certified:
+        return EXIT_OK
+    if cert.failure and cert.failure.get("kind") == "negative":
+        return EXIT_NOT_CERTIFIED
+    return EXIT_ERROR
 
 
 def cmd_simulate(args) -> int:
     cfg = _run_config(args)
-    field = _prepare(cfg)
+    field = load_system(cfg.system)
     out = Path(args.out)
     traj = simulate(field, cfg.x0, cfg.h, int(math.ceil(cfg.horizon / cfg.h)))
     section = Section.through(field, traj.nodes[0])
@@ -134,7 +139,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_certify_existence(args) -> int:
     cfg = _run_config(args)
-    field = _prepare(cfg)
+    field = load_system(cfg.system)
     out = Path(args.out)
     cert = certify_existence(
         field, cfg.x0, cfg.h, cfg.delta0, cfg.gamma, cfg.pipeline, cfg.horizon
@@ -144,29 +149,19 @@ def cmd_certify_existence(args) -> int:
         write_tube_csv(out / "tube.csv", cert.tube, cert.trajectory)
         mu_nodes = mu_perp_batch(field, cert.trajectory.nodes[: cert.N1])
         write_measures_csv(out / "measures.csv", cert.tube, mu_nodes)
-    if cert.certified:
-        return EXIT_OK
-    return (
-        EXIT_NOT_CERTIFIED
-        if cert.failure and cert.failure.get("kind") == "negative"
-        else EXIT_ERROR
-    )
+    return _exit_code(cert)
 
 
 def cmd_certify_attraction(args) -> int:
     cfg = _run_config(args)
-    field = _prepare(cfg)
+    field = load_system(cfg.system)
     out = Path(args.out)
     existence = certify_existence(
         field, cfg.x0, cfg.h, cfg.delta0, cfg.gamma, cfg.pipeline, cfg.horizon
     )
     write_json(out / "existence_certificate.json", existence.to_dict())
     if not existence.certified:
-        return (
-            EXIT_NOT_CERTIFIED
-            if existence.failure and existence.failure.get("kind") == "negative"
-            else EXIT_ERROR
-        )
+        return _exit_code(existence)
     cert = certify_attraction(
         existence,
         field,
@@ -175,18 +170,12 @@ def cmd_certify_attraction(args) -> int:
         reference_d=cfg.reference_d,
     )
     write_json(out / "attraction_certificate.json", cert.to_dict())
-    if cert.certified:
-        return EXIT_OK
-    return (
-        EXIT_NOT_CERTIFIED
-        if cert.failure and cert.failure.get("kind") == "negative"
-        else EXIT_ERROR
-    )
+    return _exit_code(cert)
 
 
 def cmd_error_curve(args) -> int:
     cfg = _run_config(args)
-    field = _prepare(cfg)
+    field = load_system(cfg.system)
     out = Path(args.out)
     if not cfg.h_list:
         raise InputError("error-curve needs --h-list or a preset providing one")
@@ -225,7 +214,7 @@ def cmd_error_curve(args) -> int:
 
 def cmd_constants(args) -> int:
     cfg = _run_config(args)
-    field = _prepare(cfg)
+    field = load_system(cfg.system)
     out = Path(args.out)
     cert = certify_existence(
         field, cfg.x0, cfg.h, cfg.delta0, cfg.gamma, cfg.pipeline, cfg.horizon

@@ -35,8 +35,8 @@ class PipelineConfig:
     attraction sweep; ``seed`` draws the disk points of the return bound R';
     ``threads`` runs the sweep's tube builds in a pool; None reads
     ``CYCLECERT_THREADS`` when the sweep runs.  The fixed settings
-    (padding, fixed-point passes, slice radius safety, region margin) are
-    constants of :mod:`cyclecert.tube`.
+    (fixed-point passes, slice radius safety, region margin) are constants
+    of :mod:`cyclecert.tube`; the padding is ``constants.PAD_FACTOR``.
     """
 
     n_s: int = 5

@@ -23,7 +23,7 @@ from .errors import (
     InputError,
     TransversalityLossError,
 )
-from .euler import Exclusion, Section, batch_first_return
+from .euler import Section, batch_first_return, default_exclusion
 from .measures import M_FLOOR, _rot90, planar_norm
 from .systems import VectorField
 
@@ -188,11 +188,16 @@ class SectionDisk:
         return self.center[None, :] + (u * self.radius)[:, None] * w[None, :]
 
 
+# Each sampled extremum (Lambda_i, a_i, b_i of the tube, v and f_max of
+# estimate_eta) is widened by this factor times its neighbor-jump pad.
+PAD_FACTOR = 1.0
 # Polar grid of the ball around x0 on which the speed across the start
 # section is sampled, and the ball's radius as a multiple of rho.
 BALL_RADII = 9
 BALL_ANGLES = 32
 BALL_SCALE = 3.0
+# Disk points of the step-h return sweep that gives R'.
+R_PRIME_SAMPLES = 16
 
 
 @dataclass
@@ -255,7 +260,7 @@ def return_time_sweep(
     """
     pts = disk.sample_points(n_samples, seed=seed)
     section = Section(disk.center, disk.normal)
-    excl = Exclusion(t_min=10.0 * h, r_excl=0.5 * disk.radius)
+    excl = default_exclusion(h, disk.radius)
     times = batch_first_return(field, pts, h, horizon, section, excl)
     if np.isnan(times).any():
         bad = int(np.nonzero(np.isnan(times))[0][0])
@@ -267,14 +272,14 @@ def return_time_sweep(
     return times
 
 
-def _padded_range(vals: np.ndarray, pad_factor: float):
-    """(min, max) of a (radii, angles) grid widened by ``pad_factor`` times
+def _padded_range(vals: np.ndarray):
+    """(min, max) of a (radii, angles) grid widened by ``PAD_FACTOR`` times
     the largest jump between grid neighbours (angles wrap around)."""
     jump = max(
         np.abs(np.diff(vals, axis=0)).max(initial=0.0),
         np.abs(vals - np.roll(vals, 1, axis=1)).max(initial=0.0),
     )
-    return vals.min() - pad_factor * jump, vals.max() + pad_factor * jump
+    return vals.min() - PAD_FACTOR * jump, vals.max() + PAD_FACTOR * jump
 
 
 def estimate_eta(
@@ -282,9 +287,7 @@ def estimate_eta(
     tube,
     rho: float,
     horizon: float,
-    n_samples: int = 16,
     seed: int = 0,
-    pad_factor: float = 1.0,
 ) -> EtaEstimate:
     """Return-time interval [T_lo, T_hi] from the tube's phase rates, the
     floor eta = T_lo/2, and R' from a step-h sweep of the initial disk.
@@ -301,7 +304,7 @@ def estimate_eta(
     section (n0 the unit normal there) is then at most rho in magnitude.
     While y stays in the ball B(x0, r), r = BALL_SCALE * rho, g' = f.n0 is
     at least v, the minimum of f.n0 sampled on a polar grid of the ball and
-    padded by ``pad_factor`` times the largest neighbour jump; so g reaches
+    padded by ``PAD_FACTOR`` times the largest neighbour jump; so g reaches
     zero within e = rho/v of t*, forward or backward, crossing from g < 0
     to g > 0 as the crossing rule counts.  Meanwhile y moves at most
     e * f_max (f_max the padded maximum of |f| on the ball), so it stays in
@@ -315,8 +318,8 @@ def estimate_eta(
     condition nor the inclusion check uses eta.
 
     R' bounds the discrete first return at step h: the largest of
-    ``n_samples`` returns of :func:`return_time_sweep` (center, both disk
-    endpoints, then seeded uniform draws).
+    ``R_PRIME_SAMPLES`` returns of :func:`return_time_sweep` (center, both
+    disk endpoints, then seeded uniform draws).
     """
     h, N1 = tube.h, tube.N1
     weights = np.full(N1, h)
@@ -331,14 +334,14 @@ def estimate_eta(
     phi = np.linspace(0.0, 2.0 * np.pi, BALL_ANGLES, endpoint=False)
     ring = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     F = field.f_raw(disk.center + r[:, None, None] * ring[None, :, :])
-    v = float(_padded_range(F @ n0, pad_factor)[0])
-    f_max = float(_padded_range(np.linalg.norm(F, axis=-1), pad_factor)[1])
+    v = float(_padded_range(F @ n0)[0])
+    f_max = float(_padded_range(np.linalg.norm(F, axis=-1))[1])
     e = rho / v if v > 0.0 else math.inf
     if not rho + e * f_max <= radius:
         e = math.inf
     T_lo = sum_lo - e
 
-    times = return_time_sweep(field, disk, n_samples, h, horizon, seed=seed)
+    times = return_time_sweep(field, disk, R_PRIME_SAMPLES, h, horizon, seed=seed)
     return EtaEstimate(
         eta=0.5 * T_lo,
         T_lo=T_lo,
@@ -351,7 +354,7 @@ def estimate_eta(
         f_max=f_max,
         ball_radius=float(radius),
         e=e,
-        n_samples=n_samples,
+        n_samples=R_PRIME_SAMPLES,
         seed=seed,
     )
 

@@ -29,6 +29,7 @@ import numpy as np
 
 from .config import PipelineConfig
 from .constants import (
+    PAD_FACTOR,
     EtaEstimate,
     GlobalConstants,
     SectionDisk,
@@ -60,7 +61,12 @@ from .systems import VectorField
 
 
 class Tube:
-    """Arrays over segments 0..N1-1 plus the radius chains of length N1+1."""
+    """Arrays over segments 0..N1-1 plus the radius chains of length N1+1.
+
+    ``anchors`` are the segments the slice bounds were sampled on and
+    ``anchor_grids`` their :class:`SegmentGrids`, which the certificate's
+    tube samples read again.
+    """
 
     def __init__(
         self,
@@ -78,7 +84,8 @@ class Tube:
         sampled_radius,
         y0_disk,
         pass_history,
-        slice_mode,
+        anchors,
+        anchor_grids,
     ):
         self.h = float(h)
         self.N1 = int(N1)
@@ -94,7 +101,8 @@ class Tube:
         self.sampled_radius = sampled_radius
         self.y0_disk = y0_disk
         self.pass_history = pass_history
-        self.slice_mode = slice_mode
+        self.anchors = anchors
+        self.anchor_grids = anchor_grids
         self.step_floor = None  # populated by check_step_condition
 
         # delta chained step by step; alpha accumulates the reach increments
@@ -159,7 +167,7 @@ class Tube:
             },
             "a_min": float(self.a_seg.min()),
             "b_max": float(self.b_seg.max()),
-            "slice_mode": self.slice_mode,
+            "slice_mode": "tube",
             "final_segment": "extended",  # covers ((N1-1)h, N1*h] entirely
         }
 
@@ -168,9 +176,6 @@ class Tube:
 # per-segment estimators: the one kernel for Lambda_i and for [a_i, b_i]
 # --------------------------------------------------------------------------
 
-# Each sampled extremum (Lambda_i, a_i, b_i) is widened by this factor
-# times its neighbor-jump pad.
-PAD_FACTOR = 1.0
 # Fixed-point passes of build_tube, and the factor by which each refinement
 # pass widens the previous pass's tube radii into the slice radii it samples.
 PASSES = 2
@@ -393,13 +398,12 @@ def build_tube(
     gamma: float,
     M_f: float,
     config: PipelineConfig = PipelineConfig(),
-    sigma_override=None,
 ) -> Tube:
     """Build the tube over one return loop with a short fixed-point iteration.
 
     Lambda is sampled on the anchor segments' grid, the rest per block of
-    ``AB_BLOCK`` segments.  ``sigma_override`` (test hook) replaces every
-    per-step rate by a constant or an array, bypassing the slice bounds.
+    ``AB_BLOCK`` segments.  The anchors are every ``config.lambda_stride``-th
+    segment and the last one.
     """
     if delta0 <= 0.0:
         raise InputError("delta0 must be positive")
@@ -408,20 +412,6 @@ def build_tube(
     config.validate()
 
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
-
-    if sigma_override is not None:
-        sigma = np.broadcast_to(
-            np.asarray(sigma_override, dtype=float), (N1,)
-        ).astype(float)
-        lam = np.full(N1, np.nan)
-        a_seg = np.ones(N1)
-        b_seg = np.ones(N1)
-        m_tilde = SegmentGrids(field, traj, N1, config.n_s).m_tilde()
-        return Tube(
-            traj.h, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
-            m_tilde, np.zeros(N1), y0_disk, [], "override",
-        )
-
     anchors = np.unique(np.append(np.arange(0, N1, config.lambda_stride), N1 - 1))
     grids = SegmentGrids(field, traj, N1, config.n_s, anchors)
     m_tilde, sampled_radius = np.empty(N1), np.empty(N1)
@@ -468,19 +458,20 @@ def build_tube(
         growth = np.exp(sigma[None, anchors] * grids.s[:, None])
         radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
 
-    tube = Tube(
+    return Tube(
         traj.h, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
-        m_tilde, sampled_radius, y0_disk, history, "tube",
+        m_tilde, sampled_radius, y0_disk, history, anchors, grids,
     )
-    return tube
 
 
-def radius_consistent(tube: Tube, rtol: float = 1e-3) -> bool:
+# Relative slack of radius_consistent.
+RADIUS_RTOL = 1e-3
+
+
+def radius_consistent(tube: Tube) -> bool:
     """Final tube radii must not exceed the radii the bounds were sampled on."""
-    if tube.slice_mode != "tube":
-        return True
     span = np.maximum(tube.delta[:-1], tube.delta[1:])
-    return bool(np.all(span <= tube.sampled_radius * (1.0 + rtol) + 1e-300))
+    return bool(np.all(span <= tube.sampled_radius * (1.0 + RADIUS_RTOL) + 1e-300))
 
 
 # --------------------------------------------------------------------------
@@ -562,15 +553,18 @@ class InclusionReport:
         }
 
 
-def check_return_inclusion(
-    tube: Tube, traj: EulerTrajectory, n_samples: int = 64
-) -> InclusionReport:
+# Points of the final segment at which check_return_inclusion cuts the
+# tube slice with the start section.
+INCLUSION_SAMPLES = 64
+
+
+def check_return_inclusion(tube: Tube, traj: EulerTrajectory) -> InclusionReport:
     """Check that the final tube slice cut by the start section fits in Y0.
 
     Sufficient numeric test: |x(R1) - x0| + delta(R1) < delta0 (strict).
-    Geometric test: walk the final segment, intersect each
-    transverse tube segment with the start section and verify every
-    intersection point lies inside the initial disk.
+    Geometric test: walk the final segment at ``INCLUSION_SAMPLES`` points,
+    intersect each transverse tube segment with the start section and
+    verify every intersection point lies inside the initial disk.
     """
     x0 = traj.nodes[0]
     n0 = traj.seg_dirs[0]
@@ -582,7 +576,7 @@ def check_return_inclusion(
 
     i = tube.N1 - 1
     h = tube.h
-    s = np.linspace(0.0, h, n_samples)
+    s = np.linspace(0.0, h, INCLUSION_SAMPLES)
     c = traj.nodes[i][None, :] + s[:, None] * traj.seg_dirs[i][None, :]
     fc = traj.field.f_raw(c)
     w = _rot90(fc) / np.linalg.norm(fc, axis=-1, keepdims=True)
@@ -591,7 +585,7 @@ def check_return_inclusion(
     gc = (c - x0) @ n0
     dists = []
     scale = np.linalg.norm(n0)
-    for k in range(n_samples):
+    for k in range(INCLUSION_SAMPLES):
         if abs(wn[k]) > 1e-12 * scale:
             u = -gc[k] / wn[k]
             if abs(u) <= r[k]:
@@ -687,17 +681,16 @@ class ExistenceCertificate:
         return doc
 
 
-def _collect_tube_samples(field, traj, tube, config, extra_radius, use_delta=True):
-    """Sample points covering the final tube (slices at stride anchors).
+def _collect_tube_samples(tube, config, extra_radius, use_delta=True):
+    """Sample points covering the final tube: slices on the anchor grid
+    the tube was built on.
 
     With ``use_delta=False`` only the segment grid inflated by
     ``extra_radius`` is sampled; the one-step error bound needs the growth
     constant between segment points only, so that narrower set backs the
     Lipschitz estimate while the magnitude bounds cover the full tube.
     """
-    N1, stride = tube.N1, max(1, config.lambda_stride)
-    anchors = np.unique(np.append(np.arange(0, N1, stride), N1 - 1))
-    g = SegmentGrids(field, traj, N1, config.n_s, anchors)
+    g, anchors = tube.anchor_grids, tube.anchors
     rad = np.full(g.P0.shape, extra_radius)
     if use_delta:
         rad = rad + tube.delta[anchors] * np.exp(tube.sigma[anchors] * g.s[:, None])
@@ -715,7 +708,6 @@ def certify_existence(
     gamma: float,
     config: PipelineConfig = PipelineConfig(),
     horizon: float = 10.0,
-    sigma_override=None,
 ) -> ExistenceCertificate:
     """Full existence pipeline: simulate, return, tube, conditions, verdict.
 
@@ -760,10 +752,7 @@ def certify_existence(
         # alpha bookkeeping inside the builder
         grids_pts = traj.nodes[: N1 + 1]
         _, M_f0 = estimate_magnitude_bounds(field, grids_pts, magnitude="state")
-        tube = build_tube(
-            field, traj, R1, N1, delta0, gamma, M_f0, config,
-            sigma_override=sigma_override,
-        )
+        tube = build_tube(field, traj, R1, N1, delta0, gamma, M_f0, config)
         cert.tube = tube
         cert.pass_history = tube.pass_history
 
@@ -771,12 +760,10 @@ def certify_existence(
         # magnitude bounds over the built tube plus the margin
         margin = REGION_MARGIN * delta0
         seg_samples = _collect_tube_samples(
-            field, traj, tube, config, extra_radius=margin, use_delta=False
+            tube, config, extra_radius=margin, use_delta=False
         )
         L = estimate_lipschitz(field, seg_samples)
-        samples = _collect_tube_samples(
-            field, traj, tube, config, extra_radius=margin, use_delta=True
-        )
+        samples = _collect_tube_samples(tube, config, extra_radius=margin)
         m, _ = estimate_speed_bounds(field, samples)
         _, M_C = estimate_magnitude_bounds(field, samples, magnitude="state")
         M_f = max(M_C, float(tube.m_tilde.max()))

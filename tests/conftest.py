@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import cyclecert as cc
@@ -37,6 +38,13 @@ def vdp_cert(vdp):
 @pytest.fixture(scope="session")
 def vdp_traj(vdp_cert):
     return cert_traj(vdp_cert)
+
+
+def force_rate(monkeypatch, c):
+    """Make every per-segment rate of ``build_tube`` the constant c."""
+    monkeypatch.setattr(
+        cc.tube, "sigma_rate", lambda lam, a, b, gamma: np.full(lam.shape, c)
+    )
 
 
 def cert_traj(cert):

@@ -7,7 +7,7 @@ import cyclecert as cc
 from cyclecert.config import PipelineConfig
 from cyclecert.errors import CertificateBlockedError, InputError
 
-from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
+from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +44,15 @@ def test_exponent_consistent_with_tube(vdp, vdp_cert):
     assert abs(lhs - rhs) <= 1e-10
 
 
-def test_exponent_forced_constant_rate(vdp):
+def test_exponent_forced_constant_rate(vdp, monkeypatch):
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 7000)
     section = cc.Section.through(vdp, traj.nodes[0])
     R1, N1, _ = cc.return_times(
         traj, section, 1, cc.default_exclusion(1e-3, 0.1)
     ).first()
     c = -0.7
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3, sigma_override=c)
+    force_rate(monkeypatch, c)
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3)
     K0 = 1e-3 * c * (N1 - 1)
     assert float(1e-3 * tube.sigma[: N1 - 1].sum()) == pytest.approx(K0)
     assert np.log(tube.delta[N1] / 0.1) == pytest.approx(c * N1 * 1e-3, rel=1e-12)
@@ -239,7 +240,7 @@ def coarse_existence(vdp):
     cert = cc.certify_existence(
         vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG, horizon=10.0
     )
-    assert cert.tube is not None and cert.tube.slice_mode == "tube"
+    assert cert.tube is not None
     return cert
 
 
@@ -294,7 +295,7 @@ def test_attraction_center_exponent_is_fresh_exponent(vdp, vdp_attraction):
 
 @pytest.mark.parametrize(
     "change",
-    ["even", "center", "delta0", "h", "gamma", "config", "horizon", "override", "field"],
+    ["even", "center", "delta0", "h", "gamma", "config", "horizon", "field"],
 )
 def test_sweep_reuse_needs_the_existence_run(vdp, coarse_existence, monkeypatch, change):
     existence, field, n = coarse_existence, vdp, 3
@@ -314,12 +315,6 @@ def test_sweep_reuse_needs_the_existence_run(vdp, coarse_existence, monkeypatch,
         kwargs["horizon"] = 12.0
     elif change == "gamma":
         kwargs["gamma"] = 0.02
-    elif change == "override":
-        existence = cc.certify_existence(
-            vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG,
-            horizon=10.0, sigma_override=-0.5,
-        )
-        assert existence.tube.slice_mode == "override"
     elif change == "field":
         field = dataclasses.replace(vdp)
     calls = counted_builds(monkeypatch)

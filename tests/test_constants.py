@@ -142,7 +142,7 @@ def test_lipschitz_blocks_match_full_eigvals(kind, block, monkeypatch):
 def test_lipschitz_filter_vdp_tube_samples(vdp, vdp_cert):
     cfg = cc.PipelineConfig()
     pts = cc.tube._collect_tube_samples(
-        vdp, vdp_cert.trajectory, vdp_cert.tube, cfg,
+        vdp_cert.tube, cfg,
         extra_radius=cc.tube.REGION_MARGIN * vdp_cert.delta0, use_delta=False,
     )
     ref = float(np.abs(np.linalg.eigvals(vdp.jac_raw(pts))).max())
@@ -154,7 +154,7 @@ def test_lipschitz_memory(vdp, vdp_cert):
     # estimate peaks under 6 MiB, where the whole (m, 2, 2) stack and its
     # absolute values peaked at 23 MiB
     pts = cc.tube._collect_tube_samples(
-        vdp, vdp_cert.trajectory, vdp_cert.tube, cc.PipelineConfig(),
+        vdp_cert.tube, cc.PipelineConfig(),
         extra_radius=cc.tube.REGION_MARGIN * vdp_cert.delta0, use_delta=False,
     )
     assert len(pts) == 252600

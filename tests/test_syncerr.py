@@ -282,7 +282,7 @@ def test_tube_membership_requires_step_floor(vdp):
     R1, N1, _ = cc.return_times(
         traj, section, 1, cc.default_exclusion(1e-3, 0.1)
     ).first()
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3, sigma_override=0.0)
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3)
     ref = ReferenceSolution(traj=traj, refine=1)
     series = cc.synchronize(ref, traj, traj.nodes[0], t_max=tube.horizon)
     with pytest.raises(InputError, match="step floor"):

@@ -15,7 +15,7 @@ from cyclecert.errors import InputError, InvalidReparametrizationError
 from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_consistent
 
-from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
+from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate
 from oracles import ab_profile_whole, build_tube_whole, drift_bridge_loop, interleaved
 
 
@@ -28,28 +28,26 @@ def test_no_return_failure(linear):
     assert cert.failure["kind"] == "negative"
 
 
-def test_sigma_override_constant_delta(vdp):
+def test_forced_rate_constant_delta(vdp, monkeypatch):
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 7000)
     section = cc.Section.through(vdp, traj.nodes[0])
     rt = cc.return_times(traj, section, 1, cc.default_exclusion(1e-3, 0.1))
     R1, N1, _ = rt.first()
-    tube = cc.build_tube(
-        vdp, traj, R1, N1, 0.1, 0.015, M_f=2.3, sigma_override=0.0
-    )
+    force_rate(monkeypatch, 0.0)
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, M_f=2.3)
     assert np.allclose(tube.delta, 0.1)
     assert tube.delta_at(0.37 * R1) == pytest.approx(0.1)
 
 
-def test_sigma_override_closed_form(vdp):
+def test_forced_rate_closed_form(vdp, monkeypatch):
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 7000)
     section = cc.Section.through(vdp, traj.nodes[0])
     R1, N1, _ = cc.return_times(
         traj, section, 1, cc.default_exclusion(1e-3, 0.1)
     ).first()
     c = -2.0
-    tube = cc.build_tube(
-        vdp, traj, R1, N1, 0.1, 0.015, M_f=2.3, sigma_override=c
-    )
+    force_rate(monkeypatch, c)
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, M_f=2.3)
     # delta(ih + s) = delta0 exp(c*(ih + s)) for the constant-rate chain
     for t in (0.0, 0.5 * traj.h, 3.7 * traj.h, R1):
         assert tube.delta_at(t) == pytest.approx(0.1 * np.exp(c * t), rel=1e-12)
@@ -483,6 +481,31 @@ def test_streamed_build_matches_whole_grid(
     ref = build_tube_whole(field, traj, N1, delta0, gamma, cfg)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius"):
         assert getattr(tube, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_one_anchor_grid_per_certificate(vdp, monkeypatch):
+    # the Lambda passes and both tube samples of the constants read the one
+    # anchor grid that build_tube keeps on the tube
+    anchor_grids = []
+
+    class Counted(cc.SegmentGrids):
+        def __init__(self, field, traj, N1, n_s, segs=slice(None), out=None):
+            super().__init__(field, traj, N1, n_s, segs, out)
+            if isinstance(segs, np.ndarray):
+                anchor_grids.append(self)
+
+    monkeypatch.setattr(cc.tube, "SegmentGrids", Counted)
+    cert = cc.certify_existence(
+        vdp, VDP_X0, 2e-3, VDP_DELTA0, VDP_GAMMA,
+        PipelineConfig(lambda_stride=50), horizon=10.0,
+    )
+    assert cert.constants is not None
+    assert len(anchor_grids) == 1
+    tube = cert.tube
+    assert tube.anchor_grids is anchor_grids[0]
+    assert np.array_equal(
+        tube.anchors, np.unique(np.append(np.arange(0, tube.N1, 50), tube.N1 - 1))
+    )
 
 
 @pytest.mark.parametrize("stride", [1, 7, 10, 50])
