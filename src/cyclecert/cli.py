@@ -48,7 +48,7 @@ def _add_common(p):
     p.add_argument("--gamma", type=float, help="rate regularization floor")
     p.add_argument("--horizon", type=float, help="simulation horizon")
     p.add_argument("--samples", type=int, help="disk sweep sample count")
-    p.add_argument("--stride", type=int, help="slice-bound recompute stride")
+    p.add_argument("--stride", type=int, help="sampling stride of Lambda and (a, b)")
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
     p.add_argument("--out", default="out", help="output directory")
 

@@ -29,9 +29,10 @@ class PipelineConfig:
     ``n_s`` points along each segment and ``n_ball`` transverse offsets
     (plus the center) sample the slice bounds Lambda_i; ``ab_offsets``
     offsets on the same s-grid sample the phase rates (a_i, b_i).
-    ``lambda_stride`` trades cost for tightness: slice bounds are sampled
-    every that many segments and bridged with drift padding in between;
-    stride 1 samples every segment.  ``sweep_samples`` disk points give the
+    ``lambda_stride`` trades cost for tightness: Lambda_i and (a_i, b_i) are
+    sampled every that many segments (the anchors) and bridged in between,
+    Lambda with drift padding and (a, b) with curvature padding; stride 1
+    samples every segment.  ``sweep_samples`` disk points give the
     attraction sweep; ``seed`` draws the disk points of the return bound R';
     ``threads`` runs the sweep's tube builds in a pool; None reads
     ``CYCLECERT_THREADS`` when the sweep runs.  The fixed settings

@@ -7,8 +7,8 @@ of f(x), which in the plane is the single direction f(x) turned by a
 quarter.
 
 The slice-wise transverse bounds Lambda_i and the phase-rate bounds
-[a_i, b_i] are sampled by :func:`cyclecert.tube.lambda_profile` and
-:func:`cyclecert.tube.ab_profile`.  Per-step growth rates are conservative
+[a_i, b_i] are sampled on the anchor segments, and bridged in between, by
+:func:`cyclecert.tube.lambda_profile` and :func:`cyclecert.tube.ab_profile`.  Per-step growth rates are conservative
 approximations of the slice-wise bound: contracting slices use half the
 lower phase rate, all others use 3/2 of the upper phase rate with the
 magnitude floored at gamma, so every rate is bounded away from zero.

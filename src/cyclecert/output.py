@@ -109,7 +109,7 @@ def write_crossings_csv(path, returns):
 
 
 def write_tube_csv(path, tube, traj, stride: int = 1):
-    header = ["i", "t", "c_1", "c_2", "alpha", "delta", "Lambda", "sigma"]
+    header = ["i", "t", "c_1", "c_2", "alpha", "delta", "Lambda", "sigma", "a", "b"]
 
     def rows():
         for i in range(0, tube.N1, stride):
@@ -122,6 +122,8 @@ def write_tube_csv(path, tube, traj, stride: int = 1):
                 tube.delta[i],
                 tube.lam[i],
                 tube.sigma[i],
+                tube.a_seg[i],
+                tube.b_seg[i],
             ]
 
     write_csv(path, header, rows())

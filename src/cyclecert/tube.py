@@ -184,14 +184,22 @@ RADIUS_SAFETY = 1.05
 # the constants L, m and M_C.
 REGION_MARGIN = 0.05
 
-# Segments per block of build_tube's segment loop and of the (a, b) profile:
-# 8192 segments by 5 s-nodes keep each plane of a block, allocated once per
-# build, and each temporary at 320 KiB.
+# Segments per block of build_tube's segment loop, and anchors per block of
+# the (a, b) profile: 8192 of them by 5 s-nodes keep each plane of a block
+# and each temporary at 320 KiB.
 AB_BLOCK = 8192
 # Slice points per block of the Lambda profile, whose anchors are column
 # slices of the anchor grid: 2^16 points (1456 anchors of 9 offsets by 5
 # s-nodes) keep each of mu_perp_batch's temporaries at 512 KiB.
 LAMBDA_BLOCK = 2**16
+
+
+def segment_points(traj, N1, s, segs):
+    """The points x_i + s_k f_i of the segments ``segs`` of 0..N1-1 as (n_s,
+    K) planes P0, P1, and their directions f_i as (K,) arrays FN0, FN1."""
+    C, FN = traj.nodes[:N1][segs], traj.seg_dirs[:N1][segs]
+    FN0, FN1 = FN[:, 0].copy(), FN[:, 1].copy()
+    return C[:, 0] + s[:, None] * FN0, C[:, 1] + s[:, None] * FN1, FN0, FN1
 
 
 class SegmentGrids:
@@ -201,33 +209,20 @@ class SegmentGrids:
     ``(P0[k, j], P1[k, j])`` is the point x_i + s_k f_i on the j-th segment
     i (s_k on ``n_s`` points of [0, h]), ``(FC0, FC1)`` and ``nFC`` the
     field and its norm there, and ``(W0, W1)`` the unit transverse
-    direction along which the slices extend; ``out`` (5, n_s, K) receives
-    P0, P1, nFC, W0 and W1.  ``FN0, FN1`` (K,) are the segment directions
-    f_i.  Norms are taken in planar components (:func:`norm_planes`), bit
-    for bit those of ``np.linalg.norm``.
+    direction along which the slices extend.  ``FN0, FN1`` (K,) are the
+    segment directions f_i.  Norms are taken in planar components
+    (:func:`norm_planes`), bit for bit those of ``np.linalg.norm``.
     """
 
-    def __init__(self, field, traj, N1, n_s, segs=slice(None), out=None):
+    def __init__(self, field, traj, N1, n_s, segs=slice(None)):
         self.N1 = N1
         self.n_s = n_s
         self.s = np.linspace(0.0, traj.h, n_s)
-        C, FN = traj.nodes[:N1][segs], traj.seg_dirs[:N1][segs]
-        self.FN0, self.FN1 = FN[:, 0].copy(), FN[:, 1].copy()
-        out = np.empty((5, n_s, len(FN))) if out is None else out
-        self.P0, self.P1, self.nFC, self.W0, self.W1 = out
-        s = self.s[:, None]
-        np.add(C[:, 0], np.multiply(s, self.FN0, out=self.P0), out=self.P0)
-        np.add(C[:, 1], np.multiply(s, self.FN1, out=self.P1), out=self.P1)
+        self.P0, self.P1, self.FN0, self.FN1 = segment_points(traj, N1, self.s, segs)
         FC0, FC1 = self.FC0, self.FC1 = field.f_planes(self.P0, self.P1)
-        np.multiply(FC0, FC0, out=self.nFC)  # norm_planes(FC0, FC1)
-        self.nFC += np.multiply(FC1, FC1, out=self.W1)
-        np.sqrt(self.nFC, out=self.nFC)
-        np.divide(np.negative(FC1, out=self.W0), self.nFC, out=self.W0)
-        np.divide(FC0, self.nFC, out=self.W1)
-
-    def m_tilde(self) -> np.ndarray:
-        """The per-segment magnitude bound M~_i: the largest |x| on the s-grid."""
-        return norm_planes(self.P0, self.P1).max(axis=0)
+        self.nFC = norm_planes(FC0, FC1)
+        self.W0 = -FC1 / self.nFC
+        self.W1 = FC0 / self.nFC
 
 
 def lambda_profile(field, grids, radius, anchors, cfg):
@@ -281,68 +276,59 @@ def lambda_profile(field, grids, radius, anchors, cfg):
         lamA[A] = mx
         padA[A] = PAD_FACTOR * 0.5 * jump
     lamA = lamA + padA
-
-    # the segments strictly between anchors j and j+1, in order, take the
-    # bridge of gap j
-    lam = np.empty(grids.N1)
-    pad = np.zeros(grids.N1)
     drift = PAD_FACTOR * np.abs(np.diff(lamA))
-    gaps = np.diff(anchors) - 1
-    inner = np.zeros(grids.N1, dtype=bool)
-    inner[anchors[0] : anchors[-1] + 1] = True
-    inner[anchors] = False
-    lam[inner] = np.repeat(np.maximum(lamA[:-1], lamA[1:]) + drift, gaps)
-    pad[inner] = np.repeat(drift, gaps)
-    lam[anchors] = lamA
-    pad[anchors] = padA
-    return lam, pad
+    lam = fill_gaps(lamA, np.maximum(lamA[:-1], lamA[1:]) + drift, anchors, grids.N1)
+    return lam, fill_gaps(padA, drift, anchors, grids.N1)
 
 
-def ab_profile(field, grids, radius, cfg):
-    """Per-segment phase-rate bounds (a_i, b_i) from the theta-dot grid.
-
-    Evaluates the closed form of :func:`~cyclecert.constants.theta_dot` on
-    ``cfg.ab_offsets`` transverse offsets up to the slice radius ``radius``
-    (n_s, N1) and on the s-grid of every segment, then widens the observed
-    range by ``PAD_FACTOR`` times the largest neighbor jump.  a_i must come
-    out positive, otherwise the step is too large or the tube too fat.
-    """
-    segs = (slice(lo, lo + AB_BLOCK) for lo in range(0, grids.N1, AB_BLOCK))
-    blocks = ((seg, seg, grids, radius[:, seg]) for seg in segs)
-    return _ab_blocks(field, blocks, grids.N1, cfg)
+def fill_gaps(vA, gap, anchors, N1):
+    """Per-segment values over anchors[0]..anchors[-1] of 0..N1-1: ``vA`` on
+    the anchors, ``gap[j]`` on the segments strictly between anchors j and
+    j+1."""
+    out = np.empty(N1)
+    out[anchors[0] : anchors[-1]] = np.repeat(gap, np.diff(anchors))
+    out[anchors] = vA
+    return out
 
 
-def _ab_blocks(field, blocks, N1, cfg):
-    """:func:`ab_profile` over the blocks ``blocks`` yields in order:
-    (segments, their grid columns, the grid, their slice radii).
+def ab_profile(field, grids, radius, anchors, cfg):
+    """Per-segment phase-rate bounds (a_i, b_i) via strided anchor sampling.
 
-    Keeps the minimum, the maximum and both neighbor jumps as running values
-    over the offsets, in a few (n_s, AB_BLOCK) planes allocated once.  A
-    vanishing denominator is reported at the first offset, and on it the
-    first segment, where one occurs.
+    ``grids`` and ``radius`` have columns as for :func:`lambda_profile`.
+    Anchor slices are sampled with the closed form of
+    :func:`~cyclecert.constants.theta_dot` on ``cfg.ab_offsets`` offsets and
+    the s-grid, padded by ``PAD_FACTOR`` times the largest neighbor jump,
+    and bridged by :func:`anchor_bridge`.  The anchors run in blocks of
+    ``AB_BLOCK``, with the minimum, the maximum and both jumps as running
+    values over the offsets.  A vanishing denominator is reported at the
+    first offset, and on it the first anchor segment, where one occurs;
+    a_i <= 0 means the step is too large or the tube too fat.
     """
     offs = np.linspace(-1.0, 1.0, cfg.ab_offsets)
-    a_seg, b_seg = np.empty(N1), np.empty(N1)
-    work = np.empty((6, cfg.n_s, AB_BLOCK))  # the temporaries' planes
-    vanished = None  # (offset, segment) of the first vanishing denominator
-    for seg, cols, g, r in blocks:
-        P0, P1, W0, W1, FC0, FC1, nFC = (
-            v[:, cols] for v in (g.P0, g.P1, g.W0, g.W1, g.FC0, g.FC1, g.nFC)
+    aA, bA = np.empty(anchors.size), np.empty(anchors.size)
+    per_segment = grids.P0.shape[1] != anchors.size
+    work = np.empty((6, grids.n_s, min(AB_BLOCK, anchors.size)))
+    vanished = np.full(offs.size, grids.N1)  # per offset, its first segment
+    for lo in range(0, anchors.size, AB_BLOCK):
+        A = slice(lo, lo + AB_BLOCK)
+        cols = anchors[A] if per_segment else A
+        P0, P1, W0, W1, FC0, FC1, nFC, r = (
+            v[:, cols]
+            for v in (grids.P0, grids.P1, grids.W0, grids.W1, grids.FC0,
+                      grids.FC1, grids.nFC, radius)
         )
         floor, buf, den, t, *tds = work[..., : r.shape[1]]
         np.multiply(M_FLOOR, nFC, out=floor)
         low = np.empty(P0.shape, dtype=bool)
-        if vanished is None:
-            j00, j01, j10, j11 = field.jac_planes(P0, P1)
-            FN0, FN1 = g.FN0[cols], g.FN1[cols]
-            Jf0 = j00 * FN0 + j01 * FN1
-            Jf1 = j10 * FN0 + j11 * FN1
-            base = FN0 * FC0 + FN1 * FC1
-            amin = np.full(P0.shape[1], np.inf)
-            bmax = np.full(P0.shape[1], -np.inf)
-            jump = np.zeros(P0.shape[1])
-        # past a vanishing denominator only the earlier offsets are checked
-        for k, o in enumerate(offs if vanished is None else offs[: vanished[0]]):
+        j00, j01, j10, j11 = field.jac_planes(P0, P1)
+        FN0, FN1 = grids.FN0[cols], grids.FN1[cols]
+        Jf0 = j00 * FN0 + j01 * FN1
+        Jf1 = j10 * FN0 + j11 * FN1
+        base = FN0 * FC0 + FN1 * FC1
+        amin = np.full(P0.shape[1], np.inf)
+        bmax = np.full(P0.shape[1], -np.inf)
+        jump = np.zeros(P0.shape[1])
+        for k, o in enumerate(offs):
             # each step is the IEEE operation of the expression beside it,
             # written into a plane once that plane's last value is read
             np.multiply(o, r, out=t)
@@ -354,9 +340,9 @@ def _ab_blocks(field, blocks, N1, cfg):
             np.multiply(FX0, FC0, out=den)
             den += np.multiply(FX1, FC1, out=buf)  # FX0 FC0 + FX1 FC1
             if np.less(np.abs(den, out=buf), floor, out=low).any():
-                vanished = (k, seg.start + int(np.nonzero(low.any(axis=0))[0][0]))
-                break
-            if vanished is not None:
+                first = anchors[lo + low.any(axis=0).argmax()]
+                vanished[k] = min(vanished[k], first)
+            if vanished.min() < grids.N1:  # only the denominators matter now
                 continue
             # td = (base - ((XI0 - P0) Jf0 + (XI1 - P1) Jf1)) / den
             td = np.subtract(XI0, P0, out=XI0)
@@ -372,21 +358,35 @@ def _ab_blocks(field, blocks, N1, cfg):
             d = np.subtract(td[1:], td[:-1], out=buf[1:])  # np.diff(td, axis=0)
             np.maximum(jump, np.abs(d, out=d).max(axis=0), out=jump)
             prev = td
-        if vanished is None:
-            margin = PAD_FACTOR * jump
-            a_seg[seg] = amin - margin
-            b_seg[seg] = bmax + margin
-    if vanished is not None:
+        margin = PAD_FACTOR * jump
+        aA[A] = amin - margin
+        bA[A] = bmax + margin
+    if vanished.min() < grids.N1:
         raise InvalidReparametrizationError(
-            f"phase-rate denominator vanished at segment {vanished[1]}; step too "
-            "large or tube too fat"
+            f"phase-rate denominator vanished at segment "
+            f"{vanished[vanished < grids.N1][0]}; step too large or tube too fat"
         )
+    a_seg = anchor_bridge(aA, anchors, grids.N1, -1.0)
+    b_seg = anchor_bridge(bA, anchors, grids.N1, 1.0)
     if np.any(a_seg <= 0.0):
         bad = int(np.nonzero(a_seg <= 0.0)[0][0])
         raise InvalidReparametrizationError(
             f"phase-rate lower bound {a_seg[bad]:g} <= 0 at segment {bad}"
         )
     return a_seg, b_seg
+
+
+def anchor_bridge(vA, anchors, N1, side):
+    """:func:`fill_gaps` of a lower (``side`` -1) or upper (+1) bound ``vA``
+    on the anchors: gap j takes the worse of vA_j and vA_{j+1}, widened by
+    the curvature pad PAD_FACTOR max(c_j, c_{j+1}) / 8, where c_k is the
+    |second difference| of vA at anchor k and an end anchor takes its
+    neighbor's (c = 0 below three anchors)."""
+    c = np.abs(np.diff(vA, 2))
+    c = np.pad(c, 1, mode="edge") if c.size else np.zeros(vA.size)
+    pad = PAD_FACTOR * np.maximum(c[:-1], c[1:]) / 8
+    worse = np.minimum(vA[:-1], vA[1:]) if side < 0 else np.maximum(vA[:-1], vA[1:])
+    return fill_gaps(vA, worse + side * pad, anchors, N1)
 
 
 def build_tube(
@@ -401,9 +401,9 @@ def build_tube(
 ) -> Tube:
     """Build the tube over one return loop with a short fixed-point iteration.
 
-    Lambda is sampled on the anchor segments' grid, the rest per block of
-    ``AB_BLOCK`` segments.  The anchors are every ``config.lambda_stride``-th
-    segment and the last one.
+    Lambda and (a, b) are sampled on the anchor segments' grid, M~ and the
+    sampled radius per block of ``AB_BLOCK`` segments.  The anchors are
+    every ``config.lambda_stride``-th segment and the last one.
     """
     if delta0 <= 0.0:
         raise InputError("delta0 must be positive")
@@ -415,21 +415,6 @@ def build_tube(
     anchors = np.unique(np.append(np.arange(0, N1, config.lambda_stride), N1 - 1))
     grids = SegmentGrids(field, traj, N1, config.n_s, anchors)
     m_tilde, sampled_radius = np.empty(N1), np.empty(N1)
-
-    def blocks(delta_nodes, sigma):
-        # each block's grid and tube radii delta_i e^{sigma_i s}; M~ and the
-        # sampled (next pass's slice) radii are kept as maxima
-        work = np.empty((7, config.n_s, AB_BLOCK))
-        for lo in range(0, N1, AB_BLOCK):
-            seg = slice(lo, min(lo + AB_BLOCK, N1))
-            w = work[..., : seg.stop - lo]
-            g = SegmentGrids(field, traj, N1, config.n_s, seg, out=w[:5])
-            m_tilde[seg] = g.m_tilde()
-            growth = np.exp(np.multiply(sigma[seg], g.s[:, None], out=w[5]), out=w[5])
-            delta = delta_nodes[None, seg]
-            wide = np.multiply(RADIUS_SAFETY * delta, growth, out=w[6])
-            sampled_radius[seg] = wide.max(axis=0)
-            yield seg, slice(None), g, np.multiply(delta, growth, out=growth)
 
     a_seg = np.ones(N1)
     b_seg = np.ones(N1)
@@ -452,10 +437,21 @@ def build_tube(
         )
         if pass_no == PASSES:
             break
-        a_seg, b_seg = _ab_blocks(field, blocks(delta_nodes, sigma), N1, config)
-        # the next pass samples Lambda on this pass's tube, widened by the
-        # safety factor
+        # M~ and the sampled (next pass's slice) radii: the s-grid maxima of
+        # |x| and of the widened tube radii delta_i e^{sigma_i s}
+        for lo in range(0, N1, AB_BLOCK):
+            seg = slice(lo, min(lo + AB_BLOCK, N1))
+            P0, P1, _, _ = segment_points(traj, N1, grids.s, seg)
+            m_tilde[seg] = norm_planes(P0, P1).max(axis=0)
+            growth = np.exp(sigma[seg] * grids.s[:, None])
+            wide = RADIUS_SAFETY * delta_nodes[None, seg] * growth
+            sampled_radius[seg] = wide.max(axis=0)
+        # (a, b) on this pass's tube at the anchors; the next pass samples
+        # Lambda on it widened by the safety factor
         growth = np.exp(sigma[None, anchors] * grids.s[:, None])
+        a_seg, b_seg = ab_profile(
+            field, grids, delta_nodes[None, anchors] * growth, anchors, config
+        )
         radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
 
     return Tube(

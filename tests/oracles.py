@@ -2,7 +2,7 @@
 
 These are the einsum and per-gap loop forms that ``measures.mu_perp_batch``
 and ``tube.lambda_profile`` / ``tube.ab_profile`` compute in planar
-components and over segment blocks, the whole-loop planes that
+components, over blocks and between anchors, the whole-loop planes that
 ``tube.build_tube`` streams in segment blocks, the stacked (..., 2) Van der Pol and
 FitzHugh-Nagumo right-hand sides and Jacobians that the registry's planar
 kernels replaced, the sampled return-time sweep that the tube's return-time
@@ -20,13 +20,12 @@ from cyclecert.errors import (
     InvalidReparametrizationError,
 )
 from cyclecert.euler import Exclusion, Section, batch_first_return
-from cyclecert.measures import M_FLOOR, sigma_rate, symmetric_part
+from cyclecert.measures import M_FLOOR, norm_planes, sigma_rate, symmetric_part
 from cyclecert.tube import (
     PAD_FACTOR,
     PASSES,
     RADIUS_SAFETY,
     SegmentGrids,
-    ab_profile,
     lambda_profile,
 )
 
@@ -74,17 +73,44 @@ def drift_bridge_loop(lamA, padA, anchors, N1, pad_factor):
     return lam, pad
 
 
-def interleaved(grids):
-    """The component planes of a ``SegmentGrids`` stacked into (..., 2)
-    point arrays ``P``, ``W``, ``FC`` and ``FN``."""
+def ab_bridge_loop(aA, bA, anchors, N1, pad_factor):
+    """(a_i, b_i) of the segments from the padded anchor bounds, one gap at
+    a time: the worse of the two anchor values, widened by pad_factor / 8
+    times the larger |second difference| at the two anchors, where an end
+    anchor takes its neighbor's."""
+    a, b = np.empty(N1), np.empty(N1)
+    a[anchors], b[anchors] = aA, bA
+    n = anchors.size
+
+    def curvature(v, k):
+        if n < 3:
+            return 0.0
+        k = min(max(k, 1), n - 2)
+        return abs((v[k + 1] - v[k]) - (v[k] - v[k - 1]))
+
+    for j in range(n - 1):
+        a0, a1 = anchors[j], anchors[j + 1]
+        if a1 > a0 + 1:
+            pad = pad_factor * max(curvature(aA, j), curvature(aA, j + 1)) / 8
+            a[a0 + 1 : a1] = min(aA[j], aA[j + 1]) - pad
+            pad = pad_factor * max(curvature(bA, j), curvature(bA, j + 1)) / 8
+            b[a0 + 1 : a1] = max(bA[j], bA[j + 1]) + pad
+    return a, b
+
+
+def interleaved(grids, cols=slice(None)):
+    """The component planes of a ``SegmentGrids``, or of its columns
+    ``cols``, stacked into (..., 2) point arrays ``P``, ``W``, ``FC`` and
+    ``FN``."""
+    P = np.stack([grids.P0, grids.P1], axis=-1)[:, cols]
     return SimpleNamespace(
-        P=np.stack([grids.P0, grids.P1], axis=-1),
-        W=np.stack([grids.W0, grids.W1], axis=-1),
-        FC=np.stack([grids.FC0, grids.FC1], axis=-1),
-        FN=np.stack([grids.FN0, grids.FN1], axis=-1),
-        nFC=grids.nFC,
+        P=P,
+        W=np.stack([grids.W0, grids.W1], axis=-1)[:, cols],
+        FC=np.stack([grids.FC0, grids.FC1], axis=-1)[:, cols],
+        FN=np.stack([grids.FN0, grids.FN1], axis=-1)[cols],
+        nFC=grids.nFC[:, cols],
         n_s=grids.n_s,
-        N1=grids.N1,
+        N1=P.shape[1],
     )
 
 
@@ -119,9 +145,10 @@ def ab_profile_whole(field, grids, radius, cfg):
 
 def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     """The per-segment arrays of ``build_tube`` from whole-loop (n_s, N1)
-    planes: one ``SegmentGrids`` over every segment, which both Lambda
-    passes and the (a, b) pass read, and the slice radii of every segment
-    as one plane per pass."""
+    planes: one ``SegmentGrids`` over every segment, whose anchor columns
+    both Lambda passes and the (a, b) pass read, the (a, b) bridge one gap
+    at a time, and the slice radii of every segment as one plane per
+    pass."""
     grids = SegmentGrids(field, traj, N1, cfg.n_s)
     anchors = np.arange(0, N1, cfg.lambda_stride)
     if anchors[-1] != N1 - 1:
@@ -137,11 +164,14 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
         if pass_no == PASSES:
             break
         growth = np.exp(sigma[None, :] * grids.s[:, None])
-        a_seg, b_seg = ab_profile(field, grids, delta_nodes[None, :N1] * growth, cfg)
+        r = (delta_nodes[None, :N1] * growth)[:, anchors]
+        aA, bA = ab_profile_whole(field, interleaved(grids, anchors), r, cfg)
+        a_seg, b_seg = ab_bridge_loop(aA, bA, anchors, N1, PAD_FACTOR)
         radius = RADIUS_SAFETY * delta_nodes[None, :N1] * growth
     return SimpleNamespace(
         lam=lam, sigma=sigma, a_seg=a_seg, b_seg=b_seg,
-        m_tilde=grids.m_tilde(), sampled_radius=radius.max(axis=0),
+        m_tilde=norm_planes(grids.P0, grids.P1).max(axis=0),
+        sampled_radius=radius.max(axis=0),
     )
 
 

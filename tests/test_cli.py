@@ -41,16 +41,16 @@ def test_existence_provenance_pinned(preset_out):
     assert doc["constants"]["provenance"] == {
         "eta": {
             "ball_grid": [9, 32],
-            "ball_radius": 0.23237627972794941,
-            "e": 0.05381784718263852,
-            "f_max": 1.771380777699948,
+            "ball_radius": 0.23239226536610944,
+            "e": 0.053821865580331196,
+            "f_max": 1.771398388660022,
             "method": "tube",
             "n_samples": 16,
-            "rho": 0.07745875990931647,
+            "rho": 0.07746408845536981,
             "seed": 0,
-            "sum_hi": 6.540384127373812,
-            "sum_lo": 6.1028939843032255,
-            "v": 1.4392764475778668,
+            "sum_hi": 6.5407912006902045,
+            "sum_lo": 6.102528360118472,
+            "v": 1.4392679930381025,
         },
         "lambda_stride": 10,
         "lipschitz_mode": "spectral_radius",
@@ -73,10 +73,15 @@ def test_existence_schema_valid(preset_out):
 def test_tube_csv_columns(preset_out):
     header = (preset_out / "tube.csv").read_text().splitlines()[0]
     assert header.split(",") == [
-        "i", "t", "c_1", "c_2", "alpha", "delta", "Lambda", "sigma",
+        "i", "t", "c_1", "c_2", "alpha", "delta", "Lambda", "sigma", "a", "b",
     ]
     lines = (preset_out / "tube.csv").read_text().splitlines()
     assert len(lines) == 63140 + 1
+    # the phase-rate bounds, per segment, as the certificate's a and b
+    a, b = np.loadtxt(preset_out / "tube.csv", delimiter=",", skiprows=1, usecols=(8, 9)).T
+    doc = json.loads((preset_out / "existence_certificate.json").read_text())
+    assert a.min() == doc["constants"]["a"] and b.max() == doc["constants"]["b"]
+    assert np.all(a <= b)
 
 
 def test_measures_csv_columns(preset_out):

@@ -319,7 +319,8 @@ def segment_ab(field, traj, i, radius):
     """ab_profile's (a_i, b_i) with a flat slice radius on every segment."""
     cfg = cc.PipelineConfig()
     grids = cc.SegmentGrids(field, traj, i + 1, cfg.n_s)
-    a, b = cc.ab_profile(field, grids, np.full((cfg.n_s, i + 1), radius), cfg)
+    radii = np.full((cfg.n_s, i + 1), radius)
+    a, b = cc.ab_profile(field, grids, radii, np.arange(i + 1), cfg)
     return float(a[i]), float(b[i])
 
 

@@ -16,7 +16,13 @@ from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_consistent
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate
-from oracles import ab_profile_whole, build_tube_whole, drift_bridge_loop, interleaved
+from oracles import (
+    ab_bridge_loop,
+    ab_profile_whole,
+    build_tube_whole,
+    drift_bridge_loop,
+    interleaved,
+)
 
 
 def test_no_return_failure(linear):
@@ -336,7 +342,7 @@ def test_ab_profile_bit_exact(vdp, vdp_cert, n_s, ab_offsets):
     cfg = PipelineConfig(n_s=n_s, ab_offsets=ab_offsets)
     grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, n_s)
     radius = session_radius(tube, grids.s)
-    a, b = cc.ab_profile(vdp, grids, radius, cfg)
+    a, b = cc.ab_profile(vdp, grids, radius, np.arange(tube.N1), cfg)
     a_ref, b_ref = ab_profile_whole(vdp, interleaved(grids), radius, cfg)
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b, b_ref)
@@ -346,7 +352,8 @@ def test_ab_profile_denominator_error_in_later_block(vdp, vdp_cert):
     # f vanishes right of x1 = 50.  Segment 9000 (block 1) reaches there
     # only at the last offset, segment 30000 (block 3) at the first; the
     # first offset's segment is reported, as the offset-by-offset scan
-    # over all segments reports it
+    # over all segments reports it.  Both are stride-10 anchors, so the
+    # stride-10 profile names segment 30000 too
     tube = vdp_cert.tube
     cfg = PipelineConfig()
     field = dataclasses.replace(
@@ -360,10 +367,11 @@ def test_ab_profile_denominator_error_in_later_block(vdp, vdp_cert):
         radius[:, i] = (60.0 - grids.P0[:, i]) / (sign * w)
     with pytest.raises(InvalidReparametrizationError) as ref:
         ab_profile_whole(field, interleaved(grids), radius, cfg)
-    with pytest.raises(InvalidReparametrizationError) as got:
-        cc.ab_profile(field, grids, radius, cfg)
     assert "segment 30000;" in str(ref.value)
-    assert str(got.value) == str(ref.value)
+    for anchors in (np.arange(tube.N1), tube.anchors):
+        with pytest.raises(InvalidReparametrizationError) as got:
+            cc.ab_profile(field, grids, radius, anchors, cfg)
+        assert str(got.value) == str(ref.value)
 
 
 def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
@@ -390,13 +398,14 @@ def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
     got, ref = cc.build_tube(field, *args), cc.build_tube(vdp, *args)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-    # the s-grid: f, on the 6315 stride-10 anchors once more for their own
-    # grid; each pass's Lambda: f and J on 9 offsets of the anchor slices;
-    # the (a, b) pass: J on the s-grid, f on ab_offsets offsets of it
-    grid, anchor_grid = cfg.n_s * tube.N1, cfg.n_s * 6315
+    # the anchor grid: f on the s-grid of the 6315 stride-10 anchors; each
+    # pass's Lambda: f and J on 9 offsets of the anchor slices; the (a, b)
+    # pass: J on the anchor grid, f on ab_offsets offsets of it; the M~
+    # loop evaluates nothing
+    anchor_grid = cfg.n_s * 6315
     slices = cc.tube.PASSES * 9 * anchor_grid
-    f = grid + anchor_grid + slices + cfg.ab_offsets * grid
-    assert seen == {"f": f, "J": slices + grid}
+    f = anchor_grid + slices + cfg.ab_offsets * anchor_grid
+    assert seen == {"f": f, "J": slices + anchor_grid}
 
 
 def test_ab_profile_memory(vdp, vdp_cert):
@@ -407,10 +416,14 @@ def test_ab_profile_memory(vdp, vdp_cert):
     grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
     radius = session_radius(tube, grids.s)
     peaks = []
-    for fn, g in ((ab_profile_whole, interleaved(grids)), (cc.ab_profile, grids)):
+    anchors = np.arange(tube.N1)
+    for fn, args in (
+        (ab_profile_whole, (interleaved(grids), radius)),
+        (cc.ab_profile, (grids, radius, anchors)),
+    ):
         tracemalloc.start()
         try:
-            fn(vdp, g, radius, cfg)
+            fn(vdp, *args, cfg)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -437,6 +450,25 @@ def test_build_tube_memory(vdp, vdp_cert):
 FHN_X0, FHN_H = (1.833419474496068, 0.3354878852385902), 4e-3
 
 
+@functools.lru_cache(maxsize=None)
+def fhn_loop():
+    """(field, traj, R1, N1, delta0, gamma) of one FitzHugh-Nagumo loop."""
+    field, delta0, gamma = cc.load_system({"id": "fitzhugh-nagumo"}), 0.05, 0.05
+    traj = cc.simulate(field, FHN_X0, FHN_H, 15000)
+    section = cc.Section.through(field, traj.nodes[0])
+    excl = cc.default_exclusion(FHN_H, delta0)
+    R1, N1, _ = cc.return_times(traj, section, 1, excl).first()
+    assert N1 == 9870
+    return field, traj, R1, N1, delta0, gamma
+
+
+def loop_of(system, vdp, vdp_cert):
+    if system == "vanderpol":
+        c = vdp_cert
+        return vdp, c.trajectory, c.R1, c.N1, VDP_DELTA0, VDP_GAMMA
+    return fhn_loop()
+
+
 @pytest.mark.parametrize(
     "system,stride,block",
     [
@@ -452,16 +484,7 @@ def test_streamed_build_matches_whole_grid(
     # N1 = 63140 (Van der Pol) and 9870 (FitzHugh-Nagumo) end in a short
     # block of the default AB_BLOCK and of 1000 and 333; strides 7 and 10
     # leave a short last gap before segment N1 - 1
-    if system == "vanderpol":
-        field, traj, delta0, gamma = vdp, vdp_cert.trajectory, VDP_DELTA0, VDP_GAMMA
-        R1, N1 = vdp_cert.R1, vdp_cert.N1
-    else:
-        field, delta0, gamma = cc.load_system({"id": system}), 0.05, 0.05
-        traj = cc.simulate(field, FHN_X0, FHN_H, 15000)
-        section = cc.Section.through(field, traj.nodes[0])
-        excl = cc.default_exclusion(FHN_H, delta0)
-        R1, N1, _ = cc.return_times(traj, section, 1, excl).first()
-        assert N1 == 9870
+    field, traj, R1, N1, delta0, gamma = loop_of(system, vdp, vdp_cert)
     if block is not None:
         monkeypatch.setattr(cc.tube, "AB_BLOCK", block)
     B = cc.tube.AB_BLOCK
@@ -489,8 +512,8 @@ def test_one_anchor_grid_per_certificate(vdp, monkeypatch):
     anchor_grids = []
 
     class Counted(cc.SegmentGrids):
-        def __init__(self, field, traj, N1, n_s, segs=slice(None), out=None):
-            super().__init__(field, traj, N1, n_s, segs, out)
+        def __init__(self, field, traj, N1, n_s, segs=slice(None)):
+            super().__init__(field, traj, N1, n_s, segs)
             if isinstance(segs, np.ndarray):
                 anchor_grids.append(self)
 
@@ -551,3 +574,118 @@ def test_lambda_profile_blocks_bit_exact(vdp, vdp_cert, monkeypatch, stride, per
     lam, pad = cc.lambda_profile(vdp, grids, radius, anchors, cfg)
     assert np.array_equal(lam, lam_ref)
     assert np.array_equal(pad, pad_ref)
+
+
+def test_anchor_bridge_matches_gap_loop():
+    # one, two and four anchors (no second difference, then two), with
+    # gaps of every length from 0 to 5
+    rng = np.random.default_rng(3)
+    for anchors in ([0], [0, 4], [0, 1, 6, 9], [2, 3, 5, 10]):
+        anchors = np.array(anchors)
+        aA, bA = rng.uniform(0.5, 1.0, anchors.size), rng.uniform(1.0, 1.5, anchors.size)
+        N1 = anchors[-1] + 1
+        a_ref, b_ref = ab_bridge_loop(aA, bA, anchors, N1, cc.tube.PAD_FACTOR)
+        a = cc.tube.anchor_bridge(aA, anchors, N1, -1.0)
+        b = cc.tube.anchor_bridge(bA, anchors, N1, 1.0)
+        lo = anchors[0]
+        assert a[lo:].tobytes() == a_ref[lo:].tobytes()
+        assert b[lo:].tobytes() == b_ref[lo:].tobytes()
+
+
+@pytest.mark.parametrize("system", ["vanderpol", "fitzhugh-nagumo"])
+def test_stride_one_ab_is_per_segment(vdp, vdp_cert, monkeypatch, system):
+    # at stride 1 every segment is an anchor, so no gap is bridged and
+    # (a, b) is the per-segment profile on the build's slice radii
+    field, traj, R1, N1, delta0, gamma = loop_of(system, vdp, vdp_cert)
+    cfg = PipelineConfig(lambda_stride=1)
+    calls = []
+
+    def spy(field, grids, radius, anchors, cfg):
+        calls.append((grids, radius))
+        return real(field, grids, radius, anchors, cfg)
+
+    real = cc.tube.ab_profile
+    monkeypatch.setattr(cc.tube, "ab_profile", spy)
+    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
+    ((grids, radius),) = calls
+    assert radius.shape == (cfg.n_s, N1)
+    a_ref, b_ref = ab_profile_whole(field, interleaved(grids), radius, cfg)
+    assert tube.a_seg.tobytes() == a_ref.tobytes()
+    assert tube.b_seg.tobytes() == b_ref.tobytes()
+
+
+def resampled_margins(field, traj, R1, N1, delta0, gamma, stride):
+    """Margins of Lambda_i, a_i and b_i of the tube built at ``stride`` over
+    an unpadded resampling, on 9 s-points x 33 offsets, of every segment's
+    final-tube slice, radius delta_i e^{sigma_i s}."""
+    cfg = PipelineConfig(lambda_stride=stride)
+    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
+    s = np.linspace(0.0, tube.h, 9)
+    offs = np.linspace(-1.0, 1.0, 33)
+    margins = {name: np.empty(N1) for name in ("Lambda", "a", "b")}
+    for lo in range(0, N1, 2048):
+        seg = slice(lo, min(lo + 2048, N1))
+        FN = traj.seg_dirs[seg]
+        P = traj.nodes[seg][None, :, :] + s[:, None, None] * FN[None, :, :]
+        FC = field.f_raw(P)
+        W = np.stack([-FC[..., 1], FC[..., 0]], axis=-1)
+        W /= np.linalg.norm(FC, axis=-1)[..., None]
+        r = tube.delta[seg][None, :] * np.exp(tube.sigma[seg][None, :] * s[:, None])
+        D = offs[:, None, None, None] * r[None, :, :, None] * W[None]
+        X = P[None] + D  # (offset, s, segment, 2)
+        mu = cc.mu_perp_batch(field, X).max(axis=(0, 1))
+        margins["Lambda"][seg] = tube.lam[seg] - mu
+        Jf = np.einsum("snij,nj->sni", field.jac_raw(P), FN)
+        num = np.einsum("ni,sni->sn", FN, FC) - np.einsum("osni,sni->osn", D, Jf)
+        td = num / np.einsum("osni,sni->osn", field.f_raw(X), FC)
+        margins["a"][seg] = td.min(axis=(0, 1)) - tube.a_seg[seg]
+        margins["b"][seg] = tube.b_seg[seg] - td.max(axis=(0, 1))
+    return margins
+
+
+@pytest.fixture(scope="module")
+def resampled(vdp, vdp_cert):
+    """resampled_margins of (system, stride), each computed once."""
+    cache = {}
+
+    def margins(system, stride):
+        if (system, stride) not in cache:
+            loop = loop_of(system, vdp, vdp_cert)
+            cache[system, stride] = resampled_margins(*loop, stride)
+        return cache[system, stride]
+
+    return margins
+
+
+def assert_dominates(margins, names):
+    for name in names:
+        m = margins[name]
+        i = int(np.argmin(m))
+        assert m[i] >= 0.0, f"{name} falls short at segment {i} by {-m[i]:g}"
+
+
+@pytest.mark.parametrize("system", ["vanderpol", "fitzhugh-nagumo"])
+@pytest.mark.parametrize("stride", [10, 20])
+def test_ab_bridge_dominates_every_segment(resampled, system, stride):
+    # the anchors' (a, b) bridged by the worse neighbor and the curvature
+    # pad cover every segment between them
+    assert_dominates(resampled(system, stride), ("a", "b"))
+
+
+LAMBDA_STRIDE_20_GAP = (
+    "Lambda's in-slice pad falls 8.25e-7 short at stride-20 anchor segment "
+    "46440 (the lambda_stride FOUND in CHANGES.md)"
+)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(
+            "vanderpol", marks=pytest.mark.xfail(strict=True, reason=LAMBDA_STRIDE_20_GAP)
+        ),
+        "fitzhugh-nagumo",
+    ],
+)
+def test_lambda_dominates_every_segment_at_stride_20(resampled, system):
+    assert_dominates(resampled(system, 20), ("Lambda",))
