@@ -59,6 +59,8 @@ SYNC_BLOCK_NODES = 1 << 19
 PREDICT_STEPS = 2
 # Nodes a pass scans past the segment of the latest predicted root.
 WINDOW_MARGIN = 4
+# A predicted root this many ulps from a reference node counts as on it.
+SNAP_ULPS = 4
 
 # outcome of one sample in a windowed pass
 _OK, _PASSED, _NO_ROOT, _RESIDUAL = range(4)
@@ -151,13 +153,19 @@ class ReferenceStream:
             buffer = self._buffer = np.empty(shape)
         buffer[:n_kept] = kept  # numpy copies through a temporary on overlap
         self.nodes, self.base = buffer[:n_kept], keep
-        run = buffer[n_kept - 1 : rows]
-        try:
-            simulate(self.field, run[0], self.h, stop - start, out=run)
-        except DivergedError as exc:
-            bad = start + exc.first_bad_index
-            raise DivergedError(f"non-finite state at node {bad}", bad) from None
+        _step_on(self.field, buffer[n_kept - 1 : rows], self.h, start)
         self.nodes = buffer[:rows]
+
+
+def _step_on(field: VectorField, run: np.ndarray, h: float, start: int):
+    """Step ``run[1:]`` from ``run[0]``, node ``start`` of a longer run, in
+    place; a DivergedError names the non-finite node by its index on that
+    run."""
+    try:
+        simulate(field, run[0], h, run.shape[0] - 1, out=run)
+    except DivergedError as exc:
+        bad = start + exc.first_bad_index
+        raise DivergedError(f"non-finite state at node {bad}", bad) from None
 
 
 @dataclass
@@ -237,11 +245,15 @@ def synchronize(
         if substeps > 1:
             centers = traj.dense_points(sample_times(a, b))
             return centers, traj.field.f_raw(centers)
-        if b < n_nodes:
-            return traj.nodes[a:b], traj.seg_dirs[a:b]
-        return traj.nodes[a:b], np.concatenate(
-            [traj.seg_dirs[a : n_nodes - 1], [traj.f_nodes[n_nodes - 1]]]
-        )
+        # EulerTrajectory.f_nodes of the block, by the same operations,
+        # without caching the whole run's
+        nodes = traj.nodes
+        m = min(b, traj.n_steps)
+        normals = (nodes[a + 1 : m + 1] - nodes[a:m]) / h
+        if b > m:  # the run's final node
+            f_last = traj.field.f_raw(nodes[-1])
+            normals = np.concatenate([normals, f_last[None, :]])
+        return nodes[a:b], normals
 
     stream = isinstance(reference, ReferenceStream)
     j0, theta0 = (reference.sample, reference.theta) if stream else (0, 0.0)
@@ -384,6 +396,12 @@ def _predict(reference, c, n, guess, theta_prev):
             gk = _dot(p - c, n)
             gd = _dot(R[k + 1 - base] - p, n)
             th = np.where(gd > 0.0, (k - gk / gd) * h_ref, th)
+    # a root within a few ulps of node k takes the time a pass gives a root
+    # at the end of segment k - 1, so that int(theta/h_ref) agrees with the
+    # pass's check (a run synchronized against itself has every root there)
+    k = np.rint(th / h_ref)
+    node = np.abs(th - k * h_ref) <= SNAP_ULPS * np.spacing(th)
+    th = np.where(node, (k - 1.0) * h_ref + h_ref, th)
     th = np.maximum.accumulate(np.concatenate(([theta_prev], th)))
     k = (th / h_ref).astype(np.int64)
     return k[:-1], k[1:]
@@ -514,6 +532,22 @@ class ErrorCurveReport:
         }
 
 
+_COLUMNS = ("times", "thetas", "errors", "residuals", "bounds")
+
+
+def _coarse_run(field, x0, h, n_steps, prefix) -> EulerTrajectory:
+    """The Euler run of ``n_steps`` steps from x0 whose first nodes are
+    ``prefix``, the nodes of a shorter or longer run: only the steps past it
+    are taken."""
+    k = min(prefix.shape[0] - 1, n_steps)
+    if k == n_steps:
+        return EulerTrajectory(field, x0, h, prefix[: k + 1])
+    nodes = np.empty((n_steps + 1, field.dim))
+    nodes[: k + 1] = prefix
+    _step_on(field, nodes[k:], h, k)
+    return EulerTrajectory(field, x0, h, nodes)
+
+
 def error_curve_experiment(
     field: VectorField,
     x0,
@@ -534,6 +568,9 @@ def error_curve_experiment(
     fail the per-step tube condition while their error floor remains valid
     in practice, so a failed verdict is recorded per run rather than fatal;
     only a run without constants, hence without D, raises.
+
+    A run's coarse trajectory steps on from the certificate's run, and its
+    series columns are allocated once and filled as the reference streams.
     """
     runs = []
     for h in h_list:
@@ -546,13 +583,20 @@ def error_curve_experiment(
             )
         c = cert.constants
         D = compute_D(c.M_C, c.L, gamma, c.a, c.b)
-        traj = simulate(field, x0, h, int(math.ceil(horizon / h)))
+        n_steps = int(math.ceil(horizon / h))
+        traj = _coarse_run(field, x0, h, n_steps, cert.trajectory.nodes)
+        series = SyncErrorSeries(
+            h=traj.h, **{k: np.empty(n_steps + 1) for k in _COLUMNS}
+        )
         ref = ReferenceStream(field, y0, h, horizon * (c.b + 0.1), refine=refine)
-        parts = []
+        j = 0
         while not ref.finished:
             ref.advance()
-            parts.append(synchronize(ref, traj, y0, tube=cert.tube, D=D))
-        series = SyncErrorSeries.concatenate(parts)
+            part = synchronize(ref, traj, y0, tube=cert.tube, D=D)
+            m = j + part.times.size
+            for name in _COLUMNS:
+                getattr(series, name)[j:m] = getattr(part, name)
+            j = m
         tail = series.tail_max()
         runs.append(
             ErrorCurveRun(

@@ -268,10 +268,22 @@ def test_tube_membership_outside_disk_violates(vdp, vdp_cert):
     assert violations == tube_membership_oracle(series, tube)
 
 
-def test_tube_membership_self_sync_clean(vdp, vdp_cert):
+def test_tube_membership_self_sync_clean(vdp, vdp_cert, monkeypatch):
+    # every root of a run synchronized against itself lies on a node: the
+    # predictions must place them where a pass does, or each pass keeps
+    # about one sample (16,657 passes for these 63,141 samples)
+    passes = []
+    window_pass = syncerr._window_pass
+
+    def counted(*args):
+        passes.append(args[1])
+        return window_pass(*args)
+
+    monkeypatch.setattr(syncerr, "_window_pass", counted)
     tube, traj = vdp_cert.tube, vdp_cert.trajectory
     ref = ReferenceSolution(traj=traj, refine=1)
     series = cc.synchronize(ref, traj, traj.nodes[0], t_max=tube.horizon)
+    assert series.times.size > 60_000 and len(passes) <= SELF_SYNC_PASSES
     assert cc.tube_membership_check(series, tube) == []
     assert tube_membership_oracle(series, tube) == []
 
@@ -306,6 +318,73 @@ def test_error_curves_deterministic(vdp):
     assert np.array_equal(r1.series.errors, r2.series.errors)
     assert np.array_equal(r1.series.thetas, r2.series.thetas)
     assert r1.D == r2.D
+
+
+def test_error_curve_holds_its_series_once(vdp, monkeypatch):
+    # the certificate is built before tracing: what is traced is the coarse
+    # run, the reference stream and the synchronization.  With small chunks
+    # and passes, the peak is the series, filled in place, plus the coarse
+    # run's nodes (2.1 times the series); keeping the parts and
+    # concatenating them, with the coarse run's whole seg_dirs and f_nodes
+    # cached, peaks at 3.5 times the series.
+    monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1 << 12)
+    monkeypatch.setattr(syncerr, "SYNC_BLOCK_NODES", 1 << 12)
+    config = PipelineConfig(lambda_stride=50)
+    cert = cc.certify_existence(
+        vdp, VDP_X0, 1e-3, VDP_DELTA0, VDP_GAMMA, config, horizon=10.0
+    )
+    monkeypatch.setattr(syncerr, "certify_existence", lambda *a, **k: cert)
+    coarse = []
+    synchronize = syncerr.synchronize
+
+    def recorded(reference, traj, *args, **kwargs):
+        coarse.append(traj)
+        return synchronize(reference, traj, *args, **kwargs)
+
+    monkeypatch.setattr(syncerr, "synchronize", recorded)
+    tracemalloc.start()
+    try:
+        report = cc.error_curve_experiment(
+            vdp,
+            VDP_X0,
+            (1.8037, -0.5057),
+            [1e-3],
+            horizon=20.0,
+            delta0=VDP_DELTA0,
+            gamma=VDP_GAMMA,
+            config=config,
+            refine=20,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    series = report.runs[0].series
+    assert series.times.size == 20001
+    columns = ("times", "thetas", "errors", "residuals", "bounds")
+    series_bytes = sum(getattr(series, k).nbytes for k in columns)
+    assert peak < 2.5 * series_bytes, (peak, series_bytes)
+    assert len(coarse) > 10
+    assert all(t._seg_dirs is None and t._f_nodes is None for t in coarse)
+
+
+@pytest.mark.parametrize("n_steps", [4000, 10000, 25000])
+def test_coarse_run_continues_the_certificate_run(vdp, monkeypatch, n_steps):
+    # the error curve's coarse run starts with the certificate's nodes and
+    # steps only past them, to the nodes of one run from x0
+    h = 1e-3
+    prefix = cc.simulate(vdp, VDP_X0, h, 10000).nodes
+    steps = []
+    simulate = syncerr.simulate
+
+    def counted(field, x0, h, n, **kwargs):
+        steps.append(n)
+        return simulate(field, x0, h, n, **kwargs)
+
+    monkeypatch.setattr(syncerr, "simulate", counted)
+    traj = syncerr._coarse_run(vdp, VDP_X0, h, n_steps, prefix)
+    assert steps == ([n_steps - 10000] if n_steps > 10000 else [])
+    assert np.array_equal(traj.nodes, cc.simulate(vdp, VDP_X0, h, n_steps).nodes)
+    assert traj.h == h and np.array_equal(traj.x0, VDP_X0)
 
 
 def test_error_curve_bounds_filled(vdp):
@@ -684,6 +763,9 @@ def test_reference_rows_must_be_contiguous(vdp):
 SWEEP_EVALS_PER_NODE = 3.04
 # _window_pass calls of the vdp-example2 error curve at h = 5e-4.
 WINDOW_PASSES = 49
+# _window_pass calls of the vdp-example1 certificate run synchronized
+# against itself over the tube horizon (1 measured).
+SELF_SYNC_PASSES = 4
 
 
 def test_reference_sweeps_per_node_stay_pinned(vdp):
