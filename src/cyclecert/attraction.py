@@ -19,19 +19,19 @@ import numpy as np
 
 from .config import PipelineConfig, threads_from_env
 from .constants import SectionDisk, estimate_magnitude_bounds
-from .errors import CertificateBlockedError, CycleCertError, DivergedError, InputError
+from .errors import CertificateBlockedError, CycleCertError, InputError
 from .euler import (
-    RETURN_CHUNK,
     EulerTrajectory,
     Section,
-    _crossing_scan,
     default_exclusion,
-    return_times,
+    first_return,
+    return_index,
+    return_times,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
     simulate,
 )
 from .measures import mu_perp_batch
 from .systems import VectorField
-from .tube import ExistenceCertificate, build_tube
+from .tube import ExistenceCertificate, build_tube, radius_excess
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,9 @@ class ContractionExponent:
     R1: float
     sigma_last: float
     h: float
+    # the first segment whose final tube radius exceeds the radius its
+    # bounds were sampled on; None when every segment's is within it
+    radius_excess: Optional[int] = None
 
     @property
     def K_max(self) -> float:
@@ -64,12 +67,19 @@ def contraction_exponent(
     delta0: float,
     config: PipelineConfig = PipelineConfig(),
     horizon: float = 10.0,
+    prefix=None,
 ) -> ContractionExponent:
     """Run the tube pipeline from z and accumulate its growth exponent.
 
-    The run is stepped in chunks of ``RETURN_CHUNK`` steps up to the end of
+    The run is one :func:`~cyclecert.euler.first_return` run through this
+    module's ``simulate``: chunks of ``RETURN_CHUNK`` steps up to the end of
     the chunk that holds its first counted return, since the tube reads no
-    node after it; the chunks are one run bit for bit.
+    node after it.  R1 and N1 come from that crossing.  ``prefix``, nodes of
+    a run already stepped from z at step h (z itself first), is read where
+    it holds a chunk, and only the steps past it are taken.
+
+    The exponent records the tube's :func:`~cyclecert.tube.radius_excess`,
+    on which :func:`certify_attraction` blocks.
 
     Raises :class:`CertificateBlockedError` when z does not return within
     the horizon.
@@ -78,27 +88,15 @@ def contraction_exponent(
     n_steps = int(math.ceil(horizon / h))
     section = Section.through(field, z)
     exclusion = default_exclusion(h, delta0)
-    runs, x, t_left = [z[None, :]], z, math.inf
-    for offset in range(0, n_steps, RETURN_CHUNK):
-        try:
-            nodes = simulate(field, x, h, min(RETURN_CHUNK, n_steps - offset)).nodes
-        except DivergedError as exc:
-            bad = offset + exc.first_bad_index
-            raise DivergedError(f"non-finite state at node {bad}", bad) from None
-        runs.append(nodes[1:])
-        _, _, t, _, _, t_left = _crossing_scan(
-            field, nodes, h, offset, section, exclusion, t_left
-        )
-        if t.size:
-            break
-        x = nodes[-1]
-    traj = EulerTrajectory(field, z, h, np.concatenate(runs))
-    rt = return_times(traj, section, 1, exclusion)
-    if not rt.complete:
+    nodes, segment, R1 = first_return(
+        field, z, h, n_steps, section, exclusion, prefix, simulate
+    )
+    if segment < 0:
         raise CertificateBlockedError(
             f"start point {z.tolist()} did not return within horizon {horizon:g}"
         )
-    R1, N1, _ = rt.first()
+    N1 = return_index(R1, segment, h)
+    traj = EulerTrajectory(field, z, h, nodes)
     _, M_f = estimate_magnitude_bounds(field, traj.nodes[: N1 + 1], magnitude="state")
     return _tube_exponent(
         z, build_tube(field, traj, R1, N1, delta0, gamma, M_f, config)
@@ -118,6 +116,7 @@ def _tube_exponent(z: np.ndarray, tube) -> ContractionExponent:
         R1=tube.R1,
         sigma_last=sigma_last,
         h=h,
+        radius_excess=radius_excess(tube),
     )
 
 
@@ -175,22 +174,26 @@ def sweep_Y0(
     """Exponents from evenly spaced start points of the disk; d is their
     maximum K.
 
-    The points are ``disk.linspace_points(n_samples)``: both endpoints, and
+    The points are ``disk.sweep_points(n_samples)``: both endpoints, and
     the center only when n_samples is odd; one sample is the center.  When
     the center sample's run would repeat the run of ``existence`` (see
     :func:`_existence_run_from`), its exponent is read from
-    ``existence.tube`` in place of building that tube again.
+    ``existence.tube`` in place of building that tube again.  With the
+    field and h of ``existence``, a sample whose start point has a run in
+    ``existence.start_runs`` continues that run.
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    if n_samples == 1:
-        pts = disk.center[None, :]
-    else:
-        pts = disk.linspace_points(n_samples)
+    pts = disk.sweep_points(n_samples)
+    runs = {}
+    if existence is not None and existence.trajectory is not None:
+        if existence.trajectory.field is field and existence.h == h:
+            runs = existence.start_runs
 
     def run(k):
         return contraction_exponent(
-            field, pts[k], h, gamma, disk.radius, config, horizon
+            field, pts[k], h, gamma, disk.radius, config, horizon,
+            prefix=runs.get(pts[k].tobytes()),
         )
 
     exps = [None] * pts.shape[0]
@@ -358,6 +361,17 @@ def certify_attraction(
         cert.integral = integral_criterion(
             field, existence.trajectory, existence.gamma, existence.R1
         )
+
+        for k, e in enumerate(sweep.exponents):
+            if e.radius_excess is not None:
+                cert.failure = {
+                    "reason": "slice-radius-inconsistent",
+                    "kind": "blocking",
+                    "detail": f"sweep sample {k} at {e.z.tolist()}: tube radii "
+                    "exceeded the slice radii the transverse bounds were "
+                    f"sampled on, first at segment {e.radius_excess}",
+                }
+                return cert
 
         bounds_ok = all(
             v is not None and np.isfinite(v)

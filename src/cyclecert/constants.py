@@ -19,11 +19,12 @@ import numpy as np
 
 from .errors import (
     CertificateBlockedError,
+    DivergedError,
     EquilibriumProximityError,
     InputError,
     TransversalityLossError,
 )
-from .euler import Section, batch_first_return, default_exclusion
+from .euler import Section, batch_first_return, default_exclusion, first_return
 from .measures import M_FLOOR, _rot90, planar_norm
 from .systems import VectorField
 
@@ -187,6 +188,13 @@ class SectionDisk:
         u = np.linspace(-1.0, 1.0, n)
         return self.center[None, :] + (u * self.radius)[:, None] * w[None, :]
 
+    def sweep_points(self, n: int) -> np.ndarray:
+        """The basin sweep's n start points: :meth:`linspace_points`, the
+        center alone for n = 1, and none for n < 1."""
+        if n < 1:
+            return np.empty((0, self.center.size))
+        return self.center[None, :] if n == 1 else self.linspace_points(n)
+
 
 # Each sampled extremum (Lambda_i, a_i, b_i of the tube, v and f_max of
 # estimate_eta) is widened by this factor times its neighbor-jump pad.
@@ -251,23 +259,34 @@ def return_time_sweep(
     h: float,
     horizon: float,
     seed: int = 0,
+    runs=None,
 ) -> np.ndarray:
     """Discrete first-return times at step h from ``n_samples`` disk points.
 
-    Uses the crossing rule of :func:`~cyclecert.euler.return_times`.  A
-    sample that never returns within the horizon, or whose run diverges,
-    blocks certification.
+    Uses the crossing rule of :func:`~cyclecert.euler.return_times`; the
+    samples are one :func:`~cyclecert.euler.batch_first_return` sweep,
+    which reads and extends ``runs`` (start point bytes to runs already
+    stepped from it).  A sample that diverges, or that does not return
+    within the horizon, blocks certification; the error says which, with
+    the step a diverged run failed at.
     """
     pts = disk.sample_points(n_samples, seed=seed)
     section = Section(disk.center, disk.normal)
     excl = default_exclusion(h, disk.radius)
-    times = batch_first_return(field, pts, h, horizon, section, excl)
+    times = batch_first_return(field, pts, h, horizon, section, excl, runs)
     if np.isnan(times).any():
         bad = int(np.nonzero(np.isnan(times))[0][0])
+        # only this blocked path steps the sample again, to say why
+        try:
+            first_return(
+                field, pts[bad], h, int(math.ceil(horizon / h)), section, excl
+            )
+            why = f"did not return within horizon {horizon:g}"
+        except DivergedError as exc:
+            why = f"diverged at step {exc.first_bad_index}"
         raise CertificateBlockedError(
             f"return-time sweep at step {h:g}: sample {bad} at "
-            f"{pts[bad].tolist()} diverged or did not return within "
-            f"horizon {horizon:g}"
+            f"{pts[bad].tolist()} {why}"
         )
     return times
 
@@ -288,6 +307,7 @@ def estimate_eta(
     rho: float,
     horizon: float,
     seed: int = 0,
+    runs=None,
 ) -> EtaEstimate:
     """Return-time interval [T_lo, T_hi] from the tube's phase rates, the
     floor eta = T_lo/2, and R' from a step-h sweep of the initial disk.
@@ -319,7 +339,8 @@ def estimate_eta(
 
     R' bounds the discrete first return at step h: the largest of
     ``R_PRIME_SAMPLES`` returns of :func:`return_time_sweep` (center, both
-    disk endpoints, then seeded uniform draws).
+    disk endpoints, then seeded uniform draws), which reads and extends
+    ``runs``.
     """
     h, N1 = tube.h, tube.N1
     weights = np.full(N1, h)
@@ -341,7 +362,9 @@ def estimate_eta(
         e = math.inf
     T_lo = sum_lo - e
 
-    times = return_time_sweep(field, disk, R_PRIME_SAMPLES, h, horizon, seed=seed)
+    times = return_time_sweep(
+        field, disk, R_PRIME_SAMPLES, h, horizon, seed=seed, runs=runs
+    )
     return EtaEstimate(
         eta=0.5 * T_lo,
         T_lo=T_lo,

@@ -478,9 +478,9 @@ def return_times(
 ) -> ReturnTimes:
     """First ``p_max`` section returns.
 
-    N_p is derived from the crossing's segment index (s_star in (0, h]
-    places R_p in ((N_p - 1)h, N_p h] by construction), avoiding floating
-    ceil hazards at segment boundaries.
+    N_p is derived from the crossing's segment index (see
+    :func:`return_index`), avoiding floating ceil hazards at segment
+    boundaries.
 
     Raises
     ------
@@ -488,16 +488,26 @@ def return_times(
         If a return time falls outside its segment's bracket.
     """
     crossings = detect_crossings(traj, section, exclusion)[:p_max]
-    out = []
-    for c in crossings:
-        n_p = c.step_index + 1
-        if not (n_p - 1) * traj.h < c.time <= n_p * traj.h * (1 + 1e-12):
-            raise NumericError(
-                f"return time {c.time!r} at segment {c.step_index} lies outside "
-                f"({(n_p - 1) * traj.h!r}, {n_p * traj.h!r}]"
-            )
-        out.append((c.time, n_p, c))
+    out = [(c.time, return_index(c.time, c.step_index, traj.h), c) for c in crossings]
     return ReturnTimes(returns=out, complete=len(out) >= p_max)
+
+
+def return_index(time: float, segment: int, h: float) -> int:
+    """N = segment + 1 for a return at ``time`` on ``segment``: s_star in
+    (0, h] places it in ((N - 1)h, N h] by construction.
+
+    Raises
+    ------
+    NumericError
+        If ``time`` falls outside that bracket.
+    """
+    n_p = segment + 1
+    if not (n_p - 1) * h < time <= n_p * h * (1 + 1e-12):
+        raise NumericError(
+            f"return time {time!r} at segment {segment} lies outside "
+            f"({(n_p - 1) * h!r}, {n_p * h!r}]"
+        )
+    return n_p
 
 
 # --------------------------------------------------------------------------
@@ -509,6 +519,67 @@ def return_times(
 RETURN_CHUNK = 4096
 
 
+def first_return(
+    field: VectorField,
+    x,
+    h: float,
+    n_steps: int,
+    section: Section,
+    exclusion: Exclusion,
+    prefix=None,
+    step=None,
+):
+    """The first counted return of the Euler run of ``n_steps`` steps from x.
+
+    The run is taken in chunks of ``RETURN_CHUNK`` steps, every chunk
+    starting from the last node of the one before, so the nodes are those
+    of one long run.  Each chunk goes through the crossing rule of
+    :func:`detect_crossings`, and the run stops at the end of the chunk
+    that holds its first counted crossing.  ``prefix``, the first nodes of
+    the run (x itself first, of any length), is read where it holds a
+    chunk, and only the steps past it are taken, by ``step`` (default
+    :func:`simulate`).
+
+    Returns ``(nodes, segment, time)``: the run's nodes up to where it
+    stopped (a view of ``prefix`` when that holds them all), and the
+    segment and time of the first counted crossing, or -1 and NaN when the
+    run does not return within ``n_steps``.
+
+    Raises
+    ------
+    DivergedError
+        Naming the run's first non-finite node.
+    """
+    step = simulate if step is None else step
+    known = np.asarray(x, dtype=float)[None, :] if prefix is None else prefix
+    k = known.shape[0] - 1  # steps the known nodes hold
+    stepped, t_left = [], math.inf
+    segment, time, stop = -1, math.nan, n_steps
+    for offset in range(0, n_steps, RETURN_CHUNK):
+        end = min(offset + RETURN_CHUNK, n_steps)
+        if end <= k:
+            nodes = known[offset : end + 1]
+        else:
+            start = max(offset, k)
+            last = stepped[-1][-1] if stepped else known[k]
+            try:
+                run = step(field, last, h, end - start).nodes
+            except DivergedError as exc:
+                bad = start + exc.first_bad_index
+                raise DivergedError(f"non-finite state at node {bad}", bad) from None
+            stepped.append(run[1:])
+            nodes = run if start == offset else np.concatenate([known[offset:k], run])
+        i, _, t, _, _, t_left = _crossing_scan(
+            field, nodes, h, offset, section, exclusion, t_left
+        )
+        if t.size:
+            segment, time, stop = offset + int(i[0]), float(t[0]), end
+            break
+    if stop <= k:
+        return known[: stop + 1], segment, time
+    return np.concatenate([known, *stepped]), segment, time
+
+
 def batch_first_return(
     field: VectorField,
     points: np.ndarray,
@@ -516,30 +587,30 @@ def batch_first_return(
     horizon: float,
     section: Section,
     exclusion: Exclusion,
+    runs=None,
 ) -> np.ndarray:
     """First return times for a batch of initial points, NaN where none found.
 
-    Each run is stepped in chunks of ``RETURN_CHUNK`` steps, every chunk
-    starting from the last node of the one before, so the nodes are those
-    of one long run.  Each chunk goes through the crossing rule of
-    :func:`detect_crossings`, and a sample stops at its first counted
-    crossing.  The samples step one at a time through :func:`simulate`; a
-    sample whose run diverges gives NaN.
+    Each sample is one :func:`first_return` run, stepped through
+    :func:`simulate` and stopped at its first counted crossing; a sample
+    whose run diverges gives NaN.
+
+    ``runs`` maps the bytes of start points to the nodes of runs already
+    stepped from them (the point itself first).  A sample whose point is a
+    key reads its chunks there and steps only past them, and its entry
+    ends up holding the longer of that run and the one the sample took.
     """
     n_steps = int(math.ceil(horizon / h))
     times = np.full(len(points), np.nan)
     for j, x in enumerate(np.array(points, dtype=float)):
-        t_left = math.inf
-        for offset in range(0, n_steps, RETURN_CHUNK):
-            try:
-                nodes = simulate(field, x, h, min(RETURN_CHUNK, n_steps - offset)).nodes
-            except DivergedError:
-                break
-            _, _, t, _, _, t_left = _crossing_scan(
-                field, nodes, h, offset, section, exclusion, t_left
+        key = x.tobytes()
+        prefix = None if runs is None else runs.get(key)
+        try:
+            nodes, _, times[j] = first_return(
+                field, x, h, n_steps, section, exclusion, prefix
             )
-            if t.size:
-                times[j] = t[0]
-                break
-            x = nodes[-1]
+        except DivergedError:
+            continue
+        if prefix is not None and nodes.shape[0] > prefix.shape[0]:
+            runs[key] = nodes
     return times

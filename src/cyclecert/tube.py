@@ -63,14 +63,17 @@ from .systems import VectorField
 class Tube:
     """Arrays over segments 0..N1-1 plus the radius chains of length N1+1.
 
+    ``delta`` is the tube radius chain of the build's last pass.
     ``anchors`` are the segments the slice bounds were sampled on and
     ``anchor_grids`` their :class:`SegmentGrids`, which the certificate's
-    tube samples read again.
+    tube samples read again.  ``m_tilde`` is formed from ``traj`` the first
+    time it is read; only the existence certificate reads it, so the disk
+    sweep's tubes never form it.
     """
 
     def __init__(
         self,
-        h,
+        traj,
         N1,
         R1,
         delta0,
@@ -80,14 +83,15 @@ class Tube:
         sigma,
         a_seg,
         b_seg,
-        m_tilde,
+        delta,
         sampled_radius,
         y0_disk,
         pass_history,
         anchors,
         anchor_grids,
     ):
-        self.h = float(h)
+        self.traj = traj
+        self.h = float(traj.h)
         self.N1 = int(N1)
         self.R1 = float(R1)
         self.delta0 = float(delta0)
@@ -97,23 +101,37 @@ class Tube:
         self.sigma = sigma
         self.a_seg = a_seg
         self.b_seg = b_seg
-        self.m_tilde = m_tilde
+        self.delta = delta
         self.sampled_radius = sampled_radius
         self.y0_disk = y0_disk
         self.pass_history = pass_history
         self.anchors = anchors
         self.anchor_grids = anchor_grids
         self.step_floor = None  # populated by check_step_condition
+        self._m_tilde = None
 
-        # delta chained step by step; alpha accumulates the reach increments
-        self.delta = np.concatenate(
-            [[delta0], delta0 * np.cumprod(np.exp(sigma * h))]
-        )
+        # alpha accumulates the reach increments
         self.alpha = np.concatenate(
-            [[delta0], delta0 + np.cumsum(b_seg * M_f * h)]
+            [[delta0], delta0 + np.cumsum(b_seg * M_f * self.h)]
         )
         for arr in (self.delta, self.alpha, self.lam, self.sigma):
             arr.setflags(write=False)
+
+    @property
+    def m_tilde(self) -> np.ndarray:
+        """M~_i, the s-grid maximum of |x| on segment i, over blocks of
+        ``AB_BLOCK`` segments."""
+        if self._m_tilde is None:
+            m = np.empty(self.N1)
+            for lo in range(0, self.N1, AB_BLOCK):
+                seg = slice(lo, min(lo + AB_BLOCK, self.N1))
+                P0, P1, _, _ = segment_points(
+                    self.traj, self.N1, self.anchor_grids.s, seg
+                )
+                m[seg] = norm_planes(P0, P1).max(axis=0)
+            m.setflags(write=False)
+            self._m_tilde = m
+        return self._m_tilde
 
     @property
     def horizon(self) -> float:
@@ -401,9 +419,10 @@ def build_tube(
 ) -> Tube:
     """Build the tube over one return loop with a short fixed-point iteration.
 
-    Lambda and (a, b) are sampled on the anchor segments' grid, M~ and the
-    sampled radius per block of ``AB_BLOCK`` segments.  The anchors are
-    every ``config.lambda_stride``-th segment and the last one.
+    Lambda and (a, b) are sampled on the anchor segments' grid, the sampled
+    radius per block of ``AB_BLOCK`` segments.  The anchors are every
+    ``config.lambda_stride``-th segment and the last one.  The last pass's
+    delta chain is both its history entry and the tube's radii.
     """
     if delta0 <= 0.0:
         raise InputError("delta0 must be positive")
@@ -412,9 +431,11 @@ def build_tube(
     config.validate()
 
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
-    anchors = np.unique(np.append(np.arange(0, N1, config.lambda_stride), N1 - 1))
+    anchors = np.arange(0, N1, config.lambda_stride)
+    if anchors[-1] != N1 - 1:
+        anchors = np.append(anchors, N1 - 1)
     grids = SegmentGrids(field, traj, N1, config.n_s, anchors)
-    m_tilde, sampled_radius = np.empty(N1), np.empty(N1)
+    sampled_radius = np.empty(N1)
 
     a_seg = np.ones(N1)
     b_seg = np.ones(N1)
@@ -437,12 +458,10 @@ def build_tube(
         )
         if pass_no == PASSES:
             break
-        # M~ and the sampled (next pass's slice) radii: the s-grid maxima of
-        # |x| and of the widened tube radii delta_i e^{sigma_i s}
+        # the sampled (next pass's slice) radii: the s-grid maxima of the
+        # widened tube radii delta_i e^{sigma_i s}
         for lo in range(0, N1, AB_BLOCK):
             seg = slice(lo, min(lo + AB_BLOCK, N1))
-            P0, P1, _, _ = segment_points(traj, N1, grids.s, seg)
-            m_tilde[seg] = norm_planes(P0, P1).max(axis=0)
             growth = np.exp(sigma[seg] * grids.s[:, None])
             wide = RADIUS_SAFETY * delta_nodes[None, seg] * growth
             sampled_radius[seg] = wide.max(axis=0)
@@ -455,8 +474,8 @@ def build_tube(
         radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
 
     return Tube(
-        traj.h, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
-        m_tilde, sampled_radius, y0_disk, history, anchors, grids,
+        traj, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
+        delta_nodes, sampled_radius, y0_disk, history, anchors, grids,
     )
 
 
@@ -464,10 +483,17 @@ def build_tube(
 RADIUS_RTOL = 1e-3
 
 
+def radius_excess(tube: Tube) -> Optional[int]:
+    """The first segment whose final tube radius exceeds the radius its
+    bounds were sampled on (a NaN radius counts), or None."""
+    span = np.maximum(tube.delta[:-1], tube.delta[1:])
+    ok = span <= tube.sampled_radius * (1.0 + RADIUS_RTOL) + 1e-300
+    return None if ok.all() else int(ok.argmin())
+
+
 def radius_consistent(tube: Tube) -> bool:
     """Final tube radii must not exceed the radii the bounds were sampled on."""
-    span = np.maximum(tube.delta[:-1], tube.delta[1:])
-    return bool(np.all(span <= tube.sampled_radius * (1.0 + RADIUS_RTOL) + 1e-300))
+    return radius_excess(tube) is None
 
 
 # --------------------------------------------------------------------------
@@ -639,6 +665,9 @@ class ExistenceCertificate:
     trajectory: Optional[EulerTrajectory] = dc_field(default=None, repr=False)
     config: Optional[PipelineConfig] = dc_field(default=None, repr=False)
     horizon: Optional[float] = dc_field(default=None, repr=False)
+    # Euler runs at step h by the bytes of their start point: the R' sweep's
+    # runs from the basin sweep's start points, and this run from x0
+    start_runs: dict = dc_field(default_factory=dict, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -765,9 +794,16 @@ def certify_existence(
         M_f = max(M_C, float(tube.m_tilde.max()))
 
         incl = check_return_inclusion(tube, traj)
+        # the R' sweep reads this run from x0 and keeps the runs it steps
+        # from the basin sweep's start points, which that sweep continues
+        starts = tube.y0_disk.sweep_points(config.sweep_samples)
+        runs = {p.tobytes(): p[None, :] for p in starts}
+        runs[traj.nodes[0].tobytes()] = traj.nodes
         eta = estimate_eta(
-            field, tube, incl.lhs, horizon=min(horizon, 2.5 * R1), seed=config.seed
+            field, tube, incl.lhs, horizon=min(horizon, 2.5 * R1),
+            seed=config.seed, runs=runs,
         )
+        cert.start_runs = {z: run for z, run in runs.items() if run.shape[0] > 1}
         constants = GlobalConstants(
             L=L,
             M_f=M_f,
@@ -801,14 +837,16 @@ def certify_existence(
         cert.inclusion = incl
         cert.eta = eta
         cert.tube_summary = tube.summary()
-        cert.flags["radius_consistent"] = radius_consistent(tube)
+        excess = radius_excess(tube)
+        cert.flags["radius_consistent"] = excess is None
 
-        if not cert.flags["radius_consistent"]:
+        if excess is not None:
             cert.failure = {
                 "reason": "slice-radius-inconsistent",
                 "kind": "blocking",
                 "detail": "tube radii exceeded the slice radii the transverse "
-                "bounds were sampled on: the fixed-point passes did not settle",
+                f"bounds were sampled on, first at segment {excess}: the "
+                "fixed-point passes did not settle",
             }
             return cert
         if not step.holds:

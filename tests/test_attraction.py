@@ -349,3 +349,93 @@ def test_sweep_reads_threads_env_when_it_runs(vdp, monkeypatch):
     monkeypatch.setenv("CYCLECERT_THREADS", "2")
     coarse_sweep(vdp, None, 3, cfg=cfg)
     assert pools == [2]
+
+
+# -- runs stepped once -----------------------------------------------------
+
+
+def test_each_start_point_stepped_once(vdp, monkeypatch):
+    # the R' sweep reads the existence run from x0, and the basin sweep
+    # continues the R' runs from both disk endpoints: no run is stepped
+    # from a node twice
+    starts = []
+    for module in (cc.euler, cc.tube, cc.attraction):
+        simulate = module.simulate
+
+        def counted(field, x0, h, n_steps, out=None, simulate=simulate):
+            starts.append(np.asarray(x0, dtype=float).tobytes())
+            return simulate(field, x0, h, n_steps, out)
+
+        monkeypatch.setattr(module, "simulate", counted)
+    existence = cc.certify_existence(
+        vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG, horizon=10.0
+    )
+    # the coarse tube misses its sampled radius; the constants are all there
+    existence = dataclasses.replace(existence, verdict="certified")
+    cert = cc.certify_attraction(existence, vdp, COARSE_CFG, horizon=10.0)
+    assert cert.sample_count == COARSE_CFG.sweep_samples
+    assert len(starts) == len(set(starts))
+    disk = existence.tube.y0_disk
+    x0, *ends = disk.center, *disk.linspace_points(2)
+    for z in (x0, *ends):
+        assert starts.count(z.tobytes()) == 1
+    assert set(existence.start_runs) == {z.tobytes() for z in (x0, *ends)}
+
+
+@pytest.mark.parametrize(
+    "spec, x0, h, delta0, horizon",
+    [
+        ({"id": "vanderpol", "params": {"p": 0.3}}, VDP_X0, COARSE_H, VDP_DELTA0, 10.0),
+        (
+            {"id": "fitzhugh-nagumo"}, (1.833419474496068, 0.3354878852385902),
+            4e-3, 0.05, 60.0,
+        ),
+    ],
+)
+def test_sweep_crossing_matches_return_times(spec, x0, h, delta0, horizon):
+    # R1 and N1 from the crossing the chunk loop finds are those of
+    # return_times on the run it took and on one run of the whole horizon
+    field = cc.load_system(spec)
+    x0 = np.asarray(x0)
+    disk = cc.SectionDisk(x0, delta0, field.f_raw(x0))
+    n_steps = int(np.ceil(horizon / h))
+    excl = cc.default_exclusion(h, delta0)
+    for z in disk.sample_points(8, seed=3):
+        section = cc.Section.through(field, z)
+        nodes, segment, R1 = cc.euler.first_return(
+            field, z, h, n_steps, section, excl
+        )
+        N1 = cc.euler.return_index(R1, segment, h)
+        ran = cc.EulerTrajectory(field, z, h, nodes)
+        whole = cc.simulate(field, z, h, n_steps)
+        for traj in (ran, whole):
+            assert cc.return_times(traj, section, 1, excl).first()[:2] == (R1, N1)
+
+
+def test_sweep_radius_excess_blocks_attraction(vdp, vdp_cert, vdp_attraction, monkeypatch):
+    # every vdp-example1 sweep tube stays within its sampled radii; one
+    # whose radius at segment 1234 was sampled too thin blocks the basin
+    # certificate, which names the sample and the segment
+    assert all(e.radius_excess is None for e in vdp_attraction.exponents)
+    monkeypatch.delenv("CYCLECERT_THREADS", raising=False)
+    build = cc.attraction.build_tube
+    calls = []
+
+    def thin(*args, **kwargs):
+        tube = build(*args, **kwargs)
+        if not calls:
+            radius = tube.sampled_radius.copy()
+            radius[1234] *= 0.5
+            tube.sampled_radius = radius
+        calls.append(tube)
+        return tube
+
+    monkeypatch.setattr(cc.attraction, "build_tube", thin)
+    cert = cc.certify_attraction(vdp_cert, vdp, PipelineConfig(), horizon=10.0)
+    assert not cert.certified
+    assert cert.failure["reason"] == "slice-radius-inconsistent"
+    assert cert.failure["kind"] == "blocking"
+    z = vdp_cert.tube.y0_disk.linspace_points(11)[0]
+    assert f"sweep sample 0 at {z.tolist()}" in cert.failure["detail"]
+    assert "first at segment 1234" in cert.failure["detail"]
+    assert cert.exponents[0].radius_excess == 1234

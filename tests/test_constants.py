@@ -8,6 +8,7 @@ import cyclecert as cc
 from cyclecert.constants import SectionDisk
 from cyclecert.errors import (
     CertificateBlockedError,
+    DivergedError,
     EquilibriumProximityError,
     InvalidReparametrizationError,
 )
@@ -528,7 +529,9 @@ def _escape_inline(mode):
 @pytest.mark.parametrize("handwritten", [True, False])
 @pytest.mark.parametrize("mode", ["drift", "blowup"])
 def test_estimate_eta_blocking_names_sample(mode, handwritten):
-    # the sample at u1 = 1.05 escapes; the other two return near 2*pi
+    # the sample at u1 = 1.05 escapes; the other two return near 2*pi.  It
+    # drifts off and never returns, or blows up: the error says which, with
+    # the step a diverged run failed at
     field = _escape_field(mode) if handwritten else _escape_inline(mode)
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.05, field.f_raw(anchor))
@@ -538,7 +541,16 @@ def test_estimate_eta_blocking_names_sample(mode, handwritten):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CertificateBlockedError) as err:
             cc.return_time_sweep(field, disk, 3, h=1e-3, horizon=8.0)
+        if mode == "blowup":
+            with pytest.raises(DivergedError) as run:
+                cc.simulate(field, pts[bad], 1e-3, 8000)
     assert f"sample {bad} at {pts[bad].tolist()}" in str(err.value)
+    if mode == "drift":
+        assert str(err.value).endswith("did not return within horizon 8")
+    else:
+        assert str(err.value).endswith(
+            f"diverged at step {run.value.first_bad_index}"
+        )
 
 
 def test_global_constants_validation(vdp_cert):

@@ -617,6 +617,73 @@ def test_batch_first_return_matches_scalar(harmonic, linear):
         assert np.all(np.isnan(times))
 
 
+@pytest.mark.parametrize("known", [1000, 4096, 5000, 9000])
+def test_continued_run_matches_one_run(harmonic, known):
+    # a run read from its first nodes and stepped past them is one run,
+    # bit for bit: a prefix shorter than one chunk, one ending on a chunk
+    # boundary, one ending inside the return's chunk and one longer than
+    # the run up to its return; only the steps past the prefix are taken
+    h, n_steps, excl = 1e-3, 10000, cc.Exclusion(1e-2, 0.05)
+    section, x0 = harmonic_section(harmonic), np.array([1.0, 0.0])
+    whole = cc.simulate(harmonic, x0, h, n_steps).nodes
+    steps = []
+
+    def step(field, x, h, n):
+        steps.append(n)
+        return cc.simulate(field, x, h, n)
+
+    fresh = cc.euler.first_return(harmonic, x0, h, n_steps, section, excl)
+    nodes, segment, time = cc.euler.first_return(
+        harmonic, x0, h, n_steps, section, excl, prefix=whole[: known + 1],
+        step=step,
+    )
+    # the return near 2*pi lies in the second chunk, which ends the run
+    stop = 2 * cc.euler.RETURN_CHUNK
+    assert segment // cc.euler.RETURN_CHUNK == 1
+    assert (segment, time) == fresh[1:]
+    assert np.array_equal(nodes, whole[: stop + 1])
+    assert np.array_equal(fresh[0], whole[: stop + 1])
+    assert sum(steps) == max(stop - known, 0)
+
+
+def test_batch_first_return_reads_and_keeps_runs(harmonic):
+    # a sample with an entry in runs reads it and leaves the longer run
+    # there; a sample without one keeps nothing
+    h, horizon, excl = 1e-3, 10.0, cc.Exclusion(1e-2, 0.05)
+    section = harmonic_section(harmonic)
+    pts = np.array([[1.0, 0.0], [1.01, 0.0], [0.99, 0.0]])
+    whole = cc.simulate(harmonic, pts[1], h, 10000).nodes
+    runs = {pts[0].tobytes(): pts[0][None, :], pts[1].tobytes(): whole}
+    times = cc.batch_first_return(harmonic, pts, h, horizon, section, excl, runs)
+    assert np.array_equal(
+        times, cc.batch_first_return(harmonic, pts, h, horizon, section, excl)
+    )
+    stop = 2 * cc.euler.RETURN_CHUNK
+    assert len(runs) == 2 and runs[pts[1].tobytes()] is whole
+    assert np.array_equal(
+        runs[pts[0].tobytes()], cc.simulate(harmonic, pts[0], h, stop).nodes
+    )
+
+
+def test_first_return_names_the_diverged_node(harmonic):
+    # a run that overflows in its second chunk names its node on the run
+    def rhs2(u1, u2):
+        return (u1 * u1 if u1 > 5.0 else 1.0), 0.0
+
+    field = dataclasses.replace(harmonic, rhs_scalar2=rhs2)
+    h, n_steps = 1e-3, 20000
+    with pytest.raises(DivergedError) as whole:
+        cc.simulate(field, [0.0, 0.0], h, n_steps)
+    assert whole.value.first_bad_index > cc.euler.RETURN_CHUNK
+    with pytest.raises(DivergedError) as chunked:
+        cc.euler.first_return(
+            field, [0.0, 0.0], h, n_steps, harmonic_section(harmonic),
+            cc.Exclusion(1e-2, 0.05),
+        )
+    assert chunked.value.first_bad_index == whole.value.first_bad_index
+    assert str(chunked.value) == f"non-finite state at node {whole.value.first_bad_index}"
+
+
 def test_return_times_bracket_violation_raises(harmonic, monkeypatch):
     # a time outside its segment's bracket ((N-1)h, Nh] is an error, not an assert
     traj = cc.simulate(harmonic, [1.0, 0.0], 1e-3, 7000)

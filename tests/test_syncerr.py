@@ -766,6 +766,9 @@ WINDOW_PASSES = 49
 # _window_pass calls of the vdp-example1 certificate run synchronized
 # against itself over the tube horizon (1 measured).
 SELF_SYNC_PASSES = 4
+# _predict samples per synchronized sample on the vdp-example2 error curve
+# at h = 5e-4 (1.019 measured; 1.30 when each pass predicted a whole block).
+PREDICTIONS_PER_SAMPLE = 1.1
 
 
 def test_reference_sweeps_per_node_stay_pinned(vdp):
@@ -798,3 +801,26 @@ def test_error_curve_window_passes_stay_pinned(tmp_path, monkeypatch):
     argv = ["error-curve", "--preset", "vdp-example2", "--h-list", "0.0005"]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     assert 0 < len(calls) <= WINDOW_PASSES
+
+
+def test_error_curve_predicts_each_sample_about_once(tmp_path, monkeypatch):
+    # a pass predicts only the samples whose windows the resident reference
+    # nodes can hold, not a whole block past them
+    predicted, samples = [], []
+    predict, sync = syncerr._predict, syncerr.synchronize
+
+    def counted_predict(reference, c, *args):
+        predicted.append(c.shape[0])
+        return predict(reference, c, *args)
+
+    def counted_sync(*args, **kwargs):
+        series = sync(*args, **kwargs)
+        samples.append(series.times.size)
+        return series
+
+    monkeypatch.setattr(syncerr, "_predict", counted_predict)
+    monkeypatch.setattr(syncerr, "synchronize", counted_sync)
+    argv = ["error-curve", "--preset", "vdp-example2", "--h-list", "0.0005"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert sum(samples) > 60_000
+    assert sum(predicted) <= PREDICTIONS_PER_SAMPLE * sum(samples)

@@ -12,6 +12,7 @@ import cyclecert
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
 from cyclecert.errors import InputError, InvalidReparametrizationError
+from cyclecert.measures import norm_planes
 from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_consistent
 
@@ -504,6 +505,43 @@ def test_streamed_build_matches_whole_grid(
     ref = build_tube_whole(field, traj, N1, delta0, gamma, cfg)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius"):
         assert getattr(tube, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_radius_failure_names_the_segment(vdp, monkeypatch):
+    # a tube whose radius at segment 777 was sampled too thin fails the
+    # existence certificate there
+    build = cc.tube.build_tube
+
+    def thin(*args, **kwargs):
+        tube = build(*args, **kwargs)
+        radius = tube.sampled_radius.copy()
+        radius[777] *= 0.5
+        tube.sampled_radius = radius
+        return tube
+
+    monkeypatch.setattr(cc.tube, "build_tube", thin)
+    cert = cc.certify_existence(
+        vdp, VDP_X0, 2e-3, VDP_DELTA0, VDP_GAMMA, PipelineConfig(), horizon=10.0
+    )
+    assert cert.failure["reason"] == "slice-radius-inconsistent"
+    assert "first at segment 777:" in cert.failure["detail"]
+    assert cc.tube.radius_excess(cert.tube) == 777
+    assert cert.flags["radius_consistent"] is False
+
+
+def test_m_tilde_is_formed_when_read(vdp):
+    # a build forms no M~; the first read forms it once, from the run
+    traj = cc.simulate(vdp, VDP_X0, 1e-3, 7000)
+    section = cc.Section.through(vdp, traj.nodes[0])
+    R1, N1, _ = cc.return_times(
+        traj, section, 1, cc.default_exclusion(1e-3, 0.1)
+    ).first()
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3)
+    assert tube._m_tilde is None
+    grids = cc.SegmentGrids(vdp, traj, N1, PipelineConfig().n_s)
+    m = tube.m_tilde
+    assert m is tube.m_tilde and not m.flags.writeable
+    assert m.tobytes() == norm_planes(grids.P0, grids.P1).max(axis=0).tobytes()
 
 
 def test_one_anchor_grid_per_certificate(vdp, monkeypatch):
