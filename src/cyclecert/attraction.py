@@ -22,10 +22,7 @@ from .constants import SectionDisk, estimate_magnitude_bounds
 from .errors import CertificateBlockedError, CycleCertError, InputError
 from .euler import (
     EulerTrajectory,
-    Section,
-    default_exclusion,
-    first_return,
-    return_index,
+    first_loop,
     return_times,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
     simulate,
 )
@@ -71,7 +68,7 @@ def contraction_exponent(
 ) -> ContractionExponent:
     """Run the tube pipeline from z and accumulate its growth exponent.
 
-    The run is one :func:`~cyclecert.euler.first_return` run through this
+    The run is one :func:`~cyclecert.euler.first_loop` run through this
     module's ``simulate``: chunks of ``RETURN_CHUNK`` steps up to the end of
     the chunk that holds its first counted return, since the tube reads no
     node after it.  R1 and N1 come from that crossing.  ``prefix``, nodes of
@@ -85,18 +82,12 @@ def contraction_exponent(
     the horizon.
     """
     z = np.asarray(z, dtype=float)
-    n_steps = int(math.ceil(horizon / h))
-    section = Section.through(field, z)
-    exclusion = default_exclusion(h, delta0)
-    nodes, segment, R1 = first_return(
-        field, z, h, n_steps, section, exclusion, prefix, simulate
-    )
-    if segment < 0:
+    loop = first_loop(field, z, h, horizon, delta0, prefix, simulate)
+    if loop is None:
         raise CertificateBlockedError(
             f"start point {z.tolist()} did not return within horizon {horizon:g}"
         )
-    N1 = return_index(R1, segment, h)
-    traj = EulerTrajectory(field, z, h, nodes)
+    traj, R1, N1 = loop
     _, M_f = estimate_magnitude_bounds(field, traj.nodes[: N1 + 1], magnitude="state")
     return _tube_exponent(
         z, build_tube(field, traj, R1, N1, delta0, gamma, M_f, config)

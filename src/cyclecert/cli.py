@@ -14,13 +14,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .attraction import certify_attraction, compute_D
 from .config import PRESETS, RunConfig, get_preset
 from .errors import CycleCertError, InputError
-from .euler import Section, default_exclusion, return_times, simulate
+from .euler import Section, default_exclusion, first_loop, return_times, simulate
 from .measures import mu_perp_batch
 from .output import (
     write_crossings_csv,
@@ -183,16 +181,10 @@ def cmd_error_curve(args) -> int:
         raise InputError("error-curve needs --y0 or a preset providing one")
     # horizon in loop periods: measure the period with a quick coarse run
     h_probe = max(cfg.h_list)
-    probe = simulate(field, cfg.x0, h_probe, int(math.ceil(cfg.horizon / h_probe)))
-    rt = return_times(
-        probe,
-        Section.through(field, probe.nodes[0]),
-        1,
-        default_exclusion(h_probe, cfg.delta0),
-    )
-    if not rt.complete:
+    loop = first_loop(field, cfg.x0, h_probe, cfg.horizon, cfg.delta0, step=simulate)
+    if loop is None:
         raise InputError("no section return found; cannot size the horizon")
-    horizon = cfg.periods * rt.first()[0]
+    horizon = cfg.periods * loop[1]
     report = error_curve_experiment(
         field,
         cfg.x0,

@@ -12,7 +12,9 @@ are those of a loop of single steps on plain floats, bit for bit.
 
 Hyperplane sections, crossing detection and return times live here as well:
 each segment is linear, so in-segment crossing offsets are exact roots of a
-linear equation.
+linear equation.  A loop from a start point is found only by
+:func:`first_loop`, and a run is continued from one of its nodes only by
+:func:`step_on`.
 """
 
 from __future__ import annotations
@@ -519,6 +521,18 @@ def return_index(time: float, segment: int, h: float) -> int:
 RETURN_CHUNK = 4096
 
 
+def step_on(field: VectorField, run: np.ndarray, h: float, start: int, step=None):
+    """Step ``run[1:]`` from ``run[0]``, node ``start`` of a longer run, in
+    place through ``step`` (default :func:`simulate`); a DivergedError names
+    the non-finite node by its index on that run."""
+    step = simulate if step is None else step
+    try:
+        step(field, run[0], h, run.shape[0] - 1, out=run)
+    except DivergedError as exc:
+        bad = start + exc.first_bad_index
+        raise DivergedError(f"non-finite state at node {bad}", bad) from None
+
+
 def first_return(
     field: VectorField,
     x,
@@ -537,8 +551,8 @@ def first_return(
     :func:`detect_crossings`, and the run stops at the end of the chunk
     that holds its first counted crossing.  ``prefix``, the first nodes of
     the run (x itself first, of any length), is read where it holds a
-    chunk, and only the steps past it are taken, by ``step`` (default
-    :func:`simulate`).
+    chunk, and only the steps past it are taken, by :func:`step_on` through
+    ``step``.
 
     Returns ``(nodes, segment, time)``: the run's nodes up to where it
     stopped (a view of ``prefix`` when that holds them all), and the
@@ -550,7 +564,6 @@ def first_return(
     DivergedError
         Naming the run's first non-finite node.
     """
-    step = simulate if step is None else step
     known = np.asarray(x, dtype=float)[None, :] if prefix is None else prefix
     k = known.shape[0] - 1  # steps the known nodes hold
     stepped, t_left = [], math.inf
@@ -561,12 +574,9 @@ def first_return(
             nodes = known[offset : end + 1]
         else:
             start = max(offset, k)
-            last = stepped[-1][-1] if stepped else known[k]
-            try:
-                run = step(field, last, h, end - start).nodes
-            except DivergedError as exc:
-                bad = start + exc.first_bad_index
-                raise DivergedError(f"non-finite state at node {bad}", bad) from None
+            run = np.empty((end - start + 1, known.shape[1]))
+            run[0] = stepped[-1][-1] if stepped else known[k]
+            step_on(field, run, h, start, step)
             stepped.append(run[1:])
             nodes = run if start == offset else np.concatenate([known[offset:k], run])
         i, _, t, _, _, t_left = _crossing_scan(
@@ -578,6 +588,26 @@ def first_return(
     if stop <= k:
         return known[: stop + 1], segment, time
     return np.concatenate([known, *stepped]), segment, time
+
+
+def first_loop(field, z, h, horizon, delta0, prefix=None, step=None):
+    """The Euler run from z up to its first return to the section through z.
+
+    One :func:`first_return` run of ceil(horizon/h) steps, continuing
+    ``prefix`` through ``step``, with the exclusion of
+    :func:`default_exclusion`.  Returns ``(traj, R1, N1)``, ``traj`` ending
+    at the end of the chunk that holds the return, not at the horizon; or
+    None when the run does not return within the horizon.  A DivergedError
+    names the run's first non-finite node.
+    """
+    z = np.asarray(z, dtype=float)
+    nodes, segment, R1 = first_return(
+        field, z, h, int(math.ceil(horizon / h)), Section.through(field, z),
+        default_exclusion(h, delta0), prefix, step,
+    )
+    if segment < 0:
+        return None
+    return EulerTrajectory(field, z, h, nodes), R1, return_index(R1, segment, h)
 
 
 def batch_first_return(

@@ -28,8 +28,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig
-from .errors import DivergedError, InputError, SynchronizationLostError
-from .euler import EulerTrajectory, simulate
+from .errors import InputError, SynchronizationLostError
+from .euler import EulerTrajectory, simulate, step_on
 from .systems import VectorField
 from .tube import ExistenceCertificate, Tube, certify_existence
 from .attraction import compute_D
@@ -109,8 +109,9 @@ class ReferenceStream:
     Same step h/refine, same step cap.  ``nodes`` holds the resident nodes,
     ``nodes[0]`` being node ``base`` of the reference.  :meth:`advance`
     drops the nodes before the next sample's window start and steps up to
-    ``STREAM_CHUNK`` more in one :func:`simulate` run from the last resident
-    node, so the nodes are those of one long run bit for bit.
+    ``STREAM_CHUNK`` more from the last resident node by
+    :func:`~cyclecert.euler.step_on`, so the nodes are those of one long run
+    bit for bit.
     :func:`synchronize` on a stream continues from sample ``sample``
     (warm-started at ``theta``) through the samples whose windows are
     resident, and sets ``finished`` after the last sample.
@@ -159,19 +160,8 @@ class ReferenceStream:
             buffer = self._buffer = np.empty(shape)
         buffer[:n_kept] = kept  # numpy copies through a temporary on overlap
         self.nodes, self.base = buffer[:n_kept], keep
-        _step_on(self.field, buffer[n_kept - 1 : rows], self.h, start)
+        step_on(self.field, buffer[n_kept - 1 : rows], self.h, start, simulate)
         self.nodes = buffer[:rows]
-
-
-def _step_on(field: VectorField, run: np.ndarray, h: float, start: int):
-    """Step ``run[1:]`` from ``run[0]``, node ``start`` of a longer run, in
-    place; a DivergedError names the non-finite node by its index on that
-    run."""
-    try:
-        simulate(field, run[0], h, run.shape[0] - 1, out=run)
-    except DivergedError as exc:
-        bad = start + exc.first_bad_index
-        raise DivergedError(f"non-finite state at node {bad}", bad) from None
 
 
 @dataclass
@@ -555,7 +545,7 @@ def _coarse_run(field, x0, h, n_steps, prefix) -> EulerTrajectory:
         return EulerTrajectory(field, x0, h, prefix[: k + 1])
     nodes = np.empty((n_steps + 1, field.dim))
     nodes[: k + 1] = prefix
-    _step_on(field, nodes[k:], h, k)
+    step_on(field, nodes[k:], h, k, simulate)
     return EulerTrajectory(field, x0, h, nodes)
 
 

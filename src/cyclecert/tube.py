@@ -45,9 +45,8 @@ from .errors import (
 )
 from .euler import (
     EulerTrajectory,
-    Section,
-    default_exclusion,
-    return_times,
+    first_loop,
+    return_times,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
     simulate,
 )
 from .measures import (
@@ -479,7 +478,7 @@ def build_tube(
     )
 
 
-# Relative slack of radius_consistent.
+# Relative slack of radius_excess.
 RADIUS_RTOL = 1e-3
 
 
@@ -489,11 +488,6 @@ def radius_excess(tube: Tube) -> Optional[int]:
     span = np.maximum(tube.delta[:-1], tube.delta[1:])
     ok = span <= tube.sampled_radius * (1.0 + RADIUS_RTOL) + 1e-300
     return None if ok.all() else int(ok.argmin())
-
-
-def radius_consistent(tube: Tube) -> bool:
-    """Final tube radii must not exceed the radii the bounds were sampled on."""
-    return radius_excess(tube) is None
 
 
 # --------------------------------------------------------------------------
@@ -734,7 +728,11 @@ def certify_existence(
     config: PipelineConfig = PipelineConfig(),
     horizon: float = 10.0,
 ) -> ExistenceCertificate:
-    """Full existence pipeline: simulate, return, tube, conditions, verdict.
+    """Full existence pipeline: first return, tube, conditions, verdict.
+
+    The certificate's ``trajectory`` is the :func:`~cyclecert.euler.first_loop`
+    run from x0: it ends at the chunk that holds R1, not at ``horizon``, and
+    the R' sweep and the error curve's coarse run continue it.
 
     Sub-computation failures (divergence, lost transversality, blocked
     return-time sweeps) are recorded as a failed certificate with blocking
@@ -758,18 +756,15 @@ def certify_existence(
         horizon=horizon,
     )
     try:
-        traj = simulate(field, x0, h, int(math.ceil(horizon / h)))
-        section = Section.through(field, traj.nodes[0])
-        excl = default_exclusion(h, delta0)
-        rt = return_times(traj, section, 1, excl)
-        if not rt.complete:
+        loop = first_loop(field, x0, h, horizon, delta0, step=simulate)
+        if loop is None:
             cert.failure = {
                 "reason": "no-return",
                 "kind": "negative",
                 "detail": f"no section return within horizon {horizon:g}",
             }
             return cert
-        R1, N1, crossing = rt.first()
+        traj, R1, N1 = loop
         cert.R1, cert.N1 = float(R1), int(N1)
         cert.trajectory = traj
 

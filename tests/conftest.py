@@ -35,18 +35,8 @@ def vdp_cert(vdp):
     return cert
 
 
-@pytest.fixture(scope="session")
-def vdp_traj(vdp_cert):
-    return cert_traj(vdp_cert)
-
-
 def force_rate(monkeypatch, c):
     """Make every per-segment rate of ``build_tube`` the constant c."""
     monkeypatch.setattr(
         cc.tube, "sigma_rate", lambda lam, a, b, gamma: np.full(lam.shape, c)
     )
-
-
-def cert_traj(cert):
-    assert cert.trajectory is not None
-    return cert.trajectory

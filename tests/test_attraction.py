@@ -6,6 +6,7 @@ import pytest
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
 from cyclecert.errors import CertificateBlockedError, InputError
+from cyclecert.tube import radius_excess
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate
 
@@ -232,15 +233,16 @@ def test_certified_implies_empirical_attraction(vdp, vdp_cert):
 # -- the disk sweep and the existence tube -----------------------------------
 
 COARSE_H = 2e-3
-COARSE_CFG = PipelineConfig(lambda_stride=50, threads=1)
+COARSE_CFG = PipelineConfig(lambda_stride=10, threads=1)
 
 
 @pytest.fixture(scope="module")
 def coarse_existence(vdp):
+    # a tube a certificate would accept; at this step it fails only eq_h
     cert = cc.certify_existence(
         vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG, horizon=10.0
     )
-    assert cert.tube is not None
+    assert cert.tube is not None and radius_excess(cert.tube) is None
     return cert
 
 
@@ -265,7 +267,9 @@ def coarse_sweep(field, existence, n, center=VDP_X0, radius=VDP_DELTA0, h=COARSE
                  gamma=VDP_GAMMA, cfg=COARSE_CFG, horizon=10.0):
     center = np.asarray(center)
     disk = cc.SectionDisk(center, radius, field.f_raw(center))
-    return cc.sweep_Y0(field, disk, n, h, gamma, cfg, horizon, existence=existence)
+    sweep = cc.sweep_Y0(field, disk, n, h, gamma, cfg, horizon, existence=existence)
+    assert [e.radius_excess for e in sweep.exponents] == [None] * n
+    return sweep
 
 
 def test_sweep_reuses_existence_tube_at_center(vdp, coarse_existence, monkeypatch):
@@ -310,7 +314,7 @@ def test_sweep_reuse_needs_the_existence_run(vdp, coarse_existence, monkeypatch,
         # the same number of steps: 10 / h rounds up to 5000 either way
         kwargs["h"] = COARSE_H * (1.0 + 1e-7)
     elif change == "config":
-        kwargs["cfg"] = PipelineConfig(lambda_stride=49, threads=1)
+        kwargs["cfg"] = dataclasses.replace(COARSE_CFG, lambda_stride=9)
     elif change == "horizon":
         kwargs["horizon"] = 12.0
     elif change == "gamma":
@@ -325,7 +329,7 @@ def test_sweep_reuse_needs_the_existence_run(vdp, coarse_existence, monkeypatch,
 
 def test_sweep_threads_match_serial(vdp):
     runs = [
-        coarse_sweep(vdp, None, 5, cfg=PipelineConfig(lambda_stride=50, threads=t))
+        coarse_sweep(vdp, None, 5, cfg=dataclasses.replace(COARSE_CFG, threads=t))
         for t in (1, 2)
     ]
     serial, threaded = ([exponent_fields(e) for e in r.exponents] for r in runs)
@@ -337,7 +341,7 @@ def test_sweep_reads_threads_env_when_it_runs(vdp, monkeypatch):
     # a PipelineConfig that leaves threads unset reads CYCLECERT_THREADS
     # at the sweep, so a value set after the config was made takes effect
     monkeypatch.delenv("CYCLECERT_THREADS", raising=False)
-    cfg = PipelineConfig(lambda_stride=50)
+    cfg = dataclasses.replace(COARSE_CFG, threads=None)
     pools = []
 
     class Recording(cc.attraction.ThreadPoolExecutor):
@@ -370,7 +374,8 @@ def test_each_start_point_stepped_once(vdp, monkeypatch):
     existence = cc.certify_existence(
         vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG, horizon=10.0
     )
-    # the coarse tube misses its sampled radius; the constants are all there
+    # at the coarse step only the step condition eq_h fails; the constants
+    # are all there
     existence = dataclasses.replace(existence, verdict="certified")
     cert = cc.certify_attraction(existence, vdp, COARSE_CFG, horizon=10.0)
     assert cert.sample_count == COARSE_CFG.sweep_samples

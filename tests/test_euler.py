@@ -628,9 +628,9 @@ def test_continued_run_matches_one_run(harmonic, known):
     whole = cc.simulate(harmonic, x0, h, n_steps).nodes
     steps = []
 
-    def step(field, x, h, n):
+    def step(field, x, h, n, out=None):
         steps.append(n)
-        return cc.simulate(field, x, h, n)
+        return cc.simulate(field, x, h, n, out)
 
     fresh = cc.euler.first_return(harmonic, x0, h, n_steps, section, excl)
     nodes, segment, time = cc.euler.first_return(

@@ -40,6 +40,33 @@ def test_benchmark_tracer_bindings_exist():
     assert tracing.WRAPS and missing == []
 
 
+def test_module_imports_are_used():
+    # every name a package module imports is read in that module, or is a
+    # binding the traced benchmark run replaces there (tracing.WRAPS)
+    path = ROOT / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {(owner, attr) for owner, attr, _, _ in tracing.WRAPS}
+    unused = []
+    for path in sorted(Path(cyclecert.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        owner = f"cyclecert.{path.stem}"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and (owner, name) not in wrapped:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_registry_load_does_not_import_sympy():
     # importing sympy takes longer than a whole registry load; only inline
     # specs need it

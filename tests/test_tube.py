@@ -11,10 +11,10 @@ import pytest
 import cyclecert
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
-from cyclecert.errors import InputError, InvalidReparametrizationError
+from cyclecert.errors import DivergedError, InputError, InvalidReparametrizationError
 from cyclecert.measures import norm_planes
 from cyclecert.output import canonical_json, load_schema
-from cyclecert.tube import radius_consistent
+from cyclecert.tube import radius_excess
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate
 from oracles import (
@@ -33,6 +33,54 @@ def test_no_return_failure(linear):
     assert cert.verdict == "failed"
     assert cert.failure["reason"] == "no-return"
     assert cert.failure["kind"] == "negative"
+
+
+def test_existence_run_ends_at_the_return_chunk(vdp, vdp_cert):
+    # the existence run is a first-return run: it ends at the end of the
+    # 4096-step chunk that holds R1, not at the horizon's 100,000 steps, and
+    # R1 and N1 are those of one run of the whole horizon
+    traj = vdp_cert.trajectory
+    assert traj.n_steps == 16 * cc.euler.RETURN_CHUNK == 65536
+    assert np.array_equal(traj.nodes, cc.simulate(vdp, VDP_X0, VDP_H, 65536).nodes)
+    whole = cc.simulate(vdp, VDP_X0, VDP_H, 100000)
+    section = cc.Section.through(vdp, whole.nodes[0])
+    R1, N1, _ = cc.return_times(
+        whole, section, 1, cc.default_exclusion(VDP_H, VDP_DELTA0)
+    ).first()
+    assert (vdp_cert.R1, vdp_cert.N1) == (R1, N1)
+
+
+def test_diverged_run_names_its_node(harmonic):
+    # a run that overflows in its second chunk gives a blocking certificate
+    # whose detail ends with the first non-finite node on the whole run
+    def rhs2(u1, u2):
+        return (u1 * u1 if u1 > 5.0 else 1.0), 0.0
+
+    field = dataclasses.replace(harmonic, rhs_scalar2=rhs2)
+    with pytest.raises(DivergedError) as whole:
+        cc.simulate(field, [1.0, 0.0], 1e-3, 10000)
+    bad = whole.value.first_bad_index
+    assert bad > cc.euler.RETURN_CHUNK
+    cert = cc.certify_existence(field, (1.0, 0.0), 1e-3, 0.1, 0.015, horizon=10.0)
+    assert cert.failure["kind"] == "blocking"
+    assert cert.failure["detail"].endswith(f" {bad}")
+    assert cert.R1 is None and cert.trajectory is None
+
+
+def test_tube_failure_keeps_the_return(vdp, monkeypatch):
+    # a tube build that raises leaves the run and its return on the
+    # blocking certificate
+    def fail(*args, **kwargs):
+        raise InvalidReparametrizationError("phase-rate lower bound 0 <= 0")
+
+    monkeypatch.setattr(cc.tube, "build_tube", fail)
+    cert = cc.certify_existence(
+        vdp, VDP_X0, 2e-3, VDP_DELTA0, VDP_GAMMA, PipelineConfig(), horizon=10.0
+    )
+    assert cert.failure["reason"] == "InvalidReparametrizationError"
+    assert cert.failure["kind"] == "blocking"
+    assert cert.N1 == 3158 and cert.R1 == pytest.approx(6.314, abs=0.01)
+    assert cert.trajectory.n_steps >= cert.N1 and cert.tube is None
 
 
 def test_forced_rate_constant_delta(vdp, monkeypatch):
@@ -119,7 +167,7 @@ def test_vdp_example_tube_values(vdp_cert):
     delta_end = tube.delta[tube.N1]
     assert delta_end == pytest.approx(0.0642, rel=0.10)
     assert tube.delta.min() == pytest.approx(delta_end)
-    assert radius_consistent(tube)
+    assert radius_excess(tube) is None
 
 
 def test_step_condition_vdp(vdp_cert):
