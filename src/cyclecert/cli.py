@@ -45,9 +45,12 @@ def _add_common(p):
     p.add_argument("--delta0", type=float, help="initial tube radius")
     p.add_argument("--gamma", type=float, help="rate regularization floor")
     p.add_argument("--horizon", type=float, help="simulation horizon")
-    p.add_argument("--samples", type=int, help="disk sweep sample count")
+    p.add_argument(
+        "--samples", type=int, help="disk points of the basin sweep and of R'"
+    )
     p.add_argument("--stride", type=int, help="sampling stride of Lambda and (a, b)")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed")
+    # unread; benchmarks/workloads.py, its only caller, still passes it
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -94,8 +97,6 @@ def _run_config(args) -> RunConfig:
         pipe_updates["sweep_samples"] = args.samples
     if args.stride is not None:
         pipe_updates["lambda_stride"] = args.stride
-    if args.seed is not None:
-        pipe_updates["seed"] = args.seed
     if pipe_updates:
         cfg = replace(cfg, pipeline=replace(cfg.pipeline, **pipe_updates))
     cfg.validate()

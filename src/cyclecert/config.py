@@ -24,7 +24,7 @@ def threads_from_env(default: int = 1) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Sampling densities, the slice-bound stride, the seed and the threads.
+    """Sampling densities, the slice-bound stride and the threads.
 
     ``n_s`` points along each segment and ``n_ball`` transverse offsets
     (plus the center) sample the slice bounds Lambda_i; ``ab_offsets``
@@ -32,8 +32,9 @@ class PipelineConfig:
     ``lambda_stride`` trades cost for tightness: Lambda_i and (a_i, b_i) are
     sampled every that many segments (the anchors) and bridged in between,
     Lambda with drift padding and (a, b) with curvature padding; stride 1
-    samples every segment.  ``sweep_samples`` disk points give the
-    attraction sweep; ``seed`` draws the disk points of the return bound R';
+    samples every segment.  ``sweep_samples`` evenly spaced disk points
+    are the start points of the attraction sweep and of the return bound
+    R', which takes at least 3 (the center and both endpoints).
     ``threads`` runs the sweep's tube builds in a pool; None reads
     ``CYCLECERT_THREADS`` when the sweep runs.  The fixed settings
     (fixed-point passes, slice radius safety, region margin) are constants
@@ -45,7 +46,6 @@ class PipelineConfig:
     lambda_stride: int = 10
     ab_offsets: int = 5
     sweep_samples: int = 11
-    seed: int = 0
     threads: Optional[int] = None
 
     def validate(self):

@@ -166,34 +166,17 @@ class SectionDisk:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
 
-    def sample_points(self, n: int, seed: int = 0) -> np.ndarray:
-        """n points of the disk; planar case: center, both endpoints, then
-        seeded uniform draws on the segment."""
-        if self.center.size != 2:
-            raise InputError("sampling is implemented for planar sections")
-        w = _rot90(self.normal / np.linalg.norm(self.normal))
-        base = [0.0]
-        if n >= 3:
-            base += [-1.0, 1.0]
-        if n > len(base):
-            rng = np.random.default_rng(seed)
-            base += list(rng.uniform(-1.0, 1.0, n - len(base)))
-        u = np.asarray(base[:n])
-        return self.center[None, :] + (u * self.radius)[:, None] * w[None, :]
-
-    def linspace_points(self, n: int) -> np.ndarray:
-        """n evenly spaced points including both endpoints (and the center
-        when n is odd)."""
+    def sweep_points(self, n: int) -> np.ndarray:
+        """n evenly spaced points of the disk: both endpoints, and the
+        center when n is odd; the center alone for n = 1, and none for
+        n < 1.  The basin sweep starts from them, and so does R'."""
+        if n < 1:
+            return np.empty((0, self.center.size))
+        if n == 1:
+            return self.center[None, :]
         w = _rot90(self.normal / np.linalg.norm(self.normal))
         u = np.linspace(-1.0, 1.0, n)
         return self.center[None, :] + (u * self.radius)[:, None] * w[None, :]
-
-    def sweep_points(self, n: int) -> np.ndarray:
-        """The basin sweep's n start points: :meth:`linspace_points`, the
-        center alone for n = 1, and none for n < 1."""
-        if n < 1:
-            return np.empty((0, self.center.size))
-        return self.center[None, :] if n == 1 else self.linspace_points(n)
 
 
 # Each sampled extremum (Lambda_i, a_i, b_i of the tube, v and f_max of
@@ -204,8 +187,6 @@ PAD_FACTOR = 1.0
 BALL_RADII = 9
 BALL_ANGLES = 32
 BALL_SCALE = 3.0
-# Disk points of the step-h return sweep that gives R'.
-R_PRIME_SAMPLES = 16
 
 
 @dataclass
@@ -230,7 +211,6 @@ class EtaEstimate:
     ball_radius: float
     e: float
     n_samples: int
-    seed: int
 
     @property
     def established(self) -> bool:
@@ -248,7 +228,6 @@ class EtaEstimate:
             "ball_grid": [BALL_RADII, BALL_ANGLES],
             "e": self.e,
             "n_samples": self.n_samples,
-            "seed": self.seed,
         }
 
 
@@ -258,21 +237,25 @@ def return_time_sweep(
     n_samples: int,
     h: float,
     horizon: float,
-    seed: int = 0,
     runs=None,
 ) -> np.ndarray:
-    """Discrete first-return times at step h from ``n_samples`` disk points.
+    """Discrete first-return times at step h from the ``n_samples`` points
+    of ``disk.sweep_points``.
 
     Uses the crossing rule of :func:`~cyclecert.euler.return_times`; the
     samples are one :func:`~cyclecert.euler.batch_first_return` sweep,
     which reads and extends ``runs`` (start point bytes to runs already
-    stepped from it).  A sample that diverges, or that does not return
-    within the horizon, blocks certification; the error says which, with
-    the step a diverged run failed at.
+    stepped from it), so that ``runs`` ends up holding a run from every
+    sample.  A sample that diverges, or that does not return within the
+    horizon, blocks certification; the error says which, with the step a
+    diverged run failed at.
     """
-    pts = disk.sample_points(n_samples, seed=seed)
+    pts = disk.sweep_points(n_samples)
     section = Section(disk.center, disk.normal)
     excl = default_exclusion(h, disk.radius)
+    if runs is not None:
+        for p in pts:
+            runs.setdefault(p.tobytes(), p[None, :])
     times = batch_first_return(field, pts, h, horizon, section, excl, runs)
     if np.isnan(times).any():
         bad = int(np.nonzero(np.isnan(times))[0][0])
@@ -306,7 +289,7 @@ def estimate_eta(
     tube,
     rho: float,
     horizon: float,
-    seed: int = 0,
+    n_samples: int,
     runs=None,
 ) -> EtaEstimate:
     """Return-time interval [T_lo, T_hi] from the tube's phase rates, the
@@ -337,10 +320,9 @@ def estimate_eta(
     which the certificate records as a failed condition.  Neither the step
     condition nor the inclusion check uses eta.
 
-    R' bounds the discrete first return at step h: the largest of
-    ``R_PRIME_SAMPLES`` returns of :func:`return_time_sweep` (center, both
-    disk endpoints, then seeded uniform draws), which reads and extends
-    ``runs``.
+    R' bounds the discrete first return at step h: the largest return of
+    :func:`return_time_sweep` from ``disk.sweep_points(n_samples)``, which
+    reads and extends ``runs``.
     """
     h, N1 = tube.h, tube.N1
     weights = np.full(N1, h)
@@ -362,9 +344,7 @@ def estimate_eta(
         e = math.inf
     T_lo = sum_lo - e
 
-    times = return_time_sweep(
-        field, disk, R_PRIME_SAMPLES, h, horizon, seed=seed, runs=runs
-    )
+    times = return_time_sweep(field, disk, n_samples, h, horizon, runs=runs)
     return EtaEstimate(
         eta=0.5 * T_lo,
         T_lo=T_lo,
@@ -377,8 +357,7 @@ def estimate_eta(
         f_max=f_max,
         ball_radius=float(radius),
         e=e,
-        n_samples=R_PRIME_SAMPLES,
-        seed=seed,
+        n_samples=n_samples,
     )
 
 

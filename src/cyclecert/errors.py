@@ -20,11 +20,16 @@ class DivergedError(NumericError):
     ----------
     first_bad_index : int
         Index of the first node that is not finite.
+    reason : str
+        What made it so, without the index: ``"non-finite state"``,
+        ``"state overflowed"`` or the repr of the error the right-hand side
+        raised.
     """
 
-    def __init__(self, msg, first_bad_index):
+    def __init__(self, msg, first_bad_index, reason):
         super().__init__(msg)
         self.first_bad_index = first_bad_index
+        self.reason = reason
 
 
 class EquilibriumProximityError(CycleCertError):

@@ -140,7 +140,7 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     except (ArithmeticError, ValueError) as e:
         step = first_step + i
         reason = "state overflowed" if isinstance(e, OverflowError) else repr(e)
-        raise DivergedError(f"{reason} at step {step}", step) from None
+        raise DivergedError(f"{reason} at step {step}", step, reason) from None
     return np.fromiter(buf, np.float64, len(buf)).reshape(-1, 2)
 
 
@@ -285,7 +285,8 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
     finite = np.isfinite(nodes[k:]).all(axis=1)
     if not finite.all():
         bad = k + int(finite.argmin())
-        raise DivergedError(f"non-finite state at node {bad}", bad)
+        reason = "non-finite state"
+        raise DivergedError(f"{reason} at node {bad}", bad, reason)
     return nodes
 
 
@@ -523,14 +524,14 @@ RETURN_CHUNK = 4096
 
 def step_on(field: VectorField, run: np.ndarray, h: float, start: int, step=None):
     """Step ``run[1:]`` from ``run[0]``, node ``start`` of a longer run, in
-    place through ``step`` (default :func:`simulate`); a DivergedError names
-    the non-finite node by its index on that run."""
+    place through ``step`` (default :func:`simulate`); a DivergedError keeps
+    its reason and names the non-finite node by its index on that run."""
     step = simulate if step is None else step
     try:
         step(field, run[0], h, run.shape[0] - 1, out=run)
     except DivergedError as exc:
-        bad = start + exc.first_bad_index
-        raise DivergedError(f"non-finite state at node {bad}", bad) from None
+        bad, reason = start + exc.first_bad_index, exc.reason
+        raise DivergedError(f"{reason} at node {bad}", bad, reason) from None
 
 
 def first_return(

@@ -180,22 +180,6 @@ class SyncErrorSeries:
         k = int((1.0 - TAIL_FRACTION) * self.times.size)
         return float(self.errors[k:].max())
 
-    @classmethod
-    def concatenate(cls, parts: Sequence["SyncErrorSeries"]) -> "SyncErrorSeries":
-        """One series from the consecutive parts of a synchronization."""
-
-        def join(name):
-            return np.concatenate([getattr(p, name) for p in parts])
-
-        return cls(
-            times=join("times"),
-            thetas=join("thetas"),
-            errors=join("errors"),
-            residuals=join("residuals"),
-            h=parts[0].h,
-            bounds=None if parts[0].bounds is None else join("bounds"),
-        )
-
 
 def synchronize(
     reference,
@@ -578,6 +562,7 @@ def error_curve_experiment(
         cert = certify_existence(
             field, x0, h, delta0, gamma, config, horizon=cert_horizon
         )
+        cert.start_runs = {}  # the R' runs, which only a basin sweep reads
         if cert.constants is None:
             raise InputError(
                 f"step size {h:g} is not certifiable: {cert.failure}"

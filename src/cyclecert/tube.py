@@ -184,7 +184,6 @@ class Tube:
             },
             "a_min": float(self.a_seg.min()),
             "b_max": float(self.b_seg.max()),
-            "slice_mode": "tube",
             "final_segment": "extended",  # covers ((N1-1)h, N1*h] entirely
         }
 
@@ -643,7 +642,6 @@ class ExistenceCertificate:
     h: float
     delta0: float
     gamma: float
-    seed: int
     R1: Optional[float] = None
     N1: Optional[int] = None
     step_condition: Optional[StepConditionReport] = None
@@ -660,7 +658,7 @@ class ExistenceCertificate:
     config: Optional[PipelineConfig] = dc_field(default=None, repr=False)
     horizon: Optional[float] = dc_field(default=None, repr=False)
     # Euler runs at step h by the bytes of their start point: the R' sweep's
-    # runs from the basin sweep's start points, and this run from x0
+    # runs from the basin sweep's start points, this run from x0 among them
     start_runs: dict = dc_field(default_factory=dict, repr=False)
 
     @property
@@ -677,7 +675,6 @@ class ExistenceCertificate:
             "h": self.h,
             "delta0": self.delta0,
             "gamma": self.gamma,
-            "seed": self.seed,
             "conditions": {
                 "eq_h": self.step_condition.to_dict() if self.step_condition else None,
                 "eq_new": self.inclusion.to_dict() if self.inclusion else None,
@@ -751,7 +748,6 @@ def certify_existence(
         h=float(h),
         delta0=float(delta0),
         gamma=float(gamma),
-        seed=config.seed,
         config=config,
         horizon=horizon,
     )
@@ -789,16 +785,15 @@ def certify_existence(
         M_f = max(M_C, float(tube.m_tilde.max()))
 
         incl = check_return_inclusion(tube, traj)
-        # the R' sweep reads this run from x0 and keeps the runs it steps
-        # from the basin sweep's start points, which that sweep continues
-        starts = tube.y0_disk.sweep_points(config.sweep_samples)
-        runs = {p.tobytes(): p[None, :] for p in starts}
-        runs[traj.nodes[0].tobytes()] = traj.nodes
+        # R' samples the basin sweep's start points, at least the center
+        # and both endpoints; its sweep reads this run from x0 and keeps the
+        # runs it steps, which the basin sweep continues
+        runs = {traj.nodes[0].tobytes(): traj.nodes}
         eta = estimate_eta(
             field, tube, incl.lhs, horizon=min(horizon, 2.5 * R1),
-            seed=config.seed, runs=runs,
+            n_samples=max(config.sweep_samples, 3), runs=runs,
         )
-        cert.start_runs = {z: run for z, run in runs.items() if run.shape[0] > 1}
+        cert.start_runs = runs
         constants = GlobalConstants(
             L=L,
             M_f=M_f,
@@ -821,7 +816,6 @@ def certify_existence(
                 "passes": PASSES,
                 "tube_samples": int(samples.shape[0]),
                 "eta": eta.provenance(),
-                "seed": config.seed,
             },
         )
         constants.validate()

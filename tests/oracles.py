@@ -6,7 +6,8 @@ components, over blocks and between anchors, the whole-loop planes that
 ``tube.build_tube`` streams in segment blocks, the stacked (..., 2) Van der Pol and
 FitzHugh-Nagumo right-hand sides and Jacobians that the registry's planar
 kernels replaced, the sampled return-time sweep that the tube's return-time
-interval replaced, and a central-difference Jacobian that checks the
+interval replaced, the joined synchronization series that the error curve
+now fills in place, and a central-difference Jacobian that checks the
 hand-written registry Jacobians; the tests hold the library to them.
 """
 
@@ -21,6 +22,7 @@ from cyclecert.errors import (
 )
 from cyclecert.euler import Exclusion, Section, batch_first_return
 from cyclecert.measures import M_FLOOR, norm_planes, sigma_rate, symmetric_part
+from cyclecert.syncerr import SyncErrorSeries
 from cyclecert.tube import (
     PAD_FACTOR,
     PASSES,
@@ -212,8 +214,8 @@ def fitzhugh_nagumo_stacked(a, b, eps, current):
     return rhs, jac
 
 
-def eta_sweep_oracle(field, disk, n_samples, h, horizon, refine=10, seed=0):
-    """Sweep first return times over the disk.
+def eta_sweep_oracle(field, disk, n_samples, h, horizon, refine=10):
+    """Sweep first return times from ``disk.sweep_points(n_samples)``.
 
     Fine-step surrogates of the exact flow (step h/refine) give T_lo, T_hi
     and the floor eta = T_lo/2; the plain step h gives R', the bound on the
@@ -221,7 +223,7 @@ def eta_sweep_oracle(field, disk, n_samples, h, horizon, refine=10, seed=0):
     :func:`~cyclecert.euler.return_times`.  A sample that never returns
     within the horizon, or whose run diverges, blocks certification.
     """
-    pts = disk.sample_points(n_samples, seed=seed)
+    pts = disk.sweep_points(n_samples)
     section = Section(disk.center, disk.normal)
 
     def sweep(step):
@@ -246,6 +248,21 @@ def eta_sweep_oracle(field, disk, n_samples, h, horizon, refine=10, seed=0):
         R_prime=float(t_euler.max()),
         n_samples=n_samples,
         refine=refine,
-        seed=seed,
         flow_times=t_flow,
+    )
+
+
+def concatenate_series(parts):
+    """One SyncErrorSeries from the consecutive parts of a synchronization."""
+
+    def join(name):
+        return np.concatenate([getattr(p, name) for p in parts])
+
+    return SyncErrorSeries(
+        times=join("times"),
+        thetas=join("thetas"),
+        errors=join("errors"),
+        residuals=join("residuals"),
+        h=parts[0].h,
+        bounds=None if parts[0].bounds is None else join("bounds"),
     )

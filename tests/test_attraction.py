@@ -359,9 +359,10 @@ def test_sweep_reads_threads_env_when_it_runs(vdp, monkeypatch):
 
 
 def test_each_start_point_stepped_once(vdp, monkeypatch):
-    # the R' sweep reads the existence run from x0, and the basin sweep
-    # continues the R' runs from both disk endpoints: no run is stepped
-    # from a node twice
+    # R' samples the basin sweep's start points: its sweep reads the
+    # existence run from x0, and the basin sweep continues the R' runs.
+    # No run is stepped from a node twice, and the nodes stepped from on
+    # the initial disk are the sweep's start points
     starts = []
     for module in (cc.euler, cc.tube, cc.attraction):
         simulate = module.simulate
@@ -381,10 +382,17 @@ def test_each_start_point_stepped_once(vdp, monkeypatch):
     assert cert.sample_count == COARSE_CFG.sweep_samples
     assert len(starts) == len(set(starts))
     disk = existence.tube.y0_disk
-    x0, *ends = disk.center, *disk.linspace_points(2)
-    for z in (x0, *ends):
-        assert starts.count(z.tobytes()) == 1
-    assert set(existence.start_runs) == {z.tobytes() for z in (x0, *ends)}
+    n = disk.normal / np.linalg.norm(disk.normal)
+    on_disk = {
+        z
+        for z in starts
+        for y in [np.frombuffer(z) - disk.center]
+        if abs(y @ n) < 1e-12 and np.linalg.norm(y) <= disk.radius * (1 + 1e-12)
+    }
+    pts = {z.tobytes() for z in disk.sweep_points(COARSE_CFG.sweep_samples)}
+    assert len(pts) == COARSE_CFG.sweep_samples
+    assert on_disk == pts
+    assert set(existence.start_runs) == pts
 
 
 @pytest.mark.parametrize(
@@ -405,7 +413,7 @@ def test_sweep_crossing_matches_return_times(spec, x0, h, delta0, horizon):
     disk = cc.SectionDisk(x0, delta0, field.f_raw(x0))
     n_steps = int(np.ceil(horizon / h))
     excl = cc.default_exclusion(h, delta0)
-    for z in disk.sample_points(8, seed=3):
+    for z in disk.sweep_points(8):
         section = cc.Section.through(field, z)
         nodes, segment, R1 = cc.euler.first_return(
             field, z, h, n_steps, section, excl
@@ -440,7 +448,7 @@ def test_sweep_radius_excess_blocks_attraction(vdp, vdp_cert, vdp_attraction, mo
     assert not cert.certified
     assert cert.failure["reason"] == "slice-radius-inconsistent"
     assert cert.failure["kind"] == "blocking"
-    z = vdp_cert.tube.y0_disk.linspace_points(11)[0]
+    z = vdp_cert.tube.y0_disk.sweep_points(11)[0]
     assert f"sweep sample 0 at {z.tolist()}" in cert.failure["detail"]
     assert "first at segment 1234" in cert.failure["detail"]
     assert cert.exponents[0].radius_excess == 1234

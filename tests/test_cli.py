@@ -45,9 +45,8 @@ def test_existence_provenance_pinned(preset_out):
             "e": 0.053821865580331196,
             "f_max": 1.771398388660022,
             "method": "tube",
-            "n_samples": 16,
+            "n_samples": 11,
             "rho": 0.07746408845536981,
-            "seed": 0,
             "sum_hi": 6.5407912006902045,
             "sum_lo": 6.102528360118472,
             "v": 1.4392679930381025,
@@ -60,7 +59,6 @@ def test_existence_provenance_pinned(preset_out):
         "pad_factor": 1.0,
         "passes": 2,
         "region_margin": 0.05,
-        "seed": 0,
         "tube_samples": 252600,
     }
 
@@ -95,6 +93,18 @@ def test_byte_identical_reruns(tmp_path, preset_out):
     a = (preset_out / "existence_certificate.json").read_bytes()
     b = (out2 / "existence_certificate.json").read_bytes()
     assert a == b
+
+
+def test_seed_option_changes_nothing(tmp_path, preset_out):
+    # --seed is still accepted and read by nothing: every report it writes
+    # is byte-identical to the run without it
+    out2 = tmp_path / "seeded"
+    argv = ["certify-existence", "--preset", "vdp-example1", "--seed", "7"]
+    assert main(argv + ["--out", str(out2)]) == 0
+    names = sorted(p.name for p in preset_out.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out2 / name).read_bytes() == (preset_out / name).read_bytes()
 
 
 def test_not_certified_exit1(tmp_path):

@@ -390,7 +390,6 @@ def test_estimate_eta_degenerate_disk(harmonic):
 
 
 def test_estimate_eta_vdp(vdp_cert):
-    cfg = cc.PipelineConfig()
     est = eta_sweep_oracle(
         vdp_cert.trajectory.field,
         vdp_cert.tube.y0_disk,
@@ -398,7 +397,6 @@ def test_estimate_eta_vdp(vdp_cert):
         vdp_cert.h,
         horizon=min(10.0, 2.5 * vdp_cert.R1),
         refine=10,
-        seed=cfg.seed,
     )
     assert est.eta == pytest.approx(3.16, abs=0.05)
     assert 6.25 <= est.T_lo <= est.T_hi <= 6.40
@@ -483,7 +481,9 @@ def test_estimate_eta_sums_follow_phase_rates(vdp_cert):
     ],
 )
 def test_estimate_eta_not_established(vdp, vdp_cert, rho, why):
-    eta = cc.estimate_eta(vdp, vdp_cert.tube, rho, horizon=10.0)
+    eta = cc.estimate_eta(
+        vdp, vdp_cert.tube, rho, horizon=10.0, n_samples=vdp_cert.eta.n_samples
+    )
     if why == "no speed floor":
         assert eta.v <= 0.0
     else:
@@ -535,7 +535,7 @@ def test_estimate_eta_blocking_names_sample(mode, handwritten):
     field = _escape_field(mode) if handwritten else _escape_inline(mode)
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.05, field.f_raw(anchor))
-    pts = disk.sample_points(3)
+    pts = disk.sweep_points(3)
     bad = int(np.argmax(pts[:, 0]))
     assert bad != 0 and pts[bad, 0] > 1.03
     with np.errstate(over="ignore", invalid="ignore"):

@@ -25,6 +25,35 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _names_random(dotted):
+    """Whether a dotted name is the random module or numpy.random."""
+    parts = dotted.split(".")
+    return parts[0] == "random" or any(
+        a in ("np", "numpy") and b == "random" for a, b in zip(parts, parts[1:])
+    )
+
+
+def test_package_draws_no_random_numbers():
+    # a certificate is a deterministic function of its inputs: no package
+    # module imports or reads numpy.random or the random module
+    root = Path(cyclecert.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            if any(_names_random(name) for name in names):
+                found.add(f"{path.relative_to(root)}:{node.lineno}")
+    assert sorted(found) == []
+
+
 def test_benchmark_tracer_bindings_exist():
     # the traced benchmark run replaces each WRAPS attribute where its
     # caller looks it up; a refactor that drops one breaks that run

@@ -19,6 +19,7 @@ from cyclecert.syncerr import (
 )
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
+from oracles import concatenate_series
 
 
 def synchronize_oracle(
@@ -165,7 +166,7 @@ def streamed(field, y0, h, horizon, refine, traj, **kwargs):
     while not ref.finished:
         ref.advance()
         parts.append(cc.synchronize(ref, traj, y0, **kwargs))
-    return SyncErrorSeries.concatenate(parts), ref
+    return concatenate_series(parts), ref
 
 
 def backward_jump(field, h):

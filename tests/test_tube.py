@@ -67,6 +67,26 @@ def test_diverged_run_names_its_node(harmonic):
     assert cert.R1 is None and cert.trajectory is None
 
 
+def test_diverged_run_keeps_its_reason(harmonic):
+    # an rhs that divides by zero in the run's second chunk gives a blocking
+    # certificate whose detail names the error and its node on the whole run
+    zero = 0.0
+
+    def rhs2(u1, u2):
+        return (1.0 if u1 < 6.0 else 1.0 / zero), 0.0
+
+    field = dataclasses.replace(harmonic, rhs_scalar2=rhs2)
+    with pytest.raises(DivergedError) as whole:
+        cc.simulate(field, [1.0, 0.0], 1e-3, 10000)
+    bad, reason = whole.value.first_bad_index, whole.value.reason
+    assert bad > cc.euler.RETURN_CHUNK
+    assert reason == "ZeroDivisionError('float division by zero')"
+    cert = cc.certify_existence(field, (1.0, 0.0), 1e-3, 0.1, 0.015, horizon=10.0)
+    assert cert.failure["reason"] == "DivergedError"
+    assert cert.failure["kind"] == "blocking"
+    assert cert.failure["detail"] == f"{reason} at node {bad}"
+
+
 def test_tube_failure_keeps_the_return(vdp, monkeypatch):
     # a tube build that raises leaves the run and its return on the
     # blocking certificate
