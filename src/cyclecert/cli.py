@@ -88,7 +88,7 @@ def _run_config(args) -> RunConfig:
         updates["y0"] = _parse_point(args.y0)
     if getattr(args, "h_list", None):
         updates["h_list"] = tuple(float(v) for v in args.h_list.split(","))
-    if getattr(args, "periods", None):
+    if getattr(args, "periods", None) is not None:
         updates["periods"] = args.periods
     if updates:
         cfg = replace(cfg, **updates)

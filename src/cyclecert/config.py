@@ -30,15 +30,15 @@ class PipelineConfig:
     (plus the center) sample the slice bounds Lambda_i; ``ab_offsets``
     offsets on the same s-grid sample the phase rates (a_i, b_i).
     ``lambda_stride`` trades cost for tightness: Lambda_i and (a_i, b_i) are
-    sampled every that many segments (the anchors) and bridged in between,
-    Lambda with drift padding and (a, b) with curvature padding; stride 1
-    samples every segment.  ``sweep_samples`` evenly spaced disk points
-    are the start points of the attraction sweep and of the return bound
-    R', which takes at least 3 (the center and both endpoints).
+    sampled every that many segments (the anchors) and bridged in between
+    by ``tube.anchor_bridge``; stride 1 samples every segment.
+    ``sweep_samples`` evenly spaced disk points are the start points of the
+    attraction sweep and of the return bound R', which takes at least 3
+    (the center and both endpoints).
     ``threads`` runs the sweep's tube builds in a pool; None reads
     ``CYCLECERT_THREADS`` when the sweep runs.  The fixed settings
     (fixed-point passes, slice radius safety, region margin) are constants
-    of :mod:`cyclecert.tube`; the padding is ``constants.PAD_FACTOR``.
+    of :mod:`cyclecert.tube`; the padding is ``measures.PAD_FACTOR``.
     """
 
     n_s: int = 5
@@ -53,6 +53,10 @@ class PipelineConfig:
             raise InputError("sampling densities must be at least 2")
         if self.lambda_stride < 1:
             raise InputError("lambda_stride must be >= 1")
+        if self.sweep_samples < 1:
+            raise InputError("sweep_samples must be >= 1")
+        if self.threads is not None and self.threads < 1:
+            raise InputError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,8 @@ class RunConfig:
         for name in ("h", "delta0", "gamma", "horizon"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"{name} must be positive")
+        if not self.periods > 0.0:
+            raise InputError("periods must be positive")
         self.pipeline.validate()
 
 

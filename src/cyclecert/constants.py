@@ -25,7 +25,7 @@ from .errors import (
     TransversalityLossError,
 )
 from .euler import Section, batch_first_return, default_exclusion, first_return
-from .measures import M_FLOOR, _rot90, planar_norm
+from .measures import M_FLOOR, _rot90, padded_extrema, planar_norm
 from .systems import VectorField
 
 
@@ -179,9 +179,6 @@ class SectionDisk:
         return self.center[None, :] + (u * self.radius)[:, None] * w[None, :]
 
 
-# Each sampled extremum (Lambda_i, a_i, b_i of the tube, v and f_max of
-# estimate_eta) is widened by this factor times its neighbor-jump pad.
-PAD_FACTOR = 1.0
 # Polar grid of the ball around x0 on which the speed across the start
 # section is sampled, and the ball's radius as a multiple of rho.
 BALL_RADII = 9
@@ -274,16 +271,6 @@ def return_time_sweep(
     return times
 
 
-def _padded_range(vals: np.ndarray):
-    """(min, max) of a (radii, angles) grid widened by ``PAD_FACTOR`` times
-    the largest jump between grid neighbours (angles wrap around)."""
-    jump = max(
-        np.abs(np.diff(vals, axis=0)).max(initial=0.0),
-        np.abs(vals - np.roll(vals, 1, axis=1)).max(initial=0.0),
-    )
-    return vals.min() - PAD_FACTOR * jump, vals.max() + PAD_FACTOR * jump
-
-
 def estimate_eta(
     field: VectorField,
     tube,
@@ -307,7 +294,7 @@ def estimate_eta(
     section (n0 the unit normal there) is then at most rho in magnitude.
     While y stays in the ball B(x0, r), r = BALL_SCALE * rho, g' = f.n0 is
     at least v, the minimum of f.n0 sampled on a polar grid of the ball and
-    padded by ``PAD_FACTOR`` times the largest neighbour jump; so g reaches
+    padded by :func:`~cyclecert.measures.padded_extrema`; so g reaches
     zero within e = rho/v of t*, forward or backward, crossing from g < 0
     to g > 0 as the crossing rule counts.  Meanwhile y moves at most
     e * f_max (f_max the padded maximum of |f| on the ball), so it stays in
@@ -337,8 +324,11 @@ def estimate_eta(
     phi = np.linspace(0.0, 2.0 * np.pi, BALL_ANGLES, endpoint=False)
     ring = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     F = field.f_raw(disk.center + r[:, None, None] * ring[None, :, :])
-    v = float(_padded_range(F @ n0)[0])
-    f_max = float(_padded_range(np.linalg.norm(F, axis=-1))[1])
+    # f.n0 and |f| on the (radii, angles) grid, whose angles wrap around
+    lo, hi = padded_extrema(
+        np.stack([F @ n0, np.linalg.norm(F, axis=-1)], axis=-1), wrap=(1,)
+    )
+    v, f_max = float(lo[0]), float(hi[1])
     e = rho / v if v > 0.0 else math.inf
     if not rho + e * f_max <= radius:
         e = math.inf

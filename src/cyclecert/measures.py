@@ -6,12 +6,13 @@ direction by projecting the symmetric part onto the orthogonal complement
 of f(x), which in the plane is the single direction f(x) turned by a
 quarter.
 
-The slice-wise transverse bounds Lambda_i and the phase-rate bounds
-[a_i, b_i] are sampled on the anchor segments, and bridged in between, by
-:func:`cyclecert.tube.lambda_profile` and :func:`cyclecert.tube.ab_profile`.  Per-step growth rates are conservative
-approximations of the slice-wise bound: contracting slices use half the
-lower phase rate, all others use 3/2 of the upper phase rate with the
-magnitude floored at gamma, so every rate is bounded away from zero.
+Every sampled extremum (the slice bounds Lambda_i and the phase-rate
+bounds [a_i, b_i] on the tube's anchor segments, and v and f_max of the
+return-time interval) is padded by one rule, :func:`padded_extrema`.
+Per-step growth rates are conservative approximations of the slice-wise
+bound: contracting slices use half the lower phase rate, all others use
+3/2 of the upper phase rate with the magnitude floored at gamma, so every
+rate is bounded away from zero.
 """
 
 from __future__ import annotations
@@ -25,6 +26,23 @@ from .systems import VectorField
 
 # |f| floor below which the transverse decomposition is undefined
 M_FLOOR = 1e-8
+# Every sampled extremum is widened by this factor times the largest jump
+# between neighbouring samples (padded_extrema).
+PAD_FACTOR = 1.0
+
+
+def padded_extrema(vals, wrap=()):
+    """(min, max) of ``vals`` over every axis but the last, each widened by
+    ``PAD_FACTOR`` times the largest jump between neighbours along any of
+    those axes.  The axes in ``wrap`` are periodic: their last and first
+    samples are neighbours too."""
+    axes = tuple(range(vals.ndim - 1))
+    jump = np.zeros(vals.shape[-1])
+    for ax in axes:
+        d = vals - np.roll(vals, 1, axis=ax) if ax in wrap else np.diff(vals, axis=ax)
+        np.maximum(jump, np.abs(d, out=d).max(axis=axes, initial=0.0), out=jump)
+    pad = PAD_FACTOR * jump
+    return vals.min(axis=axes) - pad, vals.max(axis=axes) + pad
 
 
 def symmetric_part(J) -> np.ndarray:

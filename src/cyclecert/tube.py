@@ -29,7 +29,6 @@ import numpy as np
 
 from .config import PipelineConfig
 from .constants import (
-    PAD_FACTOR,
     EtaEstimate,
     GlobalConstants,
     SectionDisk,
@@ -51,9 +50,11 @@ from .euler import (
 )
 from .measures import (
     M_FLOOR,
+    PAD_FACTOR,
     _rot90,
     mu_perp_batch,
     norm_planes,
+    padded_extrema,
     sigma_rate,
 )
 from .systems import VectorField
@@ -246,10 +247,9 @@ def lambda_profile(field, grids, radius, anchors, cfg):
 
     ``grids`` and the slice radii ``radius`` have a column per anchor or per
     segment.  Anchor slices are sampled on the (offset, s) grid,
-    ``cfg.n_ball`` offsets in [-1, 1] plus the center, and padded by
-    ``PAD_FACTOR`` times half the largest neighbor jump at the maximizer;
-    segments between anchors take the larger neighboring anchor bound plus
-    the full drift between them, scaled by PAD_FACTOR.  Returns (lam, pad).
+    ``cfg.n_ball`` offsets in [-1, 1] plus the center, padded by
+    :func:`~cyclecert.measures.padded_extrema` and bridged by
+    :func:`anchor_bridge`.
 
     The anchor slices are sampled over blocks of at most ``LAMBDA_BLOCK``
     slice points (and at least one anchor), so the working arrays stay
@@ -260,7 +260,6 @@ def lambda_profile(field, grids, radius, anchors, cfg):
     if not np.any(offs == 0.0):
         offs = np.sort(np.append(offs, 0.0))
     lamA = np.empty(anchors.size)
-    padA = np.empty(anchors.size)
     chunk = max(1, LAMBDA_BLOCK // (offs.size * grids.n_s))
     for lo in range(0, anchors.size, chunk):
         A = slice(lo, lo + chunk)
@@ -270,41 +269,8 @@ def lambda_profile(field, grids, radius, anchors, cfg):
         )
         t = offs[:, None, None] * rA
         vals = mu_perp_batch(field, P0 + t * W0, P1 + t * W1)  # (n_off, n_s, |A|)
-        mx = vals.max(axis=(0, 1))
-        # half the largest neighbor jump at the per-anchor maximizer
-        n_off, n_s, nA = vals.shape
-        flat = vals.reshape(n_off * n_s, nA)
-        arg = flat.argmax(axis=0)
-        oi, si = np.unravel_index(arg, (n_off, n_s))
-        cols = np.arange(nA)
-        jump = np.zeros(nA)
-        for d in (-1, 1):
-            ok = (oi + d >= 0) & (oi + d < n_off)
-            jump[ok] = np.maximum(
-                jump[ok],
-                np.abs(vals[oi[ok] + d, si[ok], cols[ok]] - mx[ok]),
-            )
-            ok = (si + d >= 0) & (si + d < n_s)
-            jump[ok] = np.maximum(
-                jump[ok],
-                np.abs(vals[oi[ok], si[ok] + d, cols[ok]] - mx[ok]),
-            )
-        lamA[A] = mx
-        padA[A] = PAD_FACTOR * 0.5 * jump
-    lamA = lamA + padA
-    drift = PAD_FACTOR * np.abs(np.diff(lamA))
-    lam = fill_gaps(lamA, np.maximum(lamA[:-1], lamA[1:]) + drift, anchors, grids.N1)
-    return lam, fill_gaps(padA, drift, anchors, grids.N1)
-
-
-def fill_gaps(vA, gap, anchors, N1):
-    """Per-segment values over anchors[0]..anchors[-1] of 0..N1-1: ``vA`` on
-    the anchors, ``gap[j]`` on the segments strictly between anchors j and
-    j+1."""
-    out = np.empty(N1)
-    out[anchors[0] : anchors[-1]] = np.repeat(gap, np.diff(anchors))
-    out[anchors] = vA
-    return out
+        lamA[A] = padded_extrema(vals)[1]
+    return anchor_bridge(lamA, anchors, grids.N1, 1.0)
 
 
 def ab_profile(field, grids, radius, anchors, cfg):
@@ -313,17 +279,17 @@ def ab_profile(field, grids, radius, anchors, cfg):
     ``grids`` and ``radius`` have columns as for :func:`lambda_profile`.
     Anchor slices are sampled with the closed form of
     :func:`~cyclecert.constants.theta_dot` on ``cfg.ab_offsets`` offsets and
-    the s-grid, padded by ``PAD_FACTOR`` times the largest neighbor jump,
-    and bridged by :func:`anchor_bridge`.  The anchors run in blocks of
-    ``AB_BLOCK``, with the minimum, the maximum and both jumps as running
-    values over the offsets.  A vanishing denominator is reported at the
-    first offset, and on it the first anchor segment, where one occurs;
-    a_i <= 0 means the step is too large or the tube too fat.
+    the s-grid, padded by :func:`~cyclecert.measures.padded_extrema` and
+    bridged by :func:`anchor_bridge`.  The anchors run in blocks of
+    ``AB_BLOCK``, each one (offsets, n_s, block) array of phase rates.  A
+    vanishing denominator is reported at the first offset, and on it the
+    first anchor segment, where one occurs; a_i <= 0 means the step is too
+    large or the tube too fat.
     """
     offs = np.linspace(-1.0, 1.0, cfg.ab_offsets)
     aA, bA = np.empty(anchors.size), np.empty(anchors.size)
     per_segment = grids.P0.shape[1] != anchors.size
-    work = np.empty((6, grids.n_s, min(AB_BLOCK, anchors.size)))
+    work = np.empty((4 + offs.size, grids.n_s, min(AB_BLOCK, anchors.size)))
     vanished = np.full(offs.size, grids.N1)  # per offset, its first segment
     for lo in range(0, anchors.size, AB_BLOCK):
         A = slice(lo, lo + AB_BLOCK)
@@ -333,7 +299,8 @@ def ab_profile(field, grids, radius, anchors, cfg):
             for v in (grids.P0, grids.P1, grids.W0, grids.W1, grids.FC0,
                       grids.FC1, grids.nFC, radius)
         )
-        floor, buf, den, t, *tds = work[..., : r.shape[1]]
+        floor, buf, den, t = work[:4, :, : r.shape[1]]
+        tds = work[4:, :, : r.shape[1]]  # the block's phase rates per offset
         np.multiply(M_FLOOR, nFC, out=floor)
         low = np.empty(P0.shape, dtype=bool)
         j00, j01, j10, j11 = field.jac_planes(P0, P1)
@@ -341,14 +308,11 @@ def ab_profile(field, grids, radius, anchors, cfg):
         Jf0 = j00 * FN0 + j01 * FN1
         Jf1 = j10 * FN0 + j11 * FN1
         base = FN0 * FC0 + FN1 * FC1
-        amin = np.full(P0.shape[1], np.inf)
-        bmax = np.full(P0.shape[1], -np.inf)
-        jump = np.zeros(P0.shape[1])
         for k, o in enumerate(offs):
             # each step is the IEEE operation of the expression beside it,
             # written into a plane once that plane's last value is read
             np.multiply(o, r, out=t)
-            XI0 = np.multiply(t, W0, out=tds[k % 2])
+            XI0 = np.multiply(t, W0, out=tds[k])
             XI0 += P0  # P0 + t W0
             XI1 = np.multiply(t, W1, out=t)
             XI1 += P1  # P1 + t W1
@@ -366,17 +330,8 @@ def ab_profile(field, grids, radius, anchors, cfg):
             td += np.multiply(np.subtract(XI1, P1, out=buf), Jf1, out=buf)
             np.subtract(base, td, out=td)
             td /= den
-            np.minimum(amin, td.min(axis=0), out=amin)
-            np.maximum(bmax, td.max(axis=0), out=bmax)
-            if k:
-                d = np.subtract(td, prev, out=buf)
-                np.maximum(jump, np.abs(d, out=d).max(axis=0), out=jump)
-            d = np.subtract(td[1:], td[:-1], out=buf[1:])  # np.diff(td, axis=0)
-            np.maximum(jump, np.abs(d, out=d).max(axis=0), out=jump)
-            prev = td
-        margin = PAD_FACTOR * jump
-        aA[A] = amin - margin
-        bA[A] = bmax + margin
+        if vanished.min() == grids.N1:
+            aA[A], bA[A] = padded_extrema(tds)
     if vanished.min() < grids.N1:
         raise InvalidReparametrizationError(
             f"phase-rate denominator vanished at segment "
@@ -393,16 +348,21 @@ def ab_profile(field, grids, radius, anchors, cfg):
 
 
 def anchor_bridge(vA, anchors, N1, side):
-    """:func:`fill_gaps` of a lower (``side`` -1) or upper (+1) bound ``vA``
-    on the anchors: gap j takes the worse of vA_j and vA_{j+1}, widened by
-    the curvature pad PAD_FACTOR max(c_j, c_{j+1}) / 8, where c_k is the
-    |second difference| of vA at anchor k and an end anchor takes its
-    neighbor's (c = 0 below three anchors)."""
+    """Per-segment values over anchors[0]..anchors[-1] of 0..N1-1 from a
+    lower (``side`` -1) or upper (+1) bound ``vA`` on the anchors: vA_j on
+    anchor j, and on the segments strictly between anchors j and j+1 the
+    worse of vA_j and vA_{j+1}, widened by the curvature pad PAD_FACTOR
+    max(c_j, c_{j+1}) / 8, where c_k is the |second difference| of vA at
+    anchor k and an end anchor takes its neighbor's (c = 0 below three
+    anchors)."""
     c = np.abs(np.diff(vA, 2))
     c = np.pad(c, 1, mode="edge") if c.size else np.zeros(vA.size)
     pad = PAD_FACTOR * np.maximum(c[:-1], c[1:]) / 8
     worse = np.minimum(vA[:-1], vA[1:]) if side < 0 else np.maximum(vA[:-1], vA[1:])
-    return fill_gaps(vA, worse + side * pad, anchors, N1)
+    out = np.empty(N1)
+    out[anchors[0] : anchors[-1]] = np.repeat(worse + side * pad, np.diff(anchors))
+    out[anchors] = vA
+    return out
 
 
 def build_tube(
@@ -440,7 +400,7 @@ def build_tube(
     radius = np.full((config.n_s, anchors.size), delta0)
     history = []
     for pass_no in range(1, PASSES + 1):
-        lam, _ = lambda_profile(field, grids, radius, anchors, config)
+        lam = lambda_profile(field, grids, radius, anchors, config)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]

@@ -21,10 +21,15 @@ from cyclecert.errors import (
     InvalidReparametrizationError,
 )
 from cyclecert.euler import Exclusion, Section, batch_first_return
-from cyclecert.measures import M_FLOOR, norm_planes, sigma_rate, symmetric_part
+from cyclecert.measures import (
+    M_FLOOR,
+    PAD_FACTOR,
+    norm_planes,
+    sigma_rate,
+    symmetric_part,
+)
 from cyclecert.syncerr import SyncErrorSeries
 from cyclecert.tube import (
-    PAD_FACTOR,
     PASSES,
     RADIUS_SAFETY,
     SegmentGrids,
@@ -59,45 +64,28 @@ def mu_perp_einsum(field, X):
     return np.einsum("...i,...ij,...j->...", w, S, w)
 
 
-def drift_bridge_loop(lamA, padA, anchors, N1, pad_factor):
-    """Lambda and padding of the segments from the padded anchor bounds,
-    one gap at a time."""
-    lam = np.empty(N1)
-    pad = np.zeros(N1)
-    lam[anchors] = lamA
-    for j in range(anchors.size - 1):
-        a0, a1 = anchors[j], anchors[j + 1]
-        if a1 > a0 + 1:
-            drift = pad_factor * abs(lamA[j + 1] - lamA[j])
-            lam[a0 + 1 : a1] = max(lamA[j], lamA[j + 1]) + drift
-            pad[a0 + 1 : a1] = drift
-    pad[anchors] = padA
-    return lam, pad
-
-
-def ab_bridge_loop(aA, bA, anchors, N1, pad_factor):
-    """(a_i, b_i) of the segments from the padded anchor bounds, one gap at
-    a time: the worse of the two anchor values, widened by pad_factor / 8
-    times the larger |second difference| at the two anchors, where an end
-    anchor takes its neighbor's."""
-    a, b = np.empty(N1), np.empty(N1)
-    a[anchors], b[anchors] = aA, bA
+def bridge_loop(vA, anchors, N1, side, pad_factor):
+    """A lower (side -1) or upper (+1) bound on the segments from its padded
+    anchor values, one gap at a time: the worse of the two anchor values,
+    widened by pad_factor / 8 times the larger |second difference| at the
+    two anchors, where an end anchor takes its neighbor's."""
+    out = np.empty(N1)
+    out[anchors] = vA
     n = anchors.size
 
-    def curvature(v, k):
+    def curvature(k):
         if n < 3:
             return 0.0
         k = min(max(k, 1), n - 2)
-        return abs((v[k + 1] - v[k]) - (v[k] - v[k - 1]))
+        return abs((vA[k + 1] - vA[k]) - (vA[k] - vA[k - 1]))
 
+    worse = min if side < 0 else max
     for j in range(n - 1):
         a0, a1 = anchors[j], anchors[j + 1]
         if a1 > a0 + 1:
-            pad = pad_factor * max(curvature(aA, j), curvature(aA, j + 1)) / 8
-            a[a0 + 1 : a1] = min(aA[j], aA[j + 1]) - pad
-            pad = pad_factor * max(curvature(bA, j), curvature(bA, j + 1)) / 8
-            b[a0 + 1 : a1] = max(bA[j], bA[j + 1]) + pad
-    return a, b
+            pad = pad_factor * max(curvature(j), curvature(j + 1)) / 8
+            out[a0 + 1 : a1] = worse(vA[j], vA[j + 1]) + side * pad
+    return out
 
 
 def interleaved(grids, cols=slice(None)):
@@ -158,7 +146,7 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     a_seg, b_seg = np.ones(N1), np.ones(N1)
     radius = np.full((cfg.n_s, N1), delta0)
     for pass_no in range(1, PASSES + 1):
-        lam, _ = lambda_profile(field, grids, radius, anchors, cfg)
+        lam = lambda_profile(field, grids, radius, anchors, cfg)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
@@ -168,7 +156,8 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
         growth = np.exp(sigma[None, :] * grids.s[:, None])
         r = (delta_nodes[None, :N1] * growth)[:, anchors]
         aA, bA = ab_profile_whole(field, interleaved(grids, anchors), r, cfg)
-        a_seg, b_seg = ab_bridge_loop(aA, bA, anchors, N1, PAD_FACTOR)
+        a_seg = bridge_loop(aA, anchors, N1, -1.0, PAD_FACTOR)
+        b_seg = bridge_loop(bA, anchors, N1, 1.0, PAD_FACTOR)
         radius = RADIUS_SAFETY * delta_nodes[None, :N1] * growth
     return SimpleNamespace(
         lam=lam, sigma=sigma, a_seg=a_seg, b_seg=b_seg,

@@ -41,15 +41,15 @@ def test_existence_provenance_pinned(preset_out):
     assert doc["constants"]["provenance"] == {
         "eta": {
             "ball_grid": [9, 32],
-            "ball_radius": 0.23239226536610944,
-            "e": 0.053821865580331196,
-            "f_max": 1.771398388660022,
+            "ball_radius": 0.23627508760602672,
+            "e": 0.05479923037268842,
+            "f_max": 1.7756913272744186,
             "method": "tube",
             "n_samples": 11,
-            "rho": 0.07746408845536981,
-            "sum_hi": 6.5407912006902045,
-            "sum_lo": 6.102528360118472,
-            "v": 1.4392679930381025,
+            "rho": 0.07875836253534224,
+            "sum_hi": 6.543919621641525,
+            "sum_lo": 6.099788337774429,
+            "v": 1.4372165813225526,
         },
         "lambda_stride": 10,
         "lipschitz_mode": "spectral_radius",
@@ -154,6 +154,30 @@ def test_invalid_gamma_exit2(tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command,option,value",
+    [
+        ("certify-attraction", "--samples", "0"),
+        ("certify-existence", "--samples", "-1"),
+        ("error-curve", "--periods", "0"),
+        ("error-curve", "--periods", "-1"),
+    ],
+)
+def test_invalid_count_exit2(tmp_path, command, option, value):
+    # each is refused before any work, with error.json and no certificate
+    out = tmp_path / "bad"
+    preset = "vdp-example2" if command == "error-curve" else "vdp-example1"
+    code = main([command, "--preset", preset, option, value, "--out", str(out)])
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "input-error"
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_pipeline_config_rejects_zero_threads():
+    with pytest.raises(cyclecert.InputError, match="threads"):
+        cyclecert.PipelineConfig(threads=0).validate()
 
 
 def test_simulate_outputs(tmp_path):

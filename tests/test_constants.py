@@ -470,6 +470,19 @@ def test_estimate_eta_sums_follow_phase_rates(vdp_cert):
     assert eta.rho + eta.e * eta.f_max <= eta.ball_radius
 
 
+def test_eta_speed_bounds_dominate_denser_ball(vdp, vdp_cert):
+    # v and f_max, padded from the 9 x 32 polar grid of the ball, bound
+    # f.n0 from below and |f| from above on a 4x denser grid of it
+    eta, disk = vdp_cert.eta, vdp_cert.tube.y0_disk
+    n0 = disk.normal / np.linalg.norm(disk.normal)
+    r = eta.ball_radius * np.linspace(0.0, 1.0, 33)
+    phi = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    ring = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    F = vdp.f_raw(disk.center + r[:, None, None] * ring[None, :, :])
+    assert eta.v <= (F @ n0).min()
+    assert eta.f_max >= np.linalg.norm(F, axis=-1).max()
+
+
 @pytest.mark.parametrize(
     "rho, why",
     [

@@ -181,17 +181,17 @@ def test_planar_norm_bit_exact():
 
 def one_segment_lambda(field, x, h, radius, n_s=5, n_ball=8):
     """lambda_profile on the single segment [x, x + h f(x)] with a flat
-    slice radius; returns (Lambda, padding, grids)."""
+    slice radius; returns (Lambda, grids)."""
     traj = cc.simulate(field, x, h, 1)
     grids = cc.SegmentGrids(field, traj, 1, n_s)
-    lam, pad = cc.lambda_profile(
+    lam = cc.lambda_profile(
         field,
         grids,
         np.full((n_s, 1), radius),
         np.array([0]),
         cc.PipelineConfig(n_s=n_s, n_ball=n_ball),
     )
-    return float(lam[0]), float(pad[0]), grids
+    return float(lam[0]), grids
 
 
 def slice_points(grids, radius, n_ball=8):
@@ -207,21 +207,29 @@ def slice_points(grids, radius, n_ball=8):
     )
 
 
+def slice_values(field, grids, radius):
+    """mu_perp on the slice samples of segment 0, shaped (offsets, n_s, 1)
+    as padded_extrema takes them."""
+    return cc.mu_perp_batch(field, slice_points(grids, radius))[..., None]
+
+
 def test_lambda_zero_radius_slice(vdp):
     x = np.array([1.8929, -0.5383])
     h = 1e-3
-    lam, pad, _ = one_segment_lambda(vdp, x, h, 0.0)
+    lam, grids = one_segment_lambda(vdp, x, h, 0.0)
     s = np.linspace(0, h, 5)
     centers = x + s[:, None] * vdp.f_raw(x)
     direct = cc.mu_perp_batch(vdp, centers).max()
     assert lam >= direct
-    assert lam == pytest.approx(direct + pad, abs=1e-15)
+    assert lam == float(cc.measures.padded_extrema(slice_values(vdp, grids, 0.0))[1][0])
 
 
 def test_lambda_constant_field_no_padding(linear):
-    lam, pad, _ = one_segment_lambda(linear, np.array([1.0, 0.0]), 0.01, 0.05)
+    lam, grids = one_segment_lambda(linear, np.array([1.0, 0.0]), 0.01, 0.05)
+    vals = slice_values(linear, grids, 0.05)
     assert lam == pytest.approx(-1.0, abs=1e-12)
-    assert pad == pytest.approx(0.0, abs=1e-12)
+    assert lam == float(cc.measures.padded_extrema(vals)[1][0])
+    assert lam - vals.max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_lambda_monotone_in_radius(vdp):
@@ -229,8 +237,10 @@ def test_lambda_monotone_in_radius(vdp):
     h = 1e-3
     prev = -np.inf
     for radius in (0.0, 0.05, 0.1, 0.2):
-        lam, pad, _ = one_segment_lambda(vdp, x, h, radius)
-        mx = lam - pad  # the sampled maximum
+        lam, grids = one_segment_lambda(vdp, x, h, radius)
+        vals = slice_values(vdp, grids, radius)
+        assert lam == float(cc.measures.padded_extrema(vals)[1][0])
+        mx = vals.max()  # the sampled maximum
         assert mx >= prev - 1e-12
         prev = mx
 
@@ -241,8 +251,51 @@ def test_lambda_dominates_all_samples(vdp):
         x = rng.uniform(-1.5, 1.5, size=2)
         if np.linalg.norm(vdp.f_raw(x)) < 0.2:
             continue
-        lam, _, grids = one_segment_lambda(vdp, x, 1e-3, 0.08)
+        lam, grids = one_segment_lambda(vdp, x, 1e-3, 0.08)
         assert lam >= cc.mu_perp_batch(vdp, slice_points(grids, 0.08)).max()
+
+
+# -- the padding rule -------------------------------------------------------
+
+
+def padded_extrema_loop(vals, wrap=()):
+    """padded_extrema one column of the last axis and one neighbor pair at
+    a time."""
+    lead = vals.shape[:-1]
+    lo, hi = np.empty(vals.shape[-1]), np.empty(vals.shape[-1])
+    for c in range(vals.shape[-1]):
+        v = vals[..., c]
+        jump = 0.0
+        for idx in np.ndindex(*lead):
+            for ax, n in enumerate(lead):
+                if idx[ax] + 1 < n or (ax in wrap and n > 1):
+                    nb = list(idx)
+                    nb[ax] = (idx[ax] + 1) % n
+                    jump = max(jump, abs(v[tuple(nb)] - v[idx]))
+        lo[c] = v.min() - cc.measures.PAD_FACTOR * jump
+        hi[c] = v.max() + cc.measures.PAD_FACTOR * jump
+    return lo, hi
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3), (9, 32, 1), (1, 6, 2), (7, 5)])
+@pytest.mark.parametrize("wrap", [(), (1,)])
+def test_padded_extrema_matches_neighbor_loop(shape, wrap):
+    rng = np.random.default_rng(len(shape) * 10 + len(wrap))
+    vals = rng.normal(size=shape)
+    for got, ref in zip(
+        cc.measures.padded_extrema(vals, wrap), padded_extrema_loop(vals, wrap)
+    ):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_padded_extrema_counts_the_wrap_pair():
+    # one radius by four angles: the largest jump is from the last angle
+    # back to the first
+    vals = np.array([[0.0, 1.0, 2.0, 8.0]])[..., None]
+    lo, hi = cc.measures.padded_extrema(vals)
+    assert (lo[0], hi[0]) == (-6.0, 14.0)
+    lo, hi = cc.measures.padded_extrema(vals, wrap=(1,))
+    assert (lo[0], hi[0]) == (-8.0, 16.0)
 
 
 # -- growth rates -----------------------------------------------------------
