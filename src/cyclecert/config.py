@@ -19,7 +19,9 @@ def threads_from_env(default: int = 1) -> int:
         val = int(raw)
     except ValueError:
         raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    return max(1, val)
+    if val < 1:
+        raise InputError(f"{THREADS_ENV} must be >= 1, got {raw!r}")
+    return val
 
 
 @dataclass(frozen=True)

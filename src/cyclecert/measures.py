@@ -87,6 +87,10 @@ def mu_perp_batch(field: VectorField, X: np.ndarray, u2=None) -> np.ndarray:
     symmetric part of J, the four terms w_i S_ij w_j are summed in the
     order i, j = 00, 01, 10, 11, which is the order (and so the rounding)
     of ``np.einsum("...i,...ij,...j->...", w, S, w)``.
+
+    The result and every temporary are five point-shaped planes, each
+    written in place by the IEEE operation of the expression beside it; a
+    0-d batch (one point) gets 0-d planes.
     """
     if u2 is None:
         X = np.asarray(X, dtype=float)
@@ -94,19 +98,39 @@ def mu_perp_batch(field: VectorField, X: np.ndarray, u2=None) -> np.ndarray:
     else:
         u1 = X
     F0, F1 = field.f_planes(u1, u2)
-    nf = norm_planes(F0, F1)
+    # the scratch planes come before the result, so the result lies above
+    # them on the heap and freeing them leaves malloc no top to trim and
+    # fault back in on the next call; [k, ...] keeps a 0-d plane an array
+    scratch = np.empty((4,) + np.shape(F0))
+    t, w0, w1, s = (scratch[k, ...] for k in range(4))
+    out = np.empty(np.shape(F0))
+    nf = np.multiply(F0, F0, out=t)
+    nf += np.multiply(F1, F1, out=w1)
+    np.sqrt(nf, out=nf)  # norm_planes(F0, F1)
     if np.any(nf <= M_FLOOR):
         raise EquilibriumProximityError(
             "|f| at or below the floor inside a slice; transverse "
             "decomposition undefined near equilibria"
         )
+    np.divide(np.negative(F1, out=w0), nf, out=w0)  # -F1 / nf
+    np.divide(F0, nf, out=w1)  # F0 / nf
     j00, j01, j10, j11 = field.jac_planes(u1, u2)
-    s00 = 0.5 * (j00 + j00)
-    s01 = 0.5 * (j01 + j10)
-    s11 = 0.5 * (j11 + j11)
-    w0 = -F1 / nf
-    w1 = F0 / nf
-    return w0 * s00 * w0 + w0 * s01 * w1 + w1 * s01 * w0 + w1 * s11 * w1
+    # w0 s00 w0 + w0 s01 w1 + w1 s01 w0 + w1 s11 w1, s_ij = 0.5 (j_ij + j_ji)
+    np.multiply(w0, _half_sum(j00, j00, out), out=out)
+    out *= w0
+    s01 = _half_sum(j01, j10, s)
+    out += np.multiply(np.multiply(w0, s01, out=t), w1, out=t)
+    out += np.multiply(np.multiply(w1, s01, out=t), w0, out=t)
+    out += np.multiply(np.multiply(w1, _half_sum(j11, j11, t), out=t), w1, out=t)
+    return out
+
+
+def _half_sum(a, b, buf):
+    """0.5 * (a + b), written into ``buf`` unless a and b are both plain
+    numbers (constant Jacobian entries), which stay one."""
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        return 0.5 * (a + b)
+    return np.multiply(0.5, np.add(a, b, out=buf), out=buf)
 
 
 @dataclass(frozen=True)

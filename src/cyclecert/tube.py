@@ -14,9 +14,9 @@ and issues a machine-readable certificate with every constant, per-check
 margin and estimator provenance.
 
 The (a, b) bounds and the tube radii used for the slice bounds depend on
-each other, so the builder runs a short fixed-point iteration: a first pass
-with a = b = 1 and a flat slice radius, then refinement passes that reuse
-the previous pass's radius profile.
+each other, so the builder runs a short fixed-point iteration: a coarse
+first pass with a = b = 1 and a flat slice radius, then refinement passes
+that reuse the previous pass's radius profile.
 """
 
 from __future__ import annotations
@@ -197,6 +197,10 @@ class Tube:
 # pass widens the previous pass's tube radii into the slice radii it samples.
 PASSES = 2
 RADIUS_SAFETY = 1.05
+# Pass 1 only guesses those radii, which radius_excess checks the final tube
+# against, so it samples Lambda on every G-th anchor (and the last), with G
+# = max(1, anchors // GUESS_ANCHORS): about as many anchors at any stride.
+GUESS_ANCHORS = 600
 # Transverse margin, in units of delta0, around the tube samples that back
 # the constants L, m and M_C.
 REGION_MARGIN = 0.05
@@ -242,11 +246,12 @@ class SegmentGrids:
         self.W1 = FC0 / self.nFC
 
 
-def lambda_profile(field, grids, radius, anchors, cfg):
+def lambda_profile(field, grids, radius, anchors, cfg, cols=None):
     """Per-segment transverse bounds Lambda_i via strided anchor sampling.
 
-    ``grids`` and the slice radii ``radius`` have a column per anchor or per
-    segment.  Anchor slices are sampled on the (offset, s) grid,
+    ``grids`` and the slice radii ``radius`` share their columns: anchor j
+    is read from column ``cols[j]``, by default column ``anchors[j]`` of a
+    grid over every segment.  Anchor slices are sampled on the (offset, s) grid,
     ``cfg.n_ball`` offsets in [-1, 1] plus the center, padded by
     :func:`~cyclecert.measures.padded_extrema` and bridged by
     :func:`anchor_bridge`.
@@ -259,13 +264,16 @@ def lambda_profile(field, grids, radius, anchors, cfg):
     offs = np.linspace(-1.0, 1.0, cfg.n_ball)
     if not np.any(offs == 0.0):
         offs = np.sort(np.append(offs, 0.0))
+    cols = anchors if cols is None else cols
     lamA = np.empty(anchors.size)
     chunk = max(1, LAMBDA_BLOCK // (offs.size * grids.n_s))
     for lo in range(0, anchors.size, chunk):
         A = slice(lo, lo + chunk)
-        cols = A if grids.P0.shape[1] == anchors.size else anchors[A]
+        # np.take, unlike v[:, cols[A]], returns C-ordered planes, which
+        # keep the kernel's and padded_extrema's passes contiguous
         P0, P1, W0, W1, rA = (
-            v[:, cols] for v in (grids.P0, grids.P1, grids.W0, grids.W1, radius)
+            np.take(v, cols[A], axis=1)
+            for v in (grids.P0, grids.P1, grids.W0, grids.W1, radius)
         )
         t = offs[:, None, None] * rA
         vals = mu_perp_batch(field, P0 + t * W0, P1 + t * W1)  # (n_off, n_s, |A|)
@@ -365,6 +373,12 @@ def anchor_bridge(vA, anchors, N1, side):
     return out
 
 
+def stride_indices(n, stride):
+    """0, stride, 2 stride, ... below n, and n - 1."""
+    idx = np.arange(0, n, stride)
+    return idx if idx[-1] == n - 1 else np.append(idx, n - 1)
+
+
 def build_tube(
     field: VectorField,
     traj: EulerTrajectory,
@@ -381,6 +395,12 @@ def build_tube(
     radius per block of ``AB_BLOCK`` segments.  The anchors are every
     ``config.lambda_stride``-th segment and the last one.  The last pass's
     delta chain is both its history entry and the tube's radii.
+
+    Pass 1 (a = b = 1, flat slice radius delta0) is a coarse guess: it
+    samples Lambda on about ``GUESS_ANCHORS`` of the anchors, every G-th and
+    the last, and bridges them by :func:`anchor_bridge`.  Its delta chain
+    only sets the radii that (a, b) and the final Lambda are sampled on, and
+    :func:`radius_excess` checks the final tube against those radii.
     """
     if delta0 <= 0.0:
         raise InputError("delta0 must be positive")
@@ -389,18 +409,18 @@ def build_tube(
     config.validate()
 
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
-    anchors = np.arange(0, N1, config.lambda_stride)
-    if anchors[-1] != N1 - 1:
-        anchors = np.append(anchors, N1 - 1)
+    anchors = stride_indices(N1, config.lambda_stride)
     grids = SegmentGrids(field, traj, N1, config.n_s, anchors)
     sampled_radius = np.empty(N1)
 
     a_seg = np.ones(N1)
     b_seg = np.ones(N1)
     radius = np.full((config.n_s, anchors.size), delta0)
+    # the anchor grid's columns that each pass samples Lambda on
+    cols = stride_indices(anchors.size, max(1, anchors.size // GUESS_ANCHORS))
     history = []
     for pass_no in range(1, PASSES + 1):
-        lam = lambda_profile(field, grids, radius, anchors, config)
+        lam = lambda_profile(field, grids, radius, anchors[cols], config, cols)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
@@ -430,6 +450,7 @@ def build_tube(
             field, grids, delta_nodes[None, anchors] * growth, anchors, config
         )
         radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
+        cols = np.arange(anchors.size)
 
     return Tube(
         traj, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
@@ -774,6 +795,7 @@ def certify_existence(
                 "pad_factor": PAD_FACTOR,
                 "lambda_stride": config.lambda_stride,
                 "passes": PASSES,
+                "guess_anchors": GUESS_ANCHORS,
                 "tube_samples": int(samples.shape[0]),
                 "eta": eta.provenance(),
             },

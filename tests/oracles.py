@@ -30,6 +30,7 @@ from cyclecert.measures import (
 )
 from cyclecert.syncerr import SyncErrorSeries
 from cyclecert.tube import (
+    GUESS_ANCHORS,
     PASSES,
     RADIUS_SAFETY,
     SegmentGrids,
@@ -136,17 +137,23 @@ def ab_profile_whole(field, grids, radius, cfg):
 def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     """The per-segment arrays of ``build_tube`` from whole-loop (n_s, N1)
     planes: one ``SegmentGrids`` over every segment, whose anchor columns
-    both Lambda passes and the (a, b) pass read, the (a, b) bridge one gap
-    at a time, and the slice radii of every segment as one plane per
-    pass."""
+    both Lambda passes and the (a, b) pass read, the first Lambda pass on
+    every G-th anchor and the last (G = anchors // GUESS_ANCHORS, at least
+    1), the (a, b) bridge one gap at a time, and the slice radii of every
+    segment as one plane per pass."""
     grids = SegmentGrids(field, traj, N1, cfg.n_s)
     anchors = np.arange(0, N1, cfg.lambda_stride)
     if anchors[-1] != N1 - 1:
         anchors = np.append(anchors, N1 - 1)
+    G = max(1, anchors.size // GUESS_ANCHORS)
+    guess = anchors[::G]
+    if guess[-1] != N1 - 1:
+        guess = np.append(guess, N1 - 1)
     a_seg, b_seg = np.ones(N1), np.ones(N1)
     radius = np.full((cfg.n_s, N1), delta0)
     for pass_no in range(1, PASSES + 1):
-        lam = lambda_profile(field, grids, radius, anchors, cfg)
+        sampled = guess if pass_no == 1 else anchors
+        lam = lambda_profile(field, grids, radius, sampled, cfg)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]

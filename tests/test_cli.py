@@ -41,16 +41,17 @@ def test_existence_provenance_pinned(preset_out):
     assert doc["constants"]["provenance"] == {
         "eta": {
             "ball_grid": [9, 32],
-            "ball_radius": 0.23627508760602672,
-            "e": 0.05479923037268842,
-            "f_max": 1.7756913272744186,
+            "ball_radius": 0.2366232112932243,
+            "e": 0.05488698668513793,
+            "f_max": 1.7760777124177127,
             "method": "tube",
             "n_samples": 11,
-            "rho": 0.07875836253534224,
-            "sum_hi": 6.543919621641525,
-            "sum_lo": 6.099788337774429,
-            "v": 1.4372165813225526,
+            "rho": 0.0788744037644081,
+            "sum_hi": 6.546294091728576,
+            "sum_lo": 6.097739161696079,
+            "v": 1.4370328656749776,
         },
+        "guess_anchors": 600,
         "lambda_stride": 10,
         "lipschitz_mode": "spectral_radius",
         "magnitude_mode": "state",
@@ -225,12 +226,14 @@ def test_certify_attraction_cli(tmp_path):
     assert (out / "existence_certificate.json").exists()
 
 
-def test_bad_threads_env_is_an_input_error(tmp_path, monkeypatch):
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_threads_env_is_an_input_error(tmp_path, monkeypatch, value):
     # CYCLECERT_THREADS is read when the sweep runs, not at import, where
-    # the presets and the signature defaults build their PipelineConfig
+    # the presets and the signature defaults build their PipelineConfig; a
+    # count below 1 is refused as PipelineConfig(threads=0) is
     env = dict(
         os.environ,
-        CYCLECERT_THREADS="abc",
+        CYCLECERT_THREADS=value,
         PYTHONPATH=str(Path(cyclecert.__file__).parents[1]),
     )
     done = subprocess.run(
@@ -238,7 +241,7 @@ def test_bad_threads_env_is_an_input_error(tmp_path, monkeypatch):
         env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
-    monkeypatch.setenv("CYCLECERT_THREADS", "abc")
+    monkeypatch.setenv("CYCLECERT_THREADS", value)
     out = tmp_path / "threads"
     code = main(
         [
@@ -252,7 +255,7 @@ def test_bad_threads_env_is_an_input_error(tmp_path, monkeypatch):
     assert code == 2
     doc = json.loads((out / "error.json").read_text())
     assert doc["error"] == "input-error"
-    assert "CYCLECERT_THREADS" in doc["detail"]
+    assert "CYCLECERT_THREADS" in doc["detail"] and repr(value) in doc["detail"]
 
 
 def test_canonical_json_float_format():

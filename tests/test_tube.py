@@ -205,6 +205,28 @@ def test_step_condition_tiny_delta0_fails(vdp):
     assert cert.failure["reason"] == "eq_h-violated"
 
 
+def test_short_loop_guesses_on_every_anchor(vdp, monkeypatch):
+    # the tiny-delta0 loop has 65 anchors, under 2 GUESS_ANCHORS, so pass 1
+    # guesses on every one of them: its build is that of a build whose
+    # guess stride is 1 by construction, and it keeps the eq_h-violated
+    # verdict (a guess on every 10th anchor missed a Lambda peak there and
+    # blocked the certificate with a slice-radius-inconsistent failure)
+    def run():
+        return cc.certify_existence(
+            vdp, VDP_X0, 1e-2, 1e-5, VDP_GAMMA, PipelineConfig(), horizon=10.0
+        )
+
+    cert = run()
+    assert cert.tube.anchors.size == 65 < 2 * cc.tube.GUESS_ANCHORS
+    assert cert.failure["reason"] == "eq_h-violated"
+    monkeypatch.setattr(cc.tube, "GUESS_ANCHORS", cert.tube.anchors.size)
+    ref = run()
+    assert cert.pass_history == ref.pass_history
+    for name in ("lam", "sigma", "a_seg", "b_seg", "sampled_radius", "delta"):
+        got, want = getattr(cert.tube, name), getattr(ref.tube, name)
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_step_condition_rhs_linear_in_h(vdp_cert, vdp):
     # halving h halves the right-hand side (constants nearly unchanged)
     cfg = PipelineConfig(lambda_stride=20)
@@ -466,12 +488,15 @@ def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
     got, ref = cc.build_tube(field, *args), cc.build_tube(vdp, *args)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-    # the anchor grid: f on the s-grid of the 6315 stride-10 anchors; each
-    # pass's Lambda: f and J on 9 offsets of the anchor slices; the (a, b)
-    # pass: J on the anchor grid, f on ab_offsets offsets of it; the M~
-    # loop evaluates nothing
+    # the anchor grid: f on the s-grid of the 6315 stride-10 anchors; pass
+    # 1's Lambda: f and J on 9 offsets of the slices of the 633 guess
+    # anchors (every 6315 // GUESS_ANCHORS = 10th and the last); pass 2's
+    # Lambda: the same on every anchor slice; the (a, b) pass: J on the
+    # anchor grid, f on ab_offsets offsets of it; the M~ loop evaluates
+    # nothing
+    assert cc.tube.PASSES == 2 and 6315 // cc.tube.GUESS_ANCHORS == 10
     anchor_grid = cfg.n_s * 6315
-    slices = cc.tube.PASSES * 9 * anchor_grid
+    slices = 9 * cfg.n_s * 633 + 9 * anchor_grid
     f = anchor_grid + slices + cfg.ab_offsets * anchor_grid
     assert seen == {"f": f, "J": slices + anchor_grid}
 
