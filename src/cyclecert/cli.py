@@ -196,6 +196,7 @@ def cmd_error_curve(args) -> int:
         cfg.gamma,
         cfg.pipeline,
         cert_horizon=cfg.horizon,
+        probe=loop[0],
     )
     for run in report.runs:
         write_error_curve_csv(

@@ -110,12 +110,15 @@ SWEEP_MIN = 512
 SWEEP_OVERHEAD = 2000
 SCALAR_COST = 30
 # A block after a full block of at most SWEEP_SMOOTH sweeps starts from the
-# extrapolation of that block.  On the registry systems, full 8192-step
-# blocks take 3-8 sweeps at h = 1.25e-6 and 5e-6, where the extrapolation
-# cuts rhs evaluations per node on Van der Pol from 4.1 to 3.2 and from 5.2
-# to 4.5, and 12-25 at h >= 1e-4, where it would add 5%: those keep the
-# quadratic guess.
+# Euler sums of the field extrapolated from that block, by degree
+# GUESS_DEGREE over its width (:func:`_extrapolated_guess`).  On the
+# registry systems, full 8192-step blocks take 3-8 sweeps at h = 1.25e-6
+# and 5e-6, where the extrapolation cuts rhs evaluations per step on Van
+# der Pol over 16 blocks from 4.07 (the quadratic guess on every block) to
+# 1.86 and from 5.17 to 2.69, and 12-25 at h >= 1e-4, where it did not pay:
+# those keep the quadratic guess.  Of degrees 4 to 8, 5 and 6 cost least.
 SWEEP_SMOOTH = 8
+GUESS_DEGREE = 6
 
 
 def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
@@ -158,28 +161,46 @@ def _sweep_guess(rhs2, a1, a2, h, n_steps):
 
 @lru_cache(maxsize=None)
 def _lagrange_weights(width):
-    """Weights (5, width+1) of the degree-4 Lagrange extrapolation through
-    nodes k-width, k-3*width/4, ..., k of a run to its nodes k..k+width.
+    """Weights (GUESS_DEGREE+1, width) of the degree-GUESS_DEGREE Lagrange
+    extrapolation through nodes k-D*q, k-(D-1)*q, ..., k of a run, with
+    D = GUESS_DEGREE and q = width // D, to its nodes k..k+width-1.
 
-    Built on first use, one read-only matrix per block width (a multiple
-    of 4).
+    Built on first use, one read-only matrix per block width.
     """
-    u = np.arange(width + 1.0) * (4.0 / width)  # steps after k, in width/4
-    W = np.ones((5, width + 1))
-    for i in range(5):
-        for m in range(5):
+    D = GUESS_DEGREE
+    u = np.arange(float(width)) / (width // D)  # steps after k, in q
+    W = np.ones((D + 1, width))
+    for i in range(D + 1):
+        for m in range(D + 1):
             if m != i:
-                W[i] *= (u + 4.0 - m) / (i - m)
+                W[i] *= (u + D - m) / (i - m)
     W.setflags(write=False)
     return W
 
 
-def _extrapolated_guess(nodes, k, width, n_steps):
-    """Guessed Euler nodes (2, n+1) from run nodes k-width, k-3*width/4, ...,
-    k of ``nodes`` (N, 2): their degree-4 Lagrange extrapolation, for
-    n_steps <= width."""
-    prior = nodes[k - width : k + 1 : width // 4]
-    return prior.T @ _lagrange_weights(width)[:, : n_steps + 1]
+def _extrapolated_guess(rhs2, Z, k, width, n, h, H):
+    """Write guessed Euler nodes into Z[k+1..k+n], n <= width, from the
+    run's nodes up to k in ``Z`` (complex128 rows, as in
+    :func:`_sweep_block`): the Euler sums, from node k, of the field that
+    the degree-GUESS_DEGREE Lagrange weights extrapolate from ``rhs2`` at
+    nodes k-D*q, ..., k (q = width // D, D = GUESS_DEGREE).
+
+    The increments, h times the extrapolated field, go into the complex
+    work array ``H`` with one matmul, and one running sum from node k
+    writes the rows: the guess is summed the way the recurrence sums and
+    carries its rounding, and node k+1 is exact.
+    """
+    q = width // GUESS_DEGREE
+    P = Z[k - GUESS_DEGREE * q : k + 1 : q]
+    d1, d2 = rhs2(P.real, P.imag)
+    hd = np.empty((GUESS_DEGREE + 1, 2))
+    # out= broadcasts a constant component, which rhs2 gives as a number
+    np.multiply(d1, h, out=hd[:, 0])
+    np.multiply(d2, h, out=hd[:, 1])
+    HD = H[:n].view(np.float64).reshape(n, 2)
+    np.matmul(_lagrange_weights(width)[:, :n].T, hd, out=HD)
+    H[0] += Z[k]
+    np.cumsum(H[:n], out=Z[k + 1 : k + n + 1])
 
 
 def _sweep_block(rhs2, Z, h, work):
@@ -234,23 +255,24 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
 
     The run is stepped in blocks of verified Picard sweeps
     (:func:`_sweep_block`), each block starting from the last node of the
-    one before.  A block's first guess is the degree-4 extrapolation of
-    nodes k-w, k-3w/4, ..., k of the run (:func:`_extrapolated_guess`) when
-    the block before it, of width w, verified all its steps in at most
-    ``SWEEP_SMOOTH`` sweeps, and otherwise the quadratic of
-    :func:`_sweep_guess`, which needs no nodes before k.  A block whose
-    sweeps stop short continues from its last verified node with half the
-    block length.  The scalar loop steps the rest of the run once blocks
-    would be shorter than ``SWEEP_MIN`` steps, or from the first node of a
-    block that holds a non-finite value, so a run that diverges fails at the
-    step, and with the message, of the scalar loop.  It also steps the rest
-    of the run from a block where ``rhs2`` raises TypeError or ValueError on
-    arrays, as one that calls math or branches on its arguments does.
+    one before.  A block's first guess is the running sum, from node k, of
+    h times the field extrapolated from ``rhs2`` at GUESS_DEGREE+1 nodes
+    spread over the block before (:func:`_extrapolated_guess`) when that
+    block, of width w, verified all its steps in at most ``SWEEP_SMOOTH``
+    sweeps, and otherwise the quadratic of :func:`_sweep_guess`, which
+    needs no nodes before k.  A block whose sweeps stop short continues
+    from its last verified node with half the block length.  The scalar
+    loop steps the rest of the run once blocks would be shorter than
+    ``SWEEP_MIN`` steps, or from the first node of a block that holds a
+    non-finite value, so a run that diverges fails at the step, and with
+    the message, of the scalar loop.  It also steps the rest of the run
+    from a block where ``rhs2`` raises TypeError or ValueError on arrays,
+    as one that calls math or branches on its arguments does.
 
-    Each guess is written into ``nodes`` one component at a time, and the
-    sweeps verify it there, on the complex128 view of the rows.  Swept
-    blocks are checked finite, so a DivergedError at the first non-finite
-    node can only come from the nodes the scalar loop stepped.
+    Each guess is written into ``nodes``, and the sweeps verify it there,
+    on the complex128 view of the rows.  Swept blocks are checked finite,
+    so a DivergedError at the first non-finite node can only come from the
+    nodes the scalar loop stepped.
     """
     nodes = np.empty((n_steps + 1, 2)) if out is None else out
     nodes[0] = u1, u2
@@ -265,11 +287,11 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
             n = min(width, n_steps - k)
             try:
                 if smooth:
-                    X = _extrapolated_guess(nodes, k, width, n)
+                    _extrapolated_guess(rhs2, Z, k, width, n, h, work[0])
                 else:
                     X = _sweep_guess(rhs2, nodes[k, 0], nodes[k, 1], h, n)
-                nodes[k + 1 : k + n + 1, 0] = X[0, 1:]
-                nodes[k + 1 : k + n + 1, 1] = X[1, 1:]
+                    nodes[k + 1 : k + n + 1, 0] = X[0, 1:]
+                    nodes[k + 1 : k + n + 1, 1] = X[1, 1:]
                 done, sweeps = _sweep_block(rhs2, Z[k : k + n + 1], h, work)
             except (TypeError, ValueError):
                 break  # rhs2 takes plain floats only, e.g. it calls math

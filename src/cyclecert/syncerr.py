@@ -544,6 +544,7 @@ def error_curve_experiment(
     config: PipelineConfig = PipelineConfig(),
     cert_horizon: float = 10.0,
     refine: int = 100,
+    probe=None,
 ) -> ErrorCurveReport:
     """Error curves for several step sizes against h/refine references.
 
@@ -556,11 +557,15 @@ def error_curve_experiment(
 
     A run's coarse trajectory steps on from the certificate's run, and its
     series columns are allocated once and filled as the reference streams.
+    ``probe``, a :func:`~cyclecert.euler.first_loop` trajectory from x0
+    over ``cert_horizon`` (the one that sized ``horizon``), is the prefix of
+    the certificate run at its step size, which is then not stepped again.
     """
     runs = []
     for h in h_list:
+        prefix = probe.nodes if probe is not None and probe.h == h else None
         cert = certify_existence(
-            field, x0, h, delta0, gamma, config, horizon=cert_horizon
+            field, x0, h, delta0, gamma, config, cert_horizon, prefix
         )
         cert.start_runs = {}  # the R' runs, which only a basin sweep reads
         if cert.constants is None:

@@ -705,12 +705,15 @@ def certify_existence(
     gamma: float,
     config: PipelineConfig = PipelineConfig(),
     horizon: float = 10.0,
+    prefix=None,
 ) -> ExistenceCertificate:
     """Full existence pipeline: first return, tube, conditions, verdict.
 
     The certificate's ``trajectory`` is the :func:`~cyclecert.euler.first_loop`
     run from x0: it ends at the chunk that holds R1, not at ``horizon``, and
-    the R' sweep and the error curve's coarse run continue it.
+    the R' sweep and the error curve's coarse run continue it.  ``prefix``,
+    nodes of that run already stepped (x0 first), is read where it holds
+    the run, and only the steps past it are taken.
 
     Sub-computation failures (divergence, lost transversality, blocked
     return-time sweeps) are recorded as a failed certificate with blocking
@@ -733,7 +736,7 @@ def certify_existence(
         horizon=horizon,
     )
     try:
-        loop = first_loop(field, x0, h, horizon, delta0, step=simulate)
+        loop = first_loop(field, x0, h, horizon, delta0, prefix, simulate)
         if loop is None:
             cert.failure = {
                 "reason": "no-return",

@@ -265,7 +265,16 @@ def test_canonical_json_float_format():
     assert text.endswith("\n")
 
 
-def test_error_curve_cli_small(tmp_path):
+def test_error_curve_cli_small(tmp_path, monkeypatch):
+    # the certificate at the probe's step size continues the period probe's
+    # run, which holds its whole first loop: it steps none of it again
+    stepped = []
+
+    def counted(field, x0, h, n_steps, out=None):
+        stepped.append(n_steps)
+        return cyclecert.simulate(field, x0, h, n_steps, out)
+
+    monkeypatch.setattr(cyclecert.tube, "simulate", counted)
     out = tmp_path / "curves"
     code = main(
         [
@@ -284,6 +293,7 @@ def test_error_curve_cli_small(tmp_path):
     csv_files = list(out.glob("error_curve_h*.csv"))
     assert len(csv_files) == 1
     assert csv_files[0].read_text().splitlines()[0] == "t,theta,error,delta_bound,Dh"
+    assert stepped == []
 
 
 def test_error_curve_csv_matches_write_csv(tmp_path):

@@ -255,15 +255,17 @@ def test_block_path_ignores_the_guess(vdp, monkeypatch, guess, h):
 
 
 def counting_extrapolation(monkeypatch, wrong=None):
-    """Route the extrapolated guess through ``wrong`` (applied to the true
-    extrapolation, and the arguments), recording the node k of each call."""
+    """Route the extrapolated guess through ``wrong`` (applied in place to
+    the block's rows Z[k..k+n] once the true extrapolation has written
+    them), recording the node k of each call."""
     calls = []
     extrapolate = cc.euler._extrapolated_guess
 
-    def guess(nodes, k, width, n_steps):
+    def guess(rhs2, Z, k, width, n, h, H):
         calls.append(k)
-        X = extrapolate(nodes, k, width, n_steps)
-        return X if wrong is None else wrong(X, nodes, k, n_steps)
+        extrapolate(rhs2, Z, k, width, n, h, H)
+        if wrong is not None:
+            wrong(Z[k : k + n + 1])
 
     monkeypatch.setattr(cc.euler, "_extrapolated_guess", guess)
     return calls
@@ -280,19 +282,21 @@ def test_block_path_ignores_the_extrapolated_guess(vdp, monkeypatch, guess, h, g
     n_steps = 4 * SWEEP_W + 7
     ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, n_steps)
 
-    def wrong(X, nodes, k, n):
+    def wrong(rows):
+        n = rows.size - 1
         if guess == "noise":
-            return X + np.random.default_rng(k).normal(scale=1e-3, size=X.shape)
-        if guess == "one_ulp":
-            u1, u2 = float(nodes[k, 0]), float(nodes[k, 1])
-            exact, _ = one_step_nodes(vdp.rhs_scalar2, (u1, u2), h, n)
+            rng = np.random.default_rng(n)
+            rows[1:] += rng.normal(scale=1e-3, size=(n, 2)).view(np.complex128)[:, 0]
+        elif guess == "one_ulp":
+            start = (rows[0].real, rows[0].imag)
+            exact, _ = one_step_nodes(vdp.rhs_scalar2, start, h, n)
             exact[n // 2, 1] = np.nextafter(exact[n // 2, 1], np.inf)
-            return np.ascontiguousarray(exact.T)
-        return X
+            rows[:] = exact.view(np.complex128)[:, 0]
 
     if guess == "zero_weights":
+        degree = cc.euler.GUESS_DEGREE
         monkeypatch.setattr(
-            cc.euler, "_lagrange_weights", lambda width: np.zeros((5, width + 1))
+            cc.euler, "_lagrange_weights", lambda width: np.zeros((degree + 1, width))
         )
     calls = counting_extrapolation(monkeypatch, wrong)
     monkeypatch.setattr(cc.euler, "SWEEP_SMOOTH", 10**9 if gate == "open" else 0)
@@ -313,6 +317,49 @@ def test_extrapolation_gate_follows_the_convergence(vdp, monkeypatch, h):
         assert calls == [SWEEP_W, 2 * SWEEP_W, 3 * SWEEP_W]
     else:
         assert calls == []
+
+
+def counting_points(field):
+    """Copy of ``field`` whose rhs_scalar2 counts the points of its array
+    calls and the number of its scalar calls, in the returned dict."""
+    count = {"points": 0, "scalar": 0}
+    rhs2 = field.rhs_scalar2
+
+    def rhs2_counted(u1, u2):
+        if isinstance(u1, np.ndarray):
+            count["points"] += u1.size
+        else:
+            count["scalar"] += 1
+        return rhs2(u1, u2)
+
+    return dataclasses.replace(field, rhs_scalar2=rhs2_counted), count
+
+
+@pytest.mark.parametrize("h,most", [(1.25e-6, 2.2), (5e-6, 3.2)])
+def test_extrapolated_guess_saves_rhs_points(vdp, h, most):
+    # the Euler sums of the extrapolated field carry the recurrence's
+    # rounding, so the first sweep of a smooth block verifies most of it:
+    # 1.86 and 2.69 array points a step measured over 16 blocks
+    field, count = counting_points(vdp)
+    n_steps = 16 * SWEEP_W
+    cc.simulate(field, (1.8929, -0.5383), h, n_steps)
+    assert count["points"] <= most * n_steps
+
+
+def test_constant_component_keeps_the_block_path(monkeypatch):
+    # rhs2 returns a constant component as a plain number; the guess
+    # broadcasts it, so every block after the first extrapolates and only
+    # the first block's quadratic guess and the 5-step tail call rhs2 on
+    # plain floats
+    field, count = counting_points(cc.load_system({"rhs": ["-0.5", "x1 - x2"]}))
+    calls = counting_extrapolation(monkeypatch)
+    x0, h, n_steps = (1.0, 0.5), 1.25e-6, 4 * SWEEP_W + 5
+    ref, _ = one_step_nodes(field.rhs_scalar2, x0, h, n_steps)
+    count["scalar"] = 0
+    nodes = cc.simulate(field, x0, h, n_steps).nodes
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
+    assert calls == [SWEEP_W, 2 * SWEEP_W, 3 * SWEEP_W]
+    assert count["scalar"] <= 16
 
 
 @pytest.mark.parametrize("h", [1.25e-6, 1e-4])

@@ -760,8 +760,8 @@ def test_reference_rows_must_be_contiguous(vdp):
 # guesses or the windows must not raise (the outputs would not show it).
 # Array evaluations of rhs_scalar2 per node over the first 2^20 steps of the
 # h = 1.25e-6 reference of vdp-example2, stepped as the error curve steps
-# it (3.0387 measured).
-SWEEP_EVALS_PER_NODE = 3.04
+# it (1.8613 measured).
+SWEEP_EVALS_PER_NODE = 2.0
 # _window_pass calls of the vdp-example2 error curve at h = 5e-4.
 WINDOW_PASSES = 49
 # _window_pass calls of the vdp-example1 certificate run synchronized
