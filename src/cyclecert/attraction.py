@@ -171,7 +171,9 @@ def sweep_Y0(
     :func:`_existence_run_from`), its exponent is read from
     ``existence.tube`` in place of building that tube again.  With the
     field and h of ``existence``, a sample whose start point has a run in
-    ``existence.start_runs`` continues that run.
+    ``existence.start_runs`` continues that run.  The tube builds run in
+    a pool of ``CYCLECERT_THREADS`` workers when that is above 1
+    (:func:`threads_from_env`).
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
@@ -194,7 +196,7 @@ def sweep_Y0(
     ):
         exps[mid] = _tube_exponent(pts[mid], existence.tube)
     todo = [k for k, e in enumerate(exps) if e is None]
-    threads = threads_from_env() if config.threads is None else config.threads
+    threads = threads_from_env()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run, todo))

@@ -54,11 +54,11 @@ def _add_common(p):
     p.add_argument("--out", default="out", help="output directory")
 
 
-def _parse_point(text):
+def _parse_floats(text, name):
     try:
         return tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise InputError(f"cannot parse point {text!r}")
+        raise InputError(f"{name} is not a comma-separated list of numbers: {text!r}")
 
 
 def _run_config(args) -> RunConfig:
@@ -77,28 +77,15 @@ def _run_config(args) -> RunConfig:
             gamma=0.015,
             horizon=20.0,
         )
-    updates = {}
-    for name in ("h", "delta0", "gamma", "horizon"):
-        val = getattr(args, name)
-        if val is not None:
-            updates[name] = val
-    if args.x0:
-        updates["x0"] = _parse_point(args.x0)
-    if getattr(args, "y0", None):
-        updates["y0"] = _parse_point(args.y0)
-    if getattr(args, "h_list", None):
-        updates["h_list"] = tuple(float(v) for v in args.h_list.split(","))
-    if getattr(args, "periods", None) is not None:
-        updates["periods"] = args.periods
-    if updates:
-        cfg = replace(cfg, **updates)
-    pipe_updates = {}
-    if args.samples is not None:
-        pipe_updates["sweep_samples"] = args.samples
-    if args.stride is not None:
-        pipe_updates["lambda_stride"] = args.stride
-    if pipe_updates:
-        cfg = replace(cfg, pipeline=replace(cfg.pipeline, **pipe_updates))
+    # error-curve alone has --y0, --h-list and --periods
+    names = ("h", "delta0", "gamma", "horizon", "periods")
+    updates = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+    for name in ("x0", "y0", "h_list"):
+        if getattr(args, name, None):
+            updates[name] = _parse_floats(getattr(args, name), name)
+    pipe = {"lambda_stride": args.stride, "sweep_samples": args.samples}
+    pipe = {k: v for k, v in pipe.items() if v is not None}
+    cfg = replace(cfg, pipeline=replace(cfg.pipeline, **pipe), **updates)
     cfg.validate()
     return cfg
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
@@ -11,10 +12,10 @@ from .errors import InputError
 THREADS_ENV = "CYCLECERT_THREADS"
 
 
-def threads_from_env(default: int = 1) -> int:
+def threads_from_env() -> int:
     raw = os.environ.get(THREADS_ENV)
     if not raw:
-        return default
+        return 1
     try:
         val = int(raw)
     except ValueError:
@@ -26,47 +27,38 @@ def threads_from_env(default: int = 1) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Sampling densities, the slice-bound stride and the threads.
+    """The two settings a run chooses (``--stride`` and ``--samples``).
 
-    ``n_s`` points along each segment and ``n_ball`` transverse offsets
-    (plus the center) sample the slice bounds Lambda_i; ``ab_offsets``
-    offsets on the same s-grid sample the phase rates (a_i, b_i).
     ``lambda_stride`` trades cost for tightness: Lambda_i and (a_i, b_i) are
     sampled every that many segments (the anchors) and bridged in between
     by ``tube.anchor_bridge``; stride 1 samples every segment.
     ``sweep_samples`` evenly spaced disk points are the start points of the
     attraction sweep and of the return bound R', which takes at least 3
-    (the center and both endpoints).
-    ``threads`` runs the sweep's tube builds in a pool; None reads
-    ``CYCLECERT_THREADS`` when the sweep runs.  The fixed settings
-    (fixed-point passes, slice radius safety, region margin) are constants
-    of :mod:`cyclecert.tube`; the padding is ``measures.PAD_FACTOR``.
+    (the center and both endpoints).  The slice densities, passes, radius
+    safety and region margin are constants of :mod:`cyclecert.tube`, the
+    padding is ``measures.PAD_FACTOR``, and the sweep's worker count is
+    ``CYCLECERT_THREADS`` (:func:`threads_from_env`).
     """
 
-    n_s: int = 5
-    n_ball: int = 8
     lambda_stride: int = 10
-    ab_offsets: int = 5
     sweep_samples: int = 11
-    threads: Optional[int] = None
 
     def validate(self):
-        if self.n_s < 2 or self.n_ball < 2 or self.ab_offsets < 2:
-            raise InputError("sampling densities must be at least 2")
         if self.lambda_stride < 1:
             raise InputError("lambda_stride must be >= 1")
         if self.sweep_samples < 1:
             raise InputError("sweep_samples must be >= 1")
-        if self.threads is not None and self.threads < 1:
-            raise InputError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One certification run: system, start point, step, tube and rate knobs.
+    """One certification run: system, start point, step, tube and rate
+    values, and the :class:`PipelineConfig` settings.
 
     ``system`` is anything :func:`cyclecert.systems.load_system` takes: a
-    spec dict or the path of a system JSON file.
+    spec dict or the path of a system JSON file.  Every step, radius, rate,
+    horizon and period count must be finite and positive, and every point
+    finite.
     """
 
     system: dict | str
@@ -82,11 +74,14 @@ class RunConfig:
     pipeline: PipelineConfig = dc_field(default_factory=PipelineConfig)
 
     def validate(self):
-        for name in ("h", "delta0", "gamma", "horizon"):
-            if getattr(self, name) <= 0.0:
-                raise InputError(f"{name} must be positive")
-        if not self.periods > 0.0:
-            raise InputError("periods must be positive")
+        names = ("h", "delta0", "gamma", "horizon", "periods")
+        values = [(n, getattr(self, n)) for n in names]
+        for name, val in values + [("h_list", v) for v in self.h_list or ()]:
+            if not (math.isfinite(val) and val > 0.0):
+                raise InputError(f"{name} must be finite and positive, got {val!r}")
+        for name in ("x0", "y0"):
+            if not all(map(math.isfinite, getattr(self, name) or ())):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
         self.pipeline.validate()
 
 

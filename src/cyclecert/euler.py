@@ -378,7 +378,14 @@ class Section:
     @classmethod
     def through(cls, field: VectorField, anchor) -> "Section":
         anchor = np.asarray(anchor, dtype=float)
-        return cls(anchor, field.f_raw(anchor))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = field.f_raw(anchor)
+        if not np.isfinite(f).all():
+            raise InputError(
+                f"the field is not finite at the start point {anchor.tolist()}: "
+                f"f = {f.tolist()}"
+            )
+        return cls(anchor, f)
 
     def offset(self, z) -> float:
         """Signed offset <z - anchor, normal>; zero on the section."""

@@ -73,11 +73,6 @@ def norm_planes(v0, v1):
     return np.sqrt(v0 * v0 + v1 * v1)
 
 
-def mu_max_batch(S: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric matrices, batched."""
-    return np.linalg.eigvalsh(S)[..., -1]
-
-
 def mu_perp_batch(field: VectorField, X: np.ndarray, u2=None) -> np.ndarray:
     """Transverse measure w^T S w at a batch of points (..., 2), with w the
     unit normal of f; the hot kernel behind the slice bounds.  With ``u2``

@@ -193,6 +193,14 @@ class Tube:
 # per-segment estimators: the one kernel for Lambda_i and for [a_i, b_i]
 # --------------------------------------------------------------------------
 
+# Slice sampling densities: N_S points of [0, h] along each segment; Lambda
+# on N_BALL transverse offsets in [-1, 1] plus the center (LAMBDA_OFFSETS),
+# (a, b) on AB_OFFSETS of them.  N_BALL is even, so its offsets miss the
+# center; np.union1d would import numpy.ma, 12 ms of every start-up.
+N_S = 5
+N_BALL = 8
+AB_OFFSETS = 5
+LAMBDA_OFFSETS = np.sort(np.append(np.linspace(-1.0, 1.0, N_BALL), 0.0))
 # Fixed-point passes of build_tube, and the factor by which each refinement
 # pass widens the previous pass's tube radii into the slice radii it samples.
 PASSES = 2
@@ -246,13 +254,13 @@ class SegmentGrids:
         self.W1 = FC0 / self.nFC
 
 
-def lambda_profile(field, grids, radius, anchors, cfg, cols=None):
+def lambda_profile(field, grids, radius, anchors, cols=None):
     """Per-segment transverse bounds Lambda_i via strided anchor sampling.
 
     ``grids`` and the slice radii ``radius`` share their columns: anchor j
     is read from column ``cols[j]``, by default column ``anchors[j]`` of a
-    grid over every segment.  Anchor slices are sampled on the (offset, s) grid,
-    ``cfg.n_ball`` offsets in [-1, 1] plus the center, padded by
+    grid over every segment.  Anchor slices are sampled on the (offset, s)
+    grid, ``LAMBDA_OFFSETS`` by the ``N_S`` s-nodes, padded by
     :func:`~cyclecert.measures.padded_extrema` and bridged by
     :func:`anchor_bridge`.
 
@@ -261,12 +269,9 @@ def lambda_profile(field, grids, radius, anchors, cfg, cols=None):
     cache-sized whatever N1 and the stride are.  Every value is taken per
     anchor, so the block size does not change the result.
     """
-    offs = np.linspace(-1.0, 1.0, cfg.n_ball)
-    if not np.any(offs == 0.0):
-        offs = np.sort(np.append(offs, 0.0))
     cols = anchors if cols is None else cols
     lamA = np.empty(anchors.size)
-    chunk = max(1, LAMBDA_BLOCK // (offs.size * grids.n_s))
+    chunk = max(1, LAMBDA_BLOCK // (LAMBDA_OFFSETS.size * grids.n_s))
     for lo in range(0, anchors.size, chunk):
         A = slice(lo, lo + chunk)
         # np.take, unlike v[:, cols[A]], returns C-ordered planes, which
@@ -275,18 +280,18 @@ def lambda_profile(field, grids, radius, anchors, cfg, cols=None):
             np.take(v, cols[A], axis=1)
             for v in (grids.P0, grids.P1, grids.W0, grids.W1, radius)
         )
-        t = offs[:, None, None] * rA
+        t = LAMBDA_OFFSETS[:, None, None] * rA
         vals = mu_perp_batch(field, P0 + t * W0, P1 + t * W1)  # (n_off, n_s, |A|)
         lamA[A] = padded_extrema(vals)[1]
     return anchor_bridge(lamA, anchors, grids.N1, 1.0)
 
 
-def ab_profile(field, grids, radius, anchors, cfg):
+def ab_profile(field, grids, radius, anchors):
     """Per-segment phase-rate bounds (a_i, b_i) via strided anchor sampling.
 
     ``grids`` and ``radius`` have columns as for :func:`lambda_profile`.
     Anchor slices are sampled with the closed form of
-    :func:`~cyclecert.constants.theta_dot` on ``cfg.ab_offsets`` offsets and
+    :func:`~cyclecert.constants.theta_dot` on ``AB_OFFSETS`` offsets and
     the s-grid, padded by :func:`~cyclecert.measures.padded_extrema` and
     bridged by :func:`anchor_bridge`.  The anchors run in blocks of
     ``AB_BLOCK``, each one (offsets, n_s, block) array of phase rates.  A
@@ -294,7 +299,7 @@ def ab_profile(field, grids, radius, anchors, cfg):
     first anchor segment, where one occurs; a_i <= 0 means the step is too
     large or the tube too fat.
     """
-    offs = np.linspace(-1.0, 1.0, cfg.ab_offsets)
+    offs = np.linspace(-1.0, 1.0, AB_OFFSETS)
     aA, bA = np.empty(anchors.size), np.empty(anchors.size)
     per_segment = grids.P0.shape[1] != anchors.size
     work = np.empty((4 + offs.size, grids.n_s, min(AB_BLOCK, anchors.size)))
@@ -410,17 +415,17 @@ def build_tube(
 
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
     anchors = stride_indices(N1, config.lambda_stride)
-    grids = SegmentGrids(field, traj, N1, config.n_s, anchors)
+    grids = SegmentGrids(field, traj, N1, N_S, anchors)
     sampled_radius = np.empty(N1)
 
     a_seg = np.ones(N1)
     b_seg = np.ones(N1)
-    radius = np.full((config.n_s, anchors.size), delta0)
+    radius = np.full((grids.n_s, anchors.size), delta0)
     # the anchor grid's columns that each pass samples Lambda on
     cols = stride_indices(anchors.size, max(1, anchors.size // GUESS_ANCHORS))
     history = []
     for pass_no in range(1, PASSES + 1):
-        lam = lambda_profile(field, grids, radius, anchors[cols], config, cols)
+        lam = lambda_profile(field, grids, radius, anchors[cols], cols)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
@@ -447,7 +452,7 @@ def build_tube(
         # Lambda on it widened by the safety factor
         growth = np.exp(sigma[None, anchors] * grids.s[:, None])
         a_seg, b_seg = ab_profile(
-            field, grids, delta_nodes[None, anchors] * growth, anchors, config
+            field, grids, delta_nodes[None, anchors] * growth, anchors
         )
         radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
         cols = np.arange(anchors.size)
@@ -678,7 +683,7 @@ class ExistenceCertificate:
         return doc
 
 
-def _collect_tube_samples(tube, config, extra_radius, use_delta=True):
+def _collect_tube_samples(tube, extra_radius, use_delta=True):
     """Sample points covering the final tube: slices on the anchor grid
     the tube was built on.
 
@@ -691,7 +696,7 @@ def _collect_tube_samples(tube, config, extra_radius, use_delta=True):
     rad = np.full(g.P0.shape, extra_radius)
     if use_delta:
         rad = rad + tube.delta[anchors] * np.exp(tube.sigma[anchors] * g.s[:, None])
-    t = np.linspace(-1.0, 1.0, max(3, config.n_ball))[:, None, None] * rad
+    t = np.linspace(-1.0, 1.0, N_BALL)[:, None, None] * rad
     X0 = g.P0 + t * g.W0
     X1 = np.add(g.P1, np.multiply(t, g.W1, out=t), out=t)  # P1 + t W1
     return np.stack([X0, X1], axis=-1).reshape(-1, 2)
@@ -759,11 +764,9 @@ def certify_existence(
         # final constants: growth constant along the (inflated) segments,
         # magnitude bounds over the built tube plus the margin
         margin = REGION_MARGIN * delta0
-        seg_samples = _collect_tube_samples(
-            tube, config, extra_radius=margin, use_delta=False
-        )
+        seg_samples = _collect_tube_samples(tube, margin, use_delta=False)
         L = estimate_lipschitz(field, seg_samples)
-        samples = _collect_tube_samples(tube, config, extra_radius=margin)
+        samples = _collect_tube_samples(tube, margin)
         m, _ = estimate_speed_bounds(field, samples)
         _, M_C = estimate_magnitude_bounds(field, samples, magnitude="state")
         M_f = max(M_C, float(tube.m_tilde.max()))
@@ -793,8 +796,8 @@ def certify_existence(
                 "lipschitz_mode": "spectral_radius",
                 "magnitude_mode": "state",
                 "region_margin": REGION_MARGIN,
-                "n_s": config.n_s,
-                "n_ball": config.n_ball,
+                "n_s": N_S,
+                "n_ball": N_BALL,
                 "pad_factor": PAD_FACTOR,
                 "lambda_stride": config.lambda_stride,
                 "passes": PASSES,

@@ -28,6 +28,7 @@ from cyclecert.measures import (
     sigma_rate,
     symmetric_part,
 )
+from cyclecert import tube as cctube
 from cyclecert.syncerr import SyncErrorSeries
 from cyclecert.tube import (
     GUESS_ANCHORS,
@@ -105,13 +106,14 @@ def interleaved(grids, cols=slice(None)):
     )
 
 
-def ab_profile_whole(field, grids, radius, cfg):
+def ab_profile_whole(field, grids, radius):
     """(a_i, b_i) over all segments at once, with the full
-    (offsets, n_s, N1) theta-dot array and its neighbor differences.
+    (offsets, n_s, N1) theta-dot array and its neighbor differences, on
+    ``tube.AB_OFFSETS`` offsets (read when called).
 
     ``grids`` holds (..., 2) point arrays, :func:`interleaved` of a
     ``SegmentGrids``."""
-    offs = np.linspace(-1.0, 1.0, cfg.ab_offsets)
+    offs = np.linspace(-1.0, 1.0, cctube.AB_OFFSETS)
     JC = field.jac_raw(grids.P)
     Jf = np.einsum("snij,nj->sni", JC, grids.FN)
     base = np.einsum("ni,sni->sn", grids.FN, grids.FC)
@@ -141,7 +143,7 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     every G-th anchor and the last (G = anchors // GUESS_ANCHORS, at least
     1), the (a, b) bridge one gap at a time, and the slice radii of every
     segment as one plane per pass."""
-    grids = SegmentGrids(field, traj, N1, cfg.n_s)
+    grids = SegmentGrids(field, traj, N1, cctube.N_S)
     anchors = np.arange(0, N1, cfg.lambda_stride)
     if anchors[-1] != N1 - 1:
         anchors = np.append(anchors, N1 - 1)
@@ -150,10 +152,10 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     if guess[-1] != N1 - 1:
         guess = np.append(guess, N1 - 1)
     a_seg, b_seg = np.ones(N1), np.ones(N1)
-    radius = np.full((cfg.n_s, N1), delta0)
+    radius = np.full((grids.n_s, N1), delta0)
     for pass_no in range(1, PASSES + 1):
         sampled = guess if pass_no == 1 else anchors
-        lam = lambda_profile(field, grids, radius, sampled, cfg)
+        lam = lambda_profile(field, grids, radius, sampled)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
@@ -162,7 +164,7 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
             break
         growth = np.exp(sigma[None, :] * grids.s[:, None])
         r = (delta_nodes[None, :N1] * growth)[:, anchors]
-        aA, bA = ab_profile_whole(field, interleaved(grids, anchors), r, cfg)
+        aA, bA = ab_profile_whole(field, interleaved(grids, anchors), r)
         a_seg = bridge_loop(aA, anchors, N1, -1.0, PAD_FACTOR)
         b_seg = bridge_loop(bA, anchors, N1, 1.0, PAD_FACTOR)
         radius = RADIUS_SAFETY * delta_nodes[None, :N1] * growth

@@ -233,7 +233,7 @@ def test_certified_implies_empirical_attraction(vdp, vdp_cert):
 # -- the disk sweep and the existence tube -----------------------------------
 
 COARSE_H = 2e-3
-COARSE_CFG = PipelineConfig(lambda_stride=10, threads=1)
+COARSE_CFG = PipelineConfig(lambda_stride=10)
 
 
 @pytest.fixture(scope="module")
@@ -327,21 +327,20 @@ def test_sweep_reuse_needs_the_existence_run(vdp, coarse_existence, monkeypatch,
     assert len(sweep.exponents) == n
 
 
-def test_sweep_threads_match_serial(vdp):
-    runs = [
-        coarse_sweep(vdp, None, 5, cfg=dataclasses.replace(COARSE_CFG, threads=t))
-        for t in (1, 2)
-    ]
+def test_sweep_threads_match_serial(vdp, monkeypatch):
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CYCLECERT_THREADS", threads)
+        runs.append(coarse_sweep(vdp, None, 5))
     serial, threaded = ([exponent_fields(e) for e in r.exponents] for r in runs)
     assert threaded == serial
     assert runs[1].d == runs[0].d
 
 
 def test_sweep_reads_threads_env_when_it_runs(vdp, monkeypatch):
-    # a PipelineConfig that leaves threads unset reads CYCLECERT_THREADS
-    # at the sweep, so a value set after the config was made takes effect
+    # the sweep reads CYCLECERT_THREADS when it runs, so a value set after
+    # the config was made takes effect
     monkeypatch.delenv("CYCLECERT_THREADS", raising=False)
-    cfg = dataclasses.replace(COARSE_CFG, threads=None)
     pools = []
 
     class Recording(cc.attraction.ThreadPoolExecutor):
@@ -351,7 +350,7 @@ def test_sweep_reads_threads_env_when_it_runs(vdp, monkeypatch):
 
     monkeypatch.setattr(cc.attraction, "ThreadPoolExecutor", Recording)
     monkeypatch.setenv("CYCLECERT_THREADS", "2")
-    coarse_sweep(vdp, None, 3, cfg=cfg)
+    coarse_sweep(vdp, None, 3)
     assert pools == [2]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import cyclecert
-from cyclecert.cli import main
+from cyclecert.cli import _run_config, build_parser, main
 from cyclecert import output
 from cyclecert.output import (
     canonical_json,
@@ -176,9 +177,58 @@ def test_invalid_count_exit2(tmp_path, command, option, value):
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
 
-def test_pipeline_config_rejects_zero_threads():
-    with pytest.raises(cyclecert.InputError, match="threads"):
-        cyclecert.PipelineConfig(threads=0).validate()
+@pytest.mark.parametrize(
+    "command,option,value,name",
+    [
+        ("certify-existence", "--h", "nan", "h"),
+        ("certify-existence", "--h", "inf", "h"),
+        ("certify-existence", "--horizon", "inf", "horizon"),
+        ("certify-existence", "--horizon", "nan", "horizon"),
+        ("certify-existence", "--delta0", "nan", "delta0"),
+        ("certify-existence", "--gamma", "nan", "gamma"),
+        ("error-curve", "--h-list", "0", "h_list"),
+        ("error-curve", "--h-list", "-0.001", "h_list"),
+        ("error-curve", "--periods", "inf", "periods"),
+        ("error-curve", "--h-list", "abc", "h_list"),
+    ],
+)
+def test_bad_run_value_exit2(tmp_path, command, option, value, name):
+    # a value that is not a finite positive number is refused before any
+    # work, with an error.json that names it, never a traceback or a verdict
+    out = tmp_path / "bad"
+    preset = "vdp-example2" if command == "error-curve" else "vdp-example1"
+    code = main([command, "--preset", preset, option, value, "--out", str(out)])
+    assert code == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "input-error"
+    assert doc["detail"].startswith(f"{name} ")
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_field_overflow_at_start_point_exit2(tmp_path):
+    # f overflows at x0, so the section through it has no normal; the
+    # error names the start point, not the section
+    out = tmp_path / "overflow"
+    code = main(
+        ["certify-existence", "--preset", "vdp-example1", "--x0", "1e300,0",
+         "--out", str(out)]
+    )
+    assert code == 2
+    detail = json.loads((out / "error.json").read_text())["detail"]
+    assert "not finite at the start point [1e+300, 0.0]" in detail
+
+
+def test_pipeline_config_has_only_cli_settings():
+    # every PipelineConfig field is a setting the CLI reaches; a field
+    # without a flag fails here
+    names = [f.name for f in dataclasses.fields(cyclecert.PipelineConfig)]
+    assert names == ["lambda_stride", "sweep_samples"]
+    args = build_parser().parse_args(
+        ["certify-existence", "--preset", "vdp-example1", "--stride", "7",
+         "--samples", "5"]
+    )
+    cfg = _run_config(args)
+    assert cfg.pipeline == cyclecert.PipelineConfig(lambda_stride=7, sweep_samples=5)
 
 
 def test_simulate_outputs(tmp_path):
@@ -230,7 +280,7 @@ def test_certify_attraction_cli(tmp_path):
 def test_bad_threads_env_is_an_input_error(tmp_path, monkeypatch, value):
     # CYCLECERT_THREADS is read when the sweep runs, not at import, where
     # the presets and the signature defaults build their PipelineConfig; a
-    # count below 1 is refused as PipelineConfig(threads=0) is
+    # count below 1 is refused
     env = dict(
         os.environ,
         CYCLECERT_THREADS=value,

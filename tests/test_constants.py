@@ -141,9 +141,8 @@ def test_lipschitz_blocks_match_full_eigvals(kind, block, monkeypatch):
 
 
 def test_lipschitz_filter_vdp_tube_samples(vdp, vdp_cert):
-    cfg = cc.PipelineConfig()
     pts = cc.tube._collect_tube_samples(
-        vdp_cert.tube, cfg,
+        vdp_cert.tube,
         extra_radius=cc.tube.REGION_MARGIN * vdp_cert.delta0, use_delta=False,
     )
     ref = float(np.abs(np.linalg.eigvals(vdp.jac_raw(pts))).max())
@@ -155,7 +154,7 @@ def test_lipschitz_memory(vdp, vdp_cert):
     # estimate peaks under 6 MiB, where the whole (m, 2, 2) stack and its
     # absolute values peaked at 23 MiB
     pts = cc.tube._collect_tube_samples(
-        vdp_cert.tube, cc.PipelineConfig(),
+        vdp_cert.tube,
         extra_radius=cc.tube.REGION_MARGIN * vdp_cert.delta0, use_delta=False,
     )
     assert len(pts) == 252600
@@ -318,10 +317,9 @@ def test_theta_dot_matches_finite_differences(system):
 
 def segment_ab(field, traj, i, radius):
     """ab_profile's (a_i, b_i) with a flat slice radius on every segment."""
-    cfg = cc.PipelineConfig()
-    grids = cc.SegmentGrids(field, traj, i + 1, cfg.n_s)
-    radii = np.full((cfg.n_s, i + 1), radius)
-    a, b = cc.ab_profile(field, grids, radii, np.arange(i + 1), cfg)
+    grids = cc.SegmentGrids(field, traj, i + 1, cc.tube.N_S)
+    radii = np.full((grids.n_s, i + 1), radius)
+    a, b = cc.ab_profile(field, grids, radii, np.arange(i + 1))
     return float(a[i]), float(b[i])
 
 

@@ -8,19 +8,12 @@ from oracles import mu_perp_einsum
 
 
 def charpoly_eigs(S):
-    """Brute-force symmetric eigenvalues via characteristic-polynomial roots
-    (independent of the library eigensolver); n = 2 or 3."""
-    n = S.shape[0]
-    if n == 2:
-        tr, det = S[0, 0] + S[1, 1], np.linalg.det(S)
-        disc = np.sqrt(max(tr * tr / 4 - det, 0.0))
-        return np.sort([tr / 2 - disc, tr / 2 + disc])
-    # cubic: x^3 - tr x^2 + c2 x - det
-    tr = np.trace(S)
-    c2 = 0.5 * (tr ** 2 - np.trace(S @ S))
-    det = np.linalg.det(S)
-    roots = np.roots([1.0, -tr, c2, -det])
-    return np.sort(roots.real)
+    """Brute-force eigenvalues of a symmetric 2x2 matrix via the roots of
+    its characteristic polynomial (independent of the library
+    eigensolver)."""
+    tr, det = S[0, 0] + S[1, 1], np.linalg.det(S)
+    disc = np.sqrt(max(tr * tr / 4 - det, 0.0))
+    return np.sort([tr / 2 - disc, tr / 2 + disc])
 
 
 def test_symmetric_part_trivials():
@@ -54,17 +47,21 @@ def test_transverse_measure_equilibrium_error(linear):
         cc.transverse_measure(linear, np.array([0.0, 0.0]))
 
 
-def test_mu_equals_brute_force_on_random_matrices():
-    # the library eigensolver agrees with characteristic-polynomial roots
-    # on 200 random 2x2 and 3x3 Jacobians
+def test_mu_equals_brute_force_on_random_matrices(vdp):
+    # the library eigensolver and the package's measure mu agree with
+    # characteristic-polynomial roots of S = sym(J(x)) at 200 random Van
+    # der Pol state points
     rng = np.random.default_rng(17)
-    for k in range(200):
-        n = 2 if k % 2 == 0 else 3
-        J = rng.normal(size=(n, n))
-        S = cc.symmetric_part(J)
+    checked = 0
+    while checked < 200:
+        x = rng.uniform(-3, 3, size=2)
+        if np.linalg.norm(vdp.f_raw(x)) < 1e-6:
+            continue
+        S = cc.symmetric_part(vdp.eval_jacobian(x))
         evals = charpoly_eigs(S)
         assert np.allclose(np.linalg.eigvalsh(S), evals, atol=1e-7)
-        assert cc.measures.mu_max_batch(S) == pytest.approx(evals[-1], abs=1e-7)
+        assert cc.transverse_measure(vdp, x).mu == pytest.approx(evals[-1], abs=1e-7)
+        checked += 1
 
 
 def test_mu_matches_oracle_on_random_jacobians(vdp):
@@ -127,9 +124,9 @@ def test_mu_perp_batch_bit_exact_on_anchor_slices(vdp, vdp_cert):
     # (9 offsets x 5 s-points x 6314 anchors)
     tube, traj = vdp_cert.tube, vdp_cert.trajectory
     cfg = cc.PipelineConfig()
-    grids = cc.SegmentGrids(vdp, traj, tube.N1, cfg.n_s)
+    grids = cc.SegmentGrids(vdp, traj, tube.N1, cc.tube.N_S)
     anchors = np.append(np.arange(0, tube.N1, cfg.lambda_stride), tube.N1 - 1)
-    offs = np.union1d(np.linspace(-1.0, 1.0, cfg.n_ball), [0.0])
+    offs = np.union1d(np.linspace(-1.0, 1.0, cc.tube.N_BALL), [0.0])
     r = tube.delta[anchors][None, :] * np.exp(
         tube.sigma[anchors][None, :] * grids.s[:, None]
     )
@@ -179,25 +176,21 @@ def test_planar_norm_bit_exact():
 # -- slice bounds -----------------------------------------------------------
 
 
-def one_segment_lambda(field, x, h, radius, n_s=5, n_ball=8):
+def one_segment_lambda(field, x, h, radius):
     """lambda_profile on the single segment [x, x + h f(x)] with a flat
     slice radius; returns (Lambda, grids)."""
     traj = cc.simulate(field, x, h, 1)
-    grids = cc.SegmentGrids(field, traj, 1, n_s)
+    grids = cc.SegmentGrids(field, traj, 1, cc.tube.N_S)
     lam = cc.lambda_profile(
-        field,
-        grids,
-        np.full((n_s, 1), radius),
-        np.array([0]),
-        cc.PipelineConfig(n_s=n_s, n_ball=n_ball),
+        field, grids, np.full((grids.n_s, 1), radius), np.array([0])
     )
     return float(lam[0]), grids
 
 
-def slice_points(grids, radius, n_ball=8):
-    """The slice samples: n_ball transverse offsets in [-1, 1] plus the
+def slice_points(grids, radius):
+    """The slice samples: N_BALL transverse offsets in [-1, 1] plus the
     center, at every s-grid point of segment 0."""
-    offs = np.union1d(np.linspace(-1.0, 1.0, n_ball), [0.0])[:, None]
+    offs = np.union1d(np.linspace(-1.0, 1.0, cc.tube.N_BALL), [0.0])[:, None]
     return np.stack(
         [
             grids.P0[:, 0] + offs * radius * grids.W0[:, 0],

@@ -424,16 +424,16 @@ def session_radius(tube, s):
 
 
 @pytest.mark.parametrize("n_s,ab_offsets", [(5, 5), (2, 2), (2, 5), (5, 2)])
-def test_ab_profile_bit_exact(vdp, vdp_cert, n_s, ab_offsets):
+def test_ab_profile_bit_exact(vdp, vdp_cert, monkeypatch, n_s, ab_offsets):
     # 63140 segments are 7 full blocks and one of 5796
     tube = vdp_cert.tube
     assert tube.N1 // cc.tube.AB_BLOCK == 7
     assert tube.N1 % cc.tube.AB_BLOCK == 5796
-    cfg = PipelineConfig(n_s=n_s, ab_offsets=ab_offsets)
+    monkeypatch.setattr(cc.tube, "AB_OFFSETS", ab_offsets)
     grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, n_s)
     radius = session_radius(tube, grids.s)
-    a, b = cc.ab_profile(vdp, grids, radius, np.arange(tube.N1), cfg)
-    a_ref, b_ref = ab_profile_whole(vdp, interleaved(grids), radius, cfg)
+    a, b = cc.ab_profile(vdp, grids, radius, np.arange(tube.N1))
+    a_ref, b_ref = ab_profile_whole(vdp, interleaved(grids), radius)
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b, b_ref)
 
@@ -445,22 +445,21 @@ def test_ab_profile_denominator_error_in_later_block(vdp, vdp_cert):
     # over all segments reports it.  Both are stride-10 anchors, so the
     # stride-10 profile names segment 30000 too
     tube = vdp_cert.tube
-    cfg = PipelineConfig()
     field = dataclasses.replace(
         vdp, rhs=lambda x: np.where(x[..., :1] > 50.0, 0.0, vdp.rhs(x))
     )
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cc.tube.N_S)
     radius = session_radius(tube, grids.s)
     for i, sign in ((9000, 1.0), (30000, -1.0)):
         w = grids.W0[:, i]
         assert np.all(sign * w > 0.01)
         radius[:, i] = (60.0 - grids.P0[:, i]) / (sign * w)
     with pytest.raises(InvalidReparametrizationError) as ref:
-        ab_profile_whole(field, interleaved(grids), radius, cfg)
+        ab_profile_whole(field, interleaved(grids), radius)
     assert "segment 30000;" in str(ref.value)
     for anchors in (np.arange(tube.N1), tube.anchors):
         with pytest.raises(InvalidReparametrizationError) as got:
-            cc.ab_profile(field, grids, radius, anchors, cfg)
+            cc.ab_profile(field, grids, radius, anchors)
         assert str(got.value) == str(ref.value)
 
 
@@ -492,12 +491,12 @@ def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
     # 1's Lambda: f and J on 9 offsets of the slices of the 633 guess
     # anchors (every 6315 // GUESS_ANCHORS = 10th and the last); pass 2's
     # Lambda: the same on every anchor slice; the (a, b) pass: J on the
-    # anchor grid, f on ab_offsets offsets of it; the M~ loop evaluates
+    # anchor grid, f on AB_OFFSETS offsets of it; the M~ loop evaluates
     # nothing
     assert cc.tube.PASSES == 2 and 6315 // cc.tube.GUESS_ANCHORS == 10
-    anchor_grid = cfg.n_s * 6315
-    slices = 9 * cfg.n_s * 633 + 9 * anchor_grid
-    f = anchor_grid + slices + cfg.ab_offsets * anchor_grid
+    anchor_grid = cc.tube.N_S * 6315
+    slices = 9 * cc.tube.N_S * 633 + 9 * anchor_grid
+    f = anchor_grid + slices + cc.tube.AB_OFFSETS * anchor_grid
     assert seen == {"f": f, "J": slices + anchor_grid}
 
 
@@ -505,8 +504,7 @@ def test_ab_profile_memory(vdp, vdp_cert):
     # the block-wise profile allocates under a quarter of what the
     # whole-array form holds at its peak on the session tube
     tube = vdp_cert.tube
-    cfg = PipelineConfig()
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cc.tube.N_S)
     radius = session_radius(tube, grids.s)
     peaks = []
     anchors = np.arange(tube.N1)
@@ -516,7 +514,7 @@ def test_ab_profile_memory(vdp, vdp_cert):
     ):
         tracemalloc.start()
         try:
-            fn(vdp, *args, cfg)
+            fn(vdp, *args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -586,9 +584,9 @@ def test_streamed_build_matches_whole_grid(
     anchors = np.unique(np.append(np.arange(0, N1, stride), N1 - 1))
     assert 1 < anchors[-1] - anchors[-2] < stride
     # block grids and the anchor grid are columns of the whole-loop grid
-    whole = cc.SegmentGrids(field, traj, N1, cfg.n_s)
+    whole = cc.SegmentGrids(field, traj, N1, cc.tube.N_S)
     for segs in (slice(0, B), slice(B, 2 * B), slice(N1 - N1 % B, N1), anchors):
-        part = cc.SegmentGrids(field, traj, N1, cfg.n_s, segs)
+        part = cc.SegmentGrids(field, traj, N1, cc.tube.N_S, segs)
         for name in ("P0", "P1", "FC0", "FC1", "nFC", "W0", "W1", "FN0", "FN1"):
             got, ref = getattr(part, name), getattr(whole, name)[..., segs]
             assert got.tobytes() == ref.tobytes(), name
@@ -630,7 +628,7 @@ def test_m_tilde_is_formed_when_read(vdp):
     ).first()
     tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3)
     assert tube._m_tilde is None
-    grids = cc.SegmentGrids(vdp, traj, N1, PipelineConfig().n_s)
+    grids = cc.SegmentGrids(vdp, traj, N1, cc.tube.N_S)
     m = tube.m_tilde
     assert m is tube.m_tilde and not m.flags.writeable
     assert m.tobytes() == norm_planes(grids.P0, grids.P1).max(axis=0).tobytes()
@@ -665,12 +663,11 @@ def test_one_anchor_grid_per_certificate(vdp, monkeypatch):
 def test_lambda_bridge_matches_gap_loop(vdp, vdp_cert, stride):
     # strides 7, 10 and 50 leave a short last gap before segment N1 - 1
     tube = vdp_cert.tube
-    cfg = PipelineConfig(lambda_stride=stride)
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cfg.n_s)
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cc.tube.N_S)
     anchors = np.arange(0, tube.N1, stride)
     if anchors[-1] != tube.N1 - 1:
         anchors = np.append(anchors, tube.N1 - 1)
-    lam = cc.lambda_profile(vdp, grids, session_radius(tube, grids.s), anchors, cfg)
+    lam = cc.lambda_profile(vdp, grids, session_radius(tube, grids.s), anchors)
     lam_ref = bridge_loop(lam[anchors], anchors, tube.N1, 1.0, cc.tube.PAD_FACTOR)
     assert np.array_equal(lam, lam_ref)
 
@@ -683,20 +680,19 @@ def test_lambda_profile_blocks_bit_exact(vdp, vdp_cert, monkeypatch, stride, per
     # one block over the loop; the first 4001 segments keep the one-block
     # and one-anchor runs small and leave a short last gap and last block
     tube = vdp_cert.tube
-    cfg = PipelineConfig(lambda_stride=stride)
     N1 = 4001
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, N1, cfg.n_s)
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, N1, cc.tube.N_S)
     radius = session_radius(tube, grids.s)[:, :N1]
     anchors = np.unique(np.append(np.arange(0, N1, stride), N1 - 1))
-    points = 9 * cfg.n_s  # slice points per anchor: 8 offsets and the center
+    points = 9 * cc.tube.N_S  # slice points per anchor: 8 offsets and the center
     monkeypatch.setattr(cc.tube, "LAMBDA_BLOCK", anchors.size * points)
-    lam_ref = cc.lambda_profile(vdp, grids, radius, anchors, cfg)
+    lam_ref = cc.lambda_profile(vdp, grids, radius, anchors)
     if per_block is None:
         monkeypatch.undo()
         assert cc.tube.LAMBDA_BLOCK < anchors.size * points
     else:
         monkeypatch.setattr(cc.tube, "LAMBDA_BLOCK", per_block * points)
-    lam = cc.lambda_profile(vdp, grids, radius, anchors, cfg)
+    lam = cc.lambda_profile(vdp, grids, radius, anchors)
     assert np.array_equal(lam, lam_ref)
 
 
@@ -725,16 +721,16 @@ def test_stride_one_ab_is_per_segment(vdp, vdp_cert, monkeypatch, system):
     cfg = PipelineConfig(lambda_stride=1)
     calls = []
 
-    def spy(field, grids, radius, anchors, cfg):
+    def spy(field, grids, radius, anchors):
         calls.append((grids, radius))
-        return real(field, grids, radius, anchors, cfg)
+        return real(field, grids, radius, anchors)
 
     real = cc.tube.ab_profile
     monkeypatch.setattr(cc.tube, "ab_profile", spy)
     tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
     ((grids, radius),) = calls
-    assert radius.shape == (cfg.n_s, N1)
-    a_ref, b_ref = ab_profile_whole(field, interleaved(grids), radius, cfg)
+    assert radius.shape == (cc.tube.N_S, N1)
+    a_ref, b_ref = ab_profile_whole(field, interleaved(grids), radius)
     assert tube.a_seg.tobytes() == a_ref.tobytes()
     assert tube.b_seg.tobytes() == b_ref.tobytes()
 
