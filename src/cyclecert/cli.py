@@ -3,7 +3,7 @@
 Subcommands: simulate | certify-existence | certify-attraction |
 error-curve | constants.  Exit codes: 0 on success/certified, 1 on a valid
 run with a negative verdict, 2 on a blocking error (with a machine-readable
-error JSON in the output directory).
+error JSON in the output directory), an internal error among them.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -261,6 +262,10 @@ def main(argv=None) -> int:
     except CycleCertError as e:
         _write_error(args, type(e).__name__, e)
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as e:  # a bug, not a verdict: exit 2, never 1
+        traceback.print_exc()
+        _write_error(args, "internal-error", f"{type(e).__name__}: {e}")
         return EXIT_ERROR
 
 

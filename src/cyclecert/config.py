@@ -25,6 +25,23 @@ def threads_from_env() -> int:
     return val
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise InputError, naming ``name``, unless ``value`` is finite and
+    > 0 (NaN, an infinity, 0 and negatives are refused)."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_step_count(name: str, h: float, horizon: float) -> None:
+    """Raise InputError, naming ``name``, unless the step count
+    ``horizon / h`` of a run is finite (``h = 5e-324`` overflows it)."""
+    if not math.isfinite(horizon / h):
+        raise InputError(
+            f"{name} = {h!r} leaves no finite step count horizon / h = "
+            f"{horizon!r} / {h!r}"
+        )
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """The two settings a run chooses (``--stride`` and ``--samples``).
@@ -57,8 +74,9 @@ class RunConfig:
 
     ``system`` is anything :func:`cyclecert.systems.load_system` takes: a
     spec dict or the path of a system JSON file.  Every step, radius, rate,
-    horizon and period count must be finite and positive, and every point
-    finite.
+    horizon and period count must be finite and positive, the step count
+    ``horizon / h`` finite for ``h`` and every ``h_list`` entry, and every
+    point finite.
     """
 
     system: dict | str
@@ -74,11 +92,11 @@ class RunConfig:
     pipeline: PipelineConfig = dc_field(default_factory=PipelineConfig)
 
     def validate(self):
-        names = ("h", "delta0", "gamma", "horizon", "periods")
-        values = [(n, getattr(self, n)) for n in names]
-        for name, val in values + [("h_list", v) for v in self.h_list or ()]:
-            if not (math.isfinite(val) and val > 0.0):
-                raise InputError(f"{name} must be finite and positive, got {val!r}")
+        for name in ("delta0", "gamma", "horizon", "periods"):
+            require_positive(name, getattr(self, name))
+        for name, h in [("h", self.h)] + [("h_list", v) for v in self.h_list or ()]:
+            require_positive(name, h)
+            require_step_count(name, h, self.horizon)
         for name in ("x0", "y0"):
             if not all(map(math.isfinite, getattr(self, name) or ())):
                 raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")

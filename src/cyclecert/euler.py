@@ -26,6 +26,7 @@ from typing import List
 
 import numpy as np
 
+from .config import require_positive
 from .errors import DivergedError, InputError, NumericError
 from .measures import planar_norm
 from .systems import VectorField
@@ -334,8 +335,7 @@ def simulate(
         If any node is non-finite; carries the first bad index.  The
         contents of ``out`` are then unspecified.
     """
-    if h <= 0.0:
-        raise InputError("step size h must be positive")
+    require_positive("h", h)
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
     x0 = np.array(x0, dtype=float)
@@ -383,6 +383,11 @@ class Section:
         if not np.isfinite(f).all():
             raise InputError(
                 f"the field is not finite at the start point {anchor.tolist()}: "
+                f"f = {f.tolist()}"
+            )
+        if not np.linalg.norm(f) > 0.0:
+            raise InputError(
+                f"the field vanishes at the start point {anchor.tolist()}: "
                 f"f = {f.tolist()}"
             )
         return cls(anchor, f)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import PipelineConfig, require_positive, require_step_count
 from .constants import (
     EtaEstimate,
     GlobalConstants,
@@ -41,6 +41,7 @@ from .errors import (
     CycleCertError,
     InputError,
     InvalidReparametrizationError,
+    NumericError,
 )
 from .euler import (
     EulerTrajectory,
@@ -407,10 +408,8 @@ def build_tube(
     only sets the radii that (a, b) and the final Lambda are sampled on, and
     :func:`radius_excess` checks the final tube against those radii.
     """
-    if delta0 <= 0.0:
-        raise InputError("delta0 must be positive")
-    if gamma <= 0.0:
-        raise InputError("gamma must be positive")
+    for name, value in (("h", traj.h), ("delta0", delta0), ("gamma", gamma)):
+        require_positive(name, value)
     config.validate()
 
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
@@ -506,13 +505,23 @@ def check_step_condition(
     """Check delta_{i-1}(s) >= h (M_i (2L/(gamma a_i) + 1) + b_i M_f) per segment.
 
     The s-minimum of the tube radius sits at an endpoint of the segment
-    (monotone exponential), so min(delta_{i-1}, delta_i) suffices.
+    (monotone exponential), so min(delta_{i-1}, delta_i) suffices.  A floor
+    that is not finite (a gamma so small that 2L/(gamma a_i) overflows)
+    raises NumericError: there is no condition to report.
     """
     h = tube.h
-    rhs = h * (
-        tube.m_tilde * (2.0 * constants.L / (tube.gamma * tube.a_seg) + 1.0)
-        + tube.b_seg * constants.M_f
-    )
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        rhs = h * (
+            tube.m_tilde * (2.0 * constants.L / (tube.gamma * tube.a_seg) + 1.0)
+            + tube.b_seg * constants.M_f
+        )
+    if not np.isfinite(rhs).all():
+        i = int(np.argmin(np.isfinite(rhs)))
+        raise NumericError(
+            f"the step condition's floor is not finite at segment {i + 1}: "
+            f"2L/(gamma a) = 2 * {constants.L!r} / ({tube.gamma!r} * "
+            f"{float(tube.a_seg[i])!r})"
+        )
     dmin = np.minimum(tube.delta[:-1], tube.delta[1:])
     margins = dmin - rhs
     k = int(np.argmin(margins))
@@ -725,10 +734,10 @@ def certify_existence(
     diagnostics rather than raised, except for plain input errors.
     """
     config.validate()
-    if gamma <= 0.0:
-        raise InputError("gamma must be positive")
-    if delta0 <= 0.0:
-        raise InputError("delta0 must be positive")
+    values = {"h": h, "delta0": delta0, "gamma": gamma, "horizon": horizon}
+    for name, value in values.items():
+        require_positive(name, value)
+    require_step_count("h", h, horizon)
     cert = ExistenceCertificate(
         verdict="failed",
         system=field.name,

@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclecert
 from cyclecert.cli import _run_config, build_parser, main
@@ -216,6 +219,113 @@ def test_field_overflow_at_start_point_exit2(tmp_path):
     assert code == 2
     detail = json.loads((out / "error.json").read_text())["detail"]
     assert "not finite at the start point [1e+300, 0.0]" in detail
+
+
+def test_equilibrium_start_point_exit2(tmp_path):
+    # the Van der Pol origin is an equilibrium: no section runs through it,
+    # and the error says why, naming the point
+    out = tmp_path / "equilibrium"
+    code = main(
+        ["certify-existence", "--preset", "vdp-example1", "--x0", "0,0",
+         "--out", str(out)]
+    )
+    assert code == 2
+    detail = json.loads((out / "error.json").read_text())["detail"]
+    assert "the field vanishes at the start point [0.0, 0.0]" in detail
+
+
+@pytest.mark.parametrize(
+    "command,option,name",
+    [("certify-existence", "--h", "h"), ("error-curve", "--h-list", "h_list")],
+)
+def test_step_count_overflow_exit2(tmp_path, command, option, name):
+    # horizon / h overflows for a subnormal step, so the run has no finite
+    # step count: refused before any work, naming the value
+    out = tmp_path / "subnormal"
+    preset = "vdp-example2" if command == "error-curve" else "vdp-example1"
+    code = main([command, "--preset", preset, option, "5e-324", "--out", str(out)])
+    assert code == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "input-error"
+    assert doc["detail"].startswith(f"{name} ") and "5e-324" in doc["detail"]
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_internal_error_exit2(tmp_path, monkeypatch, capsys):
+    # an exception that is not a CycleCertError is a bug, not a verdict:
+    # exit 2 with error.json, and the traceback on stderr
+    def broken(*args, **kwargs):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(cyclecert.cli, "certify_existence", broken)
+    out = tmp_path / "internal"
+    code = main(["certify-existence", "--preset", "vdp-example1", "--out", str(out)])
+    assert code == 2
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "internal-error"
+    assert doc["detail"] == "ZeroDivisionError: float division by zero"
+    assert "Traceback" in capsys.readouterr().err
+
+
+# every kind of bad float: not a number, infinite, zero, negative,
+# subnormal (5e-324 overflows horizon / h) and huge
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e300]
+
+
+def _run_value(lo, hi, special=SPECIAL):
+    return st.one_of(st.sampled_from(special), st.floats(lo, hi))
+
+
+def _option(values):
+    return st.one_of(st.none(), values)
+
+
+_coordinate = _run_value(-3.0, 3.0)
+# steps of at least 2e-3 and horizons of at most 12 keep each run under
+# 6,000 steps.  A huge horizon, a tiny normal step (1e-300) and a huge
+# --samples are left out: the run then steps, or allocates, as much as
+# they ask, without bound
+CLI_RUNS = st.fixed_dictionaries(
+    {
+        "--h": _run_value(2e-3, 2e-2),
+        "--delta0": _option(_run_value(0.01, 0.5)),
+        "--gamma": _option(_run_value(1e-3, 0.1)),
+        "--horizon": _option(_run_value(0.5, 12.0, SPECIAL[:-1])),
+        "--x0": _option(st.tuples(_coordinate, _coordinate)),
+        "--stride": _option(st.sampled_from([0, -1, 10**9]) | st.integers(1, 50)),
+        "--samples": _option(st.integers(-1, 5)),
+    }
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(CLI_RUNS)
+def test_certify_existence_never_escapes(run):
+    # any run value reaches a verdict (exit 0 or 1, schema-valid
+    # certificate), a blocking certificate, or a diagnosed error.json (exit
+    # 2); never an exception, and never an internal error
+    argv = ["certify-existence", "--preset", "vdp-example1"]
+    for option, value in run.items():
+        # --h=-inf: a separate "-inf" would read as an option
+        if isinstance(value, tuple):
+            argv.append(f"{option}={','.join(map(repr, value))}")
+        elif value is not None:
+            argv.append(f"{option}={value!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        code = main(argv + ["--out", str(out)])
+        names = sorted(p.name for p in out.iterdir())
+        if "error.json" in names:
+            doc = json.loads((out / "error.json").read_text())
+            assert (code, names) == (2, ["error.json"])
+            assert doc["kind"] == "error" and doc["error"] != "internal-error", doc
+            return
+        doc = json.loads((out / "existence_certificate.json").read_text())
+    jsonschema.validate(doc, load_schema("existence_certificate.schema.json"))
+    if doc["verdict"] == "certified":
+        assert code == 0
+    else:
+        assert code == (1 if doc["failure"]["kind"] == "negative" else 2), doc["failure"]
 
 
 def test_pipeline_config_has_only_cli_settings():

@@ -1,9 +1,12 @@
 import ast
+import importlib
 import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cyclecert
 
@@ -96,6 +99,16 @@ def test_module_imports_are_used():
     assert unused == []
 
 
+def _fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cyclecert.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    return done.stdout.strip()
+
+
 def test_registry_load_does_not_import_sympy():
     # importing sympy takes longer than a whole registry load; only inline
     # specs need it
@@ -103,12 +116,7 @@ def test_registry_load_does_not_import_sympy():
         "import sys, cyclecert; cyclecert.load_system({'id': 'vanderpol'}); "
         "print('sympy' in sys.modules)"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cyclecert.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "False"
+    assert _fresh(code) == "False"
 
 
 def test_registry_systems_are_planar_views():
@@ -123,3 +131,63 @@ def test_registry_systems_are_planar_views():
         if not (isinstance(field.rhs, view) and isinstance(field.jacobian, view))
     ]
     assert stacked == []
+
+
+def test_load_system_imports_three_package_modules():
+    # the start-up the benchmark times: import plus a preset's load_system
+    # needs errors, config and systems only, and no thread pool
+    code = (
+        "import sys, cyclecert\n"
+        "cyclecert.load_system(cyclecert.get_preset('vdp-example1').system)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cyclecert')))\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
+    assert _fresh(code).splitlines() == [
+        "['cyclecert', 'cyclecert.config', 'cyclecert.errors', 'cyclecert.systems']",
+        "False",
+    ]
+
+
+def test_simulate_loads_no_certificate_modules():
+    # demos/01's calls step and find returns without the tube, the basin
+    # sweep or the error curve
+    code = (
+        "import sys, cyclecert as cc\n"
+        "field = cc.load_system({'id': 'vanderpol', 'params': {'p': 0.3}})\n"
+        "traj = cc.simulate(field, (1.8929, -0.5383), 1e-3, 7000)\n"
+        "section = cc.Section.through(field, traj.nodes[0])\n"
+        "cc.return_times(traj, section, 1, cc.default_exclusion(1e-3, 0.1))\n"
+        "print(sorted(m for m in ('tube', 'attraction', 'syncerr')"
+        " if 'cyclecert.' + m in sys.modules))"
+    )
+    assert _fresh(code) == "[]"
+
+
+def test_package_names_resolve_to_their_submodule():
+    # each name the package exports is its submodule's own object, and
+    # each submodule is reachable as an attribute
+    for name, module in cyclecert._SOURCE.items():
+        owner = importlib.import_module(f"cyclecert.{module}")
+        assert getattr(cyclecert, name) is getattr(owner, name), name
+    for module in cyclecert._API:
+        assert getattr(cyclecert, module) is importlib.import_module(
+            f"cyclecert.{module}"
+        )
+    api = {*cyclecert._API, *cyclecert._SOURCE}
+    assert sorted(api) == cyclecert.__all__
+    assert api <= set(dir(cyclecert))
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyclecert.no_such_name
+    assert not hasattr(cyclecert, "__no_such_dunder__")
+
+
+def test_star_import_binds_the_whole_api():
+    code = (
+        "from cyclecert import *\n"
+        "import cyclecert\n"
+        "print([n for n in cyclecert.__all__ if n not in globals()])"
+    )
+    assert _fresh(code) == "[]"

@@ -11,7 +11,12 @@ import pytest
 import cyclecert
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
-from cyclecert.errors import DivergedError, InputError, InvalidReparametrizationError
+from cyclecert.errors import (
+    DivergedError,
+    InputError,
+    InvalidReparametrizationError,
+    NumericError,
+)
 from cyclecert.measures import norm_planes
 from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_excess
@@ -284,6 +289,54 @@ def test_gamma_guard():
         )
     with pytest.raises(InputError):
         cc.sigma_rate(1.0, 0.9, 1.1, -0.015)
+
+
+BAD_RUN_VALUES = [np.nan, np.inf, -np.inf, 0.0, -1.0]
+
+
+@pytest.mark.parametrize("value", BAD_RUN_VALUES)
+@pytest.mark.parametrize("name", ["h", "delta0", "gamma", "horizon"])
+def test_certify_existence_refuses_bad_run_value(vdp, name, value):
+    # the library entry point refuses what RunConfig.validate refuses,
+    # before any stepping, with the field's name
+    run = dict(h=VDP_H, delta0=VDP_DELTA0, gamma=VDP_GAMMA, horizon=10.0)
+    run[name] = value
+    with pytest.raises(InputError, match=f"^{name} must be finite and positive"):
+        cc.certify_existence(vdp, VDP_X0, config=PipelineConfig(), **run)
+
+
+@pytest.mark.parametrize("value", BAD_RUN_VALUES)
+@pytest.mark.parametrize("name", ["h", "delta0", "gamma"])
+def test_build_tube_refuses_bad_run_value(vdp, name, value):
+    traj = cc.simulate(vdp, VDP_X0, 1e-3, 10)
+    if name == "h":
+        # a trajectory's step is refused by simulate; build the bad one
+        traj = cc.EulerTrajectory(vdp, traj.x0, value, traj.nodes)
+    run = dict(delta0=0.1, gamma=0.015)
+    run[name] = value
+    with pytest.raises(InputError, match=f"^{name} must be finite and positive"):
+        cc.build_tube(vdp, traj, 6.3, 10, run["delta0"], run["gamma"], M_f=2.3)
+
+
+def test_simulate_refuses_bad_step(vdp):
+    for value in BAD_RUN_VALUES:
+        with pytest.raises(InputError, match="^h must be finite and positive"):
+            cc.simulate(vdp, VDP_X0, value, 10)
+
+
+def test_certify_existence_refuses_overflowing_step_count(vdp):
+    with pytest.raises(InputError, match="^h = 5e-324 leaves no finite step count"):
+        cc.certify_existence(vdp, VDP_X0, 5e-324, VDP_DELTA0, VDP_GAMMA)
+
+
+def test_step_condition_refuses_an_overflowing_floor(vdp_cert):
+    # a gamma so small that 2L/(gamma a) overflows leaves no finite floor to
+    # compare with: a NumericError (a blocking certificate), never an
+    # infinite margin in the certificate
+    tube = copy.copy(vdp_cert.tube)
+    tube.gamma = 5e-324
+    with pytest.raises(NumericError, match="floor is not finite at segment 1: "):
+        cc.check_step_condition(tube, vdp_cert.constants)
 
 
 def test_certificate_dict_layout(vdp_cert):
