@@ -21,9 +21,7 @@ existence = cc.certify_existence(
 )
 assert existence.certified, existence.failure
 
-att = cc.certify_attraction(
-    existence, field, cc.PipelineConfig(), horizon=10.0, reference_d=-0.34
-)
+att = cc.certify_attraction(existence, reference_d=-0.34)
 print(f"verdict: {att.verdict}")
 print(f"sampled loop exponents ({att.sample_count} start points):")
 for e in att.exponents:

@@ -88,7 +88,7 @@ def contraction_exponent(
             f"start point {z.tolist()} did not return within horizon {horizon:g}"
         )
     traj, R1, N1 = loop
-    _, M_f = estimate_magnitude_bounds(field, traj.nodes[: N1 + 1], magnitude="state")
+    _, M_f = estimate_magnitude_bounds(field, traj.nodes[: N1 + 1])
     return _tube_exponent(
         z, build_tube(field, traj, R1, N1, delta0, gamma, M_f, config)
     )
@@ -313,17 +313,13 @@ class AttractionCertificate:
 
 
 def certify_attraction(
-    existence: ExistenceCertificate,
-    field: VectorField,
-    config: PipelineConfig = PipelineConfig(),
-    horizon: float = 10.0,
-    reference_d: Optional[float] = None,
+    existence: ExistenceCertificate, reference_d: Optional[float] = None
 ) -> AttractionCertificate:
     """Sweep the initial disk and issue the basin certificate.
 
-    Requires a certified existence certificate; its constants provide D and
-    the return-time bounds, and its tube the exponent of the disk center
-    when the sweep samples it with the existence run's settings.
+    Requires a certified existence certificate.  The sweep runs with its
+    field, settings and horizon; its constants provide D and the
+    return-time bounds, and its tube the exponent of the disk center.
     """
     if not existence.certified:
         raise InputError(
@@ -336,6 +332,7 @@ def certify_attraction(
     cert.T_lo, cert.T_hi = c.T_lo, c.T_hi
     cert.R_prime, cert.eta = c.R_prime, c.eta
     cert.D = compute_D(c.M_C, c.L, existence.gamma, c.a, c.b)
+    field, config = existence.trajectory.field, existence.config
     try:
         sweep = sweep_Y0(
             field,
@@ -344,7 +341,7 @@ def certify_attraction(
             existence.h,
             existence.gamma,
             config,
-            horizon,
+            existence.horizon,
             existence=existence,
         )
         cert.d = sweep.d

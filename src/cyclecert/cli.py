@@ -149,13 +149,7 @@ def cmd_certify_attraction(args) -> int:
     write_json(out / "existence_certificate.json", existence.to_dict())
     if not existence.certified:
         return _exit_code(existence)
-    cert = certify_attraction(
-        existence,
-        field,
-        cfg.pipeline,
-        cfg.horizon,
-        reference_d=cfg.reference_d,
-    )
+    cert = certify_attraction(existence, reference_d=cfg.reference_d)
     write_json(out / "attraction_certificate.json", cert.to_dict())
     return _exit_code(cert)
 
@@ -174,6 +168,14 @@ def cmd_error_curve(args) -> int:
     if loop is None:
         raise InputError("no section return found; cannot size the horizon")
     horizon = cfg.periods * loop[1]
+    # the coarse run at the smallest step holds ceil(horizon / h) + 1 nodes
+    # of two float64 each, which numpy indexes by a signed machine word
+    if not 16 * (horizon / min(cfg.h_list) + 2) <= sys.maxsize:
+        raise InputError(
+            f"periods = {cfg.periods!r} asks for a coarse run over "
+            f"{horizon:g} time units at h = {min(cfg.h_list):g}, more nodes "
+            "than an array can hold"
+        )
     report = error_curve_experiment(
         field,
         cfg.x0,

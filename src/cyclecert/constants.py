@@ -92,16 +92,9 @@ def _spectral_radius_candidates(J: np.ndarray) -> np.ndarray:
     return J[rho >= floor]
 
 
-def estimate_magnitude_bounds(field: VectorField, points, magnitude: str = "field"):
-    """(min, max) of |f(x)| (``field``) or |x| (``state``) over an (m, n)
-    point array."""
-    pts = _point_array(field, points)
-    if magnitude == "field":
-        vals = planar_norm(field.f_raw(pts))
-    elif magnitude == "state":
-        vals = planar_norm(pts)
-    else:
-        raise InputError(f"unknown magnitude kind {magnitude!r}")
+def estimate_magnitude_bounds(field: VectorField, points):
+    """(min, max) of |x| over an (m, n) point array."""
+    vals = planar_norm(_point_array(field, points))
     return float(vals.min()), float(vals.max())
 
 
@@ -111,7 +104,8 @@ def estimate_speed_bounds(field: VectorField, points):
     Raises if the minimum falls below the equilibrium floor, since every
     transverse construction downstream divides by |f|.
     """
-    m, M = estimate_magnitude_bounds(field, points, magnitude="field")
+    speeds = planar_norm(field.f_raw(_point_array(field, points)))
+    m, M = float(speeds.min()), float(speeds.max())
     if m <= M_FLOOR:
         raise EquilibriumProximityError(
             f"sampled min |f| = {m:g} is at the floor; an equilibrium may "

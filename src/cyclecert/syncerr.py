@@ -9,13 +9,15 @@ short window followed by an exact linear root, warm-started at the previous
 theta; theta is nondecreasing by construction.
 
 The scan runs over blocks of samples at once, in windowed passes whose
-boundaries Newton predictions of theta place.  The error curve steps its
-reference as a :class:`ReferenceStream`, chunk by chunk as the
-synchronization reaches it, keeping only the nodes from the current window
-on; a :class:`ReferenceSolution` holds a whole reference in memory.  Both
-expose their resident nodes the same way, and one scan reads both.  README
-"Bit-identity contract" says why the passes and the stream give, bit for
-bit, the series of the sample-by-sample rule on one long reference.
+boundaries Newton predictions of theta place, and writes each pass's kept
+samples straight into the series.  A :class:`ReferenceSolution` holds a
+whole reference in memory; a :class:`ReferenceStream` holds only the nodes
+from the current window on, and when the next window is not resident
+:func:`synchronize` advances it by a chunk and scans on, to the last
+sample.  Both expose their resident nodes the same way, and one scan reads
+both.  README "Bit-identity contract" says why the passes and the stream
+give, bit for bit, the series of the sample-by-sample rule on one long
+reference.
 """
 
 from __future__ import annotations
@@ -108,13 +110,11 @@ class ReferenceStream:
 
     Same step h/refine, same step cap.  ``nodes`` holds the resident nodes,
     ``nodes[0]`` being node ``base`` of the reference.  :meth:`advance`
-    drops the nodes before the next sample's window start and steps up to
-    ``STREAM_CHUNK`` more from the last resident node by
+    drops the nodes before the first one a later sample reads and steps up
+    to ``STREAM_CHUNK`` more from the last resident node by
     :func:`~cyclecert.euler.step_on`, so the nodes are those of one long run
-    bit for bit.
-    :func:`synchronize` on a stream continues from sample ``sample``
-    (warm-started at ``theta``) through the samples whose windows are
-    resident, and sets ``finished`` after the last sample.
+    bit for bit.  :func:`synchronize` calls it whenever the next sample's
+    window is not resident, keeping the nodes from that window's start on.
 
     The nodes live in one buffer of a chunk plus ``STREAM_SLACK`` rows:
     :meth:`advance` moves the kept nodes to its front and steps the chunk
@@ -135,20 +135,19 @@ class ReferenceStream:
         self._buffer = np.empty((rows, field.dim))
         self._buffer[0] = y0
         self.nodes = self._buffer[:1]
-        self.sample = 0
-        self.theta = 0.0
-        self.finished = False
 
     @property
     def end(self) -> int:
         """Index of the last resident node."""
         return self.base + self.nodes.shape[0] - 1
 
-    def advance(self):
-        """Drop the nodes no later sample reads, then step the next chunk."""
+    def advance(self, keep: int):
+        """Drop the nodes before node ``keep``, the first one a later sample
+        reads (``base`` keeps every node), then step the next chunk."""
         if self.end >= self.n_steps:
             raise InputError("reference stream is already at its step cap")
-        keep = int(self.theta / self.h)
+        if not self.base <= keep <= self.end:
+            raise InputError(f"node {keep} to keep is not resident")
         start = self.end
         stop = min(start + STREAM_CHUNK, self.n_steps)
         kept = self.nodes[keep - self.base :]
@@ -194,8 +193,8 @@ def synchronize(
     """Synchronized error series at the coarse trajectory's node times.
 
     ``reference`` is a :class:`ReferenceSolution`, or a
-    :class:`ReferenceStream`, for which the series holds the samples from
-    ``reference.sample`` on whose windows are resident.  ``t_max``
+    :class:`ReferenceStream` with its first node resident, which is
+    advanced whenever the next sample's window is not.  ``t_max``
     truncates the sampled times (default: the full trajectory);
     ``substeps`` adds in-segment sample times at spacing h/substeps.
     The reference's node rows must be contiguous (InputError otherwise).
@@ -203,7 +202,7 @@ def synchronize(
     sign change lies within [theta_prev, theta_prev + WINDOW_STEPS*h].
     """
     y0 = np.asarray(y0, dtype=float)
-    if reference.base == 0 and not np.allclose(reference.nodes[0], y0):
+    if reference.base != 0 or not np.allclose(reference.nodes[0], y0):
         raise InputError("reference must start at y0")
     if substeps < 1:
         raise InputError("substeps must be >= 1")
@@ -235,15 +234,15 @@ def synchronize(
             normals = np.concatenate([normals, f_last[None, :]])
         return nodes[a:b], normals
 
-    stream = isinstance(reference, ReferenceStream)
-    j0, theta0 = (reference.sample, reference.theta) if stream else (0, 0.0)
-    j, theta, thetas, errors, residuals = _scan(
-        reference, win, tau_sync, n_samples, sample_times, samples, j0, theta0
-    )
-    if stream:
-        reference.sample, reference.theta = j, theta
-        reference.finished = j == n_samples
-    times = sample_times(j0, j)
+    out = np.empty((3, n_samples))  # thetas, errors, residuals
+    j, theta = 0, 0.0
+    while True:
+        j, theta = _scan(reference, win, tau_sync, sample_times, samples, j, theta, out)
+        if j == n_samples:
+            break
+        # only a stream stops short: its next window is not resident yet
+        reference.advance(int(theta / reference.h))
+    times = sample_times(0, n_samples)
 
     bounds = None
     if tube is not None and D is not None:
@@ -256,16 +255,17 @@ def synchronize(
         bounds = np.maximum(deltas, D * h)
     return SyncErrorSeries(
         times=times,
-        thetas=thetas,
-        errors=errors,
-        residuals=residuals,
+        thetas=out[0],
+        errors=out[1],
+        residuals=out[2],
         h=h,
         bounds=bounds,
     )
 
 
-def _scan(reference, win, tau_sync, n_samples, sample_times, samples, j, theta_prev):
-    """Synchronize samples j, j+1, ... while their windows are resident.
+def _scan(reference, win, tau_sync, sample_times, samples, j, theta_prev, out):
+    """Synchronize samples j, j+1, ... while their windows are resident,
+    writing the theta, error and residual of sample i to ``out[:, i]``.
 
     The rule for one sample with center c and normal n, whose window starts
     at k0 = int(theta_prev / h_ref): g_k = <R[k] - c, n> for k in
@@ -282,10 +282,10 @@ def _scan(reference, win, tau_sync, n_samples, sample_times, samples, j, theta_p
     first one whose k0 was wrong or whose narrowed window holds no
     up-crossing; after the latter, the next pass scans full windows.
 
-    Returns the next sample, the last theta, and the thetas, errors and
-    residuals of the samples synchronized.
+    Returns the next sample and the last theta.
     """
     h_ref, n_ref = reference.h, reference.n_steps
+    n_samples = out.shape[1]
     end = reference.base + reference.nodes.shape[0] - 1
     block = max(1, SYNC_BLOCK_NODES // (win + 1))
     size = block
@@ -293,7 +293,6 @@ def _scan(reference, win, tau_sync, n_samples, sample_times, samples, j, theta_p
     t_prev = sample_times(j - 1, j)[0] if j else 0.0
     rate = 1.0  # d(theta)/dt over the last pass, for the first guess
     full = False  # the last pass found no root in a narrowed window
-    kept = []
     while j < n_samples:
         if k_prev >= n_ref:
             raise SynchronizationLostError(
@@ -342,14 +341,12 @@ def _scan(reference, win, tau_sync, n_samples, sample_times, samples, j, theta_p
         if failed.size:
             f = int(failed[0])
             raise _lost(code[f], j + f, g0[f], res[f])
-        kept.append((theta[:m], err[:m], res[:m]))
+        out[:, j : j + m] = theta[:m], err[:m], res[:m]
         j += m
         if t[m - 1] > t_prev:
             rate = (theta[m - 1] - theta_prev) / (t[m - 1] - t_prev)
         theta_prev, k_prev, t_prev = theta[m - 1], int(k_next[m - 1]), t[m - 1]
-    if not kept:
-        return j, theta_prev, np.empty(0), np.empty(0), np.empty(0)
-    return (j, theta_prev, *(np.concatenate(column) for column in zip(*kept)))
+    return j, theta_prev
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -517,9 +514,6 @@ class ErrorCurveReport:
         }
 
 
-_COLUMNS = ("times", "thetas", "errors", "residuals", "bounds")
-
-
 def _coarse_run(field, x0, h, n_steps, prefix) -> EulerTrajectory:
     """The Euler run of ``n_steps`` steps from x0 whose first nodes are
     ``prefix``, the nodes of a shorter or longer run: only the steps past it
@@ -555,8 +549,8 @@ def error_curve_experiment(
     in practice, so a failed verdict is recorded per run rather than fatal;
     only a run without constants, hence without D, raises.
 
-    A run's coarse trajectory steps on from the certificate's run, and its
-    series columns are allocated once and filled as the reference streams.
+    A run's coarse trajectory steps on from the certificate's run, and one
+    :func:`synchronize` call steps its :class:`ReferenceStream` to the end.
     ``probe``, a :func:`~cyclecert.euler.first_loop` trajectory from x0
     over ``cert_horizon`` (the one that sized ``horizon``), is the prefix of
     the certificate run at its step size, which is then not stepped again.
@@ -576,18 +570,8 @@ def error_curve_experiment(
         D = compute_D(c.M_C, c.L, gamma, c.a, c.b)
         n_steps = int(math.ceil(horizon / h))
         traj = _coarse_run(field, x0, h, n_steps, cert.trajectory.nodes)
-        series = SyncErrorSeries(
-            h=traj.h, **{k: np.empty(n_steps + 1) for k in _COLUMNS}
-        )
         ref = ReferenceStream(field, y0, h, horizon * (c.b + 0.1), refine=refine)
-        j = 0
-        while not ref.finished:
-            ref.advance()
-            part = synchronize(ref, traj, y0, tube=cert.tube, D=D)
-            m = j + part.times.size
-            for name in _COLUMNS:
-                getattr(series, name)[j:m] = getattr(part, name)
-            j = m
+        series = synchronize(ref, traj, y0, tube=cert.tube, D=D)
         tail = series.tail_max()
         runs.append(
             ErrorCurveRun(

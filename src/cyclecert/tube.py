@@ -765,7 +765,7 @@ def certify_existence(
         # provisional magnitude bound over flat-radius slices, for the
         # alpha bookkeeping inside the builder
         grids_pts = traj.nodes[: N1 + 1]
-        _, M_f0 = estimate_magnitude_bounds(field, grids_pts, magnitude="state")
+        _, M_f0 = estimate_magnitude_bounds(field, grids_pts)
         tube = build_tube(field, traj, R1, N1, delta0, gamma, M_f0, config)
         cert.tube = tube
         cert.pass_history = tube.pass_history
@@ -777,7 +777,7 @@ def certify_existence(
         L = estimate_lipschitz(field, seg_samples)
         samples = _collect_tube_samples(tube, margin)
         m, _ = estimate_speed_bounds(field, samples)
-        _, M_C = estimate_magnitude_bounds(field, samples, magnitude="state")
+        _, M_C = estimate_magnitude_bounds(field, samples)
         M_f = max(M_C, float(tube.m_tilde.max()))
 
         incl = check_return_inclusion(tube, traj)

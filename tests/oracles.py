@@ -29,7 +29,6 @@ from cyclecert.measures import (
     symmetric_part,
 )
 from cyclecert import tube as cctube
-from cyclecert.syncerr import SyncErrorSeries
 from cyclecert.tube import (
     GUESS_ANCHORS,
     PASSES,
@@ -247,20 +246,4 @@ def eta_sweep_oracle(field, disk, n_samples, h, horizon, refine=10):
         n_samples=n_samples,
         refine=refine,
         flow_times=t_flow,
-    )
-
-
-def concatenate_series(parts):
-    """One SyncErrorSeries from the consecutive parts of a synchronization."""
-
-    def join(name):
-        return np.concatenate([getattr(p, name) for p in parts])
-
-    return SyncErrorSeries(
-        times=join("times"),
-        thetas=join("thetas"),
-        errors=join("errors"),
-        residuals=join("residuals"),
-        h=parts[0].h,
-        bounds=None if parts[0].bounds is None else join("bounds"),
     )

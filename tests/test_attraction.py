@@ -13,9 +13,7 @@ from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate
 
 @pytest.fixture(scope="module")
 def vdp_attraction(vdp, vdp_cert):
-    cert = cc.certify_attraction(
-        vdp_cert, vdp, PipelineConfig(), horizon=10.0, reference_d=-0.34
-    )
+    cert = cc.certify_attraction(vdp_cert, reference_d=-0.34)
     assert cert.certified, cert.failure
     return cert
 
@@ -153,7 +151,7 @@ def test_attraction_requires_certified_existence(vdp, linear):
         linear, (1.0, 0.0), 1e-2, 0.1, 0.015, PipelineConfig(), horizon=5.0
     )
     with pytest.raises(InputError, match="requires a certified"):
-        cc.certify_attraction(failed, linear)
+        cc.certify_attraction(failed)
 
 
 def test_attraction_vdp_certificate(vdp_attraction, vdp_cert):
@@ -191,7 +189,7 @@ def test_harmonic_attraction_refused(harmonic):
     )
     assert not cert.certified
     with pytest.raises(InputError):
-        cc.certify_attraction(cert, harmonic)
+        cc.certify_attraction(cert)
 
 
 def test_certified_implies_empirical_attraction(vdp, vdp_cert):
@@ -377,7 +375,7 @@ def test_each_start_point_stepped_once(vdp, monkeypatch):
     # at the coarse step only the step condition eq_h fails; the constants
     # are all there
     existence = dataclasses.replace(existence, verdict="certified")
-    cert = cc.certify_attraction(existence, vdp, COARSE_CFG, horizon=10.0)
+    cert = cc.certify_attraction(existence)
     assert cert.sample_count == COARSE_CFG.sweep_samples
     assert len(starts) == len(set(starts))
     disk = existence.tube.y0_disk
@@ -443,7 +441,7 @@ def test_sweep_radius_excess_blocks_attraction(vdp, vdp_cert, vdp_attraction, mo
         return tube
 
     monkeypatch.setattr(cc.attraction, "build_tube", thin)
-    cert = cc.certify_attraction(vdp_cert, vdp, PipelineConfig(), horizon=10.0)
+    cert = cc.certify_attraction(vdp_cert)
     assert not cert.certified
     assert cert.failure["reason"] == "slice-radius-inconsistent"
     assert cert.failure["kind"] == "blocking"

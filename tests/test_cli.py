@@ -192,6 +192,8 @@ def test_invalid_count_exit2(tmp_path, command, option, value):
         ("error-curve", "--h-list", "0", "h_list"),
         ("error-curve", "--h-list", "-0.001", "h_list"),
         ("error-curve", "--periods", "inf", "periods"),
+        ("error-curve", "--periods", "1e300", "periods"),
+        ("error-curve", "--periods", "1e308", "periods"),
         ("error-curve", "--h-list", "abc", "h_list"),
     ],
 )

@@ -1,9 +1,12 @@
 import ast
 import importlib
 import importlib.util
+import io
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -97,6 +100,34 @@ def test_module_imports_are_used():
                 if name not in read and (owner, name) not in wrapped:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_documented_test_names_exist():
+    # every test_... name that README.md or a package docstring or comment
+    # cites is a test function or a test module, so a test that is renamed
+    # or folded leaves no stale name in the docs
+    tests = sorted((ROOT / "tests").glob("test_*.py"))
+    known = {path.stem for path in tests}
+    for path in tests:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        known |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    texts = [(ROOT / "README.md").read_text()]
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(Path(cyclecert.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tree = ast.parse(source, filename=str(path))
+        texts += [
+            ast.get_docstring(node) or ""
+            for node in ast.walk(tree)
+            if isinstance(node, scopes)
+        ]
+        texts += [
+            token.string
+            for token in tokenize.generate_tokens(io.StringIO(source).readline)
+            if token.type == tokenize.COMMENT
+        ]
+    cited = set(re.findall(r"\btest_\w+", "\n".join(texts)))
+    assert cited and sorted(cited - known) == []
 
 
 def _fresh(code):

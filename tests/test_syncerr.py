@@ -19,7 +19,6 @@ from cyclecert.syncerr import (
 )
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
-from oracles import concatenate_series
 
 
 def synchronize_oracle(
@@ -162,11 +161,7 @@ def lost(fn, *args, **kwargs):
 def streamed(field, y0, h, horizon, refine, traj, **kwargs):
     """synchronize over a ReferenceStream, as the error curve runs it."""
     ref = ReferenceStream(field, y0, h, horizon, refine=refine)
-    parts = []
-    while not ref.finished:
-        ref.advance()
-        parts.append(cc.synchronize(ref, traj, y0, **kwargs))
-    return concatenate_series(parts), ref
+    return cc.synchronize(ref, traj, y0, **kwargs), ref
 
 
 def backward_jump(field, h):
@@ -324,10 +319,9 @@ def test_error_curves_deterministic(vdp):
 def test_error_curve_holds_its_series_once(vdp, monkeypatch):
     # the certificate is built before tracing: what is traced is the coarse
     # run, the reference stream and the synchronization.  With small chunks
-    # and passes, the peak is the series, filled in place, plus the coarse
-    # run's nodes (2.1 times the series); keeping the parts and
-    # concatenating them, with the coarse run's whole seg_dirs and f_nodes
-    # cached, peaks at 3.5 times the series.
+    # and passes, the peak is the series, each pass written in place, plus
+    # the coarse run's nodes (1.8 times the series); a list of parts, or
+    # the coarse run's whole seg_dirs and f_nodes cached, would raise it.
     monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1 << 12)
     monkeypatch.setattr(syncerr, "SYNC_BLOCK_NODES", 1 << 12)
     config = PipelineConfig(lambda_stride=50)
@@ -335,14 +329,19 @@ def test_error_curve_holds_its_series_once(vdp, monkeypatch):
         vdp, VDP_X0, 1e-3, VDP_DELTA0, VDP_GAMMA, config, horizon=10.0
     )
     monkeypatch.setattr(syncerr, "certify_existence", lambda *a, **k: cert)
-    coarse = []
-    synchronize = syncerr.synchronize
+    coarse, advances = [], []
+    synchronize, advance = syncerr.synchronize, ReferenceStream.advance
 
     def recorded(reference, traj, *args, **kwargs):
         coarse.append(traj)
         return synchronize(reference, traj, *args, **kwargs)
 
+    def counted(stream, keep):
+        advances.append(keep)
+        advance(stream, keep)
+
     monkeypatch.setattr(syncerr, "synchronize", recorded)
+    monkeypatch.setattr(ReferenceStream, "advance", counted)
     tracemalloc.start()
     try:
         report = cc.error_curve_experiment(
@@ -363,9 +362,9 @@ def test_error_curve_holds_its_series_once(vdp, monkeypatch):
     assert series.times.size == 20001
     columns = ("times", "thetas", "errors", "residuals", "bounds")
     series_bytes = sum(getattr(series, k).nbytes for k in columns)
-    assert peak < 2.5 * series_bytes, (peak, series_bytes)
-    assert len(coarse) > 10
-    assert all(t._seg_dirs is None and t._f_nodes is None for t in coarse)
+    assert peak < 2.0 * series_bytes, (peak, series_bytes)
+    assert len(coarse) == 1 and len(advances) > 10
+    assert coarse[0]._seg_dirs is None and coarse[0]._f_nodes is None
 
 
 @pytest.mark.parametrize("n_steps", [4000, 10000, 25000])
@@ -512,13 +511,15 @@ def test_synchronize_lost_matches_oracle(vdp):
 
 
 def test_stream_nodes_match_one_run(vdp):
-    # four chunks from a stream nobody synchronizes (theta stays 0, so every
-    # node stays resident) against one simulate call over the same steps
+    # four chunks from a stream that keeps every node against one simulate
+    # call over the same steps
     stream = ReferenceStream(vdp, VDP_X0, 1e-3, 4.0, refine=1000)
     assert stream.n_steps > 3 * syncerr.STREAM_CHUNK
     for _ in range(4):
-        stream.advance()
+        stream.advance(stream.base)
     assert stream.base == 0 and stream.end == 4 * syncerr.STREAM_CHUNK
+    with pytest.raises(InputError, match="not resident"):
+        stream.advance(stream.end + 1)
     one = cc.simulate(vdp, VDP_X0, 1e-6, stream.end)
     assert np.array_equal(stream.nodes, one.nodes)
 
@@ -530,7 +531,7 @@ def test_stream_stops_after_last_window(vdp):
     series, stream = streamed(vdp, VDP_X0, h, 16.0, refine, traj)
     assert series.times.size == 6001
     win = int(3.0 * h / stream.h) + 4
-    k_last = int(stream.theta / stream.h)
+    k_last = int(series.thetas[-1] / stream.h)
     assert stream.end <= k_last + win + syncerr.STREAM_CHUNK < stream.n_steps
     assert stream.base <= k_last
     assert stream.nodes.shape[0] <= win + syncerr.STREAM_CHUNK + 1
@@ -582,9 +583,7 @@ def test_stream_divergence_names_the_global_node(monkeypatch, handwritten, keep_
         named = f"non-finite state at node {bad}$"
         with pytest.raises(DivergedError, match=named) as got:
             while True:
-                if not keep_all:
-                    stream.theta = stream.end * stream.h
-                stream.advance()
+                stream.advance(stream.base if keep_all else stream.end)
     assert got.value.first_bad_index == bad
     assert stream.end < bad < stream.end + 1024
 
@@ -614,29 +613,46 @@ def test_pass_constants_change_only_the_speed(
     assert_same_series(got, want)
 
 
+def test_synchronize_runs_a_stream_to_the_end(vdp, chunked_case, monkeypatch):
+    # one call on a fresh stream, which holds only its first node, advances
+    # it chunk by chunk to the last sample: the series is the oracle's on
+    # the whole reference
+    monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1 << 14)
+    traj, kwargs, want = chunked_case
+    stream = ReferenceStream(vdp, VDP_X0, traj.h, 4.0, refine=50)
+    assert stream.end == 0
+    got = cc.synchronize(stream, traj, VDP_X0, **kwargs)
+    assert stream.end > 8 * (1 << 14)
+    assert_same_series(got, want)
+
+
 def test_stream_reuses_its_buffer(vdp, monkeypatch):
-    # while the kept nodes and a chunk fit, every advance steps into the
-    # buffer of the one before; a stream that keeps every node doubles it
+    # while the kept nodes and a chunk fit, every advance the
+    # synchronization makes steps into the buffer of the one before; a
+    # stream that keeps every node doubles it
     monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1 << 14)
     h = 1e-3
     traj = cc.simulate(vdp, VDP_X0, h, 3000)
     stream = ReferenceStream(vdp, VDP_X0, h, 4.0, refine=50)
     rows = stream._buffer.shape[0]
     assert rows == (1 << 14) + 1 + syncerr.STREAM_SLACK
-    advances = 0
-    while not stream.finished:
-        before = stream.nodes
-        stream.advance()
-        assert np.shares_memory(stream.nodes, before)
-        cc.synchronize(stream, traj, VDP_X0)
-        advances += 1
-    assert advances > 8 and stream._buffer.shape[0] == rows
+    shared = []
+    advance = ReferenceStream.advance
+
+    def recorded(self, keep):
+        before = self.nodes
+        advance(self, keep)
+        shared.append(np.shares_memory(self.nodes, before))
+
+    monkeypatch.setattr(ReferenceStream, "advance", recorded)
+    cc.synchronize(stream, traj, VDP_X0)
+    assert len(shared) > 8 and all(shared) and stream._buffer.shape[0] == rows
 
     stream = ReferenceStream(vdp, VDP_X0, h, 4.0, refine=50)
     sizes = [rows]
     for _ in range(4):
         before = stream.nodes
-        stream.advance()
+        stream.advance(stream.base)
         sizes.append(stream._buffer.shape[0])
         assert np.shares_memory(stream.nodes, before) == (sizes[-1] == sizes[-2])
     assert sizes == [rows, rows, 2 * rows, 4 * rows, 4 * rows]
@@ -785,7 +801,7 @@ def test_reference_sweeps_per_node_stay_pinned(vdp):
     field = dataclasses.replace(vdp, rhs_scalar2=counted)
     stream = ReferenceStream(field, run.y0, 1.25e-4, 40.0, refine=100)
     while stream.end < 1 << 20:
-        stream.advance()
+        stream.advance(stream.base)
     assert stream.h == 1.25e-6 and stream.end == 1 << 20
     assert sum(points) / stream.end <= SWEEP_EVALS_PER_NODE
 
