@@ -6,19 +6,26 @@ endpoints s = 0 and s = h suffices.  If K stays below a negative constant d
 for every start point z of the initial disk, tube radii contract loop over
 loop, the discretization error floor D*h takes over, and the disk is a
 basin of attraction of the certified cycle.
+
+The sweep extends one existence certificate and steps none of its runs
+again.  Its start points are those of the certificate's R' sweep, which
+read the existence run from x0 and kept every run it stepped in
+``ExistenceCertificate.start_runs``; each sample continues its point's run.
+The center sample is x0 bit for bit, so its run is the existence run and
+its exponent is read from the existence tube: the default 11 samples take
+10 tube builds.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
 import numpy as np
 
-from .config import PipelineConfig, threads_from_env
-from .constants import SectionDisk, estimate_magnitude_bounds
+from .config import PipelineConfig, require_positive, threads_from_env
+from .constants import estimate_magnitude_bounds
 from .errors import CertificateBlockedError, CycleCertError, InputError
 from .euler import (
     EulerTrajectory,
@@ -111,35 +118,6 @@ def _tube_exponent(z: np.ndarray, tube) -> ContractionExponent:
     )
 
 
-def _existence_run_from(
-    existence: Optional[ExistenceCertificate],
-    field: VectorField,
-    z: np.ndarray,
-    delta0: float,
-    h: float,
-    gamma: float,
-    config: PipelineConfig,
-    horizon: float,
-) -> bool:
-    """Whether :func:`contraction_exponent` from z would repeat the run of
-    ``existence``, so that the tube it builds is ``existence.tube``.
-
-    The existence run simulates, finds the first return and bounds |x| or
-    |f| exactly as the exponent's run does; the two agree when the start
-    point is bit for bit x0 and the field, h, gamma, delta0, the pipeline
-    configuration and the number of steps are the same.
-    """
-    if existence is None or existence.tube is None or existence.trajectory is None:
-        return False
-    return (
-        existence.trajectory.field is field
-        and z.tobytes() == existence.trajectory.nodes[0].tobytes()
-        and (h, gamma, delta0) == (existence.h, existence.gamma, existence.delta0)
-        and config == existence.config
-        and math.ceil(horizon / h) == math.ceil(existence.horizon / existence.h)
-    )
-
-
 @dataclass
 class SweepResult:
     """Max exponent over the sampled disk; certifiable iff d < 0."""
@@ -152,48 +130,29 @@ class SweepResult:
         return self.d < 0.0
 
 
-def sweep_Y0(
-    field: VectorField,
-    disk: SectionDisk,
-    n_samples: int,
-    h: float,
-    gamma: float,
-    config: PipelineConfig = PipelineConfig(),
-    horizon: float = 10.0,
-    existence: Optional[ExistenceCertificate] = None,
-) -> SweepResult:
-    """Exponents from evenly spaced start points of the disk; d is their
-    maximum K.
+def sweep_Y0(existence: ExistenceCertificate) -> SweepResult:
+    """Exponents from the ``sweep_samples`` evenly spaced points of
+    ``existence.tube.y0_disk`` (both endpoints, and the center only when
+    the count is odd); d is their maximum K.
 
-    The points are ``disk.sweep_points(n_samples)``: both endpoints, and
-    the center only when n_samples is odd; one sample is the center.  When
-    the center sample's run would repeat the run of ``existence`` (see
-    :func:`_existence_run_from`), its exponent is read from
-    ``existence.tube`` in place of building that tube again.  With the
-    field and h of ``existence``, a sample whose start point has a run in
-    ``existence.start_runs`` continues that run.  The tube builds run in
-    a pool of ``CYCLECERT_THREADS`` workers when that is above 1
-    (:func:`threads_from_env`).
+    Every sample runs with the field, h, gamma, configuration and horizon
+    of ``existence``, and reuses its runs as the module docstring says.
+    The tube builds run in a pool of ``CYCLECERT_THREADS`` workers when
+    that is above 1 (:func:`threads_from_env`).
     """
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
-    pts = disk.sweep_points(n_samples)
-    runs = {}
-    if existence is not None and existence.trajectory is not None:
-        if existence.trajectory.field is field and existence.h == h:
-            runs = existence.start_runs
+    field, config = existence.trajectory.field, existence.config
+    disk = existence.tube.y0_disk
+    pts = disk.sweep_points(config.sweep_samples)
 
     def run(k):
         return contraction_exponent(
-            field, pts[k], h, gamma, disk.radius, config, horizon,
-            prefix=runs.get(pts[k].tobytes()),
+            field, pts[k], existence.h, existence.gamma, disk.radius, config,
+            existence.horizon, prefix=existence.start_runs.get(pts[k].tobytes()),
         )
 
     exps = [None] * pts.shape[0]
     mid = pts.shape[0] // 2
-    if _existence_run_from(
-        existence, field, pts[mid], disk.radius, h, gamma, config, horizon
-    ):
+    if pts[mid].tobytes() == existence.trajectory.nodes[0].tobytes():
         exps[mid] = _tube_exponent(pts[mid], existence.tube)
     todo = [k for k, e in enumerate(exps) if e is None]
     threads = threads_from_env()
@@ -214,10 +173,8 @@ def compute_D(M_C: float, L: float, gamma: float, a: float, b: float) -> float:
     The asymptotic synchronized-error floor is D*h; D itself carries no
     factor of h.
     """
-    if gamma <= 0.0:
-        raise InputError("gamma must be positive")
-    if a <= 0.0:
-        raise InputError("phase-rate lower bound a must be positive")
+    require_positive("gamma", gamma)
+    require_positive("phase-rate lower bound a", a)
     return M_C * (2.0 * L / (gamma * a) + b + 1.0)
 
 
@@ -317,9 +274,8 @@ def certify_attraction(
 ) -> AttractionCertificate:
     """Sweep the initial disk and issue the basin certificate.
 
-    Requires a certified existence certificate.  The sweep runs with its
-    field, settings and horizon; its constants provide D and the
-    return-time bounds, and its tube the exponent of the disk center.
+    Requires a certified existence certificate, which :func:`sweep_Y0`
+    extends; its constants provide D and the return-time bounds.
     """
     if not existence.certified:
         raise InputError(
@@ -332,24 +288,15 @@ def certify_attraction(
     cert.T_lo, cert.T_hi = c.T_lo, c.T_hi
     cert.R_prime, cert.eta = c.R_prime, c.eta
     cert.D = compute_D(c.M_C, c.L, existence.gamma, c.a, c.b)
-    field, config = existence.trajectory.field, existence.config
     try:
-        sweep = sweep_Y0(
-            field,
-            existence.tube.y0_disk,
-            config.sweep_samples,
-            existence.h,
-            existence.gamma,
-            config,
-            existence.horizon,
-            existence=existence,
-        )
+        sweep = sweep_Y0(existence)
         cert.d = sweep.d
         cert.exponents = sweep.exponents
         cert.sample_count = len(sweep.exponents)
 
         cert.integral = integral_criterion(
-            field, existence.trajectory, existence.gamma, existence.R1
+            existence.trajectory.field, existence.trajectory, existence.gamma,
+            existence.R1,
         )
 
         for k, e in enumerate(sweep.exponents):

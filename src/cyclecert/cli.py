@@ -19,7 +19,7 @@ from . import __version__
 from .attraction import certify_attraction, compute_D
 from .config import PRESETS, RunConfig, get_preset
 from .errors import CycleCertError, InputError
-from .euler import Section, default_exclusion, first_loop, return_times, simulate
+from .euler import Section, default_exclusion, return_times, simulate
 from .measures import mu_perp_batch
 from .output import (
     write_crossings_csv,
@@ -162,31 +162,9 @@ def cmd_error_curve(args) -> int:
         raise InputError("error-curve needs --h-list or a preset providing one")
     if cfg.y0 is None:
         raise InputError("error-curve needs --y0 or a preset providing one")
-    # horizon in loop periods: measure the period with a quick coarse run
-    h_probe = max(cfg.h_list)
-    loop = first_loop(field, cfg.x0, h_probe, cfg.horizon, cfg.delta0, step=simulate)
-    if loop is None:
-        raise InputError("no section return found; cannot size the horizon")
-    horizon = cfg.periods * loop[1]
-    # the coarse run at the smallest step holds ceil(horizon / h) + 1 nodes
-    # of two float64 each, which numpy indexes by a signed machine word
-    if not 16 * (horizon / min(cfg.h_list) + 2) <= sys.maxsize:
-        raise InputError(
-            f"periods = {cfg.periods!r} asks for a coarse run over "
-            f"{horizon:g} time units at h = {min(cfg.h_list):g}, more nodes "
-            "than an array can hold"
-        )
     report = error_curve_experiment(
-        field,
-        cfg.x0,
-        cfg.y0,
-        cfg.h_list,
-        horizon,
-        cfg.delta0,
-        cfg.gamma,
-        cfg.pipeline,
-        cert_horizon=cfg.horizon,
-        probe=loop[0],
+        field, cfg.x0, cfg.y0, cfg.h_list, cfg.periods, cfg.delta0, cfg.gamma,
+        cfg.pipeline, cfg.horizon,
     )
     for run in report.runs:
         write_error_curve_csv(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -32,14 +33,18 @@ def require_positive(name: str, value: float) -> None:
         raise InputError(f"{name} must be finite and positive, got {value!r}")
 
 
-def require_step_count(name: str, h: float, horizon: float) -> None:
-    """Raise InputError, naming ``name``, unless the step count
-    ``horizon / h`` of a run is finite (``h = 5e-324`` overflows it)."""
-    if not math.isfinite(horizon / h):
-        raise InputError(
-            f"{name} = {h!r} leaves no finite step count horizon / h = "
-            f"{horizon!r} / {h!r}"
-        )
+def require_step_count(name: str, h: float, horizon: float, value=None) -> None:
+    """Raise InputError, naming ``name`` and ``value`` (default h), unless
+    numpy can index the ceil(horizon / h) + 1 planar nodes of a run, two
+    float64 each, by a signed machine word.  A step count that is not
+    finite (``h = 5e-324`` overflows it) is refused too."""
+    steps = horizon / h
+    if not 16 * (steps + 2) <= sys.maxsize:
+        why = f"asks for {steps:g} steps, more nodes than an array can hold"
+        if not math.isfinite(steps):
+            why = "leaves no finite step count"
+        value = h if value is None else value
+        raise InputError(f"{name} = {value!r} {why}: horizon / h = {horizon!r} / {h!r}")
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,10 @@ class RunConfig:
 
     ``system`` is anything :func:`cyclecert.systems.load_system` takes: a
     spec dict or the path of a system JSON file.  Every step, radius, rate,
-    horizon and period count must be finite and positive, the step count
-    ``horizon / h`` finite for ``h`` and every ``h_list`` entry, and every
-    point finite.
+    horizon and period count must be finite and positive, a run of
+    ``horizon / h`` steps one that numpy can index
+    (:func:`require_step_count`) for ``h`` and every ``h_list`` entry, and
+    every point finite.
     """
 
     system: dict | str

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import require_positive
 from .errors import EquilibriumProximityError, InputError, NumericError
 from .systems import VectorField
 
@@ -165,8 +166,7 @@ def sigma_rate(lam, a, b, gamma: float) -> np.ndarray:
     which the error-floor constant downstream relies on; a rate that breaks
     it (a NaN Lambda, for one) raises :class:`NumericError`.
     """
-    if gamma <= 0.0:
-        raise InputError("gamma must be positive")
+    require_positive("gamma", gamma)
     lam = np.asarray(lam, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), lam.shape)
     b = np.broadcast_to(np.asarray(b, dtype=float), lam.shape)

@@ -18,6 +18,12 @@ sample.  Both expose their resident nodes the same way, and one scan reads
 both.  README "Bit-identity contract" says why the passes and the stream
 give, bit for bit, the series of the sample-by-sample rule on one long
 reference.
+
+:func:`error_curve_experiment` extends one existence certificate per step
+size and steps no node of a run from x0 twice.  The certificate's run ends
+at the chunk that holds its first return; the coarse run takes those nodes
+and steps on from the last of them.  The horizon, in loop periods, is read
+from the R1 of the largest step's certificate.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import PipelineConfig
+from .config import PipelineConfig, require_positive, require_step_count
 from .errors import InputError, SynchronizationLostError
 from .euler import EulerTrajectory, simulate, step_on
 from .systems import VectorField
@@ -532,45 +538,50 @@ def error_curve_experiment(
     x0,
     y0,
     h_list: Sequence[float],
-    horizon: float,
+    periods: float,
     delta0: float,
     gamma: float,
     config: PipelineConfig = PipelineConfig(),
-    cert_horizon: float = 10.0,
+    horizon: float = 10.0,
     refine: int = 100,
-    probe=None,
 ) -> ErrorCurveReport:
     """Error curves for several step sizes against h/refine references.
 
-    The certification pipeline runs per h to estimate its constants and D;
-    the reported tail is the maximum error over the final ``TAIL_FRACTION``
-    of the horizon, compared against the floor D*h.  Coarse steps routinely
-    fail the per-step tube condition while their error floor remains valid
-    in practice, so a failed verdict is recorded per run rather than fatal;
-    only a run without constants, hence without D, raises.
-
-    A run's coarse trajectory steps on from the certificate's run, and one
-    :func:`synchronize` call steps its :class:`ReferenceStream` to the end.
-    ``probe``, a :func:`~cyclecert.euler.first_loop` trajectory from x0
-    over ``cert_horizon`` (the one that sized ``horizon``), is the prefix of
-    the certificate run at its step size, which is then not stepped again.
+    Every h is certified over ``horizon`` for its constants and D, and then
+    synchronized over ``periods`` loops: ``periods * R1`` time units, R1
+    from the largest h's certificate.  The reported tail is the maximum
+    error over the final ``TAIL_FRACTION`` of the samples, compared against
+    the floor D*h.  Coarse steps routinely fail the per-step tube condition
+    while their error floor remains valid in practice, so a failed verdict
+    is recorded per run rather than fatal.  InputError when that
+    certificate found no return, when the coarse run at the smallest h has
+    more nodes than an array can hold, or when a certificate has no D.
     """
-    runs = []
+    require_positive("periods", periods)
+    certs = []
     for h in h_list:
-        prefix = probe.nodes if probe is not None and probe.h == h else None
-        cert = certify_existence(
-            field, x0, h, delta0, gamma, config, cert_horizon, prefix
-        )
+        cert = certify_existence(field, x0, h, delta0, gamma, config, horizon)
         cert.start_runs = {}  # the R' runs, which only a basin sweep reads
+        certs.append(cert)
+    largest = dict(zip(h_list, certs))[max(h_list)]
+    if largest.R1 is None:
+        raise InputError(
+            "no section return found; cannot size the horizon: "
+            + largest.failure["detail"]
+        )
+    sync_horizon = periods * largest.R1
+    require_step_count("periods", min(h_list), sync_horizon, periods)
+    runs = []
+    for h, cert in zip(h_list, certs):
         if cert.constants is None:
             raise InputError(
                 f"step size {h:g} is not certifiable: {cert.failure}"
             )
         c = cert.constants
         D = compute_D(c.M_C, c.L, gamma, c.a, c.b)
-        n_steps = int(math.ceil(horizon / h))
+        n_steps = int(math.ceil(sync_horizon / h))
         traj = _coarse_run(field, x0, h, n_steps, cert.trajectory.nodes)
-        ref = ReferenceStream(field, y0, h, horizon * (c.b + 0.1), refine=refine)
+        ref = ReferenceStream(field, y0, h, sync_horizon * (c.b + 0.1), refine)
         series = synchronize(ref, traj, y0, tube=cert.tube, D=D)
         tail = series.tail_max()
         runs.append(

@@ -719,15 +719,12 @@ def certify_existence(
     gamma: float,
     config: PipelineConfig = PipelineConfig(),
     horizon: float = 10.0,
-    prefix=None,
 ) -> ExistenceCertificate:
     """Full existence pipeline: first return, tube, conditions, verdict.
 
     The certificate's ``trajectory`` is the :func:`~cyclecert.euler.first_loop`
     run from x0: it ends at the chunk that holds R1, not at ``horizon``, and
-    the R' sweep and the error curve's coarse run continue it.  ``prefix``,
-    nodes of that run already stepped (x0 first), is read where it holds
-    the run, and only the steps past it are taken.
+    the R' sweep and the error curve's coarse run continue it.
 
     Sub-computation failures (divergence, lost transversality, blocked
     return-time sweeps) are recorded as a failed certificate with blocking
@@ -750,7 +747,7 @@ def certify_existence(
         horizon=horizon,
     )
     try:
-        loop = first_loop(field, x0, h, horizon, delta0, prefix, simulate)
+        loop = first_loop(field, x0, h, horizon, delta0, step=simulate)
         if loop is None:
             cert.failure = {
                 "reason": "no-return",

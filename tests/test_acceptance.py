@@ -95,17 +95,16 @@ def test_criterion_3_vanderpol_attraction(vdp, vdp_cert):
 def test_criterion_4_error_floor_scaling(vdp):
     t0 = time.time()
     h_list = [5e-4, 2.5e-4, 1.25e-4]
-    period_probe = 6.314
     rep = cc.error_curve_experiment(
         vdp,
         VDP_X0,
         (1.8037, -0.5057),
         h_list,
-        horizon=5 * period_probe,
+        periods=5,
         delta0=VDP_DELTA0,
         gamma=VDP_GAMMA,
         config=PipelineConfig(),
-        cert_horizon=10.0,
+        horizon=10.0,
         refine=100,
     )
     elapsed = time.time() - t0

@@ -75,11 +75,11 @@ def test_harmonic_gamma_floor_not_certifiable(harmonic):
 
 
 def test_sweep_single_sample_is_center(vdp):
-    disk = cc.SectionDisk(
-        np.asarray(VDP_X0), VDP_DELTA0, vdp.f_raw(np.asarray(VDP_X0))
+    cfg = PipelineConfig(lambda_stride=50, sweep_samples=1)
+    existence = cc.certify_existence(
+        vdp, VDP_X0, 1e-3, VDP_DELTA0, VDP_GAMMA, cfg, horizon=10.0
     )
-    cfg = PipelineConfig(lambda_stride=50)
-    sweep = cc.sweep_Y0(vdp, disk, 1, 1e-3, VDP_GAMMA, cfg, horizon=10.0)
+    sweep = cc.sweep_Y0(existence)
     solo = cc.contraction_exponent(
         vdp, VDP_X0, 1e-3, VDP_GAMMA, VDP_DELTA0, cfg, horizon=10.0
     )
@@ -87,14 +87,15 @@ def test_sweep_single_sample_is_center(vdp):
 
 
 def test_sweep_monotone_in_samples(vdp):
-    disk = cc.SectionDisk(
-        np.asarray(VDP_X0), VDP_DELTA0, vdp.f_raw(np.asarray(VDP_X0))
-    )
-    cfg = PipelineConfig(lambda_stride=50)
-    d3 = cc.sweep_Y0(vdp, disk, 3, 2e-3, VDP_GAMMA, cfg, horizon=10.0).d
-    d5 = cc.sweep_Y0(vdp, disk, 5, 2e-3, VDP_GAMMA, cfg, horizon=10.0).d
+    d = {}
+    for n in (3, 5):
+        cfg = PipelineConfig(lambda_stride=50, sweep_samples=n)
+        existence = cc.certify_existence(
+            vdp, VDP_X0, 2e-3, VDP_DELTA0, VDP_GAMMA, cfg, horizon=10.0
+        )
+        d[n] = cc.sweep_Y0(existence).d
     # the 5-point grid contains the 3-point grid
-    assert d5 >= d3 - 1e-15
+    assert d[5] >= d[3] - 1e-15
 
 
 def test_unstable_focus_sweep_positive():
@@ -118,6 +119,12 @@ def test_compute_D_values():
         cc.compute_D(2.22, 1.516, 0.015, 0.0, 1.1)
     with pytest.raises(InputError):
         cc.compute_D(2.22, 1.516, -1.0, 0.9, 1.1)
+    # NaN and the infinities are refused too, for gamma and for a
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="^gamma must be finite and positive"):
+            cc.compute_D(2.22, 1.516, bad, 0.9, 1.1)
+        with pytest.raises(InputError, match="^phase-rate lower bound a must be"):
+            cc.compute_D(2.22, 1.516, 0.015, bad, 1.1)
 
 
 def test_integral_harmonic_zero(harmonic):
@@ -244,6 +251,22 @@ def coarse_existence(vdp):
     return cert
 
 
+@pytest.fixture(scope="module")
+def coarse_existences(vdp, coarse_existence):
+    """The coarse certificate with ``sweep_samples`` n, certified once per n."""
+    made = {COARSE_CFG.sweep_samples: coarse_existence}
+
+    def existence(n):
+        if n not in made:
+            cfg = dataclasses.replace(COARSE_CFG, sweep_samples=n)
+            made[n] = cc.certify_existence(
+                vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, cfg, horizon=10.0
+            )
+        return made[n]
+
+    return existence
+
+
 def exponent_fields(e):
     return (e.z.tobytes(), e.K0, e.Kh, e.N1, e.R1, e.sigma_last, e.h)
 
@@ -261,26 +284,30 @@ def counted_builds(monkeypatch):
     return calls
 
 
-def coarse_sweep(field, existence, n, center=VDP_X0, radius=VDP_DELTA0, h=COARSE_H,
-                 gamma=VDP_GAMMA, cfg=COARSE_CFG, horizon=10.0):
-    center = np.asarray(center)
-    disk = cc.SectionDisk(center, radius, field.f_raw(center))
-    sweep = cc.sweep_Y0(field, disk, n, h, gamma, cfg, horizon, existence=existence)
+def coarse_sweep(existence):
+    sweep = cc.sweep_Y0(existence)
+    n = existence.config.sweep_samples
     assert [e.radius_excess for e in sweep.exponents] == [None] * n
     return sweep
 
 
 def test_sweep_reuses_existence_tube_at_center(vdp, coarse_existence, monkeypatch):
     calls = counted_builds(monkeypatch)
-    reused = coarse_sweep(vdp, coarse_existence, 11)
+    reused = coarse_sweep(coarse_existence)
     assert len(calls) == 10
     assert len(reused.exponents) == 11
-    built = coarse_sweep(vdp, None, 11)
-    assert len(calls) == 21
-    assert [exponent_fields(e) for e in reused.exponents] == [
-        exponent_fields(e) for e in built.exponents
+    built = [
+        cc.contraction_exponent(
+            vdp, z, COARSE_H, VDP_GAMMA, VDP_DELTA0, COARSE_CFG, horizon=10.0
+        )
+        for z in coarse_existence.tube.y0_disk.sweep_points(11)
     ]
-    assert reused.d == built.d
+    assert len(calls) == 21
+    assert [e.radius_excess for e in built] == [None] * 11
+    assert [exponent_fields(e) for e in reused.exponents] == [
+        exponent_fields(e) for e in built
+    ]
+    assert reused.d == max(e.K_max for e in built)
     fresh = cc.contraction_exponent(
         vdp, VDP_X0, COARSE_H, VDP_GAMMA, VDP_DELTA0, COARSE_CFG, horizon=10.0
     )
@@ -295,47 +322,26 @@ def test_attraction_center_exponent_is_fresh_exponent(vdp, vdp_attraction):
     assert exponent_fields(vdp_attraction.exponents[5]) == exponent_fields(fresh)
 
 
-@pytest.mark.parametrize(
-    "change",
-    ["even", "center", "delta0", "h", "gamma", "config", "horizon", "field"],
-)
-def test_sweep_reuse_needs_the_existence_run(vdp, coarse_existence, monkeypatch, change):
-    existence, field, n = coarse_existence, vdp, 3
-    kwargs = {}
-    if change == "even":
-        n = 4
-    elif change == "center":
-        kwargs["center"] = (VDP_X0[0] + 1e-3, VDP_X0[1])
-    elif change == "delta0":
-        kwargs["radius"] = 0.09
-    elif change == "h":
-        # the same number of steps: 10 / h rounds up to 5000 either way
-        kwargs["h"] = COARSE_H * (1.0 + 1e-7)
-    elif change == "config":
-        kwargs["cfg"] = dataclasses.replace(COARSE_CFG, lambda_stride=9)
-    elif change == "horizon":
-        kwargs["horizon"] = 12.0
-    elif change == "gamma":
-        kwargs["gamma"] = 0.02
-    elif change == "field":
-        field = dataclasses.replace(vdp)
+@pytest.mark.parametrize("change", ["even"])
+def test_sweep_reuse_needs_the_existence_run(coarse_existences, monkeypatch, change):
+    # an even sweep has no center sample, so it builds every tube
     calls = counted_builds(monkeypatch)
-    sweep = coarse_sweep(field, existence, n, **kwargs)
-    assert len(calls) == n
-    assert len(sweep.exponents) == n
+    sweep = coarse_sweep(coarse_existences(4))
+    assert len(calls) == 4
+    assert len(sweep.exponents) == 4
 
 
-def test_sweep_threads_match_serial(vdp, monkeypatch):
+def test_sweep_threads_match_serial(coarse_existences, monkeypatch):
     runs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("CYCLECERT_THREADS", threads)
-        runs.append(coarse_sweep(vdp, None, 5))
+        runs.append(coarse_sweep(coarse_existences(5)))
     serial, threaded = ([exponent_fields(e) for e in r.exponents] for r in runs)
     assert threaded == serial
     assert runs[1].d == runs[0].d
 
 
-def test_sweep_reads_threads_env_when_it_runs(vdp, monkeypatch):
+def test_sweep_reads_threads_env_when_it_runs(coarse_existences, monkeypatch):
     # the sweep reads CYCLECERT_THREADS when it runs, so a value set after
     # the config was made takes effect
     monkeypatch.delenv("CYCLECERT_THREADS", raising=False)
@@ -348,7 +354,7 @@ def test_sweep_reads_threads_env_when_it_runs(vdp, monkeypatch):
 
     monkeypatch.setattr(cc.attraction, "ThreadPoolExecutor", Recording)
     monkeypatch.setenv("CYCLECERT_THREADS", "2")
-    coarse_sweep(vdp, None, 3)
+    coarse_sweep(coarse_existences(3))
     assert pools == [2]
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import cyclecert
 from cyclecert.cli import _run_config, build_parser, main
+from cyclecert.config import get_preset
 from cyclecert import output
 from cyclecert.output import (
     canonical_json,
@@ -22,6 +24,7 @@ from cyclecert.output import (
     write_error_curve_csv,
 )
 from cyclecert.syncerr import SyncErrorSeries
+from cyclecert.systems import load_system
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +192,7 @@ def test_invalid_count_exit2(tmp_path, command, option, value):
         ("certify-existence", "--horizon", "nan", "horizon"),
         ("certify-existence", "--delta0", "nan", "delta0"),
         ("certify-existence", "--gamma", "nan", "gamma"),
+        ("certify-existence", "--h", "1e-300", "h"),
         ("error-curve", "--h-list", "0", "h_list"),
         ("error-curve", "--h-list", "-0.001", "h_list"),
         ("error-curve", "--periods", "inf", "periods"),
@@ -198,8 +202,11 @@ def test_invalid_count_exit2(tmp_path, command, option, value):
     ],
 )
 def test_bad_run_value_exit2(tmp_path, command, option, value, name):
-    # a value that is not a finite positive number is refused before any
-    # work, with an error.json that names it, never a traceback or a verdict
+    # a value that is not a finite positive number, or a step whose run has
+    # more nodes than an array can hold, is refused with an error.json that
+    # names it, never a traceback or a verdict.  All are refused before any
+    # work but a --periods the run cannot hold, which is refused once the
+    # largest h's certificate gives the loop period
     out = tmp_path / "bad"
     preset = "vdp-example2" if command == "error-curve" else "vdp-example1"
     code = main([command, "--preset", preset, option, value, "--out", str(out)])
@@ -428,15 +435,24 @@ def test_canonical_json_float_format():
 
 
 def test_error_curve_cli_small(tmp_path, monkeypatch):
-    # the certificate at the probe's step size continues the period probe's
-    # run, which holds its whole first loop: it steps none of it again
-    stepped = []
+    # the largest h's certificate gives the loop period and the coarse run
+    # continues its run from x0: counted through every simulate binding, no
+    # node of that run is stepped twice
+    h = 1e-3
+    simulate = cyclecert.euler.simulate
+    stepped = Counter()
+    for module in (
+        cyclecert.euler, cyclecert.tube, cyclecert.attraction, cyclecert.syncerr,
+        cyclecert.cli,
+    ):
 
-    def counted(field, x0, h, n_steps, out=None):
-        stepped.append(n_steps)
-        return cyclecert.simulate(field, x0, h, n_steps, out)
+        def counted(field, x0, h_run, n_steps, out=None, bound=module.simulate):
+            traj = bound(field, x0, h_run, n_steps, out)
+            if h_run == h:
+                stepped.update(row.tobytes() for row in traj.nodes[1:])
+            return traj
 
-    monkeypatch.setattr(cyclecert.tube, "simulate", counted)
+        monkeypatch.setattr(module, "simulate", counted)
     out = tmp_path / "curves"
     code = main(
         [
@@ -455,7 +471,30 @@ def test_error_curve_cli_small(tmp_path, monkeypatch):
     csv_files = list(out.glob("error_curve_h*.csv"))
     assert len(csv_files) == 1
     assert csv_files[0].read_text().splitlines()[0] == "t,theta,error,delta_bound,Dh"
-    assert stepped == []
+    cfg = get_preset("vdp-example2")
+    whole = simulate(load_system(cfg.system), cfg.x0, h, 3 * 4096)
+    assert max(stepped[row.tobytes()] for row in whole.nodes[1:]) == 1
+
+
+def test_error_curve_library_matches_cli(tmp_path):
+    # error_curve_experiment over periods of the largest h's R1 gives the
+    # series the command writes for the same settings
+    out = tmp_path / "curves"
+    code = main(
+        ["error-curve", "--preset", "vdp-example2", "--h-list", "1e-3",
+         "--periods", "1", "--stride", "50", "--out", str(out)]
+    )
+    assert code in (0, 1)
+    cfg = get_preset("vdp-example2")
+    report = cyclecert.error_curve_experiment(
+        load_system(cfg.system), cfg.x0, cfg.y0, [1e-3], periods=1,
+        delta0=cfg.delta0, gamma=cfg.gamma,
+        config=cyclecert.PipelineConfig(lambda_stride=50),
+    )
+    run = report.runs[0]
+    library = tmp_path / "library.csv"
+    write_error_curve_csv(library, run.series, run.D)
+    assert library.read_bytes() == (out / "error_curve_h0.001.csv").read_bytes()
 
 
 def test_error_curve_csv_matches_write_csv(tmp_path):

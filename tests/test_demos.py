@@ -1,8 +1,7 @@
 """The demos run end to end against the current API.
 
 Each demo writes under ``out/`` relative to the working directory, so each
-runs in its own temporary directory.  Demo 05 (the error curves, several
-seconds) is left out: the error-curve tests cover its calls.
+runs in its own temporary directory.
 """
 
 import runpy
@@ -20,6 +19,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
         ("02_transverse_measures.py", ["mu_perp.csv"]),
         ("03_existence_certificate.py", ["existence_certificate.json", "tube.csv"]),
         ("04_attraction_certificate.py", ["attraction_certificate.json"]),
+        ("05_error_floor_curves.py", ["summary.json", "error_curve_h0.000125.csv"]),
     ],
 )
 def test_demo_runs(tmp_path, monkeypatch, capsys, script, outputs):

@@ -308,6 +308,9 @@ def test_sigma_rate_invalid_inputs():
         cc.sigma_rate(1.0, -0.1, 1.0, 0.015)
     with pytest.raises(InputError):
         cc.sigma_rate(1.0, 0.9, 1.1, 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="^gamma must be finite and positive"):
+            cc.sigma_rate(0.1, 1.0, 1.0, bad)
 
 
 def test_sigma_rate_rejects_b_below_a():

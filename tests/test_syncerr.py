@@ -303,11 +303,11 @@ def test_error_curves_deterministic(vdp):
         VDP_X0,
         (1.8037, -0.5057),
         [1e-3, 1e-3],
-        horizon=6.5,
+        periods=1.0,
         delta0=VDP_DELTA0,
         gamma=VDP_GAMMA,
         config=PipelineConfig(lambda_stride=50),
-        cert_horizon=10.0,
+        horizon=10.0,
         refine=20,
     )
     r1, r2 = report.runs
@@ -349,7 +349,7 @@ def test_error_curve_holds_its_series_once(vdp, monkeypatch):
             VDP_X0,
             (1.8037, -0.5057),
             [1e-3],
-            horizon=20.0,
+            periods=3.0,
             delta0=VDP_DELTA0,
             gamma=VDP_GAMMA,
             config=config,
@@ -359,7 +359,7 @@ def test_error_curve_holds_its_series_once(vdp, monkeypatch):
     finally:
         tracemalloc.stop()
     series = report.runs[0].series
-    assert series.times.size == 20001
+    assert series.times.size == math.ceil(3.0 * cert.R1 / 1e-3) + 1 > 18000
     columns = ("times", "thetas", "errors", "residuals", "bounds")
     series_bytes = sum(getattr(series, k).nbytes for k in columns)
     assert peak < 2.0 * series_bytes, (peak, series_bytes)
@@ -387,13 +387,31 @@ def test_coarse_run_continues_the_certificate_run(vdp, monkeypatch, n_steps):
     assert traj.h == h and np.array_equal(traj.x0, VDP_X0)
 
 
+@pytest.mark.parametrize("periods", [math.nan, math.inf, 0.0, -1.0])
+def test_error_curve_refuses_bad_periods(vdp, monkeypatch, periods):
+    # refused before any certificate is made
+    monkeypatch.setattr(syncerr, "certify_existence", None)
+    with pytest.raises(InputError, match="^periods must be finite and positive"):
+        cc.error_curve_experiment(
+            vdp, VDP_X0, (1.8037, -0.5057), [1e-3], periods, VDP_DELTA0, VDP_GAMMA
+        )
+
+
+def test_error_curve_needs_a_return_at_the_largest_h(linear):
+    # the loop period sizes the horizon: without a return there is none
+    with pytest.raises(InputError, match="^no section return found"):
+        cc.error_curve_experiment(
+            linear, (1.0, 0.0), (1.0, 0.0), [1e-2], 1.0, 0.1, 0.015, horizon=5.0
+        )
+
+
 def test_error_curve_bounds_filled(vdp):
     report = cc.error_curve_experiment(
         vdp,
         VDP_X0,
         (1.8037, -0.5057),
         [1e-3],
-        horizon=6.5,
+        periods=1.0,
         delta0=VDP_DELTA0,
         gamma=VDP_GAMMA,
         config=PipelineConfig(lambda_stride=50),
