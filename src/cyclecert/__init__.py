@@ -41,7 +41,7 @@ _API = {
     "syncerr": """ErrorCurveReport ReferenceSolution ReferenceStream
         SyncErrorSeries error_curve_experiment synchronize
         tube_membership_check""",
-    "systems": "REGISTRY SystemSpec VectorField load_system",
+    "systems": "REGISTRY VectorField load_system",
     "tube": """ExistenceCertificate SegmentGrids Tube ab_profile build_tube
         certify_existence check_return_inclusion check_step_condition
         lambda_profile""",

@@ -2,20 +2,26 @@
 
 A :class:`VectorField` wraps the right-hand side f of dx/dt = f(x), its
 Jacobian J(x) and ``rhs_scalar2``, the f that every Euler step calls.
-Registry systems are written by hand and load without sympy.  Inline
-systems from a config are expressions in the state variables x1, x2 that
-sympy compiles, with the Jacobian derived from them.
 
-Both kinds write f and J once, as planar kernels on component arrays.
-Right-hand sides and Jacobians are views of them that accept arrays of
-shape (..., 2) and return (..., 2) resp. (..., 2, 2), so the rest of the
-toolkit can evaluate whole batches of points in one call; the tube kernels
-call the planar kernels directly (:meth:`VectorField.f_planes`).
+Every system is expression strings in the state variables x1, x2 and its
+parameters, and one function, :func:`_compiled_field`, compiles them.  A
+registry entry (:data:`REGISTRY`) is its f, J and, where that rounds
+differently from f, ``rhs_scalar2`` as strings, so it loads without sympy.
+An inline system from a config gives f alone: sympy checks it, derives J
+and prints both as strings for numpy and for ``math``.
+
+f and J compile to planar kernels on component arrays.  Right-hand sides and
+Jacobians are views of them that accept arrays of shape (..., 2) and return
+(..., 2) resp. (..., 2, 2), so the rest of the toolkit can evaluate whole
+batches of points in one call; the tube kernels call the planar kernels
+directly (:meth:`VectorField.f_planes`).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Callable, Optional
@@ -42,7 +48,7 @@ class VectorField:
     ``rhs_scalar2`` is given.  Immutable after construction; evaluation is
     pure, so instances are safe to share across threads.
 
-    Planar kernels: every system this module builds writes f once, as
+    Planar kernels: every system this module builds compiles f once, as
     ``(u1, u2) -> (f1, f2)``, and J once, as ``(u1, u2) -> (j00, j01, j10,
     j11)``, on component arrays (a constant entry may be a plain number).
     Its ``rhs`` and ``jacobian`` are :class:`PlanarView` objects that fill
@@ -137,152 +143,39 @@ class VectorField:
 
 
 # --------------------------------------------------------------------------
-# registry systems
+# systems as expression strings: the registry, compiling and loading
 # --------------------------------------------------------------------------
 
-
-def _make_vanderpol(params):
-    p = float(params.get("p", 0.3))
-
-    def f(u1, u2):
-        return u2, p * u2 - p * u1 ** 2 * u2 - u1
-
-    def jac(u1, u2):
-        return 0.0, 1.0, -2.0 * p * u1 * u2 - 1.0, p - p * u1 ** 2
-
-    def rhs2(u1, u2):
-        return u2, p * u2 - p * u1 * u1 * u2 - u1
-
-    return _planar_field("vanderpol", {"p": p}, f, jac, rhs2)
-
-
-def _make_harmonic(params):
-    def f(u1, u2):
-        return u2, -u1
-
-    def jac(u1, u2):
-        return 0.0, 1.0, -1.0, 0.0
-
-    return _planar_field("harmonic", {}, f, jac, f)
-
-
-def _make_linear_stable(params):
-    rate = float(params.get("rate", 1.0))
-    # the entries of -rate * I, with its signed off-diagonal zeros
-    diag, off = -rate * 1.0, -rate * 0.0
-
-    def f(u1, u2):
-        return -rate * u1, -rate * u2
-
-    def jac(u1, u2):
-        return diag, off, off, diag
-
-    return _planar_field("linear-stable", {"rate": rate}, f, jac, f)
-
-
-def _make_fitzhugh_nagumo(params):
-    a = float(params.get("a", 0.7))
-    b = float(params.get("b", 0.8))
-    eps = float(params.get("eps", 0.08))
-    current = float(params.get("current", 0.5))
-
-    def f(v, w):
-        return v - v ** 3 / 3.0 - w + current, eps * (v + a - b * w)
-
-    def jac(v, w):
-        return 1.0 - v ** 2, -1.0, eps, -eps * b
-
-    def rhs2(v, w):
-        return v - v * v * v / 3.0 - w + current, eps * (v + a - b * w)
-
-    return _planar_field(
-        "fitzhugh-nagumo",
-        {"a": a, "b": b, "eps": eps, "current": current},
-        f,
-        jac,
-        rhs2,
-    )
-
-
-def _make_unstable_focus(params):
-    # expanding spiral: radial growth `growth`, unit angular speed
-    growth = float(params.get("growth", 0.05))
-
-    def f(u1, u2):
-        return growth * u1 - u2, u1 + growth * u2
-
-    def jac(u1, u2):
-        return growth, -1.0, 1.0, growth
-
-    return _planar_field("unstable-focus", {"growth": growth}, f, jac, f)
-
-
+# id -> (parameter defaults, f, J row by row[, rhs_scalar2]), expressions in
+# x1, x2 and the parameters.  rhs_scalar2 is given where it rounds
+# differently from f (x1*x1 against x1**2); otherwise it is f
 REGISTRY = {
-    "vanderpol": _make_vanderpol,
-    "harmonic": _make_harmonic,
-    "linear-stable": _make_linear_stable,
-    "fitzhugh-nagumo": _make_fitzhugh_nagumo,
-    "unstable-focus": _make_unstable_focus,
+    "vanderpol": (
+        {"p": 0.3},
+        ["x2", "p*x2 - p*x1**2*x2 - x1"],
+        [["0.0", "1.0"], ["-2.0*p*x1*x2 - 1.0", "p - p*x1**2"]],
+        ["x2", "p*x2 - p*x1*x1*x2 - x1"],
+    ),
+    "harmonic": ({}, ["x2", "-x1"], [["0.0", "1.0"], ["-1.0", "0.0"]]),
+    # -rate * I, with its signed off-diagonal zeros
+    "linear-stable": (
+        {"rate": 1.0},
+        ["-rate*x1", "-rate*x2"],
+        [["-rate", "-rate*0.0"], ["-rate*0.0", "-rate"]],
+    ),
+    "fitzhugh-nagumo": (
+        {"a": 0.7, "b": 0.8, "eps": 0.08, "current": 0.5},
+        ["x1 - x1**3/3.0 - x2 + current", "eps*(x1 + a - b*x2)"],
+        [["1.0 - x1**2", "-1.0"], ["eps", "-eps*b"]],
+        ["x1 - x1*x1*x1/3.0 - x2 + current", "eps*(x1 + a - b*x2)"],
+    ),
+    # expanding spiral: radial growth `growth`, unit angular speed
+    "unstable-focus": (
+        {"growth": 0.05},
+        ["growth*x1 - x2", "x1 + growth*x2"],
+        [["growth", "-1.0"], ["1.0", "growth"]],
+    ),
 }
-
-
-# --------------------------------------------------------------------------
-# config-file loading
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class SystemSpec:
-    """Parsed system definition: registry id or inline expressions.
-
-    JSON schema (one of ``id`` / ``rhs`` is required)::
-
-        {"id": "vanderpol", "params": {"p": 0.3}}
-        {"name": "...", "rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"],
-         "params": {"p": 0.3}}
-
-    Inline expressions use the state variables ``x1, x2`` plus parameter
-    names; the Jacobian is derived from them.  Other keys raise InputError.
-    """
-
-    system_id: Optional[str] = None
-    rhs_exprs: Optional[list] = None
-    params: dict = dc_field(default_factory=dict)
-    name: Optional[str] = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SystemSpec":
-        if not isinstance(d, dict):
-            raise InputError("system spec must be a JSON object")
-        if "id" not in d and "rhs" not in d:
-            raise InputError("system spec needs either 'id' or 'rhs'")
-        unknown = sorted(set(d) - {"id", "rhs", "params", "name"})
-        if unknown:
-            raise InputError(
-                f"unknown system spec key(s) {unknown}; the Jacobian of an "
-                "inline system is derived from its rhs"
-            )
-        if not isinstance(d.get("rhs", []), list):
-            raise InputError("system spec 'rhs' must be a list of expressions")
-        if not isinstance(d.get("params", {}), dict):
-            raise InputError("system spec 'params' must be a JSON object")
-        return cls(
-            system_id=d.get("id"),
-            rhs_exprs=d.get("rhs"),
-            params=dict(d.get("params", {})),
-            name=d.get("name"),
-        )
-
-    @classmethod
-    def from_json(cls, path) -> "SystemSpec":
-        try:
-            with open(path) as fh:
-                d = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"malformed system file {path}: {e}") from e
-        except OSError as e:
-            raise InputError(f"cannot read system file {path}: {e}") from e
-        return cls.from_dict(d)
 
 
 class PlanarView:
@@ -302,12 +195,26 @@ class PlanarView:
         return out
 
 
-def _planar_field(name, params, f, jac, rhs2) -> VectorField:
-    """The field whose ``rhs`` and ``jacobian`` are views of the planar
-    kernels ``f`` and ``jac``."""
+# The names f and J see: numpy's, then math's for the functions numpy lacks
+# (gamma, erf), and functools.reduce, which sympy prints for Min and Max.
+# rhs_scalar2 sees math's.
+_ARRAY_NAMES = {**vars(math), **vars(np), "reduce": functools.reduce}
+
+
+def _compiled_field(name, params, f, jac, rhs2=None) -> VectorField:
+    """The field of expression strings in x1, x2 and the float parameters
+    ``params``: ``f`` (two), ``jac`` (two rows of two) and ``rhs2`` (two,
+    ``f`` if None).  Each list compiles to ``lambda x1, x2: (...)``; f and J
+    are wrapped in :class:`PlanarView`."""
+
+    def kernel(exprs, names):
+        return eval(f"lambda x1, x2: ({', '.join(exprs)},)", {**names, **params})
+
+    jac = [e for row in jac for e in row]
     return VectorField(
-        name, 2, params, PlanarView(f, (2,)), PlanarView(jac, (2, 2)),
-        rhs_scalar2=rhs2,
+        name, 2, params, PlanarView(kernel(f, _ARRAY_NAMES), (2,)),
+        PlanarView(kernel(jac, _ARRAY_NAMES), (2, 2)),
+        rhs_scalar2=kernel(rhs2 or f, vars(math)),
     )
 
 
@@ -346,8 +253,7 @@ def _inline_system(name, exprs, params) -> VectorField:
             pow_ = self._module_format("math.pow")
             return f"{pow_}({self._print(expr.base)}, {self._print(expr.exp)})"
 
-    values = {k: float(v) for k, v in params.items()}
-    names = ["x1", "x2", *values]
+    names = ["x1", "x2", *params]
     local = {k: sympy.Symbol(k) for k in names}
     syms = []
     for expr in exprs:
@@ -361,58 +267,88 @@ def _inline_system(name, exprs, params) -> VectorField:
         if missing:
             raise InputError(f"missing parameter(s) {sorted(missing)} in {expr!r}")
         syms.append(sym)
-    x = [local["x1"], local["x2"]]
-    jac = sympy.Matrix(syms).jacobian(x)
+    jac = sympy.Matrix(syms).jacobian([local["x1"], local["x2"]])
 
-    def compiled(components, module, printer):
-        settings = {"fully_qualified_modules": False, "inline": True}
+    def printed(components, printer):
+        printer = printer({"fully_qualified_modules": False, "inline": True})
         try:
-            return sympy.lambdify(
-                x, tuple(components), modules=[values, module],
-                printer=printer(settings),
-            )
+            return [printer.doprint(c) for c in components]
         except NotImplementedError as e:  # "Unsupported by <printer>: <name>"
             name = str(e).splitlines()[0].rsplit(": ", 1)[-1]
-            raise InputError(
-                f"unsupported function {name} in {list(exprs)}"
-            ) from None
+            raise InputError(f"unsupported function {name} in {list(exprs)}") from None
 
-    return _planar_field(
-        name,
-        dict(params),
-        compiled(syms, "numpy", ArrayPrinter),
-        compiled(jac, "numpy", ArrayPrinter),
-        compiled(syms, "math", MathPrinter),
+    return _compiled_field(
+        name, params, printed(syms, ArrayPrinter),
+        [printed(row, ArrayPrinter) for row in jac.tolist()],
+        printed(syms, MathPrinter),
     )
 
 
 def load_system(spec) -> VectorField:
-    """Build a :class:`VectorField` from a :class:`SystemSpec`, dict or path.
+    """Build a :class:`VectorField` from a system spec: a dict, or the path
+    of a JSON file that holds one.
 
-    Registry ids are bound to their hand-written functions, without
-    importing sympy; inline systems are compiled by :func:`_inline_system`.
+    A spec names a registry system or gives inline expressions (one of
+    ``id`` / ``rhs`` is required)::
+
+        {"id": "vanderpol", "params": {"p": 0.3}}
+        {"name": "...", "rhs": ["x2", "p*x2 - p*x1**2*x2 - x1"],
+         "params": {"p": 0.3}}
+
+    Inline expressions use the state variables ``x1, x2`` plus parameter
+    names; the Jacobian is derived from them by :func:`_inline_system`.
+    Registry systems load without importing sympy.  Other keys, a registry
+    parameter the system does not have, and a parameter that is not a
+    finite number raise InputError.
     """
     if isinstance(spec, (str, Path)):
-        spec = SystemSpec.from_json(spec)
-    elif isinstance(spec, dict):
-        spec = SystemSpec.from_dict(spec)
-    if not isinstance(spec, SystemSpec):
-        raise InputError(f"cannot interpret system spec of type {type(spec)!r}")
-    for k, v in spec.params.items():
         try:
-            float(v)
+            spec = json.loads(Path(spec).read_text())
+        except ValueError as e:  # bad JSON, or bytes that are not text
+            raise InputError(f"malformed system file {spec}: {e}") from e
+        except OSError as e:
+            raise InputError(f"cannot read system file {spec}: {e}") from e
+    if not isinstance(spec, dict):
+        raise InputError("system spec must be a JSON object")
+    if "id" not in spec and "rhs" not in spec:
+        raise InputError("system spec needs either 'id' or 'rhs'")
+    unknown = sorted(set(spec) - {"id", "rhs", "params", "name"})
+    if unknown:
+        raise InputError(
+            f"unknown system spec key(s) {unknown}; the Jacobian of an "
+            "inline system is derived from its rhs"
+        )
+    if not isinstance(spec.get("rhs", []), list):
+        raise InputError("system spec 'rhs' must be a list of expressions")
+    if not isinstance(spec.get("params", {}), dict):
+        raise InputError("system spec 'params' must be a JSON object")
+    for key in ("id", "name"):
+        if not isinstance(spec.get(key, ""), str):
+            raise InputError(f"system spec {key!r} must be a string")
+    params = {}
+    for k, v in spec.get("params", {}).items():
+        try:
+            params[k] = float(v)
         except (TypeError, ValueError):
             raise InputError(f"parameter {k!r} must be a number, got {v!r}") from None
+        except OverflowError:  # an integer past the float range
+            params[k] = math.inf
+        if not math.isfinite(params[k]):
+            raise InputError(f"parameter {k!r} must be a finite number, got {v!r}")
 
-    if spec.system_id is not None:
-        maker = REGISTRY.get(spec.system_id)
-        if maker is None:
+    if "id" in spec:
+        sid = spec["id"]
+        if sid not in REGISTRY:
+            raise InputError(f"unknown system id {sid!r}; known: {sorted(REGISTRY)}")
+        defaults, *exprs = REGISTRY[sid]
+        unknown = sorted(set(params) - set(defaults))
+        if unknown:
             raise InputError(
-                f"unknown system id {spec.system_id!r}; "
-                f"known: {sorted(REGISTRY)}"
+                f"unknown parameter(s) {unknown} for system {sid!r}; "
+                f"its parameters are {sorted(defaults)}"
             )
-        return maker(spec.params)
+        return _compiled_field(sid, {**defaults, **params}, *exprs)
 
-    name = spec.name or "inline"
-    _check_planar(name, len(spec.rhs_exprs))
-    return _inline_system(name, spec.rhs_exprs, spec.params)
+    name = spec.get("name") or "inline"
+    _check_planar(name, len(spec["rhs"]))
+    return _inline_system(name, spec["rhs"], params)

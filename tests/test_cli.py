@@ -24,7 +24,7 @@ from cyclecert.output import (
     write_error_curve_csv,
 )
 from cyclecert.syncerr import SyncErrorSeries
-from cyclecert.systems import load_system
+from cyclecert.systems import REGISTRY, load_system
 
 
 @pytest.fixture(scope="module")
@@ -290,12 +290,39 @@ def _option(values):
 
 
 _coordinate = _run_value(-3.0, 3.0)
+
+
+def _registry_spec(sid):
+    # the system's parameters and q, which no registry system has
+    names = sorted(REGISTRY[sid][0]) + ["q"]
+    params = st.dictionaries(st.sampled_from(names), _run_value(-2.0, 2.0), max_size=2)
+    return st.fixed_dictionaries({"id": st.just(sid), "params": params})
+
+
+# small inline systems: polynomial, rational, and one with sin that steps on
+# plain floats; a name that is not a string is refused
+_INLINE_RHS = [
+    ["x2", "p*x2 - p*x1**2*x2 - x1"],
+    ["x2/(1 + x1**2)", "-x1 + p*x2"],
+    ["x2", "-sin(x1) + p*x2*(1 - x1**2)"],
+]
+SYSTEM_SPECS = st.sampled_from(sorted(REGISTRY)).flatmap(_registry_spec) | (
+    st.fixed_dictionaries(
+        {
+            "name": st.sampled_from(["inline", 5]),
+            "rhs": st.sampled_from(_INLINE_RHS),
+            "params": st.fixed_dictionaries({"p": _run_value(0.1, 2.0)}),
+        }
+    )
+)
 # steps of at least 2e-3 and horizons of at most 12 keep each run under
-# 6,000 steps.  A huge horizon, a tiny normal step (1e-300) and a huge
-# --samples are left out: the run then steps, or allocates, as much as
-# they ask, without bound
+# 6,000 steps (10,000 for a --system run without --horizon, which runs to
+# 20).  A huge horizon, a tiny normal step (1e-300) and a huge --samples are
+# left out: the run then steps, or allocates, as much as they ask, without
+# bound
 CLI_RUNS = st.fixed_dictionaries(
     {
+        "--system": _option(SYSTEM_SPECS),
         "--h": _run_value(2e-3, 2e-2),
         "--delta0": _option(_run_value(0.01, 0.5)),
         "--gamma": _option(_run_value(1e-3, 0.1)),
@@ -310,18 +337,23 @@ CLI_RUNS = st.fixed_dictionaries(
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(CLI_RUNS)
 def test_certify_existence_never_escapes(run):
-    # any run value reaches a verdict (exit 0 or 1, schema-valid
-    # certificate), a blocking certificate, or a diagnosed error.json (exit
-    # 2); never an exception, and never an internal error
-    argv = ["certify-existence", "--preset", "vdp-example1"]
-    for option, value in run.items():
-        # --h=-inf: a separate "-inf" would read as an option
-        if isinstance(value, tuple):
-            argv.append(f"{option}={','.join(map(repr, value))}")
-        elif value is not None:
-            argv.append(f"{option}={value!r}")
+    # any run value or system spec reaches a verdict (exit 0 or 1,
+    # schema-valid certificate), a blocking certificate, or a diagnosed
+    # error.json (exit 2); never an exception, and never an internal error
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
+        out, spec = Path(tmp) / "out", Path(tmp) / "system.json"
+        argv = ["certify-existence", "--preset", "vdp-example1"]
+        for option, value in run.items():
+            # --h=-inf: a separate "-inf" would read as an option
+            if isinstance(value, tuple):
+                argv.append(f"{option}={','.join(map(repr, value))}")
+            elif isinstance(value, dict):
+                # a system file replaces the preset; NaN and Infinity are
+                # written as the JSON extensions json.load reads
+                spec.write_text(json.dumps(value))
+                argv[1:3] = [f"{option}={spec}"]
+            elif value is not None:
+                argv.append(f"{option}={value!r}")
         code = main(argv + ["--out", str(out)])
         names = sorted(p.name for p in out.iterdir())
         if "error.json" in names:

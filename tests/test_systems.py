@@ -1,3 +1,4 @@
+import ast
 import json
 
 import numpy as np
@@ -199,6 +200,30 @@ def test_inline_with_jacobian_expressions():
         ({"rhs": ["x1 > 0", "x2"]}, "'x1 > 0' is not an arithmetic expression"),
         ({"rhs": "x2"}, "'rhs' must be a list"),
         ({"rhs": ["x2", "-x1"], "params": [0.3]}, "'params' must be a JSON object"),
+        (
+            {"id": "vanderpol", "params": {"P": 1.0}},
+            r"unknown parameter\(s\) \['P'\] for system 'vanderpol'; "
+            r"its parameters are \['p'\]",
+        ),
+        (
+            {"id": "harmonic", "params": {"p": 0.3}},
+            r"unknown parameter\(s\) \['p'\] for system 'harmonic'; "
+            r"its parameters are \[\]",
+        ),
+        (
+            {"id": "vanderpol", "params": {"p": "nan"}},
+            "parameter 'p' must be a finite number, got 'nan'",
+        ),
+        (
+            {"rhs": ["x2", "-p*x1"], "params": {"p": float("-inf")}},
+            "parameter 'p' must be a finite number, got -inf",
+        ),
+        (
+            {"rhs": ["x2", "-p*x1"], "params": {"p": 10**400}},
+            "parameter 'p' must be a finite number, got 1000",
+        ),
+        ({"name": 5, "rhs": ["x2", "-x1"]}, "system spec 'name' must be a string"),
+        ({"id": ["vanderpol"]}, "system spec 'id' must be a string"),
     ],
     ids=[
         "fd_step",
@@ -209,6 +234,13 @@ def test_inline_with_jacobian_expressions():
         "relational",
         "rhs-not-a-list",
         "params-not-an-object",
+        "unknown-registry-param",
+        "registry-system-without-params",
+        "nan-registry-param",
+        "infinite-inline-param",
+        "integer-past-float-range",
+        "name-not-a-string",
+        "id-not-a-string",
     ],
 )
 def test_unsupported_specs_raise(spec, msg):
@@ -229,6 +261,32 @@ def test_load_from_json_file(tmp_path, vdp):
     field = cc.load_system(str(path))
     x = np.array([0.5, 0.5])
     assert np.allclose(field.eval_f(x), vdp.eval_f(x))
+
+
+def test_load_from_file_that_is_not_text(tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InputError, match="malformed system file"):
+        cc.load_system(path)
+
+
+@pytest.mark.parametrize(
+    "spec,params",
+    [
+        ({"rhs": ["x2", "-p*x1"], "params": {"p": "0.3"}}, {"p": 0.3}),
+        ({"rhs": ["x2", "-p*x1"], "params": {"p": 2}}, {"p": 2.0}),
+        (
+            {"id": "fitzhugh-nagumo", "params": {"eps": "0.1"}},
+            {"a": 0.7, "b": 0.8, "eps": 0.1, "current": 0.5},
+        ),
+    ],
+)
+def test_params_are_the_floats_the_kernels_use(spec, params):
+    # field.params, which the certificate records, holds the bound floats,
+    # not the strings or integers of the spec
+    field = cc.load_system(spec)
+    assert field.params == params
+    assert all(type(v) is float for v in field.params.values())
 
 
 def test_malformed_inputs():
@@ -303,3 +361,34 @@ def test_planar_kernels_match_interleaved(system, shape):
         rhs, jac = STACKED[system](field)
         assert f.tobytes() == rhs(x).tobytes()
         assert J.tobytes() == jac(x).tobytes()
+
+
+# the nodes the rhs_scalar2 contract allows: + - * /, unary minus, names and
+# numeric constants
+ARITHMETIC = (
+    ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Div,
+    ast.UnaryOp, ast.USub, ast.Name, ast.Load, ast.Constant,
+)
+
+
+@pytest.mark.parametrize("system", sorted(cc.systems.REGISTRY))
+def test_registry_entries_meet_the_field_contract(system):
+    # the registry is expression strings: rhs_scalar2 (its own strings, or
+    # f's) is arithmetic that rounds element by element on arrays, and J
+    # and rhs_scalar2 are f's Jacobian and f as sympy reads them
+    import sympy
+
+    defaults, f, jac, *rhs2 = cc.systems.REGISTRY[system]
+    rhs2 = rhs2[0] if rhs2 else f
+    for expr in rhs2:
+        for node in ast.walk(ast.parse(expr, mode="eval")):
+            assert isinstance(node, ARITHMETIC), (expr, ast.dump(node))
+            if isinstance(node, ast.Constant):
+                assert type(node.value) in (int, float), expr
+    local = {k: sympy.Symbol(k) for k in ["x1", "x2", *defaults]}
+    F, J, R = (
+        sympy.Matrix(sympy.sympify(exprs, locals=local)) for exprs in (f, jac, rhs2)
+    )
+    assert F.free_symbols | J.free_symbols | R.free_symbols <= set(local.values())
+    assert sympy.simplify(J - F.jacobian([local["x1"], local["x2"]])) == sympy.zeros(2, 2)
+    assert sympy.simplify(R - F) == sympy.zeros(2, 1)
