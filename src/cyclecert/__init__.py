@@ -33,8 +33,9 @@ _API = {
     "errors": """CertificateBlockedError CycleCertError DivergedError
         EquilibriumProximityError InputError InvalidReparametrizationError
         NumericError SynchronizationLostError TransversalityLossError""",
-    "euler": """Crossing EulerTrajectory Exclusion Section batch_first_return
-        default_exclusion detect_crossings return_times simulate""",
+    "euler": """Crossing EulerTrajectory Exclusion Run Section
+        batch_first_return default_exclusion detect_crossings return_times
+        simulate""",
     "measures": """TransverseSpectrum mu_perp_batch sigma_rate symmetric_part
         transverse_measure""",
     "output": "",

@@ -8,12 +8,12 @@ loop, the discretization error floor D*h takes over, and the disk is a
 basin of attraction of the certified cycle.
 
 The sweep extends one existence certificate and steps none of its runs
-again.  Its start points are those of the certificate's R' sweep, which
-read the existence run from x0 and kept every run it stepped in
-``ExistenceCertificate.start_runs``; each sample continues its point's run.
-The center sample is x0 bit for bit, so its run is the existence run and
-its exponent is read from the existence tube: the default 11 samples take
-10 tube builds.
+again.  Its start points are those of the certificate's R' sweep, whose
+:class:`~cyclecert.euler.Run` objects ``ExistenceCertificate.start_runs``
+holds, the existence run from x0 at the center among them; each sample
+continues its point's run.  The center sample is x0 bit for bit, so its
+exponent is read from the existence tube: the default 11 samples take 10
+tube builds.
 """
 
 from __future__ import annotations
@@ -29,9 +29,10 @@ from .constants import estimate_magnitude_bounds
 from .errors import CertificateBlockedError, CycleCertError, InputError
 from .euler import (
     EulerTrajectory,
+    Run,
     first_loop,
     return_times,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
-    simulate,
+    simulate,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
 )
 from .measures import mu_perp_batch
 from .systems import VectorField
@@ -64,23 +65,19 @@ class ContractionExponent:
 
 
 def contraction_exponent(
-    field: VectorField,
-    z,
-    h: float,
+    run: Run,
     gamma: float,
     delta0: float,
     config: PipelineConfig = PipelineConfig(),
     horizon: float = 10.0,
-    prefix=None,
 ) -> ContractionExponent:
-    """Run the tube pipeline from z and accumulate its growth exponent.
+    """The growth exponent of the tube pipeline from ``run``'s start point z.
 
-    The run is one :func:`~cyclecert.euler.first_loop` run through this
-    module's ``simulate``: chunks of ``RETURN_CHUNK`` steps up to the end of
-    the chunk that holds its first counted return, since the tube reads no
-    node after it.  R1 and N1 come from that crossing.  ``prefix``, nodes of
-    a run already stepped from z at step h (z itself first), is read where
-    it holds a chunk, and only the steps past it are taken.
+    The loop is the :func:`~cyclecert.euler.first_loop` of ``run``, which
+    it continues: chunks of ``RETURN_CHUNK`` steps up to the end of the
+    chunk that holds its first counted return, since the tube reads no node
+    after it; a chunk the run already holds is read, not stepped.  R1 and
+    N1 come from that crossing.
 
     The exponent records the tube's :func:`~cyclecert.tube.radius_excess`,
     on which :func:`certify_attraction` blocks.
@@ -88,8 +85,8 @@ def contraction_exponent(
     Raises :class:`CertificateBlockedError` when z does not return within
     the horizon.
     """
-    z = np.asarray(z, dtype=float)
-    loop = first_loop(field, z, h, horizon, delta0, prefix, simulate)
+    field, z = run.field, run.x0
+    loop = first_loop(run, horizon, delta0)
     if loop is None:
         raise CertificateBlockedError(
             f"start point {z.tolist()} did not return within horizon {horizon:g}"
@@ -143,11 +140,13 @@ def sweep_Y0(existence: ExistenceCertificate) -> SweepResult:
     field, config = existence.trajectory.field, existence.config
     disk = existence.tube.y0_disk
     pts = disk.sweep_points(config.sweep_samples)
+    runs = existence.start_runs or [Run(field, z, existence.h) for z in pts]
+    if len(runs) > len(pts):  # R' took 3 points: the center, or the endpoints
+        runs = runs[1:2] if len(pts) == 1 else runs[::2]
 
     def run(k):
         return contraction_exponent(
-            field, pts[k], existence.h, existence.gamma, disk.radius, config,
-            existence.horizon, prefix=existence.start_runs.get(pts[k].tobytes()),
+            runs[k], existence.gamma, disk.radius, config, existence.horizon
         )
 
     exps = [None] * pts.shape[0]

@@ -63,6 +63,11 @@ def _parse_floats(text, name):
 
 
 def _run_config(args) -> RunConfig:
+    if args.preset and args.system:
+        raise InputError(
+            f"--preset {args.preset} and --system {args.system} exclude each "
+            "other: a preset names its system"
+        )
     if args.preset:
         cfg = get_preset(args.preset)
     else:

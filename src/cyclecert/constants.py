@@ -19,12 +19,11 @@ import numpy as np
 
 from .errors import (
     CertificateBlockedError,
-    DivergedError,
     EquilibriumProximityError,
     InputError,
     TransversalityLossError,
 )
-from .euler import Section, batch_first_return, default_exclusion, first_return
+from .euler import Run, Section, batch_first_return, default_exclusion
 from .measures import M_FLOOR, _rot90, padded_extrema, planar_norm
 from .systems import VectorField
 
@@ -234,30 +233,24 @@ def return_time_sweep(
     of ``disk.sweep_points``.
 
     Uses the crossing rule of :func:`~cyclecert.euler.return_times`; the
-    samples are one :func:`~cyclecert.euler.batch_first_return` sweep,
-    which reads and extends ``runs`` (start point bytes to runs already
-    stepped from it), so that ``runs`` ends up holding a run from every
-    sample.  A sample that diverges, or that does not return within the
-    horizon, blocks certification; the error says which, with the step a
-    diverged run failed at.
+    samples are one :func:`~cyclecert.euler.batch_first_return` sweep of
+    ``runs``, one :class:`~cyclecert.euler.Run` per point (default: fresh
+    ones), which it continues in place.  A sample that diverges, or that
+    does not return within the horizon, blocks certification; the error
+    says which, with the step its run failed at.
     """
     pts = disk.sweep_points(n_samples)
-    section = Section(disk.center, disk.normal)
-    excl = default_exclusion(h, disk.radius)
-    if runs is not None:
-        for p in pts:
-            runs.setdefault(p.tobytes(), p[None, :])
-    times = batch_first_return(field, pts, h, horizon, section, excl, runs)
+    if runs is None:
+        runs = [Run(field, p, h) for p in pts]
+    times = batch_first_return(
+        field, pts, h, horizon, Section(disk.center, disk.normal),
+        default_exclusion(h, disk.radius), runs,
+    )
     if np.isnan(times).any():
         bad = int(np.nonzero(np.isnan(times))[0][0])
-        # only this blocked path steps the sample again, to say why
-        try:
-            first_return(
-                field, pts[bad], h, int(math.ceil(horizon / h)), section, excl
-            )
-            why = f"did not return within horizon {horizon:g}"
-        except DivergedError as exc:
-            why = f"diverged at step {exc.first_bad_index}"
+        why = f"did not return within horizon {horizon:g}"
+        if runs[bad].diverged is not None:  # its run kept the error
+            why = f"diverged at step {runs[bad].diverged.first_bad_index}"
         raise CertificateBlockedError(
             f"return-time sweep at step {h:g}: sample {bad} at "
             f"{pts[bad].tolist()} {why}"
@@ -303,7 +296,7 @@ def estimate_eta(
 
     R' bounds the discrete first return at step h: the largest return of
     :func:`return_time_sweep` from ``disk.sweep_points(n_samples)``, which
-    reads and extends ``runs``.
+    continues ``runs``.
     """
     h, N1 = tube.h, tube.N1
     weights = np.full(N1, h)

@@ -10,11 +10,14 @@ There is one integrator: the recurrence u += h*rhs2(u) on a field's
 (:func:`_planar_nodes`).  README "Bit-identity contract" says why its nodes
 are those of a loop of single steps on plain floats, bit for bit.
 
+Every run is a :class:`Run`, whose :meth:`Run.extend` steps each node into
+one growable buffer: the certificate's loop, the R' and basin sweeps, the
+error curve's coarse run and its streamed reference extend runs in place.
+
 Hyperplane sections, crossing detection and return times live here as well:
 each segment is linear, so in-segment crossing offsets are exact roots of a
 linear equation.  A loop from a start point is found only by
-:func:`first_loop`, and a run is continued from one of its nodes only by
-:func:`step_on`.
+:func:`first_loop`, a run's first return only by :meth:`Run.first_return`.
 """
 
 from __future__ import annotations
@@ -128,8 +131,8 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     The fallback of :func:`_planar_nodes`, and the recurrence its sweeps
     verify against: each step is one ``rhs2`` call and u += h*d.  An
     ArithmeticError or ValueError of ``rhs2`` (an overflow, a division by
-    zero, a math domain error) is raised as a DivergedError naming its
-    step, counted from ``first_step``, the step number of (u1, u2).
+    zero, a math domain error) is raised as a DivergedError naming the node
+    it left unstepped, counted from ``first_step``, the index of (u1, u2).
     """
     buf = [u1, u2]
     append = buf.append
@@ -144,7 +147,7 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     except (ArithmeticError, ValueError) as e:
         step = first_step + i
         reason = "state overflowed" if isinstance(e, OverflowError) else repr(e)
-        raise DivergedError(f"{reason} at step {step}", step, reason) from None
+        raise DivergedError(f"{reason} at node {step}", step, reason) from None
     return np.fromiter(buf, np.float64, len(buf)).reshape(-1, 2)
 
 
@@ -250,9 +253,9 @@ def _sweep_block(rhs2, Z, h, work):
     return s, sweeps
 
 
-def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
-    """Euler nodes of a planar run, shape (n+1, 2), bit for bit those of
-    :func:`_scalar_nodes`; written into ``out`` when given.
+def _planar_nodes(rhs2, nodes, h, first):
+    """Step ``nodes[1:]`` of a planar run from ``nodes[0]``, its node
+    ``first``, bit for bit as :func:`_scalar_nodes` does.
 
     The run is stepped in blocks of verified Picard sweeps
     (:func:`_sweep_block`), each block starting from the last node of the
@@ -272,13 +275,12 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
 
     Each guess is written into ``nodes``, and the sweeps verify it there,
     on the complex128 view of the rows.  Swept blocks are checked finite,
-    so a DivergedError at the first non-finite node can only come from the
-    nodes the scalar loop stepped.
+    so a DivergedError at the first non-finite node, which it names by its
+    index on the run, can only come from the nodes the scalar loop stepped.
     """
-    nodes = np.empty((n_steps + 1, 2)) if out is None else out
-    nodes[0] = u1, u2
+    n_steps = nodes.shape[0] - 1
     Z = nodes.view(np.complex128)[:, 0]
-    # once per run: fresh block-size arrays cost the allocator page faults
+    # once per extend: fresh block-size arrays cost the allocator page faults
     w = min(SWEEP_STEPS, n_steps)
     work = np.empty(w, np.complex128), np.empty(w, np.complex128), np.empty((2, w))
     width, k = SWEEP_STEPS, 0
@@ -304,57 +306,130 @@ def _planar_nodes(rhs2, u1, u2, h, n_steps, out=None):
                 width //= 2
     if k < n_steps:
         u1, u2 = float(nodes[k, 0]), float(nodes[k, 1])
-        nodes[k:] = _scalar_nodes(rhs2, u1, u2, h, n_steps - k, k)
+        nodes[k:] = _scalar_nodes(rhs2, u1, u2, h, n_steps - k, first + k)
     finite = np.isfinite(nodes[k:]).all(axis=1)
     if not finite.all():
-        bad = k + int(finite.argmin())
+        bad = first + k + int(finite.argmin())
         reason = "non-finite state"
         raise DivergedError(f"{reason} at node {bad}", bad, reason)
-    return nodes
 
 
-def simulate(
-    field: VectorField, x0, h: float, n_steps: int, out=None
-) -> EulerTrajectory:
-    """Integrate dx/dt = f(x) with the explicit Euler scheme.
+# Nodes one Run may hold at once (2**25, 512 MiB): a run that would hold
+# more, such as one at a tiny h or one that never returns within a huge
+# horizon, is refused before its buffer grows.  The largest run of the
+# tests, demos and benchmarks holds 7,576,801 nodes, under a quarter of it.
+NODE_BUDGET = 1 << 25
 
-    The run steps in blocks of verified Picard sweeps over numpy arrays,
-    with the scalar loop as fallback (see :func:`_planar_nodes`); its nodes
-    are those of the scalar recurrence u += h*rhs2(u) on the field's
-    ``rhs_scalar2``, bit for bit.
 
-    ``out``, a float64 array of shape (n_steps + 1, dim) with contiguous
-    rows (a Fortran-ordered or column-strided one raises InputError),
-    receives the nodes, and the returned trajectory's ``nodes`` is a
-    read-only view of it: the trajectory changes when ``out`` is written afterwards.  ``x0``
-    may be a row of ``out`` (it is copied before any node is written).
+class Run:
+    """The explicit-Euler run from x0 at step h, grown in place.
 
-    Raises
-    ------
-    DivergedError
-        If any node is non-finite; carries the first bad index.  The
-        contents of ``out`` are then unspecified.
+    Its nodes live in one float64 buffer: ``nodes`` holds the resident ones,
+    ``nodes[0]`` being node ``base`` of the run.  :meth:`extend` steps every
+    node (see :func:`_planar_nodes`), so the nodes are those of the scalar
+    recurrence u += h*rhs2(u), bit for bit, however the run is cut into
+    extends.  ``diverged`` keeps the DivergedError of an extend that
+    failed, which leaves the resident nodes as they were.
     """
-    require_positive("h", h)
+
+    def __init__(self, field: VectorField, x0, h: float, rows: int = 1):
+        require_positive("h", h)
+        x0 = np.array(x0, dtype=float)
+        if x0.shape != (field.dim,):
+            raise InputError(f"x0 must have shape ({field.dim},), got {x0.shape}")
+        x0.setflags(write=False)
+        self.field, self.x0, self.h = field, x0, float(h)
+        self.base, self.diverged = 0, None
+        self._buffer = np.empty((rows, field.dim))
+        self._buffer[0] = x0
+        self._size = 1  # resident nodes
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._buffer[: self._size]
+
+    @property
+    def end(self) -> int:
+        """Index of the last resident node."""
+        return self.base + self._size - 1
+
+    def extend(self, n: int, double: bool = False) -> "Run":
+        """Step n more nodes from the last resident one; returns the run.
+
+        A buffer without room is replaced by one of exactly the rows needed
+        or, with ``double``, of at least twice its rows.  InputError past
+        ``NODE_BUDGET``; a DivergedError names the first non-finite node by
+        its index on the run.
+        """
+        size = self._size + n
+        if size > self._buffer.shape[0]:
+            if size > NODE_BUDGET:
+                raise InputError(
+                    f"the Euler run at h = {self.h!r} would hold {size} nodes, "
+                    f"more than the node budget of {NODE_BUDGET}: raise h or "
+                    "shorten the horizon"
+                )
+            rows = 2 * self._buffer.shape[0] if double else 0
+            buffer = np.empty((min(max(rows, size), NODE_BUDGET), self.field.dim))
+            buffer[: self._size] = self.nodes
+            self._buffer = buffer
+        tail = self._buffer[self._size - 1 : size]  # from the last node on
+        try:
+            _planar_nodes(self.field.rhs_scalar2, tail, self.h, self.end)
+        except DivergedError as exc:
+            self.diverged = exc
+            raise
+        self._size = size
+        return self
+
+    def drop_before(self, k: int):
+        """Drop the nodes before node k, moving the rest to the front of
+        the buffer."""
+        if not self.base <= k <= self.end:
+            raise InputError(f"node {k} to keep is not resident")
+        kept = self.nodes[k - self.base :]
+        # numpy copies through a temporary on overlap
+        self._buffer[: kept.shape[0]] = kept
+        self.base, self._size = k, kept.shape[0]
+
+    def trajectory(self, n_steps: int = None) -> EulerTrajectory:
+        """Nodes 0..n_steps (default: all resident) as a read-only view."""
+        n_steps = self.end if n_steps is None else n_steps
+        if self.base != 0 or n_steps > self.end:
+            raise InputError(f"nodes 0..{n_steps} of the run are not resident")
+        return EulerTrajectory(self.field, self.x0, self.h, self._buffer[: n_steps + 1])
+
+    def first_return(self, n_steps: int, section: Section, exclusion: Exclusion):
+        """The first counted return within ``n_steps`` steps of node 0.
+
+        The run is scanned in chunks of ``RETURN_CHUNK`` steps by the
+        crossing rule of :func:`detect_crossings`; a resident chunk is read,
+        any other stepped by a doubling :meth:`extend`.  Returns the
+        :meth:`trajectory` up to the end of the chunk that holds the first
+        counted crossing, and its segment and time; or the trajectory up to
+        ``n_steps``, -1 and NaN when there is none.
+        """
+        t_left = math.inf
+        for offset in range(0, n_steps, RETURN_CHUNK):
+            stop = min(offset + RETURN_CHUNK, n_steps)
+            if stop > self.end:
+                self.extend(stop - self.end, double=True)
+            i, _, t, _, _, t_left = _crossing_scan(
+                self.field, self.nodes[offset : stop + 1], self.h, offset,
+                section, exclusion, t_left,
+            )
+            if t.size:
+                return self.trajectory(stop), offset + int(i[0]), float(t[0])
+        return self.trajectory(n_steps), -1, math.nan
+
+
+def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
+    """The explicit-Euler run of ``n_steps`` steps from x0: a :class:`Run`
+    extended once.  A DivergedError carries the first non-finite node."""
+    run = Run(field, x0, h)
     if n_steps < 1:
         raise InputError("n_steps must be >= 1")
-    x0 = np.array(x0, dtype=float)
-    if x0.shape != (field.dim,):
-        raise InputError(f"x0 must have shape ({field.dim},), got {x0.shape}")
-    if out is not None and (
-        out.shape != (n_steps + 1, field.dim)
-        or out.dtype != np.float64
-        or out.strides[1] != out.itemsize
-    ):
-        raise InputError(
-            f"out must be a float64 array of shape ({n_steps + 1}, {field.dim})"
-            " with contiguous rows"
-        )
-
-    u1, u2 = float(x0[0]), float(x0[1])
-    nodes = _planar_nodes(field.rhs_scalar2, u1, u2, h, n_steps, out)
-    # a view, so that making the trajectory read-only leaves out writable
-    return EulerTrajectory(field, x0, h, nodes if out is None else nodes[:])
+    return run.extend(n_steps).trajectory()
 
 
 # --------------------------------------------------------------------------
@@ -551,131 +626,44 @@ def return_index(time: float, segment: int, h: float) -> int:
 # first-return sweep over many start points
 # --------------------------------------------------------------------------
 
-# Euler steps per chunk of the first-return sweep: a sample stops at the end
-# of the chunk that holds its first counted crossing.
+# Euler steps per chunk of a first-return scan: a run stops at the end of
+# the chunk that holds its first counted crossing.
 RETURN_CHUNK = 4096
 
 
-def step_on(field: VectorField, run: np.ndarray, h: float, start: int, step=None):
-    """Step ``run[1:]`` from ``run[0]``, node ``start`` of a longer run, in
-    place through ``step`` (default :func:`simulate`); a DivergedError keeps
-    its reason and names the non-finite node by its index on that run."""
-    step = simulate if step is None else step
-    try:
-        step(field, run[0], h, run.shape[0] - 1, out=run)
-    except DivergedError as exc:
-        bad, reason = start + exc.first_bad_index, exc.reason
-        raise DivergedError(f"{reason} at node {bad}", bad, reason) from None
-
-
-def first_return(
-    field: VectorField,
-    x,
-    h: float,
-    n_steps: int,
-    section: Section,
-    exclusion: Exclusion,
-    prefix=None,
-    step=None,
-):
-    """The first counted return of the Euler run of ``n_steps`` steps from x.
-
-    The run is taken in chunks of ``RETURN_CHUNK`` steps, every chunk
-    starting from the last node of the one before, so the nodes are those
-    of one long run.  Each chunk goes through the crossing rule of
-    :func:`detect_crossings`, and the run stops at the end of the chunk
-    that holds its first counted crossing.  ``prefix``, the first nodes of
-    the run (x itself first, of any length), is read where it holds a
-    chunk, and only the steps past it are taken, by :func:`step_on` through
-    ``step``.
-
-    Returns ``(nodes, segment, time)``: the run's nodes up to where it
-    stopped (a view of ``prefix`` when that holds them all), and the
-    segment and time of the first counted crossing, or -1 and NaN when the
-    run does not return within ``n_steps``.
-
-    Raises
-    ------
-    DivergedError
-        Naming the run's first non-finite node.
+def first_loop(run: Run, horizon: float, delta0: float):
+    """The run up to its first return to the section through its start
+    point z: a :meth:`Run.first_return` of ceil(horizon/h) steps with the
+    exclusion of :func:`default_exclusion`.  Returns ``(traj, R1, N1)``, or
+    None when the run does not return within the horizon.
     """
-    known = np.asarray(x, dtype=float)[None, :] if prefix is None else prefix
-    k = known.shape[0] - 1  # steps the known nodes hold
-    stepped, t_left = [], math.inf
-    segment, time, stop = -1, math.nan, n_steps
-    for offset in range(0, n_steps, RETURN_CHUNK):
-        end = min(offset + RETURN_CHUNK, n_steps)
-        if end <= k:
-            nodes = known[offset : end + 1]
-        else:
-            start = max(offset, k)
-            run = np.empty((end - start + 1, known.shape[1]))
-            run[0] = stepped[-1][-1] if stepped else known[k]
-            step_on(field, run, h, start, step)
-            stepped.append(run[1:])
-            nodes = run if start == offset else np.concatenate([known[offset:k], run])
-        i, _, t, _, _, t_left = _crossing_scan(
-            field, nodes, h, offset, section, exclusion, t_left
-        )
-        if t.size:
-            segment, time, stop = offset + int(i[0]), float(t[0]), end
-            break
-    if stop <= k:
-        return known[: stop + 1], segment, time
-    return np.concatenate([known, *stepped]), segment, time
-
-
-def first_loop(field, z, h, horizon, delta0, prefix=None, step=None):
-    """The Euler run from z up to its first return to the section through z.
-
-    One :func:`first_return` run of ceil(horizon/h) steps, continuing
-    ``prefix`` through ``step``, with the exclusion of
-    :func:`default_exclusion`.  Returns ``(traj, R1, N1)``, ``traj`` ending
-    at the end of the chunk that holds the return, not at the horizon; or
-    None when the run does not return within the horizon.  A DivergedError
-    names the run's first non-finite node.
-    """
-    z = np.asarray(z, dtype=float)
-    nodes, segment, R1 = first_return(
-        field, z, h, int(math.ceil(horizon / h)), Section.through(field, z),
-        default_exclusion(h, delta0), prefix, step,
+    h = run.h
+    traj, segment, R1 = run.first_return(
+        int(math.ceil(horizon / h)), Section.through(run.field, run.x0),
+        default_exclusion(h, delta0),
     )
     if segment < 0:
         return None
-    return EulerTrajectory(field, z, h, nodes), R1, return_index(R1, segment, h)
+    return traj, R1, return_index(R1, segment, h)
 
 
 def batch_first_return(
-    field: VectorField,
-    points: np.ndarray,
-    h: float,
-    horizon: float,
-    section: Section,
-    exclusion: Exclusion,
-    runs=None,
+    field: VectorField, points, h: float, horizon: float, section: Section,
+    exclusion: Exclusion, runs=None,
 ) -> np.ndarray:
     """First return times for a batch of initial points, NaN where none found.
 
-    Each sample is one :func:`first_return` run, stepped through
-    :func:`simulate` and stopped at its first counted crossing; a sample
-    whose run diverges gives NaN.
-
-    ``runs`` maps the bytes of start points to the nodes of runs already
-    stepped from them (the point itself first).  A sample whose point is a
-    key reads its chunks there and steps only past them, and its entry
-    ends up holding the longer of that run and the one the sample took.
+    Sample j is the :meth:`Run.first_return` of ``runs[j]``, a :class:`Run`
+    from point j at step h continued in place (default: a fresh one); a
+    sample whose run diverges gives NaN, and the run keeps its error.
     """
     n_steps = int(math.ceil(horizon / h))
-    times = np.full(len(points), np.nan)
-    for j, x in enumerate(np.array(points, dtype=float)):
-        key = x.tobytes()
-        prefix = None if runs is None else runs.get(key)
+    if runs is None:
+        runs = [Run(field, x, h) for x in np.array(points, dtype=float)]
+    times = np.full(len(runs), np.nan)
+    for j, run in enumerate(runs):
         try:
-            nodes, _, times[j] = first_return(
-                field, x, h, n_steps, section, exclusion, prefix
-            )
+            _, _, times[j] = run.first_return(n_steps, section, exclusion)
         except DivergedError:
             continue
-        if prefix is not None and nodes.shape[0] > prefix.shape[0]:
-            runs[key] = nodes
     return times

@@ -11,8 +11,9 @@ theta; theta is nondecreasing by construction.
 The scan runs over blocks of samples at once, in windowed passes whose
 boundaries Newton predictions of theta place, and writes each pass's kept
 samples straight into the series.  A :class:`ReferenceSolution` holds a
-whole reference in memory; a :class:`ReferenceStream` holds only the nodes
-from the current window on, and when the next window is not resident
+whole reference in memory; a :class:`ReferenceStream`, an
+:class:`~cyclecert.euler.Run` with a step cap, holds only the nodes from
+the current window on, and when the next window is not resident
 :func:`synchronize` advances it by a chunk and scans on, to the last
 sample.  Both expose their resident nodes the same way, and one scan reads
 both.  README "Bit-identity contract" says why the passes and the stream
@@ -21,9 +22,9 @@ reference.
 
 :func:`error_curve_experiment` extends one existence certificate per step
 size and steps no node of a run from x0 twice.  The certificate's run ends
-at the chunk that holds its first return; the coarse run takes those nodes
-and steps on from the last of them.  The horizon, in loop periods, is read
-from the R1 of the largest step's certificate.
+at the chunk that holds its first return; the coarse run is that run,
+extended.  The horizon, in loop periods, is read from the R1 of the
+largest step's certificate.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import PipelineConfig, require_positive, require_step_count
 from .errors import InputError, SynchronizationLostError
-from .euler import EulerTrajectory, simulate, step_on
+from .euler import EulerTrajectory, Run, simulate
 from .systems import VectorField
 from .tube import ExistenceCertificate, Tube, certify_existence
 from .attraction import compute_D
@@ -110,63 +111,34 @@ class ReferenceSolution:
         return cls(traj=traj, refine=refine)
 
 
-class ReferenceStream:
+class ReferenceStream(Run):
     """The reference of :meth:`ReferenceSolution.compute`, stepped as one
-    synchronization reads it.
+    synchronization reads it: a :class:`~cyclecert.euler.Run` from y0 at
+    step h/refine, with the same step cap, ``n_steps``.
 
-    Same step h/refine, same step cap.  ``nodes`` holds the resident nodes,
-    ``nodes[0]`` being node ``base`` of the reference.  :meth:`advance`
-    drops the nodes before the first one a later sample reads and steps up
-    to ``STREAM_CHUNK`` more from the last resident node by
-    :func:`~cyclecert.euler.step_on`, so the nodes are those of one long run
-    bit for bit.  :func:`synchronize` calls it whenever the next sample's
-    window is not resident, keeping the nodes from that window's start on.
-
-    The nodes live in one buffer of a chunk plus ``STREAM_SLACK`` rows:
-    :meth:`advance` moves the kept nodes to its front and steps the chunk
-    into the rows after them, so ``nodes`` is a view that the next advance
-    overwrites.  The buffer doubles only when the kept nodes and a chunk do
-    not fit in it.
+    :meth:`advance` drops the nodes before the first one a later sample
+    reads and extends the run by up to ``STREAM_CHUNK`` steps;
+    :func:`synchronize` calls it whenever the next sample's window is not
+    resident.  The buffer starts at a chunk plus ``STREAM_SLACK`` rows, so
+    ``nodes`` is a view that the next advance overwrites; it doubles only
+    when the kept nodes and a chunk do not fit in it.
     """
 
     def __init__(
         self, field: VectorField, y0, h: float, horizon: float, refine: int = 100
     ):
-        self.field = field
         self.refine = refine
-        self.h = h / refine
-        self.n_steps = int(math.ceil(horizon / self.h))
-        self.base = 0
+        self.n_steps = int(math.ceil(horizon / (h / refine)))
         rows = min(STREAM_CHUNK, self.n_steps) + 1 + STREAM_SLACK
-        self._buffer = np.empty((rows, field.dim))
-        self._buffer[0] = y0
-        self.nodes = self._buffer[:1]
-
-    @property
-    def end(self) -> int:
-        """Index of the last resident node."""
-        return self.base + self.nodes.shape[0] - 1
+        super().__init__(field, y0, h / refine, rows)
 
     def advance(self, keep: int):
         """Drop the nodes before node ``keep``, the first one a later sample
         reads (``base`` keeps every node), then step the next chunk."""
         if self.end >= self.n_steps:
             raise InputError("reference stream is already at its step cap")
-        if not self.base <= keep <= self.end:
-            raise InputError(f"node {keep} to keep is not resident")
-        start = self.end
-        stop = min(start + STREAM_CHUNK, self.n_steps)
-        kept = self.nodes[keep - self.base :]
-        n_kept = kept.shape[0]
-        rows = n_kept + stop - start
-        buffer = self._buffer
-        if rows > buffer.shape[0]:
-            shape = (max(2 * buffer.shape[0], rows), buffer.shape[1])
-            buffer = self._buffer = np.empty(shape)
-        buffer[:n_kept] = kept  # numpy copies through a temporary on overlap
-        self.nodes, self.base = buffer[:n_kept], keep
-        step_on(self.field, buffer[n_kept - 1 : rows], self.h, start, simulate)
-        self.nodes = buffer[:rows]
+        self.drop_before(keep)
+        self.extend(min(STREAM_CHUNK, self.n_steps - self.end), double=True)
 
 
 @dataclass
@@ -520,19 +492,6 @@ class ErrorCurveReport:
         }
 
 
-def _coarse_run(field, x0, h, n_steps, prefix) -> EulerTrajectory:
-    """The Euler run of ``n_steps`` steps from x0 whose first nodes are
-    ``prefix``, the nodes of a shorter or longer run: only the steps past it
-    are taken."""
-    k = min(prefix.shape[0] - 1, n_steps)
-    if k == n_steps:
-        return EulerTrajectory(field, x0, h, prefix[: k + 1])
-    nodes = np.empty((n_steps + 1, field.dim))
-    nodes[: k + 1] = prefix
-    step_on(field, nodes[k:], h, k, simulate)
-    return EulerTrajectory(field, x0, h, nodes)
-
-
 def error_curve_experiment(
     field: VectorField,
     x0,
@@ -555,13 +514,14 @@ def error_curve_experiment(
     while their error floor remains valid in practice, so a failed verdict
     is recorded per run rather than fatal.  InputError when that
     certificate found no return, when the coarse run at the smallest h has
-    more nodes than an array can hold, or when a certificate has no D.
+    more nodes than an array can hold or ``euler.NODE_BUDGET`` allows, or
+    when a certificate has no D.
     """
     require_positive("periods", periods)
     certs = []
     for h in h_list:
         cert = certify_existence(field, x0, h, delta0, gamma, config, horizon)
-        cert.start_runs = {}  # the R' runs, which only a basin sweep reads
+        cert.start_runs = []  # the R' runs, which only a basin sweep reads
         certs.append(cert)
     largest = dict(zip(h_list, certs))[max(h_list)]
     if largest.R1 is None:
@@ -580,7 +540,10 @@ def error_curve_experiment(
         c = cert.constants
         D = compute_D(c.M_C, c.L, gamma, c.a, c.b)
         n_steps = int(math.ceil(sync_horizon / h))
-        traj = _coarse_run(field, x0, h, n_steps, cert.trajectory.nodes)
+        run = cert.run  # the coarse run continues the certificate's
+        if n_steps > run.end:
+            run.extend(n_steps - run.end)
+        traj = run.trajectory(n_steps)
         ref = ReferenceStream(field, y0, h, sync_horizon * (c.b + 0.1), refine)
         series = synchronize(ref, traj, y0, tube=cert.tube, D=D)
         tail = series.tail_max()

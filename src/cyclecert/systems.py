@@ -70,7 +70,7 @@ class VectorField:
     # (u1, u2) -> (du1, du2), called on plain floats and on float64 arrays;
     # every Euler step goes through it.  It may use only + - * / (no **, no
     # math or numpy functions), so it rounds element by element on arrays as
-    # it does on floats; simulate's sweeps verify array results against the
+    # it does on floats; Run.extend's sweeps verify array results against the
     # float recurrence on that basis.  Every registry system and every
     # polynomial or rational inline system meets this.  One that raises
     # TypeError or ValueError on arrays (it calls math functions or branches
@@ -256,13 +256,15 @@ def _inline_system(name, exprs, params) -> VectorField:
     names = ["x1", "x2", *params]
     local = {k: sympy.Symbol(k) for k in names}
     syms = []
-    for expr in exprs:
+    for i, expr in enumerate(exprs):
         try:
             sym = sympy.sympify(expr, locals=local)
         except (sympy.SympifyError, SyntaxError, TypeError) as e:
             raise InputError(f"malformed expression {expr!r}: {e}") from e
         if not isinstance(sym, sympy.Expr):
             raise InputError(f"expression {expr!r} is not an arithmetic expression")
+        if sym.has(sympy.zoo):  # no printer writes it
+            raise InputError(f"rhs[{i}] = {expr!r} folds to complex infinity")
         missing = {str(s) for s in sym.free_symbols} - set(names)
         if missing:
             raise InputError(f"missing parameter(s) {sorted(missing)} in {expr!r}")

@@ -45,9 +45,10 @@ from .errors import (
 )
 from .euler import (
     EulerTrajectory,
+    Run,
     first_loop,
     return_times,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
-    simulate,
+    simulate,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
 )
 from .measures import (
     M_FLOOR,
@@ -652,9 +653,11 @@ class ExistenceCertificate:
     trajectory: Optional[EulerTrajectory] = dc_field(default=None, repr=False)
     config: Optional[PipelineConfig] = dc_field(default=None, repr=False)
     horizon: Optional[float] = dc_field(default=None, repr=False)
-    # Euler runs at step h by the bytes of their start point: the R' sweep's
-    # runs from the basin sweep's start points, this run from x0 among them
-    start_runs: dict = dc_field(default_factory=dict, repr=False)
+    # the Euler run from x0 that ``trajectory`` views, and the R' sweep's
+    # runs at step h, in ``tube.y0_disk.sweep_points`` order: the basin
+    # sweep continues them, and the error curve continues ``run``
+    run: Optional[Run] = dc_field(default=None, repr=False)
+    start_runs: list = dc_field(default_factory=list, repr=False)
 
     @property
     def certified(self) -> bool:
@@ -722,9 +725,10 @@ def certify_existence(
 ) -> ExistenceCertificate:
     """Full existence pipeline: first return, tube, conditions, verdict.
 
-    The certificate's ``trajectory`` is the :func:`~cyclecert.euler.first_loop`
-    run from x0: it ends at the chunk that holds R1, not at ``horizon``, and
-    the R' sweep and the error curve's coarse run continue it.
+    The certificate's ``trajectory`` views the :func:`~cyclecert.euler.first_loop`
+    of its ``run`` from x0: it ends at the chunk that holds R1, not at
+    ``horizon``, and the R' sweep and the error curve's coarse run continue
+    the run.
 
     Sub-computation failures (divergence, lost transversality, blocked
     return-time sweeps) are recorded as a failed certificate with blocking
@@ -747,7 +751,8 @@ def certify_existence(
         horizon=horizon,
     )
     try:
-        loop = first_loop(field, x0, h, horizon, delta0, step=simulate)
+        run = Run(field, x0, h)
+        loop = first_loop(run, horizon, delta0)
         if loop is None:
             cert.failure = {
                 "reason": "no-return",
@@ -757,7 +762,7 @@ def certify_existence(
             return cert
         traj, R1, N1 = loop
         cert.R1, cert.N1 = float(R1), int(N1)
-        cert.trajectory = traj
+        cert.trajectory, cert.run = traj, run
 
         # provisional magnitude bound over flat-radius slices, for the
         # alpha bookkeeping inside the builder
@@ -779,12 +784,16 @@ def certify_existence(
 
         incl = check_return_inclusion(tube, traj)
         # R' samples the basin sweep's start points, at least the center
-        # and both endpoints; its sweep reads this run from x0 and keeps the
-        # runs it steps, which the basin sweep continues
-        runs = {traj.nodes[0].tobytes(): traj.nodes}
+        # and both endpoints; its sweep continues this run from x0 at the
+        # center, and the basin sweep continues its runs
+        n_samples = max(config.sweep_samples, 3)
+        runs = [
+            run if z.tobytes() == run.x0.tobytes() else Run(field, z, h)
+            for z in tube.y0_disk.sweep_points(n_samples)
+        ]
         eta = estimate_eta(
             field, tube, incl.lhs, horizon=min(horizon, 2.5 * R1),
-            n_samples=max(config.sweep_samples, 3), runs=runs,
+            n_samples=n_samples, runs=runs,
         )
         cert.start_runs = runs
         constants = GlobalConstants(

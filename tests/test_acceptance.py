@@ -248,7 +248,7 @@ def test_criterion_5_property_suite(vdp, harmonic, linear, vdp_cert):
     if negf.failure["reason"] != "eq_new-violated":
         failures.append("negative-focus")
     expH = cc.contraction_exponent(
-        harmonic, (1.0, 0.0), 1e-3, 0.015, 0.05, PipelineConfig(), horizon=10.0
+        cc.Run(harmonic, (1.0, 0.0), 1e-3), 0.015, 0.05, PipelineConfig(), horizon=10.0
     )
     if not expH.K_max > 0:
         failures.append("negative-harmonic")

@@ -20,7 +20,7 @@ def vdp_attraction(vdp, vdp_cert):
 
 def test_exponent_linearity(vdp):
     exp = cc.contraction_exponent(
-        vdp, VDP_X0, 1e-3, VDP_GAMMA, VDP_DELTA0, PipelineConfig(), horizon=10.0
+        cc.Run(vdp, VDP_X0, 1e-3), VDP_GAMMA, VDP_DELTA0, PipelineConfig(), horizon=10.0
     )
     # K(z, h) - K(z, 0) = h * sigma_{N1} exactly (as represented)
     assert exp.Kh == exp.K0 + exp.h * exp.sigma_last
@@ -34,7 +34,7 @@ def test_exponent_consistent_with_tube(vdp, vdp_cert):
     # same rate chain: K at the in-segment return offset equals the log of
     # the tube contraction ratio
     exp = cc.contraction_exponent(
-        vdp, VDP_X0, VDP_H, VDP_GAMMA, VDP_DELTA0, PipelineConfig(), horizon=10.0
+        cc.Run(vdp, VDP_X0, VDP_H), VDP_GAMMA, VDP_DELTA0, PipelineConfig(), horizon=10.0
     )
     tube = vdp_cert.tube
     s_star = tube.R1 - (tube.N1 - 1) * tube.h
@@ -60,7 +60,7 @@ def test_exponent_forced_constant_rate(vdp, monkeypatch):
 def test_exponent_no_return_blocks(linear):
     with pytest.raises(CertificateBlockedError):
         cc.contraction_exponent(
-            linear, (1.0, 0.0), 1e-2, 0.015, 0.1, PipelineConfig(), horizon=5.0
+            cc.Run(linear, (1.0, 0.0), 1e-2), 0.015, 0.1, PipelineConfig(), horizon=5.0
         )
 
 
@@ -68,7 +68,7 @@ def test_harmonic_gamma_floor_not_certifiable(harmonic):
     # neutral circle flow: transverse measure 0, the floor forces positive
     # rates, so the loop exponent is positive and certification must refuse
     exp = cc.contraction_exponent(
-        harmonic, (1.0, 0.0), 1e-3, 0.015, 0.05, PipelineConfig(), horizon=10.0
+        cc.Run(harmonic, (1.0, 0.0), 1e-3), 0.015, 0.05, PipelineConfig(), horizon=10.0
     )
     assert exp.K_max > 0.0
     assert exp.K_max == pytest.approx(1.5 * 0.015 * 2 * np.pi, rel=0.05)
@@ -81,7 +81,7 @@ def test_sweep_single_sample_is_center(vdp):
     )
     sweep = cc.sweep_Y0(existence)
     solo = cc.contraction_exponent(
-        vdp, VDP_X0, 1e-3, VDP_GAMMA, VDP_DELTA0, cfg, horizon=10.0
+        cc.Run(vdp, VDP_X0, 1e-3), VDP_GAMMA, VDP_DELTA0, cfg, horizon=10.0
     )
     assert sweep.d == pytest.approx(solo.K_max)
 
@@ -101,7 +101,7 @@ def test_sweep_monotone_in_samples(vdp):
 def test_unstable_focus_sweep_positive():
     field = cc.load_system({"id": "unstable-focus", "params": {"growth": 0.05}})
     exp = cc.contraction_exponent(
-        field, (1.0, 0.0), 2e-4, 0.015, 0.1, PipelineConfig(), horizon=20.0
+        cc.Run(field, (1.0, 0.0), 2e-4), 0.015, 0.1, PipelineConfig(), horizon=20.0
     )
     assert exp.K_max > 0.0
 
@@ -298,7 +298,7 @@ def test_sweep_reuses_existence_tube_at_center(vdp, coarse_existence, monkeypatc
     assert len(reused.exponents) == 11
     built = [
         cc.contraction_exponent(
-            vdp, z, COARSE_H, VDP_GAMMA, VDP_DELTA0, COARSE_CFG, horizon=10.0
+            cc.Run(vdp, z, COARSE_H), VDP_GAMMA, VDP_DELTA0, COARSE_CFG, horizon=10.0
         )
         for z in coarse_existence.tube.y0_disk.sweep_points(11)
     ]
@@ -309,7 +309,7 @@ def test_sweep_reuses_existence_tube_at_center(vdp, coarse_existence, monkeypatc
     ]
     assert reused.d == max(e.K_max for e in built)
     fresh = cc.contraction_exponent(
-        vdp, VDP_X0, COARSE_H, VDP_GAMMA, VDP_DELTA0, COARSE_CFG, horizon=10.0
+        cc.Run(vdp, VDP_X0, COARSE_H), VDP_GAMMA, VDP_DELTA0, COARSE_CFG, horizon=10.0
     )
     assert exponent_fields(reused.exponents[5]) == exponent_fields(fresh)
 
@@ -317,7 +317,7 @@ def test_sweep_reuses_existence_tube_at_center(vdp, coarse_existence, monkeypatc
 def test_attraction_center_exponent_is_fresh_exponent(vdp, vdp_attraction):
     # the production sweep takes its center sample from the existence tube
     fresh = cc.contraction_exponent(
-        vdp, VDP_X0, VDP_H, VDP_GAMMA, VDP_DELTA0, PipelineConfig(), horizon=10.0
+        cc.Run(vdp, VDP_X0, VDP_H), VDP_GAMMA, VDP_DELTA0, PipelineConfig(), horizon=10.0
     )
     assert exponent_fields(vdp_attraction.exponents[5]) == exponent_fields(fresh)
 
@@ -362,40 +362,47 @@ def test_sweep_reads_threads_env_when_it_runs(coarse_existences, monkeypatch):
 
 
 def test_each_start_point_stepped_once(vdp, monkeypatch):
-    # R' samples the basin sweep's start points: its sweep reads the
-    # existence run from x0, and the basin sweep continues the R' runs.
-    # No run is stepped from a node twice, and the nodes stepped from on
-    # the initial disk are the sweep's start points
+    # R' samples the basin sweep's start points, and at least the center
+    # and both endpoints: its sweep continues the existence run from x0,
+    # and the basin sweep continues the R' runs.  Counted through
+    # Run.extend, where every node is stepped: no run is stepped from a
+    # node twice, and the nodes stepped from on the initial disk are R''s
+    # start points; with 2 samples the basin sweep takes R''s endpoints
     starts = []
-    for module in (cc.euler, cc.tube, cc.attraction):
-        simulate = module.simulate
+    extend = cc.Run.extend
 
-        def counted(field, x0, h, n_steps, out=None, simulate=simulate):
-            starts.append(np.asarray(x0, dtype=float).tobytes())
-            return simulate(field, x0, h, n_steps, out)
+    def counted(run, n, double=False):
+        starts.append(run.nodes[-1].tobytes())
+        return extend(run, n, double)
 
-        monkeypatch.setattr(module, "simulate", counted)
-    existence = cc.certify_existence(
-        vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG, horizon=10.0
-    )
-    # at the coarse step only the step condition eq_h fails; the constants
-    # are all there
-    existence = dataclasses.replace(existence, verdict="certified")
-    cert = cc.certify_attraction(existence)
-    assert cert.sample_count == COARSE_CFG.sweep_samples
-    assert len(starts) == len(set(starts))
-    disk = existence.tube.y0_disk
-    n = disk.normal / np.linalg.norm(disk.normal)
-    on_disk = {
-        z
-        for z in starts
-        for y in [np.frombuffer(z) - disk.center]
-        if abs(y @ n) < 1e-12 and np.linalg.norm(y) <= disk.radius * (1 + 1e-12)
-    }
-    pts = {z.tobytes() for z in disk.sweep_points(COARSE_CFG.sweep_samples)}
-    assert len(pts) == COARSE_CFG.sweep_samples
-    assert on_disk == pts
-    assert set(existence.start_runs) == pts
+    monkeypatch.setattr(cc.Run, "extend", counted)
+    for samples in (COARSE_CFG.sweep_samples, 2):
+        starts.clear()
+        config = dataclasses.replace(COARSE_CFG, sweep_samples=samples)
+        existence = cc.certify_existence(
+            vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, config, horizon=10.0
+        )
+        # at the coarse step only the step condition eq_h fails; the
+        # constants are all there
+        existence = dataclasses.replace(existence, verdict="certified")
+        cert = cc.certify_attraction(existence)
+        disk = existence.tube.y0_disk
+        assert [e.z.tobytes() for e in cert.exponents] == [
+            z.tobytes() for z in disk.sweep_points(samples)
+        ]
+        assert len(starts) == len(set(starts))
+        n = disk.normal / np.linalg.norm(disk.normal)
+        on_disk = {
+            z
+            for z in starts
+            for y in [np.frombuffer(z) - disk.center]
+            if abs(y @ n) < 1e-12 and np.linalg.norm(y) <= disk.radius * (1 + 1e-12)
+        }
+        pts = [z.tobytes() for z in disk.sweep_points(max(samples, 3))]
+        assert len(set(pts)) == max(samples, 3)
+        assert on_disk == set(pts)
+        assert [run.x0.tobytes() for run in existence.start_runs] == pts
+        assert existence.start_runs[len(pts) // 2] is existence.run
 
 
 @pytest.mark.parametrize(
@@ -418,11 +425,8 @@ def test_sweep_crossing_matches_return_times(spec, x0, h, delta0, horizon):
     excl = cc.default_exclusion(h, delta0)
     for z in disk.sweep_points(8):
         section = cc.Section.through(field, z)
-        nodes, segment, R1 = cc.euler.first_return(
-            field, z, h, n_steps, section, excl
-        )
+        ran, segment, R1 = cc.Run(field, z, h).first_return(n_steps, section, excl)
         N1 = cc.euler.return_index(R1, segment, h)
-        ran = cc.EulerTrajectory(field, z, h, nodes)
         whole = cc.simulate(field, z, h, n_steps)
         for traj in (ran, whole):
             assert cc.return_times(traj, section, 1, excl).first()[:2] == (R1, N1)

@@ -140,6 +140,19 @@ def test_blocking_error_exit2(tmp_path):
     assert doc["kind"] == "error"
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify-existence"])
+def test_preset_and_system_exclude_each_other(tmp_path, command):
+    # a preset names its system, so a --system beside it is refused, not
+    # dropped
+    out = tmp_path / "both"
+    argv = [command, "--preset", "vdp-example1", "--system", "harmonic"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+    doc = json.loads((out / "error.json").read_text())
+    assert doc["error"] == "input-error"
+    assert "--preset vdp-example1 and --system harmonic" in doc["detail"]
+
+
 def test_missing_system_file_exit2(tmp_path, capsys):
     out = tmp_path / "nofile"
     missing = tmp_path / "missing.json"
@@ -299,12 +312,15 @@ def _registry_spec(sid):
     return st.fixed_dictionaries({"id": st.just(sid), "params": params})
 
 
-# small inline systems: polynomial, rational, and one with sin that steps on
-# plain floats; a name that is not a string is refused
+# small inline systems: polynomial, rational, one with sin that steps on
+# plain floats, and two that sympy folds to complex infinity, which are
+# refused; a name that is not a string is refused
 _INLINE_RHS = [
     ["x2", "p*x2 - p*x1**2*x2 - x1"],
     ["x2/(1 + x1**2)", "-x1 + p*x2"],
     ["x2", "-sin(x1) + p*x2*(1 - x1**2)"],
+    ["1/0", "x2"],
+    ["zoo*x1", "x2"],
 ]
 SYSTEM_SPECS = st.sampled_from(sorted(REGISTRY)).flatmap(_registry_spec) | (
     st.fixed_dictionaries(
@@ -468,23 +484,23 @@ def test_canonical_json_float_format():
 
 def test_error_curve_cli_small(tmp_path, monkeypatch):
     # the largest h's certificate gives the loop period and the coarse run
-    # continues its run from x0: counted through every simulate binding, no
-    # node of that run is stepped twice
+    # continues its run from x0: counted through Run.extend, where every
+    # node is stepped, no node of a run at h is stepped twice
     h = 1e-3
-    simulate = cyclecert.euler.simulate
+    cfg = get_preset("vdp-example2")
+    whole = cyclecert.simulate(load_system(cfg.system), cfg.x0, h, 3 * 4096)
     stepped = Counter()
-    for module in (
-        cyclecert.euler, cyclecert.tube, cyclecert.attraction, cyclecert.syncerr,
-        cyclecert.cli,
-    ):
+    extend = cyclecert.Run.extend
 
-        def counted(field, x0, h_run, n_steps, out=None, bound=module.simulate):
-            traj = bound(field, x0, h_run, n_steps, out)
-            if h_run == h:
-                stepped.update(row.tobytes() for row in traj.nodes[1:])
-            return traj
+    def counted(run, n, double=False):
+        first = run.end + 1
+        extend(run, n, double)
+        if run.h == h:
+            rows = run.nodes[first - run.base :]
+            stepped.update(row.tobytes() for row in rows)
+        return run
 
-        monkeypatch.setattr(module, "simulate", counted)
+    monkeypatch.setattr(cyclecert.Run, "extend", counted)
     out = tmp_path / "curves"
     code = main(
         [
@@ -503,8 +519,6 @@ def test_error_curve_cli_small(tmp_path, monkeypatch):
     csv_files = list(out.glob("error_curve_h*.csv"))
     assert len(csv_files) == 1
     assert csv_files[0].read_text().splitlines()[0] == "t,theta,error,delta_bound,Dh"
-    cfg = get_preset("vdp-example2")
-    whole = simulate(load_system(cfg.system), cfg.x0, h, 3 * 4096)
     assert max(stepped[row.tobytes()] for row in whole.nodes[1:]) == 1
 
 

@@ -118,7 +118,7 @@ def test_scalar_overflow_names_the_step(x0, n_steps):
     if step is None:
         assert np.all(np.isfinite(cc.simulate(field, (x0, 0.0), 0.05, n_steps).nodes))
         return
-    with pytest.raises(DivergedError, match=f"overflowed at step {step}$") as exc:
+    with pytest.raises(DivergedError, match=f"overflowed at node {step}$") as exc:
         cc.simulate(field, (x0, 0.0), 0.05, n_steps)
     assert exc.value.first_bad_index == step
 
@@ -206,7 +206,7 @@ def test_float_errors_name_the_step(rhs, x0):
     field = cc.load_system({"rhs": rhs})
     _, step = one_step_nodes(field.rhs_scalar2, x0, 0.01, 10)
     assert step is not None
-    with pytest.raises(DivergedError, match=f"at step {step}$") as exc:
+    with pytest.raises(DivergedError, match=f"at node {step}$") as exc:
         cc.simulate(field, x0, 0.01, 10)
     assert exc.value.first_bad_index == step
 
@@ -400,7 +400,7 @@ def test_block_overflow_names_the_step(x0):
     if step is None:
         assert np.all(np.isfinite(cc.simulate(field, (x0, 0.0), h, n_steps).nodes))
     else:
-        with pytest.raises(DivergedError, match=f"overflowed at step {step}$") as exc:
+        with pytest.raises(DivergedError, match=f"overflowed at node {step}$") as exc:
             cc.simulate(field, (x0, 0.0), h, n_steps)
         assert exc.value.first_bad_index == step
     assert any(seen)
@@ -427,52 +427,6 @@ def test_block_nonfinite_names_first_bad_node(x0, rhs2):
             cc.simulate(field, (x0, 0.0), h, n_steps)
     assert exc.value.first_bad_index == bad
     assert any(seen)
-
-
-@pytest.mark.parametrize("registry", [True, False])
-@pytest.mark.parametrize("n_steps", [10, 3 * SWEEP_W + 5])
-def test_simulate_into_out(vdp, registry, n_steps):
-    # the nodes go into out, a row of out may be the start point, and the
-    # trajectory is a read-only view of out that leaves out writable; for
-    # the registry Van der Pol and for one compiled from an inline spec
-    field = vdp if registry else cc.load_system(VDP_INLINE)
-    x0 = (1.8929, -0.5383)
-    ref = cc.simulate(field, x0, 1e-5, n_steps).nodes
-    buf = np.full((n_steps + 3, 2), np.nan)
-    buf[1] = x0
-    out = buf[1 : n_steps + 2]
-    traj = cc.simulate(field, out[0], 1e-5, n_steps, out=out)
-    assert np.array_equal(out, ref) and np.array_equal(traj.nodes, ref)
-    assert np.shares_memory(traj.nodes, buf) and buf.flags.writeable
-    assert np.array_equal(traj.x0, x0) and not np.shares_memory(traj.x0, buf)
-    with pytest.raises(ValueError):
-        traj.nodes[0, 0] = 0.0
-    buf[2] = 0.0
-    assert traj.nodes[1, 0] == 0.0
-    for bad in (np.empty((n_steps, 2)), np.empty((n_steps + 1, 2), np.float32)):
-        with pytest.raises(InputError, match="out must be"):
-            cc.simulate(field, x0, 1e-5, n_steps, out=bad)
-
-
-@pytest.mark.parametrize("layout", ["fortran", "column-strided", "row-strided"])
-def test_simulate_out_needs_contiguous_rows(vdp, layout):
-    # the sweeps step the rows of out as complex numbers: out may skip
-    # rows, but each row's two values must be adjacent
-    x0, n_steps = (1.8929, -0.5383), 2 * SWEEP_W + 3
-    ref = cc.simulate(vdp, x0, 1e-5, n_steps).nodes
-    if layout == "fortran":
-        out = np.empty((n_steps + 1, 2), order="F")
-    elif layout == "column-strided":
-        out = np.empty((n_steps + 1, 4))[:, ::2]
-    else:
-        out = np.empty((2 * n_steps + 2, 2))[::2]
-    if layout == "row-strided":
-        traj = cc.simulate(vdp, x0, 1e-5, n_steps, out=out)
-        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
-        assert np.shares_memory(traj.nodes, out)
-    else:
-        with pytest.raises(InputError, match="with contiguous rows"):
-            cc.simulate(vdp, x0, 1e-5, n_steps, out=out)
 
 
 @pytest.mark.parametrize(
@@ -664,56 +618,108 @@ def test_batch_first_return_matches_scalar(harmonic, linear):
         assert np.all(np.isnan(times))
 
 
+def counted_extends(monkeypatch):
+    """Steps each Run.extend call takes, in call order."""
+    steps = []
+    extend = cc.Run.extend
+
+    def counted(run, n, double=False):
+        steps.append(n)
+        return extend(run, n, double)
+
+    monkeypatch.setattr(cc.Run, "extend", counted)
+    return steps
+
+
 @pytest.mark.parametrize("known", [1000, 4096, 5000, 9000])
-def test_continued_run_matches_one_run(harmonic, known):
-    # a run read from its first nodes and stepped past them is one run,
-    # bit for bit: a prefix shorter than one chunk, one ending on a chunk
+def test_continued_run_matches_one_run(harmonic, monkeypatch, known):
+    # a run that holds its first nodes and is scanned past them is one run,
+    # bit for bit: a run shorter than one chunk, one ending on a chunk
     # boundary, one ending inside the return's chunk and one longer than
-    # the run up to its return; only the steps past the prefix are taken
+    # the run up to its return; only the steps past its nodes are taken
     h, n_steps, excl = 1e-3, 10000, cc.Exclusion(1e-2, 0.05)
     section, x0 = harmonic_section(harmonic), np.array([1.0, 0.0])
     whole = cc.simulate(harmonic, x0, h, n_steps).nodes
-    steps = []
-
-    def step(field, x, h, n, out=None):
-        steps.append(n)
-        return cc.simulate(field, x, h, n, out)
-
-    fresh = cc.euler.first_return(harmonic, x0, h, n_steps, section, excl)
-    nodes, segment, time = cc.euler.first_return(
-        harmonic, x0, h, n_steps, section, excl, prefix=whole[: known + 1],
-        step=step,
-    )
+    fresh = cc.Run(harmonic, x0, h).first_return(n_steps, section, excl)
+    run = cc.Run(harmonic, x0, h).extend(known)
+    steps = counted_extends(monkeypatch)
+    traj, segment, time = run.first_return(n_steps, section, excl)
     # the return near 2*pi lies in the second chunk, which ends the run
     stop = 2 * cc.euler.RETURN_CHUNK
     assert segment // cc.euler.RETURN_CHUNK == 1
     assert (segment, time) == fresh[1:]
-    assert np.array_equal(nodes, whole[: stop + 1])
-    assert np.array_equal(fresh[0], whole[: stop + 1])
-    assert sum(steps) == max(stop - known, 0)
+    assert np.array_equal(traj.nodes, whole[: stop + 1])
+    assert np.array_equal(fresh[0].nodes, whole[: stop + 1])
+    assert sum(steps) == max(stop - known, 0) and run.end == max(stop, known)
 
 
-def test_batch_first_return_reads_and_keeps_runs(harmonic):
-    # a sample with an entry in runs reads it and leaves the longer run
-    # there; a sample without one keeps nothing
+def test_run_extends_exactly_or_doubles(harmonic):
+    # extend grows the buffer to the rows it needs, and with double to at
+    # least twice its rows; a trajectory taken before keeps its nodes, and
+    # drop_before moves the kept nodes to the front
+    h = 1e-3
+    run = cc.Run(harmonic, [1.0, 0.0], h).extend(600)
+    assert run._buffer.shape[0] == 601
+    before = run.trajectory()
+    run.extend(10, double=True)
+    assert run._buffer.shape[0] == 1202 and run.end == 610
+    run.extend(600, double=True)
+    assert run._buffer.shape[0] == 2404
+    run.extend(4000, double=True)
+    assert run._buffer.shape[0] == 5211
+    whole = cc.simulate(harmonic, [1.0, 0.0], h, 5210).nodes
+    assert np.array_equal(run.nodes, whole)
+    assert np.array_equal(before.nodes, whole[:601])
+    run.drop_before(1000)
+    assert run.base == 1000 and np.array_equal(run.nodes, whole[1000:])
+    with pytest.raises(InputError, match="not resident"):
+        run.trajectory()
+    with pytest.raises(InputError, match="node 999 to keep is not resident"):
+        run.drop_before(999)
+
+
+def test_run_refuses_past_the_node_budget(linear, monkeypatch):
+    # a run that would hold more than NODE_BUDGET nodes is refused before
+    # its buffer grows: stepped at once, or chunk by chunk while it looks
+    # for a return that never comes, its doubling capped at the budget
+    chunk = cc.euler.RETURN_CHUNK
+    monkeypatch.setattr(cc.euler, "NODE_BUDGET", 2 * chunk + 1)
+    h, x0 = 1e-3, np.array([1.0, 0.0])
+    with pytest.raises(InputError, match=f"h = 0.001 would hold {2 * chunk + 2} nodes"):
+        cc.simulate(linear, x0, h, 2 * chunk + 1)
+    assert cc.simulate(linear, x0, h, 2 * chunk).n_steps == 2 * chunk
+    run = cc.Run(linear, x0, h)
+    section, excl = cc.Section(x0, linear.f_raw(x0)), cc.Exclusion(1e-2, 0.05)
+    with pytest.raises(InputError, match=f"budget of {2 * chunk + 1}: raise h or shorten"):
+        run.first_return(5 * chunk, section, excl)
+    assert run.end == 2 * chunk and run._buffer.shape[0] == 2 * chunk + 1
+
+
+def test_batch_first_return_reads_and_keeps_runs(harmonic, monkeypatch):
+    # each sample continues its run in place: a run that already holds its
+    # return is read, not stepped, and the others hold theirs afterwards
     h, horizon, excl = 1e-3, 10.0, cc.Exclusion(1e-2, 0.05)
     section = harmonic_section(harmonic)
     pts = np.array([[1.0, 0.0], [1.01, 0.0], [0.99, 0.0]])
-    whole = cc.simulate(harmonic, pts[1], h, 10000).nodes
-    runs = {pts[0].tobytes(): pts[0][None, :], pts[1].tobytes(): whole}
+    runs = [cc.Run(harmonic, p, h) for p in pts]
+    runs[1].extend(10000)
+    whole = runs[1].nodes
+    steps = counted_extends(monkeypatch)
     times = cc.batch_first_return(harmonic, pts, h, horizon, section, excl, runs)
+    stop = 2 * cc.euler.RETURN_CHUNK
+    assert sum(steps) == 2 * stop
     assert np.array_equal(
         times, cc.batch_first_return(harmonic, pts, h, horizon, section, excl)
     )
-    stop = 2 * cc.euler.RETURN_CHUNK
-    assert len(runs) == 2 and runs[pts[1].tobytes()] is whole
-    assert np.array_equal(
-        runs[pts[0].tobytes()], cc.simulate(harmonic, pts[0], h, stop).nodes
-    )
+    assert runs[1].nodes.base is whole.base and runs[1].end == 10000
+    for p, run in zip(pts, runs):
+        want = cc.simulate(harmonic, p, h, run.end).nodes
+        assert np.array_equal(run.nodes, want) and run.diverged is None
 
 
 def test_first_return_names_the_diverged_node(harmonic):
-    # a run that overflows in its second chunk names its node on the run
+    # a run that overflows in its second chunk names its node on the run,
+    # and keeps the error
     def rhs2(u1, u2):
         return (u1 * u1 if u1 > 5.0 else 1.0), 0.0
 
@@ -722,13 +728,13 @@ def test_first_return_names_the_diverged_node(harmonic):
     with pytest.raises(DivergedError) as whole:
         cc.simulate(field, [0.0, 0.0], h, n_steps)
     assert whole.value.first_bad_index > cc.euler.RETURN_CHUNK
+    run = cc.Run(field, [0.0, 0.0], h)
     with pytest.raises(DivergedError) as chunked:
-        cc.euler.first_return(
-            field, [0.0, 0.0], h, n_steps, harmonic_section(harmonic),
-            cc.Exclusion(1e-2, 0.05),
-        )
+        run.first_return(n_steps, harmonic_section(harmonic), cc.Exclusion(1e-2, 0.05))
     assert chunked.value.first_bad_index == whole.value.first_bad_index
     assert str(chunked.value) == f"non-finite state at node {whole.value.first_bad_index}"
+    assert run.diverged is chunked.value
+    assert run.end == cc.euler.RETURN_CHUNK * (run.end // cc.euler.RETURN_CHUNK)
 
 
 def test_return_times_bracket_violation_raises(harmonic, monkeypatch):

@@ -75,6 +75,51 @@ def test_benchmark_tracer_bindings_exist():
     assert tracing.WRAPS and missing == []
 
 
+def _call_scopes(tree, scope, names):
+    """(function, callee) for every call in ``tree`` of a name in
+    ``names``, the function given by its qualified name under ``scope``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Call):
+            callee = ast.unparse(node.func).rsplit(".", 1)[-1]
+            if callee in names:
+                found.append((scope, callee))
+        found += _call_scopes(node, inner, names)
+    return found
+
+
+def test_every_node_is_stepped_by_run_extend():
+    # Run.extend is the one place a node is stepped: outside
+    # _planar_nodes, which falls back to _scalar_nodes, it is the only
+    # caller of either.  The other ways a run once grew (step_on,
+    # _coarse_run, prefix= and step= parameters) stay gone
+    sites, gone = [], []
+    for path in sorted(Path(cyclecert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {"_planar_nodes", "_scalar_nodes"}
+        sites += [
+            f"{scope}: {callee}"
+            for scope, callee in _call_scopes(tree, path.stem, names)
+            if scope != "euler._planar_nodes"
+        ]
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name in ("step_on", "_coarse_run"):
+                gone.append(f"{path.stem}.{node.name}")
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            gone += [
+                f"{path.stem}.{node.name}({a.arg}=)"
+                for a in args
+                if a.arg in ("prefix", "step")
+            ]
+    assert sites == ["euler.Run.extend: _planar_nodes"]
+    assert gone == []
+
+
 def test_module_imports_are_used():
     # every name a package module imports is read in that module, or is a
     # binding the traced benchmark run replaces there (tracing.WRAPS)

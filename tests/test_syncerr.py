@@ -369,22 +369,45 @@ def test_error_curve_holds_its_series_once(vdp, monkeypatch):
 
 @pytest.mark.parametrize("n_steps", [4000, 10000, 25000])
 def test_coarse_run_continues_the_certificate_run(vdp, monkeypatch, n_steps):
-    # the error curve's coarse run starts with the certificate's nodes and
-    # steps only past them, to the nodes of one run from x0
+    # the error curve's coarse run of about n_steps steps is the
+    # certificate's run of 8192, extended: only the steps past the
+    # certificate's nodes are taken, counted through Run.extend, to the
+    # nodes of one run from x0, and the buffer grows to exactly the coarse
+    # run
     h = 1e-3
-    prefix = cc.simulate(vdp, VDP_X0, h, 10000).nodes
-    steps = []
-    simulate = syncerr.simulate
+    cert = cc.certify_existence(
+        vdp, VDP_X0, h, VDP_DELTA0, VDP_GAMMA, PipelineConfig(lambda_stride=50),
+        horizon=10.0,
+    )
+    known = cert.run.end
+    assert known == 2 * cc.euler.RETURN_CHUNK
+    periods = n_steps * h / cert.R1
+    monkeypatch.setattr(syncerr, "certify_existence", lambda *a, **k: cert)
+    steps, coarse = [], []
+    extend, synchronize = cc.Run.extend, syncerr.synchronize
 
-    def counted(field, x0, h, n, **kwargs):
-        steps.append(n)
-        return simulate(field, x0, h, n, **kwargs)
+    def counted(run, n, double=False):
+        if run.h == h:
+            steps.append(n)
+        return extend(run, n, double)
 
-    monkeypatch.setattr(syncerr, "simulate", counted)
-    traj = syncerr._coarse_run(vdp, VDP_X0, h, n_steps, prefix)
-    assert steps == ([n_steps - 10000] if n_steps > 10000 else [])
+    def recorded(reference, traj, *args, **kwargs):
+        coarse.append(traj)
+        return synchronize(reference, traj, *args, **kwargs)
+
+    monkeypatch.setattr(cc.Run, "extend", counted)
+    monkeypatch.setattr(syncerr, "synchronize", recorded)
+    cc.error_curve_experiment(
+        vdp, VDP_X0, (1.8037, -0.5057), [h], periods, VDP_DELTA0, VDP_GAMMA,
+        refine=10,
+    )
+    n_steps = math.ceil(periods * cert.R1 / h)
+    assert steps == ([n_steps - known] if n_steps > known else [])
+    (traj,) = coarse
     assert np.array_equal(traj.nodes, cc.simulate(vdp, VDP_X0, h, n_steps).nodes)
     assert traj.h == h and np.array_equal(traj.x0, VDP_X0)
+    if n_steps > known:
+        assert cert.run._buffer.shape[0] == n_steps + 1
 
 
 @pytest.mark.parametrize("periods", [math.nan, math.inf, 0.0, -1.0])

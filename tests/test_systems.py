@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 
 import numpy as np
 import pytest
@@ -392,3 +393,15 @@ def test_registry_entries_meet_the_field_contract(system):
     assert F.free_symbols | J.free_symbols | R.free_symbols <= set(local.values())
     assert sympy.simplify(J - F.jacobian([local["x1"], local["x2"]])) == sympy.zeros(2, 2)
     assert sympy.simplify(R - F) == sympy.zeros(2, 1)
+
+
+@pytest.mark.parametrize(
+    "rhs,i",
+    [(["1/0", "x2"], 0), (["x2", "zoo*x1"], 1), (["x2/(x1 - x1)", "x2"], 0)],
+    ids=["one-over-zero", "zoo", "folded-zero-division"],
+)
+def test_complex_infinity_is_refused(rhs, i):
+    # sympy folds each to complex infinity, which no printer writes
+    msg = re.escape(f"rhs[{i}] = {rhs[i]!r} folds to complex infinity")
+    with pytest.raises(InputError, match=msg):
+        cc.load_system({"name": "zoo", "rhs": rhs})
