@@ -36,9 +36,6 @@ print(f"fraction of the loop with positive transverse measure: "
 spec = cc.transverse_measure(field, x0)
 print(f"at the start point: mu = {spec.mu:.4f}, mu_perp = {spec.mu_perp:.4f}")
 
-write_csv(
-    out / "mu_perp.csv",
-    ["t", "mu_perp"],
-    ([i * h, mu_perp[i]] for i in range(0, N1, 10)),
-)
+i = np.arange(0, N1, 10)
+write_csv(out / "mu_perp.csv", ["t", "mu_perp"], [i * h, mu_perp[i]])
 print(f"wrote {out}/mu_perp.csv")

@@ -34,15 +34,17 @@ def require_positive(name: str, value: float) -> None:
 
 
 def require_step_count(name: str, h: float, horizon: float, value=None) -> None:
-    """Raise InputError, naming ``name`` and ``value`` (default h), unless
-    numpy can index the ceil(horizon / h) + 1 planar nodes of a run, two
-    float64 each, by a signed machine word.  A step count that is not
-    finite (``h = 5e-324`` overflows it) is refused too."""
+    """Raise InputError, naming ``name`` and ``value`` (default h), unless the
+    run has at least one step and numpy can index its ceil(horizon / h) + 1
+    planar nodes, two float64 each, by a signed machine word.  A step count
+    that is not finite (``h = 5e-324`` overflows it) is refused too."""
     steps = horizon / h
-    if not 16 * (steps + 2) <= sys.maxsize:
+    if not (1 <= steps and 16 * (steps + 2) <= sys.maxsize):
         why = f"asks for {steps:g} steps, more nodes than an array can hold"
         if not math.isfinite(steps):
             why = "leaves no finite step count"
+        elif steps < 1:
+            why = "leaves fewer than one step"
         value = h if value is None else value
         raise InputError(f"{name} = {value!r} {why}: horizon / h = {horizon!r} / {h!r}")
 

@@ -44,6 +44,7 @@ from .errors import (
     NumericError,
 )
 from .euler import (
+    NODE_BUDGET,
     EulerTrajectory,
     Run,
     first_loop,
@@ -739,6 +740,10 @@ def certify_existence(
     for name, value in values.items():
         require_positive(name, value)
     require_step_count("h", h, horizon)
+    nodes = max(config.sweep_samples, 3) * (math.ceil(horizon / h) + 1)
+    if nodes > NODE_BUDGET:  # R' keeps its runs (start_runs) of up to this many
+        raise InputError(f"sweep_samples (--samples) = {config.sweep_samples} asks "
+                         f"for {nodes} sweep nodes, over the budget of {NODE_BUDGET}")
     cert = ExistenceCertificate(
         verdict="failed",
         system=field.name,

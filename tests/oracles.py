@@ -7,8 +7,9 @@ components, over blocks and between anchors, the whole-loop planes that
 FitzHugh-Nagumo right-hand sides and Jacobians that the registry's planar
 kernels replaced, the sampled return-time sweep that the tube's return-time
 interval replaced, the joined synchronization series that the error curve
-now fills in place, and a central-difference Jacobian that checks the
-hand-written registry Jacobians; the tests hold the library to them.
+now fills in place, a central-difference Jacobian that checks the
+hand-written registry Jacobians, and the row-by-row CSV formatter that
+``output.csv_rows`` replaced; the tests hold the library to them.
 """
 
 from types import SimpleNamespace
@@ -247,3 +248,17 @@ def eta_sweep_oracle(field, disk, n_samples, h, horizon, refine=10):
         refine=refine,
         flow_times=t_flow,
     )
+
+
+def csv_text(header, rows):
+    """The CSV text of ``rows`` under ``header``, one Python format call
+    per value: ``'%.17g'`` for a float, ``str`` for anything else."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(
+                format(v, ".17g") if isinstance(v, (float, np.floating)) else str(v)
+                for v in row
+            )
+        )
+    return "\n".join(lines) + "\n"

@@ -17,14 +17,11 @@ import cyclecert
 from cyclecert.cli import _run_config, build_parser, main
 from cyclecert.config import get_preset
 from cyclecert import output
-from cyclecert.output import (
-    canonical_json,
-    load_schema,
-    write_csv,
-    write_error_curve_csv,
-)
+from cyclecert.output import canonical_json, load_schema, write_error_curve_csv
 from cyclecert.syncerr import SyncErrorSeries
 from cyclecert.systems import REGISTRY, load_system
+
+from oracles import csv_text
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +203,10 @@ def test_invalid_count_exit2(tmp_path, command, option, value):
         ("certify-existence", "--delta0", "nan", "delta0"),
         ("certify-existence", "--gamma", "nan", "gamma"),
         ("certify-existence", "--h", "1e-300", "h"),
+        ("certify-existence", "--h", "1e300", "h"),
+        ("certify-existence", "--horizon", "1e-5", "h"),
+        ("certify-existence", "--samples", "1000000000", "sweep_samples"),
+        ("certify-attraction", "--samples", "336", "sweep_samples"),
         ("error-curve", "--h-list", "0", "h_list"),
         ("error-curve", "--h-list", "-0.001", "h_list"),
         ("error-curve", "--periods", "inf", "periods"),
@@ -228,6 +229,18 @@ def test_bad_run_value_exit2(tmp_path, command, option, value, name):
     assert doc["error"] == "input-error"
     assert doc["detail"].startswith(f"{name} ")
     assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+
+def test_step_above_the_horizon_exit2(tmp_path):
+    # an h above the horizon leaves no step: refused, where it ran one step
+    # of length 1e300 and failed no-return after an overflow in planar_norm
+    code = main(["certify-existence", "--preset", "vdp-example1", "--h", "1e300",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    detail = json.loads((tmp_path / "error.json").read_text())["detail"]
+    assert detail == (
+        "h = 1e+300 leaves fewer than one step: horizon / h = 10.0 / 1e+300"
+    )
 
 
 def test_field_overflow_at_start_point_exit2(tmp_path):
@@ -333,9 +346,10 @@ SYSTEM_SPECS = st.sampled_from(sorted(REGISTRY)).flatmap(_registry_spec) | (
 )
 # steps of at least 2e-3 and horizons of at most 12 keep each run under
 # 6,000 steps (10,000 for a --system run without --horizon, which runs to
-# 20).  A huge horizon, a tiny normal step (1e-300) and a huge --samples are
-# left out: the run then steps, or allocates, as much as they ask, without
-# bound
+# 20).  A huge horizon and a tiny normal step (1e-300) are left out: the
+# run then steps as much as they ask, up to the node budget.  A --samples
+# of 1e8 or more asks for more sweep nodes than the budget, and is refused
+# before any run
 CLI_RUNS = st.fixed_dictionaries(
     {
         "--system": _option(SYSTEM_SPECS),
@@ -345,7 +359,7 @@ CLI_RUNS = st.fixed_dictionaries(
         "--horizon": _option(_run_value(0.5, 12.0, SPECIAL[:-1])),
         "--x0": _option(st.tuples(_coordinate, _coordinate)),
         "--stride": _option(st.sampled_from([0, -1, 10**9]) | st.integers(1, 50)),
-        "--samples": _option(st.integers(-1, 5)),
+        "--samples": _option(st.integers(-1, 5) | st.integers(10**8, 10**9)),
     }
 )
 
@@ -544,7 +558,8 @@ def test_error_curve_library_matches_cli(tmp_path):
 
 
 def test_error_curve_csv_matches_write_csv(tmp_path):
-    # the block-wise writer gives the bytes write_csv gives on numpy scalars
+    # the block-wise writer gives the bytes of the row-by-row formatter on
+    # numpy scalars
     rng = np.random.default_rng(3)
     n = output.CSV_ROWS + 123
     thetas = rng.uniform(0.0, 30.0, size=n)
@@ -572,10 +587,7 @@ def test_error_curve_csv_matches_write_csv(tmp_path):
             ]
             for j in range(n)
         )
-        write_csv(tmp_path / "rows.csv", header, rows)
-        assert (tmp_path / "fast.csv").read_bytes() == (
-            tmp_path / "rows.csv"
-        ).read_bytes()
+        assert (tmp_path / "fast.csv").read_bytes() == csv_text(header, rows).encode()
 
 
 @pytest.mark.parametrize(
@@ -590,8 +602,8 @@ def test_error_curve_csv_matches_write_csv(tmp_path):
     ],
 )
 def test_error_curve_csv_tail_rows_match_write_csv(tmp_path, case):
-    # the final rows whose bound repeats the last one take a row template
-    # with that bound formatted once; the bytes stay write_csv's %.17g rows
+    # the final rows whose bound repeats the last one end with that bound
+    # formatted once; the bytes stay the row-by-row formatter's %.17g rows
     rng = np.random.default_rng(7)
     n = {"empty": 0, "one-row": 1}.get(case, output.CSV_ROWS + 2000)
     h, D = 1.25e-4, 531.4827
@@ -627,7 +639,6 @@ def test_error_curve_csv_tail_rows_match_write_csv(tmp_path, case):
         for j in range(n)
     )
     header = ["t", "theta", "error", "delta_bound", "Dh"]
-    write_csv(tmp_path / "rows.csv", header, rows)
     text = (tmp_path / "fast.csv").read_bytes()
-    assert text == (tmp_path / "rows.csv").read_bytes()
+    assert text == csv_text(header, rows).encode()
     assert text.count(b"\n") == n + 1

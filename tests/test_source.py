@@ -2,6 +2,7 @@ import ast
 import importlib
 import importlib.util
 import io
+import json
 import os
 import re
 import subprocess
@@ -267,3 +268,27 @@ def test_star_import_binds_the_whole_api():
         "print([n for n in cyclecert.__all__ if n not in globals()])"
     )
     assert _fresh(code) == "[]"
+
+
+def test_bench_records_have_their_keys():
+    # every committed perf record at the repository root names both
+    # commits and the host, and gives per workload and end-to-end metric
+    # each side's runs, median and quartiles and the change's wins, plus
+    # the stage timings and the Tier-1 wall time it was taken with
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text())
+        keys = {"label", "parent", "change", "host", "pairs", "workloads", "stages"}
+        assert keys | {"tier1"} <= doc.keys(), path
+        assert {"nproc", "numpy"} <= doc["host"].keys(), path
+        assert doc["parent"]["commit"] and doc["change"]["commit"], path
+        assert doc["workloads"] and doc["stages"] and doc["tier1"]["wall_s"] > 0, path
+        for workload, metrics in doc["workloads"].items():
+            assert {"wall_s", "cpu_s", "setup_s", "peak_rss_mb"} <= metrics.keys()
+            for name, m in metrics.items():
+                for side in ("parent", "change"):
+                    where = (path.name, workload, name, side)
+                    assert {"runs", "median", "q1", "q3"} <= m[side].keys(), where
+                    assert len(m[side]["runs"]) == doc["pairs"], where
+                assert 0 <= m["wins"] <= doc["pairs"], (path.name, workload, name)
