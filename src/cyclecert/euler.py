@@ -102,8 +102,9 @@ class EulerTrajectory:
 
 
 # Steps in the first block of verified Picard sweeps; a block whose sweeps
-# stop short makes the next one half as long, down to SWEEP_MIN steps, and
-# runs or tails shorter than SWEEP_MIN steps take the scalar loop.
+# stop short makes the next one half as long, down to SWEEP_MIN steps, a
+# full one twice as long, up to SWEEP_STEPS, and runs or tails shorter than
+# SWEEP_MIN steps take the scalar loop.
 SWEEP_STEPS = 8192
 SWEEP_MIN = 512
 # Sweep cost in units of one node of one sweep: a sweep over L nodes costs
@@ -151,16 +152,23 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     return np.fromiter(buf, np.float64, len(buf)).reshape(-1, 2)
 
 
-def _sweep_guess(rhs2, a1, a2, h, n_steps):
-    """Guessed Euler nodes (2, n+1) from the node (a1, a2): the quadratic in
-    the step number through the node and its two Euler successors."""
+def _sweep_guess(rhs2, Z, h, work):
+    """Write guessed Euler nodes into Z[1:] (complex128 rows, as in
+    :func:`_sweep_block`) from the node Z[0]: the quadratic in the step
+    number through the node and its two Euler successors, formed in the
+    three float rows ``work``."""
+    a1, a2 = Z[0].real, Z[0].imag
     d1, d2 = rhs2(a1, a2)
     e1, e2 = rhs2(a1 + h * d1, a2 + h * d2)
-    k = np.arange(n_steps + 1.0)
-    q = 0.5 * h * k * (k - 1.0)
-    return np.stack(
-        [a1 + (h * d1) * k + (e1 - d1) * q, a2 + (h * d2) * k + (e2 - d2) * q]
-    )
+    k, q, t = work[:, : Z.size - 1]
+    k.fill(1.0)
+    np.cumsum(k, out=k)  # the step numbers 1..n
+    np.multiply(k, 0.5 * h, out=q)
+    np.multiply(q, np.subtract(k, 1.0, out=t), out=q)
+    parts = (Z.real[1:], a1, h * d1, e1 - d1), (Z.imag[1:], a2, h * d2, e2 - d2)
+    for X, a, hd, c in parts:
+        np.add(np.multiply(k, hd, out=X), a, out=X)
+        X += np.multiply(q, c, out=t)
 
 
 @lru_cache(maxsize=None)
@@ -207,14 +215,15 @@ def _extrapolated_guess(rhs2, Z, k, width, n, h, H):
     np.cumsum(H[:n], out=Z[k + 1 : k + n + 1])
 
 
-def _sweep_block(rhs2, Z, h, work):
+def _sweep_block(into, Z, h, work):
     """Verify Euler nodes Z[1:] from the exact node Z[0] by Picard sweeps.
 
     ``Z`` is the complex128 view of n+1 rows of a node array (README
     "Bit-identity contract", interleaved arithmetic): the exact first node
     and a guess of the rest, which the sweeps overwrite in place.  Each
-    sweep evaluates ``rhs2`` on the unverified suffix as float64 arrays and
-    accepts node j+1 only where its bits equal Z[j] + h*rhs2(Z[j]), the
+    sweep evaluates rhs2 on the unverified suffix as float64 arrays, through
+    its in-place kernel ``into(x1, x2, tmp)`` (see :func:`_planar_nodes`),
+    and accepts node j+1 only where its bits equal Z[j] + h*rhs2(Z[j]), the
     scalar loop's own operations on the verified node j.  The first
     mismatch is replaced by that successor, which is therefore exact, and
     the nodes after it are guessed again by a running sum of the sweep's
@@ -225,7 +234,8 @@ def _sweep_block(rhs2, Z, h, work):
     Returns the number of verified steps, n unless the sweeps stopped
     because they cost more than the scalar loop would (see SCALAR_COST),
     and the number of sweeps run.  ``work`` holds the increments and
-    successors, complex, and the components ``rhs2`` reads, (2, ...) float.
+    successors, complex, and float rows: the components ``into`` reads,
+    then its scratch rows.
     """
     H, Y, U = work
     n = Z.size - 1
@@ -233,18 +243,18 @@ def _sweep_block(rhs2, Z, h, work):
     while s < n and cost < SCALAR_COST * n:
         L = n - s
         sweeps += 1
-        # rhs2 reads each component several times: from contiguous copies
-        np.copyto(U[:, :L], Z[s:n, None].view(np.float64).T)
-        D1, D2 = rhs2(U[0, :L], U[1, :L])
+        # into reads each component several times: from contiguous copies
+        np.copyto(U[:2, :L], Z[s:n, None].view(np.float64).T)
+        D1, D2 = into(U[0, :L], U[1, :L], U[2:, :L])
         np.multiply(D1, h, out=H.real[:L])
         np.multiply(D2, h, out=H.imag[:L])
         np.add(Z[s:n], H[:L], out=Y[:L])
-        # a node holds where both int64 halves match: a uint16 of two Trues
-        same = Y[:L, None].view(np.int64) == Z[s + 1 :, None].view(np.int64)
-        same = same.view(np.uint16)[:, 0] == 0x0101
-        m = int(same.argmin())
-        if same[m]:
+        # a node holds where both its int64 halves match
+        differ = Y[:L].view(np.int64) != Z[s + 1 :].view(np.int64)
+        half = int(differ.argmax())
+        if not differ[half]:
             return n, sweeps
+        m = half // 2
         # nodes s+1..s+m hold; Y[m] is the successor of node s+m
         s += m + 1
         H[m] = Y[m]
@@ -265,13 +275,18 @@ def _planar_nodes(rhs2, nodes, h, first):
     block, of width w, verified all its steps in at most ``SWEEP_SMOOTH``
     sweeps, and otherwise the quadratic of :func:`_sweep_guess`, which
     needs no nodes before k.  A block whose sweeps stop short continues
-    from its last verified node with half the block length.  The scalar
-    loop steps the rest of the run once blocks would be shorter than
+    from its last verified node with half the block length; a full block
+    doubles it back, up to ``SWEEP_STEPS``, with the quadratic guess.  The
+    scalar loop steps the rest of the run once blocks would be shorter than
     ``SWEEP_MIN`` steps, or from the first node of a block that holds a
     non-finite value, so a run that diverges fails at the step, and with
     the message, of the scalar loop.  It also steps the rest of the run
     from a block where ``rhs2`` raises TypeError or ValueError on arrays,
     as one that calls math or branches on its arguments does.
+
+    The sweeps call ``rhs2.in_place()``'s kernel (``systems._in_place``) on
+    scratch rows allocated with the other work arrays, or rhs2 itself where
+    it has none (a user callable, a wrapper that counts calls).
 
     Each guess is written into ``nodes``, and the sweeps verify it there,
     on the complex128 view of the rows.  Swept blocks are checked finite,
@@ -282,7 +297,12 @@ def _planar_nodes(rhs2, nodes, h, first):
     Z = nodes.view(np.complex128)[:, 0]
     # once per extend: fresh block-size arrays cost the allocator page faults
     w = min(SWEEP_STEPS, n_steps)
-    work = np.empty(w, np.complex128), np.empty(w, np.complex128), np.empty((2, w))
+    if hasattr(rhs2, "in_place"):
+        into, rows = rhs2.in_place()
+    else:
+        into, rows = (lambda x1, x2, tmp: rhs2(x1, x2)), 0
+    U = np.empty((max(2 + rows, 3), w))  # the quadratic guess takes three
+    work = np.empty(w, np.complex128), np.empty(w, np.complex128), U
     width, k = SWEEP_STEPS, 0
     smooth = False  # the block before was full and took few sweeps
     with np.errstate(all="ignore"):
@@ -292,10 +312,8 @@ def _planar_nodes(rhs2, nodes, h, first):
                 if smooth:
                     _extrapolated_guess(rhs2, Z, k, width, n, h, work[0])
                 else:
-                    X = _sweep_guess(rhs2, nodes[k, 0], nodes[k, 1], h, n)
-                    nodes[k + 1 : k + n + 1, 0] = X[0, 1:]
-                    nodes[k + 1 : k + n + 1, 1] = X[1, 1:]
-                done, sweeps = _sweep_block(rhs2, Z[k : k + n + 1], h, work)
+                    _sweep_guess(rhs2, Z[k : k + n + 1], h, U[:3])
+                done, sweeps = _sweep_block(into, Z[k : k + n + 1], h, work)
             except (TypeError, ValueError):
                 break  # rhs2 takes plain floats only, e.g. it calls math
             if not np.isfinite(nodes[k + 1 : k + done + 1]).all():
@@ -304,6 +322,8 @@ def _planar_nodes(rhs2, nodes, h, first):
             smooth = done == width and sweeps <= SWEEP_SMOOTH
             if done < n:
                 width //= 2
+            elif done == width < SWEEP_STEPS:
+                width, smooth = 2 * width, False
     if k < n_steps:
         u1, u2 = float(nodes[k, 0]), float(nodes[k, 1])
         nodes[k:] = _scalar_nodes(rhs2, u1, u2, h, n_steps - k, first + k)

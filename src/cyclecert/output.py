@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import tempfile
 from itertools import chain
 from pathlib import Path
 
@@ -59,10 +58,12 @@ def canonical_json(obj) -> str:
 
 def atomic_write(path, chunks):
     """Write the bytes ``chunks``, one after another, to a temporary file,
-    then move it to ``path``."""
+    then move it to ``path``.  The file is created with mode 0o666, so the
+    umask sets its permissions, as for any file a program creates."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)

@@ -19,6 +19,7 @@ directly (:meth:`VectorField.f_planes`).
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import math
@@ -74,7 +75,8 @@ class VectorField:
     # float recurrence on that basis.  Every registry system and every
     # polynomial or rational inline system meets this.  One that raises
     # TypeError or ValueError on arrays (it calls math functions or branches
-    # on its arguments) is stepped on plain floats only.
+    # on its arguments) is stepped on plain floats only.  One compiled from
+    # strings has ``in_place()``, the sweeps' kernel (:func:`_in_place`).
     rhs_scalar2: Optional[Callable] = dc_field(default=None, repr=False)
 
     def __post_init__(self):
@@ -201,20 +203,70 @@ class PlanarView:
 _ARRAY_NAMES = {**vars(math), **vars(np), "reduce": functools.reduce}
 
 
+_UFUNCS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+           ast.Div: np.divide, ast.USub: np.negative}
+
+
+def _in_place(exprs, names):
+    """Compile rhs_scalar2's strings into ``into(x1, x2, tmp) -> (d1, d2)``,
+    returned with the number of scratch rows, each of x1's shape, in ``tmp``.
+
+    Each + - * / and unary minus of the state is one ufunc that writes a
+    row of ``tmp``, on the tree Python parses, so ``into`` rounds as
+    rhs_scalar2 does on the same arrays, bit for bit.  A subtree without x1
+    and x2 is evaluated in Python, any other (a math call, **) from its own
+    text on the arrays, so ``into`` raises where rhs_scalar2 does.
+    """
+    def names_in(tree):
+        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+    trees = [ast.parse(e, mode="eval").body for e in exprs]
+    p = "_"  # prefixes the names the kernel adds: no name of exprs has it
+    while any(n.startswith(p) for t in trees for n in names_in(t)):
+        p += "_"
+    body, rows = [], 0
+
+    def emit(nodes, r):
+        """Source texts of the values of ``nodes``, the first in row r."""
+        nonlocal rows
+        texts = []
+        for node in nodes:
+            op = _UFUNCS.get(type(getattr(node, "op", None)))
+            if op is None or not names_in(node) & {"x1", "x2"}:
+                texts.append(f"({ast.unparse(node)})")
+                continue
+            kids = [node.operand] if op is np.negative else [node.left, node.right]
+            body.append(f"{p}{op.__name__}({', '.join(emit(kids, r))}, out={p}t{r})")
+            texts.append(f"{p}t{r}")
+            r, rows = r + 1, max(rows, r + 1)
+        return texts
+
+    results = emit(trees, 0)
+    lines = [f"def {p}into(x1, x2, {p}tmp):"]
+    if rows:  # the scratch rows, unpacked from tmp
+        lines.append("".join(f"{p}t{i}, " for i in range(rows)) + f"= {p}tmp")
+    src = "\n ".join([*lines, *body, f"return {', '.join(results)}"])
+    scope = {**names, **{p + u.__name__: u for u in _UFUNCS.values()}}
+    exec(src, scope)
+    return scope[p + "into"], rows
+
+
 def _compiled_field(name, params, f, jac, rhs2=None) -> VectorField:
     """The field of expression strings in x1, x2 and the float parameters
     ``params``: ``f`` (two), ``jac`` (two rows of two) and ``rhs2`` (two,
     ``f`` if None).  Each list compiles to ``lambda x1, x2: (...)``; f and J
-    are wrapped in :class:`PlanarView`."""
+    are wrapped in :class:`PlanarView`, and rhs2 gets ``in_place()``, which
+    compiles :func:`_in_place` on first use."""
 
     def kernel(exprs, names):
         return eval(f"lambda x1, x2: ({', '.join(exprs)},)", {**names, **params})
 
-    jac = [e for row in jac for e in row]
+    jac, rhs2 = [e for row in jac for e in row], rhs2 or f
+    scalar = kernel(rhs2, vars(math))
+    scalar.in_place = functools.cache(lambda: _in_place(rhs2, {**vars(math), **params}))
     return VectorField(
         name, 2, params, PlanarView(kernel(f, _ARRAY_NAMES), (2,)),
-        PlanarView(kernel(jac, _ARRAY_NAMES), (2, 2)),
-        rhs_scalar2=kernel(rhs2 or f, vars(math)),
+        PlanarView(kernel(jac, _ARRAY_NAMES), (2, 2)), rhs_scalar2=scalar,
     )
 
 

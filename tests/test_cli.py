@@ -137,6 +137,21 @@ def test_blocking_error_exit2(tmp_path):
     assert doc["kind"] == "error"
 
 
+def test_outputs_follow_the_umask(tmp_path):
+    # every output is created like any new file, mode 0666 less the umask,
+    # and no temporary file is left beside it
+    old = os.umask(0o022)
+    try:
+        ok, err = tmp_path / "ok", tmp_path / "err"
+        assert main(["certify-existence", "--preset", "vdp-example1", "--out", str(ok)]) == 0
+        assert main(["certify-existence", "--system", "nosuch", "--out", str(err)]) == 2
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in [*ok.iterdir(), *err.iterdir()]}
+    names = ["error.json", "existence_certificate.json", "measures.csv", "tube.csv"]
+    assert modes == dict.fromkeys(names, 0o644)
+
+
 @pytest.mark.parametrize("command", ["simulate", "certify-existence"])
 def test_preset_and_system_exclude_each_other(tmp_path, command):
     # a preset names its system, so a --system beside it is refused, not

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,20 +225,28 @@ def test_float_only_rhs2_takes_the_scalar_loop():
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
-def zeros_guess(rhs2, a1, a2, h, n_steps):
-    return np.zeros((2, n_steps + 1))
+# guesses written, as euler._sweep_guess writes its own, into the rows
+# Z[1:] of the block from its first node Z[0]
 
 
-def noise_guess(rhs2, a1, a2, h, n_steps):
+def zeros_guess(rhs2, Z, h, work):
+    Z[1:] = 0.0
+
+
+def noise_guess(rhs2, Z, h, work):
+    n_steps = Z.size - 1
     rng = np.random.default_rng(n_steps)
-    return np.array([[a1], [a2]]) + rng.normal(scale=1e-3, size=(2, n_steps + 1))
+    noise = rng.normal(scale=1e-3, size=(2, n_steps + 1))
+    Z.real[1:] = Z[0].real + noise[0, 1:]
+    Z.imag[1:] = Z[0].imag + noise[1, 1:]
 
 
-def one_ulp_guess(rhs2, a1, a2, h, n_steps):
+def one_ulp_guess(rhs2, Z, h, work):
     # the exact nodes, but one of them a single ulp off
-    nodes, _ = one_step_nodes(rhs2, (float(a1), float(a2)), h, n_steps)
+    n_steps = Z.size - 1
+    nodes, _ = one_step_nodes(rhs2, (float(Z[0].real), float(Z[0].imag)), h, n_steps)
     nodes[n_steps // 2, 1] = np.nextafter(nodes[n_steps // 2, 1], np.inf)
-    return np.ascontiguousarray(nodes.T)
+    Z[1:] = nodes[1:].view(np.complex128)[:, 0]
 
 
 @pytest.mark.parametrize("guess", [zeros_guess, noise_guess, one_ulp_guess])
@@ -373,12 +382,62 @@ def test_extrapolated_blocks_match_one_step_loop(system, h):
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
+def scalar_steps(monkeypatch):
+    """Count the steps euler._scalar_nodes takes, in the returned list."""
+    steps = [0]
+    scalar = cc.euler._scalar_nodes
+
+    def counted(rhs2, u1, u2, h, n_steps, first_step=0):
+        steps[0] += n_steps
+        return scalar(rhs2, u1, u2, h, n_steps, first_step)
+
+    monkeypatch.setattr(cc.euler, "_scalar_nodes", counted)
+    return steps
+
+
+def test_short_blocks_grow_back(vdp, monkeypatch):
+    # at h = 5e-4 from vdp-example2's x0 the second extend's blocks stop
+    # short and halve; full blocks double them back, so the scalar loop
+    # steps only the tail, and the nodes are those of one extend
+    x0, h = (1.8929, -0.5383), 5e-4
+    steps = scalar_steps(monkeypatch)
+    run = cc.Run(vdp, x0, h).extend(20000)
+    steps[0] = 0
+    run.extend(43140)
+    assert steps[0] < cc.euler.SWEEP_MIN
+    one = cc.Run(vdp, x0, h).extend(63140)
+    assert np.array_equal(run.nodes.view(np.int64), one.nodes.view(np.int64))
+
+
+def test_sweeps_run_in_place(vdp):
+    # after a warm-up chunk, a reference chunk (2^18 steps at h = 1.25e-6)
+    # allocates, beyond the work arrays of its extend, less than one
+    # block-sized float64 array: the guesses, the in-place kernel and the
+    # running sums write into the node buffer and the work arrays
+    stream = cc.syncerr.ReferenceStream(vdp, (1.8929, -0.5383), 1.25e-4, 1.0)
+    stream.advance(0)
+    assert stream.h == 1.25e-6 and stream.end == cc.syncerr.STREAM_CHUNK
+    w = cc.euler.SWEEP_STEPS
+    _, rows = vdp.rhs_scalar2.in_place()
+    work = 2 * 16 * w + max(2 + rows, 3) * 8 * w  # H, Y and U of _planar_nodes
+    tracemalloc.start()
+    try:
+        stream.advance(stream.end)  # keeps one node: no new buffer
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.end == 2 * cc.syncerr.STREAM_CHUNK
+    assert peak - work < 8 * w, (peak, work)
+
+
 def test_block_path_checks_the_sign_of_zero(linear, monkeypatch):
     # x2 stays +0.0 from (1, 0); a guess of -0.0 compares equal to it as a
     # float, so only a check of the bits keeps the zeros the scalar loop has
-    def negative_zero_guess(rhs2, a1, a2, h, n_steps):
-        nodes, _ = one_step_nodes(rhs2, (float(a1), float(a2)), h, n_steps)
-        return np.array([nodes[:, 0], np.full(n_steps + 1, -0.0)])
+    def negative_zero_guess(rhs2, Z, h, work):
+        start = (float(Z[0].real), float(Z[0].imag))
+        nodes, _ = one_step_nodes(rhs2, start, h, Z.size - 1)
+        Z.real[1:] = nodes[1:, 0]
+        Z.imag[1:] = -0.0
 
     x0, h, n_steps = (1.0, 0.0), 1e-5, SWEEP_W + 1
     ref, _ = one_step_nodes(linear.rhs_scalar2, x0, h, n_steps)

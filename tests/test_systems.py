@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 
 import numpy as np
@@ -321,6 +322,55 @@ def test_rhs_scalar2_broadcasts_bit_exact(system):
     ).T
     assert arrays.shape == floats.shape == u.shape
     assert np.array_equal(arrays.view(np.int64), floats.view(np.int64))
+
+
+INTO_SPECS = {
+    "constant": {"rhs": ["-0.5", "x1 - x2"]},
+    # parameters named like the kernel's own rows and ufuncs
+    "underscored": {
+        "rhs": ["x2 + _t0", "-_t0*x1 - _multiply*x2"],
+        "params": {"_t0": 0.5, "_multiply": 0.1},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "system", sorted(cc.systems.REGISTRY) + sorted(INLINE) + sorted(INTO_SPECS)
+)
+def test_rhs2_into_matches_rhs_scalar2(system):
+    # the sweeps' in-place kernel rounds as rhs_scalar2 does on the same
+    # arrays, bit for bit, also on signed zeros, subnormals, infinities and
+    # NaN, and writes nothing but its scratch rows
+    specs = {**{k: v[0] for k, v in INLINE.items()}, **INTO_SPECS}
+    field = cc.load_system(specs.get(system, {"id": system}))
+    rng = np.random.default_rng(7)
+    mags = 10.0 ** rng.uniform(-8.0, 50.0, size=(2, 400))
+    u = mags * rng.choice([-1.0, 1.0], size=mags.shape)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf, math.nan]
+    u = np.concatenate([u, np.reshape(np.meshgrid(special, special), (2, -1))], axis=1)
+    u.setflags(write=False)
+    into, rows = field.rhs_scalar2.in_place()
+    with np.errstate(all="ignore"):
+        got = np.array(np.broadcast_arrays(*into(u[0], u[1], np.empty((rows, u.shape[1])))))
+        want = np.array(np.broadcast_arrays(*field.rhs_scalar2(u[0], u[1])))
+    assert got.shape == want.shape == u.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rhs2_into_raises_where_rhs_scalar2_does():
+    # a math call is evaluated from its own text on the arrays: the kernel
+    # raises TypeError as rhs_scalar2 does, and a run steps on plain floats
+    field = cc.load_system({"rhs": ["x2", "-x1 - p*exp(x1)*x2"], "params": {"p": 0.1}})
+    u = np.linspace(0.0, 1.0, 2 * cc.euler.SWEEP_MIN)
+    into, rows = field.rhs_scalar2.in_place()
+    with pytest.raises(TypeError):
+        field.rhs_scalar2(u, u)
+    with pytest.raises(TypeError):
+        into(u, u, np.empty((rows, u.size)))
+    x0, h, n_steps = (1.0, 0.0), 1e-3, 2 * cc.euler.SWEEP_STEPS + 3
+    nodes = cc.Run(field, x0, h).extend(n_steps).nodes
+    ref = cc.euler._scalar_nodes(field.rhs_scalar2, *x0, h, n_steps)
+    assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
 STACKED = {
