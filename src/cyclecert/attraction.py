@@ -58,11 +58,6 @@ class ContractionExponent:
     def K_max(self) -> float:
         return max(self.K0, self.Kh)
 
-    def exponent_at(self, s: float) -> float:
-        if s < 0.0 or s > self.h * (1 + 1e-12):
-            raise InputError(f"s={s} outside [0, h]")
-        return self.K0 + s * self.sigma_last
-
 
 def contraction_exponent(
     run: Run,
@@ -111,7 +106,7 @@ def _tube_exponent(z: np.ndarray, tube) -> ContractionExponent:
         R1=tube.R1,
         sigma_last=sigma_last,
         h=h,
-        radius_excess=radius_excess(tube),
+        radius_excess=radius_excess(tube.delta, tube.sampled_radius),
     )
 
 

@@ -89,17 +89,6 @@ class EulerTrajectory:
             return self.nodes[i].copy()
         return self.nodes[i] + (s / self.h) * (self.nodes[i + 1] - self.nodes[i])
 
-    def dense_points(self, ts) -> np.ndarray:
-        """Vectorized dense output for an array of times."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon * (1.0 + 1e-12)):
-            raise InputError("times outside trajectory horizon")
-        idx = np.minimum((ts / self.h).astype(int), self.n_steps - 1)
-        s = ts - idx * self.h
-        return self.nodes[idx] + (s / self.h)[..., None] * (
-            self.nodes[idx + 1] - self.nodes[idx]
-        )
-
 
 # Steps in the first block of verified Picard sweeps; a block whose sweeps
 # stop short makes the next one half as long, down to SWEEP_MIN steps, a

@@ -165,16 +165,12 @@ def synchronize(
     tau_sync: float = TAU_SYNC,
     tube: Optional[Tube] = None,
     D: Optional[float] = None,
-    t_max: Optional[float] = None,
-    substeps: int = 1,
 ) -> SyncErrorSeries:
-    """Synchronized error series at the coarse trajectory's node times.
+    """Synchronized error series at every node time of the coarse trajectory.
 
     ``reference`` is a :class:`ReferenceSolution`, or a
     :class:`ReferenceStream` with its first node resident, which is
-    advanced whenever the next sample's window is not.  ``t_max``
-    truncates the sampled times (default: the full trajectory);
-    ``substeps`` adds in-segment sample times at spacing h/substeps.
+    advanced whenever the next sample's window is not.
     The reference's node rows must be contiguous (InputError otherwise).
     Raises :class:`SynchronizationLostError` (with the sample index) when no
     sign change lies within [theta_prev, theta_prev + WINDOW_STEPS*h].
@@ -182,26 +178,18 @@ def synchronize(
     y0 = np.asarray(y0, dtype=float)
     if reference.base != 0 or not np.allclose(reference.nodes[0], y0):
         raise InputError("reference must start at y0")
-    if substeps < 1:
-        raise InputError("substeps must be >= 1")
     if reference.nodes.strides[1] != reference.nodes.itemsize:
         raise InputError("reference nodes must have contiguous rows")
     h = traj.h
     win = int(WINDOW_STEPS * h / reference.h) + 4
 
-    n_nodes = traj.n_steps + 1
-    if t_max is not None:
-        n_nodes = min(n_nodes, int(t_max / h) + 1)
-    n_samples = (n_nodes - 1) * substeps + 1
+    n_samples = traj.n_steps + 1
 
-    def sample_times(a, b):  # np.arange(n_samples) * (h / substeps), a slice
-        return np.arange(a, b) * (h / substeps)
+    def sample_times(a, b):  # np.arange(n_samples) * h, a slice
+        return np.arange(a, b) * h
 
     def samples(a, b):
         """Centers and section normals of samples a..b-1."""
-        if substeps > 1:
-            centers = traj.dense_points(sample_times(a, b))
-            return centers, traj.field.f_raw(centers)
         # EulerTrajectory.f_nodes of the block, by the same operations,
         # without caching the whole run's
         nodes = traj.nodes
@@ -438,21 +426,16 @@ def _lost(code, j, g0, res) -> SynchronizationLostError:
 
 
 def tube_membership_check(
-    series: SyncErrorSeries, tube: Tube
+    series: SyncErrorSeries, tube: Tube, floor: np.ndarray
 ) -> List[int]:
     """Indices j (with t_j inside the tube horizon) whose error exceeds
-    max(delta(t_j), per-segment step floor).
-
-    Requires the tube's step floor, which the step-condition check attaches.
+    max(delta(t_j), floor[i]) on their segment i; ``floor`` is the step
+    condition's per-segment floor, ``StepConditionReport.rhs``.
     """
-    if tube.step_floor is None:
-        raise InputError(
-            "tube has no step floor attached; run check_step_condition first"
-        )
     # the times increase, so the samples inside the horizon are a prefix
     t = series.times[: np.searchsorted(series.times, tube.horizon, side="right")]
     i = np.minimum((t / tube.h).astype(np.int64), tube.N1 - 1)
-    bound = np.maximum(tube.deltas_at(t), tube.step_floor[i])
+    bound = np.maximum(tube.deltas_at(t), floor[i])
     return np.nonzero(series.errors[: t.size] > bound)[0].tolist()
 
 

@@ -14,9 +14,11 @@ and issues a machine-readable certificate with every constant, per-check
 margin and estimator provenance.
 
 The (a, b) bounds and the tube radii used for the slice bounds depend on
-each other, so the builder runs a short fixed-point iteration: a coarse
-first pass with a = b = 1 and a flat slice radius, then refinement passes
-that reuse the previous pass's radius profile.
+each other, so the builder repeats one refinement pass until its radii
+hold: after a coarse first pass with a = b = 1 and a flat slice radius,
+each pass samples Lambda and (a, b) on the previous pass's widened tube
+radii, and the build stops once the tube it chains stays within them, or
+once the first segment past them no longer moves forward.
 """
 
 from __future__ import annotations
@@ -110,7 +112,6 @@ class Tube:
         self.pass_history = pass_history
         self.anchors = anchors
         self.anchor_grids = anchor_grids
-        self.step_floor = None  # populated by check_step_condition
         self._m_tilde = None
 
         # alpha accumulates the reach increments
@@ -204,13 +205,12 @@ N_S = 5
 N_BALL = 8
 AB_OFFSETS = 5
 LAMBDA_OFFSETS = np.sort(np.append(np.linspace(-1.0, 1.0, N_BALL), 0.0))
-# Fixed-point passes of build_tube, and the factor by which each refinement
-# pass widens the previous pass's tube radii into the slice radii it samples.
-PASSES = 2
+# The factor by which each refinement pass of build_tube widens the previous
+# pass's tube radii into the slice radii it samples.
 RADIUS_SAFETY = 1.05
-# Pass 1 only guesses those radii, which radius_excess checks the final tube
-# against, so it samples Lambda on every G-th anchor (and the last), with G
-# = max(1, anchors // GUESS_ANCHORS): about as many anchors at any stride.
+# Pass 1 only guesses those radii, which radius_excess checks each later
+# pass against, so it samples Lambda on every G-th anchor (and the last),
+# with G = max(1, anchors // GUESS_ANCHORS): about as many at any stride.
 GUESS_ANCHORS = 600
 # Transverse margin, in units of delta0, around the tube samples that back
 # the constants L, m and M_C.
@@ -397,7 +397,8 @@ def build_tube(
     M_f: float,
     config: PipelineConfig = PipelineConfig(),
 ) -> Tube:
-    """Build the tube over one return loop with a short fixed-point iteration.
+    """Build the tube over one return loop, repeating one pass until its
+    radii hold.
 
     Lambda and (a, b) are sampled on the anchor segments' grid, the sampled
     radius per block of ``AB_BLOCK`` segments.  The anchors are every
@@ -406,9 +407,15 @@ def build_tube(
 
     Pass 1 (a = b = 1, flat slice radius delta0) is a coarse guess: it
     samples Lambda on about ``GUESS_ANCHORS`` of the anchors, every G-th and
-    the last, and bridges them by :func:`anchor_bridge`.  Its delta chain
-    only sets the radii that (a, b) and the final Lambda are sampled on, and
-    :func:`radius_excess` checks the final tube against those radii.
+    the last, and bridges them by :func:`anchor_bridge`.  Every later pass
+    samples Lambda and (a, b) on every anchor, on one radius: the previous
+    pass's RADIUS_SAFETY delta_i e^{sigma_i s}.  It chains delta and takes
+    :func:`radius_excess` against that radius, which its history entry
+    records (pass 1, which sampled no (a, b), records segment 0).  The build
+    stops at the first pass with no excess, or whose excess lies at or
+    before the previous pass's; the certificate then blocks on that
+    segment.  The excess rises strictly from pass to pass, so the build
+    ends.
     """
     for name, value in (("h", traj.h), ("delta0", delta0), ("gamma", gamma)):
         require_positive(name, value)
@@ -417,45 +424,44 @@ def build_tube(
     y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
     anchors = stride_indices(N1, config.lambda_stride)
     grids = SegmentGrids(field, traj, N1, N_S, anchors)
-    sampled_radius = np.empty(N1)
 
-    a_seg = np.ones(N1)
-    b_seg = np.ones(N1)
+    a_seg = b_seg = np.ones(N1)
     radius = np.full((grids.n_s, anchors.size), delta0)
     # the anchor grid's columns that each pass samples Lambda on
     cols = stride_indices(anchors.size, max(1, anchors.size // GUESS_ANCHORS))
-    history = []
-    for pass_no in range(1, PASSES + 1):
+    history, excess = [], 0
+    while True:
         lam = lambda_profile(field, grids, radius, anchors[cols], cols)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta_nodes = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
         )
+        # pass 1 sampled no (a, b), so its bounds back no segment
+        last = excess
+        excess = radius_excess(delta_nodes, sampled_radius) if history else 0
         history.append(
             {
-                "pass": pass_no,
+                "pass": len(history) + 1,
                 "K": float(traj.h * sigma.sum()),
                 "delta_end": float(delta_nodes[-1]),
                 "a_min": float(a_seg.min()),
                 "b_max": float(b_seg.max()),
+                "radius_excess": excess,
             }
         )
-        if pass_no == PASSES:
+        if len(history) > 1 and (excess is None or excess <= last):
             break
-        # the sampled (next pass's slice) radii: the s-grid maxima of the
-        # widened tube radii delta_i e^{sigma_i s}
+        # the next pass's slice radii, the widened tube radii
+        # RADIUS_SAFETY delta_i e^{sigma_i s}, and their s-grid maxima
+        sampled_radius = np.empty(N1)
         for lo in range(0, N1, AB_BLOCK):
             seg = slice(lo, min(lo + AB_BLOCK, N1))
             growth = np.exp(sigma[seg] * grids.s[:, None])
             wide = RADIUS_SAFETY * delta_nodes[None, seg] * growth
             sampled_radius[seg] = wide.max(axis=0)
-        # (a, b) on this pass's tube at the anchors; the next pass samples
-        # Lambda on it widened by the safety factor
         growth = np.exp(sigma[None, anchors] * grids.s[:, None])
-        a_seg, b_seg = ab_profile(
-            field, grids, delta_nodes[None, anchors] * growth, anchors
-        )
         radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
+        a_seg, b_seg = ab_profile(field, grids, radius, anchors)
         cols = np.arange(anchors.size)
 
     return Tube(
@@ -468,11 +474,11 @@ def build_tube(
 RADIUS_RTOL = 1e-3
 
 
-def radius_excess(tube: Tube) -> Optional[int]:
-    """The first segment whose final tube radius exceeds the radius its
-    bounds were sampled on (a NaN radius counts), or None."""
-    span = np.maximum(tube.delta[:-1], tube.delta[1:])
-    ok = span <= tube.sampled_radius * (1.0 + RADIUS_RTOL) + 1e-300
+def radius_excess(delta, sampled_radius) -> Optional[int]:
+    """The first segment whose tube radius, by the chain ``delta``, exceeds
+    the radius its bounds were sampled on (a NaN radius counts), or None."""
+    span = np.maximum(delta[:-1], delta[1:])
+    ok = span <= sampled_radius * (1.0 + RADIUS_RTOL) + 1e-300
     return None if ok.all() else int(ok.argmin())
 
 
@@ -527,7 +533,7 @@ def check_step_condition(
     dmin = np.minimum(tube.delta[:-1], tube.delta[1:])
     margins = dmin - rhs
     k = int(np.argmin(margins))
-    report = StepConditionReport(
+    return StepConditionReport(
         margins=margins,
         rhs=rhs,
         holds=bool(np.all(margins >= 0.0)),
@@ -535,8 +541,6 @@ def check_step_condition(
         argmin=k + 1,  # condition indexes segments from 1
         rhs_max=float(rhs.max()),
     )
-    tube.step_floor = rhs
-    return report
 
 
 @dataclass
@@ -820,7 +824,6 @@ def certify_existence(
                 "n_ball": N_BALL,
                 "pad_factor": PAD_FACTOR,
                 "lambda_stride": config.lambda_stride,
-                "passes": PASSES,
                 "guess_anchors": GUESS_ANCHORS,
                 "tube_samples": int(samples.shape[0]),
                 "eta": eta.provenance(),
@@ -834,7 +837,7 @@ def certify_existence(
         cert.inclusion = incl
         cert.eta = eta
         cert.tube_summary = tube.summary()
-        excess = radius_excess(tube)
+        excess = radius_excess(tube.delta, tube.sampled_radius)
         cert.flags["radius_consistent"] = excess is None
 
         if excess is not None:
@@ -843,7 +846,7 @@ def certify_existence(
                 "kind": "blocking",
                 "detail": "tube radii exceeded the slice radii the transverse "
                 f"bounds were sampled on, first at segment {excess}: the "
-                "fixed-point passes did not settle",
+                "refinement passes did not settle",
             }
             return cert
         if not step.holds:

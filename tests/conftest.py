@@ -40,3 +40,8 @@ def force_rate(monkeypatch, c):
     monkeypatch.setattr(
         cc.tube, "sigma_rate", lambda lam, a, b, gamma: np.full(lam.shape, c)
     )
+
+
+def up_to(traj, n):
+    """The first n steps of ``traj``, as a trajectory of its own."""
+    return cc.EulerTrajectory(traj.field, traj.x0, traj.h, traj.nodes[: n + 1])

@@ -32,7 +32,7 @@ from cyclecert.measures import (
 from cyclecert import tube as cctube
 from cyclecert.tube import (
     GUESS_ANCHORS,
-    PASSES,
+    RADIUS_RTOL,
     RADIUS_SAFETY,
     SegmentGrids,
     lambda_profile,
@@ -139,39 +139,45 @@ def ab_profile_whole(field, grids, radius):
 def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     """The per-segment arrays of ``build_tube`` from whole-loop (n_s, N1)
     planes: one ``SegmentGrids`` over every segment, whose anchor columns
-    both Lambda passes and the (a, b) pass read, the first Lambda pass on
-    every G-th anchor and the last (G = anchors // GUESS_ANCHORS, at least
-    1), the (a, b) bridge one gap at a time, and the slice radii of every
-    segment as one plane per pass."""
+    every pass reads, the first Lambda pass on every G-th anchor and the
+    last (G = anchors // GUESS_ANCHORS, at least 1), the (a, b) bridge one
+    gap at a time, and the slice radii of every segment as one plane per
+    pass.  Each pass after the first samples Lambda and (a, b) on that plane
+    and ends the build when its first excess segment is none or does not
+    lie past the previous pass's (segment 0 for the first pass)."""
     grids = SegmentGrids(field, traj, N1, cctube.N_S)
     anchors = np.arange(0, N1, cfg.lambda_stride)
     if anchors[-1] != N1 - 1:
         anchors = np.append(anchors, N1 - 1)
     G = max(1, anchors.size // GUESS_ANCHORS)
-    guess = anchors[::G]
-    if guess[-1] != N1 - 1:
-        guess = np.append(guess, N1 - 1)
+    sampled = anchors[::G]
+    if sampled[-1] != N1 - 1:
+        sampled = np.append(sampled, N1 - 1)
     a_seg, b_seg = np.ones(N1), np.ones(N1)
     radius = np.full((grids.n_s, N1), delta0)
-    for pass_no in range(1, PASSES + 1):
-        sampled = guess if pass_no == 1 else anchors
+    excesses = [0]
+    while True:
         lam = lambda_profile(field, grids, radius, sampled)
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
-        delta_nodes = np.concatenate(
+        delta = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
         )
-        if pass_no == PASSES:
-            break
+        if sampled is anchors:
+            span = np.maximum(delta[:-1], delta[1:])
+            over = ~(span <= radius.max(axis=0) * (1.0 + RADIUS_RTOL) + 1e-300)
+            excesses.append(int(np.argmax(over)) if over.any() else None)
+            if excesses[-1] is None or excesses[-1] <= excesses[-2]:
+                break
         growth = np.exp(sigma[None, :] * grids.s[:, None])
-        r = (delta_nodes[None, :N1] * growth)[:, anchors]
-        aA, bA = ab_profile_whole(field, interleaved(grids, anchors), r)
+        radius = RADIUS_SAFETY * delta[None, :N1] * growth
+        aA, bA = ab_profile_whole(field, interleaved(grids, anchors), radius[:, anchors])
         a_seg = bridge_loop(aA, anchors, N1, -1.0, PAD_FACTOR)
         b_seg = bridge_loop(bA, anchors, N1, 1.0, PAD_FACTOR)
-        radius = RADIUS_SAFETY * delta_nodes[None, :N1] * growth
+        sampled = anchors
     return SimpleNamespace(
-        lam=lam, sigma=sigma, a_seg=a_seg, b_seg=b_seg,
+        lam=lam, sigma=sigma, a_seg=a_seg, b_seg=b_seg, delta=delta,
         m_tilde=norm_planes(grids.P0, grids.P1).max(axis=0),
-        sampled_radius=radius.max(axis=0),
+        sampled_radius=radius.max(axis=0), excesses=excesses,
     )
 
 

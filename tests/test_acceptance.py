@@ -13,7 +13,7 @@ from cyclecert.config import PipelineConfig
 from cyclecert.output import canonical_json
 from cyclecert.syncerr import ReferenceSolution
 
-from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
+from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, up_to
 
 
 def report(name, ok, detail=""):
@@ -230,8 +230,8 @@ def test_criterion_5_property_suite(vdp, harmonic, linear, vdp_cert):
     for uk in u:
         y0 = disk.center + uk * disk.radius * w
         ref = cc.ReferenceStream(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
-        series = cc.synchronize(ref, vdp_cert.trajectory, y0, t_max=tube.horizon)
-        if cc.tube_membership_check(series, tube):
+        series = cc.synchronize(ref, up_to(vdp_cert.trajectory, tube.N1), y0)
+        if cc.tube_membership_check(series, tube, vdp_cert.step_condition.rhs):
             failures.append("forward-invariance")
             break
 

@@ -26,8 +26,6 @@ def test_exponent_linearity(vdp):
     assert exp.Kh == exp.K0 + exp.h * exp.sigma_last
     assert exp.Kh - exp.K0 == pytest.approx(exp.h * exp.sigma_last, rel=1e-12)
     assert exp.K_max == max(exp.K0, exp.Kh)
-    assert exp.exponent_at(0.0) == exp.K0
-    assert exp.exponent_at(exp.h) == pytest.approx(exp.Kh)
 
 
 def test_exponent_consistent_with_tube(vdp, vdp_cert):
@@ -38,7 +36,7 @@ def test_exponent_consistent_with_tube(vdp, vdp_cert):
     )
     tube = vdp_cert.tube
     s_star = tube.R1 - (tube.N1 - 1) * tube.h
-    lhs = exp.exponent_at(s_star)
+    lhs = exp.K0 + s_star * exp.sigma_last
     rhs = np.log(tube.delta_at(tube.R1) / tube.delta0)
     assert abs(lhs - rhs) <= 1e-10
 
@@ -247,7 +245,8 @@ def coarse_existence(vdp):
     cert = cc.certify_existence(
         vdp, VDP_X0, COARSE_H, VDP_DELTA0, VDP_GAMMA, COARSE_CFG, horizon=10.0
     )
-    assert cert.tube is not None and radius_excess(cert.tube) is None
+    tube = cert.tube
+    assert tube is not None and radius_excess(tube.delta, tube.sampled_radius) is None
     return cert
 
 

@@ -45,15 +45,15 @@ def test_existence_provenance_pinned(preset_out):
     assert doc["constants"]["provenance"] == {
         "eta": {
             "ball_grid": [9, 32],
-            "ball_radius": 0.2366232112932243,
-            "e": 0.05488698668513793,
-            "f_max": 1.7760777124177127,
+            "ball_radius": 0.2370123301004542,
+            "e": 0.05498510221037732,
+            "f_max": 1.7765098887490045,
             "method": "tube",
             "n_samples": 11,
-            "rho": 0.0788744037644081,
-            "sum_hi": 6.546294091728576,
-            "sum_lo": 6.097739161696079,
-            "v": 1.4370328656749776,
+            "rho": 0.07900411003348473,
+            "sum_hi": 6.558722424878988,
+            "sum_lo": 6.087033762119589,
+            "v": 1.4368275561480053,
         },
         "guess_anchors": 600,
         "lambda_stride": 10,
@@ -62,7 +62,6 @@ def test_existence_provenance_pinned(preset_out):
         "n_ball": 8,
         "n_s": 5,
         "pad_factor": 1.0,
-        "passes": 2,
         "region_margin": 0.05,
         "tube_samples": 252600,
     }

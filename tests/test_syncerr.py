@@ -18,7 +18,7 @@ from cyclecert.syncerr import (
     SyncErrorSeries,
 )
 
-from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0
+from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, up_to
 
 
 def synchronize_oracle(
@@ -29,8 +29,6 @@ def synchronize_oracle(
     tau_sync=TAU_SYNC,
     tube=None,
     D=None,
-    t_max=None,
-    substeps=1,
 ):
     """The sample-by-sample synchronization loop the batched scan replaced,
     kept as the reference its results must equal bit for bit."""
@@ -43,19 +41,10 @@ def synchronize_oracle(
     h = traj.h
     win = int(window_steps * h / h_ref) + 4
 
-    n_nodes = traj.n_steps + 1
-    if t_max is not None:
-        n_nodes = min(n_nodes, int(t_max / h) + 1)
-    n_samples = (n_nodes - 1) * substeps + 1
-    times = np.arange(n_samples) * (h / substeps)
-    if substeps == 1:
-        centers = traj.nodes[:n_nodes]
-        normals = np.concatenate(
-            [traj.seg_dirs[: n_nodes - 1], [traj.f_nodes[n_nodes - 1]]]
-        )
-    else:
-        centers = traj.dense_points(times)
-        normals = traj.field.f_raw(centers)
+    n_samples = traj.n_steps + 1
+    times = np.arange(n_samples) * h
+    centers = traj.nodes
+    normals = np.concatenate([traj.seg_dirs, [traj.f_nodes[-1]]])
     thetas = np.empty(n_samples)
     errors = np.empty(n_samples)
     residuals = np.empty(n_samples)
@@ -130,14 +119,14 @@ def _delta_oracle(tube, t):
     return float(tube.delta[i] * math.exp(tube.sigma[i] * (t - i * tube.h)))
 
 
-def tube_membership_oracle(series, tube):
+def tube_membership_oracle(series, tube, floor):
     """The sample-by-sample membership loop the vectorized check replaced."""
     out = []
     for j, t in enumerate(series.times):
         if t > tube.horizon:
             break
         i = min(int(t / tube.h), tube.N1 - 1)
-        bound = max(_delta_oracle(tube, t), float(tube.step_floor[i]))
+        bound = max(_delta_oracle(tube, t), float(floor[i]))
         if series.errors[j] > bound:
             out.append(j)
     return out
@@ -176,16 +165,6 @@ def test_self_synchronization_exact(vdp):
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 3000)
     ref = ReferenceSolution(traj=traj, refine=1)
     series = cc.synchronize(ref, traj, traj.nodes[0])
-    assert np.abs(series.errors).max() <= 1e-12
-    assert np.abs(series.thetas - series.times).max() <= 1e-12
-
-
-def test_self_synchronization_with_substeps(vdp):
-    # in-segment samples ride the same polyline, so errors stay zero there too
-    traj = cc.simulate(vdp, VDP_X0, 1e-3, 1000)
-    ref = ReferenceSolution(traj=traj, refine=1)
-    series = cc.synchronize(ref, traj, traj.nodes[0], substeps=4)
-    assert series.times.size == 4 * 1000 + 1
     assert np.abs(series.errors).max() <= 1e-12
     assert np.abs(series.thetas - series.times).max() <= 1e-12
 
@@ -245,9 +224,10 @@ def test_tube_membership_inside_disk(vdp, vdp_cert):
     w = np.array([-disk.normal[1], disk.normal[0]]) / np.linalg.norm(disk.normal)
     y0 = disk.center + 0.6 * disk.radius * w
     ref = ReferenceSolution.compute(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
-    series = cc.synchronize(ref, traj, y0, t_max=tube.horizon)
-    assert cc.tube_membership_check(series, tube) == []
-    assert tube_membership_oracle(series, tube) == []
+    series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
+    floor = vdp_cert.step_condition.rhs
+    assert cc.tube_membership_check(series, tube, floor) == []
+    assert tube_membership_oracle(series, tube, floor) == []
 
 
 def test_tube_membership_outside_disk_violates(vdp, vdp_cert):
@@ -258,10 +238,11 @@ def test_tube_membership_outside_disk_violates(vdp, vdp_cert):
     w = np.array([-disk.normal[1], disk.normal[0]]) / np.linalg.norm(disk.normal)
     y0 = disk.center + 2.0 * disk.radius * w
     ref = ReferenceSolution.compute(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
-    series = cc.synchronize(ref, traj, y0, t_max=tube.horizon)
-    violations = cc.tube_membership_check(series, tube)
+    series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
+    floor = vdp_cert.step_condition.rhs
+    violations = cc.tube_membership_check(series, tube, floor)
     assert violations and violations[0] == 0
-    assert violations == tube_membership_oracle(series, tube)
+    assert violations == tube_membership_oracle(series, tube, floor)
 
 
 def test_tube_membership_self_sync_clean(vdp, vdp_cert, monkeypatch):
@@ -278,23 +259,11 @@ def test_tube_membership_self_sync_clean(vdp, vdp_cert, monkeypatch):
     monkeypatch.setattr(syncerr, "_window_pass", counted)
     tube, traj = vdp_cert.tube, vdp_cert.trajectory
     ref = ReferenceSolution(traj=traj, refine=1)
-    series = cc.synchronize(ref, traj, traj.nodes[0], t_max=tube.horizon)
+    series = cc.synchronize(ref, up_to(traj, tube.N1), traj.nodes[0])
     assert series.times.size > 60_000 and len(passes) <= SELF_SYNC_PASSES
-    assert cc.tube_membership_check(series, tube) == []
-    assert tube_membership_oracle(series, tube) == []
-
-
-def test_tube_membership_requires_step_floor(vdp):
-    traj = cc.simulate(vdp, VDP_X0, 1e-3, 7000)
-    section = cc.Section.through(vdp, traj.nodes[0])
-    R1, N1, _ = cc.return_times(
-        traj, section, 1, cc.default_exclusion(1e-3, 0.1)
-    ).first()
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3)
-    ref = ReferenceSolution(traj=traj, refine=1)
-    series = cc.synchronize(ref, traj, traj.nodes[0], t_max=tube.horizon)
-    with pytest.raises(InputError, match="step floor"):
-        cc.tube_membership_check(series, tube)
+    floor = vdp_cert.step_condition.rhs
+    assert cc.tube_membership_check(series, tube, floor) == []
+    assert tube_membership_oracle(series, tube, floor) == []
 
 
 def test_error_curves_deterministic(vdp):
@@ -472,14 +441,13 @@ def test_synchronize_matches_oracle(vdp, linear, vdp_cert, monkeypatch, predict_
     bounds = {"tube": vdp_cert.tube, "D": 70.0}
     cases = [
         (ref50, traj, x0, bounds),
-        (ref50, traj, x0, {"t_max": 1.2345}),
-        (ref50, traj, x0, {"substeps": 4}),
+        # ends on a node inside the run, which takes f there as its normal
+        (ref50, up_to(traj, 1234), x0, {}),
         (self_ref, traj, x0, bounds),
-        (self_ref, traj, x0, {"substeps": 4}),
         (lin_ref, lin_traj, lin_y0, {}),
         (drift_ref, drift_traj, x0, {}),
-        # theta clamped to theta_prev on 5 samples, inside a loose tolerance
-        (jump_ref, backward_jump(vdp, h), x0, {"substeps": 4, "tau_sync": 1e-2}),
+        # theta clamped to theta_prev on 2 samples, inside a loose tolerance
+        (jump_ref, backward_jump(vdp, h), x0, {"tau_sync": 1e-2}),
     ]
     for ref, coarse, y0, kwargs in cases:
         assert_same_series(
@@ -487,7 +455,7 @@ def test_synchronize_matches_oracle(vdp, linear, vdp_cert, monkeypatch, predict_
             synchronize_oracle(ref, coarse, y0, **kwargs),
         )
     clamped = cc.synchronize(*cases[-1][:3], **cases[-1][3])
-    assert np.count_nonzero(np.diff(clamped.thetas) == 0.0) == 5
+    assert np.count_nonzero(np.diff(clamped.thetas) == 0.0) == 2
     drift = cc.synchronize(drift_ref, drift_traj, x0)
     assert np.abs(drift.thetas - drift.times).max() > 0.5
 
@@ -536,15 +504,10 @@ def test_synchronize_lost_matches_oracle(vdp):
         got = lost(cc.synchronize, ref, coarse, x0, **kwargs)
         assert got == lost(synchronize_oracle, ref, coarse, x0, **kwargs)
         assert got[0].startswith(kind) and got[1] > 0, got
-    # a skip forward past the window, and the clamped backward jump
+    # a skip forward past the window
     skipped = EulerTrajectory(vdp, x0, h, skip)
     assert lost(cc.synchronize, self_ref, skipped, x0) == lost(
         synchronize_oracle, self_ref, skipped, x0
-    )
-    jump_ref = ReferenceSolution.compute(vdp, x0, h, 2.5, refine=10)
-    jump = backward_jump(vdp, h)
-    assert lost(cc.synchronize, jump_ref, jump, x0, substeps=4) == lost(
-        synchronize_oracle, jump_ref, jump, x0, substeps=4
     )
     # a streamed reference loses synchronization at the same sample
     got = lost(streamed, vdp, x0, h, 0.05, 10, traj)
@@ -704,12 +667,13 @@ def test_stream_reuses_its_buffer(vdp, monkeypatch):
 def test_bounds_past_the_horizon_match_the_exp_loop(vdp, vdp_cert):
     # 37% of the samples lie past the tube's horizon; with D = 0 the bound
     # column is the tube radius, which must be the per-sample math.exp
-    # loop's at every sample, on a node (s == 0) or inside a segment
+    # loop's at every sample, on a node (s == 0) or inside a segment: the
+    # run's step h/3 puts most samples inside the tube's segments
     tube = vdp_cert.tube
     h = 1e-3
-    traj = cc.simulate(vdp, VDP_X0, h, 10000)
+    traj = cc.simulate(vdp, VDP_X0, h / 3, 30000)
     ref = ReferenceSolution.compute(vdp, VDP_X0, h, 11.0, refine=10)
-    series = cc.synchronize(ref, traj, VDP_X0, tube=tube, D=0.0, substeps=3)
+    series = cc.synchronize(ref, traj, VDP_X0, tube=tube, D=0.0)
     past = series.times > tube.horizon
     assert 0.3 < past.mean() < 0.4
     want = [_delta_oracle(tube, min(t, tube.horizon)) for t in series.times]
@@ -751,11 +715,10 @@ def test_synchronize_narrow_window_misses_match_oracle(
     jump_ref = ReferenceSolution.compute(vdp, x0, h, 2.5, refine=10)
     cases = [
         (ref50, traj, x0, {"tube": vdp_cert.tube, "D": 70.0}),
-        (ref50, traj, x0, {"substeps": 4}),
-        (ReferenceSolution(traj=traj, refine=1), traj, x0, {"substeps": 4}),
+        (ReferenceSolution(traj=traj, refine=1), traj, x0, {}),
         (lin_ref, lin_traj, lin_y0, {}),
         (drift_ref, drift_traj, x0, {}),
-        (jump_ref, backward_jump(vdp, h), x0, {"substeps": 4, "tau_sync": 1e-2}),
+        (jump_ref, backward_jump(vdp, h), x0, {"tau_sync": 1e-2}),
     ]
     rescans = 0
     for ref, coarse, y0, kwargs in cases:
@@ -781,7 +744,6 @@ def test_synchronize_narrow_window_misses_match_oracle(
         (ReferenceSolution.compute(vdp, x0, h, 0.05, refine=10), traj, {}),
         (ReferenceSolution(traj=traj, refine=1), passed, {}),
         (ref50, traj, {"tau_sync": 1e-17}),
-        (jump_ref, backward_jump(vdp, h), {"substeps": 4}),
     ]
     for ref, coarse, kwargs in lost_cases:
         got = lost(cc.synchronize, ref, coarse, x0, **kwargs)

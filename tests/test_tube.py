@@ -21,7 +21,7 @@ from cyclecert.measures import norm_planes
 from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_excess
 
-from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate
+from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate, up_to
 from oracles import (
     ab_profile_whole,
     bridge_loop,
@@ -191,7 +191,7 @@ def test_vdp_example_tube_values(vdp_cert):
     delta_end = tube.delta[tube.N1]
     assert delta_end == pytest.approx(0.0642, rel=0.10)
     assert tube.delta.min() == pytest.approx(delta_end)
-    assert radius_excess(tube) is None
+    assert radius_excess(tube.delta, tube.sampled_radius) is None
 
 
 def test_step_condition_vdp(vdp_cert):
@@ -422,11 +422,12 @@ def test_forward_invariance_of_certified_tube(vdp, vdp_cert):
     w = np.array([-disk.normal[1], disk.normal[0]]) / np.linalg.norm(disk.normal)
     pts = disk.center[None, :] + (u * disk.radius)[:, None] * w[None, :]
     horizon = tube.horizon
+    floor = vdp_cert.step_condition.rhs
     violations = []
     for y0 in pts:
         ref = cc.ReferenceSolution.compute(vdp, y0, VDP_H, 1.2 * horizon, refine=100)
-        series = cc.synchronize(ref, traj, y0, t_max=horizon)
-        violations += cc.tube_membership_check(series, tube)
+        series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
+        violations += cc.tube_membership_check(series, tube, floor)
     assert violations == []
 
 
@@ -542,11 +543,12 @@ def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
     # the anchor grid: f on the s-grid of the 6315 stride-10 anchors; pass
     # 1's Lambda: f and J on 9 offsets of the slices of the 633 guess
-    # anchors (every 6315 // GUESS_ANCHORS = 10th and the last); pass 2's
-    # Lambda: the same on every anchor slice; the (a, b) pass: J on the
-    # anchor grid, f on AB_OFFSETS offsets of it; the M~ loop evaluates
+    # anchors (every 6315 // GUESS_ANCHORS = 10th and the last); pass 2,
+    # which settles: Lambda the same on every anchor slice, and (a, b) J on
+    # the anchor grid, f on AB_OFFSETS offsets of it; the M~ loop evaluates
     # nothing
-    assert cc.tube.PASSES == 2 and 6315 // cc.tube.GUESS_ANCHORS == 10
+    assert [p["radius_excess"] for p in ref.pass_history] == [0, None]
+    assert 6315 // cc.tube.GUESS_ANCHORS == 10
     anchor_grid = cc.tube.N_S * 6315
     slices = 9 * cc.tube.N_S * 633 + 9 * anchor_grid
     f = anchor_grid + slices + cc.tube.AB_OFFSETS * anchor_grid
@@ -646,8 +648,9 @@ def test_streamed_build_matches_whole_grid(
     # the streamed build against the build on whole-loop planes
     tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
     ref = build_tube_whole(field, traj, N1, delta0, gamma, cfg)
-    for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius"):
+    for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(tube, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert [p["radius_excess"] for p in tube.pass_history] == ref.excesses
 
 
 def test_radius_failure_names_the_segment(vdp, monkeypatch):
@@ -668,7 +671,89 @@ def test_radius_failure_names_the_segment(vdp, monkeypatch):
     )
     assert cert.failure["reason"] == "slice-radius-inconsistent"
     assert "first at segment 777:" in cert.failure["detail"]
-    assert cc.tube.radius_excess(cert.tube) == 777
+    assert radius_excess(cert.tube.delta, cert.tube.sampled_radius) == 777
+    assert cert.flags["radius_consistent"] is False
+
+
+@pytest.mark.parametrize(
+    "system,stride",
+    [("vanderpol", 1), ("vanderpol", 10), ("vanderpol", 20), ("fitzhugh-nagumo", 10)],
+)
+def test_bounds_are_sampled_on_the_final_tube(vdp, vdp_cert, monkeypatch, system, stride):
+    # the last pass samples Lambda and (a, b) on one radius, and at every
+    # anchor the final tube radius delta_i e^{sigma_i s} stays within it, so
+    # both bounds cover the slices of the tube the certificate reports
+    field, traj, R1, N1, delta0, gamma = loop_of(system, vdp, vdp_cert)
+    radii = {}
+    for name in ("lambda_profile", "ab_profile"):
+
+        def recorded(field, grids, radius, *args, fn=getattr(cc.tube, name), name=name):
+            radii[name] = radius
+            return fn(field, grids, radius, *args)
+
+        monkeypatch.setattr(cc.tube, name, recorded)
+    cfg = PipelineConfig(lambda_stride=stride)
+    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
+    a = tube.anchors
+    final = tube.delta[a] * np.exp(tube.sigma[a] * tube.anchor_grids.s[:, None])
+    radius = radii["ab_profile"]
+    assert radius.shape == final.shape
+    assert (final <= radius * (1.0 + cc.tube.RADIUS_RTOL)).all()
+    assert np.array_equal(radii["lambda_profile"], radius)
+    assert tube.pass_history[-1]["radius_excess"] is None
+
+
+@pytest.mark.parametrize("stride,segment", [(1, 97), (10, 110), (20, 100)])
+def test_fhn_loop_settles_on_a_negative_verdict(stride, segment):
+    # the third pass settles: the build repeats its pass while the first
+    # segment past the sampled radius moves forward, so the loop's verdict
+    # is the step condition's, not a blocked certificate
+    field, traj, R1, N1, delta0, gamma = fhn_loop()
+    cert = cc.certify_existence(
+        field, FHN_X0, FHN_H, delta0, gamma, PipelineConfig(lambda_stride=stride),
+        horizon=60.0,
+    )
+    assert cert.N1 == N1
+    assert cert.failure["reason"] == "eq_h-violated"
+    assert f"first at segment {segment} " in cert.failure["detail"]
+    excess = [p["radius_excess"] for p in cert.pass_history]
+    assert len(excess) == 3 and excess[0] == 0 < excess[1] and excess[2] is None
+    assert cert.flags["radius_consistent"] is True
+
+
+def test_advancing_passes_widen_the_slices_until_a_vanishes(monkeypatch):
+    # the FitzHugh-Nagumo loop from the node 15,000 steps of FHN_H reach
+    # from (1, 0): every pass moves the first excess segment forward, and
+    # after 7 passes the widened slices take a <= 0
+    field = cc.load_system({"id": "fitzhugh-nagumo"})
+    x0 = cc.simulate(field, (1.0, 0.0), FHN_H, 15000).nodes[-1]
+    excesses = []
+    excess = cc.tube.radius_excess
+
+    def recorded(*args):
+        excesses.append(excess(*args))
+        return excesses[-1]
+
+    monkeypatch.setattr(cc.tube, "radius_excess", recorded)
+    cert = cc.certify_existence(field, x0, FHN_H, 0.05, 0.05, PipelineConfig(), horizon=60.0)
+    assert cert.failure["reason"] == "InvalidReparametrizationError"
+    assert cert.failure["kind"] == "blocking"
+    assert cert.failure["detail"].endswith("<= 0 at segment 1091")
+    assert excesses == [55, 259, 493, 730, 975, 1234]  # passes 2 to 7
+
+
+def test_excess_that_does_not_advance_blocks(vdp, monkeypatch):
+    # slices thinner than the tube they are sampled from: pass 2's first
+    # excess segment is pass 1's, so the build stops there and the
+    # certificate blocks, naming the segment
+    monkeypatch.setattr(cc.tube, "RADIUS_SAFETY", 0.9)
+    cert = cc.certify_existence(
+        vdp, VDP_X0, 2e-3, VDP_DELTA0, VDP_GAMMA, PipelineConfig(), horizon=10.0
+    )
+    assert [p["radius_excess"] for p in cert.pass_history] == [0, 0]
+    assert cert.failure["reason"] == "slice-radius-inconsistent"
+    assert cert.failure["kind"] == "blocking"
+    assert "first at segment 0:" in cert.failure["detail"]
     assert cert.flags["radius_consistent"] is False
 
 
@@ -781,7 +866,8 @@ def test_stride_one_ab_is_per_segment(vdp, vdp_cert, monkeypatch, system):
     real = cc.tube.ab_profile
     monkeypatch.setattr(cc.tube, "ab_profile", spy)
     tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
-    ((grids, radius),) = calls
+    assert len(calls) == len(tube.pass_history) - 1  # every pass after the first
+    grids, radius = calls[-1]
     assert radius.shape == (cc.tube.N_S, N1)
     a_ref, b_ref = ab_profile_whole(field, interleaved(grids), radius)
     assert tube.a_seg.tobytes() == a_ref.tobytes()
