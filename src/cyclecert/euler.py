@@ -10,14 +10,32 @@ There is one integrator: the recurrence u += h*rhs2(u) on a field's
 (:func:`_planar_nodes`).  README "Bit-identity contract" says why its nodes
 are those of a loop of single steps on plain floats, bit for bit.
 
-Every run is a :class:`Run`, whose :meth:`Run.extend` steps each node into
-one growable buffer: the certificate's loop, the R' and basin sweeps, the
-error curve's coarse run and its streamed reference extend runs in place.
+Every run is a :class:`Run`, which holds its nodes in one growable buffer,
+and every node is stepped by :func:`_step_runs`, the one caller of
+:func:`_planar_nodes`: :meth:`Run.extend` calls it with its own run (the
+certificate's loop, the basin sweep, the error curve's coarse run and its
+streamed reference), and the R' sweep with the runs that share a field, h
+and last node index, which step together.
+
+Runs stepped together share each block of sweeps: a step-major array holds
+one node of each run per row, and a block of max(SWEEP_MIN, SWEEP_STEPS //
+R) steps for R runs, split evenly over the extend, holds about SWEEP_STEPS
+nodes; every block after a full one extrapolates its guess.  Each node is
+checked against the successor of its own run's node; the first mismatch
+over all runs sets a frontier shared by all, and one running sum
+re-guesses every run after it.  A run that had
+verified further gets the same bits back, each node being the sum of the
+node before it and its increment, so the shared frontier changes no bit.
+A group block that stops short, raises in ``rhs2`` or holds a non-finite
+value ends the group, and each run steps the rest of the extend alone, so
+divergence and its node stay each run's own.
 
 Hyperplane sections, crossing detection and return times live here as well:
 each segment is linear, so in-segment crossing offsets are exact roots of a
 linear equation.  A loop from a start point is found only by
-:func:`first_loop`, a run's first return only by :meth:`Run.first_return`.
+:func:`first_loop`, first returns only by :func:`_first_returns`, which
+scans runs chunk by chunk: :meth:`Run.first_return` is its run of one,
+:func:`batch_first_return` the R' sweep.
 """
 
 from __future__ import annotations
@@ -50,7 +68,6 @@ class EulerTrajectory:
         self.nodes.setflags(write=False)
         self.n_steps = nodes.shape[0] - 1
         self._seg_dirs = None
-        self._f_nodes = None
 
     @property
     def horizon(self) -> float:
@@ -63,17 +80,6 @@ class EulerTrajectory:
             self._seg_dirs = (self.nodes[1:] - self.nodes[:-1]) / self.h
             self._seg_dirs.setflags(write=False)
         return self._seg_dirs
-
-    @property
-    def f_nodes(self) -> np.ndarray:
-        """Cached f(x_i) for i = 0..N (one extra evaluation for the last node)."""
-        if self._f_nodes is None:
-            f_last = self.field.f_raw(self.nodes[-1])
-            self._f_nodes = np.concatenate(
-                [self.seg_dirs, f_last[None, :]], axis=0
-            )
-            self._f_nodes.setflags(write=False)
-        return self._f_nodes
 
     def segment_of(self, t: float):
         """Return (i, s) with t = i*h + s, s in [0, h); final node maps to (N-1, h)."""
@@ -90,10 +96,12 @@ class EulerTrajectory:
         return self.nodes[i] + (s / self.h) * (self.nodes[i + 1] - self.nodes[i])
 
 
-# Steps in the first block of verified Picard sweeps; a block whose sweeps
-# stop short makes the next one half as long, down to SWEEP_MIN steps, a
-# full one twice as long, up to SWEEP_STEPS, and runs or tails shorter than
-# SWEEP_MIN steps take the scalar loop.
+# Steps in the first block of verified Picard sweeps of a run; a block
+# whose sweeps stop short makes the next one half as long, down to
+# SWEEP_MIN steps, a full one twice as long, up to SWEEP_STEPS, and runs or
+# tails shorter than SWEEP_MIN steps take the scalar loop.  A group of R
+# runs takes equal blocks of at most max(SWEEP_MIN, SWEEP_STEPS // R)
+# steps, about SWEEP_STEPS nodes whatever R (:func:`_planar_nodes`).
 SWEEP_STEPS = 8192
 SWEEP_MIN = 512
 # Sweep cost in units of one node of one sweep: a sweep over L nodes costs
@@ -111,6 +119,10 @@ SCALAR_COST = 30
 # der Pol over 16 blocks from 4.07 (the quadratic guess on every block) to
 # 1.86 and from 5.17 to 2.69, and 12-25 at h >= 1e-4, where it did not pay:
 # those keep the quadratic guess.  Of degrees 4 to 8, 5 and 6 cost least.
+# A group's blocks, SWEEP_STEPS // R steps, are short enough that every
+# block after a full one extrapolates: on the 10 runs of vdp-example1's R'
+# sweep that cuts rhs evaluations per step from 5.42 to 4.65 at h = 1e-4
+# and from 9.53 to 8.38 at 5e-4.
 SWEEP_SMOOTH = 8
 GUESS_DEGREE = 6
 
@@ -143,17 +155,21 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
 
 def _sweep_guess(rhs2, Z, h, work):
     """Write guessed Euler nodes into Z[1:] (complex128 rows, as in
-    :func:`_sweep_block`) from the node Z[0]: the quadratic in the step
-    number through the node and its two Euler successors, formed in the
-    three float rows ``work``."""
+    :func:`_sweep_block`) from the nodes Z[0]: per run, the quadratic in the
+    step number through its node and its two Euler successors, formed in
+    the three float rows ``work``."""
+    n = Z.shape[0] - 1
     a1, a2 = Z[0].real, Z[0].imag
     d1, d2 = rhs2(a1, a2)
     e1, e2 = rhs2(a1 + h * d1, a2 + h * d2)
-    k, q, t = work[:, : Z.size - 1]
+    k, q, t = work[:, :n]
     k.fill(1.0)
     np.cumsum(k, out=k)  # the step numbers 1..n
     np.multiply(k, 0.5 * h, out=q)
     np.multiply(q, np.subtract(k, 1.0, out=t), out=q)
+    if Z.ndim > 1:  # a group: each step's row holds one node per run
+        k, q = k[:, None], q[:, None]
+        t = work[2, : Z[1:].size].reshape(Z[1:].shape)
     parts = (Z.real[1:], a1, h * d1, e1 - d1), (Z.imag[1:], a2, h * d2, e2 - d2)
     for X, a, hd, c in parts:
         np.add(np.multiply(k, hd, out=X), a, out=X)
@@ -181,7 +197,7 @@ def _lagrange_weights(width):
 
 def _extrapolated_guess(rhs2, Z, k, width, n, h, H):
     """Write guessed Euler nodes into Z[k+1..k+n], n <= width, from the
-    run's nodes up to k in ``Z`` (complex128 rows, as in
+    runs' nodes up to k in ``Z`` (complex128 rows, as in
     :func:`_sweep_block`): the Euler sums, from node k, of the field that
     the degree-GUESS_DEGREE Lagrange weights extrapolate from ``rhs2`` at
     nodes k-D*q, ..., k (q = width // D, D = GUESS_DEGREE).
@@ -194,31 +210,36 @@ def _extrapolated_guess(rhs2, Z, k, width, n, h, H):
     q = width // GUESS_DEGREE
     P = Z[k - GUESS_DEGREE * q : k + 1 : q]
     d1, d2 = rhs2(P.real, P.imag)
-    hd = np.empty((GUESS_DEGREE + 1, 2))
+    hd = np.empty(P.shape + (2,))
     # out= broadcasts a constant component, which rhs2 gives as a number
-    np.multiply(d1, h, out=hd[:, 0])
-    np.multiply(d2, h, out=hd[:, 1])
-    HD = H[:n].view(np.float64).reshape(n, 2)
-    np.matmul(_lagrange_weights(width)[:, :n].T, hd, out=HD)
-    H[0] += Z[k]
-    np.cumsum(H[:n], out=Z[k + 1 : k + n + 1])
+    np.multiply(d1, h, out=hd[..., 0])
+    np.multiply(d2, h, out=hd[..., 1])
+    rows = H[: n * Z[0].size].reshape((n,) + Z.shape[1:])
+    HD = rows.view(np.float64).reshape(n, -1)
+    np.matmul(_lagrange_weights(width)[:, :n].T, hd.reshape(GUESS_DEGREE + 1, -1), out=HD)
+    rows[0] += Z[k]
+    np.cumsum(rows, axis=0, out=Z[k + 1 : k + n + 1])
 
 
 def _sweep_block(into, Z, h, work):
-    """Verify Euler nodes Z[1:] from the exact node Z[0] by Picard sweeps.
+    """Verify Euler nodes Z[1:] from the exact nodes Z[0] by Picard sweeps.
 
-    ``Z`` is the complex128 view of n+1 rows of a node array (README
-    "Bit-identity contract", interleaved arithmetic): the exact first node
-    and a guess of the rest, which the sweeps overwrite in place.  Each
-    sweep evaluates rhs2 on the unverified suffix as float64 arrays, through
-    its in-place kernel ``into(x1, x2, tmp)`` (see :func:`_planar_nodes`),
-    and accepts node j+1 only where its bits equal Z[j] + h*rhs2(Z[j]), the
-    scalar loop's own operations on the verified node j.  The first
-    mismatch is replaced by that successor, which is therefore exact, and
-    the nodes after it are guessed again by a running sum of the sweep's
-    increments.  The sum, like the first guess, is only a guess: a wrong
-    node never passes the check, so each sweep verifies at least one node
-    and the guesses decide only how many.
+    ``Z`` holds complex128 rows of n+1 steps (README "Bit-identity
+    contract", interleaved arithmetic): the view of a run's own node rows,
+    or a group's step-major array with one column per run.  Row 0 is exact,
+    the rest a guess, which the sweeps overwrite in place.  Each sweep
+    evaluates rhs2 on the unverified rows as float64 arrays, through its
+    in-place kernel ``into(x1, x2, tmp)`` (see :func:`_planar_nodes`), and
+    accepts node j+1 of a run only where its bits equal Z[j] + h*rhs2(Z[j]),
+    the scalar loop's own operations on the run's verified node j.  The
+    first mismatch over all runs, at step m, sets the frontier: row m+1 is
+    replaced by the successors of row m, which are therefore exact, and the
+    rows after it are guessed again by a running sum of the sweep's
+    increments.  A run that had verified further gets its nodes back bit for
+    bit, as each is the sum of the one before and its increment.  The sum,
+    like the first guess, is only a guess: a wrong node never passes the
+    check, so each sweep verifies at least one row and the guesses decide
+    only how many.
 
     Returns the number of verified steps, n unless the sweeps stopped
     because they cost more than the scalar loop would (see SCALAR_COST),
@@ -227,100 +248,165 @@ def _sweep_block(into, Z, h, work):
     then its scratch rows.
     """
     H, Y, U = work
-    n = Z.size - 1
+    n, runs = Z.shape[0] - 1, Z[0].size
     s = cost = sweeps = 0
-    while s < n and cost < SCALAR_COST * n:
+    while s < n and cost < SCALAR_COST * n * runs:
         L = n - s
+        size = L * runs
         sweeps += 1
         # into reads each component several times: from contiguous copies
-        np.copyto(U[:2, :L], Z[s:n, None].view(np.float64).T)
-        D1, D2 = into(U[0, :L], U[1, :L], U[2:, :L])
-        np.multiply(D1, h, out=H.real[:L])
-        np.multiply(D2, h, out=H.imag[:L])
-        np.add(Z[s:n], H[:L], out=Y[:L])
+        np.copyto(U[:2, :size], Z[s:n].reshape(size, 1).view(np.float64).T)
+        D1, D2 = into(U[0, :size], U[1, :size], U[2:, :size])
+        np.multiply(D1, h, out=H.real[:size])
+        np.multiply(D2, h, out=H.imag[:size])
+        rows = H[:size].reshape(Z[s + 1 :].shape)
+        succ = Y[:size].reshape(Z[s + 1 :].shape)
+        np.add(Z[s:n], rows, out=succ)
         # a node holds where both its int64 halves match
-        differ = Y[:L].view(np.int64) != Z[s + 1 :].view(np.int64)
+        differ = succ.view(np.int64) != Z[s + 1 :].view(np.int64)
         half = int(differ.argmax())
-        if not differ[half]:
+        if not differ.flat[half]:
             return n, sweeps
-        m = half // 2
-        # nodes s+1..s+m hold; Y[m] is the successor of node s+m
+        m = half // (2 * runs)
+        # rows s+1..s+m hold; succ[m] holds the successors of row s+m
         s += m + 1
-        H[m] = Y[m]
-        np.cumsum(H[m:L], out=Z[s:])
-        cost += L + SWEEP_OVERHEAD
+        rows[m] = succ[m]
+        np.cumsum(rows[m:], axis=0, out=Z[s:])
+        cost += size + SWEEP_OVERHEAD
     return s, sweeps
 
 
-def _planar_nodes(rhs2, nodes, h, first):
-    """Step ``nodes[1:]`` of a planar run from ``nodes[0]``, its node
+def _planar_nodes(rhs2, Z, h, first):
+    """Step ``Z[1:]`` of one or more planar runs from ``Z[0]``, their node
     ``first``, bit for bit as :func:`_scalar_nodes` does.
 
-    The run is stepped in blocks of verified Picard sweeps
-    (:func:`_sweep_block`), each block starting from the last node of the
+    ``Z`` is complex128, each node x1 + i x2: the (n+1,) view of one run's
+    node rows, or a group's step-major (n+1, R) array, column r holding run
+    r.  The runs are stepped in blocks of verified Picard sweeps
+    (:func:`_sweep_block`), each block starting from the last nodes of the
     one before.  A block's first guess is the running sum, from node k, of
     h times the field extrapolated from ``rhs2`` at GUESS_DEGREE+1 nodes
     spread over the block before (:func:`_extrapolated_guess`) when that
     block, of width w, verified all its steps in at most ``SWEEP_SMOOTH``
-    sweeps, and otherwise the quadratic of :func:`_sweep_guess`, which
-    needs no nodes before k.  A block whose sweeps stop short continues
-    from its last verified node with half the block length; a full block
-    doubles it back, up to ``SWEEP_STEPS``, with the quadratic guess.  The
-    scalar loop steps the rest of the run once blocks would be shorter than
-    ``SWEEP_MIN`` steps, or from the first node of a block that holds a
-    non-finite value, so a run that diverges fails at the step, and with
-    the message, of the scalar loop.  It also steps the rest of the run
-    from a block where ``rhs2`` raises TypeError or ValueError on arrays,
-    as one that calls math or branches on its arguments does.
+    sweeps (in any number, for a group), and otherwise the quadratic of
+    :func:`_sweep_guess`, which needs no nodes before k.
+
+    One run: a block whose sweeps stop short continues from its last
+    verified node with half the block length; a full block doubles it back,
+    up to ``SWEEP_STEPS``, with the quadratic guess.  The scalar loop steps
+    the rest of the run once blocks would be shorter than ``SWEEP_MIN``
+    steps, or from the first node of a block that holds a non-finite value,
+    so a run that diverges fails at the step, and with the message, of the
+    scalar loop.  It also steps the rest of the run from a block where
+    ``rhs2`` raises TypeError or ValueError on arrays, as one that calls
+    math or branches on its arguments does.  Returns n.
+
+    A group: the extend is split into equal blocks, the longer first, of
+    at most ``max(SWEEP_MIN, SWEEP_STEPS // R)`` steps, so no short tail is
+    left over.  The group stops at the first block that stops short,
+    raises, or holds a non-finite value, or when fewer than ``SWEEP_MIN``
+    nodes are left, and returns the number of steps every run holds; the
+    caller steps the rest of each run alone, so divergence stays a matter
+    of each run.
 
     The sweeps call ``rhs2.in_place()``'s kernel (``systems._in_place``) on
     scratch rows allocated with the other work arrays, or rhs2 itself where
     it has none (a user callable, a wrapper that counts calls).
 
-    Each guess is written into ``nodes``, and the sweeps verify it there,
-    on the complex128 view of the rows.  Swept blocks are checked finite,
-    so a DivergedError at the first non-finite node, which it names by its
-    index on the run, can only come from the nodes the scalar loop stepped.
+    Each guess is written into ``Z``, and the sweeps verify it there.
+    Swept blocks are checked finite, so a DivergedError at the first
+    non-finite node, which it names by its index on the run, can only come
+    from the nodes the scalar loop stepped.
     """
-    n_steps = nodes.shape[0] - 1
-    Z = nodes.view(np.complex128)[:, 0]
-    # once per extend: fresh block-size arrays cost the allocator page faults
-    w = min(SWEEP_STEPS, n_steps)
+    n_steps, runs = Z.shape[0] - 1, Z[0].size
+    top = max(SWEEP_MIN, SWEEP_STEPS // runs)
+    # once per call: fresh block-size arrays cost the allocator page faults
+    w = min(top, n_steps) * runs
     if hasattr(rhs2, "in_place"):
         into, rows = rhs2.in_place()
     else:
         into, rows = (lambda x1, x2, tmp: rhs2(x1, x2)), 0
     U = np.empty((max(2 + rows, 3), w))  # the quadratic guess takes three
     work = np.empty(w, np.complex128), np.empty(w, np.complex128), U
-    width, k = SWEEP_STEPS, 0
-    smooth = False  # the block before was full and took few sweeps
+    width, k = top, 0
+    smooth = False  # extrapolate from the block before, ``full`` steps
     with np.errstate(all="ignore"):
-        while width >= SWEEP_MIN and n_steps - k >= SWEEP_MIN:
+        while width >= SWEEP_MIN and (n_steps - k) * runs >= SWEEP_MIN:
             n = min(width, n_steps - k)
+            if Z.ndim > 1:  # equal blocks, the longer first: no tail is left
+                blocks = -(-(n_steps - k) // width)
+                n = -(-(n_steps - k) // blocks)
             try:
                 if smooth:
-                    _extrapolated_guess(rhs2, Z, k, width, n, h, work[0])
+                    _extrapolated_guess(rhs2, Z, k, full, n, h, work[0])
                 else:
                     _sweep_guess(rhs2, Z[k : k + n + 1], h, U[:3])
                 done, sweeps = _sweep_block(into, Z[k : k + n + 1], h, work)
             except (TypeError, ValueError):
                 break  # rhs2 takes plain floats only, e.g. it calls math
-            if not np.isfinite(nodes[k + 1 : k + done + 1]).all():
+            if not np.isfinite(Z[k + 1 : k + done + 1]).all():
                 break
             k += done
-            smooth = done == width and sweeps <= SWEEP_SMOOTH
+            smooth = done == n and (sweeps <= SWEEP_SMOOTH or Z.ndim > 1)
+            full = n
             if done < n:
+                if Z.ndim > 1:
+                    break
                 width //= 2
-            elif done == width < SWEEP_STEPS:
+            elif done == width < top:
                 width, smooth = 2 * width, False
+    if Z.ndim > 1:
+        return k
     if k < n_steps:
-        u1, u2 = float(nodes[k, 0]), float(nodes[k, 1])
-        nodes[k:] = _scalar_nodes(rhs2, u1, u2, h, n_steps - k, first + k)
-    finite = np.isfinite(nodes[k:]).all(axis=1)
+        u1, u2 = float(Z[k].real), float(Z[k].imag)
+        nodes = _scalar_nodes(rhs2, u1, u2, h, n_steps - k, first + k)
+        Z[k:] = nodes.view(np.complex128)[:, 0]
+    finite = np.isfinite(Z[k:])
     if not finite.all():
         bad = first + k + int(finite.argmin())
         reason = "non-finite state"
         raise DivergedError(f"{reason} at node {bad}", bad, reason)
+    return n_steps
+
+
+def _step_runs(runs, n: int, double: bool = False) -> list:
+    """Step n more nodes of each of ``runs``, which share a field, h and
+    last node index; returns each run's DivergedError, or None.
+
+    One run steps its own node rows.  Several step together: a step-major
+    array takes their last nodes, one :func:`_planar_nodes` sweeps it, and
+    its columns are copied into the runs' buffers; the steps the group did
+    not take, each run steps alone from its last verified node.  A run that
+    diverges keeps its error in ``diverged`` and its resident nodes as they
+    were; the others are stepped all the same.
+    """
+    field, h, first = runs[0].field, runs[0].h, runs[0].end
+    tails = [run._room(n, double) for run in runs]
+    errors = [None] * len(runs)
+    if len(runs) == 1:
+        jobs = [(tails[0], [0], 0)]
+    else:
+        group = np.empty((n + 1, len(runs)), np.complex128)
+        group[0] = [tail[0] for tail in tails]
+        jobs = [(group, range(len(runs)), 0)]
+    while jobs:
+        Z, rows, k = jobs.pop()
+        try:
+            done = _planar_nodes(field.rhs_scalar2, Z, h, first + k)
+        except DivergedError as exc:  # only a run alone raises
+            errors[rows[0]] = exc
+            continue
+        if Z.ndim > 1:
+            for r in rows:
+                tails[r][1 : done + 1] = Z[1 : done + 1, r]
+                if done < n:
+                    jobs.append((tails[r][done:], [r], done))
+    for run, exc in zip(runs, errors):
+        if exc is None:
+            run._size += n
+        else:
+            run.diverged = exc
+    return errors
 
 
 # Nodes one Run may hold at once (2**25, 512 MiB): a run that would hold
@@ -337,8 +423,9 @@ class Run:
     ``nodes[0]`` being node ``base`` of the run.  :meth:`extend` steps every
     node (see :func:`_planar_nodes`), so the nodes are those of the scalar
     recurrence u += h*rhs2(u), bit for bit, however the run is cut into
-    extends.  ``diverged`` keeps the DivergedError of an extend that
-    failed, which leaves the resident nodes as they were.
+    extends, and whether it is stepped alone or with other runs.
+    ``diverged`` keeps the DivergedError of an extend that failed, which
+    leaves the resident nodes as they were.
     """
 
     def __init__(self, field: VectorField, x0, h: float, rows: int = 1):
@@ -370,6 +457,14 @@ class Run:
         ``NODE_BUDGET``; a DivergedError names the first non-finite node by
         its index on the run.
         """
+        exc = _step_runs([self], n, double)[0]
+        if exc is not None:
+            raise exc
+        return self
+
+    def _room(self, n: int, double: bool) -> np.ndarray:
+        """The complex128 view of the buffer rows from the last resident
+        node through n more, growing the buffer as :meth:`extend` says."""
         size = self._size + n
         if size > self._buffer.shape[0]:
             if size > NODE_BUDGET:
@@ -382,14 +477,7 @@ class Run:
             buffer = np.empty((min(max(rows, size), NODE_BUDGET), self.field.dim))
             buffer[: self._size] = self.nodes
             self._buffer = buffer
-        tail = self._buffer[self._size - 1 : size]  # from the last node on
-        try:
-            _planar_nodes(self.field.rhs_scalar2, tail, self.h, self.end)
-        except DivergedError as exc:
-            self.diverged = exc
-            raise
-        self._size = size
-        return self
+        return self._buffer[self._size - 1 : size].view(np.complex128)[:, 0]
 
     def drop_before(self, k: int):
         """Drop the nodes before node k, moving the rest to the front of
@@ -411,25 +499,17 @@ class Run:
     def first_return(self, n_steps: int, section: Section, exclusion: Exclusion):
         """The first counted return within ``n_steps`` steps of node 0.
 
-        The run is scanned in chunks of ``RETURN_CHUNK`` steps by the
-        crossing rule of :func:`detect_crossings`; a resident chunk is read,
-        any other stepped by a doubling :meth:`extend`.  Returns the
+        The run of one of :func:`_first_returns`: returns the
         :meth:`trajectory` up to the end of the chunk that holds the first
         counted crossing, and its segment and time; or the trajectory up to
-        ``n_steps``, -1 and NaN when there is none.
+        ``n_steps``, -1 and NaN when there is none.  A DivergedError names
+        the node the run failed at.
         """
-        t_left = math.inf
-        for offset in range(0, n_steps, RETURN_CHUNK):
-            stop = min(offset + RETURN_CHUNK, n_steps)
-            if stop > self.end:
-                self.extend(stop - self.end, double=True)
-            i, _, t, _, _, t_left = _crossing_scan(
-                self.field, self.nodes[offset : stop + 1], self.h, offset,
-                section, exclusion, t_left,
-            )
-            if t.size:
-                return self.trajectory(stop), offset + int(i[0]), float(t[0])
-        return self.trajectory(n_steps), -1, math.nan
+        found = _first_returns([self], n_steps, section, exclusion)[0]
+        if isinstance(found, DivergedError):
+            raise found
+        stop, segment, time = found
+        return self.trajectory(stop), segment, time
 
 
 def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
@@ -656,23 +736,71 @@ def first_loop(run: Run, horizon: float, delta0: float):
     return traj, R1, return_index(R1, segment, h)
 
 
+def _first_returns(runs, n_steps: int, section: Section, exclusion: Exclusion) -> list:
+    """Each run's first counted return within ``n_steps`` steps of node 0,
+    the runs sharing a field and h.
+
+    The runs are scanned together in chunks of ``RETURN_CHUNK`` steps by
+    the crossing rule of :func:`detect_crossings`.  A resident chunk is
+    read; the runs that need a chunk stepped and share their last node step
+    it together, by one doubling :func:`_step_runs`.  A run leaves the scan
+    at its first counted crossing, or when it diverges.
+
+    Returns per run ``(stop, segment, time)``: the end of the chunk that
+    holds the crossing, its segment and time, or ``(n_steps, -1, NaN)`` when
+    there is none; or the DivergedError of a run that diverged.
+    """
+    found = [(n_steps, -1, math.nan)] * len(runs)
+    t_left = [math.inf] * len(runs)
+    scanning = list(range(len(runs)))
+    for offset in range(0, n_steps, RETURN_CHUNK):
+        stop = min(offset + RETURN_CHUNK, n_steps)
+        groups = {}  # by last node
+        for j in scanning:
+            if stop > runs[j].end:
+                groups.setdefault(runs[j].end, []).append(j)
+        for group in groups.values():
+            ran = [runs[j] for j in group]
+            errors = _step_runs(ran, stop - ran[0].end, double=True)
+            for j, exc in zip(group, errors):
+                if exc is not None:
+                    found[j] = exc
+        kept = []
+        for j in scanning:
+            if isinstance(found[j], DivergedError):
+                continue
+            run = runs[j]
+            i, _, t, _, _, t_left[j] = _crossing_scan(
+                run.field, run.nodes[offset : stop + 1], run.h, offset,
+                section, exclusion, t_left[j],
+            )
+            if t.size:
+                found[j] = stop, offset + int(i[0]), float(t[0])
+            else:
+                kept.append(j)
+        scanning = kept
+        if not scanning:
+            break
+    return found
+
+
 def batch_first_return(
     field: VectorField, points, h: float, horizon: float, section: Section,
     exclusion: Exclusion, runs=None,
 ) -> np.ndarray:
     """First return times for a batch of initial points, NaN where none found.
 
-    Sample j is the :meth:`Run.first_return` of ``runs[j]``, a :class:`Run`
-    from point j at step h continued in place (default: a fresh one); a
-    sample whose run diverges gives NaN, and the run keeps its error.
+    Sample j is the first return of ``runs[j]``, a :class:`Run` from point j
+    at step h continued in place (default: a fresh one), and all are found
+    by one :func:`_first_returns`, which steps the runs that share an end
+    together; a sample whose run diverges gives NaN, and the run keeps its
+    error.
     """
     n_steps = int(math.ceil(horizon / h))
     if runs is None:
         runs = [Run(field, x, h) for x in np.array(points, dtype=float)]
     times = np.full(len(runs), np.nan)
-    for j, run in enumerate(runs):
-        try:
-            _, _, times[j] = run.first_return(n_steps, section, exclusion)
-        except DivergedError:
-            continue
+    for j, found in enumerate(_first_returns(runs, n_steps, section, exclusion)):
+        if not isinstance(found, DivergedError):
+            times[j] = found[2]
     return times

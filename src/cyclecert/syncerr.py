@@ -190,8 +190,9 @@ def synchronize(
 
     def samples(a, b):
         """Centers and section normals of samples a..b-1."""
-        # EulerTrajectory.f_nodes of the block, by the same operations,
-        # without caching the whole run's
+        # the nodes' f: the block's EulerTrajectory.seg_dirs, by the same
+        # operations, without caching the whole run's, and f_raw of the
+        # run's final node
         nodes = traj.nodes
         m = min(b, traj.n_steps)
         normals = (nodes[a + 1 : m + 1] - nodes[a:m]) / h

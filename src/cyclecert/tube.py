@@ -415,7 +415,8 @@ def build_tube(
     stops at the first pass with no excess, or whose excess lies at or
     before the previous pass's; the certificate then blocks on that
     segment.  The excess rises strictly from pass to pass, so the build
-    ends.
+    ends.  An error raised inside a pass carries the history of the passes
+    before it as ``pass_history``.
     """
     for name, value in (("h", traj.h), ("delta0", delta0), ("gamma", gamma)):
         require_positive(name, value)
@@ -430,39 +431,43 @@ def build_tube(
     # the anchor grid's columns that each pass samples Lambda on
     cols = stride_indices(anchors.size, max(1, anchors.size // GUESS_ANCHORS))
     history, excess = [], 0
-    while True:
-        lam = lambda_profile(field, grids, radius, anchors[cols], cols)
-        sigma = sigma_rate(lam, a_seg, b_seg, gamma)
-        delta_nodes = np.concatenate(
-            [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
-        )
-        # pass 1 sampled no (a, b), so its bounds back no segment
-        last = excess
-        excess = radius_excess(delta_nodes, sampled_radius) if history else 0
-        history.append(
-            {
-                "pass": len(history) + 1,
-                "K": float(traj.h * sigma.sum()),
-                "delta_end": float(delta_nodes[-1]),
-                "a_min": float(a_seg.min()),
-                "b_max": float(b_seg.max()),
-                "radius_excess": excess,
-            }
-        )
-        if len(history) > 1 and (excess is None or excess <= last):
-            break
-        # the next pass's slice radii, the widened tube radii
-        # RADIUS_SAFETY delta_i e^{sigma_i s}, and their s-grid maxima
-        sampled_radius = np.empty(N1)
-        for lo in range(0, N1, AB_BLOCK):
-            seg = slice(lo, min(lo + AB_BLOCK, N1))
-            growth = np.exp(sigma[seg] * grids.s[:, None])
-            wide = RADIUS_SAFETY * delta_nodes[None, seg] * growth
-            sampled_radius[seg] = wide.max(axis=0)
-        growth = np.exp(sigma[None, anchors] * grids.s[:, None])
-        radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
-        a_seg, b_seg = ab_profile(field, grids, radius, anchors)
-        cols = np.arange(anchors.size)
+    try:
+        while True:
+            lam = lambda_profile(field, grids, radius, anchors[cols], cols)
+            sigma = sigma_rate(lam, a_seg, b_seg, gamma)
+            delta_nodes = np.concatenate(
+                [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
+            )
+            # pass 1 sampled no (a, b), so its bounds back no segment
+            last = excess
+            excess = radius_excess(delta_nodes, sampled_radius) if history else 0
+            history.append(
+                {
+                    "pass": len(history) + 1,
+                    "K": float(traj.h * sigma.sum()),
+                    "delta_end": float(delta_nodes[-1]),
+                    "a_min": float(a_seg.min()),
+                    "b_max": float(b_seg.max()),
+                    "radius_excess": excess,
+                }
+            )
+            if len(history) > 1 and (excess is None or excess <= last):
+                break
+            # the next pass's slice radii, the widened tube radii
+            # RADIUS_SAFETY delta_i e^{sigma_i s}, and their s-grid maxima
+            sampled_radius = np.empty(N1)
+            for lo in range(0, N1, AB_BLOCK):
+                seg = slice(lo, min(lo + AB_BLOCK, N1))
+                growth = np.exp(sigma[seg] * grids.s[:, None])
+                wide = RADIUS_SAFETY * delta_nodes[None, seg] * growth
+                sampled_radius[seg] = wide.max(axis=0)
+            growth = np.exp(sigma[None, anchors] * grids.s[:, None])
+            radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
+            a_seg, b_seg = ab_profile(field, grids, radius, anchors)
+            cols = np.arange(anchors.size)
+    except CycleCertError as exc:
+        exc.pass_history = history  # the passes that ran before it
+        raise
 
     return Tube(
         traj, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
@@ -880,6 +885,7 @@ def certify_existence(
     except InputError:
         raise
     except CycleCertError as e:
+        cert.pass_history = getattr(e, "pass_history", cert.pass_history)
         cert.failure = {
             "reason": type(e).__name__,
             "kind": "blocking",

@@ -45,3 +45,22 @@ def force_rate(monkeypatch, c):
 def up_to(traj, n):
     """The first n steps of ``traj``, as a trajectory of its own."""
     return cc.EulerTrajectory(traj.field, traj.x0, traj.h, traj.nodes[: n + 1])
+
+
+def escape_field(mode):
+    """The circle flow for u1 < 1.03; beyond it u1 drifts off ("drift", no
+    return) or blows up ("blowup", the run diverges).  Its rhs_scalar2
+    branches on its arguments, so its runs step on plain floats."""
+
+    def rhs(x):
+        u1, u2 = x[..., 0], x[..., 1]
+        out = u1 * u1 if mode == "blowup" else np.ones_like(u1)
+        inside = u1 < 1.03
+        return np.stack([np.where(inside, u2, out), np.where(inside, -u1, 0.0)], -1)
+
+    def rhs2(u1, u2):
+        if u1 < 1.03:
+            return u2, -u1
+        return (u1 * u1 if mode == "blowup" else 1.0), 0.0
+
+    return cc.VectorField(f"escape-{mode}", 2, {}, rhs, rhs_scalar2=rhs2)

@@ -8,8 +8,10 @@ FitzHugh-Nagumo right-hand sides and Jacobians that the registry's planar
 kernels replaced, the sampled return-time sweep that the tube's return-time
 interval replaced, the joined synchronization series that the error curve
 now fills in place, a central-difference Jacobian that checks the
-hand-written registry Jacobians, and the row-by-row CSV formatter that
-``output.csv_rows`` replaced; the tests hold the library to them.
+hand-written registry Jacobians, the row-by-row CSV formatter that
+``output.csv_rows`` replaced, and the section normals of a whole run that
+``syncerr.synchronize`` forms per block; the tests hold the library to
+them.
 """
 
 from types import SimpleNamespace
@@ -268,3 +270,11 @@ def csv_text(header, rows):
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def f_nodes(traj):
+    """f at every node of an Euler trajectory, shape (N+1, 2): its
+    ``seg_dirs`` and ``f_raw`` of the last node, the section normals
+    ``syncerr.synchronize`` forms block by block."""
+    f_last = traj.field.f_raw(traj.nodes[-1])
+    return np.concatenate([traj.seg_dirs, f_last[None, :]])

@@ -363,18 +363,18 @@ def test_sweep_reads_threads_env_when_it_runs(coarse_existences, monkeypatch):
 def test_each_start_point_stepped_once(vdp, monkeypatch):
     # R' samples the basin sweep's start points, and at least the center
     # and both endpoints: its sweep continues the existence run from x0,
-    # and the basin sweep continues the R' runs.  Counted through
-    # Run.extend, where every node is stepped: no run is stepped from a
-    # node twice, and the nodes stepped from on the initial disk are R''s
+    # and the basin sweep continues the R' runs.  Counted per run through
+    # euler._step_runs, where every node is stepped: no run is stepped from
+    # a node twice, and the nodes stepped from on the initial disk are R''s
     # start points; with 2 samples the basin sweep takes R''s endpoints
     starts = []
-    extend = cc.Run.extend
+    step_runs = cc.euler._step_runs
 
-    def counted(run, n, double=False):
-        starts.append(run.nodes[-1].tobytes())
-        return extend(run, n, double)
+    def counted(runs, n, double=False):
+        starts.extend(run.nodes[-1].tobytes() for run in runs)
+        return step_runs(runs, n, double)
 
-    monkeypatch.setattr(cc.Run, "extend", counted)
+    monkeypatch.setattr(cc.euler, "_step_runs", counted)
     for samples in (COARSE_CFG.sweep_samples, 2):
         starts.clear()
         config = dataclasses.replace(COARSE_CFG, sweep_samples=samples)

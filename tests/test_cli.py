@@ -512,23 +512,24 @@ def test_canonical_json_float_format():
 
 def test_error_curve_cli_small(tmp_path, monkeypatch):
     # the largest h's certificate gives the loop period and the coarse run
-    # continues its run from x0: counted through Run.extend, where every
-    # node is stepped, no node of a run at h is stepped twice
+    # continues its run from x0: counted per run through euler._step_runs,
+    # where every node is stepped, no node of a run at h is stepped twice
     h = 1e-3
     cfg = get_preset("vdp-example2")
     whole = cyclecert.simulate(load_system(cfg.system), cfg.x0, h, 3 * 4096)
     stepped = Counter()
-    extend = cyclecert.Run.extend
+    step_runs = cyclecert.euler._step_runs
 
-    def counted(run, n, double=False):
-        first = run.end + 1
-        extend(run, n, double)
-        if run.h == h:
-            rows = run.nodes[first - run.base :]
-            stepped.update(row.tobytes() for row in rows)
-        return run
+    def counted(runs, n, double=False):
+        firsts = [run.end + 1 for run in runs]
+        errors = step_runs(runs, n, double)
+        for run, first in zip(runs, firsts):
+            if run.h == h:
+                rows = run.nodes[first - run.base :]
+                stepped.update(row.tobytes() for row in rows)
+        return errors
 
-    monkeypatch.setattr(cyclecert.Run, "extend", counted)
+    monkeypatch.setattr(cyclecert.euler, "_step_runs", counted)
     out = tmp_path / "curves"
     code = main(
         [

@@ -13,6 +13,7 @@ from cyclecert.errors import (
     InvalidReparametrizationError,
 )
 from cyclecert.systems import VectorField
+from conftest import escape_field
 from oracles import eta_sweep_oracle
 
 
@@ -504,27 +505,9 @@ def test_estimate_eta_not_established(vdp, vdp_cert, rho, why):
     assert eta.R_prime == vdp_cert.eta.R_prime
 
 
-def _escape_field(mode):
-    """The circle flow for u1 < 1.03; beyond it u1 drifts off ("drift", no
-    return) or blows up ("blowup", the run diverges)."""
-
-    def rhs(x):
-        u1, u2 = x[..., 0], x[..., 1]
-        out = u1 * u1 if mode == "blowup" else np.ones_like(u1)
-        inside = u1 < 1.03
-        return np.stack([np.where(inside, u2, out), np.where(inside, -u1, 0.0)], -1)
-
-    def rhs2(u1, u2):
-        if u1 < 1.03:
-            return u2, -u1
-        return (u1 * u1 if mode == "blowup" else 1.0), 0.0
-
-    return VectorField(f"escape-{mode}", 2, {}, rhs, rhs_scalar2=rhs2)
-
-
 def _escape_inline(mode):
-    """:func:`_escape_field` as an inline spec, whose Piecewise rhs_scalar2
-    steps on plain floats only."""
+    """:func:`conftest.escape_field` as an inline spec, whose Piecewise
+    rhs_scalar2 steps on plain floats only."""
     out = "x1**2" if mode == "blowup" else "1"
     return cc.load_system(
         {
@@ -543,7 +526,7 @@ def test_estimate_eta_blocking_names_sample(mode, handwritten):
     # the sample at u1 = 1.05 escapes; the other two return near 2*pi.  It
     # drifts off and never returns, or blows up: the error says which, with
     # the step a diverged run failed at
-    field = _escape_field(mode) if handwritten else _escape_inline(mode)
+    field = escape_field(mode) if handwritten else _escape_inline(mode)
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.05, field.f_raw(anchor))
     pts = disk.sweep_points(3)

@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cyclecert as cc
 from cyclecert.errors import DivergedError, InputError, NumericError
+
+from conftest import escape_field
+from oracles import f_nodes
 
 
 def test_recurrence_exact(vdp):
@@ -557,8 +561,9 @@ def test_immutable_nodes(vdp):
 
 
 def test_f_nodes_matches_field(vdp):
+    # the section normals of the synchronization oracle are f at the nodes
     traj = cc.simulate(vdp, [1.8929, -0.5383], 1e-4, 50)
-    fn = traj.f_nodes
+    fn = f_nodes(traj)
     assert fn.shape == (51, 2)
     assert np.allclose(fn, vdp.f_raw(traj.nodes), rtol=0, atol=1e-10)
 
@@ -678,15 +683,16 @@ def test_batch_first_return_matches_scalar(harmonic, linear):
 
 
 def counted_extends(monkeypatch):
-    """Steps each Run.extend call takes, in call order."""
+    """Steps each run takes in each call of euler._step_runs, where every
+    node is stepped, in call order."""
     steps = []
-    extend = cc.Run.extend
+    step_runs = cc.euler._step_runs
 
-    def counted(run, n, double=False):
-        steps.append(n)
-        return extend(run, n, double)
+    def counted(runs, n, double=False):
+        steps.extend([n] * len(runs))
+        return step_runs(runs, n, double)
 
-    monkeypatch.setattr(cc.Run, "extend", counted)
+    monkeypatch.setattr(cc.euler, "_step_runs", counted)
     return steps
 
 
@@ -774,6 +780,66 @@ def test_batch_first_return_reads_and_keeps_runs(harmonic, monkeypatch):
     for p, run in zip(pts, runs):
         want = cc.simulate(harmonic, p, h, run.end).nodes
         assert np.array_equal(run.nodes, want) and run.diverged is None
+
+
+def disk_runs(field, center, radius, count, h):
+    """Runs at step h from ``count`` points of the section disk of the
+    given radius through ``center``."""
+    center = np.asarray(center, dtype=float)
+    disk = cc.SectionDisk(center, radius, field.f_raw(center))
+    return [cc.Run(field, z, h) for z in disk.sweep_points(count)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    st.integers(2, 12),
+    st.sampled_from([5e-4, 1e-4, 1.25e-6]),
+    st.floats(1e-3, 0.2),
+    st.integers(1, cc.euler.RETURN_CHUNK),
+)
+def test_group_extend_matches_runs_alone(vdp, count, h, radius, rest):
+    # runs stepped together, over a RETURN_CHUNK and past its end, hold
+    # the int64 bits of each run extended alone
+    runs = disk_runs(vdp, (1.8929, -0.5383), radius, count, h)
+    chunk = cc.euler.RETURN_CHUNK
+    for n in (chunk, rest):
+        assert cc.euler._step_runs(runs, n) == [None] * count
+    for run in runs:
+        alone = cc.Run(vdp, run.x0, h).extend(chunk + rest)
+        assert np.array_equal(run.nodes.view(np.int64), alone.nodes.view(np.int64))
+
+
+# the circle flow, whose orbits beyond radius 1.03 blow up; its rhs_scalar2
+# takes arrays, so a group sweeps until a block holds a non-finite value
+RADIAL_ESCAPE = {
+    "name": "escape-radial",
+    "rhs": ["x2 + x1*(x1**2 + x2**2 - 1.0609)", "-x1 + x2*(x1**2 + x2**2 - 1.0609)"],
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(st.integers(2, 12), st.sampled_from(["handwritten", "radial"]))
+def test_group_run_that_diverges_fails_as_alone(count, escape):
+    # the disk through (1, 0) reaches past radius 1.03, where the escape
+    # fields blow up: a run of the group that does fails at the node, and
+    # with the message, it fails at alone, keeping its resident nodes; the
+    # other runs keep their bits
+    field = escape_field("blowup") if escape == "handwritten" else cc.load_system(RADIAL_ESCAPE)
+    h, n = 1e-3, cc.euler.RETURN_CHUNK
+    runs = disk_runs(field, (1.0, 0.0), 0.05, count, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = cc.euler._step_runs(runs, n)
+        for run, exc in zip(runs, errors):
+            alone = cc.Run(field, run.x0, h)
+            try:
+                alone.extend(n)
+            except DivergedError as want:
+                assert run.diverged is exc and run.end == 0
+                assert (exc.first_bad_index, str(exc)) == (want.first_bad_index, str(want))
+            else:
+                assert exc is None and run.diverged is None
+                assert np.array_equal(run.nodes.view(np.int64), alone.nodes.view(np.int64))
+    assert errors[-1] is not None  # the endpoint at radius 1.05
 
 
 def test_first_return_names_the_diverged_node(harmonic):

@@ -93,9 +93,10 @@ def _call_scopes(tree, scope, names):
 
 
 def test_every_node_is_stepped_by_run_extend():
-    # Run.extend is the one place a node is stepped: outside
-    # _planar_nodes, which falls back to _scalar_nodes, it is the only
-    # caller of either.  The other ways a run once grew (step_on,
+    # euler._step_runs is the one place a node is stepped, for a run alone
+    # (Run.extend calls it with its own run) or for runs stepped together:
+    # outside _planar_nodes, which falls back to _scalar_nodes, it is the
+    # only caller of either.  The other ways a run once grew (step_on,
     # _coarse_run, prefix= and step= parameters) stay gone
     sites, gone = [], []
     for path in sorted(Path(cyclecert.__file__).parent.glob("*.py")):
@@ -117,7 +118,7 @@ def test_every_node_is_stepped_by_run_extend():
                 for a in args
                 if a.arg in ("prefix", "step")
             ]
-    assert sites == ["euler.Run.extend: _planar_nodes"]
+    assert sites == ["euler._step_runs: _planar_nodes"]
     assert gone == []
 
 

@@ -19,6 +19,7 @@ from cyclecert.syncerr import (
 )
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, up_to
+from oracles import f_nodes
 
 
 def synchronize_oracle(
@@ -44,7 +45,7 @@ def synchronize_oracle(
     n_samples = traj.n_steps + 1
     times = np.arange(n_samples) * h
     centers = traj.nodes
-    normals = np.concatenate([traj.seg_dirs, [traj.f_nodes[-1]]])
+    normals = f_nodes(traj)
     thetas = np.empty(n_samples)
     errors = np.empty(n_samples)
     residuals = np.empty(n_samples)
@@ -173,8 +174,7 @@ def test_residual_bound_holds(vdp):
     ref = ReferenceSolution.compute(vdp, np.asarray(VDP_X0), 1e-3, 4.0, refine=50)
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 3000)
     series = cc.synchronize(ref, traj, np.asarray(VDP_X0))
-    f_nodes = traj.f_nodes
-    scale = np.linalg.norm(f_nodes[: series.times.size], axis=1)
+    scale = np.linalg.norm(f_nodes(traj)[: series.times.size], axis=1)
     assert np.all(series.residuals <= TAU_SYNC * scale * 2.0 + 1e-30)
 
 
@@ -290,7 +290,7 @@ def test_error_curve_holds_its_series_once(vdp, monkeypatch):
     # run, the reference stream and the synchronization.  With small chunks
     # and passes, the peak is the series, each pass written in place, plus
     # the coarse run's nodes (1.8 times the series); a list of parts, or
-    # the coarse run's whole seg_dirs and f_nodes cached, would raise it.
+    # the coarse run's whole seg_dirs cached, would raise it.
     monkeypatch.setattr(syncerr, "STREAM_CHUNK", 1 << 12)
     monkeypatch.setattr(syncerr, "SYNC_BLOCK_NODES", 1 << 12)
     config = PipelineConfig(lambda_stride=50)
@@ -333,7 +333,7 @@ def test_error_curve_holds_its_series_once(vdp, monkeypatch):
     series_bytes = sum(getattr(series, k).nbytes for k in columns)
     assert peak < 2.0 * series_bytes, (peak, series_bytes)
     assert len(coarse) == 1 and len(advances) > 10
-    assert coarse[0]._seg_dirs is None and coarse[0]._f_nodes is None
+    assert coarse[0]._seg_dirs is None
 
 
 @pytest.mark.parametrize("n_steps", [4000, 10000, 25000])

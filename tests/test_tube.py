@@ -724,7 +724,8 @@ def test_fhn_loop_settles_on_a_negative_verdict(stride, segment):
 def test_advancing_passes_widen_the_slices_until_a_vanishes(monkeypatch):
     # the FitzHugh-Nagumo loop from the node 15,000 steps of FHN_H reach
     # from (1, 0): every pass moves the first excess segment forward, and
-    # after 7 passes the widened slices take a <= 0
+    # after 7 passes the widened slices take a <= 0.  The blocked
+    # certificate keeps the history of the 7 passes that ran
     field = cc.load_system({"id": "fitzhugh-nagumo"})
     x0 = cc.simulate(field, (1.0, 0.0), FHN_H, 15000).nodes[-1]
     excesses = []
@@ -740,6 +741,11 @@ def test_advancing_passes_widen_the_slices_until_a_vanishes(monkeypatch):
     assert cert.failure["kind"] == "blocking"
     assert cert.failure["detail"].endswith("<= 0 at segment 1091")
     assert excesses == [55, 259, 493, 730, 975, 1234]  # passes 2 to 7
+    assert cert.config.lambda_stride == 10
+    history = [p["radius_excess"] for p in cert.pass_history]
+    assert history == [0] + excesses
+    assert [p["pass"] for p in cert.pass_history] == list(range(1, 8))
+    assert cert.to_dict()["pass_history"] == cert.pass_history
 
 
 def test_excess_that_does_not_advance_blocks(vdp, monkeypatch):
