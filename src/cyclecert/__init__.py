@@ -40,8 +40,7 @@ _API = {
         transverse_measure""",
     "output": "",
     "syncerr": """ErrorCurveReport ReferenceSolution ReferenceStream
-        SyncErrorSeries error_curve_experiment synchronize
-        tube_membership_check""",
+        SyncErrorSeries error_curve_experiment synchronize""",
     "systems": "REGISTRY VectorField load_system",
     "tube": """ExistenceCertificate SegmentGrids Tube ab_profile build_tube
         certify_existence check_return_inclusion check_step_condition

@@ -426,20 +426,6 @@ def _lost(code, j, g0, res) -> SynchronizationLostError:
     return SynchronizationLostError(msg, j)
 
 
-def tube_membership_check(
-    series: SyncErrorSeries, tube: Tube, floor: np.ndarray
-) -> List[int]:
-    """Indices j (with t_j inside the tube horizon) whose error exceeds
-    max(delta(t_j), floor[i]) on their segment i; ``floor`` is the step
-    condition's per-segment floor, ``StepConditionReport.rhs``.
-    """
-    # the times increase, so the samples inside the horizon are a prefix
-    t = series.times[: np.searchsorted(series.times, tube.horizon, side="right")]
-    i = np.minimum((t / tube.h).astype(np.int64), tube.N1 - 1)
-    bound = np.maximum(tube.deltas_at(t), floor[i])
-    return np.nonzero(series.errors[: t.size] > bound)[0].tolist()
-
-
 @dataclass
 class ErrorCurveRun:
     """One step size: its certificate, series and tail summary."""

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,9 +72,12 @@ class Tube:
     ``delta`` is the tube radius chain of the build's last pass.
     ``anchors`` are the segments the slice bounds were sampled on and
     ``anchor_grids`` their :class:`SegmentGrids`, which the certificate's
-    tube samples read again.  ``m_tilde`` is formed from ``traj`` the first
-    time it is read; only the existence certificate reads it, so the disk
-    sweep's tubes never form it.
+    tube samples read again.  Lambda, a and b are held per piece of the
+    anchors (``lam_pieces``, ``a_pieces``, ``b_pieces``; see
+    :func:`piece_counts`); ``lam``, ``a_seg``, ``b_seg``, the reach chain
+    ``alpha`` and ``m_tilde`` are formed from them and from ``traj`` the
+    first time they are read.  Only the existence certificate reads them, so
+    the disk sweep's tubes never form them.
     """
 
     def __init__(
@@ -84,10 +88,10 @@ class Tube:
         delta0,
         gamma,
         M_f,
-        lam,
+        lam_pieces,
         sigma,
-        a_seg,
-        b_seg,
+        a_pieces,
+        b_pieces,
         delta,
         sampled_radius,
         y0_disk,
@@ -102,10 +106,10 @@ class Tube:
         self.delta0 = float(delta0)
         self.gamma = float(gamma)
         self.M_f = float(M_f)
-        self.lam = lam
+        self.lam_pieces = lam_pieces
         self.sigma = sigma
-        self.a_seg = a_seg
-        self.b_seg = b_seg
+        self.a_pieces = a_pieces
+        self.b_pieces = b_pieces
         self.delta = delta
         self.sampled_radius = sampled_radius
         self.y0_disk = y0_disk
@@ -113,13 +117,34 @@ class Tube:
         self.anchors = anchors
         self.anchor_grids = anchor_grids
         self._m_tilde = None
-
-        # alpha accumulates the reach increments
-        self.alpha = np.concatenate(
-            [[delta0], delta0 + np.cumsum(b_seg * M_f * self.h)]
-        )
-        for arr in (self.delta, self.alpha, self.lam, self.sigma):
+        for arr in (self.delta, self.sigma):
             arr.setflags(write=False)
+
+    def _per_segment(self, pieces):
+        v = np.repeat(pieces, piece_counts(self.anchors))
+        v.setflags(write=False)
+        return v
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return self._per_segment(self.lam_pieces)
+
+    @cached_property
+    def a_seg(self) -> np.ndarray:
+        return self._per_segment(self.a_pieces)
+
+    @cached_property
+    def b_seg(self) -> np.ndarray:
+        return self._per_segment(self.b_pieces)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """The reach chain: alpha_0 = delta0, alpha_{i+1} = alpha_i + b_i M_f h."""
+        alpha = np.concatenate(
+            [[self.delta0], self.delta0 + np.cumsum(self.b_seg * self.M_f * self.h)]
+        )
+        alpha.setflags(write=False)
+        return alpha
 
     @property
     def m_tilde(self) -> np.ndarray:
@@ -216,8 +241,8 @@ GUESS_ANCHORS = 600
 # the constants L, m and M_C.
 REGION_MARGIN = 0.05
 
-# Segments per block of build_tube's segment loop, and anchors per block of
-# the (a, b) profile: 8192 of them by 5 s-nodes keep each plane of a block
+# Segments per block of the M~ loop, and anchors per block of the (a, b)
+# profile: 8192 of them by 5 s-nodes keep each plane of a block
 # and each temporary at 320 KiB.
 AB_BLOCK = 8192
 # Slice points per block of the Lambda profile, whose anchors are column
@@ -228,9 +253,11 @@ LAMBDA_BLOCK = 2**16
 
 def segment_points(traj, N1, s, segs):
     """The points x_i + s_k f_i of the segments ``segs`` of 0..N1-1 as (n_s,
-    K) planes P0, P1, and their directions f_i as (K,) arrays FN0, FN1."""
-    C, FN = traj.nodes[:N1][segs], traj.seg_dirs[:N1][segs]
-    FN0, FN1 = FN[:, 0].copy(), FN[:, 1].copy()
+    K) planes P0, P1, and their directions f_i as (K,) arrays FN0, FN1.
+    f_i is (x_{i+1} - x_i)/h from the segments' own node rows, bit for bit
+    ``traj.seg_dirs``."""
+    C, D = traj.nodes[:N1][segs], traj.nodes[1 : N1 + 1][segs]
+    FN0, FN1 = (D[:, 0] - C[:, 0]) / traj.h, (D[:, 1] - C[:, 1]) / traj.h
     return C[:, 0] + s[:, None] * FN0, C[:, 1] + s[:, None] * FN1, FN0, FN1
 
 
@@ -258,7 +285,8 @@ class SegmentGrids:
 
 
 def lambda_profile(field, grids, radius, anchors, cols=None):
-    """Per-segment transverse bounds Lambda_i via strided anchor sampling.
+    """Transverse bounds Lambda_i via strided anchor sampling, one per piece
+    of ``anchors`` (:func:`piece_counts`).
 
     ``grids`` and the slice radii ``radius`` share their columns: anchor j
     is read from column ``cols[j]``, by default column ``anchors[j]`` of a
@@ -283,14 +311,20 @@ def lambda_profile(field, grids, radius, anchors, cols=None):
             np.take(v, cols[A], axis=1)
             for v in (grids.P0, grids.P1, grids.W0, grids.W1, radius)
         )
+        # the slice points P + t W, formed in place: P0 + t W0, P1 + t W1
         t = LAMBDA_OFFSETS[:, None, None] * rA
-        vals = mu_perp_batch(field, P0 + t * W0, P1 + t * W1)  # (n_off, n_s, |A|)
+        X0 = t * W0
+        X0 += P0
+        X1 = np.multiply(t, W1, out=t)
+        X1 += P1
+        vals = mu_perp_batch(field, X0, X1)  # (n_off, n_s, |A|)
         lamA[A] = padded_extrema(vals)[1]
-    return anchor_bridge(lamA, anchors, grids.N1, 1.0)
+    return anchor_bridge(lamA, anchors, 1.0)
 
 
 def ab_profile(field, grids, radius, anchors):
-    """Per-segment phase-rate bounds (a_i, b_i) via strided anchor sampling.
+    """Phase-rate bounds (a_i, b_i) via strided anchor sampling, one pair per
+    piece of ``anchors`` (:func:`piece_counts`).
 
     ``grids`` and ``radius`` have columns as for :func:`lambda_profile`.
     Anchor slices are sampled with the closed form of
@@ -300,7 +334,8 @@ def ab_profile(field, grids, radius, anchors):
     ``AB_BLOCK``, each one (offsets, n_s, block) array of phase rates.  A
     vanishing denominator is reported at the first offset, and on it the
     first anchor segment, where one occurs; a_i <= 0 means the step is too
-    large or the tube too fat.
+    large or the tube too fat, and is reported at the first segment of the
+    first piece that takes it.
     """
     offs = np.linspace(-1.0, 1.0, AB_OFFSETS)
     aA, bA = np.empty(anchors.size), np.empty(anchors.size)
@@ -353,18 +388,29 @@ def ab_profile(field, grids, radius, anchors):
             f"phase-rate denominator vanished at segment "
             f"{vanished[vanished < grids.N1][0]}; step too large or tube too fat"
         )
-    a_seg = anchor_bridge(aA, anchors, grids.N1, -1.0)
-    b_seg = anchor_bridge(bA, anchors, grids.N1, 1.0)
-    if np.any(a_seg <= 0.0):
-        bad = int(np.nonzero(a_seg <= 0.0)[0][0])
+    a, b = anchor_bridge(aA, anchors, -1.0), anchor_bridge(bA, anchors, 1.0)
+    if np.any(a <= 0.0):
+        bad = int(np.nonzero(a <= 0.0)[0][0])
+        segment = anchors[0] + int(piece_counts(anchors)[:bad].sum())
         raise InvalidReparametrizationError(
-            f"phase-rate lower bound {a_seg[bad]:g} <= 0 at segment {bad}"
+            f"phase-rate lower bound {a[bad]:g} <= 0 at segment {segment}"
         )
-    return a_seg, b_seg
+    return a, b
 
 
-def anchor_bridge(vA, anchors, N1, side):
-    """Per-segment values over anchors[0]..anchors[-1] of 0..N1-1 from a
+def piece_counts(anchors):
+    """The segments of each piece of anchors[0]..anchors[-1], in segment
+    order.  A piece is an anchor (one segment) or the non-empty gap of the
+    segments strictly between two neighbouring anchors, on which
+    :func:`anchor_bridge` gives one value; ``np.repeat(v, piece_counts(a))``
+    spreads such values over the segments."""
+    count = np.ones(2 * anchors.size - 1, dtype=np.int64)
+    count[1::2] = np.diff(anchors) - 1
+    return count[count > 0]
+
+
+def anchor_bridge(vA, anchors, side):
+    """One value per piece of ``anchors`` (:func:`piece_counts`) from a
     lower (``side`` -1) or upper (+1) bound ``vA`` on the anchors: vA_j on
     anchor j, and on the segments strictly between anchors j and j+1 the
     worse of vA_j and vA_{j+1}, widened by the curvature pad PAD_FACTOR
@@ -375,10 +421,12 @@ def anchor_bridge(vA, anchors, N1, side):
     c = np.pad(c, 1, mode="edge") if c.size else np.zeros(vA.size)
     pad = PAD_FACTOR * np.maximum(c[:-1], c[1:]) / 8
     worse = np.minimum(vA[:-1], vA[1:]) if side < 0 else np.maximum(vA[:-1], vA[1:])
-    out = np.empty(N1)
-    out[anchors[0] : anchors[-1]] = np.repeat(worse + side * pad, np.diff(anchors))
-    out[anchors] = vA
-    return out
+    out = np.empty(2 * vA.size - 1)  # anchor 0, gap 0, anchor 1, ...
+    out[0::2] = vA
+    out[1::2] = worse + side * pad
+    kept = np.ones(out.size, dtype=bool)
+    kept[1::2] = np.diff(anchors) > 1
+    return out[kept]
 
 
 def stride_indices(n, stride):
@@ -400,10 +448,15 @@ def build_tube(
     """Build the tube over one return loop, repeating one pass until its
     radii hold.
 
-    Lambda and (a, b) are sampled on the anchor segments' grid, the sampled
-    radius per block of ``AB_BLOCK`` segments.  The anchors are every
-    ``config.lambda_stride``-th segment and the last one.  The last pass's
-    delta chain is both its history entry and the tube's radii.
+    Lambda and (a, b) are sampled on the anchor segments' grid.  The anchors
+    are every ``config.lambda_stride``-th segment and the last one.  Lambda,
+    (a, b), the rates sigma and their exponentials are taken once per piece
+    of the sampled anchors (:func:`piece_counts`), and spread over the
+    segments only where a per-segment array is read: sigma, and the delta
+    chain's factors e^{sigma h}.  The sampled radius of a segment is its
+    widened radius times its piece's s-grid growth (:func:`widened_radius`).
+    The last pass's delta chain is both its history entry and the tube's
+    radii.
 
     Pass 1 (a = b = 1, flat slice radius delta0) is a coarse guess: it
     samples Lambda on about ``GUESS_ANCHORS`` of the anchors, every G-th and
@@ -422,21 +475,27 @@ def build_tube(
         require_positive(name, value)
     config.validate()
 
-    y0_disk = SectionDisk(traj.nodes[0], delta0, traj.seg_dirs[0])
+    f0 = (traj.nodes[1] - traj.nodes[0]) / traj.h
+    y0_disk = SectionDisk(traj.nodes[0], delta0, f0)
     anchors = stride_indices(N1, config.lambda_stride)
     grids = SegmentGrids(field, traj, N1, N_S, anchors)
 
-    a_seg = b_seg = np.ones(N1)
+    a = b = None
     radius = np.full((grids.n_s, anchors.size), delta0)
     # the anchor grid's columns that each pass samples Lambda on
     cols = stride_indices(anchors.size, max(1, anchors.size // GUESS_ANCHORS))
     history, excess = [], 0
     try:
         while True:
+            # the segments of each piece of this pass's Lambda anchors
+            count = piece_counts(anchors[cols])
             lam = lambda_profile(field, grids, radius, anchors[cols], cols)
-            sigma = sigma_rate(lam, a_seg, b_seg, gamma)
+            if a is None:
+                a = b = np.ones(lam.size)
+            rate = piece_rates(lam, a, b, gamma, count)
+            sigma = np.repeat(rate, count)
             delta_nodes = np.concatenate(
-                [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
+                [[delta0], delta0 * np.cumprod(np.repeat(np.exp(rate * traj.h), count))]
             )
             # pass 1 sampled no (a, b), so its bounds back no segment
             last = excess
@@ -446,8 +505,8 @@ def build_tube(
                     "pass": len(history) + 1,
                     "K": float(traj.h * sigma.sum()),
                     "delta_end": float(delta_nodes[-1]),
-                    "a_min": float(a_seg.min()),
-                    "b_max": float(b_seg.max()),
+                    "a_min": float(a.min()),
+                    "b_max": float(b.max()),
                     "radius_excess": excess,
                 }
             )
@@ -455,24 +514,52 @@ def build_tube(
                 break
             # the next pass's slice radii, the widened tube radii
             # RADIUS_SAFETY delta_i e^{sigma_i s}, and their s-grid maxima
-            sampled_radius = np.empty(N1)
-            for lo in range(0, N1, AB_BLOCK):
-                seg = slice(lo, min(lo + AB_BLOCK, N1))
-                growth = np.exp(sigma[seg] * grids.s[:, None])
-                wide = RADIUS_SAFETY * delta_nodes[None, seg] * growth
-                sampled_radius[seg] = wide.max(axis=0)
+            growth = np.exp(rate[None, :] * grids.s[:, None])
+            sampled_radius = widened_radius(delta_nodes[:N1], growth, count)
             growth = np.exp(sigma[None, anchors] * grids.s[:, None])
             radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
-            a_seg, b_seg = ab_profile(field, grids, radius, anchors)
+            a, b = ab_profile(field, grids, radius, anchors)
             cols = np.arange(anchors.size)
     except CycleCertError as exc:
         exc.pass_history = history  # the passes that ran before it
         raise
 
     return Tube(
-        traj, N1, R1, delta0, gamma, M_f, lam, sigma, a_seg, b_seg,
+        traj, N1, R1, delta0, gamma, M_f, lam, sigma, a, b,
         delta_nodes, sampled_radius, y0_disk, history, anchors, grids,
     )
+
+
+def piece_rates(lam, a, b, gamma, count):
+    """:func:`~cyclecert.measures.sigma_rate` on per-piece values, whose
+    pieces have ``count`` segments each.  An error is raised as the rates of
+    the segments raise it, naming the first segment of the piece at fault."""
+    try:
+        return sigma_rate(lam, a, b, gamma)
+    except CycleCertError:
+        sigma_rate(*(np.repeat(v, count) for v in (lam, a, b)), gamma)
+        raise
+
+
+def widened_radius(delta, growth, count):
+    """The s-grid maxima of RADIUS_SAFETY delta_i e^{sigma_i s_k} over the
+    segments i, from their radii ``delta`` and the (n_s, pieces) plane
+    ``growth`` of e^{sigma s_k} on their pieces of ``count`` segments each.
+
+    Rounding is monotone and RADIUS_SAFETY delta_i >= 0, so the maximum of
+    the products is the product with the maximum, bit for bit.  The one
+    exception is an infinite delta_i on a piece where an exp underflows to
+    0: the product inf * 0 is NaN, which the maximum keeps and
+    :func:`radius_excess` counts as an excess, so that segment gets the
+    same NaN here.
+    """
+    c = RADIUS_SAFETY * delta
+    out = c * np.repeat(growth.max(axis=0), count)
+    under = (growth == 0.0).any(axis=0)
+    if under.any():
+        at = np.repeat(under, count) & np.isinf(c)
+        out[at] = c[at] * 0.0
+    return out
 
 
 # Relative slack of radius_excess.

@@ -11,7 +11,8 @@ now fills in place, a central-difference Jacobian that checks the
 hand-written registry Jacobians, the row-by-row CSV formatter that
 ``output.csv_rows`` replaced, and the section normals of a whole run that
 ``syncerr.synchronize`` forms per block; the tests hold the library to
-them.
+them.  Last, the vectorized check that a synchronized error series stays
+within the tube, which only the tests run.
 """
 
 from types import SimpleNamespace
@@ -38,6 +39,7 @@ from cyclecert.tube import (
     RADIUS_SAFETY,
     SegmentGrids,
     lambda_profile,
+    piece_counts,
 )
 
 
@@ -159,7 +161,9 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     radius = np.full((grids.n_s, N1), delta0)
     excesses = [0]
     while True:
+        # lambda_profile gives one value per piece of the sampled anchors
         lam = lambda_profile(field, grids, radius, sampled)
+        lam = np.repeat(lam, piece_counts(sampled))
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta = np.concatenate(
             [[delta0], delta0 * np.cumprod(np.exp(sigma * traj.h))]
@@ -278,3 +282,15 @@ def f_nodes(traj):
     ``syncerr.synchronize`` forms block by block."""
     f_last = traj.field.f_raw(traj.nodes[-1])
     return np.concatenate([traj.seg_dirs, f_last[None, :]])
+
+
+def tube_membership_check(series, tube, floor):
+    """Indices j (with t_j inside the tube horizon) whose error exceeds
+    max(delta(t_j), floor[i]) on their segment i; ``floor`` is the step
+    condition's per-segment floor, ``StepConditionReport.rhs``.
+    """
+    # the times increase, so the samples inside the horizon are a prefix
+    t = series.times[: np.searchsorted(series.times, tube.horizon, side="right")]
+    i = np.minimum((t / tube.h).astype(np.int64), tube.N1 - 1)
+    bound = np.maximum(tube.deltas_at(t), floor[i])
+    return np.nonzero(series.errors[: t.size] > bound)[0].tolist()

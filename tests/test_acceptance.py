@@ -14,6 +14,7 @@ from cyclecert.output import canonical_json
 from cyclecert.syncerr import ReferenceSolution
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, up_to
+from oracles import tube_membership_check
 
 
 def report(name, ok, detail=""):
@@ -231,7 +232,7 @@ def test_criterion_5_property_suite(vdp, harmonic, linear, vdp_cert):
         y0 = disk.center + uk * disk.radius * w
         ref = cc.ReferenceStream(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
         series = cc.synchronize(ref, up_to(vdp_cert.trajectory, tube.N1), y0)
-        if cc.tube_membership_check(series, tube, vdp_cert.step_condition.rhs):
+        if tube_membership_check(series, tube, vdp_cert.step_condition.rhs):
             failures.append("forward-invariance")
             break
 

