@@ -36,7 +36,7 @@ from .euler import (
 )
 from .measures import mu_perp_batch
 from .systems import VectorField
-from .tube import ExistenceCertificate, build_tube, radius_excess
+from .tube import ExistenceCertificate, build_tube
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def contraction_exponent(
     N1 come from that crossing.
 
     The exponent records the tube's :func:`~cyclecert.tube.radius_excess`,
-    on which :func:`certify_attraction` blocks.
+    as the build's last pass recorded it, on which
+    :func:`certify_attraction` blocks.
 
     Raises :class:`CertificateBlockedError` when z does not return within
     the horizon.
@@ -106,7 +107,7 @@ def _tube_exponent(z: np.ndarray, tube) -> ContractionExponent:
         R1=tube.R1,
         sigma_last=sigma_last,
         h=h,
-        radius_excess=radius_excess(tube.delta, tube.sampled_radius),
+        radius_excess=tube.pass_history[-1]["radius_excess"],
     )
 
 

@@ -17,18 +17,19 @@ certificate's loop, the basin sweep, the error curve's coarse run and its
 streamed reference), and the R' sweep with the runs that share a field, h
 and last node index, which step together.
 
-Runs stepped together share each block of sweeps: a step-major array holds
-one node of each run per row, and a block of max(SWEEP_MIN, SWEEP_STEPS //
-R) steps for R runs, split evenly over the extend, holds about SWEEP_STEPS
-nodes; every block after a full one extrapolates its guess.  Each node is
-checked against the successor of its own run's node; the first mismatch
-over all runs sets a frontier shared by all, and one running sum
-re-guesses every run after it.  A run that had
-verified further gets the same bits back, each node being the sum of the
-node before it and its increment, so the shared frontier changes no bit.
-A group block that stops short, raises in ``rhs2`` or holds a non-finite
-value ends the group, and each run steps the rest of the extend alone, so
-divergence and its node stay each run's own.
+One rule steps every run, a run alone being a group of one: a step-major
+(n+1, R) array holds one node of each of R runs per row, and blocks of
+min(width, rest) steps take it, the width starting at max(SWEEP_MIN,
+SWEEP_STEPS // R), about SWEEP_STEPS nodes.  A block whose sweeps stop
+short halves the width, a full one doubles it back, and every block after
+a full one of the top width extrapolates its guess.  Each node is checked
+against the successor of its own run's node; the first mismatch over all
+runs sets a frontier shared by all, and one running sum re-guesses every
+run after it.  A run that had verified further gets the same bits back,
+each node being the sum of the node before it and its increment, so the
+shared frontier changes no bit.  What the blocks leave, each run steps
+alone: a run of a group by its own blocks, and every run its last steps by
+the scalar loop, so divergence and its node stay each run's own.
 
 Hyperplane sections, crossing detection and return times live here as well:
 each segment is linear, so in-segment crossing offsets are exact roots of a
@@ -96,12 +97,13 @@ class EulerTrajectory:
         return self.nodes[i] + (s / self.h) * (self.nodes[i + 1] - self.nodes[i])
 
 
-# Steps in the first block of verified Picard sweeps of a run; a block
-# whose sweeps stop short makes the next one half as long, down to
-# SWEEP_MIN steps, a full one twice as long, up to SWEEP_STEPS, and runs or
-# tails shorter than SWEEP_MIN steps take the scalar loop.  A group of R
-# runs takes equal blocks of at most max(SWEEP_MIN, SWEEP_STEPS // R)
-# steps, about SWEEP_STEPS nodes whatever R (:func:`_planar_nodes`).
+# Steps in a block of verified Picard sweeps: at most max(SWEEP_MIN,
+# SWEEP_STEPS // R) for R runs stepped together, about SWEEP_STEPS nodes
+# whatever R, a run alone being a group of one.  A block whose sweeps stop
+# short makes the next one half as long, a full one twice as long, back up
+# to that top; blocks or rests of fewer than SWEEP_MIN nodes are left to
+# each run alone, whose scalar loop steps its last steps
+# (:func:`_planar_nodes`, :func:`_step_runs`).
 SWEEP_STEPS = 8192
 SWEEP_MIN = 512
 # Sweep cost in units of one node of one sweep: a sweep over L nodes costs
@@ -111,30 +113,29 @@ SWEEP_MIN = 512
 # sweep plus 11-13 ns a node, against 230-400 ns a scalar step.
 SWEEP_OVERHEAD = 2000
 SCALAR_COST = 30
-# A block after a full block of at most SWEEP_SMOOTH sweeps starts from the
-# Euler sums of the field extrapolated from that block, by degree
-# GUESS_DEGREE over its width (:func:`_extrapolated_guess`).  On the
-# registry systems, full 8192-step blocks take 3-8 sweeps at h = 1.25e-6
-# and 5e-6, where the extrapolation cuts rhs evaluations per step on Van
-# der Pol over 16 blocks from 4.07 (the quadratic guess on every block) to
-# 1.86 and from 5.17 to 2.69, and 12-25 at h >= 1e-4, where it did not pay:
-# those keep the quadratic guess.  Of degrees 4 to 8, 5 and 6 cost least.
-# A group's blocks, SWEEP_STEPS // R steps, are short enough that every
-# block after a full one extrapolates: on the 10 runs of vdp-example1's R'
-# sweep that cuts rhs evaluations per step from 5.42 to 4.65 at h = 1e-4
-# and from 9.53 to 8.38 at 5e-4.
-SWEEP_SMOOTH = 8
+# A block after a full block of the top width starts from the Euler sums of
+# the field extrapolated from that block, by degree GUESS_DEGREE over its
+# width (:func:`_extrapolated_guess`).  On Van der Pol at the h/100
+# reference steps, where 8192-step blocks take 3-8 sweeps, it cuts rhs
+# evaluations per step over 16 blocks from 4.07 (the quadratic guess on
+# every block) to 1.86 at h = 1.25e-6 and from 5.17 to 2.69 at 5e-6.  Of
+# degrees 4 to 8, 5 and 6 cost least.  At h = 5e-4, where a block takes 25
+# to 30 sweeps whatever its guess, it costs a run alone 25.6 evaluations a
+# step against 22.1 with the quadratic on every block.  A run alone that
+# looks for its first return steps RETURN_CHUNK steps an extend, one block,
+# so it never extrapolates.
 GUESS_DEGREE = 6
 
 
 def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     """Euler nodes of a planar run stepped on plain floats, shape (n+1, 2).
 
-    The fallback of :func:`_planar_nodes`, and the recurrence its sweeps
-    verify against: each step is one ``rhs2`` call and u += h*d.  An
-    ArithmeticError or ValueError of ``rhs2`` (an overflow, a division by
-    zero, a math domain error) is raised as a DivergedError naming the node
-    it left unstepped, counted from ``first_step``, the index of (u1, u2).
+    The last steps of every run (:func:`_step_runs`), and the recurrence
+    the sweeps of :func:`_planar_nodes` verify against: each step is one
+    ``rhs2`` call and u += h*d.  An ArithmeticError or ValueError of
+    ``rhs2`` (an overflow, a division by zero, a math domain error) is
+    raised as a DivergedError naming the node it left unstepped, counted
+    from ``first_step``, the index of (u1, u2).
     """
     buf = [u1, u2]
     append = buf.append
@@ -162,14 +163,12 @@ def _sweep_guess(rhs2, Z, h, work):
     a1, a2 = Z[0].real, Z[0].imag
     d1, d2 = rhs2(a1, a2)
     e1, e2 = rhs2(a1 + h * d1, a2 + h * d2)
-    k, q, t = work[:, :n]
+    k, q, t = work[:, :n, None]
     k.fill(1.0)
-    np.cumsum(k, out=k)  # the step numbers 1..n
+    np.cumsum(k, axis=0, out=k)  # the step numbers 1..n
     np.multiply(k, 0.5 * h, out=q)
     np.multiply(q, np.subtract(k, 1.0, out=t), out=q)
-    if Z.ndim > 1:  # a group: each step's row holds one node per run
-        k, q = k[:, None], q[:, None]
-        t = work[2, : Z[1:].size].reshape(Z[1:].shape)
+    t = work[2, : Z[1:].size].reshape(Z[1:].shape)
     parts = (Z.real[1:], a1, h * d1, e1 - d1), (Z.imag[1:], a2, h * d2, e2 - d2)
     for X, a, hd, c in parts:
         np.add(np.multiply(k, hd, out=X), a, out=X)
@@ -208,14 +207,15 @@ def _extrapolated_guess(rhs2, Z, k, width, n, h, H):
     carries its rounding, and node k+1 is exact.
     """
     q = width // GUESS_DEGREE
-    P = Z[k - GUESS_DEGREE * q : k + 1 : q]
+    # one flat row of nodes, sample-major: rhs2 costs less on 1-d arrays
+    P = Z[k - GUESS_DEGREE * q : k + 1 : q].ravel()
     d1, d2 = rhs2(P.real, P.imag)
-    hd = np.empty(P.shape + (2,))
+    hd = np.empty((P.size, 2))
     # out= broadcasts a constant component, which rhs2 gives as a number
-    np.multiply(d1, h, out=hd[..., 0])
-    np.multiply(d2, h, out=hd[..., 1])
-    rows = H[: n * Z[0].size].reshape((n,) + Z.shape[1:])
-    HD = rows.view(np.float64).reshape(n, -1)
+    np.multiply(d1, h, out=hd[:, 0])
+    np.multiply(d2, h, out=hd[:, 1])
+    rows = H[: n * Z.shape[1]].reshape(n, -1)
+    HD = rows.view(np.float64)
     np.matmul(_lagrange_weights(width)[:, :n].T, hd.reshape(GUESS_DEGREE + 1, -1), out=HD)
     rows[0] += Z[k]
     np.cumsum(rows, axis=0, out=Z[k + 1 : k + n + 1])
@@ -225,35 +225,31 @@ def _sweep_block(into, Z, h, work):
     """Verify Euler nodes Z[1:] from the exact nodes Z[0] by Picard sweeps.
 
     ``Z`` holds complex128 rows of n+1 steps (README "Bit-identity
-    contract", interleaved arithmetic): the view of a run's own node rows,
-    or a group's step-major array with one column per run.  Row 0 is exact,
-    the rest a guess, which the sweeps overwrite in place.  Each sweep
-    evaluates rhs2 on the unverified rows as float64 arrays, through its
-    in-place kernel ``into(x1, x2, tmp)`` (see :func:`_planar_nodes`), and
-    accepts node j+1 of a run only where its bits equal Z[j] + h*rhs2(Z[j]),
-    the scalar loop's own operations on the run's verified node j.  The
-    first mismatch over all runs, at step m, sets the frontier: row m+1 is
-    replaced by the successors of row m, which are therefore exact, and the
-    rows after it are guessed again by a running sum of the sweep's
-    increments.  A run that had verified further gets its nodes back bit for
-    bit, as each is the sum of the one before and its increment.  The sum,
-    like the first guess, is only a guess: a wrong node never passes the
-    check, so each sweep verifies at least one row and the guesses decide
-    only how many.
+    contract", interleaved arithmetic), step-major with one column per run
+    (see :func:`_planar_nodes`).  Row 0 is exact, the rest a guess, which
+    the sweeps overwrite in place.  Each sweep evaluates rhs2 on the
+    unverified rows as float64 arrays, through its in-place kernel
+    ``into(x1, x2, tmp)`` (see :func:`_planar_nodes`), and accepts node j+1
+    of a run only where its bits equal Z[j] + h*rhs2(Z[j]), the scalar
+    loop's own operations on the run's verified node j.  The first mismatch
+    over all runs, at step m, sets the frontier: row m+1 is replaced by the
+    successors of row m, which are therefore exact, and the rows after it
+    are guessed again by a running sum of the sweep's increments.  A run
+    that had verified further gets its nodes back bit for bit, as each is
+    the sum of the one before and its increment.  The sum, like the first
+    guess, is only a guess: a wrong node never passes the check, so each
+    sweep verifies at least one row and the guesses decide only how many.
 
     Returns the number of verified steps, n unless the sweeps stopped
-    because they cost more than the scalar loop would (see SCALAR_COST),
-    and the number of sweeps run.  ``work`` holds the increments and
-    successors, complex, and float rows: the components ``into`` reads,
-    then its scratch rows.
+    because they cost more than the scalar loop would (see SCALAR_COST).
+    ``work`` holds the increments and successors, complex, and float rows:
+    the components ``into`` reads, then its scratch rows.
     """
     H, Y, U = work
     n, runs = Z.shape[0] - 1, Z[0].size
-    s = cost = sweeps = 0
+    s = cost = 0
     while s < n and cost < SCALAR_COST * n * runs:
-        L = n - s
-        size = L * runs
-        sweeps += 1
+        size = (n - s) * runs
         # into reads each component several times: from contiguous copies
         np.copyto(U[:2, :size], Z[s:n].reshape(size, 1).view(np.float64).T)
         D1, D2 = into(U[0, :size], U[1, :size], U[2:, :size])
@@ -266,59 +262,48 @@ def _sweep_block(into, Z, h, work):
         differ = succ.view(np.int64) != Z[s + 1 :].view(np.int64)
         half = int(differ.argmax())
         if not differ.flat[half]:
-            return n, sweeps
+            return n
         m = half // (2 * runs)
         # rows s+1..s+m hold; succ[m] holds the successors of row s+m
         s += m + 1
         rows[m] = succ[m]
         np.cumsum(rows[m:], axis=0, out=Z[s:])
         cost += size + SWEEP_OVERHEAD
-    return s, sweeps
+    return s
 
 
-def _planar_nodes(rhs2, Z, h, first):
-    """Step ``Z[1:]`` of one or more planar runs from ``Z[0]``, their node
-    ``first``, bit for bit as :func:`_scalar_nodes` does.
+def _planar_nodes(rhs2, Z, h):
+    """Step ``Z[1:]`` of planar runs from ``Z[0]`` in blocks of verified
+    Picard sweeps (:func:`_sweep_block`), bit for bit as
+    :func:`_scalar_nodes` does, as far as the blocks go; returns the number
+    of steps every run holds.
 
-    ``Z`` is complex128, each node x1 + i x2: the (n+1,) view of one run's
-    node rows, or a group's step-major (n+1, R) array, column r holding run
-    r.  The runs are stepped in blocks of verified Picard sweeps
-    (:func:`_sweep_block`), each block starting from the last nodes of the
-    one before.  A block's first guess is the running sum, from node k, of
-    h times the field extrapolated from ``rhs2`` at GUESS_DEGREE+1 nodes
-    spread over the block before (:func:`_extrapolated_guess`) when that
-    block, of width w, verified all its steps in at most ``SWEEP_SMOOTH``
-    sweeps (in any number, for a group), and otherwise the quadratic of
-    :func:`_sweep_guess`, which needs no nodes before k.
+    ``Z`` is a step-major complex128 (n+1, R) array, each node x1 + i x2
+    and column r holding run r: a group's own array, or for a run alone, a
+    group of one, the (n+1, 1) view of its node rows.  Every R takes the
+    same rule.  A block is min(width, rest) steps, the width starting at
+    max(SWEEP_MIN, SWEEP_STEPS // R), and starts from the last nodes of the
+    block before.  A block whose sweeps stop short halves the width; a full
+    block doubles it back, up to that top.  A block after a full one of the
+    top width starts from the running sum, from node k, of h times the
+    field extrapolated from ``rhs2`` at GUESS_DEGREE+1 nodes spread over
+    that block (:func:`_extrapolated_guess`); every other block from the
+    quadratic of :func:`_sweep_guess`, which needs no nodes before k.
 
-    One run: a block whose sweeps stop short continues from its last
-    verified node with half the block length; a full block doubles it back,
-    up to ``SWEEP_STEPS``, with the quadratic guess.  The scalar loop steps
-    the rest of the run once blocks would be shorter than ``SWEEP_MIN``
-    steps, or from the first node of a block that holds a non-finite value,
-    so a run that diverges fails at the step, and with the message, of the
-    scalar loop.  It also steps the rest of the run from a block where
-    ``rhs2`` raises TypeError or ValueError on arrays, as one that calls
-    math or branches on its arguments does.  Returns n.
-
-    A group: the extend is split into equal blocks, the longer first, of
-    at most ``max(SWEEP_MIN, SWEEP_STEPS // R)`` steps, so no short tail is
-    left over.  The group stops at the first block that stops short,
-    raises, or holds a non-finite value, or when fewer than ``SWEEP_MIN``
-    nodes are left, and returns the number of steps every run holds; the
-    caller steps the rest of each run alone, so divergence stays a matter
-    of each run.
+    The blocks stop once a block or the rest would hold fewer than
+    ``SWEEP_MIN`` nodes, at a block that holds a non-finite value, and at
+    one where ``rhs2`` raises TypeError or ValueError on arrays, as one
+    that calls math or branches on its arguments does.  Swept blocks are
+    checked finite; :func:`_step_runs` steps the rest of each run alone.
 
     The sweeps call ``rhs2.in_place()``'s kernel (``systems._in_place``) on
     scratch rows allocated with the other work arrays, or rhs2 itself where
-    it has none (a user callable, a wrapper that counts calls).
-
-    Each guess is written into ``Z``, and the sweeps verify it there.
-    Swept blocks are checked finite, so a DivergedError at the first
-    non-finite node, which it names by its index on the run, can only come
-    from the nodes the scalar loop stepped.
+    it has none (a user callable, a wrapper that counts calls).  Each guess
+    is written into ``Z``, and the sweeps verify it there.
     """
-    n_steps, runs = Z.shape[0] - 1, Z[0].size
+    n_steps, runs = Z.shape[0] - 1, Z.shape[1]
+    if n_steps * runs < SWEEP_MIN:
+        return 0  # no block: no work arrays
     top = max(SWEEP_MIN, SWEEP_STEPS // runs)
     # once per call: fresh block-size arrays cost the allocator page faults
     w = min(top, n_steps) * runs
@@ -329,83 +314,73 @@ def _planar_nodes(rhs2, Z, h, first):
     U = np.empty((max(2 + rows, 3), w))  # the quadratic guess takes three
     work = np.empty(w, np.complex128), np.empty(w, np.complex128), U
     width, k = top, 0
-    smooth = False  # extrapolate from the block before, ``full`` steps
+    extrapolate = False  # from the block before, a full one of ``top`` steps
     with np.errstate(all="ignore"):
-        while width >= SWEEP_MIN and (n_steps - k) * runs >= SWEEP_MIN:
+        while width * runs >= SWEEP_MIN and (n_steps - k) * runs >= SWEEP_MIN:
             n = min(width, n_steps - k)
-            if Z.ndim > 1:  # equal blocks, the longer first: no tail is left
-                blocks = -(-(n_steps - k) // width)
-                n = -(-(n_steps - k) // blocks)
             try:
-                if smooth:
-                    _extrapolated_guess(rhs2, Z, k, full, n, h, work[0])
+                if extrapolate:
+                    _extrapolated_guess(rhs2, Z, k, top, n, h, work[0])
                 else:
                     _sweep_guess(rhs2, Z[k : k + n + 1], h, U[:3])
-                done, sweeps = _sweep_block(into, Z[k : k + n + 1], h, work)
+                done = _sweep_block(into, Z[k : k + n + 1], h, work)
             except (TypeError, ValueError):
                 break  # rhs2 takes plain floats only, e.g. it calls math
             if not np.isfinite(Z[k + 1 : k + done + 1]).all():
                 break
             k += done
-            smooth = done == n and (sweeps <= SWEEP_SMOOTH or Z.ndim > 1)
-            full = n
+            extrapolate = done == n == top
             if done < n:
-                if Z.ndim > 1:
-                    break
                 width //= 2
             elif done == width < top:
-                width, smooth = 2 * width, False
-    if Z.ndim > 1:
-        return k
-    if k < n_steps:
-        u1, u2 = float(Z[k].real), float(Z[k].imag)
-        nodes = _scalar_nodes(rhs2, u1, u2, h, n_steps - k, first + k)
-        Z[k:] = nodes.view(np.complex128)[:, 0]
-    finite = np.isfinite(Z[k:])
-    if not finite.all():
-        bad = first + k + int(finite.argmin())
-        reason = "non-finite state"
-        raise DivergedError(f"{reason} at node {bad}", bad, reason)
-    return n_steps
+                width *= 2
+    return k
 
 
 def _step_runs(runs, n: int, double: bool = False) -> list:
     """Step n more nodes of each of ``runs``, which share a field, h and
     last node index; returns each run's DivergedError, or None.
 
-    One run steps its own node rows.  Several step together: a step-major
-    array takes their last nodes, one :func:`_planar_nodes` sweeps it, and
-    its columns are copied into the runs' buffers; the steps the group did
-    not take, each run steps alone from its last verified node.  A run that
-    diverges keeps its error in ``diverged`` and its resident nodes as they
-    were; the others are stepped all the same.
+    One :func:`_planar_nodes` sweeps them all: a run alone its own node
+    rows, several a step-major array that takes their last nodes and whose
+    columns are copied into the runs' buffers.  Each run then steps alone
+    what the group did not: a run of a group by its own
+    :func:`_planar_nodes`, as a group of one, and every run its last steps
+    by the scalar loop.  So a run that diverges does so at the step, and
+    with the message, of the scalar loop, whatever it was stepped with,
+    and the others are stepped all the same.  It keeps its error in
+    ``diverged`` and its resident nodes as they were.
     """
     field, h, first = runs[0].field, runs[0].h, runs[0].end
-    tails = [run._room(n, double) for run in runs]
-    errors = [None] * len(runs)
-    if len(runs) == 1:
-        jobs = [(tails[0], [0], 0)]
-    else:
+    rhs2 = field.rhs_scalar2
+    tails = [run._room(n, double)[:, None] for run in runs]
+    group = tails[0]
+    if len(runs) > 1:
         group = np.empty((n + 1, len(runs)), np.complex128)
-        group[0] = [tail[0] for tail in tails]
-        jobs = [(group, range(len(runs)), 0)]
-    while jobs:
-        Z, rows, k = jobs.pop()
+        group[0] = [tail[0, 0] for tail in tails]
+    done = _planar_nodes(rhs2, group, h)
+    errors = [None] * len(runs)
+    for r, (run, tail) in enumerate(zip(runs, tails)):
+        k = done
+        if tail is not group:
+            tail[1 : k + 1, 0] = group[1 : k + 1, r]
+            if k < n:
+                k += _planar_nodes(rhs2, tail[k:], h)
         try:
-            done = _planar_nodes(field.rhs_scalar2, Z, h, first + k)
-        except DivergedError as exc:  # only a run alone raises
-            errors[rows[0]] = exc
-            continue
-        if Z.ndim > 1:
-            for r in rows:
-                tails[r][1 : done + 1] = Z[1 : done + 1, r]
-                if done < n:
-                    jobs.append((tails[r][done:], [r], done))
-    for run, exc in zip(runs, errors):
-        if exc is None:
-            run._size += n
+            if k < n:
+                u1, u2 = float(tail[k, 0].real), float(tail[k, 0].imag)
+                nodes = _scalar_nodes(rhs2, u1, u2, h, n - k, first + k)
+                tail[k:] = nodes.view(np.complex128)
+            # the swept blocks were checked finite
+            finite = np.isfinite(tail[k:, 0])
+            if not finite.all():
+                bad = first + k + int(finite.argmin())
+                reason = "non-finite state"
+                raise DivergedError(f"{reason} at node {bad}", bad, reason)
+        except DivergedError as exc:
+            errors[r] = run.diverged = exc
         else:
-            run.diverged = exc
+            run._size += n
     return errors
 
 

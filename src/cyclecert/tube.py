@@ -929,7 +929,8 @@ def certify_existence(
         cert.inclusion = incl
         cert.eta = eta
         cert.tube_summary = tube.summary()
-        excess = radius_excess(tube.delta, tube.sampled_radius)
+        # the last pass took radius_excess of the radii the tube reports
+        excess = tube.pass_history[-1]["radius_excess"]
         cert.flags["radius_consistent"] = excess is None
 
         if excess is not None:

@@ -437,19 +437,21 @@ def test_sweep_radius_excess_blocks_attraction(vdp, vdp_cert, vdp_attraction, mo
     # certificate, which names the sample and the segment
     assert all(e.radius_excess is None for e in vdp_attraction.exponents)
     monkeypatch.delenv("CYCLECERT_THREADS", raising=False)
-    build = cc.attraction.build_tube
+    build, widened = cc.attraction.build_tube, cc.tube.widened_radius
     calls = []
 
-    def thin(*args, **kwargs):
-        tube = build(*args, **kwargs)
-        if not calls:
-            radius = tube.sampled_radius.copy()
+    def thin(*args):
+        radius = widened(*args)
+        if not calls:  # every pass of the first sweep tube
             radius[1234] *= 0.5
-            tube.sampled_radius = radius
-        calls.append(tube)
-        return tube
+        return radius
 
-    monkeypatch.setattr(cc.attraction, "build_tube", thin)
+    def counted(*args, **kwargs):
+        calls.append(build(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(cc.tube, "widened_radius", thin)
+    monkeypatch.setattr(cc.attraction, "build_tube", counted)
     cert = cc.certify_attraction(vdp_cert)
     assert not cert.certified
     assert cert.failure["reason"] == "slice-radius-inconsistent"

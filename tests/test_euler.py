@@ -230,7 +230,7 @@ def test_float_only_rhs2_takes_the_scalar_loop():
 
 
 # guesses written, as euler._sweep_guess writes its own, into the rows
-# Z[1:] of the block from its first node Z[0]
+# Z[1:] of the block from its first nodes Z[0], one column per run
 
 
 def zeros_guess(rhs2, Z, h, work):
@@ -238,19 +238,20 @@ def zeros_guess(rhs2, Z, h, work):
 
 
 def noise_guess(rhs2, Z, h, work):
-    n_steps = Z.size - 1
+    n_steps = Z.shape[0] - 1
     rng = np.random.default_rng(n_steps)
-    noise = rng.normal(scale=1e-3, size=(2, n_steps + 1))
+    noise = rng.normal(scale=1e-3, size=(2,) + Z.shape)
     Z.real[1:] = Z[0].real + noise[0, 1:]
     Z.imag[1:] = Z[0].imag + noise[1, 1:]
 
 
 def one_ulp_guess(rhs2, Z, h, work):
-    # the exact nodes, but one of them a single ulp off
-    n_steps = Z.size - 1
-    nodes, _ = one_step_nodes(rhs2, (float(Z[0].real), float(Z[0].imag)), h, n_steps)
-    nodes[n_steps // 2, 1] = np.nextafter(nodes[n_steps // 2, 1], np.inf)
-    Z[1:] = nodes[1:].view(np.complex128)[:, 0]
+    # the exact nodes, but one of each run's a single ulp off
+    n_steps = Z.shape[0] - 1
+    for z in Z.T:
+        nodes, _ = one_step_nodes(rhs2, (float(z[0].real), float(z[0].imag)), h, n_steps)
+        nodes[n_steps // 2, 1] = np.nextafter(nodes[n_steps // 2, 1], np.inf)
+        z[1:] = nodes[1:].view(np.complex128)[:, 0]
 
 
 @pytest.mark.parametrize("guess", [zeros_guess, noise_guess, one_ulp_guess])
@@ -289,22 +290,22 @@ def counting_extrapolation(monkeypatch, wrong=None):
 @pytest.mark.parametrize("guess", ["zero_weights", "noise", "one_ulp"])
 def test_block_path_ignores_the_extrapolated_guess(vdp, monkeypatch, guess, h, gate):
     # the extrapolation from the block before decides, like the quadratic
-    # guess, only how many nodes a sweep verifies; the gate is forced open
-    # (every block after a full one extrapolates) or shut (none does)
+    # guess, only how many nodes a sweep verifies; every block after a full
+    # one extrapolates, at the h/100 reference steps and at 1e-4 alike
+    # (gate open), and none does when every block stops one step short of
+    # full (gate shut), which leaves the nodes it verified to the next block
     x0 = (1.8929, -0.5383)
     n_steps = 4 * SWEEP_W + 7
     ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, n_steps)
 
     def wrong(rows):
-        n = rows.size - 1
+        n = rows.shape[0] - 1
         if guess == "noise":
             rng = np.random.default_rng(n)
-            rows[1:] += rng.normal(scale=1e-3, size=(n, 2)).view(np.complex128)[:, 0]
+            noise = rng.normal(scale=1e-3, size=(n, 2 * rows.shape[1]))
+            rows[1:] += noise.view(np.complex128)
         elif guess == "one_ulp":
-            start = (rows[0].real, rows[0].imag)
-            exact, _ = one_step_nodes(vdp.rhs_scalar2, start, h, n)
-            exact[n // 2, 1] = np.nextafter(exact[n // 2, 1], np.inf)
-            rows[:] = exact.view(np.complex128)[:, 0]
+            one_ulp_guess(vdp.rhs_scalar2, rows, h, None)
 
     if guess == "zero_weights":
         degree = cc.euler.GUESS_DEGREE
@@ -312,24 +313,16 @@ def test_block_path_ignores_the_extrapolated_guess(vdp, monkeypatch, guess, h, g
             cc.euler, "_lagrange_weights", lambda width: np.zeros((degree + 1, width))
         )
     calls = counting_extrapolation(monkeypatch, wrong)
-    monkeypatch.setattr(cc.euler, "SWEEP_SMOOTH", 10**9 if gate == "open" else 0)
+    if gate == "shut":
+        sweep = cc.euler._sweep_block
+
+        def sweep_short(into, Z, h, work):
+            return min(sweep(into, Z, h, work), Z.shape[0] - 2)
+
+        monkeypatch.setattr(cc.euler, "_sweep_block", sweep_short)
     nodes = cc.simulate(vdp, x0, h, n_steps).nodes
     assert bool(calls) == (gate == "open")
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
-
-
-@pytest.mark.parametrize("h", [1.25e-6, 5e-6, 1e-4])
-def test_extrapolation_gate_follows_the_convergence(vdp, monkeypatch, h):
-    # at the h/100 reference steps every block after the first converges in
-    # few sweeps and extrapolates; at h = 1e-4 none does, and every block
-    # keeps the quadratic guess
-    calls = counting_extrapolation(monkeypatch)
-    n_steps = 4 * SWEEP_W
-    cc.simulate(vdp, (1.8929, -0.5383), h, n_steps)
-    if h < 1e-5:
-        assert calls == [SWEEP_W, 2 * SWEEP_W, 3 * SWEEP_W]
-    else:
-        assert calls == []
 
 
 def counting_points(field):
@@ -438,15 +431,17 @@ def test_block_path_checks_the_sign_of_zero(linear, monkeypatch):
     # x2 stays +0.0 from (1, 0); a guess of -0.0 compares equal to it as a
     # float, so only a check of the bits keeps the zeros the scalar loop has
     def negative_zero_guess(rhs2, Z, h, work):
-        start = (float(Z[0].real), float(Z[0].imag))
-        nodes, _ = one_step_nodes(rhs2, start, h, Z.size - 1)
-        Z.real[1:] = nodes[1:, 0]
+        start = (float(Z[0, 0].real), float(Z[0, 0].imag))
+        nodes, _ = one_step_nodes(rhs2, start, h, Z.shape[0] - 1)
+        Z.real[1:, 0] = nodes[1:, 0]
         Z.imag[1:] = -0.0
 
     x0, h, n_steps = (1.0, 0.0), 1e-5, SWEEP_W + 1
     ref, _ = one_step_nodes(linear.rhs_scalar2, x0, h, n_steps)
     monkeypatch.setattr(cc.euler, "_sweep_guess", negative_zero_guess)
-    nodes = cc.simulate(linear, x0, h, n_steps).nodes
+    field, seen = recording(linear)
+    nodes = cc.simulate(field, x0, h, n_steps).nodes
+    assert any(seen)
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
@@ -806,6 +801,40 @@ def test_group_extend_matches_runs_alone(vdp, count, h, radius, rest):
         assert cc.euler._step_runs(runs, n) == [None] * count
     for run in runs:
         alone = cc.Run(vdp, run.x0, h).extend(chunk + rest)
+        assert np.array_equal(run.nodes.view(np.int64), alone.nodes.view(np.int64))
+
+
+def test_group_blocks_that_stop_short_halve(vdp, monkeypatch):
+    # two runs at h = 5e-4 whose second block stops short: the group halves
+    # its blocks and doubles them back, as a run alone does, and steps the
+    # whole extend in one _planar_nodes call; each run holds the int64 bits
+    # of the run alone
+    h, n = 5e-4, 20000
+    runs = disk_runs(vdp, (1.8929, -0.5383), 0.01, 2, h)
+    shapes, blocks = [], []
+    planar, sweep = cc.euler._planar_nodes, cc.euler._sweep_block
+
+    def planar_recorded(rhs2, Z, *args):
+        shapes.append(Z.shape)
+        return planar(rhs2, Z, *args)
+
+    def sweep_recorded(into, Z, h, work):
+        done = sweep(into, Z, h, work)
+        blocks.append((Z.shape[0] - 1, done))
+        return done
+
+    monkeypatch.setattr(cc.euler, "_planar_nodes", planar_recorded)
+    monkeypatch.setattr(cc.euler, "_sweep_block", sweep_recorded)
+    assert cc.euler._step_runs(runs, n) == [None, None]
+    assert shapes == [(n + 1, 2)]
+    top = cc.euler.SWEEP_STEPS // 2
+    short = [i for i, (width, done) in enumerate(blocks) if done < width]
+    assert short and short[0] == 1
+    assert all(blocks[i + 1][0] == blocks[i][0] // 2 for i in short)
+    assert blocks[short[0] + 2][0] == top  # doubled back
+    monkeypatch.undo()
+    for run in runs:
+        alone = cc.Run(vdp, run.x0, h).extend(n)
         assert np.array_equal(run.nodes.view(np.int64), alone.nodes.view(np.int64))
 
 

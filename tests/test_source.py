@@ -95,8 +95,9 @@ def _call_scopes(tree, scope, names):
 def test_every_node_is_stepped_by_run_extend():
     # euler._step_runs is the one place a node is stepped, for a run alone
     # (Run.extend calls it with its own run) or for runs stepped together:
-    # outside _planar_nodes, which falls back to _scalar_nodes, it is the
-    # only caller of either.  The other ways a run once grew (step_on,
+    # it sweeps them as one group, then each run alone, a group of one, and
+    # steps each run's last steps by the scalar loop, and it is the only
+    # caller of either.  The other ways a run once grew (step_on,
     # _coarse_run, prefix= and step= parameters) stay gone
     sites, gone = [], []
     for path in sorted(Path(cyclecert.__file__).parent.glob("*.py")):
@@ -105,7 +106,6 @@ def test_every_node_is_stepped_by_run_extend():
         sites += [
             f"{scope}: {callee}"
             for scope, callee in _call_scopes(tree, path.stem, names)
-            if scope != "euler._planar_nodes"
         ]
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -118,7 +118,11 @@ def test_every_node_is_stepped_by_run_extend():
                 for a in args
                 if a.arg in ("prefix", "step")
             ]
-    assert sites == ["euler._step_runs: _planar_nodes"]
+    assert sites == [
+        "euler._step_runs: _planar_nodes",
+        "euler._step_runs: _planar_nodes",
+        "euler._step_runs: _scalar_nodes",
+    ]
     assert gone == []
 
 

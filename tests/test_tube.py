@@ -193,7 +193,10 @@ def test_vdp_example_tube_values(vdp_cert):
     delta_end = tube.delta[tube.N1]
     assert delta_end == pytest.approx(0.0642, rel=0.10)
     assert tube.delta.min() == pytest.approx(delta_end)
+    # the last pass's excess, which the certificates read, is that of the
+    # tube's radii
     assert radius_excess(tube.delta, tube.sampled_radius) is None
+    assert tube.pass_history[-1]["radius_excess"] is None
 
 
 def test_step_condition_vdp(vdp_cert):
@@ -806,24 +809,24 @@ def test_widened_radius_is_the_per_segment_maximum(pieces, h, data):
 
 
 def test_radius_failure_names_the_segment(vdp, monkeypatch):
-    # a tube whose radius at segment 777 was sampled too thin fails the
+    # a tube whose radius at segment 777 is sampled too thin on every pass
+    # stops at the pass whose excess is the one before's, and fails the
     # existence certificate there
-    build = cc.tube.build_tube
+    widened = cc.tube.widened_radius
 
-    def thin(*args, **kwargs):
-        tube = build(*args, **kwargs)
-        radius = tube.sampled_radius.copy()
+    def thin(*args):
+        radius = widened(*args)
         radius[777] *= 0.5
-        tube.sampled_radius = radius
-        return tube
+        return radius
 
-    monkeypatch.setattr(cc.tube, "build_tube", thin)
+    monkeypatch.setattr(cc.tube, "widened_radius", thin)
     cert = cc.certify_existence(
         vdp, VDP_X0, 2e-3, VDP_DELTA0, VDP_GAMMA, PipelineConfig(), horizon=10.0
     )
     assert cert.failure["reason"] == "slice-radius-inconsistent"
     assert "first at segment 777:" in cert.failure["detail"]
     assert radius_excess(cert.tube.delta, cert.tube.sampled_radius) == 777
+    assert cert.pass_history[-1]["radius_excess"] == 777
     assert cert.flags["radius_consistent"] is False
 
 
@@ -909,6 +912,8 @@ def test_excess_that_does_not_advance_blocks(vdp, monkeypatch):
         vdp, VDP_X0, 2e-3, VDP_DELTA0, VDP_GAMMA, PipelineConfig(), horizon=10.0
     )
     assert [p["radius_excess"] for p in cert.pass_history] == [0, 0]
+    # the certificate reads the last pass's excess, that of the tube's radii
+    assert radius_excess(cert.tube.delta, cert.tube.sampled_radius) == 0
     assert cert.failure["reason"] == "slice-radius-inconsistent"
     assert cert.failure["kind"] == "blocking"
     assert "first at segment 0:" in cert.failure["detail"]
