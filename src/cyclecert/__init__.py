@@ -28,8 +28,7 @@ _API = {
     "cli": "",
     "config": "PRESETS PipelineConfig RunConfig get_preset",
     "constants": """GlobalConstants SectionDisk estimate_eta estimate_lipschitz
-        estimate_magnitude_bounds estimate_speed_bounds return_time_sweep
-        theta_dot""",
+        estimate_magnitude_bounds estimate_speed_bounds return_time_sweep""",
     "errors": """CertificateBlockedError CycleCertError DivergedError
         EquilibriumProximityError InputError InvalidReparametrizationError
         NumericError SynchronizationLostError TransversalityLossError""",

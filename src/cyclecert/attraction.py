@@ -25,7 +25,9 @@ from typing import List, Optional
 import numpy as np
 
 from .config import PipelineConfig, require_positive, threads_from_env
-from .constants import estimate_magnitude_bounds
+from .constants import (
+    estimate_magnitude_bounds,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
+)
 from .errors import CertificateBlockedError, CycleCertError, InputError
 from .euler import (
     EulerTrajectory,
@@ -88,10 +90,7 @@ def contraction_exponent(
             f"start point {z.tolist()} did not return within horizon {horizon:g}"
         )
     traj, R1, N1 = loop
-    _, M_f = estimate_magnitude_bounds(field, traj.nodes[: N1 + 1])
-    return _tube_exponent(
-        z, build_tube(field, traj, R1, N1, delta0, gamma, M_f, config)
-    )
+    return _tube_exponent(z, build_tube(field, traj, R1, N1, delta0, gamma, config))
 
 
 def _tube_exponent(z: np.ndarray, tube) -> ContractionExponent:

@@ -21,7 +21,6 @@ from .errors import (
     CertificateBlockedError,
     EquilibriumProximityError,
     InputError,
-    TransversalityLossError,
 )
 from .euler import Run, Section, batch_first_return, default_exclusion
 from .measures import M_FLOOR, _rot90, padded_extrema, planar_norm
@@ -111,35 +110,6 @@ def estimate_speed_bounds(field: VectorField, points):
             "lie inside the region"
         )
     return m, M
-
-
-# --------------------------------------------------------------------------
-# phase rate of the moving-section reparametrization (the per-segment
-# bounds [a_i, b_i] are sampled by cyclecert.tube.ab_profile)
-# --------------------------------------------------------------------------
-
-
-def theta_dot(field: VectorField, x_i, s: float, xi_theta):
-    """Derivative of the synchronized time at offset s along one segment.
-
-    ``xi_theta`` must lie on the moving section at x_i(s) (orthogonal to
-    f(x_i(s)) through it).  Closed form from implicit differentiation of the
-    synchronization identity; validated against finite differences of a
-    numerically continued synchronization in the test suite.
-    """
-    x_i = np.asarray(x_i, dtype=float)
-    xi = np.asarray(xi_theta, dtype=float)
-    f_i = field.f_raw(x_i)
-    c = x_i + s * f_i
-    f_c = field.f_raw(c)
-    num = float(f_i @ f_c - (xi - c) @ (field.jac_raw(c) @ f_i))
-    den = float(field.f_raw(xi) @ f_c)
-    nfc = float(np.linalg.norm(f_c))
-    if abs(den) < M_FLOOR * nfc:
-        raise TransversalityLossError(
-            f"synchronization denominator {den:g} below floor at s={s:g}"
-        )
-    return num / den
 
 
 # --------------------------------------------------------------------------
@@ -239,12 +209,11 @@ def return_time_sweep(
     does not return within the horizon, blocks certification; the error
     says which, with the step its run failed at.
     """
-    pts = disk.sweep_points(n_samples)
     if runs is None:
-        runs = [Run(field, p, h) for p in pts]
+        runs = [Run(field, p, h) for p in disk.sweep_points(n_samples)]
     times = batch_first_return(
-        field, pts, h, horizon, Section(disk.center, disk.normal),
-        default_exclusion(h, disk.radius), runs,
+        runs, horizon, Section(disk.center, disk.normal),
+        default_exclusion(h, disk.radius),
     )
     if np.isnan(times).any():
         bad = int(np.nonzero(np.isnan(times))[0][0])
@@ -253,7 +222,7 @@ def return_time_sweep(
             why = f"diverged at step {runs[bad].diverged.first_bad_index}"
         raise CertificateBlockedError(
             f"return-time sweep at step {h:g}: sample {bad} at "
-            f"{pts[bad].tolist()} {why}"
+            f"{runs[bad].x0.tolist()} {why}"
         )
     return times
 

@@ -7,8 +7,11 @@ are recovered from the stored nodes without re-evaluating f.
 
 There is one integrator: the recurrence u += h*rhs2(u) on a field's
 ``rhs_scalar2``, run in blocks of verified Picard sweeps over numpy arrays
-(:func:`_planar_nodes`).  README "Bit-identity contract" says why its nodes
-are those of a loop of single steps on plain floats, bit for bit.
+(:func:`_planar_nodes`).  Its nodes are those of a loop of single steps on
+plain floats, bit for bit: a sweep evaluates rhs2 on a guessed block and
+keeps a node only where its bits equal x + h*rhs2(x) of the kept node
+before it, so a guess sets only how many sweeps a block takes.  That needs
+rhs2 to round on arrays as on floats (README "Bit-identity contract").
 
 Every run is a :class:`Run`, which holds its nodes in one growable buffer,
 and every node is stepped by :func:`_step_runs`, the one caller of
@@ -21,15 +24,16 @@ One rule steps every run, a run alone being a group of one: a step-major
 (n+1, R) array holds one node of each of R runs per row, and blocks of
 min(width, rest) steps take it, the width starting at max(SWEEP_MIN,
 SWEEP_STEPS // R), about SWEEP_STEPS nodes.  A block whose sweeps stop
-short halves the width, a full one doubles it back, and every block after
-a full one of the top width extrapolates its guess.  Each node is checked
-against the successor of its own run's node; the first mismatch over all
-runs sets a frontier shared by all, and one running sum re-guesses every
-run after it.  A run that had verified further gets the same bits back,
-each node being the sum of the node before it and its increment, so the
-shared frontier changes no bit.  What the blocks leave, each run steps
-alone: a run of a group by its own blocks, and every run its last steps by
-the scalar loop, so divergence and its node stay each run's own.
+short halves the width, and a full one doubles it back.  Every block is
+guessed one way: the running sum, from its first node k, of h times the
+field extrapolated from a few sample nodes (:func:`_extrapolated_guess`).
+Each node is checked against the successor of its own run's node; the
+first mismatch over all runs sets a frontier shared by all, and one running
+sum re-guesses every run after it.  A run that had verified further gets
+the same bits back, each node being the sum of the node before it and its
+increment, so the shared frontier changes no bit.  Whatever steps the
+blocks leave, each run steps by the scalar loop, so divergence and its
+node stay each run's own.
 
 Hyperplane sections, crossing detection and return times live here as well:
 each segment is linear, so in-segment crossing offsets are exact roots of a
@@ -101,9 +105,9 @@ class EulerTrajectory:
 # SWEEP_STEPS // R) for R runs stepped together, about SWEEP_STEPS nodes
 # whatever R, a run alone being a group of one.  A block whose sweeps stop
 # short makes the next one half as long, a full one twice as long, back up
-# to that top; blocks or rests of fewer than SWEEP_MIN nodes are left to
-# each run alone, whose scalar loop steps its last steps
-# (:func:`_planar_nodes`, :func:`_step_runs`).
+# to that top; the steps of blocks or rests of fewer than SWEEP_MIN nodes
+# each run steps by the scalar loop (:func:`_planar_nodes`,
+# :func:`_step_runs`).
 SWEEP_STEPS = 8192
 SWEEP_MIN = 512
 # Sweep cost in units of one node of one sweep: a sweep over L nodes costs
@@ -113,17 +117,18 @@ SWEEP_MIN = 512
 # sweep plus 11-13 ns a node, against 230-400 ns a scalar step.
 SWEEP_OVERHEAD = 2000
 SCALAR_COST = 30
-# A block after a full block of the top width starts from the Euler sums of
-# the field extrapolated from that block, by degree GUESS_DEGREE over its
-# width (:func:`_extrapolated_guess`).  On Van der Pol at the h/100
-# reference steps, where 8192-step blocks take 3-8 sweeps, it cuts rhs
-# evaluations per step over 16 blocks from 4.07 (the quadratic guess on
-# every block) to 1.86 at h = 1.25e-6 and from 5.17 to 2.69 at 5e-6.  Of
-# degrees 4 to 8, 5 and 6 cost least.  At h = 5e-4, where a block takes 25
-# to 30 sweeps whatever its guess, it costs a run alone 25.6 evaluations a
-# step against 22.1 with the quadratic on every block.  A run alone that
-# looks for its first return steps RETURN_CHUNK steps an extend, one block,
-# so it never extrapolates.
+# Every block starts from the Euler sums of the field extrapolated from
+# sample nodes (:func:`_extrapolated_guess`): by degree GUESS_DEGREE from
+# GUESS_DEGREE+1 nodes spread over the block before, where that was a full
+# one of the top width, and by degree 1 from its first node and that node's
+# Euler successor otherwise.  On Van der Pol at the h/100 reference steps,
+# where 8192-step blocks take 3-8 sweeps, degree 6 cuts rhs evaluations per
+# step over 16 blocks from 4.07 (degree 1 on every block) to 1.86 at
+# h = 1.25e-6 and from 5.17 to 2.69 at 5e-6.  Of degrees 4 to 8, 5 and 6
+# cost least.  At h = 5e-4, where a block takes 25 to 30 sweeps whatever
+# its guess, it costs a run alone 25.6 evaluations a step against 22.1 with
+# degree 1 on every block.  A run alone that looks for its first return
+# steps RETURN_CHUNK steps an extend, one block, so it always takes degree 1.
 GUESS_DEGREE = 6
 
 
@@ -154,70 +159,61 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     return np.fromiter(buf, np.float64, len(buf)).reshape(-1, 2)
 
 
-def _sweep_guess(rhs2, Z, h, work):
-    """Write guessed Euler nodes into Z[1:] (complex128 rows, as in
-    :func:`_sweep_block`) from the nodes Z[0]: per run, the quadratic in the
-    step number through its node and its two Euler successors, formed in
-    the three float rows ``work``."""
-    n = Z.shape[0] - 1
-    a1, a2 = Z[0].real, Z[0].imag
-    d1, d2 = rhs2(a1, a2)
-    e1, e2 = rhs2(a1 + h * d1, a2 + h * d2)
-    k, q, t = work[:, :n, None]
-    k.fill(1.0)
-    np.cumsum(k, axis=0, out=k)  # the step numbers 1..n
-    np.multiply(k, 0.5 * h, out=q)
-    np.multiply(q, np.subtract(k, 1.0, out=t), out=q)
-    t = work[2, : Z[1:].size].reshape(Z[1:].shape)
-    parts = (Z.real[1:], a1, h * d1, e1 - d1), (Z.imag[1:], a2, h * d2, e2 - d2)
-    for X, a, hd, c in parts:
-        np.add(np.multiply(k, hd, out=X), a, out=X)
-        X += np.multiply(q, c, out=t)
-
-
 @lru_cache(maxsize=None)
-def _lagrange_weights(width):
-    """Weights (GUESS_DEGREE+1, width) of the degree-GUESS_DEGREE Lagrange
-    extrapolation through nodes k-D*q, k-(D-1)*q, ..., k of a run, with
-    D = GUESS_DEGREE and q = width // D, to its nodes k..k+width-1.
+def _lagrange_weights(steps, width):
+    """Weights (len(steps), width) of the Lagrange extrapolation through a
+    run's nodes k+s, s in ``steps``, to its nodes k..k+width-1.
 
-    Built on first use, one read-only matrix per block width.
+    Built on first use, one read-only matrix per sample steps and width.
     """
-    D = GUESS_DEGREE
-    u = np.arange(float(width)) / (width // D)  # steps after k, in q
-    W = np.ones((D + 1, width))
-    for i in range(D + 1):
-        for m in range(D + 1):
-            if m != i:
-                W[i] *= (u + D - m) / (i - m)
+    u = np.arange(float(width))  # steps after k
+    W = np.ones((len(steps), width))
+    for i, s in enumerate(steps):
+        for t in steps:
+            if t != s:
+                W[i] *= (u - t) / (s - t)
     W.setflags(write=False)
     return W
 
 
-def _extrapolated_guess(rhs2, Z, k, width, n, h, H):
-    """Write guessed Euler nodes into Z[k+1..k+n], n <= width, from the
-    runs' nodes up to k in ``Z`` (complex128 rows, as in
-    :func:`_sweep_block`): the Euler sums, from node k, of the field that
-    the degree-GUESS_DEGREE Lagrange weights extrapolate from ``rhs2`` at
-    nodes k-D*q, ..., k (q = width // D, D = GUESS_DEGREE).
+def _extrapolated_guess(rhs2, Z, k, n, h, H, before):
+    """Write guessed Euler nodes into Z[k+1..k+n] from the runs' nodes up to
+    k in ``Z`` (complex128 rows, as in :func:`_sweep_block`): the Euler
+    sums, from node k, of the field that :func:`_lagrange_weights`
+    extrapolates from ``rhs2`` at a few sample nodes.
+
+    After a full block of ``before`` steps, the samples are node k and D
+    nodes q apart before it, spread over that block (D = GUESS_DEGREE,
+    q = before // D).  Otherwise (``before`` = 0) they are node k and its
+    Euler successor, whose straight line sums to the quadratic in the step
+    number through node k and its two Euler successors.
 
     The increments, h times the extrapolated field, go into the complex
     work array ``H`` with one matmul, and one running sum from node k
     writes the rows: the guess is summed the way the recurrence sums and
     carries its rounding, and node k+1 is exact.
     """
-    q = width // GUESS_DEGREE
-    # one flat row of nodes, sample-major: rhs2 costs less on 1-d arrays
-    P = Z[k - GUESS_DEGREE * q : k + 1 : q].ravel()
-    d1, d2 = rhs2(P.real, P.imag)
-    hd = np.empty((P.size, 2))
-    # out= broadcasts a constant component, which rhs2 gives as a number
-    np.multiply(d1, h, out=hd[:, 0])
-    np.multiply(d2, h, out=hd[:, 1])
-    rows = H[: n * Z.shape[1]].reshape(n, -1)
-    HD = rows.view(np.float64)
-    np.matmul(_lagrange_weights(width)[:, :n].T, hd.reshape(GUESS_DEGREE + 1, -1), out=HD)
-    rows[0] += Z[k]
+    z, runs = Z[k], Z.shape[1]
+    if before:
+        q = before // GUESS_DEGREE
+        steps, width = range(-GUESS_DEGREE * q, 1, q), before
+        # one flat row of nodes, sample-major: rhs2 costs less on 1-d arrays
+        P = Z[k - GUESS_DEGREE * q : k + 1 : q].ravel()
+        fields = [rhs2(P.real, P.imag)]
+    else:
+        steps, width = range(2), SWEEP_STEPS
+        d1, d2 = rhs2(z.real, z.imag)
+        fields = [(d1, d2), rhs2(z.real + h * d1, z.imag + h * d2)]
+    # h times the field at the samples, one row per rhs2 call
+    hd = np.empty((len(fields), len(steps) * runs // len(fields), 2))
+    for row, (f1, f2) in zip(hd, fields):
+        # out= broadcasts a constant component, which rhs2 gives as a number
+        np.multiply(f1, h, out=row[:, 0])
+        np.multiply(f2, h, out=row[:, 1])
+    W = _lagrange_weights(steps, width)[:, :n]
+    rows = H[: n * runs].reshape(n, runs)
+    np.matmul(W.T, hd.reshape(W.shape[0], -1), out=rows.view(np.float64))
+    rows[0] += z
     np.cumsum(rows, axis=0, out=Z[k + 1 : k + n + 1])
 
 
@@ -284,17 +280,17 @@ def _planar_nodes(rhs2, Z, h):
     same rule.  A block is min(width, rest) steps, the width starting at
     max(SWEEP_MIN, SWEEP_STEPS // R), and starts from the last nodes of the
     block before.  A block whose sweeps stop short halves the width; a full
-    block doubles it back, up to that top.  A block after a full one of the
-    top width starts from the running sum, from node k, of h times the
-    field extrapolated from ``rhs2`` at GUESS_DEGREE+1 nodes spread over
-    that block (:func:`_extrapolated_guess`); every other block from the
-    quadratic of :func:`_sweep_guess`, which needs no nodes before k.
+    block doubles it back, up to that top.  Every block starts from one
+    guess, :func:`_extrapolated_guess`: it samples the block before where
+    that was a full one of the top width, and node k's Euler successor
+    otherwise.
 
     The blocks stop once a block or the rest would hold fewer than
     ``SWEEP_MIN`` nodes, at a block that holds a non-finite value, and at
     one where ``rhs2`` raises TypeError or ValueError on arrays, as one
     that calls math or branches on its arguments does.  Swept blocks are
-    checked finite; :func:`_step_runs` steps the rest of each run alone.
+    checked finite; :func:`_step_runs` steps the rest of each run by the
+    scalar loop.
 
     The sweeps call ``rhs2.in_place()``'s kernel (``systems._in_place``) on
     scratch rows allocated with the other work arrays, or rhs2 itself where
@@ -311,25 +307,22 @@ def _planar_nodes(rhs2, Z, h):
         into, rows = rhs2.in_place()
     else:
         into, rows = (lambda x1, x2, tmp: rhs2(x1, x2)), 0
-    U = np.empty((max(2 + rows, 3), w))  # the quadratic guess takes three
+    U = np.empty((2 + rows, w))
     work = np.empty(w, np.complex128), np.empty(w, np.complex128), U
     width, k = top, 0
-    extrapolate = False  # from the block before, a full one of ``top`` steps
+    before = 0  # the block before, when it was a full one of ``top`` steps
     with np.errstate(all="ignore"):
         while width * runs >= SWEEP_MIN and (n_steps - k) * runs >= SWEEP_MIN:
             n = min(width, n_steps - k)
             try:
-                if extrapolate:
-                    _extrapolated_guess(rhs2, Z, k, top, n, h, work[0])
-                else:
-                    _sweep_guess(rhs2, Z[k : k + n + 1], h, U[:3])
+                _extrapolated_guess(rhs2, Z, k, n, h, work[0], before)
                 done = _sweep_block(into, Z[k : k + n + 1], h, work)
             except (TypeError, ValueError):
                 break  # rhs2 takes plain floats only, e.g. it calls math
             if not np.isfinite(Z[k + 1 : k + done + 1]).all():
                 break
             k += done
-            extrapolate = done == n == top
+            before = top if done == n == top else 0
             if done < n:
                 width //= 2
             elif done == width < top:
@@ -337,35 +330,30 @@ def _planar_nodes(rhs2, Z, h):
     return k
 
 
-def _step_runs(runs, n: int, double: bool = False) -> list:
+def _step_runs(runs, n: int) -> list:
     """Step n more nodes of each of ``runs``, which share a field, h and
     last node index; returns each run's DivergedError, or None.
 
     One :func:`_planar_nodes` sweeps them all: a run alone its own node
     rows, several a step-major array that takes their last nodes and whose
-    columns are copied into the runs' buffers.  Each run then steps alone
-    what the group did not: a run of a group by its own
-    :func:`_planar_nodes`, as a group of one, and every run its last steps
-    by the scalar loop.  So a run that diverges does so at the step, and
-    with the message, of the scalar loop, whatever it was stepped with,
-    and the others are stepped all the same.  It keeps its error in
-    ``diverged`` and its resident nodes as they were.
+    columns are copied into the runs' buffers.  Whatever steps its blocks
+    leave, each run steps by the scalar loop.  So a run that diverges does
+    so at the step, and with the message, of the scalar loop, whatever it
+    was stepped with, and the others are stepped all the same.  It keeps
+    its error in ``diverged`` and its resident nodes as they were.
     """
     field, h, first = runs[0].field, runs[0].h, runs[0].end
     rhs2 = field.rhs_scalar2
-    tails = [run._room(n, double)[:, None] for run in runs]
+    tails = [run._room(n)[:, None] for run in runs]
     group = tails[0]
     if len(runs) > 1:
         group = np.empty((n + 1, len(runs)), np.complex128)
         group[0] = [tail[0, 0] for tail in tails]
-    done = _planar_nodes(rhs2, group, h)
+    k = _planar_nodes(rhs2, group, h)
     errors = [None] * len(runs)
     for r, (run, tail) in enumerate(zip(runs, tails)):
-        k = done
         if tail is not group:
             tail[1 : k + 1, 0] = group[1 : k + 1, r]
-            if k < n:
-                k += _planar_nodes(rhs2, tail[k:], h)
         try:
             if k < n:
                 u1, u2 = float(tail[k, 0].real), float(tail[k, 0].imag)
@@ -424,20 +412,20 @@ class Run:
         """Index of the last resident node."""
         return self.base + self._size - 1
 
-    def extend(self, n: int, double: bool = False) -> "Run":
+    def extend(self, n: int) -> "Run":
         """Step n more nodes from the last resident one; returns the run.
 
-        A buffer without room is replaced by one of exactly the rows needed
-        or, with ``double``, of at least twice its rows.  InputError past
-        ``NODE_BUDGET``; a DivergedError names the first non-finite node by
-        its index on the run.
+        A buffer without room is replaced by one of twice its rows or the
+        rows needed, whichever is more, capped at ``NODE_BUDGET``; more
+        nodes than that are an InputError.  A DivergedError names the first
+        non-finite node by its index on the run.
         """
-        exc = _step_runs([self], n, double)[0]
+        exc = _step_runs([self], n)[0]
         if exc is not None:
             raise exc
         return self
 
-    def _room(self, n: int, double: bool) -> np.ndarray:
+    def _room(self, n: int) -> np.ndarray:
         """The complex128 view of the buffer rows from the last resident
         node through n more, growing the buffer as :meth:`extend` says."""
         size = self._size + n
@@ -448,8 +436,8 @@ class Run:
                     f"more than the node budget of {NODE_BUDGET}: raise h or "
                     "shorten the horizon"
                 )
-            rows = 2 * self._buffer.shape[0] if double else 0
-            buffer = np.empty((min(max(rows, size), NODE_BUDGET), self.field.dim))
+            rows = min(max(2 * self._buffer.shape[0], size), NODE_BUDGET)
+            buffer = np.empty((rows, self.field.dim))
             buffer[: self._size] = self.nodes
             self._buffer = buffer
         return self._buffer[self._size - 1 : size].view(np.complex128)[:, 0]
@@ -718,7 +706,7 @@ def _first_returns(runs, n_steps: int, section: Section, exclusion: Exclusion) -
     The runs are scanned together in chunks of ``RETURN_CHUNK`` steps by
     the crossing rule of :func:`detect_crossings`.  A resident chunk is
     read; the runs that need a chunk stepped and share their last node step
-    it together, by one doubling :func:`_step_runs`.  A run leaves the scan
+    it together, by one :func:`_step_runs`.  A run leaves the scan
     at its first counted crossing, or when it diverges.
 
     Returns per run ``(stop, segment, time)``: the end of the chunk that
@@ -736,7 +724,7 @@ def _first_returns(runs, n_steps: int, section: Section, exclusion: Exclusion) -
                 groups.setdefault(runs[j].end, []).append(j)
         for group in groups.values():
             ran = [runs[j] for j in group]
-            errors = _step_runs(ran, stop - ran[0].end, double=True)
+            errors = _step_runs(ran, stop - ran[0].end)
             for j, exc in zip(group, errors):
                 if exc is not None:
                     found[j] = exc
@@ -760,20 +748,17 @@ def _first_returns(runs, n_steps: int, section: Section, exclusion: Exclusion) -
 
 
 def batch_first_return(
-    field: VectorField, points, h: float, horizon: float, section: Section,
-    exclusion: Exclusion, runs=None,
+    runs, horizon: float, section: Section, exclusion: Exclusion
 ) -> np.ndarray:
-    """First return times for a batch of initial points, NaN where none found.
+    """First return times of ``runs``, which share a field and h, within
+    ``horizon``; NaN where none is found.
 
-    Sample j is the first return of ``runs[j]``, a :class:`Run` from point j
-    at step h continued in place (default: a fresh one), and all are found
-    by one :func:`_first_returns`, which steps the runs that share an end
-    together; a sample whose run diverges gives NaN, and the run keeps its
-    error.
+    Sample j is the first return of ``runs[j]``, continued in place, and all
+    are found by one :func:`_first_returns`, which steps the runs that share
+    an end together; a sample whose run diverges gives NaN, and the run
+    keeps its error.
     """
-    n_steps = int(math.ceil(horizon / h))
-    if runs is None:
-        runs = [Run(field, x, h) for x in np.array(points, dtype=float)]
+    n_steps = int(math.ceil(horizon / runs[0].h))
     times = np.full(len(runs), np.nan)
     for j, found in enumerate(_first_returns(runs, n_steps, section, exclusion)):
         if not isinstance(found, DivergedError):

@@ -138,7 +138,7 @@ class ReferenceStream(Run):
         if self.end >= self.n_steps:
             raise InputError("reference stream is already at its step cap")
         self.drop_before(keep)
-        self.extend(min(STREAM_CHUNK, self.n_steps - self.end), double=True)
+        self.extend(min(STREAM_CHUNK, self.n_steps - self.end))
 
 
 @dataclass

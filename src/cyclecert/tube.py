@@ -61,6 +61,7 @@ from .measures import (
     mu_perp_batch,
     norm_planes,
     padded_extrema,
+    planar_norm,
     sigma_rate,
 )
 from .systems import VectorField
@@ -75,9 +76,9 @@ class Tube:
     tube samples read again.  Lambda, a and b are held per piece of the
     anchors (``lam_pieces``, ``a_pieces``, ``b_pieces``; see
     :func:`piece_counts`); ``lam``, ``a_seg``, ``b_seg``, the reach chain
-    ``alpha`` and ``m_tilde`` are formed from them and from ``traj`` the
-    first time they are read.  Only the existence certificate reads them, so
-    the disk sweep's tubes never form them.
+    ``alpha``, its bound ``M_f`` and ``m_tilde`` are formed from them and
+    from ``traj`` the first time they are read.  Only the existence
+    certificate reads them, so the disk sweep's tubes never form them.
     """
 
     def __init__(
@@ -87,7 +88,6 @@ class Tube:
         R1,
         delta0,
         gamma,
-        M_f,
         lam_pieces,
         sigma,
         a_pieces,
@@ -105,7 +105,6 @@ class Tube:
         self.R1 = float(R1)
         self.delta0 = float(delta0)
         self.gamma = float(gamma)
-        self.M_f = float(M_f)
         self.lam_pieces = lam_pieces
         self.sigma = sigma
         self.a_pieces = a_pieces
@@ -136,6 +135,11 @@ class Tube:
     @cached_property
     def b_seg(self) -> np.ndarray:
         return self._per_segment(self.b_pieces)
+
+    @cached_property
+    def M_f(self) -> float:
+        """max |x| over the loop's nodes 0..N1, the reach chain's bound."""
+        return float(planar_norm(self.traj.nodes[: self.N1 + 1]).max())
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -327,10 +331,11 @@ def ab_profile(field, grids, radius, anchors):
     piece of ``anchors`` (:func:`piece_counts`).
 
     ``grids`` and ``radius`` have columns as for :func:`lambda_profile`.
-    Anchor slices are sampled with the closed form of
-    :func:`~cyclecert.constants.theta_dot` on ``AB_OFFSETS`` offsets and
-    the s-grid, padded by :func:`~cyclecert.measures.padded_extrema` and
-    bridged by :func:`anchor_bridge`.  The anchors run in blocks of
+    Anchor slices are sampled with the closed form of the phase rate (its
+    scalar form is the test oracle ``tests/oracles.py`` ``theta_dot``) on
+    ``AB_OFFSETS`` offsets and the s-grid, padded by
+    :func:`~cyclecert.measures.padded_extrema` and bridged by
+    :func:`anchor_bridge`.  The anchors run in blocks of
     ``AB_BLOCK``, each one (offsets, n_s, block) array of phase rates.  A
     vanishing denominator is reported at the first offset, and on it the
     first anchor segment, where one occurs; a_i <= 0 means the step is too
@@ -442,7 +447,6 @@ def build_tube(
     N1: int,
     delta0: float,
     gamma: float,
-    M_f: float,
     config: PipelineConfig = PipelineConfig(),
 ) -> Tube:
     """Build the tube over one return loop, repeating one pass until its
@@ -525,7 +529,7 @@ def build_tube(
         raise
 
     return Tube(
-        traj, N1, R1, delta0, gamma, M_f, lam, sigma, a, b,
+        traj, N1, R1, delta0, gamma, lam, sigma, a, b,
         delta_nodes, sampled_radius, y0_disk, history, anchors, grids,
     )
 
@@ -865,11 +869,7 @@ def certify_existence(
         cert.R1, cert.N1 = float(R1), int(N1)
         cert.trajectory, cert.run = traj, run
 
-        # provisional magnitude bound over flat-radius slices, for the
-        # alpha bookkeeping inside the builder
-        grids_pts = traj.nodes[: N1 + 1]
-        _, M_f0 = estimate_magnitude_bounds(field, grids_pts)
-        tube = build_tube(field, traj, R1, N1, delta0, gamma, M_f0, config)
+        tube = build_tube(field, traj, R1, N1, delta0, gamma, config)
         cert.tube = tube
         cert.pass_history = tube.pass_history
 

@@ -12,7 +12,8 @@ hand-written registry Jacobians, the row-by-row CSV formatter that
 ``output.csv_rows`` replaced, and the section normals of a whole run that
 ``syncerr.synchronize`` forms per block; the tests hold the library to
 them.  Last, the vectorized check that a synchronized error series stays
-within the tube, which only the tests run.
+within the tube, which only the tests run, and the scalar phase rate
+``theta_dot`` whose closed form ``tube.ab_profile`` samples in planes.
 """
 
 from types import SimpleNamespace
@@ -23,8 +24,9 @@ from cyclecert.errors import (
     CertificateBlockedError,
     EquilibriumProximityError,
     InvalidReparametrizationError,
+    TransversalityLossError,
 )
-from cyclecert.euler import Exclusion, Section, batch_first_return
+from cyclecert.euler import Exclusion, Run, Section, batch_first_return
 from cyclecert.measures import (
     M_FLOOR,
     PAD_FACTOR,
@@ -238,7 +240,8 @@ def eta_sweep_oracle(field, disk, n_samples, h, horizon, refine=10):
 
     def sweep(step):
         excl = Exclusion(t_min=10.0 * step, r_excl=0.5 * disk.radius)
-        times = batch_first_return(field, pts, step, horizon, section, excl)
+        runs = [Run(field, p, step) for p in pts]
+        times = batch_first_return(runs, horizon, section, excl)
         if np.isnan(times).any():
             bad = int(np.nonzero(np.isnan(times))[0][0])
             raise CertificateBlockedError(
@@ -294,3 +297,26 @@ def tube_membership_check(series, tube, floor):
     i = np.minimum((t / tube.h).astype(np.int64), tube.N1 - 1)
     bound = np.maximum(tube.deltas_at(t), floor[i])
     return np.nonzero(series.errors[: t.size] > bound)[0].tolist()
+
+
+def theta_dot(field, x_i, s: float, xi_theta):
+    """Derivative of the synchronized time at offset s along one segment.
+
+    ``xi_theta`` must lie on the moving section at x_i(s) (orthogonal to
+    f(x_i(s)) through it).  Closed form from implicit differentiation of the
+    synchronization identity; validated against finite differences of a
+    numerically continued synchronization in the test suite.
+    """
+    x_i = np.asarray(x_i, dtype=float)
+    xi = np.asarray(xi_theta, dtype=float)
+    f_i = field.f_raw(x_i)
+    c = x_i + s * f_i
+    f_c = field.f_raw(c)
+    num = float(f_i @ f_c - (xi - c) @ (field.jac_raw(c) @ f_i))
+    den = float(field.f_raw(xi) @ f_c)
+    nfc = float(np.linalg.norm(f_c))
+    if abs(den) < M_FLOOR * nfc:
+        raise TransversalityLossError(
+            f"synchronization denominator {den:g} below floor at s={s:g}"
+        )
+    return num / den

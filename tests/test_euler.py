@@ -229,15 +229,25 @@ def test_float_only_rhs2_takes_the_scalar_loop():
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
-# guesses written, as euler._sweep_guess writes its own, into the rows
-# Z[1:] of the block from its first nodes Z[0], one column per run
+# guesses written, as euler._extrapolated_guess writes its own, into the
+# rows Z[1:] of the block from its first nodes Z[0], one column per run
 
 
-def zeros_guess(rhs2, Z, h, work):
+def guessing(monkeypatch, guess):
+    """Route every block's guess through ``guess(rhs2, Z, h)``, which
+    writes the rows Z[1:] of the block Z."""
+
+    def guess_block(rhs2, Z, k, n, h, H, before):
+        guess(rhs2, Z[k : k + n + 1], h)
+
+    monkeypatch.setattr(cc.euler, "_extrapolated_guess", guess_block)
+
+
+def zeros_guess(rhs2, Z, h):
     Z[1:] = 0.0
 
 
-def noise_guess(rhs2, Z, h, work):
+def noise_guess(rhs2, Z, h):
     n_steps = Z.shape[0] - 1
     rng = np.random.default_rng(n_steps)
     noise = rng.normal(scale=1e-3, size=(2,) + Z.shape)
@@ -245,7 +255,7 @@ def noise_guess(rhs2, Z, h, work):
     Z.imag[1:] = Z[0].imag + noise[1, 1:]
 
 
-def one_ulp_guess(rhs2, Z, h, work):
+def one_ulp_guess(rhs2, Z, h):
     # the exact nodes, but one of each run's a single ulp off
     n_steps = Z.shape[0] - 1
     for z in Z.T:
@@ -261,7 +271,7 @@ def test_block_path_ignores_the_guess(vdp, monkeypatch, guess, h):
     x0 = (1.8929, -0.5383)
     n_steps = 2 * SWEEP_W + 7
     ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, n_steps)
-    monkeypatch.setattr(cc.euler, "_sweep_guess", guess)
+    guessing(monkeypatch, guess)
     field, seen = recording(vdp)
     nodes = cc.simulate(field, x0, h, n_steps).nodes
     assert any(seen)
@@ -269,15 +279,16 @@ def test_block_path_ignores_the_guess(vdp, monkeypatch, guess, h):
 
 
 def counting_extrapolation(monkeypatch, wrong=None):
-    """Route the extrapolated guess through ``wrong`` (applied in place to
-    the block's rows Z[k..k+n] once the true extrapolation has written
-    them), recording the node k of each call."""
+    """Route every guess through ``wrong`` (applied in place to the block's
+    rows Z[k..k+n] once the true guess has written them), recording the
+    node k of each guess that samples the full block before it."""
     calls = []
     extrapolate = cc.euler._extrapolated_guess
 
-    def guess(rhs2, Z, k, width, n, h, H):
-        calls.append(k)
-        extrapolate(rhs2, Z, k, width, n, h, H)
+    def guess(rhs2, Z, k, n, h, H, before):
+        if before:
+            calls.append(k)
+        extrapolate(rhs2, Z, k, n, h, H, before)
         if wrong is not None:
             wrong(Z[k : k + n + 1])
 
@@ -289,11 +300,12 @@ def counting_extrapolation(monkeypatch, wrong=None):
 @pytest.mark.parametrize("h", [1.25e-6, 1e-4])
 @pytest.mark.parametrize("guess", ["zero_weights", "noise", "one_ulp"])
 def test_block_path_ignores_the_extrapolated_guess(vdp, monkeypatch, guess, h, gate):
-    # the extrapolation from the block before decides, like the quadratic
-    # guess, only how many nodes a sweep verifies; every block after a full
-    # one extrapolates, at the h/100 reference steps and at 1e-4 alike
-    # (gate open), and none does when every block stops one step short of
-    # full (gate shut), which leaves the nodes it verified to the next block
+    # the extrapolation from the block before decides, like the straight
+    # line from node k, only how many nodes a sweep verifies; every block
+    # after a full one samples it, at the h/100 reference steps and at 1e-4
+    # alike (gate open), and none does when every block stops one step
+    # short of full (gate shut), which leaves the nodes it verified to the
+    # next block
     x0 = (1.8929, -0.5383)
     n_steps = 4 * SWEEP_W + 7
     ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, n_steps)
@@ -305,12 +317,12 @@ def test_block_path_ignores_the_extrapolated_guess(vdp, monkeypatch, guess, h, g
             noise = rng.normal(scale=1e-3, size=(n, 2 * rows.shape[1]))
             rows[1:] += noise.view(np.complex128)
         elif guess == "one_ulp":
-            one_ulp_guess(vdp.rhs_scalar2, rows, h, None)
+            one_ulp_guess(vdp.rhs_scalar2, rows, h)
 
     if guess == "zero_weights":
-        degree = cc.euler.GUESS_DEGREE
         monkeypatch.setattr(
-            cc.euler, "_lagrange_weights", lambda width: np.zeros((degree + 1, width))
+            cc.euler, "_lagrange_weights",
+            lambda steps, width: np.zeros((len(steps), width)),
         )
     calls = counting_extrapolation(monkeypatch, wrong)
     if gate == "shut":
@@ -352,11 +364,34 @@ def test_extrapolated_guess_saves_rhs_points(vdp, h, most):
     assert count["points"] <= most * n_steps
 
 
+def test_straight_line_guess_is_the_quadratic(vdp):
+    # a block that samples no block before it is guessed from node k and
+    # its Euler successor: the Euler sums of the straight line through the
+    # field there are the quadratic in the step number through node k and
+    # its two Euler successors, to the few ulps by which a running sum of
+    # 64 increments and the closed form round apart
+    x0 = np.array([[1.8929, -0.5383], [0.3, 2.1], [-1.5, 0.2]])
+    h, n = 1.25e-6, 64
+    Z = np.empty((n + 1, len(x0)), np.complex128)
+    Z[0] = x0[:, 0] + 1j * x0[:, 1]
+    H = np.empty(n * len(x0), np.complex128)
+    cc.euler._extrapolated_guess(vdp.rhs_scalar2, Z, 0, n, h, H, 0)
+    d1, d2 = vdp.rhs_scalar2(x0[:, 0], x0[:, 1])
+    e1, e2 = vdp.rhs_scalar2(x0[:, 0] + h * d1, x0[:, 1] + h * d2)
+    j = np.arange(1.0, n + 1)[:, None]
+    q = 0.5 * h * j * (j - 1)
+    quad1 = x0[:, 0] + j * (h * d1) + q * (e1 - d1)
+    quad2 = x0[:, 1] + j * (h * d2) + q * (e2 - d2)
+    assert np.array_equal(Z[1], quad1[0] + 1j * quad2[0])  # node k+1 is exact
+    ulp = np.spacing(np.maximum(np.abs(quad1), np.abs(quad2)).max(axis=0))
+    assert np.all(np.abs(Z.real[1:] - quad1) <= 4 * ulp)
+    assert np.all(np.abs(Z.imag[1:] - quad2) <= 4 * ulp)
+
+
 def test_constant_component_keeps_the_block_path(monkeypatch):
     # rhs2 returns a constant component as a plain number; the guess
-    # broadcasts it, so every block after the first extrapolates and only
-    # the first block's quadratic guess and the 5-step tail call rhs2 on
-    # plain floats
+    # broadcasts it, so every block after the first samples the block
+    # before it and only the 5-step tail calls rhs2 on plain floats
     field, count = counting_points(cc.load_system({"rhs": ["-0.5", "x1 - x2"]}))
     calls = counting_extrapolation(monkeypatch)
     x0, h, n_steps = (1.0, 0.5), 1.25e-6, 4 * SWEEP_W + 5
@@ -416,7 +451,7 @@ def test_sweeps_run_in_place(vdp):
     assert stream.h == 1.25e-6 and stream.end == cc.syncerr.STREAM_CHUNK
     w = cc.euler.SWEEP_STEPS
     _, rows = vdp.rhs_scalar2.in_place()
-    work = 2 * 16 * w + max(2 + rows, 3) * 8 * w  # H, Y and U of _planar_nodes
+    work = 2 * 16 * w + (2 + rows) * 8 * w  # H, Y and U of _planar_nodes
     tracemalloc.start()
     try:
         stream.advance(stream.end)  # keeps one node: no new buffer
@@ -430,7 +465,7 @@ def test_sweeps_run_in_place(vdp):
 def test_block_path_checks_the_sign_of_zero(linear, monkeypatch):
     # x2 stays +0.0 from (1, 0); a guess of -0.0 compares equal to it as a
     # float, so only a check of the bits keeps the zeros the scalar loop has
-    def negative_zero_guess(rhs2, Z, h, work):
+    def negative_zero_guess(rhs2, Z, h):
         start = (float(Z[0, 0].real), float(Z[0, 0].imag))
         nodes, _ = one_step_nodes(rhs2, start, h, Z.shape[0] - 1)
         Z.real[1:, 0] = nodes[1:, 0]
@@ -438,7 +473,7 @@ def test_block_path_checks_the_sign_of_zero(linear, monkeypatch):
 
     x0, h, n_steps = (1.0, 0.0), 1e-5, SWEEP_W + 1
     ref, _ = one_step_nodes(linear.rhs_scalar2, x0, h, n_steps)
-    monkeypatch.setattr(cc.euler, "_sweep_guess", negative_zero_guess)
+    guessing(monkeypatch, negative_zero_guess)
     field, seen = recording(linear)
     nodes = cc.simulate(field, x0, h, n_steps).nodes
     assert any(seen)
@@ -652,7 +687,8 @@ def test_batch_first_return_matches_scalar(harmonic, linear):
     assert 2 * np.pi / h > cc.euler.RETURN_CHUNK  # returns after the first chunk
 
     def sweeps(field, section, pts):
-        chunked = cc.batch_first_return(field, pts, h, horizon, section, excl)
+        runs = [cc.Run(field, p, h) for p in pts]
+        chunked = cc.batch_first_return(runs, horizon, section, excl)
         full = []
         for p in pts:
             traj = cc.simulate(field, p, h, int(np.ceil(horizon / h)))
@@ -683,9 +719,9 @@ def counted_extends(monkeypatch):
     steps = []
     step_runs = cc.euler._step_runs
 
-    def counted(runs, n, double=False):
+    def counted(runs, n):
         steps.extend([n] * len(runs))
-        return step_runs(runs, n, double)
+        return step_runs(runs, n)
 
     monkeypatch.setattr(cc.euler, "_step_runs", counted)
     return steps
@@ -714,18 +750,18 @@ def test_continued_run_matches_one_run(harmonic, monkeypatch, known):
 
 
 def test_run_extends_exactly_or_doubles(harmonic):
-    # extend grows the buffer to the rows it needs, and with double to at
-    # least twice its rows; a trajectory taken before keeps its nodes, and
+    # extend grows a full buffer to the rows it needs or to twice its rows,
+    # whichever is more; a trajectory taken before keeps its nodes, and
     # drop_before moves the kept nodes to the front
     h = 1e-3
     run = cc.Run(harmonic, [1.0, 0.0], h).extend(600)
     assert run._buffer.shape[0] == 601
     before = run.trajectory()
-    run.extend(10, double=True)
+    run.extend(10)
     assert run._buffer.shape[0] == 1202 and run.end == 610
-    run.extend(600, double=True)
+    run.extend(600)
     assert run._buffer.shape[0] == 2404
-    run.extend(4000, double=True)
+    run.extend(4000)
     assert run._buffer.shape[0] == 5211
     whole = cc.simulate(harmonic, [1.0, 0.0], h, 5210).nodes
     assert np.array_equal(run.nodes, whole)
@@ -736,6 +772,16 @@ def test_run_extends_exactly_or_doubles(harmonic):
         run.trajectory()
     with pytest.raises(InputError, match="node 999 to keep is not resident"):
         run.drop_before(999)
+
+
+def test_small_extend_doubles_the_buffer(harmonic):
+    # a full buffer grows to twice its rows even for a few more nodes, so a
+    # run extended step by step copies its nodes only a few times
+    h = 1e-3
+    run = cc.Run(harmonic, [1.0, 0.0], h).extend(600)
+    run.extend(5)
+    assert run._buffer.shape[0] == 2 * 601 and run.end == 605
+    assert np.array_equal(run.nodes, cc.simulate(harmonic, [1.0, 0.0], h, 605).nodes)
 
 
 def test_run_refuses_past_the_node_budget(linear, monkeypatch):
@@ -765,12 +811,11 @@ def test_batch_first_return_reads_and_keeps_runs(harmonic, monkeypatch):
     runs[1].extend(10000)
     whole = runs[1].nodes
     steps = counted_extends(monkeypatch)
-    times = cc.batch_first_return(harmonic, pts, h, horizon, section, excl, runs)
+    times = cc.batch_first_return(runs, horizon, section, excl)
     stop = 2 * cc.euler.RETURN_CHUNK
     assert sum(steps) == 2 * stop
-    assert np.array_equal(
-        times, cc.batch_first_return(harmonic, pts, h, horizon, section, excl)
-    )
+    fresh = [cc.Run(harmonic, p, h) for p in pts]
+    assert np.array_equal(times, cc.batch_first_return(fresh, horizon, section, excl))
     assert runs[1].nodes.base is whole.base and runs[1].end == 10000
     for p, run in zip(pts, runs):
         want = cc.simulate(harmonic, p, h, run.end).nodes
@@ -836,6 +881,38 @@ def test_group_blocks_that_stop_short_halve(vdp, monkeypatch):
     for run in runs:
         alone = cc.Run(vdp, run.x0, h).extend(n)
         assert np.array_equal(run.nodes.view(np.int64), alone.nodes.view(np.int64))
+
+
+def test_r_prime_sweep_steps_each_group_once(vdp, monkeypatch):
+    # vdp-example1's R' sweep (11 points of the start disk at h = 1e-4, the
+    # center continuing the certificate's run to its first return): each
+    # _step_runs call sweeps the 10 other runs by one _planar_nodes, and
+    # the scalar loop steps the step per run its blocks leave
+    x0, h = np.array([1.8929, -0.5383]), 1e-4
+    disk = cc.SectionDisk(x0, 0.1, vdp.f_raw(x0))
+    center = cc.Run(vdp, x0, h)
+    assert cc.euler.first_loop(center, 10.0, 0.1) is not None
+    runs = [
+        center if z.tobytes() == x0.tobytes() else cc.Run(vdp, z, h)
+        for z in disk.sweep_points(11)
+    ]
+    assert center in runs
+    planar, step_runs = cc.euler._planar_nodes, cc.euler._step_runs
+    calls = []
+
+    def planar_counted(rhs2, Z, h):
+        calls[-1] += 1
+        return planar(rhs2, Z, h)
+
+    def step_counted(runs, n):
+        calls.append(0)
+        return step_runs(runs, n)
+
+    monkeypatch.setattr(cc.euler, "_planar_nodes", planar_counted)
+    monkeypatch.setattr(cc.euler, "_step_runs", step_counted)
+    times = cc.return_time_sweep(vdp, disk, 11, h, 10.0, runs)
+    assert np.all(np.isfinite(times))
+    assert calls == [1] * 16  # one call per chunk of the 10 runs
 
 
 # the circle flow, whose orbits beyond radius 1.03 blow up; its rhs_scalar2

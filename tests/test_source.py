@@ -95,10 +95,10 @@ def _call_scopes(tree, scope, names):
 def test_every_node_is_stepped_by_run_extend():
     # euler._step_runs is the one place a node is stepped, for a run alone
     # (Run.extend calls it with its own run) or for runs stepped together:
-    # it sweeps them as one group, then each run alone, a group of one, and
-    # steps each run's last steps by the scalar loop, and it is the only
-    # caller of either.  The other ways a run once grew (step_on,
-    # _coarse_run, prefix= and step= parameters) stay gone
+    # it sweeps them by one _planar_nodes, then steps what the blocks leave
+    # of each run by the scalar loop, and it is the only caller of either.
+    # The other ways a run once grew or was guessed (step_on, _coarse_run,
+    # _sweep_guess, prefix=, step= and double= parameters) stay gone
     sites, gone = [], []
     for path in sorted(Path(cyclecert.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -110,16 +110,15 @@ def test_every_node_is_stepped_by_run_extend():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if node.name in ("step_on", "_coarse_run"):
+            if node.name in ("step_on", "_coarse_run", "_sweep_guess"):
                 gone.append(f"{path.stem}.{node.name}")
             args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
             gone += [
                 f"{path.stem}.{node.name}({a.arg}=)"
                 for a in args
-                if a.arg in ("prefix", "step")
+                if a.arg in ("prefix", "step", "double")
             ]
     assert sites == [
-        "euler._step_runs: _planar_nodes",
         "euler._step_runs: _planar_nodes",
         "euler._step_runs: _scalar_nodes",
     ]

@@ -341,8 +341,8 @@ def test_coarse_run_continues_the_certificate_run(vdp, monkeypatch, n_steps):
     # the error curve's coarse run of about n_steps steps is the
     # certificate's run of 8192, extended: only the steps past the
     # certificate's nodes are taken, counted through Run.extend, to the
-    # nodes of one run from x0, and the buffer grows to exactly the coarse
-    # run
+    # nodes of one run from x0, and the buffer grows to the coarse run or
+    # to twice its rows, whichever is more
     h = 1e-3
     cert = cc.certify_existence(
         vdp, VDP_X0, h, VDP_DELTA0, VDP_GAMMA, PipelineConfig(lambda_stride=50),
@@ -355,10 +355,10 @@ def test_coarse_run_continues_the_certificate_run(vdp, monkeypatch, n_steps):
     steps, coarse = [], []
     extend, synchronize = cc.Run.extend, syncerr.synchronize
 
-    def counted(run, n, double=False):
+    def counted(run, n):
         if run.h == h:
             steps.append(n)
-        return extend(run, n, double)
+        return extend(run, n)
 
     def recorded(reference, traj, *args, **kwargs):
         coarse.append(traj)
@@ -366,6 +366,7 @@ def test_coarse_run_continues_the_certificate_run(vdp, monkeypatch, n_steps):
 
     monkeypatch.setattr(cc.Run, "extend", counted)
     monkeypatch.setattr(syncerr, "synchronize", recorded)
+    rows = cert.run._buffer.shape[0]
     cc.error_curve_experiment(
         vdp, VDP_X0, (1.8037, -0.5057), [h], periods, VDP_DELTA0, VDP_GAMMA,
         refine=10,
@@ -376,7 +377,7 @@ def test_coarse_run_continues_the_certificate_run(vdp, monkeypatch, n_steps):
     assert np.array_equal(traj.nodes, cc.simulate(vdp, VDP_X0, h, n_steps).nodes)
     assert traj.h == h and np.array_equal(traj.x0, VDP_X0)
     if n_steps > known:
-        assert cert.run._buffer.shape[0] == n_steps + 1
+        assert cert.run._buffer.shape[0] == max(2 * rows, n_steps + 1)
 
 
 @pytest.mark.parametrize("periods", [math.nan, math.inf, 0.0, -1.0])

@@ -28,6 +28,7 @@ from oracles import (
     bridge_loop,
     build_tube_whole,
     interleaved,
+    theta_dot,
     tube_membership_check,
 )
 
@@ -115,7 +116,7 @@ def test_forced_rate_constant_delta(vdp, monkeypatch):
     rt = cc.return_times(traj, section, 1, cc.default_exclusion(1e-3, 0.1))
     R1, N1, _ = rt.first()
     force_rate(monkeypatch, 0.0)
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, M_f=2.3)
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015)
     assert np.allclose(tube.delta, 0.1)
     assert tube.delta_at(0.37 * R1) == pytest.approx(0.1)
 
@@ -128,7 +129,7 @@ def test_forced_rate_closed_form(vdp, monkeypatch):
     ).first()
     c = -2.0
     force_rate(monkeypatch, c)
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, M_f=2.3)
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015)
     # delta(ih + s) = delta0 exp(c*(ih + s)) for the constant-rate chain
     for t in (0.0, 0.5 * traj.h, 3.7 * traj.h, R1):
         assert tube.delta_at(t) == pytest.approx(0.1 * np.exp(c * t), rel=1e-12)
@@ -320,7 +321,7 @@ def test_build_tube_refuses_bad_run_value(vdp, name, value):
     run = dict(delta0=0.1, gamma=0.015)
     run[name] = value
     with pytest.raises(InputError, match=f"^{name} must be finite and positive"):
-        cc.build_tube(vdp, traj, 6.3, 10, run["delta0"], run["gamma"], M_f=2.3)
+        cc.build_tube(vdp, traj, 6.3, 10, run["delta0"], run["gamma"])
 
 
 def test_simulate_refuses_bad_step(vdp):
@@ -467,7 +468,7 @@ def test_bounds_dominate_denser_resampling(vdp, vdp_cert):
         if lo == 0:
             # the vectorized closed form is the scalar theta_dot
             for o, k in ((0, 0), (5, 4), (32, 8)):
-                ref = cc.theta_dot(vdp, traj.nodes[7], s[k], X[o, k, 7])
+                ref = theta_dot(vdp, traj.nodes[7], s[k], X[o, k, 7])
                 assert td[o, k, 7] == pytest.approx(ref, rel=1e-12)
     for name, m in margins.items():
         i = int(np.argmin(m))
@@ -542,7 +543,7 @@ def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
     )
     assert field.rhs.kernel is vdp.rhs.kernel
     tube, cfg = vdp_cert.tube, PipelineConfig()
-    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, tube.M_f, cfg)
+    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, cfg)
     got, ref = cc.build_tube(field, *args), cc.build_tube(vdp, *args)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -583,7 +584,7 @@ def test_build_rates_run_per_piece(vdp, vdp_cert, monkeypatch):
 
     monkeypatch.setattr(cc.tube, "sigma_rate", counted_rate)
     monkeypatch.setattr(cc.tube, "np", CountingNumpy())
-    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, tube.M_f)
+    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma)
     got = cc.build_tube(vdp, *args, PipelineConfig())
     monkeypatch.undo()
     passes = len(got.pass_history)
@@ -651,7 +652,7 @@ def test_rate_errors_name_the_first_segment_of_a_gap(vdp, vdp_cert, monkeypatch,
     monkeypatch.setattr(cc.tube, "lambda_profile", faulty_lambda)
     monkeypatch.setattr(cc.tube, "ab_profile", faulty_ab)
     kind = InputError if fault == "b-below-a" else NumericError
-    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, tube.M_f)
+    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma)
     with pytest.raises(kind) as got:
         cc.build_tube(vdp, *args, PipelineConfig())
     count = cc.tube.piece_counts(tube.anchors)
@@ -693,7 +694,7 @@ def test_build_tube_memory(vdp, vdp_cert):
     # exists: the build of the session tube peaks under 15 MiB, where the
     # whole-loop planes peaked at 32 MiB
     tube = vdp_cert.tube
-    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, tube.M_f)
+    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma)
     tracemalloc.start()
     try:
         cc.build_tube(vdp, *args, PipelineConfig())
@@ -764,7 +765,7 @@ def test_streamed_build_matches_whole_grid(
             got, ref = getattr(part, name), getattr(whole, name)[..., segs]
             assert got.tobytes() == ref.tobytes(), name
     # the streamed build against the build on whole-loop planes
-    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
+    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, cfg)
     ref = build_tube_whole(field, traj, N1, delta0, gamma, cfg)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(tube, name).tobytes() == getattr(ref, name).tobytes(), name
@@ -848,7 +849,7 @@ def test_bounds_are_sampled_on_the_final_tube(vdp, vdp_cert, monkeypatch, system
 
         monkeypatch.setattr(cc.tube, name, recorded)
     cfg = PipelineConfig(lambda_stride=stride)
-    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
+    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, cfg)
     a = tube.anchors
     final = tube.delta[a] * np.exp(tube.sigma[a] * tube.anchor_grids.s[:, None])
     radius = radii["ab_profile"]
@@ -927,7 +928,7 @@ def test_m_tilde_is_formed_when_read(vdp):
     R1, N1, _ = cc.return_times(
         traj, section, 1, cc.default_exclusion(1e-3, 0.1)
     ).first()
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015, 2.3)
+    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015)
     assert tube._m_tilde is None
     grids = cc.SegmentGrids(vdp, traj, N1, cc.tube.N_S)
     m = tube.m_tilde
@@ -1031,7 +1032,7 @@ def test_stride_one_ab_is_per_segment(vdp, vdp_cert, monkeypatch, system):
 
     real = cc.tube.ab_profile
     monkeypatch.setattr(cc.tube, "ab_profile", spy)
-    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
+    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, cfg)
     assert len(calls) == len(tube.pass_history) - 1  # every pass after the first
     grids, radius = calls[-1]
     assert radius.shape == (cc.tube.N_S, N1)
@@ -1048,7 +1049,7 @@ def resampled_margins(
     final-tube slice of every segment, or of the segments ``segs``, radius
     delta_i e^{sigma_i s}."""
     cfg = PipelineConfig(lambda_stride=stride)
-    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, 2.0, cfg)
+    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, cfg)
     s = np.linspace(0.0, tube.h, grid[0])
     offs = np.linspace(-1.0, 1.0, grid[1])
     segs = np.arange(N1) if segs is None else np.asarray(segs)
