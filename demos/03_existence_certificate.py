@@ -40,5 +40,5 @@ print("constants:", {k: round(v, 4) for k, v in cert.constants.to_dict().items()
                      if isinstance(v, float)})
 
 write_json(out / "existence_certificate.json", cert.to_dict())
-write_tube_csv(out / "tube.csv", cert.tube, cert.trajectory, stride=10)
+write_tube_csv(out / "tube.csv", cert.tube, stride=10)
 print(f"wrote {out}/existence_certificate.json and {out}/tube.csv")

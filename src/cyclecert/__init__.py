@@ -31,7 +31,7 @@ _API = {
         estimate_magnitude_bounds estimate_speed_bounds return_time_sweep""",
     "errors": """CertificateBlockedError CycleCertError DivergedError
         EquilibriumProximityError InputError InvalidReparametrizationError
-        NumericError SynchronizationLostError TransversalityLossError""",
+        NumericError SynchronizationLostError""",
     "euler": """Crossing EulerTrajectory Exclusion Run Section
         batch_first_return default_exclusion detect_crossings return_times
         simulate""",

@@ -37,7 +37,6 @@ from .euler import (
     simulate,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
 )
 from .measures import mu_perp_batch
-from .systems import VectorField
 from .tube import ExistenceCertificate, build_tube
 
 
@@ -83,14 +82,14 @@ def contraction_exponent(
     Raises :class:`CertificateBlockedError` when z does not return within
     the horizon.
     """
-    field, z = run.field, run.x0
+    z = run.x0
     loop = first_loop(run, horizon, delta0)
     if loop is None:
         raise CertificateBlockedError(
             f"start point {z.tolist()} did not return within horizon {horizon:g}"
         )
     traj, R1, N1 = loop
-    return _tube_exponent(z, build_tube(field, traj, R1, N1, delta0, gamma, config))
+    return _tube_exponent(z, build_tube(traj, R1, N1, delta0, gamma, config))
 
 
 def _tube_exponent(z: np.ndarray, tube) -> ContractionExponent:
@@ -186,17 +185,16 @@ class IntegralCheck:
 
 
 def integral_criterion(
-    field: VectorField,
     cycle_traj: EulerTrajectory,
     gamma: float,
     period: Optional[float] = None,
 ) -> IntegralCheck:
-    """Composite-trapezoid weighted integral of mu_perp along a near-cycle
-    trajectory over one period."""
+    """Composite-trapezoid weighted integral of mu_perp, on the trajectory's
+    field, along a near-cycle trajectory over one period."""
     T = float(period) if period is not None else cycle_traj.horizon
     n = min(int(T / cycle_traj.h), cycle_traj.n_steps)
     pts = cycle_traj.nodes[: n + 1]
-    mp = mu_perp_batch(field, pts)
+    mp = mu_perp_batch(cycle_traj.field, pts)
     rho = np.where(mp < gamma, 0.5, 1.5)
     val = float(np.trapezoid(rho * mp, dx=cycle_traj.h))
     return IntegralCheck(value=val, period=T, n_samples=n + 1)
@@ -289,8 +287,7 @@ def certify_attraction(
         cert.sample_count = len(sweep.exponents)
 
         cert.integral = integral_criterion(
-            existence.trajectory.field, existence.trajectory, existence.gamma,
-            existence.R1,
+            existence.trajectory, existence.gamma, existence.R1
         )
 
         for k, e in enumerate(sweep.exponents):

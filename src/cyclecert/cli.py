@@ -138,7 +138,7 @@ def cmd_certify_existence(args) -> int:
     )
     write_json(out / "existence_certificate.json", cert.to_dict())
     if cert.tube is not None:
-        write_tube_csv(out / "tube.csv", cert.tube, cert.trajectory)
+        write_tube_csv(out / "tube.csv", cert.tube)
         mu_nodes = mu_perp_batch(field, cert.trajectory.nodes[: cert.N1])
         write_measures_csv(out / "measures.csv", cert.tube, mu_nodes)
     return _exit_code(cert)

@@ -22,7 +22,7 @@ from .errors import (
     EquilibriumProximityError,
     InputError,
 )
-from .euler import Run, Section, batch_first_return, default_exclusion
+from .euler import Section, batch_first_return, default_exclusion
 from .measures import M_FLOOR, _rot90, padded_extrema, planar_norm
 from .systems import VectorField
 
@@ -191,26 +191,18 @@ class EtaEstimate:
         }
 
 
-def return_time_sweep(
-    field: VectorField,
-    disk: SectionDisk,
-    n_samples: int,
-    h: float,
-    horizon: float,
-    runs=None,
-) -> np.ndarray:
-    """Discrete first-return times at step h from the ``n_samples`` points
-    of ``disk.sweep_points``.
+def return_time_sweep(runs, disk: SectionDisk, horizon: float) -> np.ndarray:
+    """Discrete first-return times to ``disk``'s section of ``runs``, one
+    :class:`~cyclecert.euler.Run` per start point, at their step h.
 
     Uses the crossing rule of :func:`~cyclecert.euler.return_times`; the
     samples are one :func:`~cyclecert.euler.batch_first_return` sweep of
-    ``runs``, one :class:`~cyclecert.euler.Run` per point (default: fresh
-    ones), which it continues in place.  A sample that diverges, or that
-    does not return within the horizon, blocks certification; the error
-    says which, with the step its run failed at.
+    ``runs``, which it continues in place, with the exclusion of step h
+    and the disk's radius.  A sample that diverges, or that does not return
+    within the horizon, blocks certification; the error says which, with
+    the step its run failed at.
     """
-    if runs is None:
-        runs = [Run(field, p, h) for p in disk.sweep_points(n_samples)]
+    h = runs[0].h
     times = batch_first_return(
         runs, horizon, Section(disk.center, disk.normal),
         default_exclusion(h, disk.radius),
@@ -227,14 +219,7 @@ def return_time_sweep(
     return times
 
 
-def estimate_eta(
-    field: VectorField,
-    tube,
-    rho: float,
-    horizon: float,
-    n_samples: int,
-    runs=None,
-) -> EtaEstimate:
+def estimate_eta(tube, rho: float, horizon: float, runs) -> EtaEstimate:
     """Return-time interval [T_lo, T_hi] from the tube's phase rates, the
     floor eta = T_lo/2, and R' from a step-h sweep of the initial disk.
 
@@ -264,8 +249,8 @@ def estimate_eta(
     condition nor the inclusion check uses eta.
 
     R' bounds the discrete first return at step h: the largest return of
-    :func:`return_time_sweep` from ``disk.sweep_points(n_samples)``, which
-    continues ``runs``.
+    :func:`return_time_sweep` of ``runs``, which it continues; the
+    certificate starts them from ``disk.sweep_points``.
     """
     h, N1 = tube.h, tube.N1
     weights = np.full(N1, h)
@@ -279,7 +264,7 @@ def estimate_eta(
     r = radius * np.linspace(0.0, 1.0, BALL_RADII)
     phi = np.linspace(0.0, 2.0 * np.pi, BALL_ANGLES, endpoint=False)
     ring = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    F = field.f_raw(disk.center + r[:, None, None] * ring[None, :, :])
+    F = tube.traj.field.f_raw(disk.center + r[:, None, None] * ring[None, :, :])
     # f.n0 and |f| on the (radii, angles) grid, whose angles wrap around
     lo, hi = padded_extrema(
         np.stack([F @ n0, np.linalg.norm(F, axis=-1)], axis=-1), wrap=(1,)
@@ -290,7 +275,7 @@ def estimate_eta(
         e = math.inf
     T_lo = sum_lo - e
 
-    times = return_time_sweep(field, disk, n_samples, h, horizon, runs=runs)
+    times = return_time_sweep(runs, disk, horizon)
     return EtaEstimate(
         eta=0.5 * T_lo,
         T_lo=T_lo,
@@ -303,7 +288,7 @@ def estimate_eta(
         f_max=f_max,
         ball_radius=float(radius),
         e=e,
-        n_samples=n_samples,
+        n_samples=len(runs),
     )
 
 

@@ -36,10 +36,6 @@ class EquilibriumProximityError(CycleCertError):
     """|f(x)| fell below the floor; the transverse split is undefined there."""
 
 
-class TransversalityLossError(CycleCertError):
-    """The moving-section phase rate lost its sign (degenerate denominator)."""
-
-
 class InvalidReparametrizationError(CycleCertError):
     """Phase-rate lower bound a <= 0: step too large or tube too fat."""
 

@@ -72,19 +72,10 @@ class EulerTrajectory:
         self.nodes = nodes
         self.nodes.setflags(write=False)
         self.n_steps = nodes.shape[0] - 1
-        self._seg_dirs = None
 
     @property
     def horizon(self) -> float:
         return self.n_steps * self.h
-
-    @property
-    def seg_dirs(self) -> np.ndarray:
-        """f at nodes 0..N-1, recovered exactly as (x_{i+1} - x_i)/h."""
-        if self._seg_dirs is None:
-            self._seg_dirs = (self.nodes[1:] - self.nodes[:-1]) / self.h
-            self._seg_dirs.setflags(write=False)
-        return self._seg_dirs
 
     def segment_of(self, t: float):
         """Return (i, s) with t = i*h + s, s in [0, h); final node maps to (N-1, h)."""
@@ -756,9 +747,13 @@ def batch_first_return(
     Sample j is the first return of ``runs[j]``, continued in place, and all
     are found by one :func:`_first_returns`, which steps the runs that share
     an end together; a sample whose run diverges gives NaN, and the run
-    keeps its error.
+    keeps its error.  Runs of another field or h than the first are refused
+    (InputError): their group would step them on the first one's.
     """
-    n_steps = int(math.ceil(horizon / runs[0].h))
+    field, h = runs[0].field, runs[0].h
+    if any(run.field is not field or run.h != h for run in runs):
+        raise InputError("the runs of a first-return sweep must share a field and h")
+    n_steps = int(math.ceil(horizon / h))
     times = np.full(len(runs), np.nan)
     for j, found in enumerate(_first_returns(runs, n_steps, section, exclusion)):
         if not isinstance(found, DivergedError):

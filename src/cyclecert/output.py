@@ -228,8 +228,9 @@ def write_crossings_csv(path, returns):
     write_csv(path, ["p", "R_p", "N_p", "x_1", "x_2"], columns)
 
 
-def write_tube_csv(path, tube, traj, stride: int = 1):
+def write_tube_csv(path, tube, stride: int = 1):
     i = np.arange(0, tube.N1, stride)
+    traj = tube.traj
     rates = (tube.alpha, tube.delta, tube.lam, tube.sigma, tube.a_seg, tube.b_seg)
     header = ["i", "t", "c_1", "c_2", "alpha", "delta", "Lambda", "sigma", "a", "b"]
     write_csv(path, header, [i, i * tube.h, *traj.nodes[i].T, *(v[i] for v in rates)])

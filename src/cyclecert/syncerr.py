@@ -161,7 +161,6 @@ class SyncErrorSeries:
 def synchronize(
     reference,
     traj: EulerTrajectory,
-    y0,
     tau_sync: float = TAU_SYNC,
     tube: Optional[Tube] = None,
     D: Optional[float] = None,
@@ -169,15 +168,14 @@ def synchronize(
     """Synchronized error series at every node time of the coarse trajectory.
 
     ``reference`` is a :class:`ReferenceSolution`, or a
-    :class:`ReferenceStream` with its first node resident, which is
-    advanced whenever the next sample's window is not.
-    The reference's node rows must be contiguous (InputError otherwise).
+    :class:`ReferenceStream`, which is advanced whenever the next sample's
+    window is not.  Either starts at y0, its first node, which must be
+    resident, and its node rows must be contiguous (InputError otherwise).
     Raises :class:`SynchronizationLostError` (with the sample index) when no
     sign change lies within [theta_prev, theta_prev + WINDOW_STEPS*h].
     """
-    y0 = np.asarray(y0, dtype=float)
-    if reference.base != 0 or not np.allclose(reference.nodes[0], y0):
-        raise InputError("reference must start at y0")
+    if reference.base != 0:
+        raise InputError("reference must hold its first node")
     if reference.nodes.strides[1] != reference.nodes.itemsize:
         raise InputError("reference nodes must have contiguous rows")
     h = traj.h
@@ -515,7 +513,7 @@ def error_curve_experiment(
             run.extend(n_steps - run.end)
         traj = run.trajectory(n_steps)
         ref = ReferenceStream(field, y0, h, sync_horizon * (c.b + 0.1), refine)
-        series = synchronize(ref, traj, y0, tube=cert.tube, D=D)
+        series = synchronize(ref, traj, tube=cert.tube, D=D)
         tail = series.tail_max()
         runs.append(
             ErrorCurveRun(

@@ -258,8 +258,7 @@ LAMBDA_BLOCK = 2**16
 def segment_points(traj, N1, s, segs):
     """The points x_i + s_k f_i of the segments ``segs`` of 0..N1-1 as (n_s,
     K) planes P0, P1, and their directions f_i as (K,) arrays FN0, FN1.
-    f_i is (x_{i+1} - x_i)/h from the segments' own node rows, bit for bit
-    ``traj.seg_dirs``."""
+    f_i is (x_{i+1} - x_i)/h from the segments' own node rows."""
     C, D = traj.nodes[:N1][segs], traj.nodes[1 : N1 + 1][segs]
     FN0, FN1 = (D[:, 0] - C[:, 0]) / traj.h, (D[:, 1] - C[:, 1]) / traj.h
     return C[:, 0] + s[:, None] * FN0, C[:, 1] + s[:, None] * FN1, FN0, FN1
@@ -267,7 +266,8 @@ def segment_points(traj, N1, s, segs):
 
 class SegmentGrids:
     """Shared s-grid data over segments ``segs`` (a slice or index array,
-    default all) of 0..N1-1, one plane (n_s, K) per coordinate for K of them.
+    default all) of 0..N1-1 of ``traj``, one plane (n_s, K) per coordinate
+    for K of them, and the trajectory's field as ``field``.
 
     ``(P0[k, j], P1[k, j])`` is the point x_i + s_k f_i on the j-th segment
     i (s_k on ``n_s`` points of [0, h]), ``(FC0, FC1)`` and ``nFC`` the
@@ -277,18 +277,19 @@ class SegmentGrids:
     (:func:`norm_planes`), bit for bit those of ``np.linalg.norm``.
     """
 
-    def __init__(self, field, traj, N1, n_s, segs=slice(None)):
+    def __init__(self, traj, N1, n_s, segs=slice(None)):
+        self.field = traj.field
         self.N1 = N1
         self.n_s = n_s
         self.s = np.linspace(0.0, traj.h, n_s)
         self.P0, self.P1, self.FN0, self.FN1 = segment_points(traj, N1, self.s, segs)
-        FC0, FC1 = self.FC0, self.FC1 = field.f_planes(self.P0, self.P1)
+        FC0, FC1 = self.FC0, self.FC1 = self.field.f_planes(self.P0, self.P1)
         self.nFC = norm_planes(FC0, FC1)
         self.W0 = -FC1 / self.nFC
         self.W1 = FC0 / self.nFC
 
 
-def lambda_profile(field, grids, radius, anchors, cols=None):
+def lambda_profile(grids, radius, anchors, cols=None):
     """Transverse bounds Lambda_i via strided anchor sampling, one per piece
     of ``anchors`` (:func:`piece_counts`).
 
@@ -321,12 +322,12 @@ def lambda_profile(field, grids, radius, anchors, cols=None):
         X0 += P0
         X1 = np.multiply(t, W1, out=t)
         X1 += P1
-        vals = mu_perp_batch(field, X0, X1)  # (n_off, n_s, |A|)
+        vals = mu_perp_batch(grids.field, X0, X1)  # (n_off, n_s, |A|)
         lamA[A] = padded_extrema(vals)[1]
     return anchor_bridge(lamA, anchors, 1.0)
 
 
-def ab_profile(field, grids, radius, anchors):
+def ab_profile(grids, radius, anchors):
     """Phase-rate bounds (a_i, b_i) via strided anchor sampling, one pair per
     piece of ``anchors`` (:func:`piece_counts`).
 
@@ -342,6 +343,7 @@ def ab_profile(field, grids, radius, anchors):
     large or the tube too fat, and is reported at the first segment of the
     first piece that takes it.
     """
+    field = grids.field
     offs = np.linspace(-1.0, 1.0, AB_OFFSETS)
     aA, bA = np.empty(anchors.size), np.empty(anchors.size)
     per_segment = grids.P0.shape[1] != anchors.size
@@ -441,7 +443,6 @@ def stride_indices(n, stride):
 
 
 def build_tube(
-    field: VectorField,
     traj: EulerTrajectory,
     R1: float,
     N1: int,
@@ -449,8 +450,8 @@ def build_tube(
     gamma: float,
     config: PipelineConfig = PipelineConfig(),
 ) -> Tube:
-    """Build the tube over one return loop, repeating one pass until its
-    radii hold.
+    """Build the tube over one return loop of ``traj``, on its field,
+    repeating one pass until its radii hold.
 
     Lambda and (a, b) are sampled on the anchor segments' grid.  The anchors
     are every ``config.lambda_stride``-th segment and the last one.  Lambda,
@@ -482,7 +483,7 @@ def build_tube(
     f0 = (traj.nodes[1] - traj.nodes[0]) / traj.h
     y0_disk = SectionDisk(traj.nodes[0], delta0, f0)
     anchors = stride_indices(N1, config.lambda_stride)
-    grids = SegmentGrids(field, traj, N1, N_S, anchors)
+    grids = SegmentGrids(traj, N1, N_S, anchors)
 
     a = b = None
     radius = np.full((grids.n_s, anchors.size), delta0)
@@ -493,7 +494,7 @@ def build_tube(
         while True:
             # the segments of each piece of this pass's Lambda anchors
             count = piece_counts(anchors[cols])
-            lam = lambda_profile(field, grids, radius, anchors[cols], cols)
+            lam = lambda_profile(grids, radius, anchors[cols], cols)
             if a is None:
                 a = b = np.ones(lam.size)
             rate = piece_rates(lam, a, b, gamma, count)
@@ -522,7 +523,7 @@ def build_tube(
             sampled_radius = widened_radius(delta_nodes[:N1], growth, count)
             growth = np.exp(sigma[None, anchors] * grids.s[:, None])
             radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
-            a, b = ab_profile(field, grids, radius, anchors)
+            a, b = ab_profile(grids, radius, anchors)
             cols = np.arange(anchors.size)
     except CycleCertError as exc:
         exc.pass_history = history  # the passes that ran before it
@@ -670,7 +671,7 @@ class InclusionReport:
 INCLUSION_SAMPLES = 64
 
 
-def check_return_inclusion(tube: Tube, traj: EulerTrajectory) -> InclusionReport:
+def check_return_inclusion(tube: Tube) -> InclusionReport:
     """Check that the final tube slice cut by the start section fits in Y0.
 
     Sufficient numeric test: |x(R1) - x0| + delta(R1) < delta0 (strict).
@@ -678,8 +679,9 @@ def check_return_inclusion(tube: Tube, traj: EulerTrajectory) -> InclusionReport
     intersect each transverse tube segment with the start section and
     verify every intersection point lies inside the initial disk.
     """
+    traj = tube.traj
     x0 = traj.nodes[0]
-    n0 = traj.seg_dirs[0]
+    n0 = tube.y0_disk.normal  # f_0 = (x_1 - x_0)/h
     xr = traj.dense_point(tube.R1)
     gap = float(np.linalg.norm(xr - x0))
     d_r1 = tube.delta_at(tube.R1)
@@ -689,7 +691,8 @@ def check_return_inclusion(tube: Tube, traj: EulerTrajectory) -> InclusionReport
     i = tube.N1 - 1
     h = tube.h
     s = np.linspace(0.0, h, INCLUSION_SAMPLES)
-    c = traj.nodes[i][None, :] + s[:, None] * traj.seg_dirs[i][None, :]
+    f_i = (traj.nodes[i + 1] - traj.nodes[i]) / h
+    c = traj.nodes[i][None, :] + s[:, None] * f_i[None, :]
     fc = traj.field.f_raw(c)
     w = _rot90(fc) / np.linalg.norm(fc, axis=-1, keepdims=True)
     r = tube.delta[i] * np.exp(tube.sigma[i] * s)
@@ -869,7 +872,7 @@ def certify_existence(
         cert.R1, cert.N1 = float(R1), int(N1)
         cert.trajectory, cert.run = traj, run
 
-        tube = build_tube(field, traj, R1, N1, delta0, gamma, config)
+        tube = build_tube(traj, R1, N1, delta0, gamma, config)
         cert.tube = tube
         cert.pass_history = tube.pass_history
 
@@ -883,19 +886,15 @@ def certify_existence(
         _, M_C = estimate_magnitude_bounds(field, samples)
         M_f = max(M_C, float(tube.m_tilde.max()))
 
-        incl = check_return_inclusion(tube, traj)
+        incl = check_return_inclusion(tube)
         # R' samples the basin sweep's start points, at least the center
         # and both endpoints; its sweep continues this run from x0 at the
         # center, and the basin sweep continues its runs
-        n_samples = max(config.sweep_samples, 3)
         runs = [
             run if z.tobytes() == run.x0.tobytes() else Run(field, z, h)
-            for z in tube.y0_disk.sweep_points(n_samples)
+            for z in tube.y0_disk.sweep_points(max(config.sweep_samples, 3))
         ]
-        eta = estimate_eta(
-            field, tube, incl.lhs, horizon=min(horizon, 2.5 * R1),
-            n_samples=n_samples, runs=runs,
-        )
+        eta = estimate_eta(tube, incl.lhs, min(horizon, 2.5 * R1), runs)
         cert.start_runs = runs
         constants = GlobalConstants(
             L=L,

@@ -9,11 +9,12 @@ kernels replaced, the sampled return-time sweep that the tube's return-time
 interval replaced, the joined synchronization series that the error curve
 now fills in place, a central-difference Jacobian that checks the
 hand-written registry Jacobians, the row-by-row CSV formatter that
-``output.csv_rows`` replaced, and the section normals of a whole run that
-``syncerr.synchronize`` forms per block; the tests hold the library to
-them.  Last, the vectorized check that a synchronized error series stays
-within the tube, which only the tests run, and the scalar phase rate
-``theta_dot`` whose closed form ``tube.ab_profile`` samples in planes.
+``output.csv_rows`` replaced, and the segment directions and section
+normals of a whole run that ``tube`` and ``syncerr.synchronize`` form per
+block; the tests hold the library to them.  Last, the vectorized check that
+a synchronized error series stays within the tube, which only the tests
+run, and the scalar phase rate ``theta_dot``, with the error it raises,
+whose closed form ``tube.ab_profile`` samples in planes.
 """
 
 from types import SimpleNamespace
@@ -22,9 +23,9 @@ import numpy as np
 
 from cyclecert.errors import (
     CertificateBlockedError,
+    CycleCertError,
     EquilibriumProximityError,
     InvalidReparametrizationError,
-    TransversalityLossError,
 )
 from cyclecert.euler import Exclusion, Run, Section, batch_first_return
 from cyclecert.measures import (
@@ -142,7 +143,7 @@ def ab_profile_whole(field, grids, radius):
     return td.min(axis=(0, 1)) - margin, td.max(axis=(0, 1)) + margin
 
 
-def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
+def build_tube_whole(traj, N1, delta0, gamma, cfg):
     """The per-segment arrays of ``build_tube`` from whole-loop (n_s, N1)
     planes: one ``SegmentGrids`` over every segment, whose anchor columns
     every pass reads, the first Lambda pass on every G-th anchor and the
@@ -151,7 +152,8 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     pass.  Each pass after the first samples Lambda and (a, b) on that plane
     and ends the build when its first excess segment is none or does not
     lie past the previous pass's (segment 0 for the first pass)."""
-    grids = SegmentGrids(field, traj, N1, cctube.N_S)
+    field = traj.field
+    grids = SegmentGrids(traj, N1, cctube.N_S)
     anchors = np.arange(0, N1, cfg.lambda_stride)
     if anchors[-1] != N1 - 1:
         anchors = np.append(anchors, N1 - 1)
@@ -164,7 +166,7 @@ def build_tube_whole(field, traj, N1, delta0, gamma, cfg):
     excesses = [0]
     while True:
         # lambda_profile gives one value per piece of the sampled anchors
-        lam = lambda_profile(field, grids, radius, sampled)
+        lam = lambda_profile(grids, radius, sampled)
         lam = np.repeat(lam, piece_counts(sampled))
         sigma = sigma_rate(lam, a_seg, b_seg, gamma)
         delta = np.concatenate(
@@ -279,12 +281,22 @@ def csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def seg_dirs(traj):
+    """f at nodes 0..N-1 of an Euler trajectory, recovered exactly as
+    (x_{i+1} - x_i)/h, and cached on it as ``_seg_dirs``."""
+    dirs = getattr(traj, "_seg_dirs", None)
+    if dirs is None:
+        dirs = traj._seg_dirs = (traj.nodes[1:] - traj.nodes[:-1]) / traj.h
+        dirs.setflags(write=False)
+    return dirs
+
+
 def f_nodes(traj):
     """f at every node of an Euler trajectory, shape (N+1, 2): its
-    ``seg_dirs`` and ``f_raw`` of the last node, the section normals
+    :func:`seg_dirs` and ``f_raw`` of the last node, the section normals
     ``syncerr.synchronize`` forms block by block."""
     f_last = traj.field.f_raw(traj.nodes[-1])
-    return np.concatenate([traj.seg_dirs, f_last[None, :]])
+    return np.concatenate([seg_dirs(traj), f_last[None, :]])
 
 
 def tube_membership_check(series, tube, floor):
@@ -297,6 +309,10 @@ def tube_membership_check(series, tube, floor):
     i = np.minimum((t / tube.h).astype(np.int64), tube.N1 - 1)
     bound = np.maximum(tube.deltas_at(t), floor[i])
     return np.nonzero(series.errors[: t.size] > bound)[0].tolist()
+
+
+class TransversalityLossError(CycleCertError):
+    """The moving-section phase rate lost its sign (degenerate denominator)."""
 
 
 def theta_dot(field, x_i, s: float, xi_theta):

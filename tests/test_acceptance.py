@@ -231,7 +231,7 @@ def test_criterion_5_property_suite(vdp, harmonic, linear, vdp_cert):
     for uk in u:
         y0 = disk.center + uk * disk.radius * w
         ref = cc.ReferenceStream(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
-        series = cc.synchronize(ref, up_to(vdp_cert.trajectory, tube.N1), y0)
+        series = cc.synchronize(ref, up_to(vdp_cert.trajectory, tube.N1))
         if tube_membership_check(series, tube, vdp_cert.step_condition.rhs):
             failures.append("forward-invariance")
             break

@@ -49,7 +49,7 @@ def test_exponent_forced_constant_rate(vdp, monkeypatch):
     ).first()
     c = -0.7
     force_rate(monkeypatch, c)
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015)
+    tube = cc.build_tube(traj, R1, N1, 0.1, 0.015)
     K0 = 1e-3 * c * (N1 - 1)
     assert float(1e-3 * tube.sigma[: N1 - 1].sum()) == pytest.approx(K0)
     assert np.log(tube.delta[N1] / 0.1) == pytest.approx(c * N1 * 1e-3, rel=1e-12)
@@ -127,7 +127,7 @@ def test_compute_D_values():
 
 def test_integral_harmonic_zero(harmonic):
     traj = cc.simulate(harmonic, [1.0, 0.0], 1e-3, 6300)
-    chk = cc.integral_criterion(harmonic, traj, 0.015, period=2 * np.pi)
+    chk = cc.integral_criterion(traj, 0.015, period=2 * np.pi)
     assert chk.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -135,7 +135,7 @@ def test_integral_constant_negative(linear):
     # mu_perp = -1 everywhere, below gamma: weight 1/2, integral = -T/2
     T = 2.0
     traj = cc.simulate(linear, [1.0, 0.0], 1e-3, 2000)
-    chk = cc.integral_criterion(linear, traj, 0.015, period=T)
+    chk = cc.integral_criterion(traj, 0.015, period=T)
     assert chk.value == pytest.approx(-T / 2, rel=1e-6)
 
 

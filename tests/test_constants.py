@@ -318,9 +318,9 @@ def test_theta_dot_matches_finite_differences(system):
 
 def segment_ab(field, traj, i, radius):
     """ab_profile's (a_i, b_i) with a flat slice radius on every segment."""
-    grids = cc.SegmentGrids(field, traj, i + 1, cc.tube.N_S)
+    grids = cc.SegmentGrids(traj, i + 1, cc.tube.N_S)
     radii = np.full((grids.n_s, i + 1), radius)
-    a, b = cc.ab_profile(field, grids, radii, np.arange(i + 1))
+    a, b = cc.ab_profile(grids, radii, np.arange(i + 1))
     return float(a[i]), float(b[i])
 
 
@@ -407,8 +407,9 @@ def test_estimate_eta_vdp(vdp_cert):
 def test_estimate_eta_blocking(linear):
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.05, linear.f_raw(anchor))
+    runs = [cc.Run(linear, z, 1e-2) for z in disk.sweep_points(4)]
     with pytest.raises(CertificateBlockedError):
-        cc.return_time_sweep(linear, disk, 4, h=1e-2, horizon=5.0)
+        cc.return_time_sweep(runs, disk, horizon=5.0)
 
 
 # (system, x0, h, delta0, gamma, horizon) of the tubes the interval is
@@ -493,9 +494,12 @@ def test_eta_speed_bounds_dominate_denser_ball(vdp, vdp_cert):
     ],
 )
 def test_estimate_eta_not_established(vdp, vdp_cert, rho, why):
-    eta = cc.estimate_eta(
-        vdp, vdp_cert.tube, rho, horizon=10.0, n_samples=vdp_cert.eta.n_samples
-    )
+    disk = vdp_cert.tube.y0_disk
+    runs = [
+        cc.Run(vdp, z, vdp_cert.h)
+        for z in disk.sweep_points(vdp_cert.eta.n_samples)
+    ]
+    eta = cc.estimate_eta(vdp_cert.tube, rho, 10.0, runs)
     if why == "no speed floor":
         assert eta.v <= 0.0
     else:
@@ -530,11 +534,12 @@ def test_estimate_eta_blocking_names_sample(mode, handwritten):
     anchor = np.array([1.0, 0.0])
     disk = SectionDisk(anchor, 0.05, field.f_raw(anchor))
     pts = disk.sweep_points(3)
+    runs = [cc.Run(field, z, 1e-3) for z in pts]
     bad = int(np.argmax(pts[:, 0]))
     assert bad != 0 and pts[bad, 0] > 1.03
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(CertificateBlockedError) as err:
-            cc.return_time_sweep(field, disk, 3, h=1e-3, horizon=8.0)
+            cc.return_time_sweep(runs, disk, horizon=8.0)
         if mode == "blowup":
             with pytest.raises(DivergedError) as run:
                 cc.simulate(field, pts[bad], 1e-3, 8000)

@@ -713,6 +713,19 @@ def test_batch_first_return_matches_scalar(harmonic, linear):
         assert np.all(np.isnan(times))
 
 
+def test_batch_first_return_refuses_mixed_runs(harmonic, linear):
+    # runs that share an end step as one group on the first run's field and
+    # h, and the sweep's steps and times are counted at that h: a run of
+    # another step or field is refused, not swept on the first one's
+    section, excl = harmonic_section(harmonic), cc.Exclusion(1e-2, 0.05)
+    p = np.array([1.0, 0.0])
+    for other in (cc.Run(harmonic, p, 2e-3), cc.Run(linear, p, 1e-3)):
+        runs = [cc.Run(harmonic, p, 1e-3), other]
+        with pytest.raises(InputError, match="must share a field and h"):
+            cc.batch_first_return(runs, 8.0, section, excl)
+        assert [run.end for run in runs] == [0, 0]
+
+
 def counted_extends(monkeypatch):
     """Steps each run takes in each call of euler._step_runs, where every
     node is stepped, in call order."""
@@ -910,7 +923,7 @@ def test_r_prime_sweep_steps_each_group_once(vdp, monkeypatch):
 
     monkeypatch.setattr(cc.euler, "_planar_nodes", planar_counted)
     monkeypatch.setattr(cc.euler, "_step_runs", step_counted)
-    times = cc.return_time_sweep(vdp, disk, 11, h, 10.0, runs)
+    times = cc.return_time_sweep(runs, disk, 10.0)
     assert np.all(np.isfinite(times))
     assert calls == [1] * 16  # one call per chunk of the 10 runs
 

@@ -124,7 +124,7 @@ def test_mu_perp_batch_bit_exact_on_anchor_slices(vdp, vdp_cert):
     # (9 offsets x 5 s-points x 6314 anchors)
     tube, traj = vdp_cert.tube, vdp_cert.trajectory
     cfg = cc.PipelineConfig()
-    grids = cc.SegmentGrids(vdp, traj, tube.N1, cc.tube.N_S)
+    grids = cc.SegmentGrids(traj, tube.N1, cc.tube.N_S)
     anchors = np.append(np.arange(0, tube.N1, cfg.lambda_stride), tube.N1 - 1)
     offs = np.union1d(np.linspace(-1.0, 1.0, cc.tube.N_BALL), [0.0])
     r = tube.delta[anchors][None, :] * np.exp(
@@ -180,10 +180,8 @@ def one_segment_lambda(field, x, h, radius):
     """lambda_profile on the single segment [x, x + h f(x)] with a flat
     slice radius; returns (Lambda, grids)."""
     traj = cc.simulate(field, x, h, 1)
-    grids = cc.SegmentGrids(field, traj, 1, cc.tube.N_S)
-    lam = cc.lambda_profile(
-        field, grids, np.full((grids.n_s, 1), radius), np.array([0])
-    )
+    grids = cc.SegmentGrids(traj, 1, cc.tube.N_S)
+    lam = cc.lambda_profile(grids, np.full((grids.n_s, 1), radius), np.array([0]))
     return float(lam[0]), grids
 
 

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -150,6 +151,36 @@ def test_module_imports_are_used():
                 if name not in read and (owner, name) not in wrapped:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+# Each function that reads a field, step, trajectory or start point from
+# one of its arguments, and the parameter names that would pass it again
+ONE_SOURCE = {
+    "constants.return_time_sweep": ("field", "n_samples", "h"),
+    "constants.estimate_eta": ("field", "n_samples"),
+    "tube.build_tube": ("field",),
+    "tube.SegmentGrids": ("field",),
+    "tube.lambda_profile": ("field",),
+    "tube.ab_profile": ("field",),
+    "tube.check_return_inclusion": ("traj",),
+    "output.write_tube_csv": ("traj",),
+    "attraction.integral_criterion": ("field",),
+    "syncerr.synchronize": ("y0",),
+}
+
+
+def test_no_function_takes_an_input_twice():
+    # a value that another argument holds is read from it, so a caller
+    # cannot pass two that disagree; the R' sweep's runs are required
+    params = {}
+    for dotted in ONE_SOURCE:
+        module, name = dotted.split(".")
+        fn = getattr(importlib.import_module(f"cyclecert.{module}"), name)
+        params[dotted] = inspect.signature(fn).parameters
+    twice = {d: sorted(set(ONE_SOURCE[d]) & set(p)) for d, p in params.items()}
+    assert twice == {d: [] for d in ONE_SOURCE}
+    for dotted in ("constants.return_time_sweep", "constants.estimate_eta"):
+        assert params[dotted]["runs"].default is inspect.Parameter.empty, dotted
 
 
 def test_documented_test_names_exist():

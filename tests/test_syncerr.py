@@ -25,7 +25,6 @@ from oracles import f_nodes, tube_membership_check
 def synchronize_oracle(
     reference,
     traj,
-    y0,
     window_steps=3.0,
     tau_sync=TAU_SYNC,
     tube=None,
@@ -33,9 +32,6 @@ def synchronize_oracle(
 ):
     """The sample-by-sample synchronization loop the batched scan replaced,
     kept as the reference its results must equal bit for bit."""
-    y0 = np.asarray(y0, dtype=float)
-    if not np.allclose(reference.traj.nodes[0], y0):
-        raise InputError("reference must start at y0")
     R = reference.traj.nodes
     h_ref = reference.traj.h
     n_ref = reference.traj.n_steps
@@ -151,7 +147,7 @@ def lost(fn, *args, **kwargs):
 def streamed(field, y0, h, horizon, refine, traj, **kwargs):
     """synchronize over a ReferenceStream, as the error curve runs it."""
     ref = ReferenceStream(field, y0, h, horizon, refine=refine)
-    return cc.synchronize(ref, traj, y0, **kwargs), ref
+    return cc.synchronize(ref, traj, **kwargs), ref
 
 
 def backward_jump(field, h):
@@ -165,7 +161,7 @@ def backward_jump(field, h):
 def test_self_synchronization_exact(vdp):
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 3000)
     ref = ReferenceSolution(traj=traj, refine=1)
-    series = cc.synchronize(ref, traj, traj.nodes[0])
+    series = cc.synchronize(ref, traj)
     assert np.abs(series.errors).max() <= 1e-12
     assert np.abs(series.thetas - series.times).max() <= 1e-12
 
@@ -173,7 +169,7 @@ def test_self_synchronization_exact(vdp):
 def test_residual_bound_holds(vdp):
     ref = ReferenceSolution.compute(vdp, np.asarray(VDP_X0), 1e-3, 4.0, refine=50)
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 3000)
-    series = cc.synchronize(ref, traj, np.asarray(VDP_X0))
+    series = cc.synchronize(ref, traj)
     scale = np.linalg.norm(f_nodes(traj)[: series.times.size], axis=1)
     assert np.all(series.residuals <= TAU_SYNC * scale * 2.0 + 1e-30)
 
@@ -181,7 +177,7 @@ def test_residual_bound_holds(vdp):
 def test_theta_nondecreasing(vdp):
     ref = ReferenceSolution.compute(vdp, np.asarray(VDP_X0), 1e-3, 4.0, refine=50)
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 3000)
-    series = cc.synchronize(ref, traj, np.asarray(VDP_X0))
+    series = cc.synchronize(ref, traj)
     assert np.all(np.diff(series.thetas) >= 0)
 
 
@@ -194,7 +190,7 @@ def test_linear_flow_matches_analytic(linear):
     y0 = np.array([1.0, eps])  # on the section through x0 (normal = -x0)
     traj = cc.simulate(linear, x0, h, int(5.0 / h))
     ref = ReferenceSolution.compute(linear, y0, h, 6.0, refine=100)
-    series = cc.synchronize(ref, traj, y0)
+    series = cc.synchronize(ref, traj)
     analytic = eps * np.exp(-series.times)
     dev = np.abs(series.errors - analytic).max()
     assert dev <= 3.0 * eps * (h + h / 100)
@@ -202,19 +198,12 @@ def test_linear_flow_matches_analytic(linear):
     assert np.all(np.diff(series.errors) <= 1e-12)
 
 
-def test_reference_must_start_at_y0(vdp):
-    traj = cc.simulate(vdp, VDP_X0, 1e-3, 100)
-    ref = ReferenceSolution.compute(vdp, np.asarray(VDP_X0), 1e-3, 1.0, refine=10)
-    with pytest.raises(InputError):
-        cc.synchronize(ref, traj, np.array([9.9, 9.9]))
-
-
 def test_synchronization_lost_reports_index(vdp):
     # reference far too short: the window runs off its horizon
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 2000)
     ref = ReferenceSolution.compute(vdp, np.asarray(VDP_X0), 1e-3, 0.05, refine=10)
     with pytest.raises(SynchronizationLostError) as exc:
-        cc.synchronize(ref, traj, np.asarray(VDP_X0))
+        cc.synchronize(ref, traj)
     assert exc.value.sample_index > 0
 
 
@@ -224,7 +213,7 @@ def test_tube_membership_inside_disk(vdp, vdp_cert):
     w = np.array([-disk.normal[1], disk.normal[0]]) / np.linalg.norm(disk.normal)
     y0 = disk.center + 0.6 * disk.radius * w
     ref = ReferenceSolution.compute(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
-    series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
+    series = cc.synchronize(ref, up_to(traj, tube.N1))
     floor = vdp_cert.step_condition.rhs
     assert tube_membership_check(series, tube, floor) == []
     assert tube_membership_oracle(series, tube, floor) == []
@@ -238,7 +227,7 @@ def test_tube_membership_outside_disk_violates(vdp, vdp_cert):
     w = np.array([-disk.normal[1], disk.normal[0]]) / np.linalg.norm(disk.normal)
     y0 = disk.center + 2.0 * disk.radius * w
     ref = ReferenceSolution.compute(vdp, y0, VDP_H, 1.1 * tube.horizon, refine=100)
-    series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
+    series = cc.synchronize(ref, up_to(traj, tube.N1))
     floor = vdp_cert.step_condition.rhs
     violations = tube_membership_check(series, tube, floor)
     assert violations and violations[0] == 0
@@ -259,7 +248,7 @@ def test_tube_membership_self_sync_clean(vdp, vdp_cert, monkeypatch):
     monkeypatch.setattr(syncerr, "_window_pass", counted)
     tube, traj = vdp_cert.tube, vdp_cert.trajectory
     ref = ReferenceSolution(traj=traj, refine=1)
-    series = cc.synchronize(ref, up_to(traj, tube.N1), traj.nodes[0])
+    series = cc.synchronize(ref, up_to(traj, tube.N1))
     assert series.times.size > 60_000 and len(passes) <= SELF_SYNC_PASSES
     floor = vdp_cert.step_condition.rhs
     assert tube_membership_check(series, tube, floor) == []
@@ -333,7 +322,7 @@ def test_error_curve_holds_its_series_once(vdp, monkeypatch):
     series_bytes = sum(getattr(series, k).nbytes for k in columns)
     assert peak < 2.0 * series_bytes, (peak, series_bytes)
     assert len(coarse) == 1 and len(advances) > 10
-    assert coarse[0]._seg_dirs is None
+    assert getattr(coarse[0], "_seg_dirs", None) is None
 
 
 @pytest.mark.parametrize("n_steps", [4000, 10000, 25000])
@@ -441,23 +430,23 @@ def test_synchronize_matches_oracle(vdp, linear, vdp_cert, monkeypatch, predict_
     jump_ref = ReferenceSolution.compute(vdp, x0, h, 2.5, refine=10)
     bounds = {"tube": vdp_cert.tube, "D": 70.0}
     cases = [
-        (ref50, traj, x0, bounds),
+        (ref50, traj, bounds),
         # ends on a node inside the run, which takes f there as its normal
-        (ref50, up_to(traj, 1234), x0, {}),
-        (self_ref, traj, x0, bounds),
-        (lin_ref, lin_traj, lin_y0, {}),
-        (drift_ref, drift_traj, x0, {}),
+        (ref50, up_to(traj, 1234), {}),
+        (self_ref, traj, bounds),
+        (lin_ref, lin_traj, {}),
+        (drift_ref, drift_traj, {}),
         # theta clamped to theta_prev on 2 samples, inside a loose tolerance
-        (jump_ref, backward_jump(vdp, h), x0, {"tau_sync": 1e-2}),
+        (jump_ref, backward_jump(vdp, h), {"tau_sync": 1e-2}),
     ]
-    for ref, coarse, y0, kwargs in cases:
+    for ref, coarse, kwargs in cases:
         assert_same_series(
-            cc.synchronize(ref, coarse, y0, **kwargs),
-            synchronize_oracle(ref, coarse, y0, **kwargs),
+            cc.synchronize(ref, coarse, **kwargs),
+            synchronize_oracle(ref, coarse, **kwargs),
         )
-    clamped = cc.synchronize(*cases[-1][:3], **cases[-1][3])
+    clamped = cc.synchronize(*cases[-1][:2], **cases[-1][2])
     assert np.count_nonzero(np.diff(clamped.thetas) == 0.0) == 2
-    drift = cc.synchronize(drift_ref, drift_traj, x0)
+    drift = cc.synchronize(drift_ref, drift_traj)
     assert np.abs(drift.thetas - drift.times).max() > 0.5
 
     # the streamed reference gives the same series
@@ -468,7 +457,7 @@ def test_synchronize_matches_oracle(vdp, linear, vdp_cert, monkeypatch, predict_
     ]:
         ref = ReferenceSolution.compute(field, y0, h, horizon, refine=refine)
         got, _ = streamed(field, y0, h, horizon, refine, coarse, **kwargs)
-        assert_same_series(got, synchronize_oracle(ref, coarse, y0, **kwargs))
+        assert_same_series(got, synchronize_oracle(ref, coarse, **kwargs))
 
 
 def test_synchronize_lost_matches_oracle(vdp):
@@ -502,17 +491,17 @@ def test_synchronize_lost_matches_oracle(vdp):
         ),
     }
     for kind, (ref, coarse, kwargs) in cases.items():
-        got = lost(cc.synchronize, ref, coarse, x0, **kwargs)
-        assert got == lost(synchronize_oracle, ref, coarse, x0, **kwargs)
+        got = lost(cc.synchronize, ref, coarse, **kwargs)
+        assert got == lost(synchronize_oracle, ref, coarse, **kwargs)
         assert got[0].startswith(kind) and got[1] > 0, got
     # a skip forward past the window
     skipped = EulerTrajectory(vdp, x0, h, skip)
-    assert lost(cc.synchronize, self_ref, skipped, x0) == lost(
-        synchronize_oracle, self_ref, skipped, x0
+    assert lost(cc.synchronize, self_ref, skipped) == lost(
+        synchronize_oracle, self_ref, skipped
     )
     # a streamed reference loses synchronization at the same sample
     got = lost(streamed, vdp, x0, h, 0.05, 10, traj)
-    assert got == lost(synchronize_oracle, cases["no bracketing root"][0], traj, x0)
+    assert got == lost(synchronize_oracle, cases["no bracketing root"][0], traj)
 
 
 def test_stream_nodes_match_one_run(vdp):
@@ -601,7 +590,7 @@ def chunked_case(vdp, vdp_cert):
     traj = cc.simulate(vdp, VDP_X0, h, 3000)
     ref = ReferenceSolution.compute(vdp, VDP_X0, h, 4.0, refine=50)
     kwargs = {"tube": vdp_cert.tube, "D": 70.0}
-    return traj, kwargs, synchronize_oracle(ref, traj, VDP_X0, **kwargs)
+    return traj, kwargs, synchronize_oracle(ref, traj, **kwargs)
 
 
 @pytest.mark.parametrize("predict_steps", [0, 2, 4])
@@ -626,7 +615,7 @@ def test_synchronize_runs_a_stream_to_the_end(vdp, chunked_case, monkeypatch):
     traj, kwargs, want = chunked_case
     stream = ReferenceStream(vdp, VDP_X0, traj.h, 4.0, refine=50)
     assert stream.end == 0
-    got = cc.synchronize(stream, traj, VDP_X0, **kwargs)
+    got = cc.synchronize(stream, traj, **kwargs)
     assert stream.end > 8 * (1 << 14)
     assert_same_series(got, want)
 
@@ -650,7 +639,7 @@ def test_stream_reuses_its_buffer(vdp, monkeypatch):
         shared.append(np.shares_memory(self.nodes, before))
 
     monkeypatch.setattr(ReferenceStream, "advance", recorded)
-    cc.synchronize(stream, traj, VDP_X0)
+    cc.synchronize(stream, traj)
     assert len(shared) > 8 and all(shared) and stream._buffer.shape[0] == rows
 
     stream = ReferenceStream(vdp, VDP_X0, h, 4.0, refine=50)
@@ -674,7 +663,7 @@ def test_bounds_past_the_horizon_match_the_exp_loop(vdp, vdp_cert):
     h = 1e-3
     traj = cc.simulate(vdp, VDP_X0, h / 3, 30000)
     ref = ReferenceSolution.compute(vdp, VDP_X0, h, 11.0, refine=10)
-    series = cc.synchronize(ref, traj, VDP_X0, tube=tube, D=0.0)
+    series = cc.synchronize(ref, traj, tube=tube, D=0.0)
     past = series.times > tube.horizon
     assert 0.3 < past.mean() < 0.4
     want = [_delta_oracle(tube, min(t, tube.horizon)) for t in series.times]
@@ -715,18 +704,18 @@ def test_synchronize_narrow_window_misses_match_oracle(
     lin_ref = ReferenceSolution.compute(linear, lin_y0, h, 6.0, refine=100)
     jump_ref = ReferenceSolution.compute(vdp, x0, h, 2.5, refine=10)
     cases = [
-        (ref50, traj, x0, {"tube": vdp_cert.tube, "D": 70.0}),
-        (ReferenceSolution(traj=traj, refine=1), traj, x0, {}),
-        (lin_ref, lin_traj, lin_y0, {}),
-        (drift_ref, drift_traj, x0, {}),
-        (jump_ref, backward_jump(vdp, h), x0, {"tau_sync": 1e-2}),
+        (ref50, traj, {"tube": vdp_cert.tube, "D": 70.0}),
+        (ReferenceSolution(traj=traj, refine=1), traj, {}),
+        (lin_ref, lin_traj, {}),
+        (drift_ref, drift_traj, {}),
+        (jump_ref, backward_jump(vdp, h), {"tau_sync": 1e-2}),
     ]
     rescans = 0
-    for ref, coarse, y0, kwargs in cases:
+    for ref, coarse, kwargs in cases:
         passes.clear()
         assert_same_series(
-            cc.synchronize(ref, coarse, y0, **kwargs),
-            synchronize_oracle(ref, coarse, y0, **kwargs),
+            cc.synchronize(ref, coarse, **kwargs),
+            synchronize_oracle(ref, coarse, **kwargs),
         )
         full = int(3.0 * h / ref.h) + 5
         assert min(width for width, _ in passes) < full
@@ -747,8 +736,8 @@ def test_synchronize_narrow_window_misses_match_oracle(
         (ref50, traj, {"tau_sync": 1e-17}),
     ]
     for ref, coarse, kwargs in lost_cases:
-        got = lost(cc.synchronize, ref, coarse, x0, **kwargs)
-        assert got == lost(synchronize_oracle, ref, coarse, x0, **kwargs)
+        got = lost(cc.synchronize, ref, coarse, **kwargs)
+        assert got == lost(synchronize_oracle, ref, coarse, **kwargs)
 
 
 def test_reference_rows_must_be_contiguous(vdp):
@@ -758,7 +747,7 @@ def test_reference_rows_must_be_contiguous(vdp):
     h = 1e-3
     traj = cc.simulate(vdp, VDP_X0, h, 1000)
     ref = ReferenceSolution.compute(vdp, VDP_X0, h, 1.2, refine=10)
-    want = synchronize_oracle(ref, traj, VDP_X0)
+    want = synchronize_oracle(ref, traj)
     spaced = np.empty((2 * ref.nodes.shape[0], 2))
     spaced[::2] = ref.nodes
     layouts = {
@@ -770,10 +759,10 @@ def test_reference_rows_must_be_contiguous(vdp):
         assert np.array_equal(nodes, ref.nodes)
         other = ReferenceSolution(EulerTrajectory(vdp, VDP_X0, ref.h, nodes), 10)
         if name == "row-strided":
-            assert_same_series(cc.synchronize(other, traj, VDP_X0), want)
+            assert_same_series(cc.synchronize(other, traj), want)
         else:
             with pytest.raises(InputError, match="contiguous rows"):
-                cc.synchronize(other, traj, VDP_X0)
+                cc.synchronize(other, traj)
 
 
 # Perf guards: counts of the parent implementation that a change of the

@@ -28,6 +28,7 @@ from oracles import (
     bridge_loop,
     build_tube_whole,
     interleaved,
+    seg_dirs,
     theta_dot,
     tube_membership_check,
 )
@@ -116,7 +117,7 @@ def test_forced_rate_constant_delta(vdp, monkeypatch):
     rt = cc.return_times(traj, section, 1, cc.default_exclusion(1e-3, 0.1))
     R1, N1, _ = rt.first()
     force_rate(monkeypatch, 0.0)
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015)
+    tube = cc.build_tube(traj, R1, N1, 0.1, 0.015)
     assert np.allclose(tube.delta, 0.1)
     assert tube.delta_at(0.37 * R1) == pytest.approx(0.1)
 
@@ -129,7 +130,7 @@ def test_forced_rate_closed_form(vdp, monkeypatch):
     ).first()
     c = -2.0
     force_rate(monkeypatch, c)
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015)
+    tube = cc.build_tube(traj, R1, N1, 0.1, 0.015)
     # delta(ih + s) = delta0 exp(c*(ih + s)) for the constant-rate chain
     for t in (0.0, 0.5 * traj.h, 3.7 * traj.h, R1):
         assert tube.delta_at(t) == pytest.approx(0.1 * np.exp(c * t), rel=1e-12)
@@ -321,7 +322,7 @@ def test_build_tube_refuses_bad_run_value(vdp, name, value):
     run = dict(delta0=0.1, gamma=0.015)
     run[name] = value
     with pytest.raises(InputError, match=f"^{name} must be finite and positive"):
-        cc.build_tube(vdp, traj, 6.3, 10, run["delta0"], run["gamma"])
+        cc.build_tube(traj, 6.3, 10, run["delta0"], run["gamma"])
 
 
 def test_simulate_refuses_bad_step(vdp):
@@ -361,7 +362,7 @@ def _eta_with(change):
     """``estimate_eta`` run on a changed tube or distance bound."""
     real = cc.constants.estimate_eta
 
-    def wrapped(field, tube, rho, **kw):
+    def wrapped(tube, rho, *args):
         if change == "lower-end":
             # phase rates 1e6 times faster: the tube sums shrink below e
             tube = copy.copy(tube)
@@ -369,7 +370,7 @@ def _eta_with(change):
         else:
             # a ball of radius 15 around x0, where f.n0 < 0 somewhere
             rho = 5.0
-        return real(field, tube, rho, **kw)
+        return real(tube, rho, *args)
 
     return wrapped
 
@@ -432,7 +433,7 @@ def test_forward_invariance_of_certified_tube(vdp, vdp_cert):
     violations = []
     for y0 in pts:
         ref = cc.ReferenceSolution.compute(vdp, y0, VDP_H, 1.2 * horizon, refine=100)
-        series = cc.synchronize(ref, up_to(traj, tube.N1), y0)
+        series = cc.synchronize(ref, up_to(traj, tube.N1))
         violations += tube_membership_check(series, tube, floor)
     assert violations == []
 
@@ -450,7 +451,7 @@ def test_bounds_dominate_denser_resampling(vdp, vdp_cert):
     margins = {"Lambda": np.empty(tube.N1), "a": np.empty(tube.N1), "b": np.empty(tube.N1)}
     for lo in range(0, tube.N1, 2048):
         seg = slice(lo, min(lo + 2048, tube.N1))
-        FN = traj.seg_dirs[seg]
+        FN = seg_dirs(traj)[seg]
         P = traj.nodes[seg][None, :, :] + s[:, None, None] * FN[None, :, :]
         FC = vdp.f_raw(P)
         W = np.stack([-FC[..., 1], FC[..., 0]], axis=-1)
@@ -490,9 +491,9 @@ def test_ab_profile_bit_exact(vdp, vdp_cert, monkeypatch, n_s, ab_offsets):
     assert tube.N1 // cc.tube.AB_BLOCK == 7
     assert tube.N1 % cc.tube.AB_BLOCK == 5796
     monkeypatch.setattr(cc.tube, "AB_OFFSETS", ab_offsets)
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, n_s)
+    grids = cc.SegmentGrids(vdp_cert.trajectory, tube.N1, n_s)
     radius = session_radius(tube, grids.s)
-    a, b = cc.ab_profile(vdp, grids, radius, np.arange(tube.N1))
+    a, b = cc.ab_profile(grids, radius, np.arange(tube.N1))
     a_ref, b_ref = ab_profile_whole(vdp, interleaved(grids), radius)
     assert np.array_equal(a, a_ref)
     assert np.array_equal(b, b_ref)
@@ -508,7 +509,9 @@ def test_ab_profile_denominator_error_in_later_block(vdp, vdp_cert):
     field = dataclasses.replace(
         vdp, rhs=lambda x: np.where(x[..., :1] > 50.0, 0.0, vdp.rhs(x))
     )
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cc.tube.N_S)
+    traj = vdp_cert.trajectory
+    traj = cc.EulerTrajectory(field, traj.x0, traj.h, traj.nodes)
+    grids = cc.SegmentGrids(traj, tube.N1, cc.tube.N_S)
     radius = session_radius(tube, grids.s)
     for i, sign in ((9000, 1.0), (30000, -1.0)):
         w = grids.W0[:, i]
@@ -519,7 +522,7 @@ def test_ab_profile_denominator_error_in_later_block(vdp, vdp_cert):
     assert "segment 30000;" in str(ref.value)
     for anchors in (np.arange(tube.N1), tube.anchors):
         with pytest.raises(InvalidReparametrizationError) as got:
-            cc.ab_profile(field, grids, radius, anchors)
+            cc.ab_profile(grids, radius, anchors)
         assert str(got.value) == str(ref.value)
 
 
@@ -542,9 +545,10 @@ def test_counting_field_takes_the_stacked_path(vdp, vdp_cert):
         vdp, rhs=counting(vdp.rhs, "f"), jacobian=counting(vdp.jacobian, "J")
     )
     assert field.rhs.kernel is vdp.rhs.kernel
-    tube, cfg = vdp_cert.tube, PipelineConfig()
-    args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma, cfg)
-    got, ref = cc.build_tube(field, *args), cc.build_tube(vdp, *args)
+    tube, cfg, traj = vdp_cert.tube, PipelineConfig(), vdp_cert.trajectory
+    args = (tube.R1, tube.N1, tube.delta0, tube.gamma, cfg)
+    counted = cc.EulerTrajectory(field, traj.x0, traj.h, traj.nodes)
+    got, ref = cc.build_tube(counted, *args), cc.build_tube(traj, *args)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
     # the anchor grid: f on the s-grid of the 6315 stride-10 anchors; pass
@@ -585,7 +589,7 @@ def test_build_rates_run_per_piece(vdp, vdp_cert, monkeypatch):
     monkeypatch.setattr(cc.tube, "sigma_rate", counted_rate)
     monkeypatch.setattr(cc.tube, "np", CountingNumpy())
     args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma)
-    got = cc.build_tube(vdp, *args, PipelineConfig())
+    got = cc.build_tube(*args, PipelineConfig())
     monkeypatch.undo()
     passes = len(got.pass_history)
     assert passes == 2
@@ -610,13 +614,13 @@ def test_ab_profile_names_the_first_segment_of_a_gap(vdp, vdp_cert, monkeypatch)
     # either side of it below 0: the error names the first segment of the
     # gap before it, segment 41, as the per-segment bridge does
     anchors, N1 = np.arange(0, 101, 10), 101
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, N1, cc.tube.N_S, anchors)
+    grids = cc.SegmentGrids(vdp_cert.trajectory, N1, cc.tube.N_S, anchors)
     radius = session_radius(vdp_cert.tube, grids.s)[:, anchors]
     aA, bA = np.ones(anchors.size), np.full(anchors.size, 2.0)
     aA[5] = 0.05
     monkeypatch.setattr(cc.tube, "padded_extrema", lambda vals: (aA.copy(), bA.copy()))
     with pytest.raises(InvalidReparametrizationError) as got:
-        cc.ab_profile(vdp, grids, radius, anchors)
+        cc.ab_profile(grids, radius, anchors)
     a_ref = bridge_loop(aA, anchors, N1, -1.0, PAD_FACTOR)
     bad = int(np.flatnonzero(a_ref <= 0.0)[0])
     assert bad == 41 and aA.min() > 0.0
@@ -654,7 +658,7 @@ def test_rate_errors_name_the_first_segment_of_a_gap(vdp, vdp_cert, monkeypatch,
     kind = InputError if fault == "b-below-a" else NumericError
     args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma)
     with pytest.raises(kind) as got:
-        cc.build_tube(vdp, *args, PipelineConfig())
+        cc.build_tube(*args, PipelineConfig())
     count = cc.tube.piece_counts(tube.anchors)
     per_segment = (np.repeat(seen[k], count) for k in ("lam", "a", "b"))
     with pytest.raises(kind) as ref:
@@ -670,17 +674,17 @@ def test_ab_profile_memory(vdp, vdp_cert):
     # the block-wise profile allocates under a quarter of what the
     # whole-array form holds at its peak on the session tube
     tube = vdp_cert.tube
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cc.tube.N_S)
+    grids = cc.SegmentGrids(vdp_cert.trajectory, tube.N1, cc.tube.N_S)
     radius = session_radius(tube, grids.s)
     peaks = []
     anchors = np.arange(tube.N1)
     for fn, args in (
-        (ab_profile_whole, (interleaved(grids), radius)),
+        (ab_profile_whole, (vdp, interleaved(grids), radius)),
         (cc.ab_profile, (grids, radius, anchors)),
     ):
         tracemalloc.start()
         try:
-            fn(vdp, *args)
+            fn(*args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -697,7 +701,7 @@ def test_build_tube_memory(vdp, vdp_cert):
     args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma)
     tracemalloc.start()
     try:
-        cc.build_tube(vdp, *args, PipelineConfig())
+        cc.build_tube(*args, PipelineConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -758,15 +762,15 @@ def test_streamed_build_matches_whole_grid(
     else:
         assert np.array_equal(cc.tube.piece_counts(anchors), np.ones(N1))
     # block grids and the anchor grid are columns of the whole-loop grid
-    whole = cc.SegmentGrids(field, traj, N1, cc.tube.N_S)
+    whole = cc.SegmentGrids(traj, N1, cc.tube.N_S)
     for segs in (slice(0, B), slice(B, 2 * B), slice(N1 - N1 % B, N1), anchors):
-        part = cc.SegmentGrids(field, traj, N1, cc.tube.N_S, segs)
+        part = cc.SegmentGrids(traj, N1, cc.tube.N_S, segs)
         for name in ("P0", "P1", "FC0", "FC1", "nFC", "W0", "W1", "FN0", "FN1"):
             got, ref = getattr(part, name), getattr(whole, name)[..., segs]
             assert got.tobytes() == ref.tobytes(), name
     # the streamed build against the build on whole-loop planes
-    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, cfg)
-    ref = build_tube_whole(field, traj, N1, delta0, gamma, cfg)
+    tube = cc.build_tube(traj, R1, N1, delta0, gamma, cfg)
+    ref = build_tube_whole(traj, N1, delta0, gamma, cfg)
     for name in ("lam", "sigma", "a_seg", "b_seg", "m_tilde", "sampled_radius", "delta"):
         assert getattr(tube, name).tobytes() == getattr(ref, name).tobytes(), name
     assert [p["radius_excess"] for p in tube.pass_history] == ref.excesses
@@ -843,13 +847,13 @@ def test_bounds_are_sampled_on_the_final_tube(vdp, vdp_cert, monkeypatch, system
     radii = {}
     for name in ("lambda_profile", "ab_profile"):
 
-        def recorded(field, grids, radius, *args, fn=getattr(cc.tube, name), name=name):
+        def recorded(grids, radius, *args, fn=getattr(cc.tube, name), name=name):
             radii[name] = radius
-            return fn(field, grids, radius, *args)
+            return fn(grids, radius, *args)
 
         monkeypatch.setattr(cc.tube, name, recorded)
     cfg = PipelineConfig(lambda_stride=stride)
-    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, cfg)
+    tube = cc.build_tube(traj, R1, N1, delta0, gamma, cfg)
     a = tube.anchors
     final = tube.delta[a] * np.exp(tube.sigma[a] * tube.anchor_grids.s[:, None])
     radius = radii["ab_profile"]
@@ -928,9 +932,9 @@ def test_m_tilde_is_formed_when_read(vdp):
     R1, N1, _ = cc.return_times(
         traj, section, 1, cc.default_exclusion(1e-3, 0.1)
     ).first()
-    tube = cc.build_tube(vdp, traj, R1, N1, 0.1, 0.015)
+    tube = cc.build_tube(traj, R1, N1, 0.1, 0.015)
     assert tube._m_tilde is None
-    grids = cc.SegmentGrids(vdp, traj, N1, cc.tube.N_S)
+    grids = cc.SegmentGrids(traj, N1, cc.tube.N_S)
     m = tube.m_tilde
     assert m is tube.m_tilde and not m.flags.writeable
     assert m.tobytes() == norm_planes(grids.P0, grids.P1).max(axis=0).tobytes()
@@ -942,8 +946,8 @@ def test_one_anchor_grid_per_certificate(vdp, monkeypatch):
     anchor_grids = []
 
     class Counted(cc.SegmentGrids):
-        def __init__(self, field, traj, N1, n_s, segs=slice(None)):
-            super().__init__(field, traj, N1, n_s, segs)
+        def __init__(self, traj, N1, n_s, segs=slice(None)):
+            super().__init__(traj, N1, n_s, segs)
             if isinstance(segs, np.ndarray):
                 anchor_grids.append(self)
 
@@ -965,11 +969,11 @@ def test_one_anchor_grid_per_certificate(vdp, monkeypatch):
 def test_lambda_bridge_matches_gap_loop(vdp, vdp_cert, stride):
     # strides 7, 10 and 50 leave a short last gap before segment N1 - 1
     tube = vdp_cert.tube
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, tube.N1, cc.tube.N_S)
+    grids = cc.SegmentGrids(vdp_cert.trajectory, tube.N1, cc.tube.N_S)
     anchors = np.arange(0, tube.N1, stride)
     if anchors[-1] != tube.N1 - 1:
         anchors = np.append(anchors, tube.N1 - 1)
-    lam = cc.lambda_profile(vdp, grids, session_radius(tube, grids.s), anchors)
+    lam = cc.lambda_profile(grids, session_radius(tube, grids.s), anchors)
     lam = np.repeat(lam, cc.tube.piece_counts(anchors))
     lam_ref = bridge_loop(lam[anchors], anchors, tube.N1, 1.0, cc.tube.PAD_FACTOR)
     assert np.array_equal(lam, lam_ref)
@@ -984,18 +988,18 @@ def test_lambda_profile_blocks_bit_exact(vdp, vdp_cert, monkeypatch, stride, per
     # and one-anchor runs small and leave a short last gap and last block
     tube = vdp_cert.tube
     N1 = 4001
-    grids = cc.SegmentGrids(vdp, vdp_cert.trajectory, N1, cc.tube.N_S)
+    grids = cc.SegmentGrids(vdp_cert.trajectory, N1, cc.tube.N_S)
     radius = session_radius(tube, grids.s)[:, :N1]
     anchors = np.unique(np.append(np.arange(0, N1, stride), N1 - 1))
     points = 9 * cc.tube.N_S  # slice points per anchor: 8 offsets and the center
     monkeypatch.setattr(cc.tube, "LAMBDA_BLOCK", anchors.size * points)
-    lam_ref = cc.lambda_profile(vdp, grids, radius, anchors)
+    lam_ref = cc.lambda_profile(grids, radius, anchors)
     if per_block is None:
         monkeypatch.undo()
         assert cc.tube.LAMBDA_BLOCK < anchors.size * points
     else:
         monkeypatch.setattr(cc.tube, "LAMBDA_BLOCK", per_block * points)
-    lam = cc.lambda_profile(vdp, grids, radius, anchors)
+    lam = cc.lambda_profile(grids, radius, anchors)
     assert np.array_equal(lam, lam_ref)
 
 
@@ -1026,13 +1030,13 @@ def test_stride_one_ab_is_per_segment(vdp, vdp_cert, monkeypatch, system):
     cfg = PipelineConfig(lambda_stride=1)
     calls = []
 
-    def spy(field, grids, radius, anchors):
+    def spy(grids, radius, anchors):
         calls.append((grids, radius))
-        return real(field, grids, radius, anchors)
+        return real(grids, radius, anchors)
 
     real = cc.tube.ab_profile
     monkeypatch.setattr(cc.tube, "ab_profile", spy)
-    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, cfg)
+    tube = cc.build_tube(traj, R1, N1, delta0, gamma, cfg)
     assert len(calls) == len(tube.pass_history) - 1  # every pass after the first
     grids, radius = calls[-1]
     assert radius.shape == (cc.tube.N_S, N1)
@@ -1049,7 +1053,7 @@ def resampled_margins(
     final-tube slice of every segment, or of the segments ``segs``, radius
     delta_i e^{sigma_i s}."""
     cfg = PipelineConfig(lambda_stride=stride)
-    tube = cc.build_tube(field, traj, R1, N1, delta0, gamma, cfg)
+    tube = cc.build_tube(traj, R1, N1, delta0, gamma, cfg)
     s = np.linspace(0.0, tube.h, grid[0])
     offs = np.linspace(-1.0, 1.0, grid[1])
     segs = np.arange(N1) if segs is None else np.asarray(segs)
@@ -1057,7 +1061,7 @@ def resampled_margins(
     for lo in range(0, segs.size, 2048):
         out = slice(lo, lo + 2048)
         seg = segs[out]
-        FN = traj.seg_dirs[seg]
+        FN = seg_dirs(traj)[seg]
         P = traj.nodes[seg][None, :, :] + s[:, None, None] * FN[None, :, :]
         FC = field.f_raw(P)
         W = np.stack([-FC[..., 1], FC[..., 0]], axis=-1)
