@@ -44,6 +44,7 @@ _API = {
     "tube": """ExistenceCertificate SegmentGrids Tube ab_profile build_tube
         certify_existence check_return_inclusion check_step_condition
         lambda_profile""",
+    "verdict": "",
 }
 _SOURCE = {name: mod for mod, names in _API.items() for name in names.split()}
 

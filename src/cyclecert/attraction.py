@@ -38,6 +38,7 @@ from .euler import (
 )
 from .measures import mu_perp_batch
 from .tube import ExistenceCertificate, build_tube
+from .verdict import basin_exponent, loop_exponents
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def contraction_exponent(
     after it; a chunk the run already holds is read, not stepped.  R1 and
     N1 come from that crossing.
 
-    The exponent records the tube's :func:`~cyclecert.tube.radius_excess`,
+    The exponent records the tube's :func:`~cyclecert.verdict.radius_excess`,
     as the build's last pass recorded it, on which
     :func:`certify_attraction` blocks.
 
@@ -94,18 +95,10 @@ def contraction_exponent(
 
 def _tube_exponent(z: np.ndarray, tube) -> ContractionExponent:
     """The loop exponent from z accumulated over the rates of z's tube."""
-    N1, h = tube.N1, tube.h
-    K0 = float(h * tube.sigma[: N1 - 1].sum())
-    sigma_last = float(tube.sigma[N1 - 1])
+    K0, Kh, sigma_last = loop_exponents(tube.sigma, tube.h)
     return ContractionExponent(
-        z=z,
-        K0=K0,
-        Kh=K0 + h * sigma_last,
-        N1=N1,
-        R1=tube.R1,
-        sigma_last=sigma_last,
-        h=h,
-        radius_excess=tube.pass_history[-1]["radius_excess"],
+        z=z, K0=K0, Kh=Kh, N1=tube.N1, R1=tube.R1, sigma_last=sigma_last,
+        h=tube.h, radius_excess=tube.pass_history[-1]["radius_excess"],
     )
 
 
@@ -156,8 +149,8 @@ def sweep_Y0(existence: ExistenceCertificate) -> SweepResult:
         done = [run(k) for k in todo]
     for k, e in zip(todo, done):
         exps[k] = e
-    d = max(e.K_max for e in exps)
-    return SweepResult(d=float(d), exponents=exps)
+    d = basin_exponent([e.K0 for e in exps], [e.Kh for e in exps])
+    return SweepResult(d=d, exponents=exps)
 
 
 def compute_D(M_C: float, L: float, gamma: float, a: float, b: float) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .config import require_positive
 from .errors import (
     CertificateBlockedError,
     EquilibriumProximityError,
@@ -25,28 +26,27 @@ from .errors import (
 from .euler import Section, batch_first_return, default_exclusion
 from .measures import M_FLOOR, _rot90, padded_extrema, planar_norm
 from .systems import VectorField
+from .verdict import eta_interval
 
 
-def _point_array(field: VectorField, points) -> np.ndarray:
-    """The sample points as an (m, n) float array; any other shape raises."""
+def _point_array(points) -> np.ndarray:
+    """The sample points as an (m, 2) float array; any other shape raises."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != field.dim:
-        raise InputError(
-            f"expected an (m, {field.dim}) array of points, got shape {pts.shape}"
-        )
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InputError(f"expected an (m, 2) array of points, got shape {pts.shape}")
     return pts
 
 
 def estimate_lipschitz(field: VectorField, points) -> float:
     """Growth constant of f: the largest eigenvalue magnitude of the
-    Jacobian over an (m, n) point array.
+    Jacobian over an (m, 2) point array.
 
     ``np.linalg.eigvals`` runs only on the matrices
     :func:`_spectral_radius_candidates` keeps of each block of
     ``LIPSCHITZ_BLOCK`` points, which hold the maximum, so the value is
     the one of the call on every matrix.
     """
-    pts = _point_array(field, points)
+    pts = _point_array(points)
     J = [np.empty((0, 2, 2))] + [
         _spectral_radius_candidates(field.jac_raw(pts[lo : lo + LIPSCHITZ_BLOCK]))
         for lo in range(0, len(pts), LIPSCHITZ_BLOCK)
@@ -90,19 +90,19 @@ def _spectral_radius_candidates(J: np.ndarray) -> np.ndarray:
     return J[rho >= floor]
 
 
-def estimate_magnitude_bounds(field: VectorField, points):
-    """(min, max) of |x| over an (m, n) point array."""
-    vals = planar_norm(_point_array(field, points))
+def estimate_magnitude_bounds(points):
+    """(min, max) of |x| over an (m, 2) point array."""
+    vals = planar_norm(_point_array(points))
     return float(vals.min()), float(vals.max())
 
 
 def estimate_speed_bounds(field: VectorField, points):
-    """(m, M): sampled min and max of |f| over an (m, n) point array.
+    """(m, M): sampled min and max of |f| over an (m, 2) point array.
 
     Raises if the minimum falls below the equilibrium floor, since every
     transverse construction downstream divides by |f|.
     """
-    speeds = planar_norm(field.f_raw(_point_array(field, points)))
+    speeds = planar_norm(field.f_raw(_point_array(points)))
     m, M = float(speeds.min()), float(speeds.max())
     if m <= M_FLOOR:
         raise EquilibriumProximityError(
@@ -126,6 +126,8 @@ class SectionDisk:
     normal: np.ndarray
 
     def __post_init__(self):
+        if self.radius:  # a disk of radius 0 is its center
+            require_positive("radius", self.radius)
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
 
@@ -202,6 +204,7 @@ def return_time_sweep(runs, disk: SectionDisk, horizon: float) -> np.ndarray:
     within the horizon, blocks certification; the error says which, with
     the step its run failed at.
     """
+    require_positive("len(runs)", len(runs))
     h = runs[0].h
     times = batch_first_return(
         runs, horizon, Section(disk.center, disk.normal),
@@ -252,12 +255,6 @@ def estimate_eta(tube, rho: float, horizon: float, runs) -> EtaEstimate:
     :func:`return_time_sweep` of ``runs``, which it continues; the
     certificate starts them from ``disk.sweep_points``.
     """
-    h, N1 = tube.h, tube.N1
-    weights = np.full(N1, h)
-    weights[-1] = tube.R1 - (N1 - 1) * h
-    sum_lo = float(np.sum(weights / tube.b_seg))
-    sum_hi = float(np.sum(weights / tube.a_seg))
-
     disk = tube.y0_disk
     n0 = disk.normal / np.linalg.norm(disk.normal)
     radius = BALL_SCALE * rho
@@ -270,25 +267,14 @@ def estimate_eta(tube, rho: float, horizon: float, runs) -> EtaEstimate:
         np.stack([F @ n0, np.linalg.norm(F, axis=-1)], axis=-1), wrap=(1,)
     )
     v, f_max = float(lo[0]), float(hi[1])
-    e = rho / v if v > 0.0 else math.inf
-    if not rho + e * f_max <= radius:
-        e = math.inf
-    T_lo = sum_lo - e
+    interval = eta_interval(
+        tube.a_seg, tube.b_seg, tube.h, tube.R1, rho, v, f_max, radius
+    )
 
     times = return_time_sweep(runs, disk, horizon)
     return EtaEstimate(
-        eta=0.5 * T_lo,
-        T_lo=T_lo,
-        T_hi=sum_hi + e,
-        R_prime=float(times.max()),
-        sum_lo=sum_lo,
-        sum_hi=sum_hi,
-        rho=float(rho),
-        v=v,
-        f_max=f_max,
-        ball_radius=float(radius),
-        e=e,
-        n_samples=len(runs),
+        **interval, R_prime=float(times.max()), rho=float(rho), v=v, f_max=f_max,
+        ball_radius=float(radius), n_samples=len(runs),
     )
 
 

@@ -385,12 +385,12 @@ class Run:
     def __init__(self, field: VectorField, x0, h: float, rows: int = 1):
         require_positive("h", h)
         x0 = np.array(x0, dtype=float)
-        if x0.shape != (field.dim,):
-            raise InputError(f"x0 must have shape ({field.dim},), got {x0.shape}")
+        if x0.shape != (2,):
+            raise InputError(f"x0 must have shape (2,), got {x0.shape}")
         x0.setflags(write=False)
         self.field, self.x0, self.h = field, x0, float(h)
         self.base, self.diverged = 0, None
-        self._buffer = np.empty((rows, field.dim))
+        self._buffer = np.empty((rows, 2))
         self._buffer[0] = x0
         self._size = 1  # resident nodes
 
@@ -411,6 +411,8 @@ class Run:
         nodes than that are an InputError.  A DivergedError names the first
         non-finite node by its index on the run.
         """
+        if n:  # extend(0) steps nothing
+            require_positive("n", n)
         exc = _step_runs([self], n)[0]
         if exc is not None:
             raise exc
@@ -428,7 +430,7 @@ class Run:
                     "shorten the horizon"
                 )
             rows = min(max(2 * self._buffer.shape[0], size), NODE_BUDGET)
-            buffer = np.empty((rows, self.field.dim))
+            buffer = np.empty((rows, 2))
             buffer[: self._size] = self.nodes
             self._buffer = buffer
         return self._buffer[self._size - 1 : size].view(np.complex128)[:, 0]
@@ -750,6 +752,7 @@ def batch_first_return(
     keeps its error.  Runs of another field or h than the first are refused
     (InputError): their group would step them on the first one's.
     """
+    require_positive("len(runs)", len(runs))
     field, h = runs[0].field, runs[0].h
     if any(run.field is not field or run.h != h for run in runs):
         raise InputError("the runs of a first-return sweep must share a field and h")

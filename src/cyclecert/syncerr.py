@@ -486,6 +486,7 @@ def error_curve_experiment(
     when a certificate has no D.
     """
     require_positive("periods", periods)
+    require_positive("len(h_list)", len(h_list))
     certs = []
     for h in h_list:
         cert = certify_existence(field, x0, h, delta0, gamma, config, horizon)

@@ -32,22 +32,13 @@ import numpy as np
 from .errors import InputError, NumericError
 
 
-def _check_planar(name: str, dim: int):
-    """Raise :class:`InputError` unless the system is planar."""
-    if dim != 2:
-        raise InputError(
-            f"cyclecert is implemented for planar systems; {name!r} has "
-            f"dimension {dim}"
-        )
-
-
 @dataclass(frozen=True)
 class VectorField:
     """A planar autonomous system f: R^2 -> R^2 with its Jacobian.
 
-    Construction raises :class:`InputError` unless ``dim`` is 2 and
-    ``rhs_scalar2`` is given.  Immutable after construction; evaluation is
-    pure, so instances are safe to share across threads.
+    Construction raises :class:`InputError` unless ``rhs_scalar2`` is
+    given.  Immutable after construction; evaluation is pure, so instances
+    are safe to share across threads.
 
     Planar kernels: every system this module builds compiles f once, as
     ``(u1, u2) -> (f1, f2)``, and J once, as ``(u1, u2) -> (j00, j01, j10,
@@ -62,8 +53,9 @@ class VectorField:
     every point, and its result is split into planes.
     """
 
+    # every field is planar; benchmarks/tracing.py reads the dimension here
+    dim = 2
     name: str
-    dim: int
     params: dict
     rhs: Callable[[np.ndarray], np.ndarray]
     # None only for a field that is stepped but never differentiated
@@ -80,7 +72,6 @@ class VectorField:
     rhs_scalar2: Optional[Callable] = dc_field(default=None, repr=False)
 
     def __post_init__(self):
-        _check_planar(self.name, self.dim)
         if self.rhs_scalar2 is None:
             raise InputError(f"system {self.name!r} has no rhs_scalar2")
 
@@ -135,10 +126,8 @@ class VectorField:
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise InputError(
-                f"expected a point of dimension {self.dim}, got shape {x.shape}"
-            )
+        if x.shape != (2,):
+            raise InputError(f"expected a point of dimension 2, got shape {x.shape}")
         if not np.all(np.isfinite(x)):
             raise InputError(f"point has non-finite coordinates: {x.tolist()}")
         return x
@@ -265,7 +254,7 @@ def _compiled_field(name, params, f, jac, rhs2=None) -> VectorField:
     scalar = kernel(rhs2, vars(math))
     scalar.in_place = functools.cache(lambda: _in_place(rhs2, {**vars(math), **params}))
     return VectorField(
-        name, 2, params, PlanarView(kernel(f, _ARRAY_NAMES), (2,)),
+        name, params, PlanarView(kernel(f, _ARRAY_NAMES), (2,)),
         PlanarView(kernel(jac, _ARRAY_NAMES), (2, 2)), rhs_scalar2=scalar,
     )
 
@@ -404,5 +393,7 @@ def load_system(spec) -> VectorField:
         return _compiled_field(sid, {**defaults, **params}, *exprs)
 
     name = spec.get("name") or "inline"
-    _check_planar(name, len(spec["rhs"]))
+    if len(spec["rhs"]) != 2:
+        raise InputError(f"cyclecert is implemented for planar systems; {name!r} "
+                         f"has dimension {len(spec['rhs'])}")
     return _inline_system(name, spec["rhs"], params)

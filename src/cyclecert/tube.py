@@ -44,7 +44,6 @@ from .errors import (
     CycleCertError,
     InputError,
     InvalidReparametrizationError,
-    NumericError,
 )
 from .euler import (
     NODE_BUDGET,
@@ -62,9 +61,12 @@ from .measures import (
     norm_planes,
     padded_extrema,
     planar_norm,
-    sigma_rate,
 )
 from .systems import VectorField
+from .verdict import (
+    delta_chain, growth, inclusion, piece_rates, radius_at, radius_excess,
+    step_margins, widened_radius,
+)
 
 
 class Tube:
@@ -174,30 +176,8 @@ class Tube:
         return float(self.deltas_at([t])[0])
 
     def deltas_at(self, ts) -> np.ndarray:
-        """The radius delta_i e^{sigma_i s} at each of an array of times.
-
-        A time on a node (s == 0) takes delta_i itself, which is what
-        delta_i * e^{sigma_i * 0} rounds to.
-        """
-        ts = np.asarray(ts, dtype=float)
-        outside = (ts < 0.0) | (ts > self.horizon * (1 + 1e-12))
-        if outside.any():
-            t = ts[outside][0]
-            raise InputError(f"time {t} outside tube horizon [0, {self.horizon}]")
-        i = np.minimum((ts / self.h).astype(np.int64), self.N1 - 1)
-        s = ts - i * self.h
-        out = self.delta[i]
-        off = np.nonzero(s != 0.0)[0]
-        i = i[off]
-        # math.exp: np.exp differs from it in the last ulp on some arguments
-        exp = math.exp
-        out[off] = [
-            d * exp(g * x)
-            for d, g, x in zip(
-                self.delta[i].tolist(), self.sigma[i].tolist(), s[off].tolist()
-            )
-        ]
-        return out
+        """The radius delta_i e^{sigma_i s} at each of an array of times."""
+        return radius_at(self.delta, self.sigma, self.h, ts)
 
     def summary(self) -> dict:
         return {
@@ -459,7 +439,8 @@ def build_tube(
     of the sampled anchors (:func:`piece_counts`), and spread over the
     segments only where a per-segment array is read: sigma, and the delta
     chain's factors e^{sigma h}.  The sampled radius of a segment is its
-    widened radius times its piece's s-grid growth (:func:`widened_radius`).
+    widened radius times its piece's s-grid growth.  The arithmetic from
+    the sampled bounds on is :mod:`~cyclecert.verdict`'s.
     The last pass's delta chain is both its history entry and the tube's
     radii.
 
@@ -499,9 +480,7 @@ def build_tube(
                 a = b = np.ones(lam.size)
             rate = piece_rates(lam, a, b, gamma, count)
             sigma = np.repeat(rate, count)
-            delta_nodes = np.concatenate(
-                [[delta0], delta0 * np.cumprod(np.repeat(np.exp(rate * traj.h), count))]
-            )
+            delta_nodes = delta_chain(rate, count, delta0, traj.h)
             # pass 1 sampled no (a, b), so its bounds back no segment
             last = excess
             excess = radius_excess(delta_nodes, sampled_radius) if history else 0
@@ -519,10 +498,12 @@ def build_tube(
                 break
             # the next pass's slice radii, the widened tube radii
             # RADIUS_SAFETY delta_i e^{sigma_i s}, and their s-grid maxima
-            growth = np.exp(rate[None, :] * grids.s[:, None])
-            sampled_radius = widened_radius(delta_nodes[:N1], growth, count)
-            growth = np.exp(sigma[None, anchors] * grids.s[:, None])
-            radius = RADIUS_SAFETY * delta_nodes[None, anchors] * growth
+            s = grids.s
+            sampled_radius = widened_radius(
+                RADIUS_SAFETY * delta_nodes[:N1], rate, count, s
+            )
+            plane = growth(sigma[None, anchors], s[:, None])
+            radius = RADIUS_SAFETY * delta_nodes[None, anchors] * plane
             a, b = ab_profile(grids, radius, anchors)
             cols = np.arange(anchors.size)
     except CycleCertError as exc:
@@ -533,50 +514,6 @@ def build_tube(
         traj, N1, R1, delta0, gamma, lam, sigma, a, b,
         delta_nodes, sampled_radius, y0_disk, history, anchors, grids,
     )
-
-
-def piece_rates(lam, a, b, gamma, count):
-    """:func:`~cyclecert.measures.sigma_rate` on per-piece values, whose
-    pieces have ``count`` segments each.  An error is raised as the rates of
-    the segments raise it, naming the first segment of the piece at fault."""
-    try:
-        return sigma_rate(lam, a, b, gamma)
-    except CycleCertError:
-        sigma_rate(*(np.repeat(v, count) for v in (lam, a, b)), gamma)
-        raise
-
-
-def widened_radius(delta, growth, count):
-    """The s-grid maxima of RADIUS_SAFETY delta_i e^{sigma_i s_k} over the
-    segments i, from their radii ``delta`` and the (n_s, pieces) plane
-    ``growth`` of e^{sigma s_k} on their pieces of ``count`` segments each.
-
-    Rounding is monotone and RADIUS_SAFETY delta_i >= 0, so the maximum of
-    the products is the product with the maximum, bit for bit.  The one
-    exception is an infinite delta_i on a piece where an exp underflows to
-    0: the product inf * 0 is NaN, which the maximum keeps and
-    :func:`radius_excess` counts as an excess, so that segment gets the
-    same NaN here.
-    """
-    c = RADIUS_SAFETY * delta
-    out = c * np.repeat(growth.max(axis=0), count)
-    under = (growth == 0.0).any(axis=0)
-    if under.any():
-        at = np.repeat(under, count) & np.isinf(c)
-        out[at] = c[at] * 0.0
-    return out
-
-
-# Relative slack of radius_excess.
-RADIUS_RTOL = 1e-3
-
-
-def radius_excess(delta, sampled_radius) -> Optional[int]:
-    """The first segment whose tube radius, by the chain ``delta``, exceeds
-    the radius its bounds were sampled on (a NaN radius counts), or None."""
-    span = np.maximum(delta[:-1], delta[1:])
-    ok = span <= sampled_radius * (1.0 + RADIUS_RTOL) + 1e-300
-    return None if ok.all() else int(ok.argmin())
 
 
 # --------------------------------------------------------------------------
@@ -607,28 +544,12 @@ class StepConditionReport:
 def check_step_condition(
     tube: Tube, constants: GlobalConstants
 ) -> StepConditionReport:
-    """Check delta_{i-1}(s) >= h (M_i (2L/(gamma a_i) + 1) + b_i M_f) per segment.
-
-    The s-minimum of the tube radius sits at an endpoint of the segment
-    (monotone exponential), so min(delta_{i-1}, delta_i) suffices.  A floor
-    that is not finite (a gamma so small that 2L/(gamma a_i) overflows)
-    raises NumericError: there is no condition to report.
-    """
-    h = tube.h
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        rhs = h * (
-            tube.m_tilde * (2.0 * constants.L / (tube.gamma * tube.a_seg) + 1.0)
-            + tube.b_seg * constants.M_f
-        )
-    if not np.isfinite(rhs).all():
-        i = int(np.argmin(np.isfinite(rhs)))
-        raise NumericError(
-            f"the step condition's floor is not finite at segment {i + 1}: "
-            f"2L/(gamma a) = 2 * {constants.L!r} / ({tube.gamma!r} * "
-            f"{float(tube.a_seg[i])!r})"
-        )
-    dmin = np.minimum(tube.delta[:-1], tube.delta[1:])
-    margins = dmin - rhs
+    """Check delta_{i-1}(s) >= h (M_i (2L/(gamma a_i) + 1) + b_i M_f) per
+    segment, by :func:`~cyclecert.verdict.step_margins`."""
+    margins, rhs = step_margins(
+        tube.delta, tube.m_tilde, tube.a_seg, tube.b_seg, constants.L,
+        constants.M_f, tube.gamma, tube.h,
+    )
     k = int(np.argmin(margins))
     return StepConditionReport(
         margins=margins,
@@ -684,9 +605,7 @@ def check_return_inclusion(tube: Tube) -> InclusionReport:
     n0 = tube.y0_disk.normal  # f_0 = (x_1 - x_0)/h
     xr = traj.dense_point(tube.R1)
     gap = float(np.linalg.norm(xr - x0))
-    d_r1 = tube.delta_at(tube.R1)
-    lhs = gap + d_r1
-    sufficient = lhs < tube.delta0
+    lhs, sufficient = inclusion(gap, tube.delta_at(tube.R1), tube.delta0)
 
     i = tube.N1 - 1
     h = tube.h
@@ -695,7 +614,7 @@ def check_return_inclusion(tube: Tube) -> InclusionReport:
     c = traj.nodes[i][None, :] + s[:, None] * f_i[None, :]
     fc = traj.field.f_raw(c)
     w = _rot90(fc) / np.linalg.norm(fc, axis=-1, keepdims=True)
-    r = tube.delta[i] * np.exp(tube.sigma[i] * s)
+    r = tube.delta[i] * growth(tube.sigma[i], s)
     wn = w @ n0
     gc = (c - x0) @ n0
     dists = []
@@ -811,7 +730,7 @@ def _collect_tube_samples(tube, extra_radius, use_delta=True):
     g, anchors = tube.anchor_grids, tube.anchors
     rad = np.full(g.P0.shape, extra_radius)
     if use_delta:
-        rad = rad + tube.delta[anchors] * np.exp(tube.sigma[anchors] * g.s[:, None])
+        rad = rad + tube.delta[anchors] * growth(tube.sigma[anchors], g.s[:, None])
     t = np.linspace(-1.0, 1.0, N_BALL)[:, None, None] * rad
     X0 = g.P0 + t * g.W0
     X1 = np.add(g.P1, np.multiply(t, g.W1, out=t), out=t)  # P1 + t W1
@@ -883,7 +802,7 @@ def certify_existence(
         L = estimate_lipschitz(field, seg_samples)
         samples = _collect_tube_samples(tube, margin)
         m, _ = estimate_speed_bounds(field, samples)
-        _, M_C = estimate_magnitude_bounds(field, samples)
+        _, M_C = estimate_magnitude_bounds(samples)
         M_f = max(M_C, float(tube.m_tilde.max()))
 
         incl = check_return_inclusion(tube)

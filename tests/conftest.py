@@ -38,7 +38,7 @@ def vdp_cert(vdp):
 def force_rate(monkeypatch, c):
     """Make every per-segment rate of ``build_tube`` the constant c."""
     monkeypatch.setattr(
-        cc.tube, "sigma_rate", lambda lam, a, b, gamma: np.full(lam.shape, c)
+        cc.verdict, "sigma_rate", lambda lam, a, b, gamma: np.full(lam.shape, c)
     )
 
 
@@ -63,4 +63,4 @@ def escape_field(mode):
             return u2, -u1
         return (u1 * u1 if mode == "blowup" else 1.0), 0.0
 
-    return cc.VectorField(f"escape-{mode}", 2, {}, rhs, rhs_scalar2=rhs2)
+    return cc.VectorField(f"escape-{mode}", {}, rhs, rhs_scalar2=rhs2)

@@ -38,12 +38,12 @@ from cyclecert.measures import (
 from cyclecert import tube as cctube
 from cyclecert.tube import (
     GUESS_ANCHORS,
-    RADIUS_RTOL,
     RADIUS_SAFETY,
     SegmentGrids,
     lambda_profile,
     piece_counts,
 )
+from cyclecert.verdict import RADIUS_RTOL
 
 
 FD_STEP = 1e-6

@@ -6,7 +6,7 @@ import pytest
 import cyclecert as cc
 from cyclecert.config import PipelineConfig
 from cyclecert.errors import CertificateBlockedError, InputError
-from cyclecert.tube import radius_excess
+from cyclecert.verdict import radius_excess
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate
 

@@ -1,4 +1,5 @@
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from cyclecert.errors import (
     CertificateBlockedError,
     DivergedError,
     EquilibriumProximityError,
+    InputError,
     InvalidReparametrizationError,
 )
 from cyclecert.systems import VectorField
@@ -40,7 +42,6 @@ def matrix_field(mats):
     (m, 2, 2) batch ``mats``."""
     return VectorField(
         name="matrices",
-        dim=2,
         params={},
         rhs=lambda x: x,
         jacobian=lambda x: mats,
@@ -86,7 +87,6 @@ def indexed_matrix_field(mats):
     """A planar field whose Jacobian at the point (k, 0) is ``mats[k]``."""
     return VectorField(
         name="matrices",
-        dim=2,
         params={},
         rhs=lambda x: x,
         jacobian=lambda x: mats[x[..., 0].astype(np.int64)],
@@ -222,8 +222,8 @@ def test_grid_refinement_monotonicity(vdp):
     L1 = cc.estimate_lipschitz(vdp, coarse)
     L2 = cc.estimate_lipschitz(vdp, fine)
     assert L2 >= L1 - 1e-12
-    m1, M1 = cc.estimate_magnitude_bounds(vdp, coarse)
-    m2, M2 = cc.estimate_magnitude_bounds(vdp, fine)
+    m1, M1 = cc.estimate_magnitude_bounds(coarse)
+    m2, M2 = cc.estimate_magnitude_bounds(fine)
     assert M2 >= M1 - 1e-12 and m2 <= m1 + 1e-12
 
 
@@ -550,6 +550,49 @@ def test_estimate_eta_blocking_names_sample(mode, handwritten):
         assert str(err.value).endswith(
             f"diverged at step {run.value.first_bad_index}"
         )
+
+
+def test_empty_return_sweep_is_an_input_error(harmonic):
+    # no run to read the step from: an InputError naming runs, not an
+    # IndexError from runs[0]
+    anchor = np.array([1.0, 0.0])
+    disk = SectionDisk(anchor, 0.05, harmonic.f_raw(anchor))
+    section = cc.Section(disk.center, disk.normal)
+    with pytest.raises(InputError, match=r"^len\(runs\) must be"):
+        cc.batch_first_return([], 8.0, section, cc.default_exclusion(1e-3, 0.05))
+    with pytest.raises(InputError, match=r"^len\(runs\) must be"):
+        cc.return_time_sweep([], disk, 8.0)
+
+
+X0 = np.array([1.8929, -0.5383])
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        pytest.param(
+            "len(h_list)",
+            lambda f: cc.error_curve_experiment(f, X0, X0, [], 5.0, 0.1, 0.015),
+            id="empty-h-list",
+        ),
+        pytest.param("n", lambda f: cc.Run(f, X0, 1e-3).extend(5).extend(-3),
+                     id="negative-extend"),
+        pytest.param(
+            "radius",
+            lambda f: SectionDisk(X0, -1.0, f.f_raw(X0)).sweep_points(3),
+            id="negative-disk-radius",
+        ),
+    ],
+)
+def test_library_inputs_are_refused_by_name(vdp, name, call):
+    # an empty step list, a negative step count and a negative disk radius
+    # are InputErrors naming the argument, not a max() error, a run cut
+    # short or a mirrored disk
+    refused = f"^{re.escape(name)} must be finite and positive"
+    with pytest.raises(InputError, match=refused):
+        call(vdp)
+    run = cc.Run(vdp, X0, 1e-3).extend(5)
+    assert run.extend(0).end == 5  # extending by nothing stays a no-op
 
 
 def test_global_constants_validation(vdp_cert):

@@ -104,7 +104,6 @@ def cubic_field(rhs2):
     """x' = x^3 (blows up in finite time) with the given scalar rhs."""
     return cc.VectorField(
         "cubic",
-        2,
         {},
         lambda x: np.stack([x[..., 0] ** 3, 0.0 * x[..., 1]], axis=-1),
         None,
@@ -222,7 +221,7 @@ def test_float_only_rhs2_takes_the_scalar_loop():
     def rhs2(u1, u2):
         return (u2, -u1) if u1 < 0.5 else (u2, -2.0 * u1)
 
-    field = cc.VectorField("kinked", 2, {}, lambda x: x, None, rhs_scalar2=rhs2)
+    field = cc.VectorField("kinked", {}, lambda x: x, None, rhs_scalar2=rhs2)
     x0, h, n_steps = (1.0, 0.0), 1e-3, 2 * SWEEP_W
     ref, _ = one_step_nodes(rhs2, x0, h, n_steps)
     nodes = cc.simulate(field, x0, h, n_steps).nodes

@@ -153,6 +153,48 @@ def test_module_imports_are_used():
     assert unused == []
 
 
+def test_verdict_core_imports_only_numpy_math_errors_and_measures():
+    # the arithmetic from sampled bounds to a verdict can be replayed
+    # without the builder: verdict.py imports no sampling module
+    path = Path(cyclecert.__file__).parent / "verdict.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.add("." * node.level + (node.module or ""))
+    assert imported == {"math", "numpy", ".errors", ".measures"}
+
+
+GROWTH = {"np.exp", "numpy.exp", "math.exp", "np.cumprod", "numpy.cumprod"}
+
+
+def _growth_sites(path):
+    """Each reference to np.exp, math.exp or np.cumprod in a module,
+    called, bound or imported by name, as file:line name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = []
+        if isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("math", "numpy"):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        found += [f"{path.name}:{node.lineno} {n}" for n in names if n in GROWTH]
+    return found
+
+
+def test_exponentials_live_in_the_verdict_core():
+    # the tube radii grow in verdict.py alone (growth and radius_at), so a
+    # host-independent exp changes one module: no other package module
+    # reads np.exp, math.exp or np.cumprod (output.py's bytes table named
+    # exp is no such read)
+    root = Path(cyclecert.__file__).parent
+    others = [p for p in sorted(root.glob("*.py")) if p.name != "verdict.py"]
+    assert [site for p in others for site in _growth_sites(p)] == []
+    names = {site.split()[-1] for site in _growth_sites(root / "verdict.py")}
+    assert names == {"np.exp", "math.exp", "np.cumprod"}
+
+
 # Each function that reads a field, step, trajectory or start point from
 # one of its arguments, and the parameter names that would pass it again
 ONE_SOURCE = {

@@ -552,7 +552,6 @@ def cubic(handwritten):
         return cc.load_system({"name": "cubic", "rhs": ["x1**3", "0"]})
     return cc.VectorField(
         "cubic",
-        2,
         {},
         lambda x: np.stack([x[..., 0] ** 3, 0.0 * x[..., 1]], axis=-1),
         None,

@@ -252,9 +252,12 @@ def test_unsupported_specs_raise(spec, msg):
 
 def test_vector_field_requires_planar_scalar_rhs(vdp):
     with pytest.raises(InputError, match="'bare' has no rhs_scalar2"):
-        cc.VectorField("bare", 2, {}, vdp.rhs, vdp.jacobian)
-    with pytest.raises(InputError, match="'cube3' has dimension 3"):
-        cc.VectorField("cube3", 3, {}, vdp.rhs, rhs_scalar2=vdp.rhs_scalar2)
+        cc.VectorField("bare", {}, vdp.rhs, vdp.jacobian)
+    # every field is planar: it takes no dimension and refuses other points
+    field = cc.VectorField("planar", {}, vdp.rhs, rhs_scalar2=vdp.rhs_scalar2)
+    assert field.dim == 2
+    with pytest.raises(InputError, match="dimension 2, got shape \\(3,\\)"):
+        field.eval_f([1.0, 2.0, 3.0])
 
 
 def test_load_from_json_file(tmp_path, vdp):

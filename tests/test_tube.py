@@ -20,7 +20,7 @@ from cyclecert.errors import (
 )
 from cyclecert.measures import PAD_FACTOR, norm_planes, sigma_rate
 from cyclecert.output import canonical_json, load_schema
-from cyclecert.tube import radius_excess
+from cyclecert.verdict import radius_excess
 
 from conftest import VDP_DELTA0, VDP_GAMMA, VDP_H, VDP_X0, force_rate, up_to
 from oracles import (
@@ -586,8 +586,8 @@ def test_build_rates_run_per_piece(vdp, vdp_cert, monkeypatch):
             exps.append(np.shape(x))
             return np.exp(x, *args, **kwargs)
 
-    monkeypatch.setattr(cc.tube, "sigma_rate", counted_rate)
-    monkeypatch.setattr(cc.tube, "np", CountingNumpy())
+    monkeypatch.setattr(cc.verdict, "sigma_rate", counted_rate)
+    monkeypatch.setattr(cc.verdict, "np", CountingNumpy())
     args = (vdp_cert.trajectory, tube.R1, tube.N1, tube.delta0, tube.gamma)
     got = cc.build_tube(*args, PipelineConfig())
     monkeypatch.undo()
@@ -803,8 +803,8 @@ def test_widened_radius_is_the_per_segment_maximum(pieces, h, data):
         delta = np.array(data.draw(st.lists(RADII, min_size=n, max_size=n)))
     s = np.linspace(0.0, h, cc.tube.N_S)
     with np.errstate(all="ignore"):
-        growth = np.exp(rate[None, :] * s[:, None])
-        got = cc.tube.widened_radius(delta, growth, count)
+        c = cc.tube.RADIUS_SAFETY * delta
+        got = cc.verdict.widened_radius(c, rate, count, s)
         sigma = np.repeat(rate, count)
         wide = cc.tube.RADIUS_SAFETY * delta[None, :] * np.exp(sigma[None, :] * s[:, None])
     ref = wide.max(axis=0)
@@ -858,7 +858,7 @@ def test_bounds_are_sampled_on_the_final_tube(vdp, vdp_cert, monkeypatch, system
     final = tube.delta[a] * np.exp(tube.sigma[a] * tube.anchor_grids.s[:, None])
     radius = radii["ab_profile"]
     assert radius.shape == final.shape
-    assert (final <= radius * (1.0 + cc.tube.RADIUS_RTOL)).all()
+    assert (final <= radius * (1.0 + cc.verdict.RADIUS_RTOL)).all()
     assert np.array_equal(radii["lambda_profile"], radius)
     assert tube.pass_history[-1]["radius_excess"] is None
 
