@@ -7,8 +7,10 @@ positive direction.  Exports the trajectory and the return table as CSV.
 
 from pathlib import Path
 
+import numpy as np
+
 import cyclecert as cc
-from cyclecert.output import write_crossings_csv, write_trajectory_csv
+from cyclecert.output import write_crossings_csv, write_csv
 
 out = Path("out/demo01")
 out.mkdir(parents=True, exist_ok=True)
@@ -25,6 +27,7 @@ print(f"horizon {traj.horizon:g}, {traj.n_steps} steps")
 for p, (R_p, N_p, crossing) in enumerate(rt.returns, start=1):
     print(f"return {p}: R_{p} = {R_p:.4f}, N_{p} = {N_p}, point = {crossing.point}")
 
-write_trajectory_csv(out / "trajectory.csv", traj, stride=10)
+i = np.arange(0, traj.n_steps + 1, 10)
+write_csv(out / "trajectory.csv", ["t", "x_1", "x_2"], [i * h, *traj.nodes[i].T])
 write_crossings_csv(out / "crossings.csv", rt.returns)
 print(f"wrote {out}/trajectory.csv and {out}/crossings.csv")

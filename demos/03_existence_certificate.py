@@ -8,8 +8,10 @@ The tube geometry is exported as CSV for plotting the invariant region.
 
 from pathlib import Path
 
+import numpy as np
+
 import cyclecert as cc
-from cyclecert.output import write_json, write_tube_csv
+from cyclecert.output import write_csv, write_json
 
 out = Path("out/demo03")
 out.mkdir(parents=True, exist_ok=True)
@@ -40,5 +42,10 @@ print("constants:", {k: round(v, 4) for k, v in cert.constants.to_dict().items()
                      if isinstance(v, float)})
 
 write_json(out / "existence_certificate.json", cert.to_dict())
-write_tube_csv(out / "tube.csv", cert.tube, stride=10)
+tube = cert.tube
+i = np.arange(0, tube.N1, 10)
+rates = (tube.alpha, tube.delta, tube.lam, tube.sigma, tube.a_seg, tube.b_seg)
+header = ["i", "t", "c_1", "c_2", "alpha", "delta", "Lambda", "sigma", "a", "b"]
+columns = [i, i * tube.h, *tube.traj.nodes[i].T, *(v[i] for v in rates)]
+write_csv(out / "tube.csv", header, columns)
 print(f"wrote {out}/existence_certificate.json and {out}/tube.csv")

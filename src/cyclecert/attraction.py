@@ -18,13 +18,12 @@ tube builds.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional
 
 import numpy as np
 
-from .config import PipelineConfig, require_positive, threads_from_env
+from .config import PipelineConfig, require_positive
 from .constants import (
     estimate_magnitude_bounds,  # noqa: F401  (benchmarks/tracing.py wraps this binding)
 )
@@ -121,8 +120,7 @@ def sweep_Y0(existence: ExistenceCertificate) -> SweepResult:
 
     Every sample runs with the field, h, gamma, configuration and horizon
     of ``existence``, and reuses its runs as the module docstring says.
-    The tube builds run in a pool of ``CYCLECERT_THREADS`` workers when
-    that is above 1 (:func:`threads_from_env`).
+    The tube builds run one after another, in the order of the points.
     """
     field, config = existence.trajectory.field, existence.config
     disk = existence.tube.y0_disk
@@ -130,25 +128,15 @@ def sweep_Y0(existence: ExistenceCertificate) -> SweepResult:
     runs = existence.start_runs or [Run(field, z, existence.h) for z in pts]
     if len(runs) > len(pts):  # R' took 3 points: the center, or the endpoints
         runs = runs[1:2] if len(pts) == 1 else runs[::2]
-
-    def run(k):
-        return contraction_exponent(
+    x0 = existence.trajectory.nodes[0].tobytes()
+    exps = [
+        _tube_exponent(z, existence.tube)
+        if k == len(pts) // 2 and z.tobytes() == x0
+        else contraction_exponent(
             runs[k], existence.gamma, disk.radius, config, existence.horizon
         )
-
-    exps = [None] * pts.shape[0]
-    mid = pts.shape[0] // 2
-    if pts[mid].tobytes() == existence.trajectory.nodes[0].tobytes():
-        exps[mid] = _tube_exponent(pts[mid], existence.tube)
-    todo = [k for k, e in enumerate(exps) if e is None]
-    threads = threads_from_env()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(run, todo))
-    else:
-        done = [run(k) for k in todo]
-    for k, e in zip(todo, done):
-        exps[k] = e
+        for k, z in enumerate(pts)
+    ]
     d = basin_exponent([e.K0 for e in exps], [e.Kh for e in exps])
     return SweepResult(d=d, exponents=exps)
 
@@ -178,13 +166,11 @@ class IntegralCheck:
 
 
 def integral_criterion(
-    cycle_traj: EulerTrajectory,
-    gamma: float,
-    period: Optional[float] = None,
+    cycle_traj: EulerTrajectory, gamma: float, period: float
 ) -> IntegralCheck:
     """Composite-trapezoid weighted integral of mu_perp, on the trajectory's
     field, along a near-cycle trajectory over one period."""
-    T = float(period) if period is not None else cycle_traj.horizon
+    T = float(period)
     n = min(int(T / cycle_traj.h), cycle_traj.n_steps)
     pts = cycle_traj.nodes[: n + 1]
     mp = mu_perp_batch(cycle_traj.field, pts)

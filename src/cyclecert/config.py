@@ -1,29 +1,16 @@
-"""Run and sampling configuration, presets, environment knobs."""
+"""Run and sampling configuration and presets."""
 
 from __future__ import annotations
 
 import math
-import os
+import numbers
 import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InputError
-
-THREADS_ENV = "CYCLECERT_THREADS"
-
-
-def threads_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if not raw:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError:
-        raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if val < 1:
-        raise InputError(f"{THREADS_ENV} must be >= 1, got {raw!r}")
-    return val
 
 
 def require_positive(name: str, value: float) -> None:
@@ -31,6 +18,23 @@ def require_positive(name: str, value: float) -> None:
     > 0 (NaN, an infinity, 0 and negatives are refused)."""
     if not (math.isfinite(value) and value > 0.0):
         raise InputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def require_count(name: str, value) -> None:
+    """Raise InputError, naming ``name``, unless ``value`` is an integer
+    that :func:`require_positive` accepts (a fraction is refused too)."""
+    require_positive(name, value)
+    if not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def require_point(name: str, value) -> np.ndarray:
+    """``value`` as a new float64 array; InputError, naming ``name``, unless
+    it is a planar point, of shape (2,)."""
+    point = np.array(value, dtype=float)
+    if point.shape != (2,):
+        raise InputError(f"{name} must have shape (2,), got {point.shape}")
+    return point
 
 
 def require_step_count(name: str, h: float, horizon: float, value=None) -> None:
@@ -59,19 +63,17 @@ class PipelineConfig:
     ``sweep_samples`` evenly spaced disk points are the start points of the
     attraction sweep and of the return bound R', which takes at least 3
     (the center and both endpoints).  The slice densities, passes, radius
-    safety and region margin are constants of :mod:`cyclecert.tube`, the
-    padding is ``measures.PAD_FACTOR``, and the sweep's worker count is
-    ``CYCLECERT_THREADS`` (:func:`threads_from_env`).
+    safety and region margin are constants of :mod:`cyclecert.tube`, and
+    the padding is ``measures.PAD_FACTOR``.  The package reads no
+    environment variable, so these two fields are all a pipeline run sets.
     """
 
     lambda_stride: int = 10
     sweep_samples: int = 11
 
     def validate(self):
-        if self.lambda_stride < 1:
-            raise InputError("lambda_stride must be >= 1")
-        if self.sweep_samples < 1:
-            raise InputError("sweep_samples must be >= 1")
+        require_count("lambda_stride", self.lambda_stride)
+        require_count("sweep_samples", self.sweep_samples)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .config import require_positive
+from .config import require_point, require_positive
 from .errors import (
     CertificateBlockedError,
     EquilibriumProximityError,
@@ -128,8 +128,8 @@ class SectionDisk:
     def __post_init__(self):
         if self.radius:  # a disk of radius 0 is its center
             require_positive("radius", self.radius)
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
+        for name in ("center", "normal"):
+            object.__setattr__(self, name, require_point(name, getattr(self, name)))
 
     def sweep_points(self, n: int) -> np.ndarray:
         """n evenly spaced points of the disk: both endpoints, and the

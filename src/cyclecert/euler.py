@@ -52,7 +52,7 @@ from typing import List
 
 import numpy as np
 
-from .config import require_positive
+from .config import require_count, require_point, require_positive, require_step_count
 from .errors import DivergedError, InputError, NumericError
 from .measures import planar_norm
 from .systems import VectorField
@@ -384,9 +384,7 @@ class Run:
 
     def __init__(self, field: VectorField, x0, h: float, rows: int = 1):
         require_positive("h", h)
-        x0 = np.array(x0, dtype=float)
-        if x0.shape != (2,):
-            raise InputError(f"x0 must have shape (2,), got {x0.shape}")
+        x0 = require_point("x0", x0)
         x0.setflags(write=False)
         self.field, self.x0, self.h = field, x0, float(h)
         self.base, self.diverged = 0, None
@@ -412,7 +410,7 @@ class Run:
         non-finite node by its index on the run.
         """
         if n:  # extend(0) steps nothing
-            require_positive("n", n)
+            require_count("n", n)
         exc = _step_runs([self], n)[0]
         if exc is not None:
             raise exc
@@ -472,8 +470,7 @@ def simulate(field: VectorField, x0, h: float, n_steps: int) -> EulerTrajectory:
     """The explicit-Euler run of ``n_steps`` steps from x0: a :class:`Run`
     extended once.  A DivergedError carries the first non-finite node."""
     run = Run(field, x0, h)
-    if n_steps < 1:
-        raise InputError("n_steps must be >= 1")
+    require_count("n_steps", n_steps)
     return run.extend(n_steps).trajectory()
 
 
@@ -756,6 +753,7 @@ def batch_first_return(
     field, h = runs[0].field, runs[0].h
     if any(run.field is not field or run.h != h for run in runs):
         raise InputError("the runs of a first-return sweep must share a field and h")
+    require_step_count("horizon", h, horizon, horizon)
     n_steps = int(math.ceil(horizon / h))
     times = np.full(len(runs), np.nan)
     for j, found in enumerate(_first_returns(runs, n_steps, section, exclusion)):

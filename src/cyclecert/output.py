@@ -216,9 +216,9 @@ def write_csv(path, header, columns, const=()):
     atomic_write(path, chain(head, csv_rows(columns, const)))
 
 
-def write_trajectory_csv(path, traj, stride: int = 1):
-    i = np.arange(0, traj.n_steps + 1, stride)
-    write_csv(path, ["t", "x_1", "x_2"], [i * traj.h, *traj.nodes[i].T])
+def write_trajectory_csv(path, traj):
+    n = traj.n_steps + 1
+    write_csv(path, ["t", "x_1", "x_2"], [np.arange(n) * traj.h, *traj.nodes[:n].T])
 
 
 def write_crossings_csv(path, returns):
@@ -228,18 +228,18 @@ def write_crossings_csv(path, returns):
     write_csv(path, ["p", "R_p", "N_p", "x_1", "x_2"], columns)
 
 
-def write_tube_csv(path, tube, stride: int = 1):
-    i = np.arange(0, tube.N1, stride)
-    traj = tube.traj
+def write_tube_csv(path, tube):
+    n, i = tube.N1, np.arange(tube.N1)
+    centers = tube.traj.nodes[:n].T
     rates = (tube.alpha, tube.delta, tube.lam, tube.sigma, tube.a_seg, tube.b_seg)
     header = ["i", "t", "c_1", "c_2", "alpha", "delta", "Lambda", "sigma", "a", "b"]
-    write_csv(path, header, [i, i * tube.h, *traj.nodes[i].T, *(v[i] for v in rates)])
+    write_csv(path, header, [i, i * tube.h, *centers, *(v[:n] for v in rates)])
 
 
-def write_measures_csv(path, tube, mu_perp_nodes, stride: int = 1):
-    i = np.arange(0, tube.N1, stride)
-    branch = np.where(tube.sigma[i] < 0, b"contracting", b"regularized")
-    columns = [i, tube.lam[i], tube.sigma[i], branch, np.asarray(mu_perp_nodes)[i]]
+def write_measures_csv(path, tube, mu_perp_nodes):
+    n, sigma = tube.N1, tube.sigma[: tube.N1]
+    branch = np.where(sigma < 0, b"contracting", b"regularized")
+    columns = [np.arange(n), tube.lam[:n], sigma, branch, np.asarray(mu_perp_nodes)[:n]]
     write_csv(path, ["i", "Lambda", "sigma", "branch", "mu_perp"], columns)
 
 

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import PipelineConfig, require_positive, require_step_count
+from .config import PipelineConfig, require_count, require_positive, require_step_count
 from .errors import InputError, SynchronizationLostError
 from .euler import EulerTrajectory, Run, simulate
 from .systems import VectorField
@@ -127,6 +127,9 @@ class ReferenceStream(Run):
     def __init__(
         self, field: VectorField, y0, h: float, horizon: float, refine: int = 100
     ):
+        require_count("refine", refine)
+        require_positive("h", h)
+        require_step_count("horizon", h / refine, horizon, horizon)
         self.refine = refine
         self.n_steps = int(math.ceil(horizon / (h / refine)))
         rows = min(STREAM_CHUNK, self.n_steps) + 1 + STREAM_SLACK
@@ -487,6 +490,7 @@ def error_curve_experiment(
     """
     require_positive("periods", periods)
     require_positive("len(h_list)", len(h_list))
+    require_count("refine", refine)
     certs = []
     for h in h_list:
         cert = certify_existence(field, x0, h, delta0, gamma, config, horizon)

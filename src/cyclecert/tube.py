@@ -117,7 +117,6 @@ class Tube:
         self.pass_history = pass_history
         self.anchors = anchors
         self.anchor_grids = anchor_grids
-        self._m_tilde = None
         for arr in (self.delta, self.sigma):
             arr.setflags(write=False)
 
@@ -152,21 +151,17 @@ class Tube:
         alpha.setflags(write=False)
         return alpha
 
-    @property
+    @cached_property
     def m_tilde(self) -> np.ndarray:
         """M~_i, the s-grid maximum of |x| on segment i, over blocks of
         ``AB_BLOCK`` segments."""
-        if self._m_tilde is None:
-            m = np.empty(self.N1)
-            for lo in range(0, self.N1, AB_BLOCK):
-                seg = slice(lo, min(lo + AB_BLOCK, self.N1))
-                P0, P1, _, _ = segment_points(
-                    self.traj, self.N1, self.anchor_grids.s, seg
-                )
-                m[seg] = norm_planes(P0, P1).max(axis=0)
-            m.setflags(write=False)
-            self._m_tilde = m
-        return self._m_tilde
+        m = np.empty(self.N1)
+        for lo in range(0, self.N1, AB_BLOCK):
+            seg = slice(lo, min(lo + AB_BLOCK, self.N1))
+            P0, P1, _, _ = segment_points(self.traj, self.N1, self.anchor_grids.s, seg)
+            m[seg] = norm_planes(P0, P1).max(axis=0)
+        m.setflags(write=False)
+        return m
 
     @property
     def horizon(self) -> float:

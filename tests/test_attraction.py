@@ -330,33 +330,6 @@ def test_sweep_reuse_needs_the_existence_run(coarse_existences, monkeypatch, cha
     assert len(sweep.exponents) == 4
 
 
-def test_sweep_threads_match_serial(coarse_existences, monkeypatch):
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CYCLECERT_THREADS", threads)
-        runs.append(coarse_sweep(coarse_existences(5)))
-    serial, threaded = ([exponent_fields(e) for e in r.exponents] for r in runs)
-    assert threaded == serial
-    assert runs[1].d == runs[0].d
-
-
-def test_sweep_reads_threads_env_when_it_runs(coarse_existences, monkeypatch):
-    # the sweep reads CYCLECERT_THREADS when it runs, so a value set after
-    # the config was made takes effect
-    monkeypatch.delenv("CYCLECERT_THREADS", raising=False)
-    pools = []
-
-    class Recording(cc.attraction.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(cc.attraction, "ThreadPoolExecutor", Recording)
-    monkeypatch.setenv("CYCLECERT_THREADS", "2")
-    coarse_sweep(coarse_existences(3))
-    assert pools == [2]
-
-
 # -- runs stepped once -----------------------------------------------------
 
 
@@ -436,7 +409,6 @@ def test_sweep_radius_excess_blocks_attraction(vdp, vdp_cert, vdp_attraction, mo
     # whose radius at segment 1234 was sampled too thin blocks the basin
     # certificate, which names the sample and the segment
     assert all(e.radius_excess is None for e in vdp_attraction.exponents)
-    monkeypatch.delenv("CYCLECERT_THREADS", raising=False)
     build, widened = cc.attraction.build_tube, cc.tube.widened_radius
     calls = []
 

@@ -62,6 +62,35 @@ def test_package_draws_no_random_numbers():
     assert sorted(found) == []
 
 
+ENVIRONMENT = {"os.environ", "os.getenv", "os.putenv"}
+CONCURRENCY = ("concurrent.futures", "threading")
+
+
+def test_package_reads_no_environment():
+    # a run is set by its arguments alone, and runs on the calling thread:
+    # no package module reads the environment or imports a thread pool
+    root = Path(cyclecert.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            if any(
+                name in ENVIRONMENT
+                or any(name == m or name.startswith(m + ".") for m in CONCURRENCY)
+                for name in names
+            ):
+                found.add(f"{path.relative_to(root)}:{node.lineno}")
+    assert sorted(found) == []
+
+
 def test_benchmark_tracer_bindings_exist():
     # the traced benchmark run replaces each WRAPS attribute where its
     # caller looks it up; a refactor that drops one breaks that run

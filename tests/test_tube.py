@@ -933,7 +933,7 @@ def test_m_tilde_is_formed_when_read(vdp):
         traj, section, 1, cc.default_exclusion(1e-3, 0.1)
     ).first()
     tube = cc.build_tube(traj, R1, N1, 0.1, 0.015)
-    assert tube._m_tilde is None
+    assert "m_tilde" not in vars(tube)
     grids = cc.SegmentGrids(traj, N1, cc.tube.N_S)
     m = tube.m_tilde
     assert m is tube.m_tilde and not m.flags.writeable
