@@ -15,8 +15,13 @@ from .errors import InputError
 
 def require_positive(name: str, value: float) -> None:
     """Raise InputError, naming ``name``, unless ``value`` is finite and
-    > 0 (NaN, an infinity, 0 and negatives are refused)."""
-    if not (math.isfinite(value) and value > 0.0):
+    > 0 (NaN, an infinity, 0 and negatives are refused, and so is an
+    integer beyond float range)."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # int too large to convert to float
+        finite = False
+    if not (finite and value > 0.0):
         raise InputError(f"{name} must be finite and positive, got {value!r}")
 
 

@@ -130,6 +130,7 @@ class SectionDisk:
             require_positive("radius", self.radius)
         for name in ("center", "normal"):
             object.__setattr__(self, name, require_point(name, getattr(self, name)))
+        require_positive("|normal|", float(np.linalg.norm(self.normal)))
 
     def sweep_points(self, n: int) -> np.ndarray:
         """n evenly spaced points of the disk: both endpoints, and the

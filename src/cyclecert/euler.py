@@ -6,12 +6,13 @@ recurrence makes node differences equal h f(x_i) exactly, segment directions
 are recovered from the stored nodes without re-evaluating f.
 
 There is one integrator: the recurrence u += h*rhs2(u) on a field's
-``rhs_scalar2``, run in blocks of verified Picard sweeps over numpy arrays
-(:func:`_planar_nodes`).  Its nodes are those of a loop of single steps on
-plain floats, bit for bit: a sweep evaluates rhs2 on a guessed block and
-keeps a node only where its bits equal x + h*rhs2(x) of the kept node
-before it, so a guess sets only how many sweeps a block takes.  That needs
-rhs2 to round on arrays as on floats (README "Bit-identity contract").
+``rhs_scalar2``, run by one sliding window of verified Picard sweeps over
+numpy arrays (:func:`_planar_nodes`).  Its nodes are those of a loop of
+single steps on plain floats, bit for bit: a sweep evaluates rhs2 on the
+guessed nodes of its window and keeps a node only where its bits equal
+x + h*rhs2(x) of the kept node before it, so a guess sets only how many
+sweeps a step takes.  That needs rhs2 to round on arrays as on floats
+(README "Bit-identity contract").
 
 Every run is a :class:`Run`, which holds its nodes in one growable buffer,
 and every node is stepped by :func:`_step_runs`, the one caller of
@@ -21,19 +22,20 @@ streamed reference), and the R' sweep with the runs that share a field, h
 and last node index, which step together.
 
 One rule steps every run, a run alone being a group of one: a step-major
-(n+1, R) array holds one node of each of R runs per row, and blocks of
-min(width, rest) steps take it, the width starting at max(SWEEP_MIN,
-SWEEP_STEPS // R), about SWEEP_STEPS nodes.  A block whose sweeps stop
-short halves the width, and a full one doubles it back.  Every block is
-guessed one way: the running sum, from its first node k, of h times the
-field extrapolated from a few sample nodes (:func:`_extrapolated_guess`).
-Each node is checked against the successor of its own run's node; the
-first mismatch over all runs sets a frontier shared by all, and one running
-sum re-guesses every run after it.  A run that had verified further gets
-the same bits back, each node being the sum of the node before it and its
-increment, so the shared frontier changes no bit.  Whatever steps the
-blocks leave, each run steps by the scalar loop, so divergence and its
-node stay each run's own.
+(n+1, R) array holds one node of each of R runs per row, and each sweep
+takes the window of max(SWEEP_MIN, SWEEP_STEPS // R) steps past the
+frontier k, the last node that every run holds exact, about SWEEP_STEPS
+nodes.  Each node is checked against the successor of its own run's node;
+the first mismatch over all runs sets the next frontier, shared by all, and
+the window slides with it.  One running sum re-guesses every run past it
+(:func:`_extrapolated_guess`): from node k, the sweep's own increments,
+then, for the rows that slid into the window, increments extrapolated from
+a few of the sweep's.  So the sweep that verifies a window's tail is also
+the first sweep of the steps after it.  A run that had verified further
+gets the same bits back, each node being the sum of the node before it and
+its increment, so the shared frontier changes no bit.  Whatever steps the
+sweeps leave, each run steps by the scalar loop, so divergence and its node
+stay each run's own.
 
 Hyperplane sections, crossing detection and return times live here as well:
 each segment is linear, so in-segment crossing offsets are exact roots of a
@@ -46,6 +48,7 @@ scans runs chunk by chunk: :meth:`Run.first_return` is its run of one,
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List
@@ -92,48 +95,46 @@ class EulerTrajectory:
         return self.nodes[i] + (s / self.h) * (self.nodes[i + 1] - self.nodes[i])
 
 
-# Steps in a block of verified Picard sweeps: at most max(SWEEP_MIN,
-# SWEEP_STEPS // R) for R runs stepped together, about SWEEP_STEPS nodes
-# whatever R, a run alone being a group of one.  A block whose sweeps stop
-# short makes the next one half as long, a full one twice as long, back up
-# to that top; the steps of blocks or rests of fewer than SWEEP_MIN nodes
-# each run steps by the scalar loop (:func:`_planar_nodes`,
+# Steps in the window of verified Picard sweeps: max(SWEEP_MIN, SWEEP_STEPS
+# // R) for R runs stepped together, about SWEEP_STEPS nodes whatever R, a
+# run alone being a group of one.  The window slides with the verified
+# frontier up to the extend's last step; an extend of fewer than SWEEP_MIN
+# nodes each run steps by the scalar loop (:func:`_planar_nodes`,
 # :func:`_step_runs`).
 SWEEP_STEPS = 8192
 SWEEP_MIN = 512
 # Sweep cost in units of one node of one sweep: a sweep over L nodes costs
-# about L + SWEEP_OVERHEAD, one scalar Euler step about SCALAR_COST.  A block
-# stops sweeping once its sweeps cost what the scalar loop would.  Measured
-# on Van der Pol with numpy 2.4 on a shared 2-core x86-64 VM: 17-22 us a
-# sweep plus 11-13 ns a node, against 230-400 ns a scalar step.
+# about L + SWEEP_OVERHEAD, one scalar Euler step about SCALAR_COST.  The
+# sweeps of an extend stop once they cost what the scalar loop would on the
+# steps they verified and one window more.  Measured on Van der Pol with
+# numpy 2.4 on a shared 2-core x86-64 VM: about 18 us a sweep plus 11-14 ns
+# a node, against 230-400 ns a scalar step.
 SWEEP_OVERHEAD = 2000
 SCALAR_COST = 30
-# Every block starts from the Euler sums of the field extrapolated from
-# sample nodes (:func:`_extrapolated_guess`): by degree GUESS_DEGREE from
-# GUESS_DEGREE+1 nodes spread over the block before, where that was a full
-# one of the top width, and by degree 1 from its first node and that node's
-# Euler successor otherwise.  On Van der Pol at the h/100 reference steps,
-# where 8192-step blocks take 3-8 sweeps, degree 6 cuts rhs evaluations per
-# step over 16 blocks from 4.07 (degree 1 on every block) to 1.86 at
-# h = 1.25e-6 and from 5.17 to 2.69 at 5e-6.  Of degrees 4 to 8, 5 and 6
-# cost least.  At h = 5e-4, where a block takes 25 to 30 sweeps whatever
-# its guess, it costs a run alone 25.6 evaluations a step against 22.1 with
-# degree 1 on every block.  A run alone that looks for its first return
-# steps RETURN_CHUNK steps an extend, one block, so it always takes degree 1.
+# The rows that slide into the window are guessed from the increments that
+# :func:`_lagrange_weights` extrapolates by degree GUESS_DEGREE from
+# GUESS_DEGREE+1 of the sweep's increments spread over the window
+# (:func:`_extrapolated_guess`); the first window of an extend, with no
+# sweep before it, by degree 1 from its first node and that node's Euler
+# successor.  On Van der Pol's h/100 references of vdp-example2, streamed
+# over 2^20 steps, degrees 5 / 6 / 7 / 8 take 1.65 / 1.71 / 1.81 / 1.90 rhs
+# evaluations a step at h = 1.25e-6 and 2.98 / 2.52 / 2.20 / 2.35 at 5e-6;
+# 6 costs least over the two.  A window of 4096 steps takes 1.56 and 1.84,
+# but twice the sweeps, and steps them in the same time.
 GUESS_DEGREE = 6
 
 
 def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
     """Euler nodes of a planar run stepped on plain floats, shape (n+1, 2).
 
-    The last steps of every run (:func:`_step_runs`), and the recurrence
-    the sweeps of :func:`_planar_nodes` verify against: each step is one
-    ``rhs2`` call and u += h*d.  An ArithmeticError or ValueError of
-    ``rhs2`` (an overflow, a division by zero, a math domain error) is
-    raised as a DivergedError naming the node it left unstepped, counted
-    from ``first_step``, the index of (u1, u2).
+    The steps of every run that the sweeps leave (:func:`_step_runs`), and
+    the recurrence the sweeps of :func:`_planar_nodes` verify against: each
+    step is one ``rhs2`` call and u += h*d.  An ArithmeticError or
+    ValueError of ``rhs2`` (an overflow, a division by zero, a math domain
+    error) is raised as a DivergedError naming the node it left unstepped,
+    counted from ``first_step``, the index of (u1, u2).
     """
-    buf = [u1, u2]
+    buf = array("d", (u1, u2))  # raw doubles: no float object outlives its step
     append = buf.append
     i = 0
     try:
@@ -147,17 +148,17 @@ def _scalar_nodes(rhs2, u1, u2, h, n_steps, first_step=0):
         step = first_step + i
         reason = "state overflowed" if isinstance(e, OverflowError) else repr(e)
         raise DivergedError(f"{reason} at node {step}", step, reason) from None
-    return np.fromiter(buf, np.float64, len(buf)).reshape(-1, 2)
+    return np.frombuffer(buf, np.float64).reshape(-1, 2)
 
 
 @lru_cache(maxsize=None)
 def _lagrange_weights(steps, width):
     """Weights (len(steps), width) of the Lagrange extrapolation through a
-    run's nodes k+s, s in ``steps``, to its nodes k..k+width-1.
+    run's increments j+s, s in ``steps``, to its increments j..j+width-1.
 
     Built on first use, one read-only matrix per sample steps and width.
     """
-    u = np.arange(float(width))  # steps after k
+    u = np.arange(float(width))  # steps after j
     W = np.ones((len(steps), width))
     for i, s in enumerate(steps):
         for t in steps:
@@ -167,121 +168,77 @@ def _lagrange_weights(steps, width):
     return W
 
 
-def _extrapolated_guess(rhs2, Z, k, n, h, H, before):
-    """Write guessed Euler nodes into Z[k+1..k+n] from the runs' nodes up to
-    k in ``Z`` (complex128 rows, as in :func:`_sweep_block`): the Euler
-    sums, from node k, of the field that :func:`_lagrange_weights`
-    extrapolates from ``rhs2`` at a few sample nodes.
+def _extrapolated_guess(rhs2, Z, k, n, h, H, first, w):
+    """Write guessed Euler nodes into Z[k+1..k+n] from the exact node k:
+    one running sum from node k of increments in the rows of ``H``, the
+    work array of :func:`_planar_nodes` (one complex128 row of R runs a
+    step, as ``Z``).
 
-    After a full block of ``before`` steps, the samples are node k and D
-    nodes q apart before it, spread over that block (D = GUESS_DEGREE,
-    q = before // D).  Otherwise (``before`` = 0) they are node k and its
-    Euler successor, whose straight line sums to the quadratic in the step
-    number through node k and its two Euler successors.
+    Rows first+1..w of ``H`` hold increments of nodes k, k+1, ... that the
+    sweep before computed; the rows after them, up to first+n, are
+    extrapolated by :func:`_lagrange_weights` from GUESS_DEGREE+1 of that
+    sweep's increments, rows w, w-q, ..., spread over its window of w rows
+    (q = (w-1) // GUESS_DEGREE).  The first window (w = 0) has no sweep
+    before it: its increments are those of the straight line through the
+    field at node k and at node k's Euler successor, whose Euler sums are
+    the quadratic in the step number through node k and its two Euler
+    successors.
 
-    The increments, h times the extrapolated field, go into the complex
-    work array ``H`` with one matmul, and one running sum from node k
-    writes the rows: the guess is summed the way the recurrence sums and
-    carries its rounding, and node k+1 is exact.
+    The extrapolated increments go into ``H`` with one matmul, and one
+    running sum from node k writes the rows: the guess is summed the way
+    the recurrence sums and carries its rounding.
     """
-    z, runs = Z[k], Z.shape[1]
-    if before:
-        q = before // GUESS_DEGREE
-        steps, width = range(-GUESS_DEGREE * q, 1, q), before
-        # one flat row of nodes, sample-major: rhs2 costs less on 1-d arrays
-        P = Z[k - GUESS_DEGREE * q : k + 1 : q].ravel()
-        fields = [rhs2(P.real, P.imag)]
-    else:
-        steps, width = range(2), SWEEP_STEPS
-        d1, d2 = rhs2(z.real, z.imag)
-        fields = [(d1, d2), rhs2(z.real + h * d1, z.imag + h * d2)]
-    # h times the field at the samples, one row per rhs2 call
-    hd = np.empty((len(fields), len(steps) * runs // len(fields), 2))
-    for row, (f1, f2) in zip(hd, fields):
-        # out= broadcasts a constant component, which rhs2 gives as a number
-        np.multiply(f1, h, out=row[:, 0])
-        np.multiply(f2, h, out=row[:, 1])
-    W = _lagrange_weights(steps, width)[:, :n]
-    rows = H[: n * runs].reshape(n, runs)
-    np.matmul(W.T, hd.reshape(W.shape[0], -1), out=rows.view(np.float64))
-    rows[0] += z
-    np.cumsum(rows, axis=0, out=Z[k + 1 : k + n + 1])
-
-
-def _sweep_block(into, Z, h, work):
-    """Verify Euler nodes Z[1:] from the exact nodes Z[0] by Picard sweeps.
-
-    ``Z`` holds complex128 rows of n+1 steps (README "Bit-identity
-    contract", interleaved arithmetic), step-major with one column per run
-    (see :func:`_planar_nodes`).  Row 0 is exact, the rest a guess, which
-    the sweeps overwrite in place.  Each sweep evaluates rhs2 on the
-    unverified rows as float64 arrays, through its in-place kernel
-    ``into(x1, x2, tmp)`` (see :func:`_planar_nodes`), and accepts node j+1
-    of a run only where its bits equal Z[j] + h*rhs2(Z[j]), the scalar
-    loop's own operations on the run's verified node j.  The first mismatch
-    over all runs, at step m, sets the frontier: row m+1 is replaced by the
-    successors of row m, which are therefore exact, and the rows after it
-    are guessed again by a running sum of the sweep's increments.  A run
-    that had verified further gets its nodes back bit for bit, as each is
-    the sum of the one before and its increment.  The sum, like the first
-    guess, is only a guess: a wrong node never passes the check, so each
-    sweep verifies at least one row and the guesses decide only how many.
-
-    Returns the number of verified steps, n unless the sweeps stopped
-    because they cost more than the scalar loop would (see SCALAR_COST).
-    ``work`` holds the increments and successors, complex, and float rows:
-    the components ``into`` reads, then its scratch rows.
-    """
-    H, Y, U = work
-    n, runs = Z.shape[0] - 1, Z[0].size
-    s = cost = 0
-    while s < n and cost < SCALAR_COST * n * runs:
-        size = (n - s) * runs
-        # into reads each component several times: from contiguous copies
-        np.copyto(U[:2, :size], Z[s:n].reshape(size, 1).view(np.float64).T)
-        D1, D2 = into(U[0, :size], U[1, :size], U[2:, :size])
-        np.multiply(D1, h, out=H.real[:size])
-        np.multiply(D2, h, out=H.imag[:size])
-        rows = H[:size].reshape(Z[s + 1 :].shape)
-        succ = Y[:size].reshape(Z[s + 1 :].shape)
-        np.add(Z[s:n], rows, out=succ)
-        # a node holds where both its int64 halves match
-        differ = succ.view(np.int64) != Z[s + 1 :].view(np.int64)
-        half = int(differ.argmax())
-        if not differ.flat[half]:
-            return n
-        m = half // (2 * runs)
-        # rows s+1..s+m hold; succ[m] holds the successors of row s+m
-        s += m + 1
-        rows[m] = succ[m]
-        np.cumsum(rows[m:], axis=0, out=Z[s:])
-        cost += size + SWEEP_OVERHEAD
-    return s
+    extra = first + n - w  # rows w+1..first+n to extrapolate
+    if extra > 0:
+        if w:
+            q = (w - 1) // GUESS_DEGREE
+            steps, width = range(-1 - GUESS_DEGREE * q, 0, q), w  # from row w+1
+            hd = H[w - GUESS_DEGREE * q : w + 1 : q].view(np.float64)
+        else:
+            steps, width, z = range(2), SWEEP_STEPS, Z[k]
+            d1, d2 = rhs2(z.real, z.imag)
+            fields = [(d1, d2), rhs2(z.real + h * d1, z.imag + h * d2)]
+            hd = np.empty((2, 2 * Z.shape[1]))
+            for row, (f1, f2) in zip(hd, fields):
+                # out= broadcasts a constant component, which rhs2 gives as a number
+                np.multiply(f1, h, out=row[0::2])
+                np.multiply(f2, h, out=row[1::2])
+        W = _lagrange_weights(steps, width)[:, :extra]
+        np.matmul(W.T, hd, out=H[w + 1 : first + n + 1].view(np.float64))
+    H[first] = Z[k]
+    H[first : first + n + 1].cumsum(0, out=Z[k : k + n + 1])
 
 
 def _planar_nodes(rhs2, Z, h):
-    """Step ``Z[1:]`` of planar runs from ``Z[0]`` in blocks of verified
-    Picard sweeps (:func:`_sweep_block`), bit for bit as
-    :func:`_scalar_nodes` does, as far as the blocks go; returns the number
-    of steps every run holds.
+    """Step ``Z[1:]`` of planar runs from ``Z[0]`` by one sliding window of
+    verified Picard sweeps, bit for bit as :func:`_scalar_nodes` does, as
+    far as the sweeps go; returns the number of steps every run holds.
 
     ``Z`` is a step-major complex128 (n+1, R) array, each node x1 + i x2
     and column r holding run r: a group's own array, or for a run alone, a
     group of one, the (n+1, 1) view of its node rows.  Every R takes the
-    same rule.  A block is min(width, rest) steps, the width starting at
-    max(SWEEP_MIN, SWEEP_STEPS // R), and starts from the last nodes of the
-    block before.  A block whose sweeps stop short halves the width; a full
-    block doubles it back, up to that top.  Every block starts from one
-    guess, :func:`_extrapolated_guess`: it samples the block before where
-    that was a full one of the top width, and node k's Euler successor
-    otherwise.
+    same rule.  Each sweep takes the window of w = min(top, rest) rows past
+    the frontier k, all runs' nodes up to which are exact, top being
+    max(SWEEP_MIN, SWEEP_STEPS // R).  It evaluates rhs2 on rows k..k+w-1,
+    through its in-place kernel ``into(x1, x2, tmp)``, and keeps node j+1
+    of a run only where its bits equal Z[j] + h*rhs2(Z[j]), the scalar
+    loop's own operations on the run's verified node j.  The first mismatch
+    over all runs, at row j, sets the new frontier k' = j+1, whose row
+    becomes the successors of row j and so is exact.  :func:`_extrapolated_guess`
+    then guesses rows k'+1.. again, by one running sum of the sweep's
+    increments and of those it extrapolates for the rows that slid into the
+    window.  A run that had verified further gets its nodes back bit for
+    bit, as each is the sum of the one before and its increment.  The guess
+    is only a guess: a wrong node never passes the check, so each sweep
+    verifies at least one row and the guesses decide only how many.
 
-    The blocks stop once a block or the rest would hold fewer than
-    ``SWEEP_MIN`` nodes, at a block that holds a non-finite value, and at
-    one where ``rhs2`` raises TypeError or ValueError on arrays, as one
-    that calls math or branches on its arguments does.  Swept blocks are
-    checked finite; :func:`_step_runs` steps the rest of each run by the
-    scalar loop.
+    The sweeps stop at the extend's end, or once they cost more than the
+    scalar loop would (see SCALAR_COST), or where ``rhs2`` raises TypeError
+    or ValueError on arrays, as one that calls math or branches on its
+    arguments does.  An extend of fewer than ``SWEEP_MIN`` nodes is not
+    swept.  The frontier then goes back to the last node of every run that
+    is finite, as a component once infinite or NaN stays so;
+    :func:`_step_runs` steps the rest of each run by the scalar loop.
 
     The sweeps call ``rhs2.in_place()``'s kernel (``systems._in_place``) on
     scratch rows allocated with the other work arrays, or rhs2 itself where
@@ -290,34 +247,45 @@ def _planar_nodes(rhs2, Z, h):
     """
     n_steps, runs = Z.shape[0] - 1, Z.shape[1]
     if n_steps * runs < SWEEP_MIN:
-        return 0  # no block: no work arrays
-    top = max(SWEEP_MIN, SWEEP_STEPS // runs)
-    # once per call: fresh block-size arrays cost the allocator page faults
-    w = min(top, n_steps) * runs
+        return 0  # no window: no work arrays
+    top = min(max(SWEEP_MIN, SWEEP_STEPS // runs), n_steps)
     if hasattr(rhs2, "in_place"):
         into, rows = rhs2.in_place()
     else:
         into, rows = (lambda x1, x2, tmp: rhs2(x1, x2)), 0
-    U = np.empty((2 + rows, w))
-    work = np.empty(w, np.complex128), np.empty(w, np.complex128), U
-    width, k = top, 0
-    before = 0  # the block before, when it was a full one of ``top`` steps
+    # once per call: fresh window-size arrays cost the allocator page faults.
+    # H holds a window's increments and the rows that slide in after it,
+    # Y the successors, U the components into reads and its scratch rows
+    H = np.empty((2 * top + 1, runs), np.complex128)
+    Y = np.empty((top, runs), np.complex128)
+    U = np.empty((2 + rows, top * runs))
+    inc = H.reshape(-1)[runs:]  # the sweep's increments, from row 1 of H
+    k = first = w = cost = 0
     with np.errstate(all="ignore"):
-        while width * runs >= SWEEP_MIN and (n_steps - k) * runs >= SWEEP_MIN:
-            n = min(width, n_steps - k)
+        while k < n_steps and cost < SCALAR_COST * runs * (k + top):
+            n = min(top, n_steps - k)
+            size = n * runs
             try:
-                _extrapolated_guess(rhs2, Z, k, n, h, work[0], before)
-                done = _sweep_block(into, Z[k : k + n + 1], h, work)
+                _extrapolated_guess(rhs2, Z, k, n, h, H, first, w)
+                # into reads each component several times: from contiguous copies
+                np.copyto(U[:2, :size], Z[k : k + n].reshape(size, 1).view(np.float64).T)
+                D1, D2 = into(U[0, :size], U[1, :size], U[2:, :size])
             except (TypeError, ValueError):
                 break  # rhs2 takes plain floats only, e.g. it calls math
-            if not np.isfinite(Z[k + 1 : k + done + 1]).all():
-                break
-            k += done
-            before = top if done == n == top else 0
-            if done < n:
-                width //= 2
-            elif done == width < top:
-                width *= 2
+            np.multiply(D1, h, out=inc.real[:size])
+            np.multiply(D2, h, out=inc.imag[:size])
+            succ = Y[:n]
+            np.add(Z[k : k + n], H[1 : n + 1], out=succ)
+            # a node holds where both its int64 halves match
+            differ = succ.view(np.int64) != Z[k + 1 : k + n + 1].view(np.int64)
+            half = int(differ.argmax())
+            m = half // (2 * runs) if differ.flat[half] else n - 1
+            # rows k+1..k+m hold; succ[m] holds the successors of row k+m
+            Z[k + m + 1] = succ[m]
+            k, first, w = k + m + 1, m + 1, n
+            cost += size + SWEEP_OVERHEAD
+    if k and not np.isfinite(Z[k]).all():
+        k = int(np.isfinite(Z[1 : k + 1]).all(axis=1).argmin())
     return k
 
 
@@ -327,7 +295,7 @@ def _step_runs(runs, n: int) -> list:
 
     One :func:`_planar_nodes` sweeps them all: a run alone its own node
     rows, several a step-major array that takes their last nodes and whose
-    columns are copied into the runs' buffers.  Whatever steps its blocks
+    columns are copied into the runs' buffers.  Whatever steps its sweeps
     leave, each run steps by the scalar loop.  So a run that diverges does
     so at the step, and with the message, of the scalar loop, whatever it
     was stepped with, and the others are stepped all the same.  It keeps
@@ -350,7 +318,7 @@ def _step_runs(runs, n: int) -> list:
                 u1, u2 = float(tail[k, 0].real), float(tail[k, 0].imag)
                 nodes = _scalar_nodes(rhs2, u1, u2, h, n - k, first + k)
                 tail[k:] = nodes.view(np.complex128)
-            # the swept blocks were checked finite
+            # the swept nodes were checked finite
             finite = np.isfinite(tail[k:, 0])
             if not finite.all():
                 bad = first + k + int(finite.argmin())

@@ -106,6 +106,9 @@ class ReferenceSolution:
     def compute(
         cls, field: VectorField, y0, h: float, horizon: float, refine: int = 100
     ) -> "ReferenceSolution":
+        require_count("refine", refine)
+        require_positive("h", h)
+        require_step_count("horizon", h / refine, horizon, horizon)
         h_ref = h / refine
         traj = simulate(field, y0, h_ref, int(math.ceil(horizon / h_ref)))
         return cls(traj=traj, refine=refine)

@@ -582,12 +582,17 @@ X0 = np.array([1.8929, -0.5383])
             lambda f: SectionDisk(X0, -1.0, f.f_raw(X0)).sweep_points(3),
             id="negative-disk-radius",
         ),
+        pytest.param("|normal|", lambda f: SectionDisk(X0, 0.1, (0.0, 0.0)),
+                     id="zero-disk-normal"),
+        pytest.param("n", lambda f: cc.Run(f, X0, 1e-3).extend(10**400),
+                     id="count-beyond-float-range"),
     ],
 )
 def test_library_inputs_are_refused_by_name(vdp, name, call):
-    # an empty step list, a negative step count and a negative disk radius
-    # are InputErrors naming the argument, not a max() error, a run cut
-    # short or a mirrored disk
+    # an empty step list, a negative step count, a negative disk radius, a
+    # zero disk normal and a count no float holds are InputErrors naming
+    # the argument, not a max() error, a run cut short, a mirrored disk, NaN
+    # sweep points or an OverflowError
     refused = f"^{re.escape(name)} must be finite and positive"
     with pytest.raises(InputError, match=refused):
         call(vdp)

@@ -23,6 +23,8 @@ from conftest import VDP_DELTA0, VDP_GAMMA, VDP_X0
 BAD_SCALARS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 BAD_COUNTS = [math.nan, math.inf, 0, -1, 1.5]
 BAD_POINTS = [(), (1.0,), (1.0, 2.0, 3.0), ((1.8929, -0.5383),), (math.nan, 0.0)]
+# section normals without a direction
+BAD_NORMALS = [(0.0, 0.0), (-0.0, 0.0), (math.inf, 1.0), (math.nan, 1.0)]
 # steps of at least 5e-3, and horizons of at most 8 (3 for a reference of
 # up to 10 substeps a step), keep every run within 6,000 steps
 COARSE_H = 1e-2
@@ -121,6 +123,21 @@ def call_sweep_points(world, draw):
     return disk.sweep_points(draw(st.integers(-2, 5)))
 
 
+def call_section_disk(world, draw):
+    # a disk is built with a direction: its sweep points are finite
+    normal = draw(sometimes(BAD_NORMALS, st.sampled_from([(-0.5, -2.0), (1e-3, 0.0)])))
+    disk = cc.SectionDisk(VDP_X0, draw(st.floats(1e-3, 0.2)), normal)
+    points = disk.sweep_points(draw(st.integers(2, 5)))
+    assert np.isfinite(points).all(), points
+
+
+def call_reference_solution(world, draw):
+    return cc.ReferenceSolution.compute(
+        world.vdp, draw(point(Y0)), draw(scalar(5e-3, 5e-2)), draw(scalar(0.5, 3.0)),
+        draw(count(1, 10)),
+    )
+
+
 def call_batch_first_return(world, draw):
     runs = runs_of(world, draw(RUNS))
     section = cc.Section.through(world.vdp, VDP_X0)
@@ -188,7 +205,7 @@ ENTRY_POINTS = {
         call_certify_existence, call_certify_attraction, call_error_curve_experiment,
         call_return_time_sweep, call_estimate_eta, call_batch_first_return,
         call_simulate, call_run_extend, call_synchronize, call_sweep_points,
-        call_load_system,
+        call_load_system, call_section_disk, call_reference_solution,
     )
 }
 

@@ -229,17 +229,21 @@ def test_float_only_rhs2_takes_the_scalar_loop():
 
 
 # guesses written, as euler._extrapolated_guess writes its own, into the
-# rows Z[1:] of the block from its first nodes Z[0], one column per run
+# rows Z[1:] of the window from its exact first nodes Z[0], one column per run
 
 
 def guessing(monkeypatch, guess):
-    """Route every block's guess through ``guess(rhs2, Z, h)``, which
-    writes the rows Z[1:] of the block Z."""
+    """Route every guess of the window through ``guess(rhs2, Z, h)``, which
+    writes the rows Z[1:] of the window Z; returns the list of the frontier
+    k of each guess."""
+    calls = []
 
-    def guess_block(rhs2, Z, k, n, h, H, before):
+    def guess_window(rhs2, Z, k, n, h, H, first, w):
+        calls.append(k)
         guess(rhs2, Z[k : k + n + 1], h)
 
-    monkeypatch.setattr(cc.euler, "_extrapolated_guess", guess_block)
+    monkeypatch.setattr(cc.euler, "_extrapolated_guess", guess_window)
+    return calls
 
 
 def zeros_guess(rhs2, Z, h):
@@ -270,26 +274,41 @@ def test_block_path_ignores_the_guess(vdp, monkeypatch, guess, h):
     x0 = (1.8929, -0.5383)
     n_steps = 2 * SWEEP_W + 7
     ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, n_steps)
-    guessing(monkeypatch, guess)
+    calls = guessing(monkeypatch, guess)
     field, seen = recording(vdp)
     nodes = cc.simulate(field, x0, h, n_steps).nodes
-    assert any(seen)
+    assert calls and any(seen)
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
+def scalar_steps(monkeypatch):
+    """Count the steps euler._scalar_nodes takes, in the returned list."""
+    steps = [0]
+    scalar = cc.euler._scalar_nodes
+
+    def counted(rhs2, u1, u2, h, n_steps, first_step=0):
+        steps[0] += n_steps
+        return scalar(rhs2, u1, u2, h, n_steps, first_step)
+
+    monkeypatch.setattr(cc.euler, "_scalar_nodes", counted)
+    return steps
+
+
 def counting_extrapolation(monkeypatch, wrong=None):
-    """Route every guess through ``wrong`` (applied in place to the block's
-    rows Z[k..k+n] once the true guess has written them), recording the
-    node k of each guess that samples the full block before it."""
+    """Route every guess through ``wrong``, applied in place, once the true
+    guess has written them, to the rows that slid into the window and the
+    row before them (the whole window Z[k..k+n] on an extend's first);
+    returns the list of the frontier k of each guess that samples the
+    sweep before it."""
     calls = []
     extrapolate = cc.euler._extrapolated_guess
 
-    def guess(rhs2, Z, k, n, h, H, before):
-        if before:
+    def guess(rhs2, Z, k, n, h, H, first, w):
+        if w:
             calls.append(k)
-        extrapolate(rhs2, Z, k, n, h, H, before)
-        if wrong is not None:
-            wrong(Z[k : k + n + 1])
+        extrapolate(rhs2, Z, k, n, h, H, first, w)
+        if wrong is not None and first + n > w:  # rows slid into the window
+            wrong(Z[k + w - first : k + n + 1])
 
     monkeypatch.setattr(cc.euler, "_extrapolated_guess", guess)
     return calls
@@ -299,12 +318,13 @@ def counting_extrapolation(monkeypatch, wrong=None):
 @pytest.mark.parametrize("h", [1.25e-6, 1e-4])
 @pytest.mark.parametrize("guess", ["zero_weights", "noise", "one_ulp"])
 def test_block_path_ignores_the_extrapolated_guess(vdp, monkeypatch, guess, h, gate):
-    # the extrapolation from the block before decides, like the straight
-    # line from node k, only how many nodes a sweep verifies; every block
-    # after a full one samples it, at the h/100 reference steps and at 1e-4
-    # alike (gate open), and none does when every block stops one step
-    # short of full (gate shut), which leaves the nodes it verified to the
-    # next block
+    # the extrapolation from the sweep's increments decides, like the
+    # straight line from node k, only how many nodes a sweep verifies.
+    # Every slide of the window samples the sweep before it, at the h/100
+    # reference steps and at 1e-4 alike (gate open), and the window slides
+    # to the extend's end.  With the cost gate shut (a scalar step costing
+    # half a node of a sweep) the window stops after its first sweep, which
+    # samples none, and the scalar loop steps the rest
     x0 = (1.8929, -0.5383)
     n_steps = 4 * SWEEP_W + 7
     ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, n_steps)
@@ -325,14 +345,10 @@ def test_block_path_ignores_the_extrapolated_guess(vdp, monkeypatch, guess, h, g
         )
     calls = counting_extrapolation(monkeypatch, wrong)
     if gate == "shut":
-        sweep = cc.euler._sweep_block
-
-        def sweep_short(into, Z, h, work):
-            return min(sweep(into, Z, h, work), Z.shape[0] - 2)
-
-        monkeypatch.setattr(cc.euler, "_sweep_block", sweep_short)
+        monkeypatch.setattr(cc.euler, "SCALAR_COST", 0.5)
+    steps = scalar_steps(monkeypatch)
     nodes = cc.simulate(vdp, x0, h, n_steps).nodes
-    assert bool(calls) == (gate == "open")
+    assert bool(calls) == (steps[0] == 0) == (gate == "open")
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
@@ -352,11 +368,13 @@ def counting_points(field):
     return dataclasses.replace(field, rhs_scalar2=rhs2_counted), count
 
 
-@pytest.mark.parametrize("h,most", [(1.25e-6, 2.2), (5e-6, 3.2)])
+@pytest.mark.parametrize("h,most", [(1.25e-6, 1.85), (5e-6, 2.5)])
 def test_extrapolated_guess_saves_rhs_points(vdp, h, most):
     # the Euler sums of the extrapolated field carry the recurrence's
-    # rounding, so the first sweep of a smooth block verifies most of it:
-    # 1.86 and 2.69 array points a step measured over 16 blocks
+    # rounding, so most nodes of a smooth run hold by their second sweep,
+    # and a sweep that verifies a window's tail steps the rows past it:
+    # 1.815 and 2.480 array points a step measured over one extend of 16
+    # windows (1.863 and 2.693 with fixed blocks)
     field, count = counting_points(vdp)
     n_steps = 16 * SWEEP_W
     cc.simulate(field, (1.8929, -0.5383), h, n_steps)
@@ -364,17 +382,17 @@ def test_extrapolated_guess_saves_rhs_points(vdp, h, most):
 
 
 def test_straight_line_guess_is_the_quadratic(vdp):
-    # a block that samples no block before it is guessed from node k and
-    # its Euler successor: the Euler sums of the straight line through the
-    # field there are the quadratic in the step number through node k and
-    # its two Euler successors, to the few ulps by which a running sum of
-    # 64 increments and the closed form round apart
+    # the first window of an extend, with no sweep before it to sample, is
+    # guessed from node k and its Euler successor: the Euler sums of the
+    # straight line through the field there are the quadratic in the step
+    # number through node k and its two Euler successors, to the few ulps
+    # by which a running sum of 64 increments and the closed form round apart
     x0 = np.array([[1.8929, -0.5383], [0.3, 2.1], [-1.5, 0.2]])
     h, n = 1.25e-6, 64
     Z = np.empty((n + 1, len(x0)), np.complex128)
     Z[0] = x0[:, 0] + 1j * x0[:, 1]
-    H = np.empty(n * len(x0), np.complex128)
-    cc.euler._extrapolated_guess(vdp.rhs_scalar2, Z, 0, n, h, H, 0)
+    H = np.empty((n + 1, len(x0)), np.complex128)
+    cc.euler._extrapolated_guess(vdp.rhs_scalar2, Z, 0, n, h, H, 0, 0)
     d1, d2 = vdp.rhs_scalar2(x0[:, 0], x0[:, 1])
     e1, e2 = vdp.rhs_scalar2(x0[:, 0] + h * d1, x0[:, 1] + h * d2)
     j = np.arange(1.0, n + 1)[:, None]
@@ -389,8 +407,9 @@ def test_straight_line_guess_is_the_quadratic(vdp):
 
 def test_constant_component_keeps_the_block_path(monkeypatch):
     # rhs2 returns a constant component as a plain number; the guess
-    # broadcasts it, so every block after the first samples the block
-    # before it and only the 5-step tail calls rhs2 on plain floats
+    # broadcasts it, so every sweep after the first samples the sweep
+    # before it, the window slides to the extend's last step and rhs2 is
+    # never called on plain floats
     field, count = counting_points(cc.load_system({"rhs": ["-0.5", "x1 - x2"]}))
     calls = counting_extrapolation(monkeypatch)
     x0, h, n_steps = (1.0, 0.5), 1.25e-6, 4 * SWEEP_W + 5
@@ -398,14 +417,14 @@ def test_constant_component_keeps_the_block_path(monkeypatch):
     count["scalar"] = 0
     nodes = cc.simulate(field, x0, h, n_steps).nodes
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
-    assert calls == [SWEEP_W, 2 * SWEEP_W, 3 * SWEEP_W]
-    assert count["scalar"] <= 16
+    assert calls and np.all(np.diff([0] + calls) > 0)  # one call a sweep
+    assert count["scalar"] == 0
 
 
 @pytest.mark.parametrize("h", [1.25e-6, 1e-4])
 @pytest.mark.parametrize("system", sorted(cc.systems.REGISTRY))
 def test_extrapolated_blocks_match_one_step_loop(system, h):
-    # four full blocks and a scalar tail, whichever guess the gate picks
+    # four windows and more, the window sliding to the extend's last step
     field = cc.load_system({"id": system})
     x0, n_steps = (1.8929, -0.5383), 4 * SWEEP_W + 5
     ref, _ = one_step_nodes(field.rhs_scalar2, x0, h, n_steps)
@@ -413,44 +432,17 @@ def test_extrapolated_blocks_match_one_step_loop(system, h):
     assert np.array_equal(nodes.view(np.int64), ref.view(np.int64))
 
 
-def scalar_steps(monkeypatch):
-    """Count the steps euler._scalar_nodes takes, in the returned list."""
-    steps = [0]
-    scalar = cc.euler._scalar_nodes
-
-    def counted(rhs2, u1, u2, h, n_steps, first_step=0):
-        steps[0] += n_steps
-        return scalar(rhs2, u1, u2, h, n_steps, first_step)
-
-    monkeypatch.setattr(cc.euler, "_scalar_nodes", counted)
-    return steps
-
-
-def test_short_blocks_grow_back(vdp, monkeypatch):
-    # at h = 5e-4 from vdp-example2's x0 the second extend's blocks stop
-    # short and halve; full blocks double them back, so the scalar loop
-    # steps only the tail, and the nodes are those of one extend
-    x0, h = (1.8929, -0.5383), 5e-4
-    steps = scalar_steps(monkeypatch)
-    run = cc.Run(vdp, x0, h).extend(20000)
-    steps[0] = 0
-    run.extend(43140)
-    assert steps[0] < cc.euler.SWEEP_MIN
-    one = cc.Run(vdp, x0, h).extend(63140)
-    assert np.array_equal(run.nodes.view(np.int64), one.nodes.view(np.int64))
-
-
 def test_sweeps_run_in_place(vdp):
     # after a warm-up chunk, a reference chunk (2^18 steps at h = 1.25e-6)
     # allocates, beyond the work arrays of its extend, less than one
-    # block-sized float64 array: the guesses, the in-place kernel and the
+    # window-sized float64 array: the guesses, the in-place kernel and the
     # running sums write into the node buffer and the work arrays
     stream = cc.syncerr.ReferenceStream(vdp, (1.8929, -0.5383), 1.25e-4, 1.0)
     stream.advance(0)
     assert stream.h == 1.25e-6 and stream.end == cc.syncerr.STREAM_CHUNK
     w = cc.euler.SWEEP_STEPS
     _, rows = vdp.rhs_scalar2.in_place()
-    work = 2 * 16 * w + (2 + rows) * 8 * w  # H, Y and U of _planar_nodes
+    work = 16 * (2 * w + 1) + 16 * w + (2 + rows) * 8 * w  # H, Y and U of _planar_nodes
     tracemalloc.start()
     try:
         stream.advance(stream.end)  # keeps one node: no new buffer
@@ -861,45 +853,41 @@ def test_group_extend_matches_runs_alone(vdp, count, h, radius, rest):
         assert np.array_equal(run.nodes.view(np.int64), alone.nodes.view(np.int64))
 
 
-def test_group_blocks_that_stop_short_halve(vdp, monkeypatch):
-    # two runs at h = 5e-4 whose second block stops short: the group halves
-    # its blocks and doubles them back, as a run alone does, and steps the
-    # whole extend in one _planar_nodes call; each run holds the int64 bits
-    # of the run alone
-    h, n = 5e-4, 20000
-    runs = disk_runs(vdp, (1.8929, -0.5383), 0.01, 2, h)
-    shapes, blocks = [], []
-    planar, sweep = cc.euler._planar_nodes, cc.euler._sweep_block
+def test_window_that_stops_short_matches_one_step_loop(vdp, monkeypatch):
+    # at h = 1e-3 from vdp-example2's x0 a sweep verifies a small part of
+    # its window, and the sweeps stop short of the extend's end once they
+    # cost more than the scalar loop would, which steps the rest.  A run
+    # extended twice, and each run of a group of two stepped by one
+    # _planar_nodes call, holds the int64 bits of the one-step loop
+    x0, h, n = (1.8929, -0.5383), 1e-3, 20000
+    steps = scalar_steps(monkeypatch)
+    run = cc.Run(vdp, x0, h).extend(n)
+    assert 0 < steps[0] < n
+    run.extend(2 * n)
+    ref, _ = one_step_nodes(vdp.rhs_scalar2, x0, h, 3 * n)
+    assert np.array_equal(run.nodes.view(np.int64), ref.view(np.int64))
+    runs = disk_runs(vdp, x0, 0.01, 2, h)
+    shapes = []
+    planar = cc.euler._planar_nodes
 
-    def planar_recorded(rhs2, Z, *args):
+    def planar_recorded(rhs2, Z, h):
         shapes.append(Z.shape)
-        return planar(rhs2, Z, *args)
-
-    def sweep_recorded(into, Z, h, work):
-        done = sweep(into, Z, h, work)
-        blocks.append((Z.shape[0] - 1, done))
-        return done
+        return planar(rhs2, Z, h)
 
     monkeypatch.setattr(cc.euler, "_planar_nodes", planar_recorded)
-    monkeypatch.setattr(cc.euler, "_sweep_block", sweep_recorded)
+    steps[0] = 0
     assert cc.euler._step_runs(runs, n) == [None, None]
-    assert shapes == [(n + 1, 2)]
-    top = cc.euler.SWEEP_STEPS // 2
-    short = [i for i, (width, done) in enumerate(blocks) if done < width]
-    assert short and short[0] == 1
-    assert all(blocks[i + 1][0] == blocks[i][0] // 2 for i in short)
-    assert blocks[short[0] + 2][0] == top  # doubled back
-    monkeypatch.undo()
+    assert shapes == [(n + 1, 2)] and 0 < steps[0] < 2 * n
     for run in runs:
-        alone = cc.Run(vdp, run.x0, h).extend(n)
-        assert np.array_equal(run.nodes.view(np.int64), alone.nodes.view(np.int64))
+        ref, _ = one_step_nodes(vdp.rhs_scalar2, tuple(run.x0), h, n)
+        assert np.array_equal(run.nodes.view(np.int64), ref.view(np.int64))
 
 
 def test_r_prime_sweep_steps_each_group_once(vdp, monkeypatch):
     # vdp-example1's R' sweep (11 points of the start disk at h = 1e-4, the
     # center continuing the certificate's run to its first return): each
-    # _step_runs call sweeps the 10 other runs by one _planar_nodes, and
-    # the scalar loop steps the step per run its blocks leave
+    # _step_runs call sweeps the 10 other runs by one _planar_nodes, whose
+    # window slides to the chunk's last step
     x0, h = np.array([1.8929, -0.5383]), 1e-4
     disk = cc.SectionDisk(x0, 0.1, vdp.f_raw(x0))
     center = cc.Run(vdp, x0, h)

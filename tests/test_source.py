@@ -125,10 +125,11 @@ def _call_scopes(tree, scope, names):
 def test_every_node_is_stepped_by_run_extend():
     # euler._step_runs is the one place a node is stepped, for a run alone
     # (Run.extend calls it with its own run) or for runs stepped together:
-    # it sweeps them by one _planar_nodes, then steps what the blocks leave
+    # it sweeps them by one _planar_nodes, then steps what the sweeps leave
     # of each run by the scalar loop, and it is the only caller of either.
     # The other ways a run once grew or was guessed (step_on, _coarse_run,
-    # _sweep_guess, prefix=, step= and double= parameters) stay gone
+    # _sweep_guess, the blocks of _sweep_block, prefix=, step= and double=
+    # parameters) stay gone
     sites, gone = [], []
     for path in sorted(Path(cyclecert.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -140,7 +141,7 @@ def test_every_node_is_stepped_by_run_extend():
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            if node.name in ("step_on", "_coarse_run", "_sweep_guess"):
+            if node.name in ("step_on", "_coarse_run", "_sweep_guess", "_sweep_block"):
                 gone.append(f"{path.stem}.{node.name}")
             args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
             gone += [

@@ -166,6 +166,22 @@ def test_self_synchronization_exact(vdp):
     assert np.abs(series.thetas - series.times).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "h,horizon,refine,name",
+    [
+        (1e-3, 4.0, 0, "refine"),  # h / refine divides by zero
+        (1e-3, 4.0, 1.5, "refine"),
+        (math.nan, 4.0, 50, "h"),
+        (1e-3, math.nan, 50, "horizon"),  # ceil(horizon / h) has no int
+        (1e-3, 1e-7, 50, "horizon"),
+    ],
+)
+def test_reference_solution_refuses_bad_input_by_name(vdp, h, horizon, refine, name):
+    # the checks of ReferenceStream, which steps the same reference
+    with pytest.raises(InputError, match=f"^{name} "):
+        ReferenceSolution.compute(vdp, np.asarray(VDP_X0), h, horizon, refine=refine)
+
+
 def test_residual_bound_holds(vdp):
     ref = ReferenceSolution.compute(vdp, np.asarray(VDP_X0), 1e-3, 4.0, refine=50)
     traj = cc.simulate(vdp, VDP_X0, 1e-3, 3000)
@@ -768,8 +784,8 @@ def test_reference_rows_must_be_contiguous(vdp):
 # guesses or the windows must not raise (the outputs would not show it).
 # Array evaluations of rhs_scalar2 per node over the first 2^20 steps of the
 # h = 1.25e-6 reference of vdp-example2, stepped as the error curve steps
-# it (1.8613 measured).
-SWEEP_EVALS_PER_NODE = 2.0
+# it (1.7077 measured with the sliding window, 1.8470 with fixed blocks).
+SWEEP_EVALS_PER_NODE = 1.8
 # _window_pass calls of the vdp-example2 error curve at h = 5e-4.
 WINDOW_PASSES = 49
 # _window_pass calls of the vdp-example1 certificate run synchronized
